@@ -13,14 +13,10 @@
 //! shared-rate contention modes) and is serialised into the artifact's
 //! `contention` section — purely virtual quantities, byte-stable.
 //!
-//! Perf-trajectory gates: when `RECSHARD_BENCH_BASELINE` points at a
-//! previously committed `BENCH_des.json`, the run fails on events/sec
-//! regressions beyond `RECSHARD_BENCH_TOLERANCE` (default 25% — generous,
-//! because wall rates on shared runners are noisy; the gate catches
-//! instrumentation-scale slowdowns, not jitter). Event-log fingerprint
-//! drift on committed point keys (main and contention sweeps) also fails
-//! the run — behavioural changes must be re-baselined deliberately — unless
-//! `RECSHARD_BENCH_ALLOW_DRIFT=1` acknowledges the drift as intentional.
+//! Gates (see `recshard_bench::artifact`): with `RECSHARD_BENCH_BASELINE`
+//! set, the run fails on event-log fingerprint drift in either section
+//! (`RECSHARD_BENCH_ALLOW_DRIFT=1` acknowledges intended drift) and, when
+//! both sides are timed, on events/sec regressions beyond 25%.
 //!
 //! Observability export: when `RECSHARD_OBS_DIR` is set, the sweep's
 //! smallest flat point re-runs once with a collector attached and writes
@@ -29,16 +25,14 @@
 //!
 //! Environment overrides: `RECSHARD_DES_MAX_GPUS`, `RECSHARD_DES_ITERS`,
 //! `RECSHARD_SEED`, `RECSHARD_BENCH_TIMING`, `RECSHARD_BENCH_BASELINE`,
-//! `RECSHARD_BENCH_TOLERANCE`, `RECSHARD_BENCH_ALLOW_DRIFT`,
-//! `RECSHARD_OBS_DIR`.
+//! `RECSHARD_BENCH_ALLOW_DRIFT`, `RECSHARD_OBS_DIR`.
 
-#![allow(clippy::print_stdout, clippy::print_stderr)]
-use recshard_bench::des_bench::{
-    fingerprint_drift, run_sweep, throughput_regressions, traced_smoke, DesBenchConfig,
-};
+#![allow(clippy::print_stdout)]
+use recshard_bench::artifact::{export_obs, Baseline, BaselineError};
+use recshard_bench::des_bench::{run_sweep, traced_smoke, DesBenchConfig, SPEC};
 use recshard_bench::report::RunReport;
 
-fn main() {
+fn main() -> Result<(), BaselineError> {
     let cfg = DesBenchConfig::from_env();
     println!(
         "# des_bench: {} tables x gpus {:?} (flat + hierarchical), {} iterations, \
@@ -54,95 +48,19 @@ fn main() {
             "stdout only"
         }
     );
+    let baseline = Baseline::from_env(&SPEC)?;
     let report = run_sweep(&cfg);
-
-    // Perf-trajectory gate against a previously committed BENCH_des.json.
-    // Read the baseline *before* overwriting it below.
-    if let Ok(baseline_path) = std::env::var("RECSHARD_BENCH_BASELINE") {
-        let tolerance = std::env::var("RECSHARD_BENCH_TOLERANCE")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(0.25);
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        let allow_drift = std::env::var("RECSHARD_BENCH_ALLOW_DRIFT").as_deref() == Ok("1");
-        let drifts = fingerprint_drift(&report, &baseline);
-        if drifts.is_empty() {
-            println!("no event-log fingerprint drift vs {baseline_path}");
-        } else if allow_drift {
-            for drift in &drifts {
-                println!("note (drift allowed): {drift}");
-            }
-        } else {
-            for drift in &drifts {
-                eprintln!("FINGERPRINT DRIFT: {drift}");
-            }
-            eprintln!(
-                "event-log fingerprints drifted from {baseline_path}; if the behaviour \
-                 change is intentional, re-run with RECSHARD_BENCH_ALLOW_DRIFT=1 and \
-                 commit the regenerated BENCH_des.json"
-            );
-            std::process::exit(1);
-        }
-        let regressions = throughput_regressions(&report, &baseline, tolerance);
-        if regressions.is_empty() {
-            println!(
-                "no events/sec regressions vs {baseline_path} (tolerance {:.0}%)",
-                tolerance * 100.0
-            );
-        } else {
-            for r in &regressions {
-                eprintln!("THROUGHPUT REGRESSION: {r}");
-            }
-            std::process::exit(1);
-        }
-    }
-
-    // Observability artifact export: one traced seeded smoke run.
-    if let Ok(dir) = std::env::var("RECSHARD_OBS_DIR") {
-        let (summary, bundle) = traced_smoke(&cfg);
-        std::fs::create_dir_all(&dir).expect("create RECSHARD_OBS_DIR");
-        let path = |name: &str| format!("{dir}/{name}");
-        std::fs::write(path("des_trace.jsonl"), bundle.trace.to_jsonl())
-            .expect("write des_trace.jsonl");
-        std::fs::write(path("des_trace.chrome.json"), bundle.trace.to_chrome())
-            .expect("write des_trace.chrome.json");
-        std::fs::write(path("des_metrics.json"), bundle.metrics.to_json())
-            .expect("write des_metrics.json");
-        let mut obs = RunReport::new("observability export");
-        obs.push("directory", &dir)
-            .push("trace records", bundle.trace.len())
-            .push_fingerprint("trace fingerprint", bundle.trace.fingerprint())
-            .push_fingerprint("metrics fingerprint", bundle.metrics.fingerprint())
-            .push_fingerprint("event-log fingerprint", summary.fingerprint);
-        print!("{obs}");
-    }
-
-    let json = report.to_json();
-    std::fs::write("BENCH_des.json", &json).expect("write BENCH_des.json");
+    let artifact = report.artifact();
+    baseline.check(&artifact)?;
+    export_obs("des", || traced_smoke(&cfg)).expect("export observability artifacts");
+    std::fs::write(SPEC.file, artifact.to_json()).expect("write BENCH_des.json");
     println!();
     let mut summary = RunReport::new("des_bench");
     summary
         .push("sweep points", report.points.len())
         .push("contention points", report.contention.len())
-        .push_fingerprint("report fingerprint", report.fingerprint());
-    for p in &report.points {
-        let key = format!("{} GPUs x {} node(s)", p.gpus, p.nodes);
-        if p.events_per_sec > 0.0 {
-            summary.push(
-                &key,
-                format!(
-                    "{} events, {:.0} events/s wall, fingerprint {:#018x}",
-                    p.events, p.events_per_sec, p.fingerprint
-                ),
-            );
-        } else {
-            summary.push(
-                &key,
-                format!("{} events, fingerprint {:#018x}", p.events, p.fingerprint),
-            );
-        }
-    }
+        .push_fingerprint("report fingerprint", artifact.fingerprint());
     print!("{summary}");
     println!("wrote BENCH_des.json");
+    Ok(())
 }

@@ -16,12 +16,10 @@
 //! storm must trigger at least one controller re-shard, and stationary
 //! traffic must trigger none.
 //!
-//! Gates: when `RECSHARD_BENCH_BASELINE` points at a previously committed
-//! `BENCH_scenarios.json`, the run fails on DES *or* serve fingerprint
-//! drift on committed point keys — behavioural changes must be re-baselined
-//! deliberately — unless `RECSHARD_BENCH_ALLOW_DRIFT=1` acknowledges the
-//! drift as intentional, and on DES events/sec regressions beyond
-//! `RECSHARD_BENCH_TOLERANCE` (default 25%) when timing is on.
+//! Gates (see `recshard_bench::artifact`): with `RECSHARD_BENCH_BASELINE`
+//! set, the run fails on DES *or* serve fingerprint drift
+//! (`RECSHARD_BENCH_ALLOW_DRIFT=1` acknowledges intended drift) and, when
+//! both sides are timed, on DES events/sec regressions beyond 25%.
 //!
 //! Observability export: when `RECSHARD_OBS_DIR` is set, the flash-crowd
 //! RecShard point re-runs once with a collector attached and writes
@@ -31,17 +29,16 @@
 //!
 //! Environment overrides: `RECSHARD_SCENARIO_ITERS`, `RECSHARD_SEED`,
 //! `RECSHARD_BENCH_TIMING`, `RECSHARD_BENCH_BASELINE`,
-//! `RECSHARD_BENCH_TOLERANCE`, `RECSHARD_BENCH_ALLOW_DRIFT`,
-//! `RECSHARD_OBS_DIR`.
+//! `RECSHARD_BENCH_ALLOW_DRIFT`, `RECSHARD_OBS_DIR`.
 
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![allow(clippy::print_stdout)]
+use recshard_bench::artifact::{export_obs, Baseline, BaselineError};
 use recshard_bench::report::RunReport;
 use recshard_bench::scenario_bench::{
-    fingerprint_drift, run_sweep, throughput_regressions, traced_smoke, ScenarioBenchConfig,
-    SCENARIOS,
+    run_sweep, traced_smoke, ScenarioBenchConfig, SCENARIOS, SPEC,
 };
 
-fn main() {
+fn main() -> Result<(), BaselineError> {
     let cfg = ScenarioBenchConfig::from_env();
     println!(
         "# scenario_bench: {} tables x {} GPUs, scenarios {:?} x 4 placements, \
@@ -58,87 +55,18 @@ fn main() {
             "stdout only"
         }
     );
+    let baseline = Baseline::from_env(&SPEC)?;
     let report = run_sweep(&cfg);
-
-    // Trajectory gates against a previously committed BENCH_scenarios.json.
-    // Read the baseline *before* overwriting it below.
-    if let Ok(baseline_path) = std::env::var("RECSHARD_BENCH_BASELINE") {
-        let tolerance = std::env::var("RECSHARD_BENCH_TOLERANCE")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(0.25);
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        let allow_drift = std::env::var("RECSHARD_BENCH_ALLOW_DRIFT").as_deref() == Ok("1");
-        let drifts = fingerprint_drift(&report, &baseline);
-        if drifts.is_empty() {
-            println!("no fingerprint drift vs {baseline_path}");
-        } else if allow_drift {
-            for drift in &drifts {
-                println!("note (drift allowed): {drift}");
-            }
-        } else {
-            for drift in &drifts {
-                eprintln!("FINGERPRINT DRIFT: {drift}");
-            }
-            eprintln!(
-                "fingerprints drifted from {baseline_path}; if the behaviour change is \
-                 intentional, re-run with RECSHARD_BENCH_ALLOW_DRIFT=1 and commit the \
-                 regenerated BENCH_scenarios.json"
-            );
-            std::process::exit(1);
-        }
-        let regressions = throughput_regressions(&report, &baseline, tolerance);
-        if regressions.is_empty() {
-            println!(
-                "no events/sec regressions vs {baseline_path} (tolerance {:.0}%)",
-                tolerance * 100.0
-            );
-        } else {
-            for r in &regressions {
-                eprintln!("THROUGHPUT REGRESSION: {r}");
-            }
-            std::process::exit(1);
-        }
-    }
-
-    // Observability artifact export: one traced flash-crowd smoke run.
-    if let Ok(dir) = std::env::var("RECSHARD_OBS_DIR") {
-        let (summary, bundle) = traced_smoke(&cfg);
-        std::fs::create_dir_all(&dir).expect("create RECSHARD_OBS_DIR");
-        let path = |name: &str| format!("{dir}/{name}");
-        std::fs::write(path("scenario_trace.jsonl"), bundle.trace.to_jsonl())
-            .expect("write scenario_trace.jsonl");
-        std::fs::write(path("scenario_trace.chrome.json"), bundle.trace.to_chrome())
-            .expect("write scenario_trace.chrome.json");
-        std::fs::write(path("scenario_metrics.json"), bundle.metrics.to_json())
-            .expect("write scenario_metrics.json");
-        let mut obs = RunReport::new("observability export");
-        obs.push("directory", &dir)
-            .push("trace records", bundle.trace.len())
-            .push_fingerprint("trace fingerprint", bundle.trace.fingerprint())
-            .push_fingerprint("metrics fingerprint", bundle.metrics.fingerprint())
-            .push_fingerprint("event-log fingerprint", summary.fingerprint);
-        print!("{obs}");
-    }
-
-    let json = report.to_json();
-    std::fs::write("BENCH_scenarios.json", &json).expect("write BENCH_scenarios.json");
+    let artifact = report.artifact();
+    baseline.check(&artifact)?;
+    export_obs("scenario", || traced_smoke(&cfg)).expect("export observability artifacts");
+    std::fs::write(SPEC.file, artifact.to_json()).expect("write BENCH_scenarios.json");
     println!();
     let mut summary = RunReport::new("scenario_bench");
     summary
         .push("sweep points", report.points.len())
-        .push_fingerprint("report fingerprint", report.fingerprint());
-    for p in &report.points {
-        let key = format!("{}/{}", p.scenario, p.placement);
-        summary.push(
-            &key,
-            format!(
-                "{} reshard(s), DES p99 {:.3} ms, serve p99 {:.3} ms, fp {:#018x}",
-                p.reshards, p.p99_ms, p.serve_p99_ms, p.fingerprint
-            ),
-        );
-    }
+        .push_fingerprint("report fingerprint", artifact.fingerprint());
     print!("{summary}");
     println!("wrote BENCH_scenarios.json");
+    Ok(())
 }

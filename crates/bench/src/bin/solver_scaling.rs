@@ -10,21 +10,27 @@
 //! * **scalable** — the CDF-bucketed solver (the tentpole's fast path), and
 //! * **hierarchical** — the two-level tables→nodes→GPUs solver.
 //!
-//! The binary asserts, for every point: the scalable plan never costs more
+//! The sweep asserts, for every point: the scalable plan never costs more
 //! than greedy, and stays within 1% of the structured reference. Wall-clock
 //! times always print to stdout; they are only written into the JSON under
 //! `RECSHARD_BENCH_TIMING=1` (otherwise a `-1` sentinel keeps the artifact
 //! byte-identical across runs with the same seed — the determinism contract
 //! locked by `tests/golden_fingerprints.rs`).
 //!
+//! Gate (see `recshard_bench::artifact`): with `RECSHARD_BENCH_BASELINE`
+//! set, the run fails when a point's scalable plan cost exceeds the
+//! baseline's by more than 2% — not on mere plan-fingerprint drift.
+//!
 //! Environment overrides: `RECSHARD_SOLVER_MAX_TABLES`,
-//! `RECSHARD_SOLVER_MAX_GPUS`, `RECSHARD_SEED`, `RECSHARD_BENCH_TIMING`.
+//! `RECSHARD_SOLVER_MAX_GPUS`, `RECSHARD_SEED`, `RECSHARD_BENCH_TIMING`,
+//! `RECSHARD_BENCH_BASELINE`.
 
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![allow(clippy::print_stdout)]
+use recshard_bench::artifact::{Baseline, BaselineError};
 use recshard_bench::report::RunReport;
-use recshard_bench::solver_bench::{cost_regressions, run_sweep, SolverBenchConfig};
+use recshard_bench::solver_bench::{run_sweep, SolverBenchConfig, SPEC};
 
-fn main() {
+fn main() -> Result<(), BaselineError> {
     let cfg = SolverBenchConfig::from_env();
     println!(
         "# solver_scaling: tables {:?} x gpus {:?}, {} profile samples, seed {:#x}, timing {}",
@@ -38,64 +44,12 @@ fn main() {
             "stdout only"
         }
     );
+    let baseline = Baseline::from_env(&SPEC)?;
     let report = run_sweep(&cfg);
 
-    for p in &report.points {
-        assert!(
-            p.scalable_vs_greedy <= 1.0 + 1e-9,
-            "{} tables x {} GPUs: scalable plan cost must not exceed greedy (ratio {})",
-            p.tables,
-            p.gpus,
-            p.scalable_vs_greedy
-        );
-        assert!(
-            p.scalable_vs_structured <= 1.01 + 1e-9,
-            "{} tables x {} GPUs: scalable plan cost must stay within 1% of the \
-             pre-refactor structured solver (ratio {})",
-            p.tables,
-            p.gpus,
-            p.scalable_vs_structured
-        );
-    }
-
-    for h in &report.hetero {
-        assert!(
-            h.scalable_vs_greedy < 1.0,
-            "{} tables x {} GPUs mixed cluster: the class-aware solver must beat \
-             class-blind greedy strictly (ratio {})",
-            h.tables,
-            h.gpus,
-            h.scalable_vs_greedy
-        );
-    }
-
-    // Perf-trajectory gate: when RECSHARD_BENCH_BASELINE points at a
-    // previously committed BENCH_solver.json, fail on cost-ratio
-    // regressions beyond the tolerance (default 2%) — not on mere
-    // fingerprint drift. Read the baseline *before* overwriting it below.
-    if let Ok(baseline_path) = std::env::var("RECSHARD_BENCH_BASELINE") {
-        let tolerance = std::env::var("RECSHARD_BENCH_TOLERANCE")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(0.02);
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        let regressions = cost_regressions(&report, &baseline, tolerance);
-        if regressions.is_empty() {
-            println!(
-                "no cost-ratio regressions vs {baseline_path} (tolerance {:.1}%)",
-                tolerance * 100.0
-            );
-        } else {
-            for r in &regressions {
-                eprintln!("COST REGRESSION: {r}");
-            }
-            std::process::exit(1);
-        }
-    }
-
-    let json = report.to_json();
-    std::fs::write("BENCH_solver.json", &json).expect("write BENCH_solver.json");
+    let artifact = report.artifact();
+    baseline.check(&artifact)?;
+    std::fs::write(SPEC.file, artifact.to_json()).expect("write BENCH_solver.json");
     println!();
     let worst = report
         .points
@@ -115,7 +69,7 @@ fn main() {
     let mut footer = RunReport::new("solver_scaling");
     footer
         .push("sweep points", report.points.len())
-        .push_fingerprint("report fingerprint", report.fingerprint())
+        .push_fingerprint("report fingerprint", artifact.fingerprint())
         .push(
             "scalable vs structured worst-case cost ratio",
             format!("{worst:.4} (bound 1.01)"),
@@ -131,4 +85,5 @@ fn main() {
         );
     print!("{footer}");
     println!("wrote BENCH_solver.json");
+    Ok(())
 }

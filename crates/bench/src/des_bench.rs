@@ -8,8 +8,8 @@
 //! event-log fingerprint, event count, virtual-time makespan/throughput
 //! and sojourn tails — all pure functions of the seed — plus wall-clock
 //! milliseconds and simulator events/sec, which are only written into the
-//! JSON under `RECSHARD_BENCH_TIMING=1` (otherwise the [`TIMING_DISABLED`]
-//! sentinel keeps the artifact byte-stable, mirroring `BENCH_solver.json`).
+//! JSON under `RECSHARD_BENCH_TIMING=1` (otherwise the timing sentinel keeps
+//! the artifact byte-stable; see [`crate::artifact`]).
 //!
 //! A `contention` sweep rides along: the uniform flat plan and an incast
 //! plan (all tables concentrated on non-receiving nodes), each run under
@@ -19,21 +19,40 @@
 //! incast p99 under processor sharing strictly exceeds the old
 //! split-bandwidth FIFO model's.
 //!
-//! [`throughput_regressions`] is one CI gate: a generous relative
-//! events/sec floor against a previously committed baseline, skipping
-//! sentinel/missing points so untimed or trimmed runs never false-positive.
-//! [`fingerprint_drift`] is the other: *behavioural* drift (any event-log
-//! change) on committed point keys fails `des_bench` unless
-//! `RECSHARD_BENCH_ALLOW_DRIFT=1` acknowledges it as intentional.
+//! [`SPEC`] gates the artifact on event-log fingerprint drift (both
+//! sections) and on a 25% events/sec floor.
 
-use crate::solver_bench::{bench_system, bench_topology, field_num, fnv_fold, TIMING_DISABLED};
+use crate::artifact::{best_of, recorded, row, Artifact, Better, PerfGate, Row, Spec};
+use crate::report::env_u64;
+use crate::solver_bench::{bench_system, bench_topology};
 use crate::{skewed_model, Strategy};
 use recshard::{HierarchicalSolver, RecShardConfig};
 use recshard_des::{ArrivalProcess, ClusterConfig, ClusterSimulator, ContentionMode, RunSummary};
 use recshard_obs::{Collector, ObsBundle};
-use recshard_sharding::{NodeTopology, ShardingPlan, SystemSpec, TablePlacement};
+use recshard_sharding::{NodeTopology, ShardingPlan, TablePlacement};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
-use std::time::Instant;
+
+/// The `BENCH_des.json` artifact. The events/sec floor is generous because
+/// wall rates on shared runners are noisy: it catches instrumentation-scale
+/// slowdowns, not scheduler jitter.
+pub static SPEC: Spec = Spec {
+    bench: "des_throughput",
+    file: "BENCH_des.json",
+    sections: &[
+        ("points", &["gpus", "nodes", "iterations"]),
+        (
+            "contention",
+            &["scenario", "mode", "gpus", "nodes", "iterations"],
+        ),
+    ],
+    timing: &["wall_ms", "events_per_sec"],
+    drift_gated: true,
+    perf: PerfGate {
+        metric: "events_per_sec",
+        better: Better::Higher,
+        tolerance: 0.25,
+    },
+};
 
 /// Sweep configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,12 +121,8 @@ impl DesBenchConfig {
         if let Some(max) = get("RECSHARD_DES_MAX_GPUS") {
             cfg.gpu_counts.retain(|&g| g as u64 <= max);
         }
-        if let Some(iters) = get("RECSHARD_DES_ITERS") {
-            cfg.iterations = iters.max(1);
-        }
-        if let Some(seed) = get("RECSHARD_SEED") {
-            cfg.seed = seed;
-        }
+        cfg.iterations = env_u64("RECSHARD_DES_ITERS", cfg.iterations).max(1);
+        cfg.seed = env_u64("RECSHARD_SEED", cfg.seed);
         cfg.include_timing = std::env::var("RECSHARD_BENCH_TIMING").as_deref() == Ok("1");
         cfg
     }
@@ -151,12 +166,24 @@ pub struct DesBenchPoint {
     pub p99_ms: f64,
     /// Order-sensitive FNV-1a hash of the run's entire event log.
     pub fingerprint: u64,
-    /// Best-of-[`TIMING_REPS`] wall-clock run time (ms), or
-    /// [`TIMING_DISABLED`].
+    /// Best-of-N ([`best_of`]) wall-clock time (ms), or `-1` when untimed.
     pub wall_ms: f64,
-    /// Simulator events per wall-clock second (best repetition), or
-    /// [`TIMING_DISABLED`].
+    /// Simulator events per wall-clock second (best repetition), or `-1`.
     pub events_per_sec: f64,
+}
+
+impl DesBenchPoint {
+    /// The point's `points` row.
+    pub fn row(&self) -> Row {
+        row![
+            gpus: Int(self.gpus as u64), nodes: Int(self.nodes as u64),
+            iterations: Int(self.iterations), events: Int(self.events),
+            reshards: Int(u64::from(self.reshards)), makespan_ms: Float(self.makespan_ms),
+            virtual_iters_per_s: Float(self.virtual_iters_per_s), p50_ms: Float(self.p50_ms),
+            p99_ms: Float(self.p99_ms), fingerprint: Fingerprint(self.fingerprint),
+            wall_ms: Timing(self.wall_ms), events_per_sec: Timing(self.events_per_sec),
+        ]
+    }
 }
 
 /// One `contention`-sweep point: one seeded DES run of one scenario under
@@ -189,6 +216,19 @@ pub struct ContentionPoint {
     pub fingerprint: u64,
 }
 
+impl ContentionPoint {
+    /// The point's `contention` row.
+    pub fn row(&self) -> Row {
+        row![
+            scenario: Str(self.scenario.clone()), mode: Str(self.mode.clone()),
+            gpus: Int(self.gpus as u64), nodes: Int(self.nodes as u64),
+            iterations: Int(self.iterations), events: Int(self.events),
+            makespan_ms: Float(self.makespan_ms), p50_ms: Float(self.p50_ms),
+            p99_ms: Float(self.p99_ms), fingerprint: Fingerprint(self.fingerprint),
+        ]
+    }
+}
+
 /// The full sweep result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesBenchReport {
@@ -201,6 +241,17 @@ pub struct DesBenchReport {
     pub points: Vec<DesBenchPoint>,
     /// Contention-sweep results (scenario outer, FIFO before shared-rate).
     pub contention: Vec<ContentionPoint>,
+}
+
+impl DesBenchReport {
+    /// The `BENCH_des.json` artifact.
+    pub fn artifact(&self) -> Artifact {
+        let rows = vec![
+            self.points.iter().map(DesBenchPoint::row).collect(),
+            self.contention.iter().map(ContentionPoint::row).collect(),
+        ];
+        Artifact::new(&SPEC, self.seed, self.timed, rows)
+    }
 }
 
 /// The flat and hierarchical plans of one sweep GPU count.
@@ -217,41 +268,6 @@ fn sweep_plans(
         .solve(&model, profile, &system)
         .expect("hierarchical solve failed");
     vec![(1, flat), (topology.num_nodes, hier)]
-}
-
-/// Wall-clock repetitions per timed point. The simulated run is a pure
-/// function of the seed, so every repetition produces the identical
-/// summary (asserted) — only the wall time varies with scheduler noise.
-/// Best-of-N keeps the recorded events/sec stable enough for the
-/// regression gate's 25% margin to mean something.
-const TIMING_REPS: usize = 3;
-
-fn simulate(
-    cfg: &DesBenchConfig,
-    profile: &DatasetProfile,
-    system: &SystemSpec,
-    plan: &ShardingPlan,
-) -> (RunSummary, f64) {
-    let model = skewed_model(cfg.tables);
-    let reps = if cfg.include_timing { TIMING_REPS } else { 1 };
-    let mut best: Option<(RunSummary, f64)> = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let summary =
-            ClusterSimulator::new(&model, plan, profile, system, cfg.cluster_config()).run();
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        best = Some(match best {
-            None => (summary, wall_ms),
-            Some((prev, prev_ms)) => {
-                assert_eq!(
-                    prev, summary,
-                    "seeded repetitions must replay bit-identically"
-                );
-                (prev, prev_ms.min(wall_ms))
-            }
-        });
-    }
-    best.expect("at least one repetition")
 }
 
 /// The incast plan of the contention sweep: every table lives (all-HBM) on
@@ -345,7 +361,9 @@ pub fn run_sweep(cfg: &DesBenchConfig) -> DesBenchReport {
     for &gpus in &cfg.gpu_counts {
         let system = bench_system(model.total_bytes(), gpus);
         for (nodes, plan) in sweep_plans(cfg, &profile, gpus) {
-            let (summary, wall_ms) = simulate(cfg, &profile, &system, &plan);
+            let (summary, wall_ms) = best_of(cfg.include_timing, || {
+                ClusterSimulator::new(&model, &plan, &profile, &system, cfg.cluster_config()).run()
+            });
             let events_per_sec = summary.events as f64 / (wall_ms / 1e3).max(1e-12);
             println!(
                 "des_bench: {gpus} GPUs x {nodes} node(s): {} events in {wall_ms:.1} ms \
@@ -357,13 +375,6 @@ pub fn run_sweep(cfg: &DesBenchConfig) -> DesBenchReport {
                 summary.p99_ms,
                 summary.fingerprint,
             );
-            let gate = |v: f64| {
-                if cfg.include_timing {
-                    v
-                } else {
-                    TIMING_DISABLED
-                }
-            };
             points.push(DesBenchPoint {
                 gpus,
                 nodes,
@@ -375,8 +386,8 @@ pub fn run_sweep(cfg: &DesBenchConfig) -> DesBenchReport {
                 p50_ms: summary.p50_ms,
                 p99_ms: summary.p99_ms,
                 fingerprint: summary.fingerprint,
-                wall_ms: gate(wall_ms),
-                events_per_sec: gate(events_per_sec),
+                wall_ms: recorded(cfg.include_timing, wall_ms),
+                events_per_sec: recorded(cfg.include_timing, events_per_sec),
             });
         }
     }
@@ -409,227 +420,10 @@ pub fn traced_smoke(cfg: &DesBenchConfig) -> (RunSummary, ObsBundle) {
     (summary, collector.finish())
 }
 
-impl DesBenchReport {
-    /// Canonical JSON serialisation (the `BENCH_des.json` payload): key
-    /// order fixed, floats in `{:.9e}`, one point per line.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"des_throughput\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"timed\": {},\n", self.timed));
-        out.push_str("  \"timing_sentinel\": \"-1 = timing disabled for byte-stable output\",\n");
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let f = |x: f64| format!("{x:.9e}");
-            out.push_str(&format!(
-                "    {{\"gpus\": {}, \"nodes\": {}, \"iterations\": {}, \
-                 \"events\": {}, \"reshards\": {}, \"makespan_ms\": {}, \
-                 \"virtual_iters_per_s\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \
-                 \"fingerprint\": \"{:#018x}\", \
-                 \"wall_ms\": {}, \"events_per_sec\": {}}}{}\n",
-                p.gpus,
-                p.nodes,
-                p.iterations,
-                p.events,
-                p.reshards,
-                f(p.makespan_ms),
-                f(p.virtual_iters_per_s),
-                f(p.p50_ms),
-                f(p.p99_ms),
-                p.fingerprint,
-                f(p.wall_ms),
-                f(p.events_per_sec),
-                if i + 1 < self.points.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"contention\": [\n");
-        for (i, p) in self.contention.iter().enumerate() {
-            let f = |x: f64| format!("{x:.9e}");
-            out.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"mode\": \"{}\", \"gpus\": {}, \
-                 \"nodes\": {}, \"iterations\": {}, \"events\": {}, \
-                 \"makespan_ms\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \
-                 \"fingerprint\": \"{:#018x}\"}}{}\n",
-                p.scenario,
-                p.mode,
-                p.gpus,
-                p.nodes,
-                p.iterations,
-                p.events,
-                f(p.makespan_ms),
-                f(p.p50_ms),
-                f(p.p99_ms),
-                p.fingerprint,
-                if i + 1 < self.contention.len() {
-                    ","
-                } else {
-                    ""
-                },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// FNV-1a fingerprint over the canonical JSON with timing fields
-    /// blanked, so the value is identical whether or not timing ran.
-    pub fn fingerprint(&self) -> u64 {
-        let mut untimed = self.clone();
-        untimed.timed = false;
-        for p in &mut untimed.points {
-            p.wall_ms = TIMING_DISABLED;
-            p.events_per_sec = TIMING_DISABLED;
-        }
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
-        for byte in untimed.to_json().bytes() {
-            fnv_fold(&mut hash, byte as u64);
-        }
-        hash
-    }
-}
-
-/// Extracts the hex fingerprint string from one canonical-JSON point line.
-fn field_fingerprint(line: &str) -> Option<&str> {
-    let key = "\"fingerprint\": \"";
-    let start = line.find(key)? + key.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Extracts a quoted string field from one canonical-JSON point line.
-fn field_str<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let key = format!("\"{name}\": \"");
-    let start = line.find(&key)? + key.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Parses the `(scenario, mode, gpus, nodes, iterations)` identity of one
-/// baseline point line (the key the gates match on). Main-sweep points —
-/// and every line of a baseline predating the contention sweep — carry no
-/// scenario/mode fields, which parse as empty strings, so old baselines
-/// keep matching the main sweep and never collide with contention keys.
-fn point_key(line: &str) -> Option<(String, String, usize, usize, u64)> {
-    Some((
-        field_str(line, "scenario").unwrap_or("").to_string(),
-        field_str(line, "mode").unwrap_or("").to_string(),
-        field_num(line, "gpus")? as usize,
-        field_num(line, "nodes")? as usize,
-        field_num(line, "iterations")? as u64,
-    ))
-}
-
-/// Compares a freshly computed (timed) report against a previously
-/// committed `BENCH_des.json` payload and returns one human-readable line
-/// per *throughput regression*: a point (matched on `gpus` × `nodes` ×
-/// `iterations`) whose wall-clock events/sec fell below `1 - tolerance`
-/// times the baseline's. Points missing on either side, and points whose
-/// timing is the [`TIMING_DISABLED`] sentinel on either side, are skipped
-/// — untimed runs and trimmed sweeps never false-positive. The default CI
-/// tolerance is generous (25%) because wall-clock rates on shared runners
-/// are noisy; the gate exists to catch order-of-magnitude instrumentation
-/// slowdowns, not scheduler jitter.
-pub fn throughput_regressions(
-    current: &DesBenchReport,
-    baseline_json: &str,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut baseline = Vec::new(); // (key, events_per_sec)
-    for line in baseline_json.lines() {
-        let (Some(key), Some(rate)) = (point_key(line), field_num(line, "events_per_sec")) else {
-            continue;
-        };
-        baseline.push((key, rate));
-    }
-    let mut regressions = Vec::new();
-    for p in &current.points {
-        if p.events_per_sec <= 0.0 {
-            continue; // sentinel: this run was untimed
-        }
-        let key = (String::new(), String::new(), p.gpus, p.nodes, p.iterations);
-        let Some(&(_, base)) = baseline.iter().find(|(k, _)| *k == key) else {
-            continue;
-        };
-        if base <= 0.0 {
-            continue; // baseline was untimed
-        }
-        if p.events_per_sec < base * (1.0 - tolerance) {
-            regressions.push(format!(
-                "{} GPUs x {} node(s) x {} iters: {:.0} events/s is more than {:.0}% below \
-                 the baseline's {:.0} events/s",
-                p.gpus,
-                p.nodes,
-                p.iterations,
-                p.events_per_sec,
-                tolerance * 100.0,
-                base,
-            ));
-        }
-    }
-    regressions
-}
-
-/// Compares event-log fingerprints against a previously committed
-/// `BENCH_des.json` payload (matched on `scenario` × `mode` × `gpus` ×
-/// `nodes` × `iterations`; main-sweep keys have empty scenario/mode) and
-/// returns one line per drifted point, contention sweep included. Drift
-/// means the simulated behaviour changed — `des_bench` *fails* on it
-/// unless `RECSHARD_BENCH_ALLOW_DRIFT=1` acknowledges an intentional
-/// change (e.g. solver work that legitimately moves plans); points missing
-/// on either side are skipped, so trimmed sweeps never false-positive.
-pub fn fingerprint_drift(current: &DesBenchReport, baseline_json: &str) -> Vec<String> {
-    let mut baseline = Vec::new(); // (key, fingerprint string)
-    for line in baseline_json.lines() {
-        let (Some(key), Some(fp)) = (point_key(line), field_fingerprint(line)) else {
-            continue;
-        };
-        baseline.push((key, fp.to_string()));
-    }
-    let mut drifted = Vec::new();
-    let mut check = |key: (String, String, usize, usize, u64), fingerprint: u64| {
-        let Some((_, base)) = baseline.iter().find(|(k, _)| *k == key) else {
-            return;
-        };
-        let fp = format!("{fingerprint:#018x}");
-        if &fp != base {
-            let (scenario, mode, gpus, nodes, iterations) = key;
-            let label = if scenario.is_empty() {
-                String::new()
-            } else {
-                format!("{scenario}/{mode} ")
-            };
-            drifted.push(format!(
-                "{label}{gpus} GPUs x {nodes} node(s) x {iterations} iters: event-log \
-                 fingerprint {fp} differs from baseline {base}",
-            ));
-        }
-    };
-    for p in &current.points {
-        check(
-            (String::new(), String::new(), p.gpus, p.nodes, p.iterations),
-            p.fingerprint,
-        );
-    }
-    for p in &current.contention {
-        check(
-            (
-                p.scenario.clone(),
-                p.mode.clone(),
-                p.gpus,
-                p.nodes,
-                p.iterations,
-            ),
-            p.fingerprint,
-        );
-    }
-    drifted
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::TIMING_DISABLED;
 
     #[test]
     fn tiny_sweep_is_deterministic_and_sound() {
@@ -637,7 +431,7 @@ mod tests {
         let a = run_sweep(&cfg);
         let b = run_sweep(&cfg);
         assert_eq!(a, b, "same seed must reproduce the same sweep");
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.artifact().to_json(), b.artifact().to_json());
         assert_eq!(a.points.len(), 2, "flat + hierarchical at one GPU count");
         assert_eq!(a.points[0].nodes, 1, "flat point first");
         assert!(a.points[1].nodes > 1, "hierarchical point second");
@@ -678,70 +472,11 @@ mod tests {
         let untimed = run_sweep(&cfg);
         cfg.include_timing = true;
         let timed = run_sweep(&cfg);
-        assert_ne!(untimed.to_json(), timed.to_json());
-        assert_eq!(untimed.fingerprint(), timed.fingerprint());
+        let (u, t) = (untimed.artifact(), timed.artifact());
+        assert_ne!(u.to_json(), t.to_json());
+        assert_eq!(u.fingerprint(), t.fingerprint());
         assert!(timed.points[0].wall_ms >= 0.0);
         assert!(timed.points[0].events_per_sec > 0.0);
-    }
-
-    #[test]
-    fn throughput_gate_and_drift_report_behave() {
-        let mut cfg = DesBenchConfig::tiny();
-        cfg.iterations = 60;
-        cfg.include_timing = true;
-        let report = run_sweep(&cfg);
-        let baseline = report.to_json();
-
-        assert!(
-            throughput_regressions(&report, &baseline, 0.25).is_empty(),
-            "a report can never regress against its own serialisation"
-        );
-        assert!(fingerprint_drift(&report, &baseline).is_empty());
-
-        // Halving every rate must trip a 25% gate on every matched point.
-        let mut slowed = report.clone();
-        for p in &mut slowed.points {
-            p.events_per_sec *= 0.5;
-        }
-        let regressions = throughput_regressions(&slowed, &baseline, 0.25);
-        assert_eq!(
-            regressions.len(),
-            report.points.len(),
-            "every slowed point must be flagged: {regressions:?}"
-        );
-        // ... and a very loose gate accepts the same drift.
-        assert!(throughput_regressions(&slowed, &baseline, 0.6).is_empty());
-
-        // Sentinel timings on the current side are skipped, not flagged.
-        let mut untimed = report.clone();
-        for p in &mut untimed.points {
-            p.wall_ms = TIMING_DISABLED;
-            p.events_per_sec = TIMING_DISABLED;
-        }
-        assert!(throughput_regressions(&untimed, &baseline, 0.25).is_empty());
-
-        // A mutated fingerprint is reported as drift but never as a
-        // throughput regression.
-        let mut drifted = report.clone();
-        drifted.points[0].fingerprint ^= 1;
-        assert_eq!(fingerprint_drift(&drifted, &baseline).len(), 1);
-        assert!(throughput_regressions(&drifted, &baseline, 0.25).is_empty());
-
-        // Contention points are drift-gated on their own scenario/mode keys.
-        let mut cdrift = report.clone();
-        cdrift.contention[0].fingerprint ^= 1;
-        let lines = fingerprint_drift(&cdrift, &baseline);
-        assert_eq!(lines.len(), 1);
-        assert!(
-            lines[0].contains(&cdrift.contention[0].scenario),
-            "drift line must name the scenario: {lines:?}"
-        );
-
-        // Trimming the sweep on either side is ignored.
-        let mut trimmed = report.clone();
-        trimmed.points.truncate(1);
-        assert!(throughput_regressions(&trimmed, &baseline, 0.25).is_empty());
-        assert!(fingerprint_drift(&trimmed, &baseline).is_empty());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 // machine-readable output goes to the BENCH_*.json artifacts instead.
 #![allow(clippy::print_stdout)]
 
+pub mod artifact;
 pub mod des_bench;
 pub mod report;
 pub mod scenario_bench;

@@ -14,6 +14,8 @@
 //! constants by running the failing test and copying the `actual` values
 //! from the assertion message.
 
+use recshard_bench::des_bench::{self, DesBenchConfig};
+use recshard_bench::scenario_bench::{self, ScenarioBenchConfig};
 use recshard_bench::solver_bench::{run_sweep, SolverBenchConfig};
 use recshard_bench::{skewed_model, ExperimentConfig, Strategy};
 use recshard_data::RmKind;
@@ -40,6 +42,11 @@ const FIG13_DES_GOLDEN: u64 = 0x088f_5c6b_4ad9_b186;
 /// hardware model; the uniform sweep points are unchanged — see
 /// `SOLVER_SCALING_PLAN_GOLDEN`, which kept its pre-hetero values).
 const SOLVER_SCALING_GOLDEN: u64 = 0x5d2c_8486_c7dd_dbce;
+
+/// Committed fingerprints of the tiny `des_bench` and `scenario_bench`
+/// sweeps: FNV-1a hashes of their canonical JSON with timing blanked.
+const DES_BENCH_TINY_GOLDEN: u64 = 0x9a53_f5c1_bf32_5ba4;
+const SCENARIO_BENCH_TINY_GOLDEN: u64 = 0x0f00_a5b5_de68_ecb4;
 
 /// Committed per-point scalable-plan fingerprints of the tiny sweep
 /// (placement-level regression lock, finer than the JSON hash).
@@ -137,7 +144,8 @@ fn solver_scaling_fingerprint_is_bit_for_bit_stable() {
         assert_eq!(
             h.scalable_plan_fingerprint,
             golden,
-            "{} tables mixed cluster: hetero scalable plan drifted              (actual {:#018x}, golden {:#018x}); all actuals: {:?}",
+            "{} tables mixed cluster: hetero scalable plan drifted \
+             (actual {:#018x}, golden {:#018x}); all actuals: {:?}",
             h.tables,
             h.scalable_plan_fingerprint,
             golden,
@@ -148,12 +156,27 @@ fn solver_scaling_fingerprint_is_bit_for_bit_stable() {
                 .collect::<Vec<_>>()
         );
     }
+    let actual = report.artifact().fingerprint();
     assert_eq!(
-        report.fingerprint(),
-        SOLVER_SCALING_GOLDEN,
-        "solver_scaling JSON drifted (actual {:#018x}, golden {:#018x})",
-        report.fingerprint(),
-        SOLVER_SCALING_GOLDEN
+        actual, SOLVER_SCALING_GOLDEN,
+        "solver_scaling JSON drifted (actual {actual:#018x}, golden {SOLVER_SCALING_GOLDEN:#018x})"
+    );
+}
+
+#[test]
+fn bench_tiny_fingerprints_are_bit_for_bit_stable() {
+    let actual = [
+        des_bench::run_sweep(&DesBenchConfig::tiny())
+            .artifact()
+            .fingerprint(),
+        scenario_bench::run_sweep(&ScenarioBenchConfig::tiny())
+            .artifact()
+            .fingerprint(),
+    ];
+    assert_eq!(
+        actual,
+        [DES_BENCH_TINY_GOLDEN, SCENARIO_BENCH_TINY_GOLDEN],
+        "des_bench / scenario_bench JSON drifted (actual {actual:#018x?})"
     );
 }
 
@@ -163,8 +186,8 @@ fn solver_scaling_json_is_byte_identical_across_runs() {
     let a = run_sweep(&cfg);
     let b = run_sweep(&cfg);
     assert_eq!(
-        a.to_json(),
-        b.to_json(),
+        a.artifact().to_json(),
+        b.artifact().to_json(),
         "identical seeds must emit byte-identical BENCH_solver.json payloads"
     );
 }
