@@ -96,6 +96,9 @@ impl FeatureSpec {
                 self.id
             ));
         }
+        self.pooling
+            .validate()
+            .map_err(|e| format!("{}: {e}", self.id))?;
         if self.embedding_dim == 0 {
             return Err(format!("{}: embedding dimension must be non-zero", self.id));
         }
@@ -194,6 +197,24 @@ mod tests {
         let mut s = spec();
         s.embedding_dim = 0;
         assert!(s.validate().is_err());
+        // Undrawable long-tail pooling: a non-finite or sub-1 mean, a 0 cap.
+        for mean in [f64::NAN, f64::INFINITY, 0.5] {
+            let s = FeatureSpec {
+                pooling: PoolingSpec::LongTail { mean, max: 8 },
+                ..spec()
+            };
+            assert!(s.validate().unwrap_err().contains("mean"), "{mean}");
+        }
+        let s = FeatureSpec {
+            pooling: PoolingSpec::LongTail { mean: 4.0, max: 0 },
+            ..spec()
+        };
+        assert!(s.validate().unwrap_err().contains("cap"));
+        let s = FeatureSpec {
+            pooling: PoolingSpec::Constant(0),
+            ..spec()
+        };
+        assert!(s.validate().is_ok());
     }
 
     #[test]

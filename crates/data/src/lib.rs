@@ -58,4 +58,4 @@ pub use sample::{Batch, SampleGenerator, SparseSample};
 pub use scenario::{
     parse_trace_csv, RateCurve, ScenarioError, ScenarioSpec, ShiftEvent, ShiftKind, TracePoint,
 };
-pub use zipf::Zipf;
+pub use zipf::{Zipf, ZipfGuide};

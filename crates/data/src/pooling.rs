@@ -81,8 +81,27 @@ impl PoolingSpec {
                 let p = (1.0 / mean).clamp(1e-6, 1.0);
                 let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
                 let g = (u.ln() / (1.0 - p).ln()).floor() as u64;
-                ((1 + g).min(max as u64)) as u32
+                ((1 + g).min(max as u64)).max(1) as u32
             }
+        }
+    }
+
+    /// Rejects a [`PoolingSpec::LongTail`] whose mean is not finite or
+    /// below 1, or whose cap is 0. (`OneHot` and `Constant` are always
+    /// drawable: `Constant(0)` floors to 1.)
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable description of the violated invariant.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            PoolingSpec::LongTail { mean, .. } if !(mean.is_finite() && mean >= 1.0) => Err(
+                format!("long-tail pooling mean must be finite and >= 1, got {mean}"),
+            ),
+            PoolingSpec::LongTail { max: 0, .. } => {
+                Err("long-tail pooling cap must be >= 1".to_string())
+            }
+            _ => Ok(()),
         }
     }
 
@@ -154,6 +173,15 @@ mod tests {
         for _ in 0..20_000 {
             let v = spec.sample(&mut rng);
             assert!((1..=64).contains(&v));
+        }
+    }
+
+    #[test]
+    fn long_tail_with_zero_cap_still_draws_one() {
+        let mut rng = seeded();
+        let spec = PoolingSpec::LongTail { mean: 5.0, max: 0 };
+        for _ in 0..1_000 {
+            assert_eq!(spec.sample(&mut rng), 1);
         }
     }
 

@@ -7,14 +7,20 @@
 //! counts by drawing *actual multi-hot lookups* — the same per-feature
 //! coverage/pooling/Zipf draws `recshard-data` uses everywhere else — and
 //! routing them through the active plan's remapping tables.
+//!
+//! The draws go through `recshard_memsim`'s per-table
+//! [`TableSampler`]s, whose guide tables answer most lookups with one RNG
+//! word and one byte load. They are bit-identical to drawing, hashing and
+//! remapping each lookup; the `recshard_data::zipf` module doc gives the
+//! exactness argument.
 
 use crate::error::DesError;
 use crate::time::SimTime;
 use rand::rngs::StdRng;
 use rand::Rng;
-use recshard_data::{ModelSpec, Zipf};
-use recshard_memsim::{sample_batch_accesses, AccessCounters};
-use recshard_sharding::{RemapTable, ShardingPlan};
+use recshard_data::ModelSpec;
+use recshard_memsim::{sample_batch_accesses, AccessCounters, TableSampler};
+use recshard_sharding::ShardingPlan;
 use recshard_stats::DatasetProfile;
 use serde::{Deserialize, Serialize};
 
@@ -91,33 +97,25 @@ impl ArrivalProcess {
 #[derive(Debug, Clone)]
 pub struct IterationWorkload {
     model: ModelSpec,
-    value_dists: Vec<Zipf>,
-    remaps: Vec<RemapTable>,
+    samplers: Vec<TableSampler>,
     gpu_of_table: Vec<usize>,
     num_gpus: usize,
 }
 
 impl IterationWorkload {
-    /// Builds the workload for a model under `plan`, materialising remap
-    /// tables from the profile's hottest-first ranking.
+    /// Builds the workload for a model under `plan`, selecting each
+    /// table's HBM rows from the profile's hottest-first ranking.
     ///
     /// # Panics
     ///
     /// Panics if model, plan and profile disagree on the feature count.
     pub fn new(model: &ModelSpec, plan: &ShardingPlan, profile: &DatasetProfile) -> Self {
-        let mut w = Self {
+        Self {
             model: model.clone(),
-            value_dists: model
-                .features()
-                .iter()
-                .map(|f| f.value_distribution())
-                .collect(),
-            remaps: Vec::new(),
-            gpu_of_table: Vec::new(),
+            samplers: TableSampler::for_plan(model, plan, profile),
+            gpu_of_table: plan.gpu_assignments(),
             num_gpus: plan.num_gpus(),
-        };
-        w.install_plan(plan, profile);
-        w
+        }
     }
 
     /// The active model.
@@ -139,7 +137,8 @@ impl IterationWorkload {
         counts
     }
 
-    /// Swaps in a new plan (online re-sharding), rebuilding remap tables.
+    /// Swaps in a new plan (online re-sharding), rebuilding each table's
+    /// HBM rows and tier cells (the value guides stay).
     ///
     /// # Panics
     ///
@@ -155,18 +154,22 @@ impl IterationWorkload {
             self.model.num_features(),
             "profile/model mismatch"
         );
-        self.remaps = plan
-            .placements()
-            .iter()
+        for ((sampler, placement), prof) in self
+            .samplers
+            .iter_mut()
+            .zip(plan.placements())
             .zip(profile.profiles())
-            .map(|(placement, prof)| RemapTable::build(placement, &prof.ranked_rows))
-            .collect();
+        {
+            sampler.install_placement(placement, &prof.ranked_rows);
+        }
         self.gpu_of_table = plan.gpu_assignments();
         self.num_gpus = plan.num_gpus();
     }
 
     /// Swaps in a drifted model (same feature universe, shifted pooling
-    /// statistics), keeping the current plan's remap tables.
+    /// statistics), keeping the current plan's HBM rows. A table's value
+    /// guide is rebuilt only if its cardinality or exponent changed, and its
+    /// tier cells only if that guide or its hash size or seed did.
     ///
     /// # Panics
     ///
@@ -177,11 +180,9 @@ impl IterationWorkload {
             self.model.num_features(),
             "drift changed feature count"
         );
-        self.value_dists = model
-            .features()
-            .iter()
-            .map(|f| f.value_distribution())
-            .collect();
+        for (sampler, spec) in self.samplers.iter_mut().zip(model.features()) {
+            sampler.install_feature(spec);
+        }
         self.model = model.clone();
     }
 
@@ -193,8 +194,7 @@ impl IterationWorkload {
     pub fn sample_iteration(&self, batch: usize, rng: &mut StdRng) -> Vec<AccessCounters> {
         sample_batch_accesses(
             &self.model,
-            &self.value_dists,
-            &self.remaps,
+            &self.samplers,
             &self.gpu_of_table,
             self.num_gpus,
             batch,
@@ -311,6 +311,28 @@ mod tests {
             w.sample_iteration(32, &mut a),
             w.sample_iteration(32, &mut b)
         );
+    }
+
+    #[test]
+    fn install_model_draws_like_a_fresh_workload() {
+        let (model, profile, plan) = setup();
+        let mut w = IterationWorkload::new(&model, &plan, &profile);
+        // Re-seeded hashes, a grown table and a flattened exponent.
+        let mut features = model.features().to_vec();
+        features[0].hash_seed ^= 0x5EED;
+        features[1].cardinality *= 3;
+        features[2].zipf_exponent *= 0.5;
+        let drifted = ModelSpec::new("drifted", model.kind(), features, model.batch_size());
+        w.install_model(&drifted);
+        let fresh = IterationWorkload::new(&drifted, &plan, &profile);
+        let mut a = StdRng::seed_from_u64(21);
+        let mut b = StdRng::seed_from_u64(21);
+        for _ in 0..20 {
+            assert_eq!(
+                w.sample_iteration(64, &mut a),
+                fresh.sample_iteration(64, &mut b)
+            );
+        }
     }
 
     #[test]

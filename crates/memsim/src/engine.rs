@@ -1,16 +1,18 @@
 //! Trace-driven embedding-operator simulation.
 //!
 //! Simulates single iterations in isolation: each run draws fresh multi-hot
-//! batches, routes every lookup through the plan's remap tables and charges
-//! the bandwidth-bound timing model. For time-extended behaviour — queueing
-//! between iterations, the all-to-all barrier, p99 tails, drift and online
-//! re-sharding — use the discrete-event cluster simulator in `recshard-des`,
-//! which reuses this crate's timing model for its station service times.
+//! batches, routes every lookup through the plan's remap tables (via the
+//! fused per-table [`TableSampler`]s) and charges the bandwidth-bound timing
+//! model. For time-extended behaviour — queueing between iterations, the
+//! all-to-all barrier, p99 tails, drift and online re-sharding — use the
+//! discrete-event cluster simulator in `recshard-des`, which reuses this
+//! crate's timing model for its station service times.
 
 use crate::counters::AccessCounters;
+use crate::sampler::TableSampler;
 use crate::timing::embedding_kernel_time_ms;
 use rand::{Rng, SeedableRng};
-use recshard_data::{ModelSpec, Zipf};
+use recshard_data::ModelSpec;
 use recshard_sharding::{MemoryTier, RemapTable, ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, Summary};
 use serde::{Deserialize, Serialize};
@@ -162,9 +164,9 @@ pub struct EmbeddingOpSimulator {
     system: SystemSpec,
     config: SimConfig,
     remaps: Vec<RemapTable>,
-    /// Per-feature value distributions and hashers are owned by the model; we
-    /// pre-build the Zipf samplers once since they are pure.
-    value_dists: Vec<Zipf>,
+    /// The lookup samplers the kernel draws through (pure functions of the
+    /// model, plan and profile, so built once).
+    samplers: Vec<TableSampler>,
     tables_per_gpu: Vec<usize>,
 }
 
@@ -193,11 +195,7 @@ impl EmbeddingOpSimulator {
             "profile/model mismatch"
         );
         let remaps = Self::build_remap_tables(plan, profile);
-        let value_dists = model
-            .features()
-            .iter()
-            .map(|f| f.value_distribution())
-            .collect();
+        let samplers = TableSampler::for_plan(model, plan, profile);
         let mut tables_per_gpu = vec![0usize; plan.num_gpus()];
         for p in plan.placements() {
             tables_per_gpu[p.gpu] += 1;
@@ -208,7 +206,7 @@ impl EmbeddingOpSimulator {
             system: system.clone(),
             config,
             remaps,
-            value_dists,
+            samplers,
             tables_per_gpu,
         }
     }
@@ -248,8 +246,7 @@ impl EmbeddingOpSimulator {
         let gpu_of = self.plan.gpu_assignments();
         let counters = sample_batch_accesses(
             &self.model,
-            &self.value_dists,
-            &self.remaps,
+            &self.samplers,
             &gpu_of,
             self.plan.num_gpus(),
             simulated_batch,
@@ -317,8 +314,9 @@ impl EmbeddingOpSimulator {
 
 /// Draws one batch of `simulated_batch` multi-hot samples and returns the
 /// per-GPU tier access counters its lookups induce: for each feature, a
-/// coverage draw, a pooling draw, then `pool` hashed Zipf values routed
-/// through that feature's remap table, accumulated on `gpu_of[feature]`.
+/// coverage draw, a pooling draw, then `pool` lookups through that
+/// feature's [`TableSampler`] (a Zipf value, hashed, routed through the
+/// placement's HBM rows), accumulated on `gpu_of[feature]`.
 ///
 /// This is *the* trace-sampling kernel shared by the single-iteration
 /// simulator here and the discrete-event cluster simulator in
@@ -330,8 +328,7 @@ impl EmbeddingOpSimulator {
 /// model's feature count.
 pub fn sample_batch_accesses<R: Rng + ?Sized>(
     model: &ModelSpec,
-    value_dists: &[Zipf],
-    remaps: &[RemapTable],
+    samplers: &[TableSampler],
     gpu_of: &[usize],
     num_gpus: usize,
     simulated_batch: usize,
@@ -342,19 +339,13 @@ pub fn sample_batch_accesses<R: Rng + ?Sized>(
         "batch must contain at least one sample"
     );
     assert_eq!(
-        value_dists.len(),
+        samplers.len(),
         model.num_features(),
-        "dists/model mismatch"
+        "samplers/model mismatch"
     );
-    assert_eq!(remaps.len(), model.num_features(), "remaps/model mismatch");
     assert_eq!(gpu_of.len(), model.num_features(), "gpu map/model mismatch");
     let mut counters = vec![AccessCounters::new(); num_gpus];
-    for (f, spec) in model.features().iter().enumerate() {
-        let remap = &remaps[f];
-        let hasher = spec.hasher();
-        let dist = &value_dists[f];
-        let gpu = gpu_of[f];
-        let row_bytes = spec.row_bytes();
+    for ((spec, sampler), &gpu) in model.features().iter().zip(samplers).zip(gpu_of) {
         let mut hbm_rows = 0u64;
         let mut uvm_rows = 0u64;
         for _ in 0..simulated_batch {
@@ -363,13 +354,13 @@ pub fn sample_batch_accesses<R: Rng + ?Sized>(
             }
             let pool = spec.pooling.sample(rng);
             for _ in 0..pool {
-                let row = hasher.hash(dist.sample(rng));
-                match remap.tier_of(row) {
+                match sampler.sample_tier(rng) {
                     MemoryTier::Hbm => hbm_rows += 1,
                     MemoryTier::Uvm => uvm_rows += 1,
                 }
             }
         }
+        let row_bytes = spec.row_bytes();
         counters[gpu].record_hbm(hbm_rows, row_bytes);
         counters[gpu].record_uvm(uvm_rows, row_bytes);
     }

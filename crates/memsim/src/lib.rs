@@ -17,6 +17,13 @@
 //! relative speedups between sharding strategies) are functions of *where
 //! accesses land*, which the simulation computes exactly.
 //!
+//! All trace sampling goes through one kernel, [`sample_batch_accesses`],
+//! which draws each lookup through a per-table [`TableSampler`]: a guide
+//! table over the Zipf sampler whose cells hold the looked-up row's tier, so
+//! most lookups cost one RNG word and one byte load. The draws are
+//! bit-identical to sampling, hashing and remapping one lookup at a time;
+//! the `recshard_data::zipf` module doc gives the exactness argument.
+//!
 //! ## Analytical model vs. discrete-event model
 //!
 //! This crate answers **single-iteration, steady-state** questions with two
@@ -71,6 +78,7 @@
 pub mod analytical;
 pub mod counters;
 pub mod engine;
+pub mod sampler;
 pub mod timing;
 
 pub use analytical::AnalyticalEstimator;
@@ -79,4 +87,5 @@ pub use engine::{
     sample_batch_accesses, EmbeddingOpSimulator, GpuIterationStats, IterationReport, RunReport,
     SimConfig,
 };
+pub use sampler::TableSampler;
 pub use timing::embedding_kernel_time_ms;

@@ -39,6 +39,6 @@ pub use cost::{CostFunction, LookupCost, SizeCost, SizeLookupCost};
 pub use error::ShardingError;
 pub use greedy::GreedySharder;
 pub use plan::{MemoryTier, ShardingPlan, TablePlacement};
-pub use remap::{RemapTable, RemappedRow};
+pub use remap::{HbmRowSet, RemapTable, RemappedRow};
 pub use system::{ClusterSpec, DeviceClass, SystemSpec, GIB};
 pub use topology::{FabricSpec, NodeAssigner, NodeAssignment, NodeTopology};

@@ -150,6 +150,69 @@ impl RemapTable {
     }
 }
 
+/// The set of a table's rows a placement keeps in HBM, as a bitset: the
+/// membership half of a [`RemapTable`] (which adds the slots), at one bit
+/// per row instead of four bytes.
+///
+/// It holds exactly the rows [`RemapTable::build`] maps to HBM: the first
+/// `placement.hbm_rows` profiled rows hottest-first, topped up with the
+/// lowest-index unprofiled rows when the profile observed fewer rows than
+/// the HBM budget. (`RemapTable::build` keeps its own single-pass loop,
+/// which is faster than deriving the slots from this set.)
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HbmRowSet {
+    words: Vec<u64>,
+}
+
+impl HbmRowSet {
+    /// Selects the HBM rows of one placement from the profile's
+    /// hottest-first ranking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a ranked row inside the HBM budget is out of range.
+    pub fn build(placement: &TablePlacement, ranked_rows: &[u64]) -> Self {
+        let total = placement.total_rows;
+        let budget = placement.hbm_rows.min(total);
+        let mut set = Self {
+            words: vec![0; total.div_ceil(64) as usize],
+        };
+        // Counts like `RemapTable::build` does: one per ranked row taken.
+        let mut taken = 0;
+        for &row in ranked_rows.iter().take(budget as usize) {
+            assert!(
+                row < total,
+                "ranked row {row} out of range for table of {total} rows"
+            );
+            set.insert(row);
+            taken += 1;
+        }
+        let mut row = 0;
+        while taken < budget && row < total {
+            if !set.contains(row) {
+                set.insert(row);
+                taken += 1;
+            }
+            row += 1;
+        }
+        set
+    }
+
+    fn insert(&mut self, row: u64) {
+        self.words[(row >> 6) as usize] |= 1 << (row & 63);
+    }
+
+    /// Whether `row` is kept in HBM.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` lies beyond the table's last 64-row word.
+    #[inline]
+    pub fn contains(&self, row: u64) -> bool {
+        self.words[(row >> 6) as usize] >> (row & 63) & 1 == 1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,6 +308,30 @@ mod tests {
         let remap = RemapTable::without_profile(&placement(0, 1000));
         assert_eq!(remap.storage_bytes(), 4000);
         assert_eq!(remap.total_rows(), 1000);
+    }
+
+    #[test]
+    fn hbm_row_set_matches_remap_tiers() {
+        let ranked = [17, 3, 64, 65, 0, 99, 42];
+        for (hbm_rows, total) in [
+            (0, 100),
+            (3, 100),
+            (7, 100),
+            (20, 100),
+            (200, 130),
+            (100, 100),
+        ] {
+            let p = placement(hbm_rows, total);
+            let remap = RemapTable::build(&p, &ranked);
+            let set = HbmRowSet::build(&p, &ranked);
+            for row in 0..total {
+                assert_eq!(
+                    set.contains(row),
+                    remap.tier_of(row) == MemoryTier::Hbm,
+                    "row {row} of ({hbm_rows}, {total})"
+                );
+            }
+        }
     }
 
     #[test]

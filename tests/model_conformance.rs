@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recshard_data::ModelSpec;
 use recshard_des::{ArrivalProcess, ClusterConfig, ClusterSimulator, IterationWorkload};
-use recshard_memsim::{AnalyticalEstimator, EmbeddingOpSimulator, SimConfig};
+use recshard_memsim::{AnalyticalEstimator, EmbeddingOpSimulator, SimConfig, TableSampler};
 use recshard_sharding::{ShardingPlan, SystemSpec, TablePlacement};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
 
@@ -66,12 +66,7 @@ fn setup() -> (ModelSpec, DatasetProfile, SystemSpec, ShardingPlan) {
 fn trace_replay_matches_des_draw_for_draw() {
     let (model, profile, _, plan) = setup();
     let workload = IterationWorkload::new(&model, &plan, &profile);
-    let value_dists: Vec<_> = model
-        .features()
-        .iter()
-        .map(|f| f.value_distribution())
-        .collect();
-    let remaps = EmbeddingOpSimulator::build_remap_tables(&plan, &profile);
+    let samplers = TableSampler::for_plan(&model, &plan, &profile);
     let gpu_of = plan.gpu_assignments();
 
     let mut des_rng = StdRng::seed_from_u64(0xD12A);
@@ -80,8 +75,7 @@ fn trace_replay_matches_des_draw_for_draw() {
         let des_counters = workload.sample_iteration(64, &mut des_rng);
         let trace_counters = recshard_memsim::sample_batch_accesses(
             &model,
-            &value_dists,
-            &remaps,
+            &samplers,
             &gpu_of,
             plan.num_gpus(),
             64,
