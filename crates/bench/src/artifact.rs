@@ -12,10 +12,10 @@
 //! fields forming a row's key, timing fields and gates. A run's rows match
 //! baseline rows on (section, key); unmatched rows are skipped, so trimmed
 //! sweeps never false-positive. [`fingerprint_drift`] flags any changed
-//! fingerprint; [`perf_regressions`] flags the spec's [`PerfGate`] metric
-//! beyond its fixed tolerance (there is no tolerance knob) and skips
-//! sentinels. Both count the rows they compared, so a gate that checked
-//! nothing says so.
+//! fingerprint; [`perf_regressions`] flags each of the spec's [`PerfGate`]
+//! metrics beyond its fixed tolerance (there is no tolerance knob) and
+//! skips sentinels. Every gate counts the rows it compared, so a gate that
+//! checked nothing says so.
 //!
 //! **Baselines.** [`Artifact::parse`] rejects another bench's artifact, a
 //! missing header field and an unparsable row with a typed [`ParseError`].
@@ -128,8 +128,8 @@ pub struct Spec {
     pub timing: &'static [&'static str],
     /// Whether fingerprint drift fails the bench binary.
     pub drift_gated: bool,
-    /// The perf gate.
-    pub perf: PerfGate,
+    /// The perf gates, each checked and reported on its own.
+    pub perf: &'static [PerfGate],
 }
 
 /// One `BENCH_*.json` payload.
@@ -486,7 +486,7 @@ impl Baseline {
     /// # Errors
     ///
     /// Lists every drifted fingerprint (unless `RECSHARD_BENCH_ALLOW_DRIFT=1`)
-    /// and every perf regression.
+    /// and every perf regression of every gate.
     pub fn check(&self, current: &Artifact) -> Result<(), BaselineError> {
         let Some((path, baseline)) = &self.0 else {
             return Ok(());
@@ -512,10 +512,12 @@ impl Baseline {
                 ));
             }
         }
-        let perf = perf_regressions(current, baseline, current.spec.perf);
-        println!("{}", perf_summary(current, baseline, &perf));
-        for line in &perf.failures {
-            failures.push(format!("PERF REGRESSION: {line}"));
+        for &gate in current.spec.perf {
+            let perf = perf_regressions(current, baseline, gate);
+            println!("{}", perf_summary(current, baseline, gate, &perf));
+            for line in &perf.failures {
+                failures.push(format!("PERF REGRESSION: {line}"));
+            }
         }
         match failures.is_empty() {
             true => Ok(()),
@@ -524,12 +526,17 @@ impl Baseline {
     }
 }
 
-/// The perf gate's verdict line. A timing gate that compared nothing
+/// One perf gate's verdict line. A timing gate that compared nothing
 /// because a side is untimed says it was skipped, not passed.
-fn perf_summary(current: &Artifact, baseline: &Artifact, perf: &GateReport) -> String {
+fn perf_summary(
+    current: &Artifact,
+    baseline: &Artifact,
+    gate: PerfGate,
+    perf: &GateReport,
+) -> String {
     let PerfGate {
         metric, tolerance, ..
-    } = current.spec.perf;
+    } = gate;
     let (compared, total, regressed) = (perf.compared, perf.total, perf.failures.len());
     let side = if current.timed {
         "the baseline"
@@ -632,11 +639,11 @@ mod tests {
         sections: &[("points", &["id"])],
         timing: &["rate"],
         drift_gated: true,
-        perf: PerfGate {
+        perf: &[PerfGate {
             metric: "rate",
             better: Better::Higher,
             tolerance: 0.25,
-        },
+        }],
     };
 
     /// One toy row per rate; row `id` has fingerprint `id`.
@@ -648,16 +655,27 @@ mod tests {
 
     #[test]
     fn committed_artifacts_round_trip_and_gate_against_themselves() {
-        // (points each gate compares, rows carrying the perf metric)
-        let expected = [((8, 8), (4, 4)), ((16, 16), (0, 16)), ((20, 20), (20, 20))];
-        for ((spec, text), (drift, perf)) in committed().into_iter().zip(expected) {
+        // (points compared, rows carrying the gated field) of the drift gate,
+        // then of each perf gate
+        let expected: [&[(usize, usize)]; 3] = [
+            &[(8, 8), (4, 4)],
+            &[(16, 16), (0, 16)],
+            &[(20, 20), (20, 20), (15, 15)],
+        ];
+        for ((spec, text), expected) in committed().into_iter().zip(expected) {
             let artifact = Artifact::parse(spec, text).expect("committed artifact parses");
             assert_eq!(artifact.to_json(), text, "{} must round-trip", spec.file);
-            let d = fingerprint_drift(&artifact, &artifact);
-            let p = perf_regressions(&artifact, &artifact, spec.perf);
-            let counts = [(d.compared, d.total), (p.compared, p.total)];
-            assert_eq!(counts, [drift, perf], "{}", spec.file);
-            assert_eq!(d.failures.len() + p.failures.len(), 0, "{}", spec.file);
+            let gates = spec.perf.iter();
+            let reports: Vec<GateReport> = std::iter::once(fingerprint_drift(&artifact, &artifact))
+                .chain(gates.map(|&gate| perf_regressions(&artifact, &artifact, gate)))
+                .collect();
+            let counts: Vec<_> = reports.iter().map(|r| (r.compared, r.total)).collect();
+            assert_eq!(counts, expected, "{}", spec.file);
+            assert!(
+                reports.iter().all(|r| r.failures.is_empty()),
+                "{}",
+                spec.file
+            );
         }
     }
 
@@ -720,7 +738,7 @@ mod tests {
     fn gates_count_compared_rows_and_skip_sentinels() {
         let base = toy(true, &[100.0, 100.0, 100.0]);
         let run = toy(true, &[100.0, 50.0, TIMING_DISABLED, 100.0]);
-        let perf = perf_regressions(&run, &base, TOY.perf);
+        let perf = perf_regressions(&run, &base, TOY.perf[0]);
         assert_eq!((perf.compared, perf.total), (2, 4));
         assert_eq!(
             perf.failures,
@@ -728,7 +746,7 @@ mod tests {
         );
         let cost = PerfGate {
             better: Better::Lower,
-            ..TOY.perf
+            ..TOY.perf[0]
         };
         assert!(perf_regressions(&run, &base, cost).failures.is_empty());
         assert_eq!(perf_regressions(&base, &run, cost).failures.len(), 1);
@@ -746,7 +764,12 @@ mod tests {
     fn check_reports_skips_and_fails_on_regression() {
         let (timed, untimed) = (toy(true, &[100.0; 4]), toy(false, &[TIMING_DISABLED; 4]));
         let summary = |run: &Artifact, base: &Artifact| {
-            perf_summary(run, base, &perf_regressions(run, base, TOY.perf))
+            perf_summary(
+                run,
+                base,
+                TOY.perf[0],
+                &perf_regressions(run, base, TOY.perf[0]),
+            )
         };
         let verdicts = [
             summary(&timed, &timed),
@@ -767,5 +790,35 @@ mod tests {
             .check(&toy(true, &[10.0; 4]))
             .expect_err("a 90% slowdown");
         assert!(format!("{err:?}").starts_with("PERF REGRESSION: points id=0"));
+    }
+
+    #[test]
+    fn solver_artifact_gates_the_default_solver_cost_too() {
+        let (spec, text) = committed()[2];
+        let base = Artifact::parse(spec, text).expect("committed artifact parses");
+        // A 5% costlier default-solver plan at the first point, with every
+        // bucketed-solver cost unchanged.
+        let mut run = base.clone();
+        let Row(fields) = &mut run.sections[0].1[0];
+        for (name, value) in fields.iter_mut() {
+            if let (true, Field::Float(cost)) = (name == "structured_cost_ms", value) {
+                *cost *= 1.05;
+            }
+        }
+        let &[scalable, structured] = spec.perf else {
+            panic!("the solver artifact has two perf gates")
+        };
+        assert!(perf_regressions(&run, &base, scalable).failures.is_empty());
+        let report = perf_regressions(&run, &base, structured);
+        assert_eq!(
+            perf_summary(&run, &base, structured, &report),
+            "structured_cost_ms gate: compared 15 of 15 points (tolerance 2%), 1 regressed"
+        );
+        let baseline = Baseline(Some(("BENCH_solver.json".to_string(), base)));
+        let err = baseline
+            .check(&run)
+            .expect_err("a 5% costlier default plan");
+        let prefix = "PERF REGRESSION: points tables=100 gpus=4: structured_cost_ms";
+        assert!(format!("{err:?}").starts_with(prefix), "{err:?}");
     }
 }

@@ -5,9 +5,10 @@
 //! structured cost model (max per-GPU coverage-weighted milliseconds):
 //!
 //! * **greedy** — the size-lookup production baseline,
-//! * **structured** — the pre-refactor `StructuredSolver` (the reference the
-//!   1% acceptance bound is measured against),
-//! * **scalable** — the CDF-bucketed solver (the tentpole's fast path), and
+//! * **structured** — the default, unbucketed `StructuredSolver` (the
+//!   reference the 1% acceptance bound is measured against),
+//! * **scalable** — the same solver with CDF bucketing before split
+//!   selection, and
 //! * **hierarchical** — the two-level tables→nodes→GPUs solver.
 //!
 //! The sweep asserts, for every point: the scalable plan never costs more
@@ -17,9 +18,10 @@
 //! byte-identical across runs with the same seed — the determinism contract
 //! locked by `tests/golden_fingerprints.rs`).
 //!
-//! Gate (see `recshard_bench::artifact`): with `RECSHARD_BENCH_BASELINE`
-//! set, the run fails when a point's scalable plan cost exceeds the
-//! baseline's by more than 2% — not on mere plan-fingerprint drift.
+//! Gates (see `recshard_bench::artifact`): with `RECSHARD_BENCH_BASELINE`
+//! set, the run fails when a point's scalable or structured plan cost
+//! exceeds the baseline's by more than 2% — not on mere plan-fingerprint
+//! drift. Each gate prints how many points it compared.
 //!
 //! Environment overrides: `RECSHARD_SOLVER_MAX_TABLES`,
 //! `RECSHARD_SOLVER_MAX_GPUS`, `RECSHARD_SEED`, `RECSHARD_BENCH_TIMING`,

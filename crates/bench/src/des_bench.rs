@@ -47,11 +47,11 @@ pub static SPEC: Spec = Spec {
     ],
     timing: &["wall_ms", "events_per_sec"],
     drift_gated: true,
-    perf: PerfGate {
+    perf: &[PerfGate {
         metric: "events_per_sec",
         better: Better::Higher,
         tolerance: 0.25,
-    },
+    }],
 };
 
 /// Sweep configuration.

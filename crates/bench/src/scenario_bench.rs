@@ -43,11 +43,11 @@ pub static SPEC: Spec = Spec {
     sections: &[("points", &["scenario", "placement", "gpus", "iterations"])],
     timing: &["wall_ms", "events_per_sec"],
     drift_gated: true,
-    perf: PerfGate {
+    perf: &[PerfGate {
         metric: "events_per_sec",
         better: Better::Higher,
         tolerance: 0.25,
-    },
+    }],
 };
 
 /// Sweep configuration.

@@ -19,11 +19,14 @@
 //! small absolute floor on the comparison reflects that tails below ~1% of
 //! accesses cannot move the cost at the 1% level regardless.
 //!
-//! The scalable solver then builds one [`TableCostModel`]
-//! (`crate::cost::TableCostModel`) per bucket representative and runs split
-//! selection over buckets weighted by member count, collapsing the dominant
-//! `O(tables × icdf_steps)` term of formulation time by the bucketing
-//! compression ratio (reported by the `solver_scaling` bench).
+//! Bucketing is an optional preprocessing step of the one placement solver
+//! ([`StructuredSolver`](crate::solver::StructuredSolver)): bucketed, it
+//! builds one [`TableCostModel`](crate::cost::TableCostModel) per bucket
+//! representative and runs split selection over buckets weighted by member
+//! count, collapsing the dominant `O(tables × icdf_steps)` term of
+//! formulation time by the bucketing compression ratio (reported by the
+//! `solver_scaling` bench). Unbucketed, it runs on
+//! [`TableBuckets::singletons`], one bucket per table.
 
 use recshard_data::ModelSpec;
 use recshard_stats::DatasetProfile;
@@ -41,6 +44,31 @@ pub struct BucketingConfig {
     /// `tolerance × floor` never separate tables (sub-percent tails are cost
     /// noise).
     pub tail_floor: f64,
+}
+
+impl BucketingConfig {
+    /// Validates the tuning.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first invalid field: a tolerance that
+    /// is not positive (or is NaN), or a probe count outside `1..=63` (the
+    /// head fractions `1/2^k` must be representable).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.tolerance.is_nan() || self.tolerance <= 0.0 {
+            return Err(format!(
+                "bucketing tolerance must be positive, got {}",
+                self.tolerance
+            ));
+        }
+        if !(1..=63).contains(&self.probe_points) {
+            return Err(format!(
+                "bucketing probe_points must be in 1..=63, got {}",
+                self.probe_points
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for BucketingConfig {
@@ -89,15 +117,16 @@ impl TableBuckets {
     /// # Panics
     ///
     /// Panics if the profile does not cover the model or the configuration
-    /// is degenerate (zero probe points, non-positive tolerance).
+    /// fails [`BucketingConfig::validate`].
     pub fn build(model: &ModelSpec, profile: &DatasetProfile, config: &BucketingConfig) -> Self {
         assert_eq!(
             profile.num_features(),
             model.num_features(),
             "profile must cover the model"
         );
-        assert!(config.probe_points > 0, "need at least one CDF probe point");
-        assert!(config.tolerance > 0.0, "tolerance must be positive");
+        if let Err(reason) = config.validate() {
+            panic!("invalid bucketing config: {reason}");
+        }
 
         // Two quantities are "close" when they differ by at most
         // `tolerance × max(|a|, |b|, floor)`.
@@ -176,6 +205,20 @@ impl TableBuckets {
         Self {
             buckets,
             bucket_of_table,
+        }
+    }
+
+    /// The trivial partition: one bucket per table, each its own
+    /// representative (the unbucketed solve).
+    pub fn singletons(num_tables: usize) -> Self {
+        Self {
+            buckets: (0..num_tables)
+                .map(|t| TableBucket {
+                    representative: t,
+                    members: vec![t],
+                })
+                .collect(),
+            bucket_of_table: (0..num_tables).collect(),
         }
     }
 
@@ -300,6 +343,18 @@ mod tests {
         );
         let loose = TableBuckets::build(&model, &profile, &BucketingConfig::default());
         assert!(tight.num_buckets() >= loose.num_buckets());
+    }
+
+    #[test]
+    fn singletons_give_every_table_its_own_bucket() {
+        assert!(BucketingConfig::default().validate().is_ok());
+        let buckets = TableBuckets::singletons(5);
+        assert_eq!(buckets.num_buckets(), 5);
+        assert_eq!(buckets.compression_ratio(), 1.0);
+        for (t, bucket) in buckets.buckets().iter().enumerate() {
+            assert_eq!((bucket.representative, &bucket.members[..]), (t, &[t][..]));
+            assert_eq!(buckets.bucket_of_table()[t], t);
+        }
     }
 
     /// A model of `n` tables all sharing one spec shape.

@@ -5,20 +5,22 @@ use serde::{Deserialize, Serialize};
 /// Which placement solver to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SolverKind {
-    /// The structured solver: split selection by marginal-cost sweep plus
-    /// min-max assignment with local search. Scales to hundreds of tables and
-    /// is the default.
+    /// The structured solver, unbucketed: split selection by marginal-cost
+    /// sweep over every table, then min-max assignment with local search and
+    /// HBM backfill. The default.
     Structured,
     /// The exact MILP formulation of Section 4.2, solved with the
     /// branch-and-bound solver in `recshard-milp`. Only practical for small
     /// instances (a handful of tables and GPUs); used as ground truth in
     /// tests and available for experimentation.
     ExactMilp,
-    /// The bucketed scalable solver. Same plan shape as `Structured` within
-    /// 1% of its cost at a fraction of the solve time, and the only solver
-    /// that accepts a *warm start* from a previous plan — the online
-    /// re-sharding controller seeds each re-solve with the outgoing
-    /// assignment so drift events migrate as few bytes as possible.
+    /// The same structured solver with bucketing of near-identical tables
+    /// before split selection: plans within 1% of `Structured`'s cost at a
+    /// fraction of the split-selection work on models with thousands of
+    /// tables. The only kind [`RecShard::plan_seeded`](crate::RecShard::plan_seeded)
+    /// *warm-starts* from a previous plan — the online re-sharding
+    /// controller seeds each re-solve with the outgoing assignment so drift
+    /// events migrate as few bytes as possible.
     Scalable,
 }
 
@@ -78,7 +80,7 @@ impl RecShardConfig {
         self
     }
 
-    /// Returns a copy using the bucketed scalable solver (warm-startable).
+    /// Returns a copy using the bucketed solver (warm-startable).
     pub fn with_scalable(mut self) -> Self {
         self.solver = SolverKind::Scalable;
         self

@@ -12,8 +12,9 @@
 //!
 //! The formulation grows as `O(M * J * steps)` binaries, so it is only
 //! practical for small instances; its role in this reproduction is to provide
-//! *ground truth* against which the scalable [`StructuredSolver`]
-//! (`crate::solver`) is validated.
+//! *ground truth* against which the structured placement solver
+//! ([`StructuredSolver`](crate::solver::StructuredSolver), unbucketed or
+//! bucketed) is validated.
 
 use crate::config::RecShardConfig;
 use crate::cost::TableCostModel;
@@ -448,7 +449,7 @@ mod tests {
         let solver = StructuredSolver::new(structured_cfg);
         let plan = solver.solve(&model, &profile, &system).unwrap();
         let structured_obj = solver
-            .gpu_costs(&model, &profile, &system, &plan)
+            .gpu_costs_exact(&model, &profile, &system, &plan)
             .into_iter()
             .fold(0.0f64, f64::max);
 

@@ -11,7 +11,7 @@
 //! 2. **Per-node placement → GPUs** — each node's tables become an
 //!    independent sub-problem over `gpus_per_node` GPUs, solved with the
 //!    exact warm-started MILP when the sub-problem is small enough and the
-//!    bucketed [`ScalableSolver`] otherwise.
+//!    bucketed [`StructuredSolver`] otherwise.
 //!
 //! The merged [`ShardingPlan`] uses node-major global GPU ids and carries
 //! its [`NodeTopology`], which `recshard-des`, `recshard-serve` and
@@ -22,7 +22,7 @@ use crate::bucketing::BucketingConfig;
 use crate::config::RecShardConfig;
 use crate::error::RecShardError;
 use crate::formulation::MilpFormulation;
-use crate::scalable::ScalableSolver;
+use crate::solver::StructuredSolver;
 use recshard_data::{FeatureId, ModelSpec};
 use recshard_sharding::{
     NodeAssigner, NodeAssignment, NodeTopology, ShardingPlan, SystemSpec, TablePlacement,
@@ -33,12 +33,12 @@ use recshard_stats::{DatasetProfile, FeatureProfile};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierarchicalConfig {
     /// Per-node sub-problems with at most this many tables are solved with
-    /// the exact warm-started MILP; larger ones use the scalable solver.
+    /// the exact warm-started MILP; larger ones use the bucketed solver.
     pub per_node_exact_max_tables: usize,
     /// ICDF step count used for the exact per-node MILP (kept small so the
     /// formulation stays tractable).
     pub per_node_exact_icdf_steps: usize,
-    /// Bucketing tuning of the scalable per-node path.
+    /// Bucketing tuning of the bucketed per-node path.
     pub bucketing: BucketingConfig,
 }
 
@@ -99,8 +99,9 @@ impl HierarchicalSolver {
     ///
     /// # Errors
     ///
-    /// Propagates node-assignment and per-node solver errors
-    /// (see [`RecShardError`]).
+    /// Returns [`RecShardError::InvalidConfig`] for an invalid solver or
+    /// bucketing configuration and propagates node-assignment and per-node
+    /// solver errors (see [`RecShardError`]).
     ///
     /// # Panics
     ///
@@ -116,7 +117,7 @@ impl HierarchicalSolver {
 
     /// Like [`solve`](Self::solve), recording one
     /// [`TraceEvent::NodeSolve`](recshard_obs::TraceEvent::NodeSolve) per
-    /// per-node sub-problem (tables, GPUs, exact-vs-scalable backend) and
+    /// per-node sub-problem (tables, GPUs, exact-vs-bucketed backend) and
     /// forwarding the sub-solver's own events into `obs`. The solve itself
     /// is observation-independent.
     ///
@@ -142,6 +143,10 @@ impl HierarchicalSolver {
             system.num_gpus()
         );
         self.config
+            .validate()
+            .map_err(RecShardError::InvalidConfig)?;
+        self.hier
+            .bucketing
             .validate()
             .map_err(RecShardError::InvalidConfig)?;
         let assignment = self.assign_nodes(model, profile, system)?;
@@ -197,7 +202,7 @@ impl HierarchicalSolver {
                     &mut obs.reborrow(),
                 )?
             } else {
-                ScalableSolver::with_bucketing(self.config, self.hier.bucketing)
+                StructuredSolver::with_bucketing(self.config, self.hier.bucketing)
                     .solve_report_observed(
                         &sub_model,
                         &sub_profile,
@@ -314,9 +319,10 @@ mod tests {
         let hier = HierarchicalSolver::new(RecShardConfig::default(), NodeTopology::single(2))
             .solve(&model, &profile, &system)
             .unwrap();
-        let flat = ScalableSolver::new(RecShardConfig::default())
-            .solve(&model, &profile, &system)
-            .unwrap();
+        let flat =
+            StructuredSolver::with_bucketing(RecShardConfig::default(), BucketingConfig::default())
+                .solve(&model, &profile, &system)
+                .unwrap();
         // One node means level 1 is trivial: the per-node solve sees the whole
         // problem, so the placements agree exactly.
         assert_eq!(hier.placements(), flat.placements());

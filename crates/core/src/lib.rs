@@ -19,9 +19,12 @@
 //!
 //! 1. **Training data profiling** (delegated to `recshard-stats`),
 //! 2. **EMB partitioning and placement** — either the exact MILP formulation
-//!    of Section 4.2 (solved with `recshard-milp`, for small instances) or a
-//!    structured solver that exploits the problem's min-max / knapsack
-//!    structure and scales to hundreds of tables ([`solver`]),
+//!    of Section 4.2 (solved with `recshard-milp`, for small instances) or
+//!    the structured solver that exploits the problem's min-max / knapsack
+//!    structure ([`solver`]); one solver core, optionally preceded by
+//!    bucketing of near-identical tables ([`bucketing`]) for models with
+//!    thousands of tables, and driven per node by the two-level
+//!    [`hierarchical`] solver,
 //! 3. **Remapping** — materialising per-table remapping tables
 //!    (`recshard-sharding`'s [`RemapTable`](recshard_sharding::RemapTable)),
 //! 4. **Dynamic validation** — replaying a plan through the discrete-event
@@ -73,5 +76,5 @@ pub use formulation::MilpFormulation;
 pub use hash_analysis::{hash_size_sweep, HashSweepPoint};
 pub use hierarchical::{HierarchicalConfig, HierarchicalSolver};
 pub use pipeline::{RecShard, RecShardOutput};
-pub use scalable::{ScalableSolveReport, ScalableSolver};
-pub use solver::StructuredSolver;
+pub use scalable::ScalableSolver;
+pub use solver::{SolveReport, StructuredSolver};

@@ -2,10 +2,10 @@
 //! remap — plus the dynamic-cluster entry point
 //! [`RecShard::simulate_cluster`] built on `recshard-des`.
 
+use crate::bucketing::BucketingConfig;
 use crate::config::{RecShardConfig, SolverKind};
 use crate::error::RecShardError;
 use crate::formulation::MilpFormulation;
-use crate::scalable::ScalableSolver;
 use crate::solver::StructuredSolver;
 use recshard_data::{ModelSpec, SampleGenerator};
 use recshard_des::{
@@ -80,12 +80,17 @@ impl RecShard {
             SolverKind::ExactMilp => {
                 MilpFormulation::new(self.config).solve(model, profile, system)
             }
-            SolverKind::Scalable => ScalableSolver::new(self.config).solve(model, profile, system),
+            SolverKind::Scalable => self.bucketed().solve(model, profile, system),
         }
     }
 
+    /// The bucketed solver [`SolverKind::Scalable`] selects.
+    fn bucketed(&self) -> StructuredSolver {
+        StructuredSolver::with_bucketing(self.config, BucketingConfig::default())
+    }
+
     /// Like [`plan`](Self::plan), warm-started from a previous plan when the
-    /// configured solver supports it. The scalable solver seeds its
+    /// configured solver supports it. The bucketed solver seeds its
     /// assignment from `previous` and gates the result against a cold solve
     /// (never worse); the other solvers ignore the seed. This is the re-solve
     /// entry point the online re-sharding controller drives on drift events.
@@ -102,7 +107,7 @@ impl RecShard {
     ) -> Result<ShardingPlan, RecShardError> {
         match (self.config.solver, previous) {
             (SolverKind::Scalable, Some(prev)) => {
-                ScalableSolver::new(self.config).solve_seeded(model, profile, system, prev)
+                self.bucketed().solve_seeded(model, profile, system, prev)
             }
             _ => self.plan(model, profile, system),
         }
@@ -324,9 +329,10 @@ mod tests {
 
     #[test]
     fn resharding_with_scalable_solver_warm_starts_deterministically() {
-        // The scalable solver is the warm-startable one: the controller's
-        // re-solves seed from the installed plan (and gate against cold), so
-        // the run must stay deterministic and drain exactly like any other.
+        // The bucketed (`Scalable`) solver is the warm-startable one: the
+        // controller's re-solves seed from the installed plan (and gate
+        // against cold), so the run must stay deterministic and drain
+        // exactly like any other.
         let model = ModelSpec::small(6, 19);
         let system = SystemSpec::uniform(
             2,

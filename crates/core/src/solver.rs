@@ -1,4 +1,4 @@
-//! The structured large-scale solver.
+//! The RecShard placement solver.
 //!
 //! The paper's MILP has a very particular structure: each table independently
 //! chooses one point on its ICDF (a split between HBM and UVM rows), each
@@ -6,66 +6,267 @@
 //! GPUs of the sum of coverage-weighted table costs, subject to per-GPU HBM
 //! and DRAM capacities. [`StructuredSolver`] exploits that structure:
 //!
-//! 1. **Split selection** — start with every table at its cheapest (most
-//!    HBM-hungry) option and repeatedly downgrade the split with the lowest
-//!    marginal cost increase per HBM byte freed until the aggregate HBM
-//!    demand fits the fleet (a greedy that is optimal for the continuous
-//!    knapsack / Lagrangian relaxation of the split-selection subproblem).
-//! 2. **Assignment** — Longest-Processing-Time greedy onto the GPU with the
-//!    lowest accumulated cost that still has capacity, followed by
-//!    move/swap local search focused on the bottleneck GPU. On a
-//!    heterogeneous [`ClusterSpec`](recshard_sharding::ClusterSpec) every
-//!    GPU is charged the cost of the table under *its own* device class's
-//!    bandwidths and checked against its own capacities, so fast
-//!    big-memory GPUs naturally attract more (and hotter) tables.
-//! 3. **Backfill** — any HBM left free on a GPU after assignment is used to
-//!    upgrade the splits of that GPU's own tables, cheapest-gain first.
+//! 1. **Split selection** — start with every bucket of tables at its
+//!    cheapest (most HBM-hungry) option and repeatedly downgrade the split
+//!    with the lowest marginal cost increase per HBM byte freed until the
+//!    aggregate HBM demand fits the fleet (a greedy that is optimal for the
+//!    continuous knapsack / Lagrangian relaxation of the split-selection
+//!    subproblem).
+//! 2. **Assignment** — Longest-Processing-Time greedy of every table onto
+//!    the GPU with the lowest accumulated cost that still has capacity,
+//!    optionally warm-started from a previous plan's assignment.
+//! 3. **Refinement** — alternate a local search on the bottleneck GPU
+//!    (moves that re-pick the moved table's split for its new GPU, then
+//!    swaps) with a backfill that spends each GPU's leftover HBM on its own
+//!    tables' splits, until neither improves.
+//!
+//! **Bucketing.** The unbucketed solver ([`StructuredSolver::new`], the
+//! default) gives every table a bucket of its own. The bucketed
+//! configuration ([`StructuredSolver::with_bucketing`];
+//! [`ScalableSolver::new`](crate::scalable::ScalableSolver::new) builds it
+//! with default tuning) first groups
+//! near-identical tables with [`TableBuckets`], builds one
+//! [`TableCostModel`] per bucket representative, and lets each phase-1
+//! downgrade free `members × bytes` at once — shrinking the dominant
+//! `O(tables × icdf_steps)` term by the compression ratio. Assignment and
+//! refinement place every table individually and price it exactly from its
+//! own CDF either way, so both configurations emit equally granular plans.
+//!
+//! **Heterogeneous clusters.** Split selection prices downgrades under the
+//! cluster's reference class; from phase 2 on every GPU is charged the cost
+//! of a table under *its own* device class's bandwidths and checked against
+//! its own capacities, so fast big-memory GPUs naturally attract more (and
+//! hotter) tables.
 //!
 //! Property tests in this module and the integration suite check the solver
 //! against the exact MILP on small instances and verify capacity safety on
 //! random ones.
 
+use crate::bucketing::{BucketingConfig, TableBuckets};
 use crate::config::RecShardConfig;
 use crate::cost::TableCostModel;
 use crate::error::RecShardError;
 use recshard_data::ModelSpec;
 use recshard_sharding::{ShardingPlan, SystemSpec, TablePlacement};
 use recshard_stats::DatasetProfile;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Scalable RecShard placement solver.
+/// The RecShard placement solver, unbucketed or bucketed.
 #[derive(Debug, Clone)]
 pub struct StructuredSolver {
     config: RecShardConfig,
+    bucketing: Option<BucketingConfig>,
 }
 
+/// A solve plus the bucketing statistics the benches report.
 #[derive(Debug, Clone)]
-struct TableState {
-    step: usize,
+pub struct SolveReport {
+    /// The placement plan.
+    pub plan: ShardingPlan,
+    /// Number of tables in the model.
+    pub tables: usize,
+    /// Number of buckets split selection ran over (`tables` when unbucketed).
+    pub buckets: usize,
+    /// `tables / buckets` (1.0 when unbucketed).
+    pub compression_ratio: f64,
+}
+
+/// A phase-1 downgrade of one bucket from step `from` to `to`, the next
+/// step down that frees HBM. The heap pops the lowest marginal cost per
+/// freed byte first, ties going to the lowest bucket index.
+#[derive(PartialEq)]
+struct Downgrade {
+    ratio: f64,
+    bucket: usize,
+    from: usize,
+    to: usize,
+}
+
+impl Downgrade {
+    /// The next downgrade of `bucket` (priced by `menu`) from step `from`,
+    /// if any step below it frees bytes (plateaus are skipped).
+    fn of(menu: &TableCostModel, bucket: usize, from: usize) -> Option<Self> {
+        let cur = &menu.options[from];
+        let to = menu.options[..from]
+            .iter()
+            .rposition(|o| o.hbm_bytes < cur.hbm_bytes)?;
+        let next = &menu.options[to];
+        let extra_cost = (next.weighted_cost - cur.weighted_cost).max(0.0);
+        Some(Self {
+            // Per-byte marginal cost is member-count invariant: each member
+            // frees the same bytes and pays the same extra cost.
+            ratio: extra_cost / (cur.hbm_bytes - next.hbm_bytes) as f64,
+            bucket,
+            from,
+            to,
+        })
+    }
+}
+
+impl Eq for Downgrade {}
+
+impl PartialOrd for Downgrade {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Downgrade {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .ratio
+            .partial_cmp(&self.ratio)
+            .unwrap_or(Ordering::Equal)
+            .then(other.bucket.cmp(&self.bucket))
+    }
+}
+
+/// Orders GPUs by accumulated cost.
+fn by_cost(gpu_cost: &[f64], a: usize, b: usize) -> Ordering {
+    gpu_cost[a]
+        .partial_cmp(&gpu_cost[b])
+        .unwrap_or(Ordering::Equal)
 }
 
 impl StructuredSolver {
-    /// Creates a solver with the given configuration.
+    /// Creates the unbucketed solver: one bucket per table.
     pub fn new(config: RecShardConfig) -> Self {
-        Self { config }
+        Self {
+            config,
+            bucketing: None,
+        }
+    }
+
+    /// Creates the bucketed solver: split selection runs over the buckets
+    /// `bucketing` groups the tables into.
+    pub fn with_bucketing(config: RecShardConfig, bucketing: BucketingConfig) -> Self {
+        Self {
+            config,
+            bucketing: Some(bucketing),
+        }
     }
 
     /// Produces a RecShard placement plan.
     ///
     /// # Errors
     ///
-    /// Returns [`RecShardError::CapacityExceeded`] if the model cannot fit in
-    /// the system at all, and [`RecShardError::ProfileMismatch`] if the
-    /// profile does not cover the model.
+    /// Returns [`RecShardError::InvalidConfig`] for an invalid solver or
+    /// bucketing configuration, [`RecShardError::CapacityExceeded`] if the
+    /// model cannot fit in the system at all, and
+    /// [`RecShardError::ProfileMismatch`] if the profile does not cover the
+    /// model.
     pub fn solve(
         &self,
         model: &ModelSpec,
         profile: &DatasetProfile,
         system: &SystemSpec,
     ) -> Result<ShardingPlan, RecShardError> {
+        Ok(self.solve_report(model, profile, system)?.plan)
+    }
+
+    /// Re-solves after a drift/re-sharding event, warm-started from the
+    /// previous plan: phase-2 assignment first tries to keep every table on
+    /// its previous GPU (minimising migration churn), and the usual
+    /// bottleneck local search then only moves tables when that strictly
+    /// improves the max per-GPU cost. The result is *gated* against a cold
+    /// solve on the exact objective ([`gpu_costs_exact`](Self::gpu_costs_exact)):
+    /// the returned plan is never costlier than the cold re-solve, and on
+    /// ties the warm (migration-friendly) plan wins.
+    ///
+    /// A `previous` plan whose GPU count or table count no longer matches
+    /// the inputs is ignored (plain cold solve).
+    ///
+    /// # Errors
+    ///
+    /// As [`solve`](Self::solve).
+    pub fn solve_seeded(
+        &self,
+        model: &ModelSpec,
+        profile: &DatasetProfile,
+        system: &SystemSpec,
+        previous: &ShardingPlan,
+    ) -> Result<ShardingPlan, RecShardError> {
+        let cold = self.solve_report_impl(model, profile, system, None)?;
+        if previous.num_gpus() != system.num_gpus()
+            || previous.placements().len() != model.num_features()
+        {
+            return Ok(cold.plan);
+        }
+        let seed = previous.gpu_assignments();
+        // A seed can wedge the packing (pinning large tables to their old
+        // GPUs may leave a later table nowhere to go); the cold plan in
+        // hand is feasible, so an infeasible warm attempt falls back to it
+        // rather than failing the re-solve.
+        let Ok(warm) = self.solve_report_impl(model, profile, system, Some(&seed)) else {
+            return Ok(cold.plan);
+        };
+        let max_cost = |plan: &ShardingPlan| {
+            self.gpu_costs_exact(model, profile, system, plan)
+                .into_iter()
+                .fold(0.0f64, f64::max)
+        };
+        if max_cost(&warm.plan) <= max_cost(&cold.plan) * (1.0 + 1e-9) {
+            Ok(warm.plan)
+        } else {
+            Ok(cold.plan)
+        }
+    }
+
+    /// Produces a placement plan plus bucketing statistics.
+    ///
+    /// # Errors
+    ///
+    /// As [`solve`](Self::solve).
+    pub fn solve_report(
+        &self,
+        model: &ModelSpec,
+        profile: &DatasetProfile,
+        system: &SystemSpec,
+    ) -> Result<SolveReport, RecShardError> {
+        self.solve_report_impl(model, profile, system, None)
+    }
+
+    /// Like [`solve_report`](Self::solve_report), recording a
+    /// [`TraceEvent::Bucketing`](recshard_obs::TraceEvent::Bucketing) event
+    /// with the preprocessor's compression ratio into `obs`. The solve
+    /// itself is observation-independent.
+    ///
+    /// # Errors
+    ///
+    /// As [`solve`](Self::solve).
+    pub fn solve_report_observed(
+        &self,
+        model: &ModelSpec,
+        profile: &DatasetProfile,
+        system: &SystemSpec,
+        obs: &mut recshard_obs::ObsHandle<'_>,
+    ) -> Result<SolveReport, RecShardError> {
+        let report = self.solve_report_impl(model, profile, system, None)?;
+        obs.record(
+            0,
+            recshard_obs::TraceEvent::Bucketing {
+                tables: report.tables as u64,
+                buckets: report.buckets as u64,
+                compression: report.compression_ratio,
+            },
+        );
+        Ok(report)
+    }
+
+    fn solve_report_impl(
+        &self,
+        model: &ModelSpec,
+        profile: &DatasetProfile,
+        system: &SystemSpec,
+        seed_assignment: Option<&[usize]>,
+    ) -> Result<SolveReport, RecShardError> {
         self.config
             .validate()
             .map_err(RecShardError::InvalidConfig)?;
+        if let Some(bucketing) = &self.bucketing {
+            bucketing.validate().map_err(RecShardError::InvalidConfig)?;
+        }
         if profile.num_features() != model.num_features() {
             return Err(RecShardError::ProfileMismatch(format!(
                 "profile covers {} features, model has {}",
@@ -81,258 +282,317 @@ impl StructuredSolver {
         }
 
         let batch = model.batch_size();
-        // One cost menu per (device class, table). Menu geometry (row counts
-        // and bytes per step) is class-invariant; only the costs differ.
-        // Class 0 is the reference class phase 1 selects splits against.
-        let class_menus: Vec<Vec<TableCostModel>> = system
-            .classes()
+        let num_tables = model.num_features();
+        let buckets = match &self.bucketing {
+            Some(bucketing) => TableBuckets::build(model, profile, bucketing),
+            None => TableBuckets::singletons(num_tables),
+        };
+        // One cost menu per bucket representative, built against the
+        // cluster's reference class (class 0): phase-1 split selection needs
+        // a single shared price per downgrade. Per-GPU costs during
+        // assignment and refinement are charged under the owning GPU's own
+        // device class (see `true_cost_on`), so heterogeneity only ever
+        // sharpens the balancing.
+        let reference = *system.reference_class();
+        let menus: Vec<TableCostModel> = buckets
+            .buckets()
             .iter()
-            .map(|device| {
-                profile
-                    .profiles()
-                    .iter()
-                    .enumerate()
-                    .map(|(t, p)| TableCostModel::build(t, p, device, batch, &self.config))
-                    .collect()
+            .map(|b| {
+                TableCostModel::build(
+                    b.representative,
+                    &profile.profiles()[b.representative],
+                    &reference,
+                    batch,
+                    &self.config,
+                )
             })
             .collect();
-        let costs: &[TableCostModel] = &class_menus[0];
+        let menu_of = buckets.bucket_of_table();
 
-        // ---- Phase 1: split selection against the aggregate HBM budget ----
+        // ---- Phase 1: split selection over buckets ----
         let budget = (system.total_hbm_capacity() as f64 * (1.0 - self.config.hbm_slack)) as u64;
-        let mut states: Vec<TableState> = costs
+        let mut bucket_step: Vec<usize> = menus.iter().map(|m| m.options.len() - 1).collect();
+        let mut hbm_demand: u64 = buckets
+            .buckets()
             .iter()
-            .map(|c| TableState {
-                step: c.options.len() - 1,
-            })
+            .zip(&menus)
+            .map(|(b, m)| m.max_option().hbm_bytes * b.members.len() as u64)
+            .sum();
+        let mut heap: BinaryHeap<Downgrade> = (0..menus.len())
+            .filter_map(|b| Downgrade::of(&menus[b], b, bucket_step[b]))
             .collect();
-        let mut hbm_demand: u64 = costs.iter().map(|c| c.max_option().hbm_bytes).sum();
-
-        // Max-heap keyed by Reverse(marginal cost per freed byte) so the
-        // cheapest downgrade pops first.
-        #[derive(PartialEq)]
-        struct Downgrade {
-            ratio: f64,
-            table: usize,
-            from_step: usize,
-        }
-        impl Eq for Downgrade {}
-        impl PartialOrd for Downgrade {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Downgrade {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                other
-                    .ratio
-                    .partial_cmp(&self.ratio)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(other.table.cmp(&self.table))
-            }
-        }
-
-        let downgrade_of =
-            |costs: &[TableCostModel], table: usize, from_step: usize| -> Option<Downgrade> {
-                if from_step == 0 {
-                    return None;
-                }
-                let cur = &costs[table].options[from_step];
-                // Find the next step down that actually frees bytes (skip plateaus).
-                let mut to = from_step;
-                while to > 0 {
-                    to -= 1;
-                    if costs[table].options[to].hbm_bytes < cur.hbm_bytes {
-                        break;
-                    }
-                }
-                let next = &costs[table].options[to];
-                let freed = cur.hbm_bytes.saturating_sub(next.hbm_bytes);
-                if freed == 0 {
-                    return None;
-                }
-                let extra_cost = (next.weighted_cost - cur.weighted_cost).max(0.0);
-                Some(Downgrade {
-                    ratio: extra_cost / freed as f64,
-                    table,
-                    from_step,
-                })
-            };
-
-        let mut heap: BinaryHeap<Downgrade> = BinaryHeap::new();
-        for t in 0..costs.len() {
-            if let Some(d) = downgrade_of(costs, t, states[t].step) {
-                heap.push(d);
-            }
-        }
         while hbm_demand > budget {
             let Some(d) = heap.pop() else { break };
-            if d.from_step != states[d.table].step {
+            if d.from != bucket_step[d.bucket] {
                 continue; // stale entry
             }
-            // Apply the downgrade to the next strictly smaller option.
-            let cur_bytes = costs[d.table].options[d.from_step].hbm_bytes;
-            let mut to = d.from_step;
-            while to > 0 {
-                to -= 1;
-                if costs[d.table].options[to].hbm_bytes < cur_bytes {
-                    break;
-                }
-            }
-            let freed = cur_bytes - costs[d.table].options[to].hbm_bytes;
-            states[d.table].step = to;
-            hbm_demand -= freed;
-            if let Some(next) = downgrade_of(costs, d.table, to) {
+            let options = &menus[d.bucket].options;
+            let freed_each = options[d.from].hbm_bytes - options[d.to].hbm_bytes;
+            let members = buckets.buckets()[d.bucket].members.len() as u64;
+            bucket_step[d.bucket] = d.to;
+            hbm_demand -= freed_each * members;
+            if let Some(next) = Downgrade::of(&menus[d.bucket], d.bucket, d.to) {
                 heap.push(next);
             }
         }
+
+        // Per-table steps seeded from the bucket decision; assignment and
+        // backfill refine them individually from here on. The shared menus
+        // supply step geometry (row counts, bytes); each table's *cost* at
+        // its current step is computed exactly from its own CDF — an O(1)
+        // indexed lookup — so balancing never pays the merge tolerance.
+        let mut step: Vec<usize> = (0..num_tables).map(|t| bucket_step[menu_of[t]]).collect();
+        // Exact cost of a table's split under one GPU's device class.
+        let true_cost_on = |t: usize, hbm_rows: u64, gpu: usize| -> f64 {
+            TableCostModel::weighted_cost_at(
+                &profile.profiles()[t],
+                system.device(gpu),
+                batch,
+                &self.config,
+                hbm_rows,
+            )
+        };
+        // Reference-class cost, used before a table has an owner (LPT order).
+        let true_cost_at = |t: usize, hbm_rows: u64| -> f64 {
+            TableCostModel::weighted_cost_at(
+                &profile.profiles()[t],
+                &reference,
+                batch,
+                &self.config,
+                hbm_rows,
+            )
+        };
+        // `cost_of[t]` is the cost of `t` at its current split under its
+        // *current owner's* class once assigned (reference class before).
+        let mut cost_of: Vec<f64> = (0..num_tables)
+            .map(|t| true_cost_at(t, menus[menu_of[t]].options[step[t]].hbm_rows))
+            .collect();
 
         // ---- Phase 2: min-max assignment (LPT + capacity) ----
         let m = system.num_gpus();
         let mut gpu_cost = vec![0.0f64; m];
         let mut hbm_free: Vec<u64> = (0..m).map(|g| system.hbm_capacity(g)).collect();
         let mut dram_free: Vec<u64> = (0..m).map(|g| system.dram_capacity(g)).collect();
-        let mut assignment: Vec<Option<usize>> = vec![None; costs.len()];
-        // The cost of table `t` at split step `s` when owned by GPU `g` —
-        // charged under g's device class (for a uniform cluster this is
-        // exactly the single shared menu).
-        let cost_on = |t: usize, s: usize, g: usize| {
-            class_menus[system.class_of(g)][t].options[s].weighted_cost
-        };
+        // Every entry is written below, or the solve fails.
+        let mut assignment: Vec<usize> = vec![0; num_tables];
 
-        let mut order: Vec<usize> = (0..costs.len()).collect();
+        let mut order: Vec<usize> = (0..num_tables).collect();
         order.sort_by(|&a, &b| {
-            let ca = costs[a].options[states[a].step].weighted_cost;
-            let cb = costs[b].options[states[b].step].weighted_cost;
-            cb.partial_cmp(&ca)
-                .unwrap_or(std::cmp::Ordering::Equal)
+            cost_of[b]
+                .partial_cmp(&cost_of[a])
+                .unwrap_or(Ordering::Equal)
                 .then(a.cmp(&b))
         });
 
         for &t in &order {
-            // Cheapest-loaded GPU that can hold the table at its current split;
-            // if none can, progressively downgrade the split until one fits.
-            loop {
-                let opt = &costs[t].options[states[t].step];
-                let candidate = (0..m)
-                    .filter(|&g| hbm_free[g] >= opt.hbm_bytes && dram_free[g] >= opt.uvm_bytes)
-                    .min_by(|&a, &b| {
-                        gpu_cost[a]
-                            .partial_cmp(&gpu_cost[b])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.cmp(&b))
-                    });
+            // Warm start: keep the table on its previous GPU when it still
+            // fits there at the current split; the gated local search below
+            // moves it only if that strictly improves the bottleneck.
+            let seeded = seed_assignment.map(|seed| seed[t]).filter(|&g| {
+                let opt = &menus[menu_of[t]].options[step[t]];
+                hbm_free[g] >= opt.hbm_bytes && dram_free[g] >= opt.uvm_bytes
+            });
+            // Otherwise the cheapest-loaded GPU that can hold the table at
+            // its current split; if none can, progressively downgrade the
+            // split until one fits.
+            let g = loop {
+                let opt = &menus[menu_of[t]].options[step[t]];
+                let candidate = seeded.or_else(|| {
+                    (0..m)
+                        .filter(|&g| hbm_free[g] >= opt.hbm_bytes && dram_free[g] >= opt.uvm_bytes)
+                        .min_by(|&a, &b| by_cost(&gpu_cost, a, b).then(a.cmp(&b)))
+                });
                 if let Some(g) = candidate {
                     hbm_free[g] -= opt.hbm_bytes;
                     dram_free[g] -= opt.uvm_bytes;
-                    gpu_cost[g] += cost_on(t, states[t].step, g);
-                    assignment[t] = Some(g);
-                    break;
+                    cost_of[t] = true_cost_on(t, opt.hbm_rows, g);
+                    break g;
                 }
-                if states[t].step == 0 {
+                if step[t] == 0 {
                     return Err(RecShardError::CapacityExceeded {
                         required_bytes: opt.uvm_bytes,
                         available_bytes: dram_free.iter().copied().max().unwrap_or(0),
                     });
                 }
-                states[t].step -= 1;
-            }
+                step[t] -= 1;
+                cost_of[t] = true_cost_at(t, menus[menu_of[t]].options[step[t]].hbm_rows);
+            };
+            gpu_cost[g] += cost_of[t];
+            assignment[t] = g;
         }
 
-        // ---- Phase 3a: move/swap local search on the bottleneck GPU ----
-        for _ in 0..self.config.refinement_passes {
-            let bottleneck = (0..m)
-                .max_by(|&a, &b| {
-                    gpu_cost[a]
-                        .partial_cmp(&gpu_cost[b])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("at least one GPU");
-            let mut improved = false;
-            let tables_on_bottleneck: Vec<usize> = (0..costs.len())
-                .filter(|&t| assignment[t] == Some(bottleneck))
-                .collect();
-            for &t in &tables_on_bottleneck {
-                let opt = &costs[t].options[states[t].step];
-                let src_cost = cost_on(t, states[t].step, bottleneck);
-                // Try moving table t to the GPU that minimises the new max cost.
-                let mut best: Option<(usize, f64)> = None;
-                for g in 0..m {
-                    if g == bottleneck
-                        || hbm_free[g] < opt.hbm_bytes
-                        || dram_free[g] < opt.uvm_bytes
-                    {
-                        continue;
-                    }
-                    let new_src = gpu_cost[bottleneck] - src_cost;
-                    let new_dst = gpu_cost[g] + cost_on(t, states[t].step, g);
-                    let new_max = (0..m)
-                        .map(|x| {
-                            if x == bottleneck {
-                                new_src
-                            } else if x == g {
-                                new_dst
-                            } else {
-                                gpu_cost[x]
-                            }
-                        })
-                        .fold(0.0f64, f64::max);
-                    if new_max + 1e-12 < gpu_cost[bottleneck]
-                        && best.map(|(_, b)| new_max < b).unwrap_or(true)
-                    {
-                        best = Some((g, new_max));
-                    }
-                }
-                if let Some((g, _)) = best {
-                    hbm_free[bottleneck] += opt.hbm_bytes;
-                    dram_free[bottleneck] += opt.uvm_bytes;
-                    hbm_free[g] -= opt.hbm_bytes;
-                    dram_free[g] -= opt.uvm_bytes;
-                    gpu_cost[bottleneck] -= src_cost;
-                    gpu_cost[g] += cost_on(t, states[t].step, g);
-                    assignment[t] = Some(g);
-                    improved = true;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
+        // ---- Phase 3: alternate bottleneck local search and HBM backfill ----
+        // Phase-1 downgrades land coarser than a per-GPU optimum (and
+        // bucket-granular ones coarser still), so a single search+backfill
+        // pass leaves a percent-level gap; alternating the two (each strictly
+        // improving) until a joint fixpoint recovers it.
+        for _round in 0..self.config.refinement_passes.max(1) {
+            let mut any_change = false;
 
-        // ---- Phase 3b: backfill leftover per-GPU HBM by upgrading splits ----
-        for g in 0..m {
-            let menus = &class_menus[system.class_of(g)];
-            loop {
-                // Pick the upgrade with the largest cost reduction that fits
-                // (gains charged under this GPU's device class).
-                let mut best: Option<(usize, usize, f64, u64)> = None; // (table, new_step, gain, extra_bytes)
-                for t in 0..menus.len() {
-                    if assignment[t] != Some(g) {
-                        continue;
-                    }
-                    let cur = &menus[t].options[states[t].step];
-                    for step in (states[t].step + 1)..menus[t].options.len() {
-                        let cand = &menus[t].options[step];
-                        let extra = cand.hbm_bytes.saturating_sub(cur.hbm_bytes);
-                        if extra > hbm_free[g] {
-                            break;
-                        }
-                        let gain = cur.weighted_cost - cand.weighted_cost;
-                        if gain > 1e-15 && best.map(|(_, _, bg, _)| gain > bg).unwrap_or(true) {
-                            best = Some((t, step, gain, extra));
-                        }
-                    }
-                }
-                let Some((t, step, gain, extra)) = best else {
+            // -- 3a: move-with-resplit local search on the bottleneck GPU --
+            // A table moved off the bottleneck re-picks its split step to the
+            // largest one the target GPU can hold (options are cost-monotone
+            // in HBM rows), so moves are never blocked by a split chosen for
+            // the wrong GPU. Moves and swaps strictly reduce the max per-GPU
+            // cost, so more passes can only help; the cap bounds worst-case
+            // work.
+            for _ in 0..self.config.refinement_passes.max(1) * 8 {
+                let Some(bottleneck) = (0..m).max_by(|&a, &b| by_cost(&gpu_cost, a, b)) else {
                     break;
                 };
-                let _ = gain;
-                hbm_free[g] -= extra;
-                dram_free[g] +=
-                    menus[t].options[states[t].step].uvm_bytes - menus[t].options[step].uvm_bytes;
-                gpu_cost[g] -= menus[t].options[states[t].step].weighted_cost
-                    - menus[t].options[step].weighted_cost;
-                states[t].step = step;
+                let mut improved = false;
+                let tables_on_bottleneck: Vec<usize> = (0..num_tables)
+                    .filter(|&t| assignment[t] == bottleneck)
+                    .collect();
+                for &t in &tables_on_bottleneck {
+                    let menu = &menus[menu_of[t]];
+                    let opt = &menu.options[step[t]];
+                    let mut best: Option<(usize, usize, f64, f64)> = None; // (gpu, step, cost, new_max)
+                    for g in 0..m {
+                        if g == bottleneck {
+                            continue;
+                        }
+                        // Largest split the target can hold. HBM bytes are
+                        // non-decreasing and UVM bytes non-increasing over
+                        // the options, so the feasible steps form a
+                        // contiguous range found by two partition points.
+                        let hi = menu.options.partition_point(|o| o.hbm_bytes <= hbm_free[g]);
+                        let lo = menu.options.partition_point(|o| o.uvm_bytes > dram_free[g]);
+                        if hi == 0 || lo >= hi {
+                            continue;
+                        }
+                        let s = hi - 1;
+                        let moved_cost = true_cost_on(t, menu.options[s].hbm_rows, g);
+                        let new_src = gpu_cost[bottleneck] - cost_of[t];
+                        let new_dst = gpu_cost[g] + moved_cost;
+                        let new_max = (0..m)
+                            .map(|x| {
+                                if x == bottleneck {
+                                    new_src
+                                } else if x == g {
+                                    new_dst
+                                } else {
+                                    gpu_cost[x]
+                                }
+                            })
+                            .fold(0.0f64, f64::max);
+                        if new_max + 1e-12 < gpu_cost[bottleneck]
+                            && best.is_none_or(|(_, _, _, b)| new_max < b)
+                        {
+                            best = Some((g, s, moved_cost, new_max));
+                        }
+                    }
+                    if let Some((g, s, moved_cost, _)) = best {
+                        let dst_opt = &menu.options[s];
+                        hbm_free[bottleneck] += opt.hbm_bytes;
+                        dram_free[bottleneck] += opt.uvm_bytes;
+                        hbm_free[g] -= dst_opt.hbm_bytes;
+                        dram_free[g] -= dst_opt.uvm_bytes;
+                        gpu_cost[bottleneck] -= cost_of[t];
+                        gpu_cost[g] += moved_cost;
+                        assignment[t] = g;
+                        step[t] = s;
+                        cost_of[t] = moved_cost;
+                        improved = true;
+                        any_change = true;
+                    }
+                }
+
+                // Moves alone cannot fix LPT packing noise (every GPU near
+                // the max); exchange a bottleneck table against a cheaper
+                // table elsewhere when the trade lowers the maximum. The
+                // O(T_bottleneck × T) scan only pays off while a real
+                // imbalance exists — within 0.1% of the mean it would just
+                // chase noise, so skip it.
+                let mean_cost = gpu_cost.iter().sum::<f64>() / m as f64;
+                if !improved && gpu_cost[bottleneck] > mean_cost * 1.001 {
+                    'swap: for &t1 in &tables_on_bottleneck {
+                        if assignment[t1] != bottleneck {
+                            continue;
+                        }
+                        let o1 = &menus[menu_of[t1]].options[step[t1]];
+                        for t2 in 0..num_tables {
+                            let g = assignment[t2];
+                            if g == bottleneck || cost_of[t2] + 1e-15 >= cost_of[t1] {
+                                continue;
+                            }
+                            let o2 = &menus[menu_of[t2]].options[step[t2]];
+                            let hbm_ok = hbm_free[bottleneck] + o1.hbm_bytes >= o2.hbm_bytes
+                                && hbm_free[g] + o2.hbm_bytes >= o1.hbm_bytes;
+                            let dram_ok = dram_free[bottleneck] + o1.uvm_bytes >= o2.uvm_bytes
+                                && dram_free[g] + o2.uvm_bytes >= o1.uvm_bytes;
+                            if !hbm_ok || !dram_ok {
+                                continue;
+                            }
+                            // Each side's delta is priced under its own
+                            // class; on a uniform cluster both reduce to
+                            // `cost_of[t1] - cost_of[t2]`.
+                            let t2_on_src = true_cost_on(t2, o2.hbm_rows, bottleneck);
+                            let t1_on_dst = true_cost_on(t1, o1.hbm_rows, g);
+                            let new_src = gpu_cost[bottleneck] - (cost_of[t1] - t2_on_src);
+                            let new_dst = gpu_cost[g] + (t1_on_dst - cost_of[t2]);
+                            if new_src.max(new_dst) + 1e-12 >= gpu_cost[bottleneck] {
+                                continue;
+                            }
+                            hbm_free[bottleneck] =
+                                hbm_free[bottleneck] + o1.hbm_bytes - o2.hbm_bytes;
+                            dram_free[bottleneck] =
+                                dram_free[bottleneck] + o1.uvm_bytes - o2.uvm_bytes;
+                            hbm_free[g] = hbm_free[g] + o2.hbm_bytes - o1.hbm_bytes;
+                            dram_free[g] = dram_free[g] + o2.uvm_bytes - o1.uvm_bytes;
+                            gpu_cost[bottleneck] = new_src;
+                            gpu_cost[g] = new_dst;
+                            cost_of[t1] = t1_on_dst;
+                            cost_of[t2] = t2_on_src;
+                            assignment[t1] = g;
+                            assignment[t2] = bottleneck;
+                            improved = true;
+                            any_change = true;
+                            break 'swap;
+                        }
+                    }
+                }
+                if !improved {
+                    break;
+                }
+            }
+
+            // -- 3b: backfill leftover per-GPU HBM by upgrading splits --
+            // Candidate geometry comes from the shared menus; gains are
+            // computed exactly per table (O(1) CDF lookups).
+            for g in 0..m {
+                loop {
+                    let mut best: Option<(usize, usize, f64, u64)> = None; // (table, new_step, gain, extra)
+                    for t in (0..num_tables).filter(|&t| assignment[t] == g) {
+                        let menu = &menus[menu_of[t]];
+                        let cur = &menu.options[step[t]];
+                        for s in (step[t] + 1)..menu.options.len() {
+                            let cand = &menu.options[s];
+                            let extra = cand.hbm_bytes.saturating_sub(cur.hbm_bytes);
+                            if extra > hbm_free[g] {
+                                break;
+                            }
+                            let gain = cost_of[t] - true_cost_on(t, cand.hbm_rows, g);
+                            if gain > 1e-15 && best.is_none_or(|(_, _, bg, _)| gain > bg) {
+                                best = Some((t, s, gain, extra));
+                            }
+                        }
+                    }
+                    let Some((t, s, gain, extra)) = best else {
+                        break;
+                    };
+                    let menu = &menus[menu_of[t]];
+                    hbm_free[g] -= extra;
+                    dram_free[g] += menu.options[step[t]].uvm_bytes - menu.options[s].uvm_bytes;
+                    gpu_cost[g] -= gain;
+                    step[t] = s;
+                    cost_of[t] -= gain;
+                    any_change = true;
+                }
+            }
+
+            if !any_change {
+                break;
             }
         }
 
@@ -341,29 +601,38 @@ impl StructuredSolver {
             .features()
             .iter()
             .enumerate()
-            .map(|(t, spec)| {
-                let opt = &costs[t].options[states[t].step];
-                TablePlacement {
-                    table: spec.id,
-                    gpu: assignment[t].expect("every table assigned"),
-                    hbm_rows: opt.hbm_rows,
-                    total_rows: spec.hash_size,
-                    row_bytes: spec.row_bytes(),
-                }
+            .map(|(t, spec)| TablePlacement {
+                table: spec.id,
+                gpu: assignment[t],
+                // The representative's split row count, clamped to this
+                // table's geometry (identical within a bucket by
+                // construction, the clamp is belt-and-braces).
+                hbm_rows: menus[menu_of[t]].options[step[t]]
+                    .hbm_rows
+                    .min(spec.hash_size),
+                total_rows: spec.hash_size,
+                row_bytes: spec.row_bytes(),
             })
             .collect();
-        let plan = ShardingPlan::new("recshard", m, placements);
+        let strategy = match self.bucketing {
+            Some(_) => "recshard-scalable",
+            None => "recshard",
+        };
+        let plan = ShardingPlan::new(strategy, m, placements);
         debug_assert!(plan.validate(model, system).is_ok());
-        Ok(plan)
+        Ok(SolveReport {
+            plan,
+            tables: num_tables,
+            buckets: buckets.num_buckets(),
+            compression_ratio: buckets.compression_ratio(),
+        })
     }
 
     /// The exact per-GPU cost vector of a plan: every table charged its
     /// coverage-weighted analytical cost at the *actual* placed row count
-    /// ([`TableCostModel::weighted_cost_at`]), with no rounding onto the
-    /// table's ICDF grid. For plans whose splits sit on their own grid (the
-    /// structured solver's) this agrees with [`gpu_costs`](Self::gpu_costs);
-    /// for bucketed plans, whose row counts come from a representative's
-    /// grid, it is the artifact-free objective.
+    /// ([`TableCostModel::weighted_cost_at`]) under the owning GPU's device
+    /// class, with no rounding onto any ICDF grid. This is the objective
+    /// every solver and baseline plan is scored on.
     pub fn gpu_costs_exact(
         &self,
         model: &ModelSpec,
@@ -384,49 +653,44 @@ impl StructuredSolver {
         }
         gpu_cost
     }
-
-    /// The estimated per-GPU cost vector of a plan under this solver's cost
-    /// model (useful for reporting the objective value).
-    pub fn gpu_costs(
-        &self,
-        model: &ModelSpec,
-        profile: &DatasetProfile,
-        system: &SystemSpec,
-        plan: &ShardingPlan,
-    ) -> Vec<f64> {
-        let batch = model.batch_size();
-        let mut gpu_cost = vec![0.0f64; plan.num_gpus()];
-        for (t, p) in plan.placements().iter().enumerate() {
-            let cm = TableCostModel::build(
-                t,
-                &profile.profiles()[t],
-                system.device(p.gpu),
-                batch,
-                &self.config,
-            );
-            // Use the most generous option that does not exceed the plan's
-            // HBM row budget for this table (conservative cost estimate).
-            let opt = cm
-                .options
-                .iter()
-                .rfind(|o| o.hbm_rows <= p.hbm_rows)
-                .unwrap_or_else(|| cm.min_option());
-            gpu_cost[p.gpu] += opt.weighted_cost;
-        }
-        gpu_cost
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchical::{HierarchicalConfig, HierarchicalSolver};
+    use crate::scalable::ScalableSolver;
     use recshard_data::ModelSpec;
+    use recshard_sharding::NodeTopology;
     use recshard_stats::DatasetProfiler;
 
     fn setup(n: usize, seed: u64) -> (ModelSpec, DatasetProfile) {
         let model = ModelSpec::small(n, seed);
         let profile = DatasetProfiler::profile_model(&model, 2_000, seed + 1);
         (model, profile)
+    }
+
+    /// A uniform system whose per-GPU HBM holds `1/hbm_denom` of the model.
+    fn pressured(model: &ModelSpec, gpus: usize, hbm_denom: u64) -> SystemSpec {
+        SystemSpec::uniform(
+            gpus,
+            model.total_bytes() / hbm_denom,
+            model.total_bytes(),
+            1555.0,
+            16.0,
+        )
+    }
+
+    fn max_cost(
+        model: &ModelSpec,
+        profile: &DatasetProfile,
+        system: &SystemSpec,
+        plan: &ShardingPlan,
+    ) -> f64 {
+        StructuredSolver::new(RecShardConfig::default())
+            .gpu_costs_exact(model, profile, system, plan)
+            .into_iter()
+            .fold(0.0f64, f64::max)
     }
 
     #[test]
@@ -447,14 +711,8 @@ mod tests {
 
     #[test]
     fn capacity_pressure_moves_cold_rows_to_uvm() {
-        let (model, profile) = setup(10, 7);
-        let system = SystemSpec::uniform(
-            2,
-            model.total_bytes() / 8,
-            model.total_bytes(),
-            1555.0,
-            16.0,
-        );
+        let (model, profile) = setup(12, 7);
+        let system = pressured(&model, 2, 8);
         let plan = StructuredSolver::new(RecShardConfig::default())
             .solve(&model, &profile, &system)
             .unwrap();
@@ -464,6 +722,20 @@ mod tests {
         for (g, &bytes) in plan.hbm_bytes_per_gpu().iter().enumerate() {
             assert!(bytes <= system.hbm_capacity(g));
         }
+    }
+
+    #[test]
+    fn unbucketed_report_has_one_bucket_per_table() {
+        let (model, profile) = setup(12, 7);
+        let system = pressured(&model, 2, 8);
+        let config = RecShardConfig::default();
+        let (unbucketed, bucketed) = (StructuredSolver::new(config), ScalableSolver::new(config));
+        let report = unbucketed.solve_report(&model, &profile, &system).unwrap();
+        assert_eq!(report.buckets, report.tables);
+        assert_eq!(report.compression_ratio, 1.0);
+        assert_eq!(report.plan.strategy(), "recshard");
+        let report = bucketed.solve_report(&model, &profile, &system).unwrap();
+        assert_eq!(report.plan.strategy(), "recshard-scalable");
     }
 
     #[test]
@@ -480,10 +752,7 @@ mod tests {
                 16.0,
             );
             let plan = solver.solve(&model, &profile, &system).unwrap();
-            let max_cost = solver
-                .gpu_costs(&model, &profile, &system, &plan)
-                .into_iter()
-                .fold(0.0f64, f64::max);
+            let max_cost = max_cost(&model, &profile, &system, &plan);
             assert!(
                 max_cost + 1e-9 >= prev_cost,
                 "less HBM should never make the plan cheaper ({max_cost} vs {prev_cost})"
@@ -505,13 +774,7 @@ mod tests {
     #[test]
     fn deterministic() {
         let (model, profile) = setup(9, 13);
-        let system = SystemSpec::uniform(
-            3,
-            model.total_bytes() / 5,
-            model.total_bytes(),
-            1555.0,
-            16.0,
-        );
+        let system = pressured(&model, 3, 5);
         let solver = StructuredSolver::new(RecShardConfig::default());
         let a = solver.solve(&model, &profile, &system).unwrap();
         let b = solver.solve(&model, &profile, &system).unwrap();
@@ -525,10 +788,10 @@ mod tests {
         // round-robin full-HBM assignment.
         let (model, profile) = setup(12, 21);
         let system = SystemSpec::uniform(4, model.total_bytes(), model.total_bytes(), 1555.0, 16.0);
-        let solver = StructuredSolver::new(RecShardConfig::default());
-        let plan = solver.solve(&model, &profile, &system).unwrap();
-        let costs = solver.gpu_costs(&model, &profile, &system, &plan);
-        let max = costs.iter().cloned().fold(0.0f64, f64::max);
+        let plan = StructuredSolver::new(RecShardConfig::default())
+            .solve(&model, &profile, &system)
+            .unwrap();
+        let max = max_cost(&model, &profile, &system, &plan);
 
         let rr_placements = model
             .features()
@@ -542,13 +805,74 @@ mod tests {
             })
             .collect();
         let rr = ShardingPlan::new("round-robin", 4, rr_placements);
-        let rr_max = solver
-            .gpu_costs(&model, &profile, &system, &rr)
-            .into_iter()
-            .fold(0.0f64, f64::max);
+        let rr_max = max_cost(&model, &profile, &system, &rr);
         assert!(
             max <= rr_max + 1e-9,
             "RecShard max per-GPU cost {max} should not exceed round-robin {rr_max}"
         );
+    }
+
+    /// `bad` is rejected with a typed error, never a panic, both by the flat
+    /// bucketed solver and by the hierarchical solver's bucketed per-node
+    /// path (about 6 tables per node, above the exact-MILP cutoff).
+    fn assert_bucketing_rejected(bad: BucketingConfig) {
+        let (model, profile) = setup(12, 7);
+        let system = pressured(&model, 2, 4);
+        let config = RecShardConfig::default();
+        let flat = StructuredSolver::with_bucketing(config, bad).solve(&model, &profile, &system);
+        assert!(
+            matches!(flat, Err(RecShardError::InvalidConfig(_))),
+            "{flat:?}"
+        );
+        let hier = HierarchicalSolver::new(config, NodeTopology::new(2, 1))
+            .with_hierarchical_config(HierarchicalConfig {
+                bucketing: bad,
+                ..HierarchicalConfig::default()
+            })
+            .solve(&model, &profile, &system);
+        assert!(
+            matches!(hier, Err(RecShardError::InvalidConfig(_))),
+            "{hier:?}"
+        );
+    }
+
+    #[test]
+    fn zero_bucketing_tolerance_is_an_error() {
+        assert_bucketing_rejected(BucketingConfig {
+            tolerance: 0.0,
+            ..BucketingConfig::default()
+        });
+    }
+
+    #[test]
+    fn negative_bucketing_tolerance_is_an_error() {
+        assert_bucketing_rejected(BucketingConfig {
+            tolerance: -0.02,
+            ..BucketingConfig::default()
+        });
+    }
+
+    #[test]
+    fn nan_bucketing_tolerance_is_an_error() {
+        assert_bucketing_rejected(BucketingConfig {
+            tolerance: f64::NAN,
+            ..BucketingConfig::default()
+        });
+    }
+
+    #[test]
+    fn zero_bucketing_probe_points_is_an_error() {
+        assert_bucketing_rejected(BucketingConfig {
+            probe_points: 0,
+            ..BucketingConfig::default()
+        });
+    }
+
+    #[test]
+    fn unrepresentable_bucketing_probe_points_is_an_error() {
+        assert_bucketing_rejected(BucketingConfig {
+            probe_points: 64,
+            ..BucketingConfig::default()
+        });
     }
 }

@@ -124,7 +124,7 @@ proptest! {
             );
             let plan = solver.solve(&model, &profile, &system).unwrap();
             let obj = solver
-                .gpu_costs(&model, &profile, &system, &plan)
+                .gpu_costs_exact(&model, &profile, &system, &plan)
                 .into_iter()
                 .fold(0.0f64, f64::max);
             prop_assert!(obj + 1e-9 >= prev, "objective fell from {prev} to {obj} as HBM shrank");
@@ -159,7 +159,7 @@ proptest! {
                 if let Ok(greedy) = GreedySharder::new(SizeLookupCost).shard(&model, &profile, &system) {
                     let solver = StructuredSolver::new(config);
                     let greedy_cost = solver
-                        .gpu_costs(&model, &profile, &system, &greedy)
+                        .gpu_costs_exact(&model, &profile, &system, &greedy)
                         .into_iter()
                         .fold(0.0f64, f64::max);
                     prop_assert!(

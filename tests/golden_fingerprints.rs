@@ -29,24 +29,23 @@ const DES_THROUGHPUT_GOLDEN: [u64; 4] = [
     0x7687_f9c4_1968_5c4b,
     0x695b_6bc5_8bc2_deca,
     0xe817_6674_2fd0_97a0,
-    0x8052_8467_260d_8801,
+    0xb457_439e_6d16_b2fb,
 ];
 
 /// Committed fingerprint of the `fig13_scaling` DES backend (tiny config,
 /// RM1, RecShard plan).
-const FIG13_DES_GOLDEN: u64 = 0x088f_5c6b_4ad9_b186;
+const FIG13_DES_GOLDEN: u64 = 0x30a1_6cc5_a413_0f6b;
 
 /// Committed fingerprint of the tiny `solver_scaling` sweep: the FNV-1a hash
-/// of the canonical `BENCH_solver.json` payload with timing fields blanked
-/// (the payload gained the `hetero_points` section with the heterogeneous
-/// hardware model; the uniform sweep points are unchanged — see
-/// `SOLVER_SCALING_PLAN_GOLDEN`, which kept its pre-hetero values).
-const SOLVER_SCALING_GOLDEN: u64 = 0x5d2c_8486_c7dd_dbce;
+/// of the canonical `BENCH_solver.json` payload with timing fields blanked.
+/// It covers the default solver's `structured_*` columns, which the
+/// per-point bucketed-plan fingerprints below do not.
+const SOLVER_SCALING_GOLDEN: u64 = 0x6ba7_d67b_4171_619c;
 
 /// Committed fingerprints of the tiny `des_bench` and `scenario_bench`
 /// sweeps: FNV-1a hashes of their canonical JSON with timing blanked.
-const DES_BENCH_TINY_GOLDEN: u64 = 0x9a53_f5c1_bf32_5ba4;
-const SCENARIO_BENCH_TINY_GOLDEN: u64 = 0x0f00_a5b5_de68_ecb4;
+const DES_BENCH_TINY_GOLDEN: u64 = 0x868c_34fc_c669_790e;
+const SCENARIO_BENCH_TINY_GOLDEN: u64 = 0x0ff8_a2e4_99dc_52d4;
 
 /// Committed per-point scalable-plan fingerprints of the tiny sweep
 /// (placement-level regression lock, finer than the JSON hash).
