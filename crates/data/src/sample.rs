@@ -7,10 +7,20 @@
 //! presence is a Bernoulli draw with the feature's coverage, the list length
 //! is drawn from the pooling-factor distribution, and the values themselves
 //! are drawn from the feature's Zipf value distribution.
+//!
+//! One draw loop serves two callers: [`SampleGenerator::sample_each`]
+//! visits each drawn `(feature, value)` without building a
+//! [`SparseSample`], and [`SampleGenerator::sample`] collects the same
+//! draws into one. A generator built with
+//! [`SampleGenerator::with_guides`] draws values through a [`ZipfGuide`] per
+//! feature — the same values from the same RNG words, so the two
+//! constructors produce identical streams. The guides cost 8 KB per feature,
+//! so only long streams over few features (the serving front-end) build
+//! them; [`SampleGenerator::new`] stays unguided.
 
 use crate::feature::FeatureId;
 use crate::model::ModelSpec;
-use crate::zipf::Zipf;
+use crate::zipf::{Zipf, ZipfGuide};
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -62,6 +72,8 @@ pub type Batch = Vec<SparseSample>;
 pub struct SampleGenerator {
     model: ModelSpec,
     value_dists: Vec<Zipf>,
+    /// One guide per feature, or empty for an unguided generator.
+    guides: Vec<ZipfGuide>,
     rng: rand::rngs::StdRng,
     samples_generated: u64,
 }
@@ -77,9 +89,21 @@ impl SampleGenerator {
         Self {
             model: model.clone(),
             value_dists,
+            guides: Vec::new(),
             rng: rand::rngs::StdRng::seed_from_u64(seed),
             samples_generated: 0,
         }
+    }
+
+    /// Like [`new`](Self::new), but drawing values through one [`ZipfGuide`]
+    /// per feature: the identical stream (values and RNG state, draw for
+    /// draw), with most value draws skipping the rejection-inversion
+    /// arithmetic. Building the guides costs microseconds and 8 KB per
+    /// feature, which only pays off over long streams.
+    pub fn with_guides(model: &ModelSpec, seed: u64) -> Self {
+        let mut gen = Self::new(model, seed);
+        gen.guides = gen.value_dists.iter().map(|&z| ZipfGuide::new(z)).collect();
+        gen
     }
 
     /// The model this generator draws samples for.
@@ -94,21 +118,57 @@ impl SampleGenerator {
 
     /// Draws one training sample.
     pub fn sample(&mut self) -> SparseSample {
+        let mut values = vec![Vec::new(); self.model.num_features()];
+        self.draw(
+            &mut values,
+            |values, f, k| values[f].reserve_exact(k),
+            |values, f, value| values[f].push(value),
+        );
+        SparseSample { values }
+    }
+
+    /// Draws one sample without materialising it: calls `visit(feature,
+    /// value)` for every drawn value, in exactly the order (and from exactly
+    /// the RNG words) [`sample`](Self::sample) draws them.
+    pub fn sample_each(&mut self, mut visit: impl FnMut(usize, u64)) {
+        self.draw(&mut visit, |_, _, _| {}, |visit, f, value| visit(f, value));
+    }
+
+    /// The draw loop: per feature, presence, then the pooling factor `k`
+    /// (announced through `present(sink, feature, k)`), then `k` values
+    /// (each through `visit(sink, feature, value)`).
+    #[inline]
+    fn draw<S>(
+        &mut self,
+        sink: &mut S,
+        present: impl Fn(&mut S, usize, usize),
+        visit: impl Fn(&mut S, usize, u64),
+    ) {
         self.samples_generated += 1;
-        let mut values = Vec::with_capacity(self.model.num_features());
-        for (f, dist) in self.model.features().iter().zip(&self.value_dists) {
-            if self.rng.gen::<f64>() < f.coverage {
-                let k = f.pooling.sample(&mut self.rng) as usize;
-                let mut vals = Vec::with_capacity(k);
-                for _ in 0..k {
-                    vals.push(dist.sample(&mut self.rng));
+        for (f, (spec, dist)) in self
+            .model
+            .features()
+            .iter()
+            .zip(&self.value_dists)
+            .enumerate()
+        {
+            if self.rng.gen::<f64>() < spec.coverage {
+                let k = spec.pooling.sample(&mut self.rng) as usize;
+                present(sink, f, k);
+                match self.guides.get(f) {
+                    Some(guide) => {
+                        for _ in 0..k {
+                            visit(sink, f, guide.sample(&mut self.rng));
+                        }
+                    }
+                    None => {
+                        for _ in 0..k {
+                            visit(sink, f, dist.sample(&mut self.rng));
+                        }
+                    }
                 }
-                values.push(vals);
-            } else {
-                values.push(Vec::new());
             }
         }
-        SparseSample { values }
     }
 
     /// Draws a batch of `batch_size` samples.
@@ -254,6 +314,69 @@ mod tests {
         let model = ModelSpec::small(3, 9);
         let stream = SampleStream::new(&model, 4);
         assert_eq!(stream.take(10).count(), 10);
+    }
+
+    /// A skewed model with the guide's edge cases: a uniform feature
+    /// (`s = 0`, no guide), a one-value support (`n = 1`), a single-row
+    /// table, the `s = 1` log branch and a strongly skewed large support.
+    fn edge_model(seed: u64) -> ModelSpec {
+        let mut feats = ModelSpec::small(9, seed).features().to_vec();
+        feats[0].zipf_exponent = 0.0;
+        feats[1].cardinality = 1;
+        feats[2].hash_size = 1;
+        feats[2].zipf_exponent = 1.2;
+        feats[3].zipf_exponent = 1.0;
+        feats[4].cardinality = 1 << 24;
+        feats[4].zipf_exponent = 1.6;
+        feats[5].cardinality = 2;
+        feats[5].zipf_exponent = 3.0;
+        for f in &mut feats {
+            f.coverage = f.coverage.max(0.5);
+        }
+        ModelSpec::new("guide-edges", crate::model::RmKind::Custom, feats, 64)
+    }
+
+    #[test]
+    fn guided_generator_replays_the_unguided_stream() {
+        for seed in [1u64, 7, 42] {
+            let model = edge_model(seed);
+            let mut plain = SampleGenerator::new(&model, seed);
+            let mut guided = SampleGenerator::with_guides(&model, seed);
+            assert_eq!(guided.guides.len(), model.num_features());
+            assert!(!guided.guides[0].is_guided() && guided.guides[4].is_guided());
+            for _ in 0..400 {
+                assert_eq!(guided.sample(), plain.sample(), "seed {seed}");
+                assert_eq!(guided.rng, plain.rng, "seed {seed}: RNG state diverged");
+            }
+            assert_eq!(guided.samples_generated(), plain.samples_generated());
+        }
+    }
+
+    #[test]
+    fn sample_each_visits_exactly_the_sampled_values() {
+        let model = edge_model(3);
+        for guided in [false, true] {
+            let mut collect = if guided {
+                SampleGenerator::with_guides(&model, 11)
+            } else {
+                SampleGenerator::new(&model, 11)
+            };
+            let mut visit = collect.clone();
+            for _ in 0..300 {
+                let sample = collect.sample();
+                let mut visited = Vec::new();
+                visit.sample_each(|f, v| visited.push((f, v)));
+                let expected: Vec<(usize, u64)> = sample
+                    .values
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(f, vals)| vals.iter().map(move |&v| (f, v)))
+                    .collect();
+                assert_eq!(visited, expected);
+                assert_eq!(visit.rng, collect.rng);
+            }
+            assert_eq!(visit.samples_generated(), 300);
+        }
     }
 
     #[test]

@@ -16,11 +16,72 @@
 //! use) O(log n) per operation with one mechanism, and keeps the whole
 //! structure deterministic: a fixed operation sequence always produces the
 //! same hits, evictions and occupancy.
+//!
+//! # Key hashing
+//!
+//! Every access probes a stripe's resident map and, under
+//! [`PolicyKind::StatGuided`], the guide's admission set and the
+//! doorkeeper's ghost set — one hash lookup per hit, several per miss.
+//! Those maps hash their `(table, row)` keys with `KeyHasher`, one multiply
+//! and one xor-shift per word, instead of std's per-process randomly keyed
+//! SipHash.
+//! The keys are simulator-chosen rows, not attacker input, so flooding
+//! resistance buys nothing. The hasher is deterministic (same key, same
+//! hash, in every process), but behaviour would not depend on it either
+//! way: nothing iterates these maps, so the hash only decides where a key
+//! is stored, never which keys are found or in what order anything runs.
 
 use crate::policy::{PolicyKind, StatGuide};
 use serde::{Deserialize, Serialize};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Mutex;
+
+/// A deterministic multiply-xorshift hasher for the cache's integer keys
+/// (see the module doc). Each written word is folded in as
+/// `h = (h ^ word) · K; h ^= h >> 32`, which carries every input bit into
+/// both the low bits (the bucket index) and the high bits (the probe tag)
+/// of the hash.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl KeyHasher {
+    /// An odd 64-bit multiplier (⌊2⁶⁴/φ⌋).
+    const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        let h = (self.0 ^ word).wrapping_mul(Self::MUL);
+        self.0 = h ^ (h >> 32);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The `BuildHasher` of the cache's maps.
+type KeyHashBuilder = BuildHasherDefault<KeyHasher>;
+/// A `HashMap` keyed through [`KeyHasher`].
+pub(crate) type KeyMap<K, V> = HashMap<K, V, KeyHashBuilder>;
+/// A `HashSet` keyed through [`KeyHasher`].
+pub(crate) type KeySet<K> = HashSet<K, KeyHashBuilder>;
 
 /// Geometry of one GPU shard's cache.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -131,7 +192,7 @@ struct Stripe {
     capacity: u64,
     tick: u64,
     next_stamp: u64,
-    map: HashMap<(u32, u64), usize>,
+    map: KeyMap<(u32, u64), usize>,
     arena: Vec<Entry>,
     free: Vec<usize>,
     /// Min-heap of `(priority, tie, stamp, slot)` with lazy invalidation.
@@ -140,7 +201,7 @@ struct Stripe {
     /// second access proves the row is warm despite being unprofiled and
     /// admits it (one-hit wonders never pollute the cache; genuinely warm
     /// unprofiled rows pay exactly one extra miss).
-    ghosts: std::collections::HashSet<(u32, u64)>,
+    ghosts: KeySet<(u32, u64)>,
     stats: CacheStats,
 }
 
@@ -411,6 +472,27 @@ mod tests {
 
     fn single_stripe(capacity: u64) -> CacheConfig {
         CacheConfig::new(capacity).with_stripes(1)
+    }
+
+    #[test]
+    fn key_hasher_is_deterministic_and_spreads_dense_keys() {
+        use std::hash::BuildHasher;
+        let build = KeyHashBuilder::default();
+        let hash = |key: (u32, u64)| build.hash_one(key);
+        assert_eq!(
+            hash((3, 17)),
+            KeyHashBuilder::default().hash_one((3u32, 17u64))
+        );
+        assert_ne!(hash((3, 17)), hash((17, 3)));
+        // 1,024 dense keys: about 1 − 1/e of 1,024 buckets filled when the
+        // low bits are uniform, and every 7-bit probe tag in the high bits.
+        let keys: Vec<(u32, u64)> = (0..4u32)
+            .flat_map(|t| (0..256u64).map(move |r| (t, r)))
+            .collect();
+        let buckets: HashSet<u64> = keys.iter().map(|&k| hash(k) & 1023).collect();
+        let tags: HashSet<u64> = keys.iter().map(|&k| hash(k) >> 57).collect();
+        assert!(buckets.len() > 600, "{} buckets", buckets.len());
+        assert!(tags.len() >= 120, "{} tags", tags.len());
     }
 
     #[test]

@@ -64,6 +64,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod cache;
+pub mod error;
 pub mod placement;
 pub mod policy;
 pub mod report;
@@ -71,6 +72,7 @@ pub mod request;
 pub mod server;
 
 pub use cache::{CacheConfig, CacheStats, Lookup, ShardedCache};
+pub use error::ServeError;
 pub use placement::hash_placement;
 pub use policy::{PolicyKind, StatGuide, StatGuidedConfig};
 pub use report::ServeReport;

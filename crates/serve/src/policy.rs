@@ -22,9 +22,9 @@
 //!
 //! [CDF knee]: recshard_stats::AccessCdf::knee_rank
 
+use crate::cache::{KeyMap, KeySet};
 use recshard_stats::DatasetProfile;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// The eviction/admission policy of a serving cache shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -84,7 +84,7 @@ pub struct StatGuide {
     /// `(table, row, bytes)` pins, hottest first, within the pin budget.
     pins: Vec<(u32, u64, u64)>,
     /// Per table, the rows profiling observed (admissible on a miss).
-    admit: HashMap<u32, HashSet<u64>>,
+    admit: KeyMap<u32, KeySet<u64>>,
     /// Maximum fraction of *each cache stripe* that pins may occupy — the
     /// per-stripe enforcement of the shard-level pin budget, guaranteeing
     /// every stripe keeps an evictable LRU region even when the stripe hash
@@ -120,7 +120,7 @@ impl StatGuide {
         // the profiled per-row access rate (accesses per profiled sample) as
         // the global ranking key.
         let mut candidates: Vec<(f64, u32, u64, u64)> = Vec::new();
-        let mut admit: HashMap<u32, HashSet<u64>> = HashMap::new();
+        let mut admit: KeyMap<u32, KeySet<u64>> = KeyMap::default();
         for (t, prof) in profile.profiles().iter().enumerate() {
             if gpu_of[t] != gpu {
                 continue;
@@ -164,8 +164,6 @@ impl StatGuide {
         Self {
             pins,
             admit: admit
-                // recshard-lint: allow(hash-iter) -- elements go straight into
-                // a map keyed by table id; per-element visit order is absorbed.
                 .into_iter()
                 .map(|(t, rows)| (t, rows.into_iter().collect()))
                 .collect(),

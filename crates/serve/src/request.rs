@@ -10,11 +10,23 @@
 //! Generation is fully seeded: a `(model, seed, arrival, batch, count)`
 //! tuple always produces the identical stream, which is what makes serving
 //! runs fingerprint-stable.
+//!
+//! One generator core feeds two sinks. [`RequestStream::generate`] collects
+//! a *fully materialised* stream: every query's `(table, row)` lookups, per
+//! shard, resident at once (about 16 bytes per lookup). The server does not
+//! build one: [`InferenceServer::run`](crate::InferenceServer::run) drives
+//! the same core and hands each query's per-shard lookups to the shard
+//! workers in fixed-size chunks as they are drawn, so only a few chunks are
+//! ever resident. Values are drawn through
+//! [`SampleGenerator::with_guides`] and visited in place
+//! ([`SampleGenerator::sample_each`]), so drawing builds no per-sample
+//! `Vec`s; the guided draws return exactly the unguided values.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recshard_data::{ModelSpec, SampleGenerator, ScenarioSpec};
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// Salt mixed into the stream seed when a scenario shift re-derives the
 /// sample generator, so each applied-shift count gets an independent but
@@ -82,6 +94,10 @@ pub struct PhaseChange {
 }
 
 /// A fully materialised, seeded request stream, pre-partitioned per shard.
+///
+/// The server never builds one (see the module doc); it is the reference
+/// the pipelined server is tested against, and the input of offline cache
+/// replays.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestStream {
     /// Arrival time of each query, in nanoseconds (non-decreasing).
@@ -109,7 +125,7 @@ impl RequestStream {
         arrival: ArrivalModel,
         seed: u64,
     ) -> Self {
-        Self::generate_impl(
+        Self::collect(
             model, gpu_of, num_shards, queries, batch, arrival, seed, None,
         )
         .0
@@ -142,7 +158,7 @@ impl RequestStream {
         if let Err(e) = scenario.validate() {
             panic!("invalid scenario spec: {e}");
         }
-        Self::generate_impl(
+        Self::collect(
             model,
             gpu_of,
             num_shards,
@@ -154,8 +170,10 @@ impl RequestStream {
         )
     }
 
+    /// The materialising sink: moves every query's non-empty per-shard
+    /// lookups into that shard's task list.
     #[allow(clippy::too_many_arguments)]
-    fn generate_impl(
+    fn collect(
         model: &ModelSpec,
         gpu_of: &[usize],
         num_shards: usize,
@@ -165,6 +183,58 @@ impl RequestStream {
         seed: u64,
         scenario: Option<&ScenarioSpec>,
     ) -> (Self, Vec<PhaseChange>) {
+        let mut stream = Self {
+            arrivals_ns: Vec::with_capacity(queries as usize),
+            shard_tasks: vec![Vec::new(); num_shards],
+            total_lookups: 0,
+        };
+        let phase_changes = Self::generate_with(
+            model,
+            gpu_of,
+            num_shards,
+            queries,
+            batch,
+            arrival,
+            seed,
+            scenario,
+            |query, arrival_ns, per_shard| {
+                stream.arrivals_ns.push(arrival_ns);
+                for (tasks, lookups) in stream.shard_tasks.iter_mut().zip(per_shard) {
+                    if !lookups.is_empty() {
+                        stream.total_lookups += lookups.len() as u64;
+                        tasks.push(ShardTask {
+                            query,
+                            lookups: take_lookups(lookups),
+                        });
+                    }
+                }
+                ControlFlow::Continue(())
+            },
+        );
+        (stream, phase_changes)
+    }
+
+    /// The generator core. For each query in order it draws the arrival
+    /// time and the query's lookups, partitioned per shard, and calls
+    /// `emit(query, arrival_ns, per_shard)`. The core clears the buffers
+    /// before each query; the sink may move them out. Generation stops early
+    /// when `emit` breaks. Returns the scenario phase changes seen so far.
+    ///
+    /// # Panics
+    ///
+    /// As [`generate`](Self::generate).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn generate_with(
+        model: &ModelSpec,
+        gpu_of: &[usize],
+        num_shards: usize,
+        queries: u32,
+        batch: usize,
+        arrival: ArrivalModel,
+        seed: u64,
+        scenario: Option<&ScenarioSpec>,
+        mut emit: impl FnMut(u32, u64, &mut [Vec<(u32, u64)>]) -> ControlFlow<()>,
+    ) -> Vec<PhaseChange> {
         assert_eq!(gpu_of.len(), model.num_features(), "routing/model mismatch");
         assert!(batch > 0, "a query must contain at least one sample");
         assert!(
@@ -172,20 +242,17 @@ impl RequestStream {
             "routing targets an out-of-range shard"
         );
         let mut hashers: Vec<_> = model.features().iter().map(|f| f.hasher()).collect();
-        let mut gen = SampleGenerator::new(model, seed);
+        let mut gen = SampleGenerator::with_guides(model, seed);
         let mut arrival_rng = StdRng::seed_from_u64(seed ^ 0x5E2E_A221_7A1C_0FFE);
         let boundaries = scenario.map(|s| s.boundaries_ns()).unwrap_or_default();
         let mut applied = 0usize;
         let mut phase = 0u32;
         let mut phase_changes = Vec::new();
 
-        let mut arrivals_ns = Vec::with_capacity(queries as usize);
-        let mut shard_tasks: Vec<Vec<ShardTask>> = vec![Vec::new(); num_shards];
-        let mut total_lookups = 0u64;
         let mut now = 0u64;
         let mut per_shard: Vec<Vec<(u32, u64)>> = vec![Vec::new(); num_shards];
         for q in 0..queries {
-            arrivals_ns.push(now);
+            let arrival_ns = now;
             if let Some(spec) = scenario {
                 // Shifts due at or before this arrival rebuild the sampling
                 // state; the shifted stream stays fully seeded because the
@@ -195,7 +262,7 @@ impl RequestStream {
                     applied = due;
                     let shifted = spec.model_after(model, applied);
                     hashers = shifted.features().iter().map(|f| f.hasher()).collect();
-                    gen = SampleGenerator::new(
+                    gen = SampleGenerator::with_guides(
                         &shifted,
                         seed ^ (applied as u64).wrapping_mul(SHIFT_SEED_SALT),
                     );
@@ -220,38 +287,26 @@ impl RequestStream {
                 slot.clear();
             }
             for _ in 0..batch {
-                let sample = gen.sample();
-                for (t, values) in sample.values.iter().enumerate() {
-                    let shard = gpu_of[t];
-                    for &v in values {
-                        per_shard[shard].push((t as u32, hashers[t].hash(v)));
-                    }
-                }
+                gen.sample_each(|t, v| per_shard[gpu_of[t]].push((t as u32, hashers[t].hash(v))));
             }
-            for (shard, lookups) in per_shard.iter().enumerate() {
-                if !lookups.is_empty() {
-                    total_lookups += lookups.len() as u64;
-                    shard_tasks[shard].push(ShardTask {
-                        query: q,
-                        lookups: lookups.clone(),
-                    });
-                }
+            if emit(q, arrival_ns, &mut per_shard).is_break() {
+                break;
             }
         }
-        (
-            Self {
-                arrivals_ns,
-                shard_tasks,
-                total_lookups,
-            },
-            phase_changes,
-        )
+        phase_changes
     }
 
     /// Number of queries in the stream.
     pub fn queries(&self) -> u32 {
         self.arrivals_ns.len() as u32
     }
+}
+
+/// Moves a query's lookups out of a generator buffer, leaving an empty one
+/// sized for the next query (consecutive queries draw similar counts).
+pub(crate) fn take_lookups(buffer: &mut Vec<(u32, u64)>) -> Vec<(u32, u64)> {
+    let capacity = buffer.len();
+    std::mem::replace(buffer, Vec::with_capacity(capacity))
 }
 
 #[cfg(test)]

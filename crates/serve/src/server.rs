@@ -1,7 +1,7 @@
 //! The concurrent inference server.
 //!
-//! [`InferenceServer::run`] serves a seeded [`RequestStream`] with one
-//! worker thread per GPU shard. Each worker owns its shard's slice of every
+//! [`InferenceServer::run`] serves a seeded request stream with one worker
+//! thread per GPU shard. Each worker owns its shard's slice of every
 //! query (the tables the plan routed to that GPU), drives the shard's
 //! [`ShardedCache`], and advances a per-shard virtual clock: lookups served
 //! from HBM cost HBM bandwidth, misses cost UVM bandwidth plus a per-row
@@ -9,26 +9,50 @@
 //! faster than it drains — the open-loop behaviour that makes a poorly
 //! balanced placement's p99 diverge.
 //!
+//! The stream is never materialised. The calling thread runs the
+//! [`RequestStream`] generator core and hands each shard its tasks —
+//! `(query, arrival, lookups)`, one per query that touches the shard — in
+//! chunks of `CHUNK_QUERIES` tasks over a bounded channel of
+//! `CHANNEL_DEPTH` chunks, so generation overlaps
+//! serving and only a few chunks per shard are resident at once. A worker
+//! that panics drops its receiver; the generator's next send to it fails,
+//! generation stops, and joining the worker re-raises its panic.
+//!
 //! A query completes when its slowest shard finishes (fan-out/fan-in), so
 //! per-query latency is `max` over shard completions minus the arrival time.
 //! Measured latencies stream into a constant-space P² CDF
 //! ([`StreamingCdf`](recshard_stats::StreamingCdf)) exactly as the
 //! discrete-event trainer reports its sojourn times.
 //!
-//! Determinism: the stream is seeded, each worker processes its tasks in
-//! query order against state only it mutates, and the merge is a pure fold —
-//! so wall-clock scheduling of the threads cannot change any reported
-//! number, and reports carry a fingerprint to prove it.
+//! Determinism: the stream is seeded and generated in query order on one
+//! thread, each worker processes its own tasks in query order against state
+//! only it mutates, and the merge is a pure fold — so wall-clock scheduling
+//! of the threads (and the chunking) cannot change any reported number, and
+//! reports carry a fingerprint to prove it. The tests replay a materialised
+//! [`RequestStream::generate`] through the same shard loop and require the
+//! identical report.
 
 use crate::cache::{CacheConfig, CacheStats, Lookup, ShardedCache};
+use crate::error::ServeError;
 use crate::policy::{PolicyKind, StatGuide, StatGuidedConfig};
 use crate::report::ServeReport;
-use crate::request::{ArrivalModel, RequestStream, ShardTask};
+use crate::request::{take_lookups, ArrivalModel, PhaseChange, RequestStream};
 use recshard_data::{ModelSpec, ScenarioSpec};
 use recshard_obs::{Collector, MetricsRegistry, ObsBundle, ObsSink, TraceBuffer, TraceEvent};
 use recshard_sharding::{ShardingPlan, SystemSpec};
 use recshard_stats::DatasetProfile;
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
+use std::sync::mpsc::sync_channel;
+
+/// Tasks (queries that touch the shard) per chunk handed to a shard worker.
+const CHUNK_QUERIES: usize = 64;
+/// Chunks a shard worker's channel holds before the generator blocks.
+const CHANNEL_DEPTH: usize = 4;
+
+/// One shard's slice of one query: `(query, arrival_ns, (table, row)
+/// lookups)`.
+type Task = (u32, u64, Vec<(u32, u64)>);
 
 /// Configuration of a serving run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -146,8 +170,8 @@ impl InferenceServer {
     ///
     /// # Panics
     ///
-    /// Panics if the plan and system disagree on the shard count, or the
-    /// configuration requests zero queries or an empty batch.
+    /// Panics with the [`ServeError`] message where
+    /// [`try_run`](Self::try_run) returns one.
     pub fn run(
         model: &ModelSpec,
         plan: &ShardingPlan,
@@ -155,6 +179,26 @@ impl InferenceServer {
         system: &SystemSpec,
         config: ServeConfig,
     ) -> ServeReport {
+        or_panic(Self::try_run(model, plan, profile, system, config))
+    }
+
+    /// [`run`](Self::run), returning a typed error instead of panicking
+    /// when the inputs are inconsistent: zero queries, an empty batch, zero
+    /// cache stripes, a plan/system shard-count mismatch, a plan whose
+    /// routing does not match the model or targets a missing shard, or (for
+    /// [`PolicyKind::StatGuided`]) a profile that does not match the model.
+    /// Nothing is built and no thread is spawned before the checks pass.
+    ///
+    /// # Errors
+    ///
+    /// The first failed check, as a [`ServeError`].
+    pub fn try_run(
+        model: &ModelSpec,
+        plan: &ShardingPlan,
+        profile: &DatasetProfile,
+        system: &SystemSpec,
+        config: ServeConfig,
+    ) -> Result<ServeReport, ServeError> {
         Self::run_impl(model, plan, profile, system, config, None, None)
     }
 
@@ -166,8 +210,8 @@ impl InferenceServer {
     ///
     /// # Panics
     ///
-    /// As [`run`](Self::run), plus if the spec fails
-    /// [`ScenarioSpec::validate`].
+    /// Panics with the [`ServeError`] message where
+    /// [`try_run_scenario`](Self::try_run_scenario) returns one.
     pub fn run_scenario(
         model: &ModelSpec,
         plan: &ShardingPlan,
@@ -176,6 +220,27 @@ impl InferenceServer {
         config: ServeConfig,
         scenario: &ScenarioSpec,
     ) -> ServeReport {
+        or_panic(Self::try_run_scenario(
+            model, plan, profile, system, config, scenario,
+        ))
+    }
+
+    /// [`run_scenario`](Self::run_scenario), returning a typed error as
+    /// [`try_run`](Self::try_run) does, plus
+    /// [`ServeError::InvalidScenario`] when the spec fails
+    /// [`ScenarioSpec::validate`].
+    ///
+    /// # Errors
+    ///
+    /// The first failed check, as a [`ServeError`].
+    pub fn try_run_scenario(
+        model: &ModelSpec,
+        plan: &ShardingPlan,
+        profile: &DatasetProfile,
+        system: &SystemSpec,
+        config: ServeConfig,
+        scenario: &ScenarioSpec,
+    ) -> Result<ServeReport, ServeError> {
         Self::run_impl(model, plan, profile, system, config, Some(scenario), None)
     }
 
@@ -196,7 +261,7 @@ impl InferenceServer {
         scenario: &ScenarioSpec,
     ) -> (ServeReport, ObsBundle) {
         let mut collector = Collector::new();
-        let report = Self::run_impl(
+        let report = or_panic(Self::run_impl(
             model,
             plan,
             profile,
@@ -204,7 +269,7 @@ impl InferenceServer {
             config,
             Some(scenario),
             Some(&mut collector),
-        );
+        ));
         (report, collector.finish())
     }
 
@@ -225,7 +290,7 @@ impl InferenceServer {
         config: ServeConfig,
     ) -> (ServeReport, ObsBundle) {
         let mut collector = Collector::new();
-        let report = Self::run_impl(
+        let report = or_panic(Self::run_impl(
             model,
             plan,
             profile,
@@ -233,8 +298,60 @@ impl InferenceServer {
             config,
             None,
             Some(&mut collector),
-        );
+        ));
         (report, collector.finish())
+    }
+
+    /// Every check [`try_run_scenario`](Self::try_run_scenario) documents.
+    fn validate(
+        model: &ModelSpec,
+        plan: &ShardingPlan,
+        profile: &DatasetProfile,
+        system: &SystemSpec,
+        config: &ServeConfig,
+        scenario: Option<&ScenarioSpec>,
+    ) -> Result<(), ServeError> {
+        if config.queries == 0 {
+            return Err(ServeError::NoQueries);
+        }
+        if config.batch_size == 0 {
+            return Err(ServeError::EmptyBatch);
+        }
+        if config.stripes == 0 {
+            return Err(ServeError::NoStripes);
+        }
+        let shards = plan.num_gpus();
+        if shards != system.num_gpus() {
+            return Err(ServeError::ShardCountMismatch {
+                plan: shards,
+                system: system.num_gpus(),
+            });
+        }
+        let routing = plan.placements();
+        if routing.len() != model.num_features() {
+            return Err(ServeError::RoutingMismatch {
+                routing: routing.len(),
+                model: model.num_features(),
+            });
+        }
+        if let Some((table, p)) = routing.iter().enumerate().find(|(_, p)| p.gpu >= shards) {
+            return Err(ServeError::ShardOutOfRange {
+                table,
+                shard: p.gpu,
+                shards,
+            });
+        }
+        if config.policy == PolicyKind::StatGuided && profile.num_features() != model.num_features()
+        {
+            return Err(ServeError::ProfileMismatch {
+                profile: profile.num_features(),
+                model: model.num_features(),
+            });
+        }
+        match scenario.map(ScenarioSpec::validate) {
+            Some(Err(e)) => Err(ServeError::InvalidScenario(e)),
+            _ => Ok(()),
+        }
     }
 
     fn run_impl(
@@ -245,249 +362,104 @@ impl InferenceServer {
         config: ServeConfig,
         scenario: Option<&ScenarioSpec>,
         mut obs: Option<&mut Collector>,
-    ) -> ServeReport {
-        assert!(config.queries > 0, "must serve at least one query");
-        assert_eq!(
-            plan.num_gpus(),
-            system.num_gpus(),
-            "plan/system shard count mismatch"
-        );
-        let shards = plan.num_gpus();
-        let gpu_of = plan.gpu_assignments();
-        // Each shard's HBM cache is sized to *its* GPU's HBM (per device
-        // class); an explicit `capacity_per_shard` overrides every shard.
-        let capacity_of: Vec<u64> = (0..shards)
-            .map(|gpu| {
-                config
-                    .capacity_per_shard
-                    .unwrap_or_else(|| system.hbm_capacity(gpu))
-            })
-            .collect();
-
-        let caches: Vec<ShardedCache> = (0..shards)
-            .map(|gpu| {
-                let capacity = capacity_of[gpu];
-                let cache_config = CacheConfig::new(capacity).with_stripes(config.stripes);
-                match config.policy {
-                    PolicyKind::Lru | PolicyKind::Lfu => {
-                        ShardedCache::new(config.policy, cache_config)
-                    }
-                    PolicyKind::StatGuided => ShardedCache::with_guide(
-                        StatGuide::for_gpu(gpu, &gpu_of, profile, capacity, &config.stat_guided),
-                        cache_config,
-                    ),
-                }
-            })
-            .collect();
-
-        let total_queries = config.warmup + config.queries;
-        let stream = match scenario {
-            None => RequestStream::generate(
-                model,
-                &gpu_of,
-                shards,
-                total_queries,
-                config.batch_size,
-                config.arrival,
-                config.seed,
-            ),
-            Some(spec) => {
-                let (stream, phase_changes) = RequestStream::generate_scenario(
-                    model,
-                    &gpu_of,
-                    shards,
-                    total_queries,
-                    config.batch_size,
-                    config.arrival,
-                    config.seed,
-                    spec,
+    ) -> Result<ServeReport, ServeError> {
+        Self::validate(model, plan, profile, system, &config, scenario)?;
+        let shards = Shards::build(model, plan, profile, system, &config);
+        let (arrivals_ns, phase_changes, runs) =
+            Self::pipeline(model, system, &shards, &config, scenario, obs.is_some());
+        if let Some(c) = obs.as_deref_mut() {
+            for pc in &phase_changes {
+                c.record(
+                    pc.at_ns,
+                    TraceEvent::ScenarioPhase {
+                        phase: pc.phase,
+                        rate_multiplier: pc.rate_multiplier,
+                        shifts_applied: pc.shifts_applied,
+                    },
                 );
-                if let Some(c) = obs.as_deref_mut() {
-                    for pc in &phase_changes {
-                        c.record(
-                            pc.at_ns,
-                            TraceEvent::ScenarioPhase {
-                                phase: pc.phase,
-                                rate_multiplier: pc.rate_multiplier,
-                                shifts_applied: pc.shifts_applied,
-                            },
-                        );
-                    }
-                }
-                stream
             }
-        };
-        let row_bytes: Vec<u64> = model.features().iter().map(|f| f.row_bytes()).collect();
+        }
+        Ok(Self::merge(plan, &arrivals_ns, &shards, runs, &config, obs))
+    }
 
-        // Shards on nodes other than the front-end's (node 0) pay one
-        // network hop on fan-in; flat plans put every shard on node 0.
-        let topology = plan.effective_topology();
-        let hop_of: Vec<u64> = (0..shards)
-            .map(|gpu| {
-                if topology.node_of_gpu(gpu) == 0 {
-                    0
-                } else {
-                    config.internode_hop_ns
-                }
-            })
-            .collect();
-
+    /// Generates the stream on this thread and serves it on one worker per
+    /// shard (see the module doc). Returns the arrivals, the scenario phase
+    /// changes and the per-shard results in shard order.
+    fn pipeline(
+        model: &ModelSpec,
+        system: &SystemSpec,
+        shards: &Shards,
+        config: &ServeConfig,
+        scenario: Option<&ScenarioSpec>,
+        traced: bool,
+    ) -> (Vec<u64>, Vec<PhaseChange>, Vec<ShardRun>) {
+        let total_queries = config.warmup + config.queries;
+        let mut arrivals_ns = Vec::with_capacity(total_queries as usize);
+        let mut phase_changes = Vec::new();
         // One worker thread per GPU shard; each mutates only its own cache
         // and clock, so the merged result is schedule-independent. Traced
         // runs buffer per-shard records privately and merge them in shard
         // order afterwards, keeping the trace deterministic too.
-        let traced = obs.is_some();
-        let mut runs: Vec<ShardRun> = Vec::with_capacity(shards);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = stream
-                .shard_tasks
-                .iter()
-                .zip(&caches)
-                .zip(&hop_of)
-                .enumerate()
-                .map(|(gpu, ((tasks, cache), &hop_ns))| {
-                    let arrivals = &stream.arrivals_ns;
-                    let row_bytes = &row_bytes;
+        let runs = std::thread::scope(|scope| {
+            let (senders, handles): (Vec<_>, Vec<_>) = (0..shards.caches.len())
+                .map(|gpu| {
+                    let (tx, rx) = sync_channel::<Vec<Task>>(CHANNEL_DEPTH);
                     // recshard-lint: allow(thread-fanin) -- workers share no
                     // mutable state and are joined in shard-index order below.
-                    scope.spawn(move || {
-                        Self::run_shard(
-                            tasks, cache, arrivals, row_bytes, system, gpu, &config, hop_ns, traced,
-                        )
-                    })
+                    let handle = scope.spawn(move || {
+                        shards.run_shard(gpu, rx.into_iter().flatten(), system, config, traced)
+                    });
+                    (tx, handle)
                 })
+                .unzip();
+            let mut chunks: Vec<Vec<Task>> = senders
+                .iter()
+                .map(|_| Vec::with_capacity(CHUNK_QUERIES))
                 .collect();
-            for h in handles {
-                // recshard-lint: allow(unwrap) -- a panicked worker already
-                // aborted the simulation; propagating it is the only option.
-                runs.push(h.join().expect("shard worker panicked"));
-            }
-        });
-
-        let reported_capacity = capacity_of.iter().copied().max().unwrap_or(0);
-        Self::merge(
-            plan,
-            &stream,
-            &caches,
-            runs,
-            reported_capacity,
-            &config,
-            obs,
-        )
-    }
-
-    /// One shard's serving loop: FIFO virtual-time queueing over its tasks.
-    /// `hop_ns` delays each completion on the fan-in path (remote-node
-    /// shards) without occupying the shard itself. Lookup service times use
-    /// *this shard's* GPU bandwidths (its device class on a heterogeneous
-    /// cluster).
-    #[allow(clippy::too_many_arguments)]
-    fn run_shard(
-        tasks: &[ShardTask],
-        cache: &ShardedCache,
-        arrivals_ns: &[u64],
-        row_bytes: &[u64],
-        system: &SystemSpec,
-        gpu: usize,
-        config: &ServeConfig,
-        hop_ns: u64,
-        traced: bool,
-    ) -> ShardRun {
-        let mut trace = traced.then(|| TraceBuffer::new(gpu as u32));
-        let hbm_ns_per_byte = 1e9 / (system.hbm_bandwidth_gbps(gpu) * 1e9);
-        let uvm_ns_per_byte = 1e9 / (system.uvm_bandwidth_gbps(gpu) * 1e9);
-        // Scratch for counting distinct tables without a per-task set.
-        let mut touched_epoch = vec![0u32; row_bytes.len()];
-        let mut epoch = 0u32;
-
-        let mut free_at = 0u64;
-        let mut completions = Vec::with_capacity(tasks.len());
-        let (mut hits, mut misses, mut bypasses, mut busy_ns) = (0u64, 0u64, 0u64, 0u64);
-        for task in tasks {
-            epoch += 1;
-            let mut hbm_bytes = 0u64;
-            let mut uvm_bytes = 0u64;
-            let mut uvm_rows = 0u64;
-            let mut tables = 0u64;
-            let (mut h, mut m, mut b) = (0u64, 0u64, 0u64);
-            for &(table, row) in &task.lookups {
-                let bytes = row_bytes[table as usize];
-                if touched_epoch[table as usize] != epoch {
-                    touched_epoch[table as usize] = epoch;
-                    tables += 1;
-                }
-                match cache.access(table, row, bytes) {
-                    Lookup::Hit => {
-                        hbm_bytes += bytes;
-                        h += 1;
+            phase_changes = RequestStream::generate_with(
+                model,
+                &shards.gpu_of,
+                senders.len(),
+                total_queries,
+                config.batch_size,
+                config.arrival,
+                config.seed,
+                scenario,
+                |query, arrival_ns, per_shard| {
+                    arrivals_ns.push(arrival_ns);
+                    for ((chunk, tx), lookups) in chunks.iter_mut().zip(&senders).zip(per_shard) {
+                        if lookups.is_empty() {
+                            continue;
+                        }
+                        chunk.push((query, arrival_ns, take_lookups(lookups)));
+                        if chunk.len() == CHUNK_QUERIES {
+                            let full = std::mem::replace(chunk, Vec::with_capacity(CHUNK_QUERIES));
+                            // Only a panicked worker drops its receiver.
+                            if tx.send(full).is_err() {
+                                return ControlFlow::Break(());
+                            }
+                        }
                     }
-                    Lookup::MissInserted => {
-                        uvm_bytes += bytes;
-                        uvm_rows += 1;
-                        m += 1;
-                    }
-                    Lookup::MissBypassed => {
-                        uvm_bytes += bytes;
-                        uvm_rows += 1;
-                        b += 1;
-                    }
-                }
-            }
-            let service_ns = (hbm_bytes as f64 * hbm_ns_per_byte
-                + uvm_bytes as f64 * uvm_ns_per_byte)
-                .round() as u64
-                + tables * config.table_overhead_ns
-                + uvm_rows * config.miss_latency_ns;
-            let arrival_ns = arrivals_ns[task.query as usize];
-            let start = free_at.max(arrival_ns);
-            let done = start + service_ns;
-            free_at = done;
-            busy_ns += service_ns;
-            if task.query >= config.warmup {
-                hits += h;
-                misses += m;
-                bypasses += b;
-            }
-            if let Some(trace) = &mut trace {
-                trace.record(
-                    arrival_ns,
-                    TraceEvent::QueryServed {
-                        shard: gpu as u32,
-                        query: task.query as u64,
-                        start_ns: start,
-                        service_ns,
-                        wait_ns: start - arrival_ns,
-                        hits: h,
-                        misses: m,
-                        bypasses: b,
-                    },
-                );
-            }
-            completions.push((task.query, done + hop_ns));
-        }
-        if let Some(trace) = &mut trace {
-            let stats = cache.stats();
-            trace.record(
-                free_at,
-                TraceEvent::CacheShard {
-                    shard: gpu as u32,
-                    hits: stats.hits,
-                    misses: stats.misses,
-                    bypasses: stats.bypasses,
-                    evictions: stats.evictions,
-                    used_bytes: stats.used_bytes,
-                    pinned_bytes: stats.pinned_bytes,
+                    ControlFlow::Continue(())
                 },
             );
-        }
-        ShardRun {
-            completions,
-            hits,
-            misses,
-            bypasses,
-            busy_ns,
-            trace,
-        }
+            for (chunk, tx) in chunks.into_iter().zip(&senders) {
+                // A failed send is a panicked worker; its join re-raises it.
+                if !chunk.is_empty() && tx.send(chunk).is_err() {
+                    break;
+                }
+            }
+            // Closing the channels ends every worker's task iterator.
+            drop(senders);
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
+        });
+        (arrivals_ns, phase_changes, runs)
     }
 
     /// Fan-in: per-query latency, CDFs, hit rates, fingerprint.
@@ -498,10 +470,9 @@ impl InferenceServer {
     /// exported snapshot and the report agree by construction.
     fn merge(
         plan: &ShardingPlan,
-        stream: &RequestStream,
-        caches: &[ShardedCache],
+        arrivals_ns: &[u64],
+        shards: &Shards,
         mut runs: Vec<ShardRun>,
-        capacity: u64,
         config: &ServeConfig,
         mut obs: Option<&mut Collector>,
     ) -> ServeReport {
@@ -532,7 +503,7 @@ impl InferenceServer {
             fingerprint = fingerprint.wrapping_mul(0x0000_0100_0000_01B3);
         };
         for q in config.warmup as usize..total_queries {
-            let latency_ns = done_ns[q].saturating_sub(stream.arrivals_ns[q]);
+            let latency_ns = done_ns[q].saturating_sub(arrivals_ns[q]);
             match obs.as_deref_mut() {
                 // The collector routes the event into its own
                 // `serve.latency_ms` quantile — exactly one push per
@@ -565,7 +536,7 @@ impl InferenceServer {
 
         let lookups = (hits + misses + bypasses).max(1);
         let mut cache_stats = CacheStats::default();
-        for c in caches {
+        for c in &shards.caches {
             cache_stats.merge(&c.stats());
         }
         ServeReport {
@@ -575,7 +546,7 @@ impl InferenceServer {
             queries: config.queries,
             warmup: config.warmup,
             batch_size: config.batch_size,
-            capacity_per_shard_bytes: capacity,
+            capacity_per_shard_bytes: shards.capacity,
             hits,
             misses,
             bypasses,
@@ -611,6 +582,195 @@ impl InferenceServer {
     }
 }
 
+/// The per-shard state a run builds before serving: the plan's routing,
+/// one cache per shard, fan-in hops and row widths.
+struct Shards {
+    /// Owning shard of each table.
+    gpu_of: Vec<usize>,
+    caches: Vec<ShardedCache>,
+    /// Largest per-shard cache capacity, in bytes (the reported one).
+    capacity: u64,
+    /// Fan-in hop of each shard's completions, in ns.
+    hop_of: Vec<u64>,
+    /// Row width of each table, in bytes.
+    row_bytes: Vec<u64>,
+}
+
+impl Shards {
+    /// Builds the caches and per-shard constants of a validated run.
+    fn build(
+        model: &ModelSpec,
+        plan: &ShardingPlan,
+        profile: &DatasetProfile,
+        system: &SystemSpec,
+        config: &ServeConfig,
+    ) -> Self {
+        let shards = plan.num_gpus();
+        let gpu_of = plan.gpu_assignments();
+        // Each shard's HBM cache is sized to *its* GPU's HBM (per device
+        // class); an explicit `capacity_per_shard` overrides every shard.
+        let capacity_of: Vec<u64> = (0..shards)
+            .map(|gpu| {
+                config
+                    .capacity_per_shard
+                    .unwrap_or_else(|| system.hbm_capacity(gpu))
+            })
+            .collect();
+        let caches = capacity_of
+            .iter()
+            .enumerate()
+            .map(|(gpu, &capacity)| {
+                let cache_config = CacheConfig::new(capacity).with_stripes(config.stripes);
+                match config.policy {
+                    PolicyKind::Lru | PolicyKind::Lfu => {
+                        ShardedCache::new(config.policy, cache_config)
+                    }
+                    PolicyKind::StatGuided => ShardedCache::with_guide(
+                        StatGuide::for_gpu(gpu, &gpu_of, profile, capacity, &config.stat_guided),
+                        cache_config,
+                    ),
+                }
+            })
+            .collect();
+        // Shards on nodes other than the front-end's (node 0) pay one
+        // network hop on fan-in; flat plans put every shard on node 0.
+        let topology = plan.effective_topology();
+        let hop_of = (0..shards)
+            .map(|gpu| {
+                if topology.node_of_gpu(gpu) == 0 {
+                    0
+                } else {
+                    config.internode_hop_ns
+                }
+            })
+            .collect();
+        Self {
+            gpu_of,
+            caches,
+            capacity: capacity_of.iter().copied().max().unwrap_or(0),
+            hop_of,
+            row_bytes: model.features().iter().map(|f| f.row_bytes()).collect(),
+        }
+    }
+
+    /// Shard `gpu`'s serving loop: FIFO virtual-time queueing over its
+    /// `(query, arrival_ns, lookups)` tasks, in query order. The shard's
+    /// fan-in hop delays each completion without occupying the shard
+    /// itself. Lookup service times use *this shard's* GPU bandwidths (its
+    /// device class on a heterogeneous cluster).
+    fn run_shard<L: AsRef<[(u32, u64)]>>(
+        &self,
+        gpu: usize,
+        tasks: impl IntoIterator<Item = (u32, u64, L)>,
+        system: &SystemSpec,
+        config: &ServeConfig,
+        traced: bool,
+    ) -> ShardRun {
+        let cache = &self.caches[gpu];
+        let row_bytes = &self.row_bytes;
+        let hop_ns = self.hop_of[gpu];
+        let mut trace = traced.then(|| TraceBuffer::new(gpu as u32));
+        let hbm_ns_per_byte = 1e9 / (system.hbm_bandwidth_gbps(gpu) * 1e9);
+        let uvm_ns_per_byte = 1e9 / (system.uvm_bandwidth_gbps(gpu) * 1e9);
+        // Scratch for counting distinct tables without a per-task set.
+        let mut touched_epoch = vec![0u32; row_bytes.len()];
+        let mut epoch = 0u32;
+
+        let mut free_at = 0u64;
+        let mut completions = Vec::new();
+        let (mut hits, mut misses, mut bypasses, mut busy_ns) = (0u64, 0u64, 0u64, 0u64);
+        for (query, arrival_ns, lookups) in tasks {
+            epoch += 1;
+            let mut hbm_bytes = 0u64;
+            let mut uvm_bytes = 0u64;
+            let mut uvm_rows = 0u64;
+            let mut tables = 0u64;
+            let (mut h, mut m, mut b) = (0u64, 0u64, 0u64);
+            for &(table, row) in lookups.as_ref() {
+                let bytes = row_bytes[table as usize];
+                if touched_epoch[table as usize] != epoch {
+                    touched_epoch[table as usize] = epoch;
+                    tables += 1;
+                }
+                match cache.access(table, row, bytes) {
+                    Lookup::Hit => {
+                        hbm_bytes += bytes;
+                        h += 1;
+                    }
+                    Lookup::MissInserted => {
+                        uvm_bytes += bytes;
+                        uvm_rows += 1;
+                        m += 1;
+                    }
+                    Lookup::MissBypassed => {
+                        uvm_bytes += bytes;
+                        uvm_rows += 1;
+                        b += 1;
+                    }
+                }
+            }
+            let service_ns = (hbm_bytes as f64 * hbm_ns_per_byte
+                + uvm_bytes as f64 * uvm_ns_per_byte)
+                .round() as u64
+                + tables * config.table_overhead_ns
+                + uvm_rows * config.miss_latency_ns;
+            let start = free_at.max(arrival_ns);
+            let done = start + service_ns;
+            free_at = done;
+            busy_ns += service_ns;
+            if query >= config.warmup {
+                hits += h;
+                misses += m;
+                bypasses += b;
+            }
+            if let Some(trace) = &mut trace {
+                trace.record(
+                    arrival_ns,
+                    TraceEvent::QueryServed {
+                        shard: gpu as u32,
+                        query: query as u64,
+                        start_ns: start,
+                        service_ns,
+                        wait_ns: start - arrival_ns,
+                        hits: h,
+                        misses: m,
+                        bypasses: b,
+                    },
+                );
+            }
+            completions.push((query, done + hop_ns));
+        }
+        if let Some(trace) = &mut trace {
+            let stats = cache.stats();
+            trace.record(
+                free_at,
+                TraceEvent::CacheShard {
+                    shard: gpu as u32,
+                    hits: stats.hits,
+                    misses: stats.misses,
+                    bypasses: stats.bypasses,
+                    evictions: stats.evictions,
+                    used_bytes: stats.used_bytes,
+                    pinned_bytes: stats.pinned_bytes,
+                },
+            );
+        }
+        ShardRun {
+            completions,
+            hits,
+            misses,
+            bypasses,
+            busy_ns,
+            trace,
+        }
+    }
+}
+
+/// Unwraps a run result, panicking with the error's message.
+fn or_panic(result: Result<ServeReport, ServeError>) -> ServeReport {
+    result.unwrap_or_else(|e| panic!("{e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,6 +800,229 @@ mod tests {
             arrival: ArrivalModel::FixedRate { interval_us: 50.0 },
             ..ServeConfig::default()
         }
+    }
+
+    /// The serving loop over a materialised stream: every shard replayed
+    /// one after another on this thread from [`RequestStream::generate`]
+    /// (or `generate_scenario`), merged as the pipelined run merges.
+    fn reference_run(
+        model: &ModelSpec,
+        plan: &ShardingPlan,
+        profile: &DatasetProfile,
+        system: &SystemSpec,
+        config: ServeConfig,
+        scenario: Option<&ScenarioSpec>,
+    ) -> ServeReport {
+        let shards = Shards::build(model, plan, profile, system, &config);
+        let (gpu_of, shard_count) = (&shards.gpu_of, plan.num_gpus());
+        let queries = config.warmup + config.queries;
+        let (batch, arrival, seed) = (config.batch_size, config.arrival, config.seed);
+        let stream = match scenario {
+            None => {
+                RequestStream::generate(model, gpu_of, shard_count, queries, batch, arrival, seed)
+            }
+            Some(spec) => {
+                let (stream, _) = RequestStream::generate_scenario(
+                    model,
+                    gpu_of,
+                    shard_count,
+                    queries,
+                    batch,
+                    arrival,
+                    seed,
+                    spec,
+                );
+                stream
+            }
+        };
+        let runs = stream
+            .shard_tasks
+            .iter()
+            .enumerate()
+            .map(|(gpu, tasks)| {
+                let tasks = tasks
+                    .iter()
+                    .map(|t| (t.query, stream.arrivals_ns[t.query as usize], &t.lookups));
+                shards.run_shard(gpu, tasks, system, &config, false)
+            })
+            .collect();
+        InferenceServer::merge(plan, &stream.arrivals_ns, &shards, runs, &config, None)
+    }
+
+    #[test]
+    fn pipelined_run_equals_the_materialised_replay() {
+        let (model, profile, system) = setup();
+        let plan = hash_placement(&model, 2);
+        // 457 queries: not a multiple of the chunk size.
+        let base = ServeConfig {
+            queries: 357,
+            ..config(PolicyKind::StatGuided)
+        };
+        assert_ne!((base.warmup + base.queries) as usize % CHUNK_QUERIES, 0);
+        for policy in PolicyKind::all() {
+            let cfg = ServeConfig { policy, ..base };
+            let reference = reference_run(&model, &plan, &profile, &system, cfg, None);
+            let run = InferenceServer::run(&model, &plan, &profile, &system, cfg);
+            assert_eq!(run, reference, "{policy}");
+        }
+        // Fewer queries than one chunk: only the final flush sends.
+        let tiny = ServeConfig {
+            queries: 9,
+            warmup: 2,
+            ..base
+        };
+        let reference = reference_run(&model, &plan, &profile, &system, tiny, None);
+        assert_eq!(
+            InferenceServer::run(&model, &plan, &profile, &system, tiny),
+            reference
+        );
+    }
+
+    #[test]
+    fn pipelined_run_serves_a_shard_that_owns_no_table() {
+        let (model, profile, _) = setup();
+        // Three shards, but the plan routes every table to shards 0 and 1.
+        let lopsided = ShardingPlan::new(
+            "lopsided",
+            3,
+            hash_placement(&model, 2).placements().to_vec(),
+        );
+        assert!(lopsided.tables_on_gpu(2).is_empty());
+        let system = SystemSpec::uniform(
+            3,
+            (model.total_bytes() / 16).max(1),
+            model.total_bytes(),
+            1555.0,
+            16.0,
+        );
+        let cfg = config(PolicyKind::StatGuided);
+        let reference = reference_run(&model, &lopsided, &profile, &system, cfg, None);
+        let run = InferenceServer::run(&model, &lopsided, &profile, &system, cfg);
+        assert_eq!(run, reference);
+        assert_eq!(run.per_shard_hit_rate[2], 0.0);
+        assert_eq!(run.busy_fraction[2], 0.0);
+    }
+
+    #[test]
+    fn pipelined_scenario_run_equals_the_materialised_replay() {
+        let (model, profile, system) = setup();
+        let plan = hash_placement(&model, 2);
+        let cfg = config(PolicyKind::StatGuided);
+        // A 2x flash crowd with its hot-key shift inside the 25 ms run.
+        let spec = ScenarioSpec::flash_crowd(5e-3, 5e-3, 2.0);
+        let reference = reference_run(&model, &plan, &profile, &system, cfg, Some(&spec));
+        let run = InferenceServer::run_scenario(&model, &plan, &profile, &system, cfg, &spec);
+        assert_eq!(run, reference);
+    }
+
+    #[test]
+    fn try_run_rejects_bad_inputs_with_typed_errors() {
+        let (model, profile, system) = setup();
+        let plan = hash_placement(&model, 2);
+        let cfg = config(PolicyKind::StatGuided);
+        let try_run = |plan: &ShardingPlan, system: &SystemSpec, cfg: ServeConfig| {
+            InferenceServer::try_run(&model, plan, &profile, system, cfg)
+        };
+        assert_eq!(
+            try_run(&plan, &system, ServeConfig { queries: 0, ..cfg }),
+            Err(ServeError::NoQueries)
+        );
+        assert_eq!(
+            try_run(
+                &plan,
+                &system,
+                ServeConfig {
+                    batch_size: 0,
+                    ..cfg
+                }
+            ),
+            Err(ServeError::EmptyBatch)
+        );
+        assert_eq!(
+            try_run(&plan, &system, ServeConfig { stripes: 0, ..cfg }),
+            Err(ServeError::NoStripes)
+        );
+        assert_eq!(
+            try_run(&hash_placement(&model, 3), &system, cfg),
+            Err(ServeError::ShardCountMismatch { plan: 3, system: 2 })
+        );
+        let short = ShardingPlan::new("short", 2, plan.placements()[..5].to_vec());
+        assert_eq!(
+            try_run(&short, &system, cfg),
+            Err(ServeError::RoutingMismatch {
+                routing: 5,
+                model: 8
+            })
+        );
+        let mut placements = plan.placements().to_vec();
+        placements[3].gpu = 7;
+        assert_eq!(
+            try_run(&ShardingPlan::new("stray", 2, placements), &system, cfg),
+            Err(ServeError::ShardOutOfRange {
+                table: 3,
+                shard: 7,
+                shards: 2
+            })
+        );
+        let other_profile = DatasetProfiler::profile_model(&ModelSpec::small(5, 5), 200, 3);
+        let mismatch = InferenceServer::try_run(&model, &plan, &other_profile, &system, cfg);
+        assert_eq!(
+            mismatch,
+            Err(ServeError::ProfileMismatch {
+                profile: 5,
+                model: 8
+            })
+        );
+        // LRU never reads the profile.
+        assert!(InferenceServer::try_run(
+            &model,
+            &plan,
+            &other_profile,
+            &system,
+            config(PolicyKind::Lru)
+        )
+        .is_ok());
+        let bad_spec = ScenarioSpec::flash_crowd(5e-3, 5e-3, -2.0);
+        assert!(matches!(
+            InferenceServer::try_run_scenario(&model, &plan, &profile, &system, cfg, &bad_spec),
+            Err(ServeError::InvalidScenario(_))
+        ));
+        assert_eq!(
+            try_run(&plan, &system, cfg),
+            Ok(InferenceServer::run(&model, &plan, &profile, &system, cfg))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "plan/system shard count mismatch")]
+    fn run_panics_with_the_error_message() {
+        let (model, profile, system) = setup();
+        let plan = hash_placement(&model, 3);
+        let _ = InferenceServer::run(&model, &plan, &profile, &system, config(PolicyKind::Lru));
+    }
+
+    #[test]
+    fn a_panicking_worker_propagates_without_blocking_the_generator() {
+        let (model, profile, system) = setup();
+        let plan = hash_placement(&model, 2);
+        // Long enough that the channels fill many times over.
+        let cfg = ServeConfig {
+            queries: 20 * CHUNK_QUERIES as u32 * CHANNEL_DEPTH as u32,
+            ..config(PolicyKind::Lru)
+        };
+        let mut shards = Shards::build(&model, &plan, &profile, &system, &cfg);
+        // Row widths for table 0 only: both workers index past them on
+        // their first task that touches another table, and panic.
+        shards.row_bytes.truncate(1);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            InferenceServer::pipeline(&model, &system, &shards, &cfg, None, false)
+        }));
+        let panic = outcome.err().expect("the worker's panic must propagate");
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(message.contains("index out of bounds"), "{message}");
     }
 
     #[test]

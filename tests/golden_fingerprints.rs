@@ -20,6 +20,7 @@ use recshard_bench::solver_bench::{run_sweep, SolverBenchConfig};
 use recshard_bench::{skewed_model, ExperimentConfig, Strategy};
 use recshard_data::RmKind;
 use recshard_des::{ArrivalProcess, ClusterConfig, ClusterSimulator, RunSummary};
+use recshard_serve::{ArrivalModel, InferenceServer, PolicyKind, ServeConfig, ServeReport};
 use recshard_sharding::SystemSpec;
 use recshard_stats::DatasetProfiler;
 
@@ -54,6 +55,10 @@ const SOLVER_SCALING_PLAN_GOLDEN: [u64; 2] = [0x2fb9_1b57_659d_ddcb, 0x97c4_2462
 /// Committed scalable-plan fingerprints of the tiny sweep's mixed-cluster
 /// `hetero_scaling` points (2 big + 2 small GPUs).
 const HETERO_SCALING_PLAN_GOLDEN: [u64; 2] = [0x3a85_a2fe_9293_a897, 0x1695_d4a3_9a86_b9e7];
+
+/// Committed `InferenceServer::run` fingerprints of the scaled-down
+/// `serve_mixed` configuration, StatGuided then LRU.
+const SERVE_GOLDEN: [u64; 2] = [0x8599_5fbd_3f63_4b45, 0x8515_d3c4_b941_2e55];
 
 /// The scaled-down `des_throughput` configuration: same skewed workload
 /// shape, same capacity pressure (HBM holds ~1/3 of the model), fixed
@@ -213,5 +218,48 @@ fn fig13_des_backend_fingerprint_is_bit_for_bit_stable() {
         summary.fingerprint, FIG13_DES_GOLDEN,
         "fig13 DES backend: fingerprint drifted (actual {:#018x}, golden {:#018x})",
         summary.fingerprint, FIG13_DES_GOLDEN
+    );
+}
+
+/// A scaled-down `serve_mixed`: 24 skewed tables on a RecShard placement
+/// over 2 shards, caches at 1/100 of a shard's fair share, batch 8, fixed
+/// 125 µs arrivals.
+fn serve_run(policy: PolicyKind) -> ServeReport {
+    let model = skewed_model(24);
+    let profile = DatasetProfiler::profile_model(&model, 3_000, 0x5E21);
+    let system = SystemSpec::uniform(
+        2,
+        model.total_bytes() / 200,
+        model.total_bytes(),
+        1555.0,
+        16.0,
+    );
+    let plan = Strategy::RecShard.plan(&model, &profile, &system);
+    let config = ServeConfig {
+        queries: 600,
+        warmup: 150,
+        batch_size: 8,
+        seed: 0x5E21,
+        arrival: ArrivalModel::FixedRate { interval_us: 125.0 },
+        policy,
+        ..ServeConfig::default()
+    };
+    InferenceServer::run(&model, &plan, &profile, &system, config)
+}
+
+#[test]
+fn serve_fingerprints_are_bit_for_bit_stable() {
+    let reports = [
+        serve_run(PolicyKind::StatGuided),
+        serve_run(PolicyKind::Lru),
+    ];
+    let actual = reports.each_ref().map(|r| r.fingerprint);
+    for r in &reports {
+        assert_eq!(r.queries, 600);
+        assert!(r.hits > 0 && r.misses > 0, "{}: degenerate run", r.policy);
+    }
+    assert_eq!(
+        actual, SERVE_GOLDEN,
+        "serve fingerprints drifted (actual {actual:#018x?}, StatGuided then LRU)"
     );
 }
