@@ -96,10 +96,12 @@ impl MilpFormulation {
             .collect();
         let costs: &Vec<TableCostModel> = &costs_by_class[0];
 
-        // Normalise coefficient magnitudes so the Big-M simplex stays well
-        // conditioned: memory constraints are expressed relative to the
-        // largest per-option HBM footprint and costs relative to the largest
-        // per-option weighted cost (over every device class).
+        // Normalise coefficient magnitudes so the sparse solver's basis
+        // inverse stays well conditioned for its absolute pivot and
+        // feasibility tolerances (raw byte counts and costs differ by many
+        // orders of magnitude): memory constraints are expressed relative to
+        // the largest per-option HBM footprint and costs relative to the
+        // largest per-option weighted cost (over every device class).
         let mem_scale = 1.0
             / costs
                 .iter()

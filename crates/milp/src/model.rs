@@ -54,8 +54,8 @@ pub struct Variable {
     pub name: String,
     /// Continuous / integer / binary.
     pub kind: VarKind,
-    /// Lower bound (may be 0 or any finite value; negative lower bounds are
-    /// supported via an internal shift).
+    /// Lower bound (any finite value, or `f64::NEG_INFINITY` when unbounded
+    /// below; see [`Model::solve`] for when a bound must be finite).
     pub lower: f64,
     /// Upper bound (`f64::INFINITY` when unbounded above).
     pub upper: f64,
@@ -245,13 +245,21 @@ impl Model {
         true
     }
 
-    /// Solves the model to optimality (LP relaxation via simplex, integrality
-    /// via branch and bound).
+    /// Solves the model to optimality (LP relaxations via the sparse dual
+    /// simplex, integrality via branch and bound).
+    ///
+    /// Every variable needs a finite bound on the side its objective
+    /// coefficient pushes toward (at least one finite bound when the
+    /// coefficient is 0), and every coefficient must be finite; both are
+    /// checked before any pivot.
     ///
     /// # Errors
     ///
-    /// Returns [`MilpError::Infeasible`], [`MilpError::Unbounded`],
-    /// [`MilpError::NodeLimit`] or [`MilpError::InvalidModel`].
+    /// Returns [`MilpError::UnboundedVariable`] or [`MilpError::InvalidModel`]
+    /// for a model outside that scope (or an empty one),
+    /// [`MilpError::Infeasible`], or [`MilpError::NodeLimit`]; a numerical
+    /// failure of the LP solver is also reported as
+    /// [`MilpError::InvalidModel`].
     pub fn solve(&self) -> Result<Solution, MilpError> {
         self.solve_with(crate::branch::SolveOptions::default())
     }
@@ -278,10 +286,7 @@ impl Model {
         options: crate::branch::SolveOptions,
         obs: &mut recshard_obs::ObsHandle<'_>,
     ) -> Result<Solution, MilpError> {
-        if self.variables.is_empty() {
-            return Err(MilpError::InvalidModel("model has no variables".into()));
-        }
-        BranchAndBound::with_options(self, options).solve_observed(obs)
+        BranchAndBound::with_options(self, options)?.solve_observed(obs)
     }
 }
 
@@ -333,5 +338,64 @@ mod tests {
     fn empty_model_is_invalid() {
         let m = Model::new(Sense::Minimize);
         assert!(matches!(m.solve(), Err(MilpError::InvalidModel(_))));
+    }
+
+    fn assert_invalid_naming(m: &Model, needle: &str) {
+        match m.solve() {
+            Err(MilpError::InvalidModel(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected InvalidModel naming {needle}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nan_objective_is_invalid() {
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_var("x", VarKind::Continuous, 0.0, 1.0, f64::NAN);
+        let y = m.add_binary("y", 1.0);
+        m.add_constraint("c", vec![(x, 1.0), (y, 1.0)], ConstraintSense::Ge, 1.0);
+        assert_invalid_naming(&m, "`x`");
+    }
+
+    #[test]
+    fn infinite_coefficient_is_invalid() {
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_binary("x", 1.0);
+        m.add_constraint("row", vec![(x, f64::INFINITY)], ConstraintSense::Ge, 1.0);
+        assert_invalid_naming(&m, "`row`");
+    }
+
+    #[test]
+    fn nan_coefficient_is_invalid() {
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_binary("x", 1.0);
+        let y = m.add_binary("y", 1.0);
+        m.add_constraint(
+            "row",
+            vec![(x, 1.0), (y, f64::NAN)],
+            ConstraintSense::Le,
+            1.0,
+        );
+        assert_invalid_naming(&m, "`row`");
+    }
+
+    #[test]
+    fn free_zero_cost_variable_is_a_typed_error() {
+        // A zero-cost variable with no finite bound has no bound to start at.
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_binary("x", 1.0);
+        let f = m.add_var(
+            "free",
+            VarKind::Continuous,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            0.0,
+        );
+        m.add_constraint("c", vec![(x, 1.0), (f, 1.0)], ConstraintSense::Ge, 1.0);
+        assert_eq!(
+            m.solve(),
+            Err(MilpError::UnboundedVariable {
+                name: "free".into()
+            })
+        );
     }
 }

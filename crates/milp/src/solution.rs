@@ -20,7 +20,7 @@ pub struct SolveStats {
     pub nodes_explored: usize,
     /// Simplex pivots performed across all LP relaxations.
     pub simplex_pivots: usize,
-    /// Basis refactorisations performed across all sparse LP relaxations.
+    /// Basis refactorisations performed across all LP relaxations.
     pub simplex_refactorizations: usize,
     /// Branch-and-bound nodes pruned by bound or infeasibility.
     pub nodes_pruned: usize,

@@ -1,26 +1,25 @@
-//! Sparse bounded-variable revised simplex with dual-simplex warm starts.
+//! Sparse bounded-variable revised simplex with dual-simplex warm starts —
+//! the LP solver behind every branch-and-bound node.
 //!
-//! The dense Big-M tableau in [`crate::simplex`] rebuilds an
-//! `O(m · (n + 2m))` tableau per solve and turns every finite variable bound
-//! into an extra row, which is what made the exact MILP path collapse beyond
-//! toy sizes. This module keeps the constraint matrix in sparse
-//! column-major form, handles variable bounds *natively* (no bound rows, no
-//! artificial columns), and maintains only a dense `m × m` basis inverse that
-//! is updated in product form per pivot and refactorised periodically for
-//! numerical hygiene.
+//! The constraint matrix stays in sparse column-major form, variable bounds
+//! are handled *natively* (no bound rows, no artificial columns), and only a
+//! dense `m × m` basis inverse is kept, updated in product form per pivot and
+//! refactorised periodically for numerical hygiene.
 //!
 //! Branch-and-bound is the intended customer: a node differs from its parent
 //! only in one variable bound, so the parent's optimal basis stays *dual
 //! feasible* and the dual simplex re-optimises in a handful of pivots instead
 //! of re-solving from scratch ([`SparseLp::solve_warm`]).
 //!
-//! Scope: the solver requires a dual-feasible starting point from the slack
-//! basis, which exists whenever every variable with a negative
-//! minimization-form cost has a finite upper bound and every variable with a
-//! positive cost has a finite lower bound (true for all RecShard
-//! formulations: binaries plus the non-negative max-cost variable).
-//! [`SparseLp::try_new`] returns `None` otherwise and callers fall back to
-//! the dense tableau.
+//! Scope: every solve starts dual feasible from the slack basis, with each
+//! structural variable nonbasic at the bound its cost sign favours. That
+//! needs a finite lower bound on every variable with a positive
+//! minimization-form cost, a finite upper bound on every variable with a
+//! negative one, and at least one finite bound on a zero-cost variable (true
+//! for all RecShard formulations: binaries plus the non-negative max-cost
+//! variable). [`SparseLp::try_new`] checks this, and the finiteness of every
+//! coefficient, before any pivot. From a dual-feasible start the primal can
+//! be infeasible but never unbounded.
 
 use crate::error::MilpError;
 use crate::model::{ConstraintSense, Model, Sense};
@@ -114,41 +113,52 @@ struct Workspace<'a> {
 }
 
 impl SparseLp {
-    /// Builds the standard form of `model`, or `None` when the model has a
-    /// variable whose cost sign demands an infinite bound for the
-    /// dual-feasible slack-basis start (callers then use the dense tableau).
-    pub fn try_new(model: &Model) -> Option<Self> {
+    /// Builds the standard form of `model` after checking it is in scope
+    /// (see the module docs).
+    ///
+    /// # Errors
+    ///
+    /// [`MilpError::InvalidModel`] for a model without variables or with a
+    /// non-finite objective or constraint coefficient, and
+    /// [`MilpError::UnboundedVariable`] for the first variable whose cost sign
+    /// demands a bound it does not have.
+    pub fn try_new(model: &Model) -> Result<Self, MilpError> {
         let n = model.num_vars();
         let m = model.num_constraints();
+        if n == 0 {
+            return Err(MilpError::InvalidModel("model has no variables".into()));
+        }
         let maximize = model.sense() == Sense::Maximize;
         let sign = if maximize { -1.0 } else { 1.0 };
-        let cost: Vec<f64> = model
-            .variables()
-            .iter()
-            .map(|v| sign * v.objective)
-            .collect();
-        // The dual-feasible start must place every structural variable at a
-        // finite bound consistent with its cost sign.
-        for (v, &c) in model.variables().iter().zip(&cost) {
-            let lower_ok = v.lower.is_finite();
-            let upper_ok = v.upper.is_finite();
-            let ok = if c > EPS {
-                lower_ok
-            } else if c < -EPS {
-                upper_ok
-            } else {
-                lower_ok || upper_ok
-            };
-            if !ok {
-                return None;
+        let mut cost = Vec::with_capacity(n);
+        for v in model.variables() {
+            if !v.objective.is_finite() {
+                return Err(MilpError::InvalidModel(format!(
+                    "variable `{}` has non-finite objective coefficient {}",
+                    v.name, v.objective
+                )));
             }
+            let c = sign * v.objective;
+            let in_scope = if c > EPS {
+                v.lower.is_finite()
+            } else if c < -EPS {
+                v.upper.is_finite()
+            } else {
+                v.lower.is_finite() || v.upper.is_finite()
+            };
+            if !in_scope {
+                return Err(MilpError::UnboundedVariable {
+                    name: v.name.clone(),
+                });
+            }
+            cost.push(c);
         }
         let mut cols = vec![Vec::new(); n];
         let mut rhs = Vec::with_capacity(m);
         let mut slack_lower = Vec::with_capacity(m);
         let mut slack_upper = Vec::with_capacity(m);
         for (i, c) in model.constraints().iter().enumerate() {
-            // Accumulate duplicate terms exactly as the dense path does.
+            // Sum duplicate terms so each (row, variable) pair is one entry.
             let mut acc: Vec<(usize, f64)> = Vec::with_capacity(c.terms.len());
             for &(v, coeff) in &c.terms {
                 if let Some(e) = acc.iter_mut().find(|(j, _)| *j == v.index()) {
@@ -158,6 +168,13 @@ impl SparseLp {
                 }
             }
             for (j, coeff) in acc {
+                if !coeff.is_finite() {
+                    return Err(MilpError::InvalidModel(format!(
+                        "constraint `{}` has non-finite coefficient {coeff} on variable `{}`",
+                        c.name,
+                        model.variables()[j].name
+                    )));
+                }
                 if coeff != 0.0 {
                     cols[j].push((i, coeff));
                 }
@@ -171,7 +188,7 @@ impl SparseLp {
             slack_lower.push(lo);
             slack_upper.push(hi);
         }
-        Some(Self {
+        Ok(Self {
             n,
             m,
             cols,
@@ -283,11 +300,6 @@ impl SparseLp {
         ws.refactorize()?;
         ws.dual_simplex()?;
         Ok(ws.into_solution())
-    }
-
-    /// Whether the original model maximizes.
-    pub fn maximize(&self) -> bool {
-        self.maximize
     }
 }
 
@@ -687,7 +699,8 @@ mod tests {
 
     #[test]
     fn matches_dense_on_bounded_maximization() {
-        // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x,y in [0, 10].
+        // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x,y in [0, 10]
+        // → x=2, y=6, obj=36 (the hand-derived vertex optimum).
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", VarKind::Continuous, 0.0, 10.0, 3.0);
         let y = m.add_var("y", VarKind::Continuous, 0.0, 10.0, 5.0);
@@ -700,6 +713,18 @@ mod tests {
         assert!((sol.objective - 36.0).abs() < 1e-6, "obj {}", sol.objective);
         assert!((sol.values[0] - 2.0).abs() < 1e-6);
         assert!((sol.values[1] - 6.0).abs() < 1e-6);
+
+        // max x + y, x in [0, 2], y in [1, 3], no rows → both end at their
+        // upper bounds, obj = 5.
+        let mut m = Model::new(Sense::Maximize);
+        m.add_var("x", VarKind::Continuous, 0.0, 2.0, 1.0);
+        m.add_var("y", VarKind::Continuous, 1.0, 3.0, 1.0);
+        let lp = SparseLp::try_new(&m).unwrap();
+        let (lo, hi) = bounds(&m);
+        let sol = lp.solve_cold(&lo, &hi).unwrap();
+        assert!((sol.objective - 5.0).abs() < 1e-6, "obj {}", sol.objective);
+        assert!((sol.values[0] - 2.0).abs() < 1e-6);
+        assert!((sol.values[1] - 3.0).abs() < 1e-6);
     }
 
     #[test]
@@ -715,6 +740,8 @@ mod tests {
         let (lo, hi) = bounds(&m);
         let sol = lp.solve_cold(&lo, &hi).unwrap();
         assert!((sol.objective - 23.0).abs() < 1e-6, "obj {}", sol.objective);
+        assert!((sol.values[0] - 7.0).abs() < 1e-6);
+        assert!((sol.values[1] - 3.0).abs() < 1e-6);
 
         // min x + y s.t. x + 2y = 4, x - y = 1 → x=2, y=1.
         let mut m = Model::new(Sense::Minimize);
@@ -742,6 +769,15 @@ mod tests {
             lp.solve_cold(&lo, &hi),
             Err(MilpError::Infeasible)
         ));
+
+        // A node override with lower > upper is infeasible before any pivot.
+        let mut m = Model::new(Sense::Minimize);
+        m.add_continuous("x", 1.0);
+        let lp = SparseLp::try_new(&m).unwrap();
+        assert!(matches!(
+            lp.solve_cold(&[2.0], &[1.0]),
+            Err(MilpError::Infeasible)
+        ));
     }
 
     #[test]
@@ -750,7 +786,10 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_continuous("x", 1.0);
         m.add_constraint("a", vec![(x, 1.0)], ConstraintSense::Ge, 0.0);
-        assert!(SparseLp::try_new(&m).is_none());
+        assert_eq!(
+            SparseLp::try_new(&m).unwrap_err(),
+            MilpError::UnboundedVariable { name: "x".into() }
+        );
     }
 
     #[test]
@@ -798,5 +837,42 @@ mod tests {
         assert!((sol.values[0] - 3.0).abs() < 1e-9);
         assert!((sol.values[1] - 2.0).abs() < 1e-6);
         assert!((sol.objective - 5.0).abs() < 1e-6);
+
+        // A negative lower bound is where min x ends: x in [-5, 10] → -5.
+        let mut m = Model::new(Sense::Minimize);
+        m.add_var("x", VarKind::Continuous, -5.0, 10.0, 1.0);
+        let lp = SparseLp::try_new(&m).unwrap();
+        let (lo, hi) = bounds(&m);
+        let sol = lp.solve_cold(&lo, &hi).unwrap();
+        assert!((sol.objective + 5.0).abs() < 1e-6, "obj {}", sol.objective);
+        assert!((sol.values[0] + 5.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn degenerate_problem_terminates() {
+        // Chvátal's degenerate cycling example (x bounded above so the model
+        // is in scope; row c3 stays): it must terminate at objective 1.
+        let mut m = Model::new(Sense::Maximize);
+        let x = m.add_var("x", VarKind::Continuous, 0.0, 1.0, 10.0);
+        let y = m.add_continuous("y", -57.0);
+        let z = m.add_continuous("z", -9.0);
+        let w = m.add_continuous("w", -24.0);
+        m.add_constraint(
+            "c1",
+            vec![(x, 0.5), (y, -5.5), (z, -2.5), (w, 9.0)],
+            ConstraintSense::Le,
+            0.0,
+        );
+        m.add_constraint(
+            "c2",
+            vec![(x, 0.5), (y, -1.5), (z, -0.5), (w, 1.0)],
+            ConstraintSense::Le,
+            0.0,
+        );
+        m.add_constraint("c3", vec![(x, 1.0)], ConstraintSense::Le, 1.0);
+        let lp = SparseLp::try_new(&m).unwrap();
+        let (lo, hi) = bounds(&m);
+        let sol = lp.solve_cold(&lo, &hi).unwrap();
+        assert!((sol.objective - 1.0).abs() < 1e-5, "obj {}", sol.objective);
     }
 }

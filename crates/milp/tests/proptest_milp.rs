@@ -1,8 +1,12 @@
 //! Property-based tests for the MILP solver: solutions are always feasible,
-//! and on small binary knapsacks branch-and-bound matches brute force.
+//! and on small binary knapsacks and small general-integer programs
+//! branch-and-bound matches brute force.
 
 use proptest::prelude::*;
-use recshard_milp::{ConstraintSense, Model, Sense, Status};
+use recshard_milp::{ConstraintSense, MilpError, Model, Sense, Status, VarKind};
+
+/// Upper bound of every variable in the general-integer property.
+const INT_MAX: i32 = 4;
 
 /// Brute-force optimum of a 0/1 knapsack.
 fn knapsack_brute_force(values: &[f64], weights: &[f64], capacity: f64) -> f64 {
@@ -24,8 +28,79 @@ fn knapsack_brute_force(values: &[f64], weights: &[f64], capacity: f64) -> f64 {
     best
 }
 
+/// Brute-force optimum (in the model's own sense) of an integer program over
+/// the box `[0, INT_MAX]^n`, or `None` when no point satisfies every row.
+/// Rows are `(coefficients, is_le, rhs)`; the data are integers, so every
+/// comparison is exact.
+fn integer_brute_force(obj: &[i32], rows: &[(Vec<i32>, bool, i32)], maximize: bool) -> Option<i32> {
+    let n = obj.len();
+    let side = (INT_MAX + 1) as usize;
+    let mut best: Option<i32> = None;
+    for code in 0..side.pow(n as u32) {
+        let point: Vec<i32> = (0..n)
+            .map(|i| (code / side.pow(i as u32) % side) as i32)
+            .collect();
+        let dot = |a: &[i32]| a.iter().zip(&point).map(|(c, x)| c * x).sum::<i32>();
+        let feasible = rows
+            .iter()
+            .all(|(a, le, b)| if *le { dot(a) <= *b } else { dot(a) >= *b });
+        if feasible {
+            let v = dot(obj);
+            let better = best.is_none_or(|b| if maximize { v > b } else { v < b });
+            if better {
+                best = Some(v);
+            }
+        }
+    }
+    best
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Branch-and-bound over general integers in `[0, 4]` matches exhaustive
+    /// enumeration: the same optimum, or `Infeasible` exactly when no point
+    /// of the box satisfies the rows.
+    #[test]
+    fn general_integers_match_brute_force(
+        obj in prop::collection::vec(-5i32..=5, 2..5),
+        rows_raw in prop::collection::vec(
+            (prop::collection::vec(-2i32..=5, 4), any::<bool>(), 1i32..=11),
+            1..4,
+        ),
+        maximize in any::<bool>(),
+    ) {
+        let n = obj.len();
+        let rows: Vec<(Vec<i32>, bool, i32)> = rows_raw
+            .into_iter()
+            .map(|(a, le, b)| (a[..n].to_vec(), le, b))
+            .collect();
+        let sense = if maximize { Sense::Maximize } else { Sense::Minimize };
+        let mut m = Model::new(sense);
+        let vars: Vec<_> = obj
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| m.add_var(format!("x{i}"), VarKind::Integer, 0.0, f64::from(INT_MAX), f64::from(c)))
+            .collect();
+        for (r, (a, le, b)) in rows.iter().enumerate() {
+            m.add_constraint(
+                format!("r{r}"),
+                vars.iter().zip(a).map(|(&v, &c)| (v, f64::from(c))).collect(),
+                if *le { ConstraintSense::Le } else { ConstraintSense::Ge },
+                f64::from(*b),
+            );
+        }
+        match (m.solve(), integer_brute_force(&obj, &rows, maximize)) {
+            (Ok(sol), Some(expected)) => {
+                prop_assert_eq!(sol.status(), Status::Optimal);
+                prop_assert!((sol.objective() - f64::from(expected)).abs() < 1e-6,
+                    "B&B gave {} but brute force gives {}", sol.objective(), expected);
+                prop_assert!(m.is_feasible(sol.values(), 1e-6));
+            }
+            (Err(MilpError::Infeasible), None) => {}
+            (got, expected) => prop_assert!(false, "B&B gave {:?} but brute force gives {:?}", got, expected),
+        }
+    }
 
     /// Branch-and-bound matches exhaustive enumeration on random knapsacks.
     #[test]
