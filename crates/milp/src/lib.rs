@@ -39,6 +39,8 @@
 pub mod branch;
 pub mod error;
 pub mod model;
+#[cfg(test)]
+mod simplex;
 pub mod solution;
 pub mod sparse;
 

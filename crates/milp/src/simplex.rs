@@ -1,336 +1,34 @@
-//! Dense-tableau Big-M simplex for linear programs.
-//!
-//! The solver handles minimization problems in the form
-//! `min c^T x  s.t.  A x {<=,>=,=} b,  l <= x <= u` by shifting variables to
-//! zero lower bounds, turning finite upper bounds into row constraints,
-//! adding slack/surplus/artificial columns and running the primal simplex
-//! with Bland's anti-cycling rule as a fallback.
-
-use crate::error::MilpError;
-use crate::model::{ConstraintSense, Model, Sense};
-
-/// Numerical tolerance used throughout the solver.
-pub const EPS: f64 = 1e-7;
-
-/// Outcome of an LP relaxation solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LpSolution {
-    /// Optimal objective value (in the *minimization* form of the problem).
-    pub objective: f64,
-    /// Values of the structural (model) variables.
-    pub values: Vec<f64>,
-    /// Number of pivots performed.
-    pub pivots: usize,
-}
-
-/// An LP derived from a [`Model`] plus per-variable bound overrides
-/// (used by branch and bound to encode branching decisions).
-#[derive(Debug, Clone)]
-pub struct LpProblem {
-    /// Objective coefficients in minimization form, per structural variable.
-    obj: Vec<f64>,
-    /// Constant added to the objective (from variable shifts).
-    obj_offset: f64,
-    /// Row data: coefficients per structural variable, sense, rhs.
-    rows: Vec<(Vec<f64>, ConstraintSense, f64)>,
-    /// Effective lower/upper bounds per structural variable.
-    lower: Vec<f64>,
-    upper: Vec<f64>,
-    /// Whether the original model maximizes (to restore the sign of the
-    /// objective in reporting; the LP itself always minimizes).
-    maximize: bool,
-}
-
-impl LpProblem {
-    /// Builds the LP relaxation of `model` with optional tightened bounds.
-    ///
-    /// `lower`/`upper` must have one entry per model variable.
-    pub fn from_model(model: &Model, lower: Vec<f64>, upper: Vec<f64>) -> Self {
-        let maximize = model.sense() == Sense::Maximize;
-        let sign = if maximize { -1.0 } else { 1.0 };
-        let obj: Vec<f64> = model
-            .variables()
-            .iter()
-            .map(|v| sign * v.objective)
-            .collect();
-        let rows = model
-            .constraints()
-            .iter()
-            .map(|c| {
-                let mut coeffs = vec![0.0; model.num_vars()];
-                for &(v, coeff) in &c.terms {
-                    coeffs[v.index()] += coeff;
-                }
-                (coeffs, c.sense, c.rhs)
-            })
-            .collect();
-        Self {
-            obj,
-            obj_offset: 0.0,
-            rows,
-            lower,
-            upper,
-            maximize,
-        }
-    }
-
-    /// Solves the LP.
-    ///
-    /// # Errors
-    ///
-    /// [`MilpError::Infeasible`] if no feasible point exists,
-    /// [`MilpError::Unbounded`] if the objective is unbounded below.
-    pub fn solve(&self) -> Result<LpSolution, MilpError> {
-        let n = self.obj.len();
-        // Quick bound sanity check.
-        for j in 0..n {
-            if self.lower[j] > self.upper[j] + EPS {
-                return Err(MilpError::Infeasible);
-            }
-        }
-
-        // Shift variables so every structural variable has lower bound 0:
-        // x = y + l, y >= 0. Finite upper bounds become rows y_j <= u_j - l_j.
-        let mut rows: Vec<(Vec<f64>, ConstraintSense, f64)> =
-            Vec::with_capacity(self.rows.len() + n);
-        let mut obj_offset = self.obj_offset;
-        for (coeffs, sense, rhs) in &self.rows {
-            let mut shifted_rhs = *rhs;
-            for j in 0..n {
-                if self.lower[j] != 0.0 {
-                    shifted_rhs -= coeffs[j] * self.lower[j];
-                }
-            }
-            rows.push((coeffs.clone(), *sense, shifted_rhs));
-        }
-        for j in 0..n {
-            obj_offset += self.obj[j] * self.lower[j];
-            let span = self.upper[j] - self.lower[j];
-            if span.is_finite() {
-                let mut coeffs = vec![0.0; n];
-                coeffs[j] = 1.0;
-                rows.push((coeffs, ConstraintSense::Le, span));
-            }
-        }
-
-        let m = rows.len();
-        // Column layout: [structural (n)] [slack/surplus (m, some unused)] [artificial (m, some unused)] [rhs]
-        // We allocate one potential slack and one potential artificial per row
-        // and simply leave unused columns at zero cost/zero coefficients.
-        let slack_base = n;
-        let art_base = n + m;
-        let width = n + 2 * m + 1;
-        let rhs_col = width - 1;
-
-        let mut tableau = vec![vec![0.0f64; width]; m];
-        let mut basis = vec![0usize; m];
-        // Big-M must dominate the largest objective coefficient times the
-        // largest plausible variable magnitude; scale with the data.
-        let scale = self
-            .obj
-            .iter()
-            .chain(rows.iter().flat_map(|r| r.0.iter()))
-            .fold(1.0f64, |a, &b| a.max(b.abs()));
-        let big_m = scale * 1e7;
-
-        let mut artificial_used = vec![false; m];
-        for (i, (coeffs, sense, rhs)) in rows.iter().enumerate() {
-            let mut coeffs = coeffs.clone();
-            let mut sense = *sense;
-            let mut rhs = *rhs;
-            if rhs < 0.0 {
-                for c in &mut coeffs {
-                    *c = -*c;
-                }
-                rhs = -rhs;
-                sense = match sense {
-                    ConstraintSense::Le => ConstraintSense::Ge,
-                    ConstraintSense::Ge => ConstraintSense::Le,
-                    ConstraintSense::Eq => ConstraintSense::Eq,
-                };
-            }
-            tableau[i][..n].copy_from_slice(&coeffs);
-            tableau[i][rhs_col] = rhs;
-            match sense {
-                ConstraintSense::Le => {
-                    tableau[i][slack_base + i] = 1.0;
-                    basis[i] = slack_base + i;
-                }
-                ConstraintSense::Ge => {
-                    tableau[i][slack_base + i] = -1.0;
-                    tableau[i][art_base + i] = 1.0;
-                    basis[i] = art_base + i;
-                    artificial_used[i] = true;
-                }
-                ConstraintSense::Eq => {
-                    tableau[i][art_base + i] = 1.0;
-                    basis[i] = art_base + i;
-                    artificial_used[i] = true;
-                }
-            }
-        }
-
-        // Cost vector (minimization): structural costs, zero slacks, Big-M artificials.
-        let mut cost = vec![0.0f64; width - 1];
-        cost[..n].copy_from_slice(&self.obj);
-        for i in 0..m {
-            if artificial_used[i] {
-                cost[art_base + i] = big_m;
-            }
-        }
-
-        // Reduced-cost row z_j = c_j - c_B^T B^-1 A_j, maintained incrementally.
-        let mut reduced = cost.clone();
-        let mut obj_value = 0.0f64;
-        for i in 0..m {
-            let cb = cost[basis[i]];
-            if cb != 0.0 {
-                for j in 0..width - 1 {
-                    reduced[j] -= cb * tableau[i][j];
-                }
-                obj_value -= cb * tableau[i][rhs_col];
-            }
-        }
-
-        let mut pivots = 0usize;
-        let max_pivots = 50 * (m + n + 10) * (m + n + 10);
-        loop {
-            // Entering column: most negative reduced cost (Dantzig), falling
-            // back to Bland's rule periodically to guarantee termination.
-            let use_bland = pivots > 0 && pivots % 1000 == 999;
-            let mut enter: Option<usize> = None;
-            if use_bland {
-                for j in 0..width - 1 {
-                    if reduced[j] < -EPS {
-                        enter = Some(j);
-                        break;
-                    }
-                }
-            } else {
-                let mut best = -EPS;
-                for j in 0..width - 1 {
-                    if reduced[j] < best {
-                        best = reduced[j];
-                        enter = Some(j);
-                    }
-                }
-            }
-            let Some(enter) = enter else { break };
-
-            // Ratio test.
-            let mut leave: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
-            for i in 0..m {
-                let a = tableau[i][enter];
-                if a > EPS {
-                    let ratio = tableau[i][rhs_col] / a;
-                    if ratio < best_ratio - EPS
-                        || (ratio < best_ratio + EPS
-                            && leave.map(|l| basis[i] < basis[l]).unwrap_or(false))
-                    {
-                        best_ratio = ratio;
-                        leave = Some(i);
-                    }
-                }
-            }
-            let Some(leave) = leave else {
-                return Err(MilpError::Unbounded);
-            };
-
-            // Pivot.
-            let pivot_val = tableau[leave][enter];
-            for j in 0..width {
-                tableau[leave][j] /= pivot_val;
-            }
-            for i in 0..m {
-                if i != leave {
-                    let factor = tableau[i][enter];
-                    if factor.abs() > EPS * EPS {
-                        for j in 0..width {
-                            tableau[i][j] -= factor * tableau[leave][j];
-                        }
-                    }
-                }
-            }
-            let factor = reduced[enter];
-            if factor.abs() > 0.0 {
-                for j in 0..width - 1 {
-                    reduced[j] -= factor * tableau[leave][j];
-                }
-                obj_value -= factor * tableau[leave][rhs_col];
-            }
-            basis[leave] = enter;
-            pivots += 1;
-            if pivots > max_pivots {
-                // Should not happen with Bland fallback; treat as infeasible to
-                // avoid an infinite loop rather than returning a wrong answer.
-                return Err(MilpError::InvalidModel(
-                    "simplex pivot limit exceeded (numerical trouble)".into(),
-                ));
-            }
-        }
-
-        // Infeasible if any artificial variable remains basic at a positive level.
-        for i in 0..m {
-            if basis[i] >= art_base && tableau[i][rhs_col] > 1e-5 {
-                return Err(MilpError::Infeasible);
-            }
-        }
-
-        // Extract structural values (undo the lower-bound shift).
-        let mut values = vec![0.0f64; n];
-        for i in 0..m {
-            if basis[i] < n {
-                values[basis[i]] = tableau[i][rhs_col];
-            }
-        }
-        for j in 0..n {
-            values[j] += self.lower[j];
-        }
-
-        // Objective in minimization form: -obj_value is c_B^T b (since we
-        // accumulated obj_value as the negative), plus shift offset.
-        let min_objective = -obj_value + obj_offset;
-        let objective = if self.maximize {
-            -min_objective
-        } else {
-            min_objective
-        };
-        Ok(LpSolution {
-            objective,
-            values,
-            pivots,
-        })
-    }
-
-    /// Whether the original model maximizes.
-    pub fn maximize(&self) -> bool {
-        self.maximize
-    }
-}
+//! Textbook LP cases with hand-derived optima, solved cold by the sparse
+//! dual simplex ([`crate::sparse::SparseLp`]): maximisation, `>=` and `=`
+//! rows, variable bounds (negative ones too), infeasibility, and models the
+//! solver rejects before any pivot.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::model::{Model, VarKind};
+    use crate::error::MilpError;
+    use crate::model::{ConstraintSense, Model, Sense, VarKind};
+    use crate::sparse::{SparseLp, SparseLpSolution};
 
-    fn lp(model: &Model) -> LpProblem {
-        let lower = model.variables().iter().map(|v| v.lower).collect();
-        let upper = model.variables().iter().map(|v| v.upper).collect();
-        LpProblem::from_model(model, lower, upper)
+    /// Solves `model` cold under its own variable bounds.
+    fn solve(model: &Model) -> Result<SparseLpSolution, MilpError> {
+        let lower: Vec<f64> = model.variables().iter().map(|v| v.lower).collect();
+        let upper: Vec<f64> = model.variables().iter().map(|v| v.upper).collect();
+        SparseLp::try_new(model)?.solve_cold(&lower, &upper)
     }
 
     #[test]
     fn simple_maximization() {
-        // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 → x=2, y=6, obj=36.
+        // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x,y in [0, 10]
+        // → x=2, y=6, obj=36 (maximising needs finite upper bounds; 10
+        // never binds here).
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 3.0);
-        let y = m.add_continuous("y", 5.0);
+        let x = m.add_var("x", VarKind::Continuous, 0.0, 10.0, 3.0);
+        let y = m.add_var("y", VarKind::Continuous, 0.0, 10.0, 5.0);
         m.add_constraint("c1", vec![(x, 1.0)], ConstraintSense::Le, 4.0);
         m.add_constraint("c2", vec![(y, 2.0)], ConstraintSense::Le, 12.0);
         m.add_constraint("c3", vec![(x, 3.0), (y, 2.0)], ConstraintSense::Le, 18.0);
-        let sol = lp(&m).solve().unwrap();
-        assert!((sol.objective - 36.0).abs() < 1e-6);
+        let sol = solve(&m).unwrap();
+        assert!((sol.objective - 36.0).abs() < 1e-6, "obj {}", sol.objective);
         assert!((sol.values[0] - 2.0).abs() < 1e-6);
         assert!((sol.values[1] - 6.0).abs() < 1e-6);
     }
@@ -344,7 +42,7 @@ mod tests {
         m.add_constraint("sum", vec![(x, 1.0), (y, 1.0)], ConstraintSense::Ge, 10.0);
         m.add_constraint("xmin", vec![(x, 1.0)], ConstraintSense::Ge, 2.0);
         m.add_constraint("ymin", vec![(y, 1.0)], ConstraintSense::Ge, 3.0);
-        let sol = lp(&m).solve().unwrap();
+        let sol = solve(&m).unwrap();
         assert!((sol.objective - 23.0).abs() < 1e-6, "obj {}", sol.objective);
         assert!((sol.values[0] - 7.0).abs() < 1e-6);
         assert!((sol.values[1] - 3.0).abs() < 1e-6);
@@ -358,7 +56,7 @@ mod tests {
         let y = m.add_continuous("y", 1.0);
         m.add_constraint("e1", vec![(x, 1.0), (y, 2.0)], ConstraintSense::Eq, 4.0);
         m.add_constraint("e2", vec![(x, 1.0), (y, -1.0)], ConstraintSense::Eq, 1.0);
-        let sol = lp(&m).solve().unwrap();
+        let sol = solve(&m).unwrap();
         assert!((sol.objective - 3.0).abs() < 1e-6);
         assert!((sol.values[0] - 2.0).abs() < 1e-6);
         assert!((sol.values[1] - 1.0).abs() < 1e-6);
@@ -370,69 +68,53 @@ mod tests {
         let x = m.add_continuous("x", 1.0);
         m.add_constraint("a", vec![(x, 1.0)], ConstraintSense::Ge, 5.0);
         m.add_constraint("b", vec![(x, 1.0)], ConstraintSense::Le, 3.0);
-        assert_eq!(lp(&m).solve(), Err(MilpError::Infeasible));
+        assert_eq!(solve(&m).unwrap_err(), MilpError::Infeasible);
     }
 
     #[test]
     fn detects_unboundedness() {
+        // max x with x unbounded above: the model is rejected before any
+        // pivot, naming the variable.
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_continuous("x", 1.0);
         m.add_constraint("a", vec![(x, 1.0)], ConstraintSense::Ge, 0.0);
-        assert_eq!(lp(&m).solve(), Err(MilpError::Unbounded));
+        assert_eq!(
+            solve(&m).unwrap_err(),
+            MilpError::UnboundedVariable { name: "x".into() }
+        );
     }
 
     #[test]
     fn respects_variable_bounds() {
-        // max x + y, x in [0, 2], y in [1, 3] → obj = 5.
+        // max x + y, x in [0, 2], y in [1, 3], no rows → obj = 5.
         let mut m = Model::new(Sense::Maximize);
-        let _x = m.add_var("x", VarKind::Continuous, 0.0, 2.0, 1.0);
-        let _y = m.add_var("y", VarKind::Continuous, 1.0, 3.0, 1.0);
-        let sol = lp(&m).solve().unwrap();
-        assert!((sol.objective - 5.0).abs() < 1e-6);
+        m.add_var("x", VarKind::Continuous, 0.0, 2.0, 1.0);
+        m.add_var("y", VarKind::Continuous, 1.0, 3.0, 1.0);
+        let sol = solve(&m).unwrap();
+        assert!((sol.objective - 5.0).abs() < 1e-6, "obj {}", sol.objective);
         assert!((sol.values[0] - 2.0).abs() < 1e-6);
         assert!((sol.values[1] - 3.0).abs() < 1e-6);
     }
 
     #[test]
     fn negative_lower_bounds_supported() {
-        // min x s.t. x >= -5 (bound), x <= 10 → x = -5.
+        // min x, x in [-5, 10] → x = -5.
         let mut m = Model::new(Sense::Minimize);
-        let _x = m.add_var("x", VarKind::Continuous, -5.0, 10.0, 1.0);
-        let sol = lp(&m).solve().unwrap();
-        assert!((sol.objective + 5.0).abs() < 1e-6);
+        m.add_var("x", VarKind::Continuous, -5.0, 10.0, 1.0);
+        let sol = solve(&m).unwrap();
+        assert!((sol.objective + 5.0).abs() < 1e-6, "obj {}", sol.objective);
         assert!((sol.values[0] + 5.0).abs() < 1e-6);
     }
 
     #[test]
     fn conflicting_bound_overrides_are_infeasible() {
+        // A node override with lower > upper is infeasible before any pivot.
         let mut m = Model::new(Sense::Minimize);
-        let _x = m.add_continuous("x", 1.0);
-        let p = LpProblem::from_model(&m, vec![2.0], vec![1.0]);
-        assert_eq!(p.solve(), Err(MilpError::Infeasible));
-    }
-
-    #[test]
-    fn degenerate_problem_terminates() {
-        // A classic degenerate LP; just assert it terminates with the optimum.
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 10.0);
-        let y = m.add_continuous("y", -57.0);
-        let z = m.add_continuous("z", -9.0);
-        let w = m.add_continuous("w", -24.0);
-        m.add_constraint(
-            "c1",
-            vec![(x, 0.5), (y, -5.5), (z, -2.5), (w, 9.0)],
-            ConstraintSense::Le,
-            0.0,
+        m.add_continuous("x", 1.0);
+        let lp = SparseLp::try_new(&m).unwrap();
+        assert_eq!(
+            lp.solve_cold(&[2.0], &[1.0]).unwrap_err(),
+            MilpError::Infeasible
         );
-        m.add_constraint(
-            "c2",
-            vec![(x, 0.5), (y, -1.5), (z, -0.5), (w, 1.0)],
-            ConstraintSense::Le,
-            0.0,
-        );
-        m.add_constraint("c3", vec![(x, 1.0)], ConstraintSense::Le, 1.0);
-        let sol = lp(&m).solve().unwrap();
-        assert!((sol.objective - 1.0).abs() < 1e-5);
     }
 }
