@@ -1,7 +1,8 @@
 //! Criterion bench of the serving layer's hot paths on the 48-table skewed
 //! model of the `serve_mixed` workload (2 shards, RecShard placement,
 //! caches at 1/100 of a shard's fair share): `ShardedCache::access` under
-//! StatGuided and LRU, replaying a seeded request stream, and
+//! StatGuided and LRU, replaying a seeded request stream through one
+//! single-owner cache per shard on this thread, and
 //! `RequestStream::generate` itself.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -39,7 +40,7 @@ fn serve_paths(c: &mut Criterion) {
         let caches: Vec<ShardedCache> = (0..SHARDS)
             .map(|gpu| {
                 let capacity = system.hbm_capacity(gpu);
-                let cache_config = CacheConfig::new(capacity).with_stripes(config.stripes);
+                let cache_config = CacheConfig::new(capacity);
                 match policy {
                     PolicyKind::StatGuided => ShardedCache::with_guide(
                         StatGuide::for_gpu(gpu, &gpu_of, &profile, capacity, &config.stat_guided),

@@ -18,9 +18,8 @@
 //!   and P² quantile sinks ([`recshard_stats::StreamingCdf`]). Registration
 //!   returns `Copy` handles; the hot path is an index plus one atomic op
 //!   (counters/gauges/histograms) or one per-metric lock (quantiles) — no
-//!   allocation, no name lookup. The per-metric locking mirrors the stripe
-//!   design of `recshard-serve`'s `ShardedCache`: contention is bounded by
-//!   the metric, not the registry.
+//!   allocation, no name lookup. Contention is bounded by the metric, not
+//!   the registry.
 //! * [`TraceEvent`] / [`TraceBuffer`] / [`Trace`] — typed span/instant
 //!   records (station enqueue/service, barrier waits, re-shard decisions,
 //!   simplex pivot/refactorisation counts, B&B node open/prune, bucketing

@@ -3,9 +3,8 @@
 //! Metrics are registered once at setup time by name and handed back as
 //! `Copy` handle ids; the hot path indexes by handle and performs one
 //! relaxed atomic op (counters, gauges, histogram buckets) or takes one
-//! per-metric mutex (quantile sinks — the same stripe-per-unit locking
-//! discipline as `recshard-serve`'s `ShardedCache`, so two metrics never
-//! contend). Snapshots sort by name and serialise to canonical JSON, making
+//! per-metric mutex (quantile sinks, so two metrics never contend).
+//! Snapshots sort by name and serialise to canonical JSON, making
 //! a seeded run's metrics byte-identical across repetitions.
 
 use recshard_stats::{StreamingCdf, Summary};

@@ -1,13 +1,15 @@
-//! The sharded HBM row cache.
+//! The per-shard HBM row cache.
 //!
 //! Online inference inverts the training-time placement problem: instead of
 //! statically splitting each table into an HBM partition and a UVM partition
 //! (the remap tables of Section 4.3), the serving layer keeps *every* row in
 //! UVM-backed host memory and treats the GPU's HBM as a managed cache in
-//! front of it. [`ShardedCache`] is one GPU's cache: lock-striped for
-//! concurrent access (interior mutability behind `&self`), charged in bytes,
-//! with the eviction/admission decision delegated to a pluggable
-//! [`PolicyKind`](crate::PolicyKind).
+//! front of it. [`ShardedCache`] is one GPU's cache: one sequential
+//! structure with a single owner, charged in bytes, with the
+//! eviction/admission decision delegated to a pluggable
+//! [`PolicyKind`](crate::PolicyKind). The server hands each shard's cache
+//! to that shard's worker thread; the cache is `Send` but not `Sync`, so
+//! the compiler rejects any attempt to share one between threads.
 //!
 //! Victim selection uses a lazily invalidated min-heap: every touch pushes a
 //! fresh `(priority, stamp, slot)` entry and bumps the entry's stamp, so
@@ -15,13 +17,14 @@
 //! both LRU (priority = last use) and LFU (priority = frequency, then last
 //! use) O(log n) per operation with one mechanism, and keeps the whole
 //! structure deterministic: a fixed operation sequence always produces the
-//! same hits, evictions and occupancy.
+//! same hits, evictions and occupancy. The tests check it outcome by
+//! outcome against a brute-force cache that evicts by linear scan.
 //!
 //! # Key hashing
 //!
-//! Every access probes a stripe's resident map and, under
+//! Every access probes the resident map and, under
 //! [`PolicyKind::StatGuided`], the guide's admission set and the
-//! doorkeeper's ghost set — one hash lookup per hit, several per miss.
+//! doorkeeper's ghost sets — one hash lookup per hit, several per miss.
 //! Those maps hash their `(table, row)` keys with `KeyHasher`, one multiply
 //! and one xor-shift per word, instead of std's per-process randomly keyed
 //! SipHash.
@@ -33,9 +36,9 @@
 
 use crate::policy::{PolicyKind, StatGuide};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Mutex;
 
 /// A deterministic multiply-xorshift hasher for the cache's integer keys
 /// (see the module doc). Each written word is folded in as
@@ -88,24 +91,17 @@ pub(crate) type KeySet<K> = HashSet<K, KeyHashBuilder>;
 pub struct CacheConfig {
     /// Total HBM bytes this shard may cache.
     pub capacity_bytes: u64,
-    /// Number of independent lock stripes (each owns an equal slice of the
-    /// capacity). More stripes means less contention under concurrent access.
-    pub stripes: usize,
 }
 
 impl CacheConfig {
-    /// A cache of `capacity_bytes` with the default stripe count (8).
+    /// A cache of `capacity_bytes`.
     pub fn new(capacity_bytes: u64) -> Self {
-        Self {
-            capacity_bytes,
-            stripes: 8,
-        }
+        Self { capacity_bytes }
     }
 
-    /// Overrides the stripe count.
-    pub fn with_stripes(mut self, stripes: usize) -> Self {
-        assert!(stripes > 0, "cache needs at least one stripe");
-        self.stripes = stripes;
+    /// Does nothing and returns the config unchanged: the cache is one
+    /// unstriped structure. Kept so existing callers still build.
+    pub fn with_stripes(self, _stripes: usize) -> Self {
         self
     }
 }
@@ -129,7 +125,7 @@ impl Lookup {
     }
 }
 
-/// Aggregated counters of one cache (or one stripe).
+/// Counters of one cache, or of several folded together.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Accesses served from HBM.
@@ -186,9 +182,11 @@ struct Entry {
     occupied: bool,
 }
 
-/// One lock stripe: an independent slice of the shard's capacity.
-#[derive(Debug, Default)]
-struct Stripe {
+/// The cache's state, behind the [`ShardedCache`]'s `RefCell`.
+#[derive(Debug)]
+struct Core {
+    policy: PolicyKind,
+    guide: Option<StatGuide>,
     capacity: u64,
     tick: u64,
     next_stamp: u64,
@@ -197,17 +195,35 @@ struct Stripe {
     free: Vec<usize>,
     /// Min-heap of `(priority, tie, stamp, slot)` with lazy invalidation.
     heap: BinaryHeap<std::cmp::Reverse<(u64, u64, u64, usize)>>,
-    /// Doorkeeper for guided admission: rows the guide rejected once. A
-    /// second access proves the row is warm despite being unprofiled and
-    /// admits it (one-hit wonders never pollute the cache; genuinely warm
-    /// unprofiled rows pay exactly one extra miss).
-    ghosts: KeySet<(u32, u64)>,
+    /// Doorkeeper for guided admission: per table, the rows the guide
+    /// rejected once. A second access proves the row is warm despite being
+    /// unprofiled and admits it (one-hit wonders never pollute the cache;
+    /// genuinely warm unprofiled rows pay exactly one extra miss). Keyed by
+    /// table, like the guide's admission sets, so each set holds 8-byte
+    /// rows and grows on its own instead of as one large table.
+    ghosts: KeyMap<u32, KeySet<u64>>,
     stats: CacheStats,
 }
 
-impl Stripe {
-    fn priority(policy: PolicyKind, e: &Entry) -> (u64, u64) {
-        match policy {
+impl Core {
+    fn new(policy: PolicyKind, config: CacheConfig) -> Self {
+        Self {
+            policy,
+            guide: None,
+            capacity: config.capacity_bytes,
+            tick: 0,
+            next_stamp: 0,
+            map: KeyMap::default(),
+            arena: Vec::new(),
+            free: Vec::new(),
+            heap: BinaryHeap::new(),
+            ghosts: KeyMap::default(),
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn priority(&self, e: &Entry) -> (u64, u64) {
+        match self.policy {
             // Evict the least-recently used row first.
             PolicyKind::Lru | PolicyKind::StatGuided => (e.last_use, 0),
             // Evict the least-frequently used row first, breaking ties by
@@ -216,16 +232,15 @@ impl Stripe {
         }
     }
 
-    fn push_heap(&mut self, policy: PolicyKind, slot: usize) {
+    fn push_heap(&mut self, slot: usize) {
         self.next_stamp += 1;
-        let e = &mut self.arena[slot];
-        e.stamp = self.next_stamp;
-        let (p, tie) = Self::priority(policy, e);
+        self.arena[slot].stamp = self.next_stamp;
+        let (p, tie) = self.priority(&self.arena[slot]);
         self.heap
             .push(std::cmp::Reverse((p, tie, self.next_stamp, slot)));
     }
 
-    /// Pops victims until `bytes` fit; returns false if the stripe cannot
+    /// Pops victims until `bytes` fit; returns false if the cache cannot
     /// make room (everything evictable is gone).
     fn make_room(&mut self, bytes: u64) -> bool {
         while self.stats.used_bytes + bytes > self.capacity {
@@ -247,7 +262,7 @@ impl Stripe {
         true
     }
 
-    fn insert(&mut self, policy: PolicyKind, table: u32, row: u64, bytes: u64, pinned: bool) {
+    fn insert(&mut self, table: u32, row: u64, bytes: u64, pinned: bool) {
         let now = self.tick;
         let entry = Entry {
             table,
@@ -275,18 +290,11 @@ impl Stripe {
         if pinned {
             self.stats.pinned_bytes += bytes;
         } else {
-            self.push_heap(policy, slot);
+            self.push_heap(slot);
         }
     }
 
-    fn access(
-        &mut self,
-        policy: PolicyKind,
-        guide: Option<&StatGuide>,
-        table: u32,
-        row: u64,
-        bytes: u64,
-    ) -> Lookup {
+    fn access(&mut self, table: u32, row: u64, bytes: u64) -> Lookup {
         self.tick += 1;
         if let Some(&slot) = self.map.get(&(table, row)) {
             let pinned = {
@@ -296,46 +304,47 @@ impl Stripe {
                 e.pinned
             };
             if !pinned {
-                self.push_heap(policy, slot);
+                self.push_heap(slot);
             }
             self.stats.hits += 1;
             return Lookup::Hit;
         }
         // Miss: admission control (with a second-chance doorkeeper for
         // rows the profile never observed), then eviction.
-        let admit = match guide {
-            Some(g) => {
-                if g.admits(table, row) || self.ghosts.remove(&(table, row)) {
-                    true
-                } else {
-                    self.ghosts.insert((table, row));
-                    false
-                }
+        let admit = match &self.guide {
+            Some(g) if !g.admits(table, row) => {
+                let ghosts = self.ghosts.entry(table).or_default();
+                // A second sighting admits the row; a first one records it.
+                ghosts.remove(&row) || !ghosts.insert(row)
             }
-            None => true,
+            _ => true,
         };
         if !admit || bytes > self.capacity || !self.make_room(bytes) {
             self.stats.bypasses += 1;
             return Lookup::MissBypassed;
         }
-        self.insert(policy, table, row, bytes, false);
+        self.insert(table, row, bytes, false);
         self.stats.misses += 1;
         Lookup::MissInserted
     }
 }
 
-/// One GPU shard's HBM cache: lock-striped, byte-budgeted, policy-driven.
+/// One GPU shard's HBM cache: single-owner, byte-budgeted, policy-driven.
 ///
-/// The cache is `Sync` — `access` takes `&self` and stripes are independent
-/// mutexes — so any number of worker threads can drive one shard
-/// concurrently. The serving layer assigns one worker per GPU shard, which
-/// additionally makes runs deterministic (each stripe sees one well-defined
-/// operation order).
+/// `access` takes `&self` over a `RefCell`, so the cache is `Send` but not
+/// `Sync`: a thread can own it, but no two threads can share it.
+///
+/// ```compile_fail
+/// use recshard_serve::{CacheConfig, PolicyKind, ShardedCache};
+/// let cache = ShardedCache::new(PolicyKind::Lru, CacheConfig::new(64));
+/// std::thread::scope(|s| {
+///     s.spawn(|| cache.access(0, 1, 8));
+///     s.spawn(|| cache.access(0, 2, 8));
+/// });
+/// ```
 #[derive(Debug)]
 pub struct ShardedCache {
-    policy: PolicyKind,
-    guide: Option<StatGuide>,
-    stripes: Vec<Mutex<Stripe>>,
+    core: RefCell<Core>,
 }
 
 impl ShardedCache {
@@ -343,136 +352,68 @@ impl ShardedCache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero stripes.
+    /// Panics if `policy` is [`PolicyKind::StatGuided`], which needs
+    /// [`with_guide`](Self::with_guide).
     pub fn new(policy: PolicyKind, config: CacheConfig) -> Self {
-        assert!(config.stripes > 0, "cache needs at least one stripe");
         assert!(
             policy != PolicyKind::StatGuided,
             "StatGuided needs a guide; use ShardedCache::with_guide"
         );
-        Self::build(policy, None, config)
-    }
-
-    /// Builds a [`PolicyKind::StatGuided`] cache: the guide's pinned rows are
-    /// pre-loaded (warmed) and its admission filter gates every miss.
-    pub fn with_guide(guide: StatGuide, config: CacheConfig) -> Self {
-        let cache = Self::build(PolicyKind::StatGuided, Some(guide), config);
-        cache.warm_pins();
-        cache
-    }
-
-    fn build(policy: PolicyKind, guide: Option<StatGuide>, config: CacheConfig) -> Self {
-        // Distribute the byte budget exactly: the first `remainder` stripes
-        // take one extra byte, so the per-stripe capacities always sum to the
-        // configured total (integer division alone would silently discard up
-        // to `stripes - 1` bytes).
-        let per_stripe = config.capacity_bytes / config.stripes as u64;
-        let remainder = config.capacity_bytes % config.stripes as u64;
         Self {
-            policy,
-            guide,
-            stripes: (0..config.stripes)
-                .map(|i| {
-                    Mutex::new(Stripe {
-                        capacity: per_stripe + u64::from((i as u64) < remainder),
-                        ..Stripe::default()
-                    })
-                })
-                .collect(),
+            core: RefCell::new(Core::new(policy, config)),
         }
     }
 
-    /// Pre-loads the guide's pinned rows. The shard-level pin budget is
-    /// enforced *per stripe* (`guide.pin_fraction()` of each stripe's
-    /// capacity): the stripe hash can distribute pins unevenly, and a fully
-    /// pinned stripe would permanently bypass every unpinned row that hashes
-    /// into it, so each stripe is guaranteed an evictable remainder. Pins
-    /// that would overflow a stripe's share are skipped, coldest first
-    /// (pins arrive hottest-first).
-    fn warm_pins(&self) {
-        let Some(guide) = &self.guide else {
-            return;
-        };
+    /// Builds a [`PolicyKind::StatGuided`] cache: the guide's pinned rows are
+    /// pre-loaded (warmed), hottest first while they fit, and its admission
+    /// filter gates every miss. [`StatGuide::for_gpu`] caps the pins at its
+    /// pin budget, so the rest of the cache stays evictable.
+    pub fn with_guide(guide: StatGuide, config: CacheConfig) -> Self {
+        let mut core = Core::new(PolicyKind::StatGuided, config);
         for &(table, row, bytes) in guide.pins() {
-            let idx = self.stripe_of(table, row);
-            let mut stripe = self.stripe(idx);
-            let pin_budget = (stripe.capacity as f64 * guide.pin_fraction()) as u64;
-            if stripe.stats.pinned_bytes + bytes <= pin_budget
-                && stripe.stats.used_bytes + bytes <= stripe.capacity
-                && !stripe.map.contains_key(&(table, row))
+            if core.stats.used_bytes + bytes <= core.capacity
+                && !core.map.contains_key(&(table, row))
             {
-                stripe.insert(PolicyKind::StatGuided, table, row, bytes, true);
+                core.insert(table, row, bytes, true);
             }
+        }
+        core.guide = Some(guide);
+        Self {
+            core: RefCell::new(core),
         }
     }
 
     /// The policy this cache evicts with.
     pub fn policy(&self) -> PolicyKind {
-        self.policy
-    }
-
-    /// Locks stripe `idx`. The per-shard serving loop is the only writer and
-    /// never panics while holding a stripe lock, so poisoning only follows a
-    /// panic that already aborted the simulation; every lock acquisition is
-    /// funnelled through here to keep that reasoning in one place.
-    fn stripe(&self, idx: usize) -> std::sync::MutexGuard<'_, Stripe> {
-        // recshard-lint: allow(unwrap) -- see above: poisoning implies a
-        // worker already panicked, and propagating is the only option.
-        self.stripes[idx].lock().expect("stripe poisoned")
-    }
-
-    #[inline]
-    fn stripe_of(&self, table: u32, row: u64) -> usize {
-        // FNV-1a over (table, row): deterministic, well-mixed striping.
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for word in [table as u64, row] {
-            h ^= word;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        (h % self.stripes.len() as u64) as usize
+        self.core.borrow().policy
     }
 
     /// Accesses one row of `bytes` width: a hit is served from HBM, a miss
     /// from UVM (and possibly admitted for next time).
     pub fn access(&self, table: u32, row: u64, bytes: u64) -> Lookup {
-        let idx = self.stripe_of(table, row);
-        let mut stripe = self.stripe(idx);
-        stripe.access(self.policy, self.guide.as_ref(), table, row, bytes)
+        self.core.borrow_mut().access(table, row, bytes)
     }
 
     /// Whether a row is currently resident in HBM (does not touch recency).
     pub fn contains(&self, table: u32, row: u64) -> bool {
-        let idx = self.stripe_of(table, row);
-        let stripe = self.stripe(idx);
-        stripe.map.contains_key(&(table, row))
+        self.core.borrow().map.contains_key(&(table, row))
     }
 
-    /// Aggregated counters across all stripes.
+    /// The cache's counters.
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for i in 0..self.stripes.len() {
-            total.merge(&self.stripe(i).stats);
-        }
-        total
+        self.core.borrow().stats
     }
 
-    /// Total capacity across all stripes, in bytes. Always equals the
-    /// configured [`CacheConfig::capacity_bytes`], stripe count regardless.
+    /// The configured [`CacheConfig::capacity_bytes`].
     pub fn capacity_bytes(&self) -> u64 {
-        (0..self.stripes.len())
-            .map(|i| self.stripe(i).capacity)
-            .sum()
+        self.core.borrow().capacity
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::StatGuide;
-
-    fn single_stripe(capacity: u64) -> CacheConfig {
-        CacheConfig::new(capacity).with_stripes(1)
-    }
+    use crate::policy::{StatGuide, StatGuidedConfig};
 
     #[test]
     fn key_hasher_is_deterministic_and_spreads_dense_keys() {
@@ -498,7 +439,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         // Room for exactly two 8-byte rows.
-        let c = ShardedCache::new(PolicyKind::Lru, single_stripe(16));
+        let c = ShardedCache::new(PolicyKind::Lru, CacheConfig::new(16));
         assert_eq!(c.access(0, 1, 8), Lookup::MissInserted);
         assert_eq!(c.access(0, 2, 8), Lookup::MissInserted);
         assert_eq!(c.access(0, 1, 8), Lookup::Hit); // row 2 is now LRU
@@ -511,7 +452,7 @@ mod tests {
 
     #[test]
     fn lfu_keeps_frequent_rows() {
-        let c = ShardedCache::new(PolicyKind::Lfu, single_stripe(16));
+        let c = ShardedCache::new(PolicyKind::Lfu, CacheConfig::new(16));
         c.access(0, 1, 8);
         c.access(0, 1, 8);
         c.access(0, 1, 8); // freq 3
@@ -523,7 +464,7 @@ mod tests {
     #[test]
     fn lru_would_drop_the_hot_row_where_lfu_does_not() {
         // Same sequence as above but recency-ordered: LRU evicts row 1.
-        let c = ShardedCache::new(PolicyKind::Lru, single_stripe(16));
+        let c = ShardedCache::new(PolicyKind::Lru, CacheConfig::new(16));
         c.access(0, 1, 8);
         c.access(0, 1, 8);
         c.access(0, 1, 8);
@@ -534,7 +475,7 @@ mod tests {
 
     #[test]
     fn capacity_is_never_exceeded() {
-        let c = ShardedCache::new(PolicyKind::Lru, CacheConfig::new(64).with_stripes(2));
+        let c = ShardedCache::new(PolicyKind::Lru, CacheConfig::new(64));
         for row in 0..100u64 {
             c.access(0, row, 8);
         }
@@ -545,7 +486,7 @@ mod tests {
 
     #[test]
     fn oversized_row_is_bypassed() {
-        let c = ShardedCache::new(PolicyKind::Lru, single_stripe(16));
+        let c = ShardedCache::new(PolicyKind::Lru, CacheConfig::new(16));
         assert_eq!(c.access(0, 1, 32), Lookup::MissBypassed);
         assert_eq!(c.stats().used_bytes, 0);
     }
@@ -553,7 +494,7 @@ mod tests {
     #[test]
     fn pinned_rows_survive_arbitrary_churn() {
         let guide = StatGuide::from_parts(vec![(0, 7, 8)], [(0u32, vec![7u64])]);
-        let c = ShardedCache::with_guide(guide, single_stripe(16));
+        let c = ShardedCache::with_guide(guide, CacheConfig::new(16));
         assert!(c.contains(0, 7), "pin must be pre-loaded");
         // Churn with admissible rows? Only row 7 is admissible for table 0,
         // so use a second guide-free scenario: hammer the pinned cache with
@@ -569,7 +510,7 @@ mod tests {
     #[test]
     fn stat_guided_gates_unprofiled_rows_behind_the_doorkeeper() {
         let guide = StatGuide::from_parts(Vec::new(), [(0u32, vec![1u64, 2])]);
-        let c = ShardedCache::with_guide(guide, single_stripe(64));
+        let c = ShardedCache::with_guide(guide, CacheConfig::new(64));
         assert_eq!(c.access(0, 1, 8), Lookup::MissInserted); // profiled: straight in
         assert_eq!(c.access(0, 9, 8), Lookup::MissBypassed); // one-hit wonder: out
         assert_eq!(c.access(1, 1, 8), Lookup::MissBypassed); // unknown table: out
@@ -584,7 +525,7 @@ mod tests {
     #[test]
     fn deterministic_for_identical_sequences() {
         let run = || {
-            let c = ShardedCache::new(PolicyKind::Lfu, CacheConfig::new(256).with_stripes(4));
+            let c = ShardedCache::new(PolicyKind::Lfu, CacheConfig::new(256));
             let mut outcomes = Vec::new();
             for i in 0..500u64 {
                 outcomes.push(c.access((i % 3) as u32, i * 7 % 40, 16));
@@ -596,43 +537,81 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_safe_and_conserves_counts() {
-        let c = ShardedCache::new(PolicyKind::Lru, CacheConfig::new(1 << 12).with_stripes(8));
+        fn owned_by_a_thread<T: Send>(_: &T) {}
         let per_thread = 2_000u64;
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let cache = &c;
-                s.spawn(move || {
-                    for i in 0..per_thread {
-                        cache.access((t % 2) as u32, (i * 13 + t) % 512, 32);
-                    }
-                });
-            }
+        let runs: Vec<CacheStats> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let cache = ShardedCache::new(PolicyKind::Lru, CacheConfig::new(1 << 12));
+                    owned_by_a_thread(&cache);
+                    // The thread takes the cache: one owner, no sharing.
+                    s.spawn(move || {
+                        for i in 0..per_thread {
+                            cache.access((t % 2) as u32, (i * 13 + t) % 512, 32);
+                        }
+                        cache.stats()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
-        let stats = c.stats();
-        assert_eq!(stats.hits + stats.misses + stats.bypasses, 4 * per_thread);
-        assert!(stats.used_bytes <= 1 << 12);
-        assert_eq!(stats.entries * 32, stats.used_bytes);
+        for stats in &runs {
+            assert_eq!(stats.hits + stats.misses + stats.bypasses, per_thread);
+            assert!(stats.used_bytes <= 1 << 12);
+            assert_eq!(stats.entries * 32, stats.used_bytes);
+        }
+        let mut total = CacheStats::default();
+        runs.iter().for_each(|s| total.merge(s));
+        assert_eq!(total.hits + total.misses + total.bypasses, 4 * per_thread);
     }
 
     #[test]
     fn pins_never_consume_a_stripe_entirely() {
-        // Four 8-byte pin candidates, but the guide allows pins to occupy at
-        // most half of the (single) 32-byte stripe: exactly two are warmed,
-        // and the remainder stays evictable for admitted traffic.
-        let pins = vec![(0u32, 1u64, 8u64), (0, 2, 8), (0, 3, 8), (0, 4, 8)];
-        let guide = StatGuide::from_parts(pins, [(0u32, vec![1u64, 2, 3, 4, 10, 11, 12])])
-            .with_pin_fraction(0.5);
-        let c = ShardedCache::with_guide(guide, single_stripe(32));
+        // A cache of eight rows with half reserved for pins: the guide
+        // stops pinning at the shard budget, four rows, and the other half
+        // stays evictable for admitted traffic.
+        let model = recshard_data::ModelSpec::small(4, 3);
+        let profile = recshard_stats::DatasetProfiler::profile_model(&model, 2_000, 5);
+        let gpu_of = vec![0; model.num_features()];
+        let row_bytes = profile.profiles()[0].row_bytes();
+        assert!(profile
+            .profiles()
+            .iter()
+            .all(|p| p.row_bytes() == row_bytes));
+        let capacity = 8 * row_bytes;
+        let config = StatGuidedConfig {
+            pin_capacity_fraction: 0.5,
+        };
+        let guide = StatGuide::for_gpu(0, &gpu_of, &profile, capacity, &config);
+        assert_eq!(
+            guide.pinned_bytes(),
+            4 * row_bytes,
+            "pins must stop at the shard budget"
+        );
+        let c = ShardedCache::with_guide(guide.clone(), CacheConfig::new(capacity));
+        assert_eq!(c.stats().pinned_bytes, 4 * row_bytes);
+        // The unpinned half still admits and evicts normally: five profiled,
+        // unpinned rows through four free slots evict exactly one.
+        let unpinned: Vec<(u32, u64)> = profile
+            .profiles()
+            .iter()
+            .enumerate()
+            .flat_map(|(t, p)| p.ranked_rows.iter().map(move |&r| (t as u32, r)))
+            .filter(|&(t, r)| !c.contains(t, r))
+            .take(5)
+            .collect();
+        assert_eq!(unpinned.len(), 5);
+        for &(t, r) in &unpinned {
+            assert!(guide.admits(t, r));
+            assert_eq!(c.access(t, r, row_bytes), Lookup::MissInserted);
+        }
         let s = c.stats();
-        assert_eq!(s.pinned_bytes, 16, "pins must stop at the stripe budget");
-        // The unpinned remainder still admits and evicts normally.
-        assert_eq!(c.access(0, 10, 8), Lookup::MissInserted);
-        assert_eq!(c.access(0, 11, 8), Lookup::MissInserted);
-        assert_eq!(c.access(0, 12, 8), Lookup::MissInserted); // evicts 10 or 11
-        let s = c.stats();
-        assert_eq!(s.used_bytes, 32);
+        assert_eq!(s.used_bytes, capacity);
         assert_eq!(s.evictions, 1);
-        assert_eq!(s.pinned_bytes, 16, "evictions never touch pins");
+        assert_eq!(s.pinned_bytes, 4 * row_bytes, "evictions never touch pins");
     }
 
     #[test]
@@ -643,17 +622,189 @@ mod tests {
 
     #[test]
     fn non_divisible_capacity_is_fully_distributed() {
-        // 103 bytes over 8 stripes: integer division would keep 8×12 = 96
-        // bytes and silently drop 7. The remainder must be spread across the
-        // first stripes and `capacity_bytes()` must report the exact total.
-        let c = ShardedCache::new(PolicyKind::Lru, CacheConfig::new(103).with_stripes(8));
-        assert_eq!(c.capacity_bytes(), 103);
-        let per_stripe: Vec<u64> = (0..c.stripes.len()).map(|i| c.stripe(i).capacity).collect();
-        assert_eq!(per_stripe.iter().sum::<u64>(), 103);
-        assert!(per_stripe.iter().all(|&c| c == 12 || c == 13));
-        assert_eq!(per_stripe.iter().filter(|&&c| c == 13).count(), 7);
-        // Divisible capacities still split evenly.
-        let even = ShardedCache::new(PolicyKind::Lru, CacheConfig::new(64).with_stripes(8));
-        assert_eq!(even.capacity_bytes(), 64);
+        // The whole configured budget is the cache's, byte for byte, and
+        // `with_stripes` leaves it alone.
+        for config in [CacheConfig::new(103), CacheConfig::new(103).with_stripes(8)] {
+            let c = ShardedCache::new(PolicyKind::Lru, config);
+            assert_eq!(c.capacity_bytes(), 103);
+        }
+        // 103 bytes hold twelve 8-byte rows.
+        let c = ShardedCache::new(PolicyKind::Lru, CacheConfig::new(103));
+        for row in 0..12u64 {
+            assert_eq!(c.access(0, row, 8), Lookup::MissInserted);
+        }
+        assert_eq!(c.access(0, 12, 8), Lookup::MissInserted);
+        assert_eq!((c.stats().used_bytes, c.stats().evictions), (96, 1));
+    }
+
+    /// A brute-force cache with the same rules as [`ShardedCache`]: a
+    /// plain list of resident rows, and eviction by a linear scan for the
+    /// unpinned row of least `(priority, tie)`.
+    struct ReferenceCache {
+        policy: PolicyKind,
+        guide: Option<StatGuide>,
+        capacity: u64,
+        tick: u64,
+        /// `(table, row, bytes, freq, last_use, pinned)`.
+        rows: Vec<(u32, u64, u64, u64, u64, bool)>,
+        ghosts: Vec<(u32, u64)>,
+        stats: CacheStats,
+    }
+
+    impl ReferenceCache {
+        fn new(policy: PolicyKind, guide: Option<StatGuide>, capacity: u64) -> Self {
+            let mut cache = Self {
+                policy,
+                guide,
+                capacity,
+                tick: 0,
+                rows: Vec::new(),
+                ghosts: Vec::new(),
+                stats: CacheStats::default(),
+            };
+            let pins = cache.guide.as_ref().map(|g| g.pins().to_vec());
+            for (table, row, bytes) in pins.unwrap_or_default() {
+                if cache.stats.used_bytes + bytes <= capacity && cache.find(table, row).is_none() {
+                    cache.insert(table, row, bytes, true);
+                }
+            }
+            cache
+        }
+
+        fn find(&self, table: u32, row: u64) -> Option<usize> {
+            self.rows.iter().position(|r| (r.0, r.1) == (table, row))
+        }
+
+        fn insert(&mut self, table: u32, row: u64, bytes: u64, pinned: bool) {
+            self.rows.push((table, row, bytes, 1, self.tick, pinned));
+            self.stats.used_bytes += bytes;
+            self.stats.entries += 1;
+            if pinned {
+                self.stats.pinned_bytes += bytes;
+            }
+        }
+
+        fn access(&mut self, table: u32, row: u64, bytes: u64) -> Lookup {
+            self.tick += 1;
+            if let Some(i) = self.find(table, row) {
+                self.rows[i].3 += 1;
+                self.rows[i].4 = self.tick;
+                self.stats.hits += 1;
+                return Lookup::Hit;
+            }
+            let admit = match &self.guide {
+                None => true,
+                Some(g) if g.admits(table, row) => true,
+                Some(_) => match self.ghosts.iter().position(|&k| k == (table, row)) {
+                    Some(i) => {
+                        self.ghosts.swap_remove(i);
+                        true
+                    }
+                    None => {
+                        self.ghosts.push((table, row));
+                        false
+                    }
+                },
+            };
+            if !admit || bytes > self.capacity {
+                self.stats.bypasses += 1;
+                return Lookup::MissBypassed;
+            }
+            while self.stats.used_bytes + bytes > self.capacity {
+                let policy = self.policy;
+                let victim = self
+                    .rows
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| !r.5)
+                    .min_by_key(|(_, r)| match policy {
+                        PolicyKind::Lru | PolicyKind::StatGuided => (r.4, 0),
+                        PolicyKind::Lfu => (r.3, r.4),
+                    })
+                    .map(|(i, _)| i);
+                let Some(i) = victim else {
+                    self.stats.bypasses += 1;
+                    return Lookup::MissBypassed;
+                };
+                let evicted = self.rows.swap_remove(i);
+                self.stats.used_bytes -= evicted.2;
+                self.stats.entries -= 1;
+                self.stats.evictions += 1;
+            }
+            self.insert(table, row, bytes, false);
+            self.stats.misses += 1;
+            Lookup::MissInserted
+        }
+    }
+
+    #[test]
+    fn heap_cache_matches_a_brute_force_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Mixed row widths, one per table.
+        const WIDTHS: [u64; 4] = [8, 16, 24, 40];
+        let mut cases = 0;
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let capacity = rng.gen_range(60..400u64);
+            // Skewed keys: a cubed uniform draw favours low rows.
+            let key = |rng: &mut StdRng| {
+                let table = rng.gen_range(0..WIDTHS.len() as u32);
+                let u: f64 = rng.gen();
+                (table, (u * u * u * 120.0) as u64)
+            };
+            let accesses: Vec<(u32, u64)> = (0..3_000).map(|_| key(&mut rng)).collect();
+            // A guide that pins a few hot rows (some past the capacity) and
+            // admits a random half of the rows of three tables.
+            let pins: Vec<(u32, u64, u64)> = (0..rng.gen_range(0..12usize))
+                .map(|_| {
+                    let (table, row) = key(&mut rng);
+                    (table, row, WIDTHS[table as usize])
+                })
+                .collect();
+            let admit: Vec<(u32, Vec<u64>)> = (0..3u32)
+                .map(|t| (t, (0..120u64).filter(|_| rng.gen::<bool>()).collect()))
+                .collect();
+            let guide = StatGuide::from_parts(pins, admit);
+            for policy in PolicyKind::all() {
+                let config = CacheConfig::new(capacity);
+                let (fast, mut slow) = match policy {
+                    PolicyKind::StatGuided => (
+                        ShardedCache::with_guide(guide.clone(), config),
+                        ReferenceCache::new(policy, Some(guide.clone()), capacity),
+                    ),
+                    _ => (
+                        ShardedCache::new(policy, config),
+                        ReferenceCache::new(policy, None, capacity),
+                    ),
+                };
+                assert_eq!(fast.stats(), slow.stats, "seed {seed} {policy}: warm-up");
+                for (i, &(table, row)) in accesses.iter().enumerate() {
+                    let bytes = WIDTHS[table as usize];
+                    assert_eq!(
+                        fast.access(table, row, bytes),
+                        slow.access(table, row, bytes),
+                        "seed {seed} {policy}: access {i} of ({table}, {row})"
+                    );
+                }
+                let stats = fast.stats();
+                assert_eq!(stats, slow.stats, "seed {seed} {policy}");
+                assert!(
+                    stats.evictions > 0 && stats.hits > 0,
+                    "seed {seed} {policy}"
+                );
+                for &(table, row, ..) in &slow.rows {
+                    assert!(fast.contains(table, row));
+                }
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, 36);
+    }
+
+    #[test]
+    fn cache_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<ShardedCache>();
     }
 }

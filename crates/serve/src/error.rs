@@ -14,8 +14,15 @@ pub enum ServeError {
     NoQueries,
     /// A query would contain no samples (`batch_size == 0`).
     EmptyBatch,
-    /// The shard caches would have no lock stripe (`stripes == 0`).
-    NoStripes,
+    /// An arrival interval is NaN, negative or infinite.
+    InvalidArrival {
+        /// Which arrival parameter was rejected.
+        name: &'static str,
+        /// The offending value, microseconds.
+        value: f64,
+    },
+    /// A stat-guided run's `pin_capacity_fraction` is not in `[0, 1]`.
+    InvalidPinFraction(f64),
     /// Plan and system disagree on the number of shards.
     ShardCountMismatch {
         /// Shards the plan routes to.
@@ -55,7 +62,14 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::NoQueries => write!(f, "must serve at least one query"),
             ServeError::EmptyBatch => write!(f, "a query must contain at least one sample"),
-            ServeError::NoStripes => write!(f, "cache needs at least one stripe"),
+            ServeError::InvalidArrival { name, value } => write!(
+                f,
+                "{name} must be a non-negative finite interval in us, got {value}"
+            ),
+            ServeError::InvalidPinFraction(value) => write!(
+                f,
+                "pin_capacity_fraction must be a finite fraction in [0, 1], got {value}"
+            ),
             ServeError::ShardCountMismatch { plan, system } => write!(
                 f,
                 "plan/system shard count mismatch: plan routes to {plan} shards, system has {system} GPUs"

@@ -16,8 +16,8 @@
 //!
 //! The pieces:
 //!
-//! * [`ShardedCache`] — one GPU shard's HBM cache: lock-striped interior
-//!   mutability (`access(&self, ..)` is safe from any number of threads),
+//! * [`ShardedCache`] — one GPU shard's HBM cache: one sequential
+//!   structure owned by that shard's worker thread (`Send`, not `Sync`),
 //!   byte-budgeted, with pluggable eviction.
 //! * [`PolicyKind`] — `Lru`, `Lfu`, or `StatGuided`: LRU over an unpinned
 //!   region plus profile-driven pinning of each table's rows above the
@@ -26,7 +26,8 @@
 //! * [`RequestStream`] — seeded batched queries drawn from the *same*
 //!   coverage/pooling/Zipf generators as training (`recshard-data`), routed
 //!   to shards by a [`ShardingPlan`](recshard_sharding::ShardingPlan).
-//! * [`InferenceServer`] — one worker thread per GPU shard, FIFO
+//! * [`InferenceServer`] — one worker thread per GPU shard, each owning
+//!   its shard's cache, FIFO
 //!   virtual-time queueing, fan-out/fan-in query completion, and
 //!   p50/p95/p99 latency + hit-rate reporting through the P² streaming
 //!   quantiles ([`StreamingCdf`](recshard_stats::StreamingCdf)).

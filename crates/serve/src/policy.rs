@@ -85,11 +85,6 @@ pub struct StatGuide {
     pins: Vec<(u32, u64, u64)>,
     /// Per table, the rows profiling observed (admissible on a miss).
     admit: KeyMap<u32, KeySet<u64>>,
-    /// Maximum fraction of *each cache stripe* that pins may occupy — the
-    /// per-stripe enforcement of the shard-level pin budget, guaranteeing
-    /// every stripe keeps an evictable LRU region even when the stripe hash
-    /// distributes pins unevenly.
-    pin_fraction: f64,
 }
 
 impl StatGuide {
@@ -97,7 +92,10 @@ impl StatGuide {
     ///
     /// `gpu_of[t]` is the owning GPU of table `t` (the sharding plan's
     /// routing); only tables owned by `gpu` contribute. The pin budget is
-    /// `config.pin_capacity_fraction * capacity_bytes`.
+    /// `config.pin_capacity_fraction * capacity_bytes`, with the fraction
+    /// clamped to `[0, 1]` (a NaN fraction pins nothing;
+    /// [`InferenceServer::try_run`](crate::InferenceServer::try_run)
+    /// rejects both with a typed error).
     ///
     /// # Panics
     ///
@@ -148,15 +146,12 @@ impl StatGuide {
             pinned_bytes += bytes;
             pins.push((table, row, bytes));
         }
-        Self {
-            pins,
-            admit,
-            pin_fraction: config.pin_capacity_fraction.clamp(0.0, 1.0),
-        }
+        Self { pins, admit }
     }
 
-    /// Builds a guide directly from parts (for tests and custom policies);
-    /// pins may fill whole stripes (`pin_fraction = 1`).
+    /// Builds a guide directly from parts (for tests and custom policies).
+    /// The pins are not capped: the cache warms them in order while they
+    /// fit, so they may fill it entirely.
     pub fn from_parts(
         pins: Vec<(u32, u64, u64)>,
         admit: impl IntoIterator<Item = (u32, Vec<u64>)>,
@@ -167,19 +162,7 @@ impl StatGuide {
                 .into_iter()
                 .map(|(t, rows)| (t, rows.into_iter().collect()))
                 .collect(),
-            pin_fraction: 1.0,
         }
-    }
-
-    /// Maximum fraction of each cache stripe pins may occupy.
-    pub fn pin_fraction(&self) -> f64 {
-        self.pin_fraction
-    }
-
-    /// Overrides the per-stripe pin fraction (clamped to `[0, 1]`).
-    pub fn with_pin_fraction(mut self, fraction: f64) -> Self {
-        self.pin_fraction = fraction.clamp(0.0, 1.0);
-        self
     }
 
     /// Whether a missed row may be admitted into the cache.

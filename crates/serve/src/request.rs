@@ -22,6 +22,7 @@
 //! ([`SampleGenerator::sample_each`]), so drawing builds no per-sample
 //! `Vec`s; the guided draws return exactly the unguided values.
 
+use crate::error::ServeError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recshard_data::{ModelSpec, SampleGenerator, ScenarioSpec};
@@ -49,6 +50,24 @@ pub enum ArrivalModel {
 }
 
 impl ArrivalModel {
+    /// Checks that the interval is a non-negative finite number of
+    /// microseconds, as the DES's `ArrivalProcess::validate` does.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::InvalidArrival`] naming the rejected parameter.
+    pub fn validate(&self) -> Result<(), ServeError> {
+        let (name, value) = match *self {
+            ArrivalModel::FixedRate { interval_us } => ("interval_us", interval_us),
+            ArrivalModel::Poisson { mean_interval_us } => ("mean_interval_us", mean_interval_us),
+        };
+        if value.is_finite() && value >= 0.0 {
+            Ok(())
+        } else {
+            Err(ServeError::InvalidArrival { name, value })
+        }
+    }
+
     /// Draws the gap to the next arrival, in nanoseconds.
     pub fn next_gap_ns(&self, rng: &mut StdRng) -> u64 {
         match *self {
@@ -282,7 +301,9 @@ impl RequestStream {
             if let Some(spec) = scenario {
                 gap = spec.scaled_gap_ns(gap, now);
             }
-            now += gap;
+            // Saturates: a huge gap pins the clock at `u64::MAX` ns instead
+            // of wrapping, so arrivals never decrease.
+            now = now.saturating_add(gap);
             for slot in &mut per_shard {
                 slot.clear();
             }
@@ -363,6 +384,19 @@ mod tests {
         for w in s.arrivals_ns.windows(2) {
             assert_eq!(w[1] - w[0], 10_000);
         }
+    }
+
+    #[test]
+    fn huge_arrival_gaps_saturate_the_clock() {
+        // 1e16 µs is 1e19 ns per gap: the second gap would overflow u64.
+        let model = ModelSpec::small(6, 4);
+        let gpu_of: Vec<usize> = (0..model.num_features()).map(|t| t % 2).collect();
+        let arrival = ArrivalModel::FixedRate { interval_us: 1e16 };
+        assert_eq!(arrival.validate(), Ok(()));
+        let s = RequestStream::generate(&model, &gpu_of, 2, 5, 2, arrival, 1);
+        assert_eq!(s.arrivals_ns[..2], [0, 10_000_000_000_000_000_000]);
+        assert!(s.arrivals_ns.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(s.arrivals_ns[4], u64::MAX);
     }
 
     #[test]

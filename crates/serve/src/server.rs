@@ -2,7 +2,7 @@
 //!
 //! [`InferenceServer::run`] serves a seeded request stream with one worker
 //! thread per GPU shard. Each worker owns its shard's slice of every
-//! query (the tables the plan routed to that GPU), drives the shard's
+//! query (the tables the plan routed to that GPU), owns the shard's
 //! [`ShardedCache`], and advances a per-shard virtual clock: lookups served
 //! from HBM cost HBM bandwidth, misses cost UVM bandwidth plus a per-row
 //! fetch latency, and requests queue FIFO behind the shard when they arrive
@@ -74,7 +74,8 @@ pub struct ServeConfig {
     pub stat_guided: StatGuidedConfig,
     /// HBM cache bytes per shard; defaults to the system's per-GPU HBM.
     pub capacity_per_shard: Option<u64>,
-    /// Lock stripes per shard cache.
+    /// Ignored: each shard's cache is one unstriped structure. Kept so
+    /// callers that pass it to [`CacheConfig::with_stripes`] still build.
     pub stripes: usize,
     /// Fixed overhead per distinct table touched by a query on a shard, in
     /// nanoseconds (kernel launch + pooling, as in the training simulators).
@@ -118,7 +119,7 @@ impl Default for ServeConfig {
             policy: PolicyKind::Lru,
             stat_guided: StatGuidedConfig::default(),
             capacity_per_shard: None,
-            stripes: 8,
+            stripes: 1,
             table_overhead_ns: 2_000,
             miss_latency_ns: 1_000,
             internode_hop_ns: 0,
@@ -136,6 +137,8 @@ struct ShardRun {
     bypasses: u64,
     /// Total busy nanoseconds (warmup included).
     busy_ns: u64,
+    /// The shard cache's end-state counters (warmup included).
+    cache: CacheStats,
     /// Trace records of this shard's serving loop (traced runs only).
     trace: Option<TraceBuffer>,
 }
@@ -183,10 +186,12 @@ impl InferenceServer {
     }
 
     /// [`run`](Self::run), returning a typed error instead of panicking
-    /// when the inputs are inconsistent: zero queries, an empty batch, zero
-    /// cache stripes, a plan/system shard-count mismatch, a plan whose
-    /// routing does not match the model or targets a missing shard, or (for
-    /// [`PolicyKind::StatGuided`]) a profile that does not match the model.
+    /// when the inputs are inconsistent: zero queries, an empty batch, a
+    /// NaN, negative or infinite arrival interval, a plan/system
+    /// shard-count mismatch, a plan whose routing does not match the model
+    /// or targets a missing shard, or (for [`PolicyKind::StatGuided`]) a
+    /// profile that does not match the model or a `pin_capacity_fraction`
+    /// that is not a finite number in `[0, 1]`.
     /// Nothing is built and no thread is spawned before the checks pass.
     ///
     /// # Errors
@@ -317,9 +322,7 @@ impl InferenceServer {
         if config.batch_size == 0 {
             return Err(ServeError::EmptyBatch);
         }
-        if config.stripes == 0 {
-            return Err(ServeError::NoStripes);
-        }
+        config.arrival.validate()?;
         let shards = plan.num_gpus();
         if shards != system.num_gpus() {
             return Err(ServeError::ShardCountMismatch {
@@ -341,12 +344,17 @@ impl InferenceServer {
                 shards,
             });
         }
-        if config.policy == PolicyKind::StatGuided && profile.num_features() != model.num_features()
-        {
-            return Err(ServeError::ProfileMismatch {
-                profile: profile.num_features(),
-                model: model.num_features(),
-            });
+        if config.policy == PolicyKind::StatGuided {
+            if profile.num_features() != model.num_features() {
+                return Err(ServeError::ProfileMismatch {
+                    profile: profile.num_features(),
+                    model: model.num_features(),
+                });
+            }
+            let fraction = config.stat_guided.pin_capacity_fraction;
+            if !(0.0..=1.0).contains(&fraction) {
+                return Err(ServeError::InvalidPinFraction(fraction));
+            }
         }
         match scenario.map(ScenarioSpec::validate) {
             Some(Err(e)) => Err(ServeError::InvalidScenario(e)),
@@ -364,9 +372,10 @@ impl InferenceServer {
         mut obs: Option<&mut Collector>,
     ) -> Result<ServeReport, ServeError> {
         Self::validate(model, plan, profile, system, &config, scenario)?;
-        let shards = Shards::build(model, plan, profile, system, &config);
+        let (shards, caches) = Shards::build(model, plan, profile, system, &config);
+        let traced = obs.is_some();
         let (arrivals_ns, phase_changes, runs) =
-            Self::pipeline(model, system, &shards, &config, scenario, obs.is_some());
+            Self::pipeline(model, system, &shards, caches, &config, scenario, traced);
         if let Some(c) = obs.as_deref_mut() {
             for pc in &phase_changes {
                 c.record(
@@ -383,12 +392,14 @@ impl InferenceServer {
     }
 
     /// Generates the stream on this thread and serves it on one worker per
-    /// shard (see the module doc). Returns the arrivals, the scenario phase
-    /// changes and the per-shard results in shard order.
+    /// shard, each owning its cache (see the module doc). Returns the
+    /// arrivals, the scenario phase changes and the per-shard results in
+    /// shard order.
     fn pipeline(
         model: &ModelSpec,
         system: &SystemSpec,
         shards: &Shards,
+        caches: Vec<ShardedCache>,
         config: &ServeConfig,
         scenario: Option<&ScenarioSpec>,
         traced: bool,
@@ -396,18 +407,21 @@ impl InferenceServer {
         let total_queries = config.warmup + config.queries;
         let mut arrivals_ns = Vec::with_capacity(total_queries as usize);
         let mut phase_changes = Vec::new();
-        // One worker thread per GPU shard; each mutates only its own cache
-        // and clock, so the merged result is schedule-independent. Traced
-        // runs buffer per-shard records privately and merge them in shard
-        // order afterwards, keeping the trace deterministic too.
+        // One worker thread per GPU shard; each owns its cache and clock, so
+        // the merged result is schedule-independent. Traced runs buffer
+        // per-shard records privately and merge them in shard order
+        // afterwards, keeping the trace deterministic too.
         let runs = std::thread::scope(|scope| {
-            let (senders, handles): (Vec<_>, Vec<_>) = (0..shards.caches.len())
-                .map(|gpu| {
+            let (senders, handles): (Vec<_>, Vec<_>) = caches
+                .into_iter()
+                .enumerate()
+                .map(|(gpu, cache)| {
                     let (tx, rx) = sync_channel::<Vec<Task>>(CHANNEL_DEPTH);
                     // recshard-lint: allow(thread-fanin) -- workers share no
                     // mutable state and are joined in shard-index order below.
                     let handle = scope.spawn(move || {
-                        shards.run_shard(gpu, rx.into_iter().flatten(), system, config, traced)
+                        let tasks = rx.into_iter().flatten();
+                        shards.run_shard(gpu, &cache, tasks, system, config, traced)
                     });
                     (tx, handle)
                 })
@@ -536,8 +550,8 @@ impl InferenceServer {
 
         let lookups = (hits + misses + bypasses).max(1);
         let mut cache_stats = CacheStats::default();
-        for c in &shards.caches {
-            cache_stats.merge(&c.stats());
+        for run in &runs {
+            cache_stats.merge(&run.cache);
         }
         ServeReport {
             placement: plan.strategy().to_string(),
@@ -582,12 +596,11 @@ impl InferenceServer {
     }
 }
 
-/// The per-shard state a run builds before serving: the plan's routing,
-/// one cache per shard, fan-in hops and row widths.
+/// The read-only per-shard state of a run: the plan's routing, fan-in
+/// hops and row widths.
 struct Shards {
     /// Owning shard of each table.
     gpu_of: Vec<usize>,
-    caches: Vec<ShardedCache>,
     /// Largest per-shard cache capacity, in bytes (the reported one).
     capacity: u64,
     /// Fan-in hop of each shard's completions, in ns.
@@ -597,14 +610,14 @@ struct Shards {
 }
 
 impl Shards {
-    /// Builds the caches and per-shard constants of a validated run.
+    /// Builds the per-shard constants and caches of a validated run.
     fn build(
         model: &ModelSpec,
         plan: &ShardingPlan,
         profile: &DatasetProfile,
         system: &SystemSpec,
         config: &ServeConfig,
-    ) -> Self {
+    ) -> (Self, Vec<ShardedCache>) {
         let shards = plan.num_gpus();
         let gpu_of = plan.gpu_assignments();
         // Each shard's HBM cache is sized to *its* GPU's HBM (per device
@@ -620,7 +633,7 @@ impl Shards {
             .iter()
             .enumerate()
             .map(|(gpu, &capacity)| {
-                let cache_config = CacheConfig::new(capacity).with_stripes(config.stripes);
+                let cache_config = CacheConfig::new(capacity);
                 match config.policy {
                     PolicyKind::Lru | PolicyKind::Lfu => {
                         ShardedCache::new(config.policy, cache_config)
@@ -644,29 +657,29 @@ impl Shards {
                 }
             })
             .collect();
-        Self {
+        let shards = Self {
             gpu_of,
-            caches,
             capacity: capacity_of.iter().copied().max().unwrap_or(0),
             hop_of,
             row_bytes: model.features().iter().map(|f| f.row_bytes()).collect(),
-        }
+        };
+        (shards, caches)
     }
 
-    /// Shard `gpu`'s serving loop: FIFO virtual-time queueing over its
-    /// `(query, arrival_ns, lookups)` tasks, in query order. The shard's
-    /// fan-in hop delays each completion without occupying the shard
+    /// Shard `gpu`'s serving loop over its `cache`: FIFO virtual-time
+    /// queueing over its `(query, arrival_ns, lookups)` tasks, in query
+    /// order. The shard's fan-in hop delays each completion without occupying the shard
     /// itself. Lookup service times use *this shard's* GPU bandwidths (its
     /// device class on a heterogeneous cluster).
     fn run_shard<L: AsRef<[(u32, u64)]>>(
         &self,
         gpu: usize,
+        cache: &ShardedCache,
         tasks: impl IntoIterator<Item = (u32, u64, L)>,
         system: &SystemSpec,
         config: &ServeConfig,
         traced: bool,
     ) -> ShardRun {
-        let cache = &self.caches[gpu];
         let row_bytes = &self.row_bytes;
         let hop_ns = self.hop_of[gpu];
         let mut trace = traced.then(|| TraceBuffer::new(gpu as u32));
@@ -715,7 +728,8 @@ impl Shards {
                 + tables * config.table_overhead_ns
                 + uvm_rows * config.miss_latency_ns;
             let start = free_at.max(arrival_ns);
-            let done = start + service_ns;
+            // Saturates with the arrival clock (see `RequestStream`).
+            let done = start.saturating_add(service_ns);
             free_at = done;
             busy_ns += service_ns;
             if query >= config.warmup {
@@ -738,10 +752,10 @@ impl Shards {
                     },
                 );
             }
-            completions.push((query, done + hop_ns));
+            completions.push((query, done.saturating_add(hop_ns)));
         }
+        let stats = cache.stats();
         if let Some(trace) = &mut trace {
-            let stats = cache.stats();
             trace.record(
                 free_at,
                 TraceEvent::CacheShard {
@@ -761,6 +775,7 @@ impl Shards {
             misses,
             bypasses,
             busy_ns,
+            cache: stats,
             trace,
         }
     }
@@ -813,7 +828,7 @@ mod tests {
         config: ServeConfig,
         scenario: Option<&ScenarioSpec>,
     ) -> ServeReport {
-        let shards = Shards::build(model, plan, profile, system, &config);
+        let (shards, caches) = Shards::build(model, plan, profile, system, &config);
         let (gpu_of, shard_count) = (&shards.gpu_of, plan.num_gpus());
         let queries = config.warmup + config.queries;
         let (batch, arrival, seed) = (config.batch_size, config.arrival, config.seed);
@@ -838,12 +853,13 @@ mod tests {
         let runs = stream
             .shard_tasks
             .iter()
+            .zip(&caches)
             .enumerate()
-            .map(|(gpu, tasks)| {
+            .map(|(gpu, (tasks, cache))| {
                 let tasks = tasks
                     .iter()
                     .map(|t| (t.query, stream.arrivals_ns[t.query as usize], &t.lookups));
-                shards.run_shard(gpu, tasks, system, &config, false)
+                shards.run_shard(gpu, cache, tasks, system, &config, false)
             })
             .collect();
         InferenceServer::merge(plan, &stream.arrivals_ns, &shards, runs, &config, None)
@@ -938,10 +954,49 @@ mod tests {
             ),
             Err(ServeError::EmptyBatch)
         );
-        assert_eq!(
-            try_run(&plan, &system, ServeConfig { stripes: 0, ..cfg }),
-            Err(ServeError::NoStripes)
-        );
+        for (arrival, name) in [
+            (
+                ArrivalModel::FixedRate {
+                    interval_us: f64::INFINITY,
+                },
+                "interval_us",
+            ),
+            (ArrivalModel::FixedRate { interval_us: -1.0 }, "interval_us"),
+            (
+                ArrivalModel::Poisson {
+                    mean_interval_us: f64::NAN,
+                },
+                "mean_interval_us",
+            ),
+            (
+                ArrivalModel::Poisson {
+                    mean_interval_us: f64::NEG_INFINITY,
+                },
+                "mean_interval_us",
+            ),
+        ] {
+            let err = try_run(&plan, &system, ServeConfig { arrival, ..cfg });
+            assert!(
+                matches!(err, Err(ServeError::InvalidArrival { name: n, .. }) if n == name),
+                "{arrival:?}: {err:?}"
+            );
+        }
+        for fraction in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
+            let stat_guided = StatGuidedConfig {
+                pin_capacity_fraction: fraction,
+            };
+            let err = try_run(&plan, &system, ServeConfig { stat_guided, ..cfg });
+            assert!(
+                matches!(err, Err(ServeError::InvalidPinFraction(v)) if v.to_bits() == fraction.to_bits()),
+                "{fraction}: {err:?}"
+            );
+            // Only StatGuided reads the fraction.
+            let lru = ServeConfig {
+                stat_guided,
+                ..config(PolicyKind::Lru)
+            };
+            assert!(try_run(&plan, &system, lru).is_ok());
+        }
         assert_eq!(
             try_run(&hash_placement(&model, 3), &system, cfg),
             Err(ServeError::ShardCountMismatch { plan: 3, system: 2 })
@@ -1010,12 +1065,12 @@ mod tests {
             queries: 20 * CHUNK_QUERIES as u32 * CHANNEL_DEPTH as u32,
             ..config(PolicyKind::Lru)
         };
-        let mut shards = Shards::build(&model, &plan, &profile, &system, &cfg);
+        let (mut shards, caches) = Shards::build(&model, &plan, &profile, &system, &cfg);
         // Row widths for table 0 only: both workers index past them on
         // their first task that touches another table, and panic.
         shards.row_bytes.truncate(1);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            InferenceServer::pipeline(&model, &system, &shards, &cfg, None, false)
+            InferenceServer::pipeline(&model, &system, &shards, caches, &cfg, None, false)
         }));
         let panic = outcome.err().expect("the worker's panic must propagate");
         let message = panic

@@ -58,7 +58,7 @@ const HETERO_SCALING_PLAN_GOLDEN: [u64; 2] = [0x3a85_a2fe_9293_a897, 0x1695_d4a3
 
 /// Committed `InferenceServer::run` fingerprints of the scaled-down
 /// `serve_mixed` configuration, StatGuided then LRU.
-const SERVE_GOLDEN: [u64; 2] = [0x8599_5fbd_3f63_4b45, 0x8515_d3c4_b941_2e55];
+const SERVE_GOLDEN: [u64; 2] = [0x491e_4bcc_fb0e_99c3, 0x005e_a5c2_5887_06d1];
 
 /// The scaled-down `des_throughput` configuration: same skewed workload
 /// shape, same capacity pressure (HBM holds ~1/3 of the model), fixed
