@@ -74,6 +74,12 @@ impl AccessCdf {
         self.total
     }
 
+    /// Cumulative access counts: entry `i` is the number of accesses
+    /// covered by the `i + 1` hottest rows.
+    pub fn cumulative_counts(&self) -> &[u64] {
+        &self.cumulative
+    }
+
     /// Number of distinct rows that received at least one access.
     pub fn rows_ranked(&self) -> u64 {
         self.cumulative.len() as u64

@@ -22,7 +22,7 @@ use recshard_data::RmKind;
 use recshard_des::{ArrivalProcess, ClusterConfig, ClusterSimulator, RunSummary};
 use recshard_serve::{ArrivalModel, InferenceServer, PolicyKind, ServeConfig, ServeReport};
 use recshard_sharding::SystemSpec;
-use recshard_stats::DatasetProfiler;
+use recshard_stats::{DatasetProfile, DatasetProfiler};
 
 /// Committed fingerprints of the scaled-down `des_throughput` run, in
 /// `Strategy::all()` order (SB, LB, SBL, RecShard).
@@ -59,6 +59,12 @@ const HETERO_SCALING_PLAN_GOLDEN: [u64; 2] = [0x3a85_a2fe_9293_a897, 0x1695_d4a3
 /// Committed `InferenceServer::run` fingerprints of the scaled-down
 /// `serve_mixed` configuration, StatGuided then LRU.
 const SERVE_GOLDEN: [u64; 2] = [0x491e_4bcc_fb0e_99c3, 0x005e_a5c2_5887_06d1];
+
+/// Committed FNV-1a hash over every `FeatureProfile` field of a 200-table
+/// `skewed_model` profiled over 1,200 samples: ranked rows, CDF cumulative
+/// counts, lookups, present samples and the bits of coverage and average
+/// pooling. It pins the profiler itself, upstream of every plan and run.
+const PROFILE_GOLDEN: u64 = 0x27ef_3835_86f3_d1dc;
 
 /// The scaled-down `des_throughput` configuration: same skewed workload
 /// shape, same capacity pressure (HBM holds ~1/3 of the model), fixed
@@ -261,5 +267,44 @@ fn serve_fingerprints_are_bit_for_bit_stable() {
     assert_eq!(
         actual, SERVE_GOLDEN,
         "serve fingerprints drifted (actual {actual:#018x?}, StatGuided then LRU)"
+    );
+}
+
+/// Order-sensitive FNV-1a hash over every field of every feature profile.
+fn profile_fingerprint(profile: &DatasetProfile) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    let mut fold = |word: u64| {
+        hash ^= word;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    };
+    fold(profile.samples_profiled());
+    for p in profile.profiles() {
+        fold(u64::from(p.id.0));
+        fold(p.hash_size);
+        fold(u64::from(p.embedding_dim));
+        fold(u64::from(p.bytes_per_element));
+        fold(p.samples_seen);
+        fold(p.present_samples);
+        fold(p.total_lookups);
+        fold(p.avg_pooling.to_bits());
+        fold(p.coverage.to_bits());
+        fold(p.cdf.total_accesses());
+        fold(p.cdf.cumulative_counts().len() as u64);
+        p.cdf.cumulative_counts().iter().for_each(|&c| fold(c));
+        fold(p.ranked_rows.len() as u64);
+        p.ranked_rows.iter().for_each(|&r| fold(r));
+    }
+    hash
+}
+
+#[test]
+fn profile_fingerprint_is_bit_for_bit_stable() {
+    let model = skewed_model(200);
+    let profile = DatasetProfiler::profile_model(&model, 1_200, 0x9F11);
+    assert_eq!(profile.num_features(), 200);
+    let actual = profile_fingerprint(&profile);
+    assert_eq!(
+        actual, PROFILE_GOLDEN,
+        "dataset profile drifted (actual {actual:#018x}, golden {PROFILE_GOLDEN:#018x})"
     );
 }
