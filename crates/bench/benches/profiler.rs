@@ -1,8 +1,10 @@
 //! Criterion bench for the training-data profiling stage (Section 4.1 /
-//! Section 6.6 overhead): cost of profiling per sample and of deriving the
+//! Section 6.6 overhead): cost of profiling per sample, of streaming a wide
+//! skewed model through `profile_model`'s row counters, and of deriving the
 //! 100-step ICDFs.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use recshard_bench::skewed_model;
 use recshard_data::{ModelSpec, SampleGenerator};
 use recshard_stats::DatasetProfiler;
 
@@ -31,6 +33,15 @@ fn profiler(c: &mut Criterion) {
                 .map(|p| p.icdf(100).max_rows())
                 .sum::<u64>()
         });
+    });
+
+    // 500 skewed tables x 200 samples: about 225K lookups landing on 61K
+    // distinct rows of 1K-128K-row tables, enough for most tables' row
+    // counters to compact before the ranking sort.
+    let wide = skewed_model(500);
+    group.throughput(Throughput::Elements(200));
+    group.bench_function("profile_model_200_samples_500_skewed_tables", |b| {
+        b.iter(|| DatasetProfiler::profile_model(&wide, 200, 7));
     });
     group.finish();
 }

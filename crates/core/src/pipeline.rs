@@ -7,7 +7,7 @@ use crate::config::{RecShardConfig, SolverKind};
 use crate::error::RecShardError;
 use crate::formulation::MilpFormulation;
 use crate::solver::StructuredSolver;
-use recshard_data::{ModelSpec, SampleGenerator};
+use recshard_data::ModelSpec;
 use recshard_des::{
     ClusterConfig, ClusterSimulator, DriftSchedule, ReshardController, ReshardPolicy, RunSummary,
 };
@@ -186,12 +186,7 @@ impl RecShard {
         profile_samples: usize,
         seed: u64,
     ) -> Result<RecShardOutput, RecShardError> {
-        let mut profiler = DatasetProfiler::new(model);
-        let mut gen = SampleGenerator::new(model, seed);
-        for _ in 0..profile_samples {
-            profiler.consume(&gen.sample());
-        }
-        let profile = profiler.finish();
+        let profile = DatasetProfiler::profile_model(model, profile_samples, seed);
         let plan = self.plan(model, &profile, system)?;
         let remap_tables = self.remap(&plan, &profile);
         Ok(RecShardOutput {

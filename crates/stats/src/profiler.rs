@@ -8,6 +8,7 @@
 //! [`finish`](DatasetProfiler::finish).
 
 use crate::cdf::AccessCdf;
+use crate::error::StatsError;
 use crate::freq::FrequencyMap;
 use crate::profile::{DatasetProfile, FeatureProfile};
 use rand::Rng;
@@ -18,9 +19,9 @@ use recshard_data::{FeatureHasher, ModelSpec, SampleGenerator, SparseSample};
 pub struct DatasetProfiler {
     model: ModelSpec,
     hashers: Vec<FeatureHasher>,
+    /// Per-table row counts; their totals are the tables' lookup counts.
     freqs: Vec<FrequencyMap>,
     present: Vec<u64>,
-    lookups: Vec<u64>,
     samples_seen: u64,
     sampling_rate: f64,
 }
@@ -28,30 +29,32 @@ pub struct DatasetProfiler {
 impl DatasetProfiler {
     /// Creates a profiler that inspects every sample it is offered.
     pub fn new(model: &ModelSpec) -> Self {
-        Self::with_sampling_rate(model, 1.0)
+        let n = model.num_features();
+        Self {
+            model: model.clone(),
+            hashers: model.features().iter().map(|f| f.hasher()).collect(),
+            freqs: vec![FrequencyMap::new(); n],
+            present: vec![0; n],
+            samples_seen: 0,
+            sampling_rate: 1.0,
+        }
     }
 
     /// Creates a profiler that inspects each offered sample with probability
     /// `sampling_rate` (the paper profiles ~1% of the training store).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the rate is not within `(0, 1]`.
-    pub fn with_sampling_rate(model: &ModelSpec, sampling_rate: f64) -> Self {
-        assert!(
-            sampling_rate > 0.0 && sampling_rate <= 1.0,
-            "sampling rate must be in (0, 1]"
-        );
-        let hashers = model.features().iter().map(|f| f.hasher()).collect();
-        let n = model.num_features();
-        Self {
-            model: model.clone(),
-            hashers,
-            freqs: vec![FrequencyMap::new(); n],
-            present: vec![0; n],
-            lookups: vec![0; n],
-            samples_seen: 0,
-            sampling_rate,
+    /// [`StatsError::InvalidSamplingRate`] if the rate is not within
+    /// `(0, 1]` (NaN and infinities included).
+    pub fn with_sampling_rate(model: &ModelSpec, sampling_rate: f64) -> Result<Self, StatsError> {
+        if sampling_rate > 0.0 && sampling_rate <= 1.0 {
+            Ok(Self {
+                sampling_rate,
+                ..Self::new(model)
+            })
+        } else {
+            Err(StatsError::InvalidSamplingRate(sampling_rate))
         }
     }
 
@@ -86,7 +89,6 @@ impl DatasetProfiler {
                 continue;
             }
             self.present[f] += 1;
-            self.lookups[f] += values.len() as u64;
             let hasher = &self.hashers[f];
             let freq = &mut self.freqs[f];
             for &raw in values {
@@ -102,14 +104,15 @@ impl DatasetProfiler {
         }
     }
 
-    /// Finalises the profile.
+    /// Finalises the profile, consuming each table's counts with a single
+    /// ranking sort.
     pub fn finish(self) -> DatasetProfile {
         let mut profiles = Vec::with_capacity(self.model.num_features());
-        for (i, spec) in self.model.features().iter().enumerate() {
-            let freq = &self.freqs[i];
-            let present = self.present[i];
+        let tables = self.freqs.into_iter().zip(self.present);
+        for (spec, (freq, present)) in self.model.features().iter().zip(tables) {
+            let lookups = freq.total_accesses();
             let avg_pooling = if present > 0 {
-                self.lookups[i] as f64 / present as f64
+                lookups as f64 / present as f64
             } else {
                 0.0
             };
@@ -118,6 +121,7 @@ impl DatasetProfiler {
             } else {
                 0.0
             };
+            let (ranked_rows, ranked_counts) = freq.into_ranked();
             profiles.push(FeatureProfile {
                 id: spec.id,
                 hash_size: spec.hash_size,
@@ -125,11 +129,11 @@ impl DatasetProfiler {
                 bytes_per_element: spec.bytes_per_element,
                 samples_seen: self.samples_seen,
                 present_samples: present,
-                total_lookups: self.lookups[i],
+                total_lookups: lookups,
                 avg_pooling,
                 coverage,
-                cdf: AccessCdf::from_frequency(freq),
-                ranked_rows: freq.ranked_rows(),
+                cdf: AccessCdf::from_ranked_counts(&ranked_counts),
+                ranked_rows,
             });
         }
         DatasetProfile::new(profiles, self.samples_seen)
@@ -137,12 +141,27 @@ impl DatasetProfiler {
 
     /// Convenience: generates `num_samples` synthetic samples for `model` and
     /// profiles all of them.
+    ///
+    /// Equivalent to [`consume`](Self::consume)-ing each
+    /// [`SampleGenerator::sample`], but draws through
+    /// [`SampleGenerator::sample_each`], so no sample is materialised.
     pub fn profile_model(model: &ModelSpec, num_samples: usize, seed: u64) -> DatasetProfile {
         let mut profiler = DatasetProfiler::new(model);
         let mut gen = SampleGenerator::new(model, seed);
-        for _ in 0..num_samples {
-            profiler.consume(&gen.sample());
+        // The last sample that drew a value for each feature. A feature is
+        // present in a sample iff it drew at least one value, so a
+        // zero-length pooling draw leaves it absent, as in `consume`.
+        let mut last_drawn = vec![u64::MAX; model.num_features()];
+        for s in 0..num_samples as u64 {
+            gen.sample_each(|f, raw| {
+                if last_drawn[f] != s {
+                    last_drawn[f] = s;
+                    profiler.present[f] += 1;
+                }
+                profiler.freqs[f].record(profiler.hashers[f].hash(raw));
+            });
         }
+        profiler.samples_seen = num_samples as u64;
         profiler.finish()
     }
 }
@@ -151,7 +170,7 @@ impl DatasetProfiler {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use recshard_data::{FeatureId, ModelSpec};
+    use recshard_data::{FeatureId, FeatureSpec, ModelSpec, PoolingSpec, RmKind};
 
     #[test]
     fn profiles_match_model_shape() {
@@ -209,7 +228,7 @@ mod tests {
     fn sampling_rate_reduces_inspected_samples() {
         let model = ModelSpec::small(3, 8);
         let mut gen = SampleGenerator::new(&model, 2);
-        let mut profiler = DatasetProfiler::with_sampling_rate(&model, 0.1);
+        let mut profiler = DatasetProfiler::with_sampling_rate(&model, 0.1).expect("valid rate");
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         for _ in 0..5_000 {
             profiler.offer(&gen.sample(), &mut rng);
@@ -226,7 +245,7 @@ mod tests {
         let model = ModelSpec::small(5, 21);
         let full = DatasetProfiler::profile_model(&model, 8_000, 33);
         let mut gen = SampleGenerator::new(&model, 33);
-        let mut sampled = DatasetProfiler::with_sampling_rate(&model, 0.1);
+        let mut sampled = DatasetProfiler::with_sampling_rate(&model, 0.1).expect("valid rate");
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         for _ in 0..8_000 {
             sampled.offer(&gen.sample(), &mut rng);
@@ -261,10 +280,75 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sampling rate must be in (0, 1]")]
     fn invalid_sampling_rate_rejected() {
         let model = ModelSpec::small(2, 1);
-        let _ = DatasetProfiler::with_sampling_rate(&model, 0.0);
+        for rate in [
+            0.0,
+            -0.5,
+            1.0 + f64::EPSILON,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(
+                DatasetProfiler::with_sampling_rate(&model, rate).err(),
+                Some(StatsError::InvalidSamplingRate(rate)),
+                "rate {rate}"
+            );
+        }
+        let nan = DatasetProfiler::with_sampling_rate(&model, f64::NAN).err();
+        assert!(
+            matches!(nan, Some(StatsError::InvalidSamplingRate(r)) if r.is_nan()),
+            "NaN rate: {nan:?}"
+        );
+        for rate in [f64::MIN_POSITIVE, 0.01, 1.0] {
+            let profiler = DatasetProfiler::with_sampling_rate(&model, rate).expect("valid rate");
+            assert_eq!(profiler.sampling_rate(), rate);
+        }
+    }
+
+    #[test]
+    fn profile_model_matches_a_consume_loop_on_edge_cases() {
+        // Coverage 0 and 1, a one-row table, a one-value support and the
+        // zero-length pooling spec: the streaming path must agree with
+        // consuming materialised samples, profile for profile.
+        let base = ModelSpec::small(1, 1).features()[0].clone();
+        let edge = |i: u32, coverage: f64, hash_size: u64, cardinality: u64, pooling| FeatureSpec {
+            id: FeatureId(i),
+            name: format!("edge_{i}"),
+            coverage,
+            hash_size,
+            cardinality,
+            pooling,
+            ..base.clone()
+        };
+        let features = vec![
+            edge(0, 0.0, 64, 256, PoolingSpec::Constant(3)),
+            edge(1, 1.0, 1, 512, PoolingSpec::Constant(2)),
+            edge(2, 1.0, 128, 1, PoolingSpec::long_tail(2.0)),
+            edge(3, 0.7, 256, 1_024, PoolingSpec::Constant(0)),
+            edge(4, 0.5, 4_096, 100_000, PoolingSpec::OneHot),
+        ];
+        let model = ModelSpec::new("edge", RmKind::Custom, features, 8);
+        let streamed = DatasetProfiler::profile_model(&model, 1_500, 21);
+        let mut gen = SampleGenerator::new(&model, 21);
+        let mut profiler = DatasetProfiler::new(&model);
+        for _ in 0..1_500 {
+            profiler.consume(&gen.sample());
+        }
+        let consumed = profiler.finish();
+        assert_eq!(streamed.samples_profiled(), consumed.samples_profiled());
+        for (a, b) in streamed.profiles().iter().zip(consumed.profiles()) {
+            assert_eq!(a, b, "feature {}", a.id);
+        }
+        let p = streamed.profiles();
+        assert_eq!((p[0].present_samples, p[0].coverage), (0, 0.0));
+        assert_eq!(p[0].cdf, AccessCdf::empty());
+        assert_eq!((p[1].coverage, p[1].ranked_rows.clone()), (1.0, vec![0]));
+        assert_eq!(p[2].accessed_rows(), 1);
+        // `Constant(0)` draws floor to one value, so the feature is present
+        // exactly when its coverage draw says so.
+        assert_eq!(p[3].total_lookups, p[3].present_samples);
+        assert!(p[3].present_samples > 0);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use recshard_stats::{AccessCdf, FrequencyMap};
+use std::collections::BTreeMap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -76,6 +77,98 @@ proptest! {
             prev = r;
         }
         prop_assert_eq!(icdf.max_rows(), cdf.rows_ranked());
+    }
+}
+
+/// Checks every read-only query of `map` against the `BTreeMap` reference.
+fn assert_matches_reference(map: &FrequencyMap, reference: &BTreeMap<u64, u64>) {
+    let expected: Vec<(u64, u64)> = reference.iter().map(|(&r, &c)| (r, c)).collect();
+    prop_assert_eq!(map.iter().collect::<Vec<_>>(), expected.clone());
+    prop_assert_eq!(map.distinct_rows(), reference.len() as u64);
+    prop_assert_eq!(map.total_accesses(), reference.values().sum::<u64>());
+    for row in (0..ROWS + 3).step_by(13) {
+        prop_assert_eq!(map.count(row), reference.get(&row).copied().unwrap_or(0));
+    }
+    let mut ranked = expected;
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    prop_assert_eq!(
+        map.ranked_rows(),
+        ranked.iter().map(|&(r, _)| r).collect::<Vec<_>>()
+    );
+    prop_assert_eq!(
+        map.ranked_counts(),
+        ranked.iter().map(|&(_, c)| c).collect::<Vec<_>>()
+    );
+}
+
+/// Row ids drawn by the interleaving test: few enough that bursts repeat
+/// rows, many enough that the distinct-row list outgrows the compaction
+/// threshold.
+const ROWS: u64 = 1_500;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The sorted-run map agrees with a `BTreeMap` reference after every
+    /// step of a random interleaving of `record` bursts, `record_n` (n may
+    /// be 0) and `merge`, and equal maps compare equal whatever order they
+    /// were built in.
+    #[test]
+    fn frequency_map_matches_a_btreemap_reference(
+        steps in prop::collection::vec(
+            (0u8..3, 0u64..ROWS, 0u64..4, prop::collection::vec(0u64..ROWS, 0..700)),
+            1..10,
+        ),
+    ) {
+        let mut map = FrequencyMap::new();
+        let mut reference = BTreeMap::new();
+        let mut accesses = Vec::new();
+        for (kind, row, n, burst) in steps {
+            match kind {
+                0 => {
+                    for &r in &burst {
+                        map.record(r);
+                        *reference.entry(r).or_insert(0) += 1;
+                    }
+                    accesses.extend(burst.iter().map(|&r| (r, 1)));
+                }
+                1 => {
+                    map.record_n(row, n);
+                    if n > 0 {
+                        *reference.entry(row).or_insert(0) += n;
+                    }
+                    accesses.push((row, n));
+                }
+                _ => {
+                    let other: FrequencyMap = burst.iter().copied().collect();
+                    map.merge(&other);
+                    for &r in &burst {
+                        *reference.entry(r).or_insert(0) += 1;
+                    }
+                    accesses.extend(burst.iter().map(|&r| (r, 1)));
+                }
+            }
+            assert_matches_reference(&map, &reference);
+        }
+
+        // The same accesses in reverse, and the reference's counts in
+        // descending row order, build maps equal to `map`.
+        let mut reversed = FrequencyMap::new();
+        for &(r, n) in accesses.iter().rev() {
+            if n == 1 {
+                reversed.record(r);
+            } else {
+                reversed.record_n(r, n);
+            }
+        }
+        let mut bulk = FrequencyMap::new();
+        for (&r, &c) in reference.iter().rev() {
+            bulk.record_n(r, c);
+        }
+        prop_assert!(reversed == map);
+        prop_assert!(bulk == map);
+        bulk.record(ROWS);
+        prop_assert!(bulk != map);
     }
 }
 
