@@ -14,14 +14,18 @@
 //! constants by running the failing test and copying the `actual` values
 //! from the assertion message.
 
+use recshard::{HierarchicalSolver, RecShardConfig};
 use recshard_bench::des_bench::{self, DesBenchConfig};
 use recshard_bench::scenario_bench::{self, ScenarioBenchConfig};
 use recshard_bench::solver_bench::{run_sweep, SolverBenchConfig};
 use recshard_bench::{skewed_model, ExperimentConfig, Strategy};
-use recshard_data::RmKind;
-use recshard_des::{ArrivalProcess, ClusterConfig, ClusterSimulator, RunSummary};
+use recshard_data::{ModelSpec, RmKind, ScenarioSpec, ShiftEvent, ShiftKind};
+use recshard_des::{
+    ArrivalProcess, ClusterConfig, ClusterSimulator, ContentionMode, ReshardController,
+    ReshardPolicy, RunSummary,
+};
 use recshard_serve::{ArrivalModel, InferenceServer, PolicyKind, ServeConfig, ServeReport};
-use recshard_sharding::SystemSpec;
+use recshard_sharding::{NodeTopology, ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
 
 /// Committed fingerprints of the scaled-down `des_throughput` run, in
@@ -32,6 +36,11 @@ const DES_THROUGHPUT_GOLDEN: [u64; 4] = [
     0xe817_6674_2fd0_97a0,
     0xb457_439e_6d16_b2fb,
 ];
+
+/// Committed fingerprint of the shortened `train_contended` run (shared-rate
+/// links, 4×4 hierarchical plan, overlapping Poisson arrivals, a drift storm
+/// and a re-sharding controller).
+const CONTENDED_DES_GOLDEN: u64 = 0x7b02_c829_a906_002d;
 
 /// Committed fingerprint of the `fig13_scaling` DES backend (tiny config,
 /// RM1, RecShard plan).
@@ -121,6 +130,81 @@ fn des_throughput_replay_reproduces_the_full_summary() {
     let a = des_throughput_run(Strategy::RecShard);
     let b = des_throughput_run(Strategy::RecShard);
     assert_eq!(a, b, "identical seeds must reproduce identical summaries");
+}
+
+/// A shortened `train_contended`: 48 skewed tables on a hierarchical
+/// RecShard plan over 4 nodes of 4 GPUs, shared-rate links, batch 1 and
+/// Poisson arrivals far faster than one iteration's sojourn, so iterations
+/// overlap and their barriers open out of arrival order. A drift storm led
+/// by a hot-key shift lands at 30% of the span and trips the controller.
+fn contended_des_run() -> RunSummary {
+    const ITERATIONS: u64 = 3_000;
+    const INTERVAL_MS: f64 = 0.02;
+    let topology = NodeTopology::new(4, 4);
+    let model = skewed_model(48);
+    let profile = DatasetProfiler::profile_model(&model, 3_000, 0xA5F0);
+    let system = SystemSpec::uniform(
+        16,
+        model.total_bytes() / 48,
+        model.total_bytes(),
+        1555.0,
+        16.0,
+    );
+    let solve = move |model: &ModelSpec,
+                      profile: &DatasetProfile,
+                      system: &SystemSpec,
+                      _current: Option<&ShardingPlan>| {
+        HierarchicalSolver::new(RecShardConfig::default(), topology)
+            .solve(model, profile, system)
+            .ok()
+    };
+    let plan = solve(&model, &profile, &system, None).expect("initial hierarchical solve");
+    let span_s = ITERATIONS as f64 * INTERVAL_MS / 1e3;
+    let mut storm = ScenarioSpec::drift_storm(0.3 * span_s, 0.1 * span_s, 3);
+    storm.shifts.insert(
+        0,
+        ShiftEvent {
+            at_s: 0.3 * span_s,
+            shift: ShiftKind::HotKeyShift { fraction: 0.3 },
+        },
+    );
+    let policy = ReshardPolicy {
+        check_every_iterations: 300,
+        imbalance_threshold: 3.2,
+        profile_samples: 1_000,
+        ..ReshardPolicy::default()
+    };
+    let config = ClusterConfig {
+        batch_size: 1,
+        iterations: ITERATIONS,
+        seed: 1,
+        arrival: ArrivalProcess::Poisson {
+            mean_interval_ms: INTERVAL_MS,
+        },
+        kernel_overhead_us_per_table: 0.0,
+        contention: ContentionMode::SharedRate,
+        ..ClusterConfig::default()
+    };
+    ClusterSimulator::new(&model, &plan, &profile, &system, config)
+        .with_scenario(storm)
+        .with_controller(ReshardController::new(policy, Box::new(solve)))
+        .run()
+}
+
+#[test]
+fn contended_des_fingerprint_is_bit_for_bit_stable() {
+    let summary = contended_des_run();
+    assert_eq!(summary.completed, 3_000);
+    assert!(
+        summary.reshards >= 1,
+        "the storm must trip the controller (got {} reshards)",
+        summary.reshards
+    );
+    assert_eq!(
+        summary.fingerprint, CONTENDED_DES_GOLDEN,
+        "contended DES: fingerprint drifted (actual {:#018x}, golden {:#018x})",
+        summary.fingerprint, CONTENDED_DES_GOLDEN
+    );
 }
 
 #[test]
