@@ -18,6 +18,25 @@
 //!    interconnect; the iteration completes and its *sojourn time* (arrival →
 //!    exchange done, queueing included) streams into the p50/p95/p99 CDF.
 //!
+//! # Per-iteration state
+//!
+//! Every live iteration's bookkeeping sits in one dense record store, not
+//! in maps keyed by iteration id. Iteration ids are dense — arrival `i` is
+//! iteration `i` — so the store is a ring of records starting at `base`,
+//! the oldest iteration not yet retired, and iteration `i`'s record is at
+//! index `i − base`. A record holds the arrival time, the barrier count
+//! and first-finish time, and (shared-rate mode) the exchange's start time
+//! and pending-transfer count. Shared-rate gather jobs sit in a parallel
+//! ring, one slot per GPU per record.
+//!
+//! Retirement rule: arrivals push at the back; `ExchangeDone` only marks
+//! its record done, and done records leave from the front, each advancing
+//! `base` by one. Overlapping iterations finish their barriers and
+//! exchanges out of arrival order, so a done record can wait behind an
+//! older live one; the store then spans from the oldest live iteration to
+//! the newest arrival. Every lookup goes through one accessor that panics
+//! on an iteration that is done, retired or not yet arrived.
+//!
 //! Because arrivals are open-loop, a plan whose slowest GPU cannot keep up
 //! with the arrival rate builds a queue and its tail latency diverges — the
 //! sustained-throughput behaviour the closed-form model in
@@ -56,7 +75,7 @@ use recshard_obs::{LinkKind, ObsHandle, ObsSink, TraceEvent};
 use recshard_sharding::{FabricSpec, NodeTopology, ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, StreamingCdf, Summary, WelfordAccumulator};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// How contended resources are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -192,14 +211,134 @@ struct ScenarioRuntime {
     phase: u32,
 }
 
-/// In-flight bookkeeping of one iteration.
+/// Bookkeeping of one iteration, from its arrival until its exchange
+/// completes.
 #[derive(Debug, Clone, Copy)]
-struct InFlight {
+struct IterRecord {
     arrival: SimTime,
     remaining_gpus: u32,
     /// When the first GPU finished its gather — the barrier wait of the
     /// iteration spans from here to the last GPU's finish.
     first_done: SimTime,
+    /// When the barrier opened and the exchange's intra-node phase started
+    /// (shared-rate mode).
+    exchange_start: SimTime,
+    /// Exchange transfers outstanding in the current phase (shared-rate
+    /// mode).
+    exchange_pending: u32,
+    /// Set by `ExchangeDone`; the record retires once every older one has.
+    done: bool,
+}
+
+impl IterRecord {
+    fn arrived(arrival: SimTime, gpus: u32) -> Self {
+        Self {
+            arrival,
+            remaining_gpus: gpus,
+            first_done: arrival,
+            exchange_start: arrival,
+            exchange_pending: 0,
+            done: false,
+        }
+    }
+}
+
+/// Dense per-iteration state: one [`IterRecord`] per live iteration, in
+/// arrival order, from the oldest iteration not yet retired.
+///
+/// Iteration ids are dense (arrival `i` is iteration `i`), so a live
+/// iteration's record sits at ring index `iter - base`. Shared-rate
+/// [`GatherJob`]s live in a parallel ring, `gathers_per_iter` slots per
+/// record. Records cannot retire when their exchange completes, because
+/// barriers open out of arrival order: `ExchangeDone` only marks its record
+/// done, and done records retire from the front, advancing `base` past
+/// them.
+#[derive(Debug)]
+struct IterationStore {
+    /// Iteration id of `records[0]`.
+    base: u64,
+    records: VecDeque<IterRecord>,
+    gathers: VecDeque<GatherJob>,
+    /// GPUs per iteration in shared-rate mode, 0 in FIFO mode (no jobs).
+    gathers_per_iter: usize,
+}
+
+impl IterationStore {
+    fn new(gathers_per_iter: usize) -> Self {
+        Self {
+            base: 0,
+            records: VecDeque::new(),
+            gathers: VecDeque::new(),
+            gathers_per_iter,
+        }
+    }
+
+    /// Appends the record of a newly arrived iteration; arrivals come in
+    /// id order, so `iter` is always the next id after the newest record.
+    /// Its gather jobs follow through [`push_gather`](Self::push_gather).
+    fn push(&mut self, iter: u64, record: IterRecord) {
+        debug_assert_eq!(
+            iter,
+            self.base + self.records.len() as u64,
+            "iterations must arrive in id order"
+        );
+        self.records.push_back(record);
+    }
+
+    /// Appends the next gather job of the newest iteration (GPU order).
+    fn push_gather(&mut self, job: GatherJob) {
+        self.gathers.push_back(job);
+    }
+
+    /// The ring index of live iteration `iter` — the one audited lookup
+    /// every accessor goes through.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `iter` has already completed, retired, or never arrived.
+    fn slot(&self, iter: u64) -> usize {
+        let slot = iter
+            .checked_sub(self.base)
+            .and_then(|offset| usize::try_from(offset).ok())
+            .filter(|&i| self.records.get(i).is_some_and(|r| !r.done));
+        // recshard-lint: allow(unwrap) -- every event that names an
+        // iteration is scheduled after the arrival that pushed its record
+        // and fires before the ExchangeDone that completes it; a miss is an
+        // engine bug, not a data-driven condition.
+        slot.expect("event for a completed, retired or unknown iteration")
+    }
+
+    fn record(&self, iter: u64) -> &IterRecord {
+        &self.records[self.slot(iter)]
+    }
+
+    fn record_mut(&mut self, iter: u64) -> &mut IterRecord {
+        let slot = self.slot(iter);
+        &mut self.records[slot]
+    }
+
+    fn gather(&self, iter: u64, gpu: usize) -> GatherJob {
+        self.gathers[self.slot(iter) * self.gathers_per_iter + gpu]
+    }
+
+    /// Marks `iter` complete, retires every complete record at the front,
+    /// and returns the completed record.
+    fn complete(&mut self, iter: u64) -> IterRecord {
+        let record = self.record_mut(iter);
+        record.done = true;
+        let record = *record;
+        while self.records.front().is_some_and(|r| r.done) {
+            self.records.pop_front();
+            self.gathers.drain(..self.gathers_per_iter);
+            self.base += 1;
+        }
+        record
+    }
+
+    /// Whether every iteration that arrived has retired.
+    fn is_empty(&self) -> bool {
+        self.records.is_empty() && self.gathers.is_empty()
+    }
 }
 
 /// Which pipeline stage a shared-rate transfer implements.
@@ -224,7 +363,7 @@ struct Transfer {
 }
 
 /// One GPU's gather job in flight on the shared-rate memory links.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct GatherJob {
     arrival: SimTime,
     /// When the job actually started (arrival delayed past any migration
@@ -233,17 +372,9 @@ struct GatherJob {
     demand: ServiceDemand,
 }
 
-/// Progress of one iteration's two-phase exchange.
-#[derive(Debug, Clone, Copy)]
-struct ExchangeState {
-    /// When the barrier opened and the intra-node phase started.
-    start: SimTime,
-    /// Transfers outstanding in the current phase.
-    pending: u32,
-}
-
-/// The shared-rate link fabric: all contended links, per-plan transfer
-/// volumes, and in-flight gather/exchange bookkeeping.
+/// The shared-rate link fabric: all contended links and per-plan transfer
+/// volumes. Per-iteration gather/exchange progress lives in the
+/// simulator's [`IterationStore`].
 ///
 /// Link index layout (`g` GPUs, `n` nodes): HBM channels `0..g`, UVM
 /// channels `g..2g`, NVLink egress `2g..3g`, per-node fabric ports
@@ -259,11 +390,14 @@ struct Contention {
     /// `remote_work_ns[src][dst]` (src ≠ dst): solo fabric nanoseconds of
     /// the src→dst node flow on dst's fabric port.
     remote_work_ns: Vec<Vec<u64>>,
-    gathers: HashMap<(u64, usize), GatherJob>,
-    exchanges: HashMap<u64, ExchangeState>,
     /// Per-GPU earliest virtual time new gathers may start (pushed out by
     /// migration stalls).
     stalled_until: Vec<SimTime>,
+    /// Reusable completion buffers for [`SharedRateResource::advance_into`].
+    /// Link handlers nest (a completion on one link admits onto the next,
+    /// which advances that link), so each nesting level takes its own
+    /// buffer and returns it empty.
+    completion_bufs: Vec<Vec<CompletedTransfer<Transfer>>>,
 }
 
 impl Contention {
@@ -277,9 +411,8 @@ impl Contention {
             latency_ns,
             local_work_ns: vec![0; num_gpus],
             remote_work_ns: vec![vec![0; topology.num_nodes]; topology.num_nodes],
-            gathers: HashMap::new(),
-            exchanges: HashMap::new(),
             stalled_until: vec![SimTime::ZERO; num_gpus],
+            completion_bufs: Vec::new(),
         }
     }
 
@@ -456,7 +589,7 @@ pub struct ClusterSimulator<'obs> {
     stations: Vec<GpuStation>,
     arrival_rng: StdRng,
     workload_rng: StdRng,
-    in_flight: HashMap<u64, InFlight>,
+    iters: IterationStore,
     sojourn_cdf: StreamingCdf,
     completed: u64,
     exchange_ns: u64,
@@ -535,6 +668,7 @@ impl<'obs> ClusterSimulator<'obs> {
                 Some(c)
             }
         };
+        let gathers_per_iter = contention.as_ref().map_or(0, |c| c.num_gpus);
         Ok(Self {
             config,
             system: system.clone(),
@@ -547,7 +681,7 @@ impl<'obs> ClusterSimulator<'obs> {
             stations: (0..num_gpus).map(GpuStation::new).collect(),
             arrival_rng: StdRng::seed_from_u64(config.seed ^ 0xA221_7A1C_0FFE_E000),
             workload_rng: StdRng::seed_from_u64(config.seed ^ 0x3A3B_0B5C_AFE5_0000),
-            in_flight: HashMap::new(),
+            iters: IterationStore::new(gathers_per_iter),
             sojourn_cdf: StreamingCdf::latency_defaults(),
             completed: 0,
             exchange_ns: Self::exchange_ns_for(model, plan, system, &config),
@@ -761,29 +895,26 @@ impl<'obs> ClusterSimulator<'obs> {
             .workload
             .sample_iteration(self.config.batch_size, &mut self.workload_rng);
         let obs_on = self.obs.enabled();
-        if let Some(mut contention) = self.contention.take() {
+        self.iters
+            .push(iter, IterRecord::arrived(now, self.stations.len() as u32));
+        if self.contention.is_some() {
             // Shared-rate mode: busy accounting happens up front; the
             // gathers start after any migration stall plus launch overhead
-            // and then contend on the HBM/UVM links. (The contention state
-            // is moved out for the loop so `demand_for` can borrow `self`.)
+            // and then contend on the HBM/UVM links.
             for (gpu, c) in counters.iter().enumerate() {
                 let demand = self.demand_for(gpu, c);
                 self.stations[gpu].account(demand);
-                let start = contention.stalled_until[gpu].max(now);
-                contention.gathers.insert(
-                    (iter, gpu),
-                    GatherJob {
-                        arrival: now,
-                        start,
-                        demand,
-                    },
-                );
+                let start = self.contention().stalled_until[gpu].max(now);
+                self.iters.push_gather(GatherJob {
+                    arrival: now,
+                    start,
+                    demand,
+                });
                 self.queue.schedule_at(
                     start.after_ns(demand.overhead_ns),
                     Event::GatherStart { iter, gpu },
                 );
             }
-            self.contention = Some(contention);
         } else {
             for (gpu, c) in counters.iter().enumerate() {
                 let demand = self.demand_for(gpu, c);
@@ -815,14 +946,6 @@ impl<'obs> ClusterSimulator<'obs> {
                     .schedule_at(completion, Event::GpuDone { iter, gpu });
             }
         }
-        self.in_flight.insert(
-            iter,
-            InFlight {
-                arrival: now,
-                remaining_gpus: self.stations.len() as u32,
-                first_done: now,
-            },
-        );
 
         if iter + 1 < self.config.iterations {
             // The seeded gap draw is always consumed; the scenario only
@@ -840,9 +963,8 @@ impl<'obs> ClusterSimulator<'obs> {
     /// Launch overhead elapsed (shared-rate mode): the GPU's HBM gather
     /// share enters contention; its UVM share follows serially.
     fn handle_gather_start(&mut self, iter: u64, gpu: usize) {
-        let contention = self.contention();
-        let hbm_ns = contention.gathers[&(iter, gpu)].demand.hbm_ns;
-        let link = contention.hbm_link(gpu);
+        let hbm_ns = self.iters.gather(iter, gpu).demand.hbm_ns;
+        let link = self.contention().hbm_link(gpu);
         self.admit_transfer(
             link,
             hbm_ns,
@@ -856,12 +978,7 @@ impl<'obs> ClusterSimulator<'obs> {
     fn handle_gpu_done(&mut self, iter: u64) {
         let now = self.queue.now();
         let total = self.stations.len() as u32;
-        let entry = self
-            .in_flight
-            .get_mut(&iter)
-            // recshard-lint: allow(unwrap) -- every GpuDone is scheduled from
-            // an arrival that inserted the iteration into in_flight.
-            .expect("GpuDone for unknown iteration");
+        let entry = self.iters.record_mut(iter);
         if entry.remaining_gpus == total {
             entry.first_done = now;
         }
@@ -901,15 +1018,10 @@ impl<'obs> ClusterSimulator<'obs> {
     /// phase follows once all local shares have drained.
     fn start_exchange(&mut self, iter: u64) {
         let now = self.queue.now();
-        let contention = self.contention_mut();
-        let num_gpus = contention.num_gpus;
-        contention.exchanges.insert(
-            iter,
-            ExchangeState {
-                start: now,
-                pending: num_gpus as u32,
-            },
-        );
+        let num_gpus = self.contention().num_gpus;
+        let record = self.iters.record_mut(iter);
+        record.exchange_start = now;
+        record.exchange_pending = num_gpus as u32;
         for gpu in 0..num_gpus {
             let contention = self.contention();
             let link = contention.nvlink_link(gpu);
@@ -929,15 +1041,8 @@ impl<'obs> ClusterSimulator<'obs> {
     /// is admitted on the *receiver's* fabric port, so all inbound flows to
     /// one node contend there (incast).
     fn start_remote_phase(&mut self, iter: u64) {
-        let contention = self.contention_mut();
-        let n = contention.topology.num_nodes;
-        let state = contention
-            .exchanges
-            .get_mut(&iter)
-            // recshard-lint: allow(unwrap) -- the local phase that triggers
-            // the remote phase only runs for a registered exchange.
-            .expect("remote phase for unknown exchange");
-        state.pending = (n * (n - 1)) as u32;
+        let n = self.contention().topology.num_nodes;
+        self.iters.record_mut(iter).exchange_pending = (n * (n - 1)) as u32;
         for src in 0..n {
             for dst in 0..n {
                 if src == dst {
@@ -962,20 +1067,14 @@ impl<'obs> ClusterSimulator<'obs> {
     /// on top of the contended transfer phases.
     fn finish_exchange(&mut self, iter: u64) {
         let now = self.queue.now();
-        let contention = self.contention_mut();
-        let latency_ns = contention.latency_ns;
-        let state = contention
-            .exchanges
-            .remove(&iter)
-            // recshard-lint: allow(unwrap) -- reached only when the exchange's
-            // last pending transfer completed, so the entry still exists.
-            .expect("finished an unknown exchange");
+        let latency_ns = self.contention().latency_ns;
         if self.obs.enabled() {
+            let start = self.iters.record(iter).exchange_start;
             self.obs.record(
-                state.start.as_ns(),
+                start.as_ns(),
                 TraceEvent::Exchange {
                     iter,
-                    duration_ns: now.since(state.start) + latency_ns,
+                    duration_ns: now.since(start) + latency_ns,
                 },
             );
         }
@@ -992,7 +1091,8 @@ impl<'obs> ClusterSimulator<'obs> {
     fn admit_transfer(&mut self, link: usize, work_ns: u64, transfer: Transfer) {
         let now = self.queue.now();
         let contention = self.contention_mut();
-        let completed = contention.links[link].advance(now.as_ns());
+        let mut completed = contention.completion_bufs.pop().unwrap_or_default();
+        contention.links[link].advance_into(now.as_ns(), &mut completed);
         contention.links[link].admit(now.as_ns(), work_ns, transfer);
         if self.obs.enabled() {
             let contention = self.contention();
@@ -1007,9 +1107,17 @@ impl<'obs> ClusterSimulator<'obs> {
                 },
             );
         }
-        for done in completed {
+        self.finish_transfers(link, completed);
+    }
+
+    /// Runs the completion handler of every transfer in `completed` (in
+    /// order), returns the emptied buffer to the pool, and schedules the
+    /// link's next wake-up.
+    fn finish_transfers(&mut self, link: usize, mut completed: Vec<CompletedTransfer<Transfer>>) {
+        for done in completed.drain(..) {
             self.transfer_done(link, done);
         }
+        self.contention_mut().completion_bufs.push(completed);
         self.schedule_link_wakeup(link);
     }
 
@@ -1033,15 +1141,13 @@ impl<'obs> ClusterSimulator<'obs> {
         if contention.links[link].generation() != generation {
             return;
         }
-        let completed = contention.links[link].advance(now.as_ns());
+        let mut completed = contention.completion_bufs.pop().unwrap_or_default();
+        let appended = contention.links[link].advance_into(now.as_ns(), &mut completed);
         debug_assert!(
-            !completed.is_empty(),
+            appended > 0,
             "a current-generation wake-up must complete at least one transfer"
         );
-        for done in completed {
-            self.transfer_done(link, done);
-        }
-        self.schedule_link_wakeup(link);
+        self.finish_transfers(link, completed);
     }
 
     /// One shared-rate transfer finished: record it, then advance its
@@ -1068,9 +1174,8 @@ impl<'obs> ClusterSimulator<'obs> {
         let Transfer { iter, stage } = done.payload;
         match stage {
             TransferStage::Hbm { gpu } => {
-                let contention = self.contention();
-                let uvm_ns = contention.gathers[&(iter, gpu)].demand.uvm_ns;
-                let uvm_link = contention.uvm_link(gpu);
+                let uvm_ns = self.iters.gather(iter, gpu).demand.uvm_ns;
+                let uvm_link = self.contention().uvm_link(gpu);
                 self.admit_transfer(
                     uvm_link,
                     uvm_ns,
@@ -1081,13 +1186,7 @@ impl<'obs> ClusterSimulator<'obs> {
                 );
             }
             TransferStage::Uvm { gpu } => {
-                let contention = self.contention_mut();
-                let job = contention
-                    .gathers
-                    .remove(&(iter, gpu))
-                    // recshard-lint: allow(unwrap) -- the UVM stage is only
-                    // admitted from the HBM stage of the same gather job.
-                    .expect("gather completion without a job");
+                let job = self.iters.gather(iter, gpu);
                 let wait_ns = job.start.since(job.arrival);
                 self.stations[gpu].record_wait_ns(wait_ns);
                 if self.obs.enabled() {
@@ -1113,16 +1212,10 @@ impl<'obs> ClusterSimulator<'obs> {
                 self.queue.schedule_at(now, Event::GpuDone { iter, gpu });
             }
             TransferStage::Local { .. } => {
-                let contention = self.contention_mut();
-                let state = contention
-                    .exchanges
-                    .get_mut(&iter)
-                    // recshard-lint: allow(unwrap) -- local transfers are only
-                    // admitted by start_exchange, which registers the entry.
-                    .expect("local completion for unknown exchange");
-                state.pending -= 1;
-                if state.pending == 0 {
-                    if contention.topology.num_nodes > 1 {
+                let record = self.iters.record_mut(iter);
+                record.exchange_pending -= 1;
+                if record.exchange_pending == 0 {
+                    if self.contention().topology.num_nodes > 1 {
                         self.start_remote_phase(iter);
                     } else {
                         self.finish_exchange(iter);
@@ -1130,15 +1223,9 @@ impl<'obs> ClusterSimulator<'obs> {
                 }
             }
             TransferStage::Remote { .. } => {
-                let contention = self.contention_mut();
-                let state = contention
-                    .exchanges
-                    .get_mut(&iter)
-                    // recshard-lint: allow(unwrap) -- remote transfers are only
-                    // admitted by start_remote_phase for a live exchange.
-                    .expect("remote completion for unknown exchange");
-                state.pending -= 1;
-                if state.pending == 0 {
+                let record = self.iters.record_mut(iter);
+                record.exchange_pending -= 1;
+                if record.exchange_pending == 0 {
                     self.finish_exchange(iter);
                 }
             }
@@ -1146,12 +1233,7 @@ impl<'obs> ClusterSimulator<'obs> {
     }
 
     fn handle_exchange_done(&mut self, iter: u64) {
-        let entry = self
-            .in_flight
-            .remove(&iter)
-            // recshard-lint: allow(unwrap) -- ExchangeDone is scheduled exactly
-            // once per in-flight iteration, after its barrier opened.
-            .expect("ExchangeDone for unknown iteration");
+        let entry = self.iters.complete(iter);
         let now = self.queue.now();
         let sojourn_ns = now.since(entry.arrival);
         self.sojourn_cdf.push(sojourn_ns as f64 / 1e6);
@@ -1242,18 +1324,14 @@ impl<'obs> ClusterSimulator<'obs> {
             }
         }
         assert!(
-            self.in_flight.is_empty(),
-            "simulation drained with in-flight iterations"
+            self.iters.is_empty(),
+            "simulation drained with in-flight iterations or transfers"
         );
         assert_eq!(
             self.completed, self.config.iterations,
             "not every iteration completed"
         );
         if let Some(contention) = &self.contention {
-            assert!(
-                contention.gathers.is_empty() && contention.exchanges.is_empty(),
-                "simulation drained with in-flight transfers"
-            );
             for link in &contention.links {
                 assert!(link.is_idle(), "a shared-rate link drained non-idle");
                 assert_eq!(
@@ -1326,8 +1404,10 @@ impl<'obs> ClusterSimulator<'obs> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use recshard_sharding::{GreedySharder, SizeCost, TablePlacement};
     use recshard_stats::DatasetProfiler;
+    use std::collections::HashMap;
 
     fn setup(gpus: usize) -> (ModelSpec, DatasetProfile, SystemSpec, ShardingPlan) {
         let model = ModelSpec::small(8, 5);
@@ -1656,5 +1736,109 @@ mod tests {
         let a = ClusterSimulator::new(&model, &plan, &profile, &system, cfg).run();
         let b = ClusterSimulator::new(&model, &plan, &profile, &system, cfg).run();
         assert_eq!(a, b);
+    }
+
+    fn store_job(iter: u64, gpu: usize) -> GatherJob {
+        GatherJob {
+            arrival: SimTime(iter),
+            start: SimTime(iter + 1),
+            demand: ServiceDemand {
+                hbm_ns: iter,
+                uvm_ns: gpu as u64,
+                overhead_ns: 7,
+            },
+        }
+    }
+
+    /// A store holding iterations `0..arrived`, `gpus` gather jobs each.
+    fn filled_store(arrived: u64, gpus: usize) -> IterationStore {
+        let mut store = IterationStore::new(gpus);
+        for iter in 0..arrived {
+            store.push(iter, IterRecord::arrived(SimTime(iter), gpus as u32));
+            for gpu in 0..gpus {
+                store.push_gather(store_job(iter, gpu));
+            }
+        }
+        store
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The record store agrees with a `HashMap` keyed by iteration id
+        /// under in-order arrivals and completions in random order: every
+        /// live iteration's record and gather jobs are found, `base` is
+        /// always the oldest iteration not yet completed (so it only ever
+        /// moves past completed records), and the store ends empty.
+        #[test]
+        fn record_store_matches_a_hash_map_reference(
+            ops in prop::collection::vec(any::<u64>(), 1..160),
+            gpus in 0usize..4,
+        ) {
+            let total = ops.len() as u64 / 2 + 1;
+            let mut store = IterationStore::new(gpus);
+            let mut reference: HashMap<u64, SimTime> = HashMap::new();
+            let mut live: Vec<u64> = Vec::new();
+            let mut arrived = 0u64;
+            let mut ops = ops.into_iter();
+            while arrived < total || !live.is_empty() {
+                let op = ops.next().unwrap_or(1);
+                if arrived < total && (live.is_empty() || op % 2 == 0) {
+                    let at = SimTime(arrived * 10 + op % 10);
+                    store.push(arrived, IterRecord::arrived(at, gpus as u32));
+                    for gpu in 0..gpus {
+                        store.push_gather(store_job(arrived, gpu));
+                    }
+                    reference.insert(arrived, at);
+                    live.push(arrived);
+                    arrived += 1;
+                } else {
+                    let iter = live.swap_remove((op / 2 % live.len() as u64) as usize);
+                    let expected = reference.remove(&iter);
+                    let record = store.complete(iter);
+                    prop_assert_eq!(Some(record.arrival), expected);
+                }
+                let oldest_live = live.iter().copied().min().unwrap_or(arrived);
+                prop_assert_eq!(store.base, oldest_live);
+                for (&iter, &at) in &reference {
+                    prop_assert_eq!(store.record_mut(iter).arrival, at);
+                    for gpu in 0..gpus {
+                        prop_assert_eq!(store.gather(iter, gpu), store_job(iter, gpu));
+                    }
+                }
+                prop_assert_eq!(
+                    store.gathers.len(),
+                    store.records.len() * gpus,
+                    "one gather slot per GPU per held record"
+                );
+            }
+            prop_assert!(store.is_empty());
+            prop_assert_eq!(store.base, total);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "completed, retired or unknown iteration")]
+    fn store_lookup_of_a_retired_iteration_panics() {
+        let mut store = filled_store(3, 2);
+        store.complete(0);
+        store.record_mut(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "completed, retired or unknown iteration")]
+    fn store_lookup_of_a_completed_unretired_iteration_panics() {
+        let mut store = filled_store(3, 2);
+        // Iteration 1 completes before 0, so it is held but no longer live.
+        store.complete(1);
+        assert_eq!(store.base, 0);
+        store.gather(1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "completed, retired or unknown iteration")]
+    fn store_lookup_of_an_unarrived_iteration_panics() {
+        let mut store = filled_store(3, 2);
+        store.record_mut(3);
     }
 }

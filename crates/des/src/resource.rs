@@ -18,6 +18,12 @@
 //! wake-up event scheduled for an earlier generation is simply ignored when
 //! popped (lazy invalidation — cheaper than deleting from the heap and just
 //! as deterministic).
+//!
+//! Completions are reported through
+//! [`SharedRateResource::advance_into`], which appends to a caller-owned
+//! buffer and never clears it, so a caller that recycles its buffers
+//! handles completions without allocating. [`SharedRateResource::advance`]
+//! is the allocating convenience form.
 
 /// Fixed-point work units per nanosecond of solo (uncontended) service.
 ///
@@ -117,6 +123,29 @@ impl<T> SharedRateResource<T> {
     /// that completed — in completion-time order, admission order within a
     /// tie.
     ///
+    /// Allocates the returned `Vec` when anything completes; hot callers use
+    /// [`advance_into`](Self::advance_into) with a reused buffer instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now_ns` is earlier than the last update (a causality bug).
+    pub fn advance(&mut self, now_ns: u64) -> Vec<CompletedTransfer<T>> {
+        let mut finished = Vec::new();
+        self.advance_into(now_ns, &mut finished);
+        finished
+    }
+
+    /// Like [`advance`](Self::advance), but appends the completed transfers
+    /// to `finished` and returns how many it appended.
+    ///
+    /// Buffer contract: `finished` is caller-owned and only ever appended
+    /// to — entries already in it are neither read nor reordered, and the
+    /// call never shrinks or clears it. A caller that reuses one buffer
+    /// across calls clears it itself once it has consumed the completions,
+    /// so after warm-up a completion costs no allocation. A caller whose
+    /// completion handlers advance *other* links (nested advances) needs one
+    /// buffer per nesting level.
+    ///
     /// The drain loop steps from completion to completion, so the share is
     /// re-divided the instant a tenant leaves even when the caller advances
     /// across several completions at once (the earliest-wake-up event the
@@ -126,13 +155,13 @@ impl<T> SharedRateResource<T> {
     /// # Panics
     ///
     /// Panics if `now_ns` is earlier than the last update (a causality bug).
-    pub fn advance(&mut self, now_ns: u64) -> Vec<CompletedTransfer<T>> {
+    pub fn advance_into(&mut self, now_ns: u64, finished: &mut Vec<CompletedTransfer<T>>) -> usize {
         assert!(
             now_ns >= self.last_update_ns,
             "shared-rate link clock went backwards ({now_ns} < {})",
             self.last_update_ns
         );
-        let mut finished = Vec::new();
+        let appended_from = finished.len();
         loop {
             // Sweep out tenants that have reached zero outstanding work;
             // they complete at the current link clock.
@@ -155,33 +184,26 @@ impl<T> SharedRateResource<T> {
             if self.tenants.is_empty() || self.last_update_ns == now_ns {
                 break;
             }
-            let n = self.tenants.len() as u128;
-            let min_remaining = self
-                .tenants
-                .iter()
-                .map(|t| t.remaining)
-                .min()
-                // recshard-lint: allow(unwrap) -- the empty case broke out of
-                // the loop just above.
-                .expect("non-empty tenant set");
+            let n = self.tenants.len() as u64;
             // Nanoseconds until the earliest tenant would finish at the
-            // current share; ≥ 1 because min_remaining > 0 here.
-            let to_next = div_ceil(min_remaining * n, WORK_UNITS_PER_NS as u128);
-            let dt = u128::from(now_ns - self.last_update_ns).min(to_next);
-            let drain = dt * u128::from(WORK_UNITS_PER_NS) / n;
+            // current share; ≥ 1 because every remaining tenant has work.
+            let to_next = completion_delay_ns(self.min_remaining(), n);
+            let dt = (now_ns - self.last_update_ns).min(to_next);
+            let drain = drain_units(dt, n);
             for t in &mut self.tenants {
                 let d = drain.min(t.remaining);
                 t.remaining -= d;
                 self.served_units += d;
             }
-            self.last_update_ns += dt as u64;
+            self.last_update_ns += dt;
         }
         self.last_update_ns = now_ns;
-        if !finished.is_empty() {
+        let appended = finished.len() - appended_from;
+        if appended > 0 {
             self.generation += 1;
-            self.completed_transfers += finished.len() as u64;
+            self.completed_transfers += appended as u64;
         }
-        finished
+        appended
     }
 
     /// Admits a transfer needing `work_ns` of solo service, returning its
@@ -217,11 +239,15 @@ impl<T> SharedRateResource<T> {
     /// current tenancy, or `None` when the link is idle. Zero-work tenants
     /// report a zero delay (they complete at the next [`advance`](Self::advance)).
     pub fn next_completion_delay(&self) -> Option<u64> {
-        let n = self.tenants.len() as u128;
-        self.tenants
-            .iter()
-            .map(|t| div_ceil(t.remaining * n, WORK_UNITS_PER_NS as u128) as u64)
-            .min()
+        // ⌈r·n / units⌉ is monotone in r, so the smallest remaining work
+        // yields the smallest delay: one division instead of one per tenant.
+        (!self.tenants.is_empty())
+            .then(|| completion_delay_ns(self.min_remaining(), self.tenants.len() as u64))
+    }
+
+    /// The smallest outstanding work among the tenants (0 when idle).
+    fn min_remaining(&self) -> u128 {
+        self.tenants.iter().map(|t| t.remaining).min().unwrap_or(0)
     }
 
     /// The tenancy-change generation; wake-ups scheduled under an older
@@ -266,13 +292,110 @@ impl<T> SharedRateResource<T> {
     }
 }
 
-fn div_ceil(a: u128, b: u128) -> u128 {
-    a.div_ceil(b)
+/// Wall nanoseconds until a tenant with `remaining` work units finishes
+/// while `n` tenants share the link: `⌈remaining · n / units⌉`, saturating
+/// at `u64::MAX`.
+fn completion_delay_ns(remaining: u128, n: u64) -> u64 {
+    let ns = (remaining * u128::from(n)).div_ceil(u128::from(WORK_UNITS_PER_NS));
+    u64::try_from(ns).unwrap_or(u64::MAX)
+}
+
+/// Work units each of `n` tenants drains over `dt` wall nanoseconds:
+/// `⌊dt · units / n⌋`. Divides in `u64` whenever the product fits (every
+/// `dt` below 2⁴⁴ ns, about 4.9 virtual hours) and in `u128` otherwise; both
+/// paths yield the same integer.
+fn drain_units(dt: u64, n: u64) -> u128 {
+    match dt.checked_mul(WORK_UNITS_PER_NS) {
+        Some(units) => u128::from(units / n),
+        None => u128::from(dt) * u128::from(WORK_UNITS_PER_NS) / u128::from(n),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The drain formula `⌊dt · units / n⌋` evaluated entirely in `u128`.
+    fn drain_units_u128(dt: u64, n: u64) -> u128 {
+        u128::from(dt) * u128::from(WORK_UNITS_PER_NS) / u128::from(n)
+    }
+
+    #[test]
+    fn drain_division_u64_path_equals_the_u128_formula() {
+        // The u64 path covers dt < 2^44: probe every power of two and its
+        // neighbours (so below, at and across that boundary) up to u64::MAX,
+        // for every tenant count up to 2^10.
+        let mut dts: Vec<u64> = (0..64)
+            .flat_map(|k| {
+                let p = 1u64 << k;
+                [p - 1, p, p + 1]
+            })
+            .collect();
+        dts.extend([999, 1_000_000, 12_345_678_901, u64::MAX - 1, u64::MAX]);
+        for n in 1..=1024u64 {
+            for &dt in &dts {
+                assert_eq!(
+                    drain_units(dt, n),
+                    drain_units_u128(dt, n),
+                    "dt {dt}, n {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn next_completion_delay_is_the_smallest_per_tenant_ceiling() {
+        fn per_tenant_min(link: &SharedRateResource<usize>) -> Option<u64> {
+            let n = link.tenants.len() as u128;
+            link.tenants
+                .iter()
+                .map(|t| (t.remaining * n).div_ceil(u128::from(WORK_UNITS_PER_NS)) as u64)
+                .min()
+        }
+        let mut link = SharedRateResource::new();
+        let mut done = Vec::new();
+        let mut clock = 0;
+        for (i, work) in [700u64, 3, 1 << 40, 41, 3].into_iter().enumerate() {
+            link.advance_into(clock, &mut done);
+            link.admit(clock, work, i);
+            assert_eq!(link.next_completion_delay(), per_tenant_min(&link));
+            clock += 2;
+        }
+        while let Some(delay) = link.next_completion_delay() {
+            assert_eq!(Some(delay), per_tenant_min(&link));
+            // Step a third of the way, so remaining work is re-estimated
+            // mid-transfer and left fractional.
+            clock += delay.div_ceil(3);
+            link.advance_into(clock, &mut done);
+        }
+        assert_eq!(done.len(), 5);
+        assert_eq!(link.served_units(), link.admitted_units());
+    }
+
+    #[test]
+    fn advance_into_appends_without_touching_earlier_entries() {
+        let mut link = SharedRateResource::new();
+        link.admit(0, 10, "a");
+        link.admit(0, 10, "b");
+        let mut buf = vec![CompletedTransfer {
+            payload: "sentinel",
+            seq: 99,
+            admitted_ns: 0,
+            completed_ns: 0,
+            work_ns: 0,
+            tenants_at_admit: 1,
+        }];
+        let g = link.generation();
+        assert_eq!(link.advance_into(5, &mut buf), 0);
+        assert_eq!(link.generation(), g, "no completion, no generation bump");
+        assert_eq!(link.advance_into(20, &mut buf), 2);
+        assert_eq!(
+            buf.iter().map(|c| c.payload).collect::<Vec<_>>(),
+            ["sentinel", "a", "b"]
+        );
+        assert!(link.generation() > g);
+        assert_eq!(link.completed_transfers(), 2);
+    }
 
     #[test]
     fn solo_transfer_takes_exactly_its_work() {

@@ -112,10 +112,13 @@ impl SimTime {
     }
 }
 
+/// Saturating, like [`SimTime::after_ns`]: a sum past the end of virtual
+/// time clamps to `u64::MAX` ns rather than wrapping to an earlier instant
+/// (release) or panicking (debug).
 impl std::ops::Add<SimTime> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -144,6 +147,17 @@ mod tests {
         assert_eq!(t.as_ns(), 1_000_500);
         assert_eq!(t.since(SimTime::from_ms(1.0)), 500);
         assert_eq!((SimTime(3) + SimTime(4)).as_ns(), 7);
+    }
+
+    #[test]
+    fn addition_saturates_at_the_end_of_time() {
+        let end = SimTime(u64::MAX);
+        assert_eq!(end + SimTime(1), end);
+        assert_eq!(SimTime(1) + end, end);
+        assert_eq!(end + end, end);
+        assert_eq!(SimTime(u64::MAX - 1) + SimTime(1), end);
+        // Same clamp as `after_ns`.
+        assert_eq!(SimTime(7) + end, SimTime(7).after_ns(u64::MAX));
     }
 
     #[test]
