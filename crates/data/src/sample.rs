@@ -8,21 +8,113 @@
 //! is drawn from the pooling-factor distribution, and the values themselves
 //! are drawn from the feature's Zipf value distribution.
 //!
-//! One draw loop serves two callers: [`SampleGenerator::sample_each`]
-//! visits each drawn `(feature, value)` without building a
-//! [`SparseSample`], and [`SampleGenerator::sample`] collects the same
-//! draws into one. A generator built with
-//! [`SampleGenerator::with_guides`] draws values through a [`ZipfGuide`] per
-//! feature — the same values from the same RNG words, so the two
-//! constructors produce identical streams. The guides cost 8 KB per feature,
-//! so only long streams over few features (the serving front-end) build
-//! them; [`SampleGenerator::new`] stays unguided.
+//! One per-feature draw body, [`FeatureSampler`], serves every caller.
+//! [`SampleGenerator`] runs it over every feature from one sequential RNG:
+//! [`SampleGenerator::sample_each`] visits each drawn `(feature, value)`
+//! without building a [`SparseSample`], and [`SampleGenerator::sample`]
+//! collects the same draws into one. [`FeatureSampler::draw_keyed`] runs it
+//! for one feature from an RNG seeded by a key (`stream_seed`), so
+//! independent streams (one per query and table when serving) can be drawn
+//! in any order, on any thread. Guided samplers draw values through a
+//! [`ZipfGuide`]: the same values from the same RNG words at 8 KB per
+//! feature, so only long streams (serving) build them.
 
-use crate::feature::FeatureId;
+use crate::feature::{FeatureId, FeatureSpec};
 use crate::model::ModelSpec;
+use crate::pooling::PoolingSpec;
 use crate::zipf::{Zipf, ZipfGuide};
+use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+
+/// The seed of the draw stream keyed by `key`. Each word is folded in by
+/// one SplitMix64 step (add the golden-ratio increment, then the
+/// full-avalanche finaliser), so keys that differ in any bit of any word
+/// seed unrelated generators. Seeding with `key * increment` instead would
+/// hand adjacent keys overlapping SplitMix64 sequences inside
+/// [`SeedableRng::seed_from_u64`].
+fn stream_seed(key: &[u64]) -> u64 {
+    key.iter().fold(0, |h, &word| {
+        let mut z = (h ^ word).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    })
+}
+
+/// One feature's per-sample draw: a Bernoulli presence draw with the
+/// feature's coverage, the pooling factor, then that many values from the
+/// feature's Zipf value distribution.
+#[derive(Debug, Clone)]
+pub struct FeatureSampler {
+    coverage: f64,
+    pooling: PoolingSpec,
+    values: Zipf,
+    /// The value guide, or `None` for an unguided sampler.
+    guide: Option<ZipfGuide>,
+}
+
+impl FeatureSampler {
+    /// An unguided sampler for `spec`.
+    pub fn new(spec: &FeatureSpec) -> Self {
+        Self {
+            coverage: spec.coverage,
+            pooling: spec.pooling,
+            values: spec.value_distribution(),
+            guide: None,
+        }
+    }
+
+    /// Like [`new`](Self::new), but drawing values through a [`ZipfGuide`]:
+    /// the identical values from the identical RNG words, with most draws
+    /// skipping the rejection-inversion arithmetic. Building the guide
+    /// costs microseconds and 8 KB, which only pays off over long streams.
+    pub fn guided(spec: &FeatureSpec) -> Self {
+        let mut sampler = Self::new(spec);
+        sampler.guide = Some(ZipfGuide::new(sampler.values));
+        sampler
+    }
+
+    /// Draws `samples` samples of the feature from the stream keyed by
+    /// `key` and calls `visit(value)` for every drawn value, sample after
+    /// sample. The draws depend on `key` and the feature alone, never on
+    /// any other stream.
+    pub fn draw_keyed(&self, key: &[u64], samples: usize, mut visit: impl FnMut(u64)) {
+        let mut rng = StdRng::seed_from_u64(stream_seed(key));
+        for _ in 0..samples {
+            self.draw(&mut rng, &mut visit, |_, _| {}, |visit, value| visit(value));
+        }
+    }
+
+    /// The draw body: presence, then the pooling factor `k` (announced
+    /// through `present(sink, k)`), then `k` values (each through
+    /// `visit(sink, value)`).
+    #[inline]
+    fn draw<S>(
+        &self,
+        rng: &mut StdRng,
+        sink: &mut S,
+        present: impl FnOnce(&mut S, usize),
+        visit: impl Fn(&mut S, u64),
+    ) {
+        if rng.gen::<f64>() < self.coverage {
+            let k = self.pooling.sample(rng) as usize;
+            present(sink, k);
+            match &self.guide {
+                Some(guide) => {
+                    for _ in 0..k {
+                        visit(sink, guide.sample(rng));
+                    }
+                }
+                None => {
+                    for _ in 0..k {
+                        visit(sink, self.values.sample(rng));
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// One training sample: for each feature, the list of raw categorical values
 /// (empty when the feature is absent from the sample).
@@ -71,39 +163,29 @@ pub type Batch = Vec<SparseSample>;
 #[derive(Debug, Clone)]
 pub struct SampleGenerator {
     model: ModelSpec,
-    value_dists: Vec<Zipf>,
-    /// One guide per feature, or empty for an unguided generator.
-    guides: Vec<ZipfGuide>,
-    rng: rand::rngs::StdRng,
+    samplers: Vec<FeatureSampler>,
+    rng: StdRng,
     samples_generated: u64,
 }
 
 impl SampleGenerator {
     /// Creates a generator for the given model with a fixed seed.
     pub fn new(model: &ModelSpec, seed: u64) -> Self {
-        let value_dists = model
-            .features()
-            .iter()
-            .map(|f| f.value_distribution())
-            .collect();
-        Self {
-            model: model.clone(),
-            value_dists,
-            guides: Vec::new(),
-            rng: rand::rngs::StdRng::seed_from_u64(seed),
-            samples_generated: 0,
-        }
+        Self::with_samplers(model, seed, FeatureSampler::new)
     }
 
-    /// Like [`new`](Self::new), but drawing values through one [`ZipfGuide`]
-    /// per feature: the identical stream (values and RNG state, draw for
-    /// draw), with most value draws skipping the rejection-inversion
-    /// arithmetic. Building the guides costs microseconds and 8 KB per
-    /// feature, which only pays off over long streams.
-    pub fn with_guides(model: &ModelSpec, seed: u64) -> Self {
-        let mut gen = Self::new(model, seed);
-        gen.guides = gen.value_dists.iter().map(|&z| ZipfGuide::new(z)).collect();
-        gen
+    /// A generator drawing each feature through `sampler(spec)`.
+    fn with_samplers(
+        model: &ModelSpec,
+        seed: u64,
+        sampler: impl Fn(&FeatureSpec) -> FeatureSampler,
+    ) -> Self {
+        Self {
+            model: model.clone(),
+            samplers: model.features().iter().map(sampler).collect(),
+            rng: StdRng::seed_from_u64(seed),
+            samples_generated: 0,
+        }
     }
 
     /// The model this generator draws samples for.
@@ -134,9 +216,9 @@ impl SampleGenerator {
         self.draw(&mut visit, |_, _, _| {}, |visit, f, value| visit(f, value));
     }
 
-    /// The draw loop: per feature, presence, then the pooling factor `k`
-    /// (announced through `present(sink, feature, k)`), then `k` values
-    /// (each through `visit(sink, feature, value)`).
+    /// The draw loop: [`FeatureSampler`]'s draw body for every feature in
+    /// order, announcing each pooling factor `k` through `present(sink,
+    /// feature, k)` and each value through `visit(sink, feature, value)`.
     #[inline]
     fn draw<S>(
         &mut self,
@@ -145,29 +227,13 @@ impl SampleGenerator {
         visit: impl Fn(&mut S, usize, u64),
     ) {
         self.samples_generated += 1;
-        for (f, (spec, dist)) in self
-            .model
-            .features()
-            .iter()
-            .zip(&self.value_dists)
-            .enumerate()
-        {
-            if self.rng.gen::<f64>() < spec.coverage {
-                let k = spec.pooling.sample(&mut self.rng) as usize;
-                present(sink, f, k);
-                match self.guides.get(f) {
-                    Some(guide) => {
-                        for _ in 0..k {
-                            visit(sink, f, guide.sample(&mut self.rng));
-                        }
-                    }
-                    None => {
-                        for _ in 0..k {
-                            visit(sink, f, dist.sample(&mut self.rng));
-                        }
-                    }
-                }
-            }
+        for (f, sampler) in self.samplers.iter().enumerate() {
+            sampler.draw(
+                &mut self.rng,
+                sink,
+                |sink, k| present(sink, f, k),
+                |sink, value| visit(sink, f, value),
+            );
         }
     }
 
@@ -176,32 +242,14 @@ impl SampleGenerator {
         (0..batch_size).map(|_| self.sample()).collect()
     }
 
-    /// Draws samples for a *single* feature only (much faster than full
-    /// samples when profiling or characterising one feature). Returns the raw
-    /// value lists of `num_samples` samples; absent samples yield empty lists.
-    pub fn feature_samples(&mut self, feature: FeatureId, num_samples: usize) -> Vec<Vec<u64>> {
-        let spec = self.model.feature(feature).clone();
-        let dist = &self.value_dists[feature.index()];
-        let mut out = Vec::with_capacity(num_samples);
-        for _ in 0..num_samples {
-            if self.rng.gen::<f64>() < spec.coverage {
-                let k = spec.pooling.sample(&mut self.rng) as usize;
-                out.push((0..k).map(|_| dist.sample(&mut self.rng)).collect());
-            } else {
-                out.push(Vec::new());
-            }
-        }
-        out
-    }
-
     /// Draws `num_lookups` *hashed* row indices for a single feature,
     /// ignoring presence/pooling (a pure access-stream view of the feature,
     /// used when only the post-hash frequency distribution matters).
     pub fn feature_row_stream(&mut self, feature: FeatureId, num_lookups: usize) -> Vec<u64> {
         let hasher = self.model.feature(feature).hasher();
-        let dist = &self.value_dists[feature.index()];
+        let values = &self.samplers[feature.index()].values;
         (0..num_lookups)
-            .map(|_| hasher.hash(dist.sample(&mut self.rng)))
+            .map(|_| hasher.hash(values.sample(&mut self.rng)))
             .collect()
     }
 }
@@ -341,9 +389,10 @@ mod tests {
         for seed in [1u64, 7, 42] {
             let model = edge_model(seed);
             let mut plain = SampleGenerator::new(&model, seed);
-            let mut guided = SampleGenerator::with_guides(&model, seed);
-            assert_eq!(guided.guides.len(), model.num_features());
-            assert!(!guided.guides[0].is_guided() && guided.guides[4].is_guided());
+            let mut guided = SampleGenerator::with_samplers(&model, seed, FeatureSampler::guided);
+            assert_eq!(guided.samplers.len(), model.num_features());
+            let has_cells = |f: usize| guided.samplers[f].guide.as_ref().unwrap().is_guided();
+            assert!(!has_cells(0) && has_cells(4));
             for _ in 0..400 {
                 assert_eq!(guided.sample(), plain.sample(), "seed {seed}");
                 assert_eq!(guided.rng, plain.rng, "seed {seed}: RNG state diverged");
@@ -357,7 +406,7 @@ mod tests {
         let model = edge_model(3);
         for guided in [false, true] {
             let mut collect = if guided {
-                SampleGenerator::with_guides(&model, 11)
+                SampleGenerator::with_samplers(&model, 11, FeatureSampler::guided)
             } else {
                 SampleGenerator::new(&model, 11)
             };
@@ -376,6 +425,181 @@ mod tests {
                 assert_eq!(visit.rng, collect.rng);
             }
             assert_eq!(visit.samples_generated(), 300);
+        }
+    }
+
+    /// Skewed features with long-tailed pooling and partial coverage.
+    fn skewed_model(exponent_shift: f64) -> ModelSpec {
+        let mut feats = ModelSpec::small(4, 21).features().to_vec();
+        for (f, spec) in feats.iter_mut().enumerate() {
+            spec.zipf_exponent = [0.9, 1.05, 1.2, 1.4][f] + exponent_shift;
+            spec.pooling = PoolingSpec::long_tail(3.0 + f as f64);
+            spec.coverage = 0.6;
+        }
+        ModelSpec::new("skewed", crate::model::RmKind::Custom, feats, 64)
+    }
+
+    /// Two-sample chi-squared statistic over paired histograms, and its
+    /// degrees of freedom (non-empty bins minus one).
+    fn chi_squared(a: &[u64], b: &[u64]) -> (f64, usize) {
+        let (na, nb) = (a.iter().sum::<u64>() as f64, b.iter().sum::<u64>() as f64);
+        let (ka, kb) = ((nb / na).sqrt(), (na / nb).sqrt());
+        let mut stat = 0.0;
+        let mut bins = 0;
+        for (&x, &y) in a.iter().zip(b) {
+            if x + y > 0 {
+                let d = x as f64 * ka - y as f64 * kb;
+                stat += d * d / (x + y) as f64;
+                bins += 1;
+            }
+        }
+        (stat, bins - 1)
+    }
+
+    /// The chi-squared critical value at p = 0.001 (Wilson–Hilferty).
+    fn critical(df: usize) -> f64 {
+        let df = df as f64;
+        let v = 2.0 / (9.0 * df);
+        df * (1.0 - v + 3.0902 * v.sqrt()).powi(3)
+    }
+
+    /// Pooling-factor (0 = absent, capped at 12) and top-value-rank (ranks
+    /// 0..15, then "other") histograms of one feature over `samples` draws.
+    fn histograms(samples: impl Iterator<Item = Vec<u64>>) -> (Vec<u64>, Vec<u64>) {
+        let (mut pooling, mut ranks) = (vec![0u64; 13], vec![0u64; 17]);
+        for values in samples {
+            pooling[values.len().min(12)] += 1;
+            for v in values {
+                ranks[(v as usize).min(16)] += 1;
+            }
+        }
+        (pooling, ranks)
+    }
+
+    #[test]
+    fn keyed_draws_match_the_sequential_generator_in_distribution() {
+        // 20,000 samples per feature; every statistic must stay below the
+        // p = 0.001 chi-squared critical value for its degrees of freedom.
+        const SAMPLES: usize = 20_000;
+        let model = skewed_model(0.0);
+        let reference: Vec<SparseSample> = SampleGenerator::new(&model, 5).batch(SAMPLES);
+        let keyed_histograms = |model: &ModelSpec, f: usize| {
+            let sampler = FeatureSampler::guided(&model.features()[f]);
+            histograms((0..SAMPLES as u64).map(|i| {
+                let mut values = Vec::new();
+                sampler.draw_keyed(&[5, i, f as u64], 1, |v| values.push(v));
+                values
+            }))
+        };
+        for f in 0..model.num_features() {
+            let (ref_pooling, ref_ranks) =
+                histograms(reference.iter().map(|s| s.values[f].clone()));
+            let (pooling, ranks) = keyed_histograms(&model, f);
+            for (what, a, b) in [
+                ("pooling", &ref_pooling, &pooling),
+                ("value rank", &ref_ranks, &ranks),
+            ] {
+                let (stat, df) = chi_squared(a, b);
+                assert!(
+                    stat < critical(df),
+                    "feature {f} {what}: chi2 {stat:.1} >= {:.1} (df {df})",
+                    critical(df)
+                );
+            }
+            // The test has power: a 0.1 steeper exponent is rejected.
+            let (_, steeper) = keyed_histograms(&skewed_model(0.1), f);
+            let (stat, df) = chi_squared(&ref_ranks, &steeper);
+            assert!(stat > critical(df), "feature {f}: chi2 {stat:.1}");
+        }
+    }
+
+    /// Pearson correlation of two equally long series.
+    fn correlation(x: &[f64], y: &[f64]) -> f64 {
+        let n = x.len() as f64;
+        let (mx, my) = (x.iter().sum::<f64>() / n, y.iter().sum::<f64>() / n);
+        let (mut sxy, mut sxx, mut syy) = (0.0, 0.0, 0.0);
+        for (a, b) in x.iter().zip(y) {
+            sxy += (a - mx) * (b - my);
+            sxx += (a - mx) * (a - mx);
+            syy += (b - my) * (b - my);
+        }
+        sxy / (sxx * syy).sqrt()
+    }
+
+    #[test]
+    fn adjacent_stream_keys_draw_uncorrelated_values() {
+        // The first four draws of the streams keyed (q, t), (q, t + 1) and
+        // (q + 1, t), over 20,000 queries q: every cross-correlation, at
+        // every lag, stays within 4.5 standard errors of zero.
+        const QUERIES: u64 = 20_000;
+        let draws = |key: &dyn Fn(u64) -> [u64; 3]| -> Vec<Vec<f64>> {
+            let mut lags = vec![Vec::new(); 4];
+            for q in 0..QUERIES {
+                let mut rng = StdRng::seed_from_u64(stream_seed(&key(q)));
+                for lag in &mut lags {
+                    lag.push(rng.gen::<f64>());
+                }
+            }
+            lags
+        };
+        let bound = 4.5 / (QUERIES as f64).sqrt();
+        for t in [0u64, 7] {
+            let base = draws(&|q| [9, q, t]);
+            for (name, other) in [
+                ("next table", draws(&|q| [9, q, t + 1])),
+                ("next query", draws(&|q| [9, q + 1, t])),
+            ] {
+                for (i, x) in base.iter().enumerate() {
+                    for (j, y) in other.iter().enumerate() {
+                        let r = correlation(x, y);
+                        assert!(r.abs() < bound, "t {t}, {name}, draws {i}/{j}: r = {r}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adjacent_stream_keys_never_share_a_splitmix_sequence() {
+        // `seed_from_u64(s)` expands `s` through SplitMix64, whose state
+        // steps by GAMMA: seeds a small multiple of GAMMA apart share most of
+        // their expansion. Count the distance in GAMMA steps.
+        const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+        let inverse = (0..6).fold(GAMMA, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(GAMMA.wrapping_mul(x)))
+        });
+        assert_eq!(GAMMA.wrapping_mul(inverse), 1);
+        let steps = |a: u64, b: u64| {
+            let d = b.wrapping_sub(a).wrapping_mul(inverse);
+            d.min(d.wrapping_neg())
+        };
+        // The naive `key * GAMMA` derivation is exactly one step apart.
+        assert_eq!(steps(GAMMA.wrapping_mul(5), GAMMA.wrapping_mul(6)), 1);
+        for q in 0..5_000u64 {
+            for t in 0..4u64 {
+                let seed = stream_seed(&[1, q, t]);
+                for other in [stream_seed(&[1, q, t + 1]), stream_seed(&[1, q + 1, t])] {
+                    assert!(steps(seed, other) > 1 << 32, "q {q}, t {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_draws_are_guide_invariant_and_key_determined() {
+        let model = edge_model(4);
+        for spec in model.features() {
+            let draw = |sampler: &FeatureSampler, key: &[u64]| {
+                let mut values = Vec::new();
+                sampler.draw_keyed(key, 16, |v| values.push(v));
+                values
+            };
+            let (plain, guided) = (FeatureSampler::new(spec), FeatureSampler::guided(spec));
+            for q in 0..50u64 {
+                let key = [3, q, u64::from(spec.id.0)];
+                assert_eq!(draw(&plain, &key), draw(&guided, &key));
+                assert!(draw(&plain, &key).iter().all(|&v| v < spec.cardinality));
+            }
         }
     }
 

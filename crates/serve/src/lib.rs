@@ -23,11 +23,12 @@
 //!   region plus profile-driven pinning of each table's rows above the
 //!   [CDF knee](recshard_stats::AccessCdf::knee_rank) and admission
 //!   filtering of never-profiled rows ([`StatGuide`]).
-//! * [`RequestStream`] — seeded batched queries drawn from the *same*
-//!   coverage/pooling/Zipf generators as training (`recshard-data`), routed
-//!   to shards by a [`ShardingPlan`](recshard_sharding::ShardingPlan).
-//! * [`InferenceServer`] — one worker thread per GPU shard, each owning
-//!   its shard's cache, FIFO
+//! * [`RequestStream`] — seeded batched queries drawn with the *same*
+//!   coverage/pooling/Zipf draw as training (`recshard-data`), one keyed
+//!   stream per (query, table), routed to shards by a
+//!   [`ShardingPlan`](recshard_sharding::ShardingPlan).
+//! * [`InferenceServer`] — one worker thread per GPU shard, each drawing
+//!   its own tables' lookups and owning its shard's cache, FIFO
 //!   virtual-time queueing, fan-out/fan-in query completion, and
 //!   p50/p95/p99 latency + hit-rate reporting through the P² streaming
 //!   quantiles ([`StreamingCdf`](recshard_stats::StreamingCdf)).

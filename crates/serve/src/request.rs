@@ -2,37 +2,33 @@
 //!
 //! Online queries look like training samples without labels: a batch of
 //! users/items, each contributing multi-hot sparse features. The stream is
-//! produced by the *same* coverage/pooling/Zipf machinery the rest of the
-//! reproduction uses ([`SampleGenerator`]), hashed by the same per-table
+//! produced by the *same* coverage/pooling/Zipf draw the rest of the
+//! reproduction uses ([`FeatureSampler`]), hashed by the same per-table
 //! hashers, and routed to GPU shards by the active sharding plan — so the
 //! serving layer sees exactly the access skew the profile measured.
 //!
-//! Generation is fully seeded: a `(model, seed, arrival, batch, count)`
-//! tuple always produces the identical stream, which is what makes serving
-//! runs fingerprint-stable.
+//! Each `(query, table)` pair draws its `batch` samples from its own
+//! keyed stream, seeded only from `(seed, query, table)`
+//! ([`FeatureSampler::draw_keyed`]). No draw depends on another, so every
+//! shard draws its own tables' lookups by itself: the per-shard task
+//! generator (`shard_tasks`) is the whole generator, and a shard's tasks do
+//! not depend on which tables other shards own or on how many threads draw
+//! them. Arrival times and scenario phase changes come from a separate
+//! arrival RNG and are computed once for all shards. Within a task, lookups
+//! are grouped by table, in table order.
 //!
-//! One generator core feeds two sinks. [`RequestStream::generate`] collects
-//! a *fully materialised* stream: every query's `(table, row)` lookups, per
-//! shard, resident at once (about 16 bytes per lookup). The server does not
-//! build one: [`InferenceServer::run`](crate::InferenceServer::run) drives
-//! the same core and hands each query's per-shard lookups to the shard
-//! workers in fixed-size chunks as they are drawn, so only a few chunks are
-//! ever resident. Values are drawn through
-//! [`SampleGenerator::with_guides`] and visited in place
-//! ([`SampleGenerator::sample_each`]), so drawing builds no per-sample
-//! `Vec`s; the guided draws return exactly the unguided values.
+//! [`InferenceServer::run`](crate::InferenceServer::run) runs one
+//! `shard_tasks` per shard worker and never materialises a stream.
+//! [`RequestStream::generate`] runs the same generator shard after shard on
+//! the calling thread and keeps every task (about 16 bytes per lookup): the
+//! reference the threaded server is tested against, and the input of
+//! offline cache replays.
 
 use crate::error::ServeError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use recshard_data::{ModelSpec, SampleGenerator, ScenarioSpec};
+use recshard_data::{FeatureHasher, FeatureSampler, ModelSpec, ScenarioSpec};
 use serde::{Deserialize, Serialize};
-use std::ops::ControlFlow;
-
-/// Salt mixed into the stream seed when a scenario shift re-derives the
-/// sample generator, so each applied-shift count gets an independent but
-/// fully seeded continuation of the stream.
-const SHIFT_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// How inference requests arrive at the server (open loop).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -115,7 +111,7 @@ pub struct PhaseChange {
 /// A fully materialised, seeded request stream, pre-partitioned per shard.
 ///
 /// The server never builds one (see the module doc); it is the reference
-/// the pipelined server is tested against, and the input of offline cache
+/// the threaded server is tested against, and the input of offline cache
 /// replays.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestStream {
@@ -144,25 +140,28 @@ impl RequestStream {
         arrival: ArrivalModel,
         seed: u64,
     ) -> Self {
-        Self::collect(
-            model, gpu_of, num_shards, queries, batch, arrival, seed, None,
-        )
-        .0
+        let (arrivals_ns, _) = schedule(queries, arrival, seed, None);
+        Self::collect(model, gpu_of, num_shards, batch, seed, arrivals_ns, None)
     }
 
     /// Like [`generate`](Self::generate), but modulated by a scenario: gaps
     /// are scaled by the spec's rate curves at each arrival's virtual time,
-    /// and distribution shifts re-derive the hashers and sample generator
-    /// from [`ScenarioSpec::model_after`] the moment they fall due. Returns
-    /// the phase transitions alongside the stream so callers can trace them.
+    /// and distribution shifts re-derive the hashers and samplers from
+    /// [`ScenarioSpec::model_after`] for every query that arrives once they
+    /// are due. Returns the phase transitions alongside the stream so
+    /// callers can trace them.
     ///
     /// A stationary scenario reproduces [`generate`](Self::generate)
     /// bit-for-bit.
     ///
+    /// # Errors
+    ///
+    /// [`ServeError::InvalidScenario`] if the spec fails
+    /// [`ScenarioSpec::validate`].
+    ///
     /// # Panics
     ///
-    /// As [`generate`](Self::generate), plus if the spec fails
-    /// [`ScenarioSpec::validate`].
+    /// As [`generate`](Self::generate).
     #[allow(clippy::too_many_arguments)]
     pub fn generate_scenario(
         model: &ModelSpec,
@@ -173,148 +172,54 @@ impl RequestStream {
         arrival: ArrivalModel,
         seed: u64,
         scenario: &ScenarioSpec,
-    ) -> (Self, Vec<PhaseChange>) {
-        if let Err(e) = scenario.validate() {
-            panic!("invalid scenario spec: {e}");
-        }
-        Self::collect(
+    ) -> Result<(Self, Vec<PhaseChange>), ServeError> {
+        scenario.validate().map_err(ServeError::InvalidScenario)?;
+        let (arrivals_ns, phase_changes) = schedule(queries, arrival, seed, Some(scenario));
+        let stream = Self::collect(
             model,
             gpu_of,
             num_shards,
-            queries,
             batch,
-            arrival,
             seed,
+            arrivals_ns,
             Some(scenario),
-        )
+        );
+        Ok((stream, phase_changes))
     }
 
-    /// The materialising sink: moves every query's non-empty per-shard
-    /// lookups into that shard's task list.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs every shard's task generator in turn and keeps its tasks.
     fn collect(
         model: &ModelSpec,
         gpu_of: &[usize],
         num_shards: usize,
-        queries: u32,
         batch: usize,
-        arrival: ArrivalModel,
         seed: u64,
+        arrivals_ns: Vec<u64>,
         scenario: Option<&ScenarioSpec>,
-    ) -> (Self, Vec<PhaseChange>) {
-        let mut stream = Self {
-            arrivals_ns: Vec::with_capacity(queries as usize),
-            shard_tasks: vec![Vec::new(); num_shards],
-            total_lookups: 0,
-        };
-        let phase_changes = Self::generate_with(
-            model,
-            gpu_of,
-            num_shards,
-            queries,
-            batch,
-            arrival,
-            seed,
-            scenario,
-            |query, arrival_ns, per_shard| {
-                stream.arrivals_ns.push(arrival_ns);
-                for (tasks, lookups) in stream.shard_tasks.iter_mut().zip(per_shard) {
-                    if !lookups.is_empty() {
-                        stream.total_lookups += lookups.len() as u64;
-                        tasks.push(ShardTask {
-                            query,
-                            lookups: take_lookups(lookups),
-                        });
-                    }
-                }
-                ControlFlow::Continue(())
-            },
-        );
-        (stream, phase_changes)
-    }
-
-    /// The generator core. For each query in order it draws the arrival
-    /// time and the query's lookups, partitioned per shard, and calls
-    /// `emit(query, arrival_ns, per_shard)`. The core clears the buffers
-    /// before each query; the sink may move them out. Generation stops early
-    /// when `emit` breaks. Returns the scenario phase changes seen so far.
-    ///
-    /// # Panics
-    ///
-    /// As [`generate`](Self::generate).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn generate_with(
-        model: &ModelSpec,
-        gpu_of: &[usize],
-        num_shards: usize,
-        queries: u32,
-        batch: usize,
-        arrival: ArrivalModel,
-        seed: u64,
-        scenario: Option<&ScenarioSpec>,
-        mut emit: impl FnMut(u32, u64, &mut [Vec<(u32, u64)>]) -> ControlFlow<()>,
-    ) -> Vec<PhaseChange> {
+    ) -> Self {
         assert_eq!(gpu_of.len(), model.num_features(), "routing/model mismatch");
         assert!(batch > 0, "a query must contain at least one sample");
         assert!(
             gpu_of.iter().all(|&g| g < num_shards),
             "routing targets an out-of-range shard"
         );
-        let mut hashers: Vec<_> = model.features().iter().map(|f| f.hasher()).collect();
-        let mut gen = SampleGenerator::with_guides(model, seed);
-        let mut arrival_rng = StdRng::seed_from_u64(seed ^ 0x5E2E_A221_7A1C_0FFE);
-        let boundaries = scenario.map(|s| s.boundaries_ns()).unwrap_or_default();
-        let mut applied = 0usize;
-        let mut phase = 0u32;
-        let mut phase_changes = Vec::new();
-
-        let mut now = 0u64;
-        let mut per_shard: Vec<Vec<(u32, u64)>> = vec![Vec::new(); num_shards];
-        for q in 0..queries {
-            let arrival_ns = now;
-            if let Some(spec) = scenario {
-                // Shifts due at or before this arrival rebuild the sampling
-                // state; the shifted stream stays fully seeded because the
-                // generator seed is derived from (seed, applied).
-                let due = spec.shifts_due(now);
-                if due > applied {
-                    applied = due;
-                    let shifted = spec.model_after(model, applied);
-                    hashers = shifted.features().iter().map(|f| f.hasher()).collect();
-                    gen = SampleGenerator::with_guides(
-                        &shifted,
-                        seed ^ (applied as u64).wrapping_mul(SHIFT_SEED_SALT),
-                    );
-                }
-                let now_phase = boundaries.iter().filter(|&&b| b <= now).count() as u32;
-                if now_phase > phase {
-                    phase = now_phase;
-                    phase_changes.push(PhaseChange {
-                        at_ns: now,
-                        phase,
-                        rate_multiplier: spec.rate_multiplier(now),
-                        shifts_applied: applied as u64,
-                    });
-                }
-            }
-            let mut gap = arrival.next_gap_ns(&mut arrival_rng);
-            if let Some(spec) = scenario {
-                gap = spec.scaled_gap_ns(gap, now);
-            }
-            // Saturates: a huge gap pins the clock at `u64::MAX` ns instead
-            // of wrapping, so arrivals never decrease.
-            now = now.saturating_add(gap);
-            for slot in &mut per_shard {
-                slot.clear();
-            }
-            for _ in 0..batch {
-                gen.sample_each(|t, v| per_shard[gpu_of[t]].push((t as u32, hashers[t].hash(v))));
-            }
-            if emit(q, arrival_ns, &mut per_shard).is_break() {
-                break;
-            }
+        let shard_tasks: Vec<Vec<ShardTask>> = (0..num_shards)
+            .map(|shard| {
+                shard_tasks(model, gpu_of, shard, batch, seed, &arrivals_ns, scenario)
+                    .map(|(query, _, lookups)| ShardTask { query, lookups })
+                    .collect()
+            })
+            .collect();
+        let total_lookups = shard_tasks
+            .iter()
+            .flatten()
+            .map(|task| task.lookups.len() as u64)
+            .sum();
+        Self {
+            arrivals_ns,
+            shard_tasks,
+            total_lookups,
         }
-        phase_changes
     }
 
     /// Number of queries in the stream.
@@ -323,16 +228,93 @@ impl RequestStream {
     }
 }
 
-/// Moves a query's lookups out of a generator buffer, leaving an empty one
-/// sized for the next query (consecutive queries draw similar counts).
-pub(crate) fn take_lookups(buffer: &mut Vec<(u32, u64)>) -> Vec<(u32, u64)> {
-    let capacity = buffer.len();
-    std::mem::replace(buffer, Vec::with_capacity(capacity))
+/// The arrival time of each of `queries` queries and the scenario phase
+/// changes they cross, drawn from the arrival RNG alone. Every shard shares
+/// this schedule.
+pub(crate) fn schedule(
+    queries: u32,
+    arrival: ArrivalModel,
+    seed: u64,
+    scenario: Option<&ScenarioSpec>,
+) -> (Vec<u64>, Vec<PhaseChange>) {
+    let mut arrival_rng = StdRng::seed_from_u64(seed ^ 0x5E2E_A221_7A1C_0FFE);
+    let boundaries = scenario.map(|s| s.boundaries_ns()).unwrap_or_default();
+    let mut phase = 0u32;
+    let mut phase_changes = Vec::new();
+    let mut arrivals_ns = Vec::with_capacity(queries as usize);
+    let mut now = 0u64;
+    for _ in 0..queries {
+        arrivals_ns.push(now);
+        if let Some(spec) = scenario {
+            let now_phase = boundaries.iter().filter(|&&b| b <= now).count() as u32;
+            if now_phase > phase {
+                phase = now_phase;
+                phase_changes.push(PhaseChange {
+                    at_ns: now,
+                    phase,
+                    rate_multiplier: spec.rate_multiplier(now),
+                    shifts_applied: spec.shifts_due(now) as u64,
+                });
+            }
+        }
+        let mut gap = arrival.next_gap_ns(&mut arrival_rng);
+        if let Some(spec) = scenario {
+            gap = spec.scaled_gap_ns(gap, now);
+        }
+        // Saturates: a huge gap pins the clock at `u64::MAX` ns instead of
+        // wrapping, so arrivals never decrease.
+        now = now.saturating_add(gap);
+    }
+    (arrivals_ns, phase_changes)
+}
+
+/// One shard's tasks, in query order: for each query that touches the
+/// shard, `(query, arrival_ns, (table, hashed row) lookups)`. Each of the
+/// shard's tables draws its `batch` samples of a query from the stream
+/// keyed `(seed, query, table)`; a scenario shift due at an arrival
+/// rebuilds the shard's own samplers and hashers.
+pub(crate) fn shard_tasks<'a>(
+    model: &'a ModelSpec,
+    gpu_of: &'a [usize],
+    shard: usize,
+    batch: usize,
+    seed: u64,
+    arrivals_ns: &'a [u64],
+    scenario: Option<&'a ScenarioSpec>,
+) -> impl Iterator<Item = (u32, u64, Vec<(u32, u64)>)> + 'a {
+    let own_tables = move |model: &ModelSpec| -> Vec<(u32, FeatureSampler, FeatureHasher)> {
+        (model.features().iter().zip(gpu_of).enumerate())
+            .filter(|&(_, (_, &gpu))| gpu == shard)
+            .map(|(t, (spec, _))| (t as u32, FeatureSampler::guided(spec), spec.hasher()))
+            .collect()
+    };
+    let mut tables = own_tables(model);
+    let (mut shifts, mut capacity) = (0, 0);
+    (0u32..)
+        .zip(arrivals_ns)
+        .filter_map(move |(query, &arrival_ns)| {
+            if let Some(spec) = scenario {
+                let due = spec.shifts_due(arrival_ns);
+                if due > shifts {
+                    shifts = due;
+                    tables = own_tables(&spec.model_after(model, due));
+                }
+            }
+            let mut lookups = Vec::with_capacity(capacity);
+            for (t, sampler, hasher) in &tables {
+                let key = [seed, u64::from(query), u64::from(*t)];
+                sampler.draw_keyed(&key, batch, |v| lookups.push((*t, hasher.hash(v))));
+            }
+            capacity = lookups.len().max(capacity);
+            (!lookups.is_empty()).then_some((query, arrival_ns, lookups))
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::hash_placement;
+    use std::collections::BTreeMap;
 
     fn stream(seed: u64) -> (ModelSpec, RequestStream) {
         let model = ModelSpec::small(6, 4);
@@ -438,7 +420,8 @@ mod tests {
             ArrivalModel::FixedRate { interval_us: 10.0 },
             7,
             &ScenarioSpec::stationary(),
-        );
+        )
+        .unwrap();
         assert_eq!(s, plain, "stationary scenario must replay bit-identically");
         assert!(phases.is_empty());
     }
@@ -460,6 +443,7 @@ mod tests {
                 7,
                 &spec,
             )
+            .unwrap()
         };
         let (a, pa) = run();
         let (b, pb) = run();
@@ -486,5 +470,62 @@ mod tests {
             7,
         );
         assert_ne!(a.shard_tasks, plain_long.shard_tasks);
+    }
+
+    #[test]
+    fn invalid_scenario_is_a_typed_error() {
+        let model = ModelSpec::small(6, 4);
+        let gpu_of = vec![0; model.num_features()];
+        let bad = ScenarioSpec::flash_crowd(0.5e-3, 0.5e-3, -2.0);
+        let result = RequestStream::generate_scenario(
+            &model,
+            &gpu_of,
+            1,
+            10,
+            4,
+            ArrivalModel::FixedRate { interval_us: 10.0 },
+            7,
+            &bad,
+        );
+        assert!(matches!(result, Err(ServeError::InvalidScenario(_))));
+    }
+
+    /// Every `(query, table)`'s rows, in draw order.
+    fn by_table(stream: &RequestStream) -> BTreeMap<(u32, u32), Vec<u64>> {
+        let mut rows: BTreeMap<(u32, u32), Vec<u64>> = BTreeMap::new();
+        for task in stream.shard_tasks.iter().flatten() {
+            for &(t, row) in &task.lookups {
+                rows.entry((task.query, t)).or_default().push(row);
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn lookups_are_independent_of_the_placement() {
+        let model = ModelSpec::small(9, 4);
+        let spec = ScenarioSpec::flash_crowd(0.2e-3, 0.3e-3, 2.0);
+        let arrival = ArrivalModel::FixedRate { interval_us: 10.0 };
+        let generate = |shards: usize| {
+            let gpu_of = hash_placement(&model, shards).gpu_assignments();
+            let plain = RequestStream::generate(&model, &gpu_of, shards, 80, 4, arrival, 5);
+            let (shifted, _) =
+                RequestStream::generate_scenario(&model, &gpu_of, shards, 80, 4, arrival, 5, &spec)
+                    .unwrap();
+            (by_table(&plain), by_table(&shifted))
+        };
+        let two = generate(2);
+        assert!(!two.0.is_empty());
+        assert_eq!(two, generate(3));
+        // One table per shard: each table's stream drawn on its own.
+        assert_eq!(two, generate(model.num_features()));
+        // Each shard's generator alone draws exactly its share.
+        let gpu_of = hash_placement(&model, 3).gpu_assignments();
+        let (arrivals, _) = schedule(80, arrival, 5, None);
+        let one_shard: Vec<_> = shard_tasks(&model, &gpu_of, 1, 4, 5, &arrivals, None)
+            .map(|(query, _, lookups)| ShardTask { query, lookups })
+            .collect();
+        let full = RequestStream::generate(&model, &gpu_of, 3, 80, 4, arrival, 5);
+        assert_eq!(one_shard, full.shard_tasks[1]);
     }
 }

@@ -9,14 +9,12 @@
 //! faster than it drains — the open-loop behaviour that makes a poorly
 //! balanced placement's p99 diverge.
 //!
-//! The stream is never materialised. The calling thread runs the
-//! [`RequestStream`] generator core and hands each shard its tasks —
-//! `(query, arrival, lookups)`, one per query that touches the shard — in
-//! chunks of `CHUNK_QUERIES` tasks over a bounded channel of
-//! `CHANNEL_DEPTH` chunks, so generation overlaps
-//! serving and only a few chunks per shard are resident at once. A worker
-//! that panics drops its receiver; the generator's next send to it fails,
-//! generation stops, and joining the worker re-raises its panic.
+//! The stream is never materialised and there is no generator thread. The
+//! calling thread computes the shared arrival schedule; then each worker,
+//! inside one [`std::thread::scope`], draws its own tables' lookups query
+//! by query from keyed per-(query, table) streams (see
+//! [`request`](crate::request)) and serves each task as it is drawn. A
+//! worker that panics re-raises its panic from `run` when it is joined.
 //!
 //! A query completes when its slowest shard finishes (fan-out/fan-in), so
 //! per-query latency is `max` over shard completions minus the arrival time.
@@ -24,35 +22,25 @@
 //! ([`StreamingCdf`](recshard_stats::StreamingCdf)) exactly as the
 //! discrete-event trainer reports its sojourn times.
 //!
-//! Determinism: the stream is seeded and generated in query order on one
-//! thread, each worker processes its own tasks in query order against state
-//! only it mutates, and the merge is a pure fold — so wall-clock scheduling
-//! of the threads (and the chunking) cannot change any reported number, and
-//! reports carry a fingerprint to prove it. The tests replay a materialised
-//! [`RequestStream::generate`] through the same shard loop and require the
-//! identical report.
+//! Determinism: every shard's tasks depend only on the seed, the schedule
+//! and the shard's own tables, each worker processes them in query order
+//! against state only it mutates, and the merge is a pure fold — so neither
+//! the thread schedule nor the thread count can change any reported number,
+//! and reports carry a fingerprint to prove it. The tests replay a
+//! materialised [`RequestStream::generate`](crate::RequestStream::generate)
+//! through the same shard loop on one thread and require the identical
+//! report.
 
 use crate::cache::{CacheConfig, CacheStats, Lookup, ShardedCache};
 use crate::error::ServeError;
 use crate::policy::{PolicyKind, StatGuide, StatGuidedConfig};
 use crate::report::ServeReport;
-use crate::request::{take_lookups, ArrivalModel, PhaseChange, RequestStream};
+use crate::request::{schedule, shard_tasks, ArrivalModel, PhaseChange};
 use recshard_data::{ModelSpec, ScenarioSpec};
 use recshard_obs::{Collector, MetricsRegistry, ObsBundle, ObsSink, TraceBuffer, TraceEvent};
 use recshard_sharding::{ShardingPlan, SystemSpec};
 use recshard_stats::DatasetProfile;
 use serde::{Deserialize, Serialize};
-use std::ops::ControlFlow;
-use std::sync::mpsc::sync_channel;
-
-/// Tasks (queries that touch the shard) per chunk handed to a shard worker.
-const CHUNK_QUERIES: usize = 64;
-/// Chunks a shard worker's channel holds before the generator blocks.
-const CHANNEL_DEPTH: usize = 4;
-
-/// One shard's slice of one query: `(query, arrival_ns, (table, row)
-/// lookups)`.
-type Task = (u32, u64, Vec<(u32, u64)>);
 
 /// Configuration of a serving run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -209,9 +197,9 @@ impl InferenceServer {
 
     /// Like [`run`](Self::run), but serving a scenario-modulated stream:
     /// arrival gaps follow the spec's rate curves and distribution shifts
-    /// re-derive the sampled traffic mid-run
-    /// (see [`RequestStream::generate_scenario`]). A stationary scenario
-    /// reproduces [`run`](Self::run) bit-for-bit.
+    /// re-derive the sampled traffic mid-run (see
+    /// [`RequestStream::generate_scenario`](crate::RequestStream::generate_scenario)).
+    /// A stationary scenario reproduces [`run`](Self::run) bit-for-bit.
     ///
     /// # Panics
     ///
@@ -391,8 +379,8 @@ impl InferenceServer {
         Ok(Self::merge(plan, &arrivals_ns, &shards, runs, &config, obs))
     }
 
-    /// Generates the stream on this thread and serves it on one worker per
-    /// shard, each owning its cache (see the module doc). Returns the
+    /// Serves the stream on one worker per shard, each drawing and serving
+    /// its own tasks and owning its cache (see the module doc). Returns the
     /// arrivals, the scenario phase changes and the per-shard results in
     /// shard order.
     fn pipeline(
@@ -404,67 +392,28 @@ impl InferenceServer {
         scenario: Option<&ScenarioSpec>,
         traced: bool,
     ) -> (Vec<u64>, Vec<PhaseChange>, Vec<ShardRun>) {
-        let total_queries = config.warmup + config.queries;
-        let mut arrivals_ns = Vec::with_capacity(total_queries as usize);
-        let mut phase_changes = Vec::new();
-        // One worker thread per GPU shard; each owns its cache and clock, so
-        // the merged result is schedule-independent. Traced runs buffer
-        // per-shard records privately and merge them in shard order
-        // afterwards, keeping the trace deterministic too.
+        let queries = config.warmup + config.queries;
+        let (arrivals_ns, phase_changes) = schedule(queries, config.arrival, config.seed, scenario);
+        // Each worker owns its cache and clock, so the merged result is
+        // schedule-independent. Traced runs buffer per-shard records
+        // privately and merge them in shard order afterwards, keeping the
+        // trace deterministic too.
         let runs = std::thread::scope(|scope| {
-            let (senders, handles): (Vec<_>, Vec<_>) = caches
+            let handles: Vec<_> = caches
                 .into_iter()
                 .enumerate()
                 .map(|(gpu, cache)| {
-                    let (tx, rx) = sync_channel::<Vec<Task>>(CHANNEL_DEPTH);
+                    let (gpu_of, arrivals) = (&shards.gpu_of, &arrivals_ns);
+                    let (batch, seed) = (config.batch_size, config.seed);
                     // recshard-lint: allow(thread-fanin) -- workers share no
                     // mutable state and are joined in shard-index order below.
-                    let handle = scope.spawn(move || {
-                        let tasks = rx.into_iter().flatten();
+                    scope.spawn(move || {
+                        let tasks =
+                            shard_tasks(model, gpu_of, gpu, batch, seed, arrivals, scenario);
                         shards.run_shard(gpu, &cache, tasks, system, config, traced)
-                    });
-                    (tx, handle)
+                    })
                 })
-                .unzip();
-            let mut chunks: Vec<Vec<Task>> = senders
-                .iter()
-                .map(|_| Vec::with_capacity(CHUNK_QUERIES))
                 .collect();
-            phase_changes = RequestStream::generate_with(
-                model,
-                &shards.gpu_of,
-                senders.len(),
-                total_queries,
-                config.batch_size,
-                config.arrival,
-                config.seed,
-                scenario,
-                |query, arrival_ns, per_shard| {
-                    arrivals_ns.push(arrival_ns);
-                    for ((chunk, tx), lookups) in chunks.iter_mut().zip(&senders).zip(per_shard) {
-                        if lookups.is_empty() {
-                            continue;
-                        }
-                        chunk.push((query, arrival_ns, take_lookups(lookups)));
-                        if chunk.len() == CHUNK_QUERIES {
-                            let full = std::mem::replace(chunk, Vec::with_capacity(CHUNK_QUERIES));
-                            // Only a panicked worker drops its receiver.
-                            if tx.send(full).is_err() {
-                                return ControlFlow::Break(());
-                            }
-                        }
-                    }
-                    ControlFlow::Continue(())
-                },
-            );
-            for (chunk, tx) in chunks.into_iter().zip(&senders) {
-                // A failed send is a panicked worker; its join re-raises it.
-                if !chunk.is_empty() && tx.send(chunk).is_err() {
-                    break;
-                }
-            }
-            // Closing the channels ends every worker's task iterator.
-            drop(senders);
             handles
                 .into_iter()
                 .map(|h| {
@@ -790,6 +739,7 @@ fn or_panic(result: Result<ServeReport, ServeError>) -> ServeReport {
 mod tests {
     use super::*;
     use crate::placement::hash_placement;
+    use crate::request::RequestStream;
     use recshard_stats::DatasetProfiler;
 
     fn setup() -> (ModelSpec, DatasetProfile, SystemSpec) {
@@ -819,7 +769,7 @@ mod tests {
 
     /// The serving loop over a materialised stream: every shard replayed
     /// one after another on this thread from [`RequestStream::generate`]
-    /// (or `generate_scenario`), merged as the pipelined run merges.
+    /// (or `generate_scenario`), merged as the threaded run merges.
     fn reference_run(
         model: &ModelSpec,
         plan: &ShardingPlan,
@@ -846,7 +796,8 @@ mod tests {
                     arrival,
                     seed,
                     spec,
-                );
+                )
+                .unwrap();
                 stream
             }
         };
@@ -869,22 +820,17 @@ mod tests {
     fn pipelined_run_equals_the_materialised_replay() {
         let (model, profile, system) = setup();
         let plan = hash_placement(&model, 2);
-        // 457 queries: not a multiple of the chunk size.
-        let base = ServeConfig {
-            queries: 357,
-            ..config(PolicyKind::StatGuided)
-        };
-        assert_ne!((base.warmup + base.queries) as usize % CHUNK_QUERIES, 0);
+        let base = config(PolicyKind::StatGuided);
         for policy in PolicyKind::all() {
             let cfg = ServeConfig { policy, ..base };
             let reference = reference_run(&model, &plan, &profile, &system, cfg, None);
             let run = InferenceServer::run(&model, &plan, &profile, &system, cfg);
             assert_eq!(run, reference, "{policy}");
         }
-        // Fewer queries than one chunk: only the final flush sends.
+        // A run of a single measured query after a single warmup query.
         let tiny = ServeConfig {
-            queries: 9,
-            warmup: 2,
+            queries: 1,
+            warmup: 1,
             ..base
         };
         let reference = reference_run(&model, &plan, &profile, &system, tiny, None);
@@ -1060,14 +1006,11 @@ mod tests {
     fn a_panicking_worker_propagates_without_blocking_the_generator() {
         let (model, profile, system) = setup();
         let plan = hash_placement(&model, 2);
-        // Long enough that the channels fill many times over.
-        let cfg = ServeConfig {
-            queries: 20 * CHUNK_QUERIES as u32 * CHANNEL_DEPTH as u32,
-            ..config(PolicyKind::Lru)
-        };
+        let cfg = config(PolicyKind::Lru);
         let (mut shards, caches) = Shards::build(&model, &plan, &profile, &system, &cfg);
-        // Row widths for table 0 only: both workers index past them on
-        // their first task that touches another table, and panic.
+        // Row widths for table 0 only: shard 1 (tables 1, 3, ...) indexes
+        // past them on its first task and panics; shard 0 serves table 0
+        // and then panics too once it reaches table 2.
         shards.row_bytes.truncate(1);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             InferenceServer::pipeline(&model, &system, &shards, caches, &cfg, None, false)

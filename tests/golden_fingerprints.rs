@@ -55,7 +55,7 @@ const SOLVER_SCALING_GOLDEN: u64 = 0x6ba7_d67b_4171_619c;
 /// Committed fingerprints of the tiny `des_bench` and `scenario_bench`
 /// sweeps: FNV-1a hashes of their canonical JSON with timing blanked.
 const DES_BENCH_TINY_GOLDEN: u64 = 0x868c_34fc_c669_790e;
-const SCENARIO_BENCH_TINY_GOLDEN: u64 = 0x0ff8_a2e4_99dc_52d4;
+const SCENARIO_BENCH_TINY_GOLDEN: u64 = 0xd2d8_db8f_7fb5_484d;
 
 /// Committed per-point scalable-plan fingerprints of the tiny sweep
 /// (placement-level regression lock, finer than the JSON hash).
@@ -67,7 +67,7 @@ const HETERO_SCALING_PLAN_GOLDEN: [u64; 2] = [0x3a85_a2fe_9293_a897, 0x1695_d4a3
 
 /// Committed `InferenceServer::run` fingerprints of the scaled-down
 /// `serve_mixed` configuration, StatGuided then LRU.
-const SERVE_GOLDEN: [u64; 2] = [0x491e_4bcc_fb0e_99c3, 0x005e_a5c2_5887_06d1];
+const SERVE_GOLDEN: [u64; 2] = [0x83df_a45b_09ee_1245, 0x190a_e422_6f22_58c8];
 
 /// Committed FNV-1a hash over every `FeatureProfile` field of a 200-table
 /// `skewed_model` profiled over 1,200 samples: ranked rows, CDF cumulative
