@@ -1,13 +1,14 @@
-//! DES throughput trajectory: seeded events/sec sweep emitting the tracked
-//! `BENCH_des.json` artifact.
+//! DES throughput trajectory: seeded iterations/sec sweep emitting the
+//! tracked `BENCH_des.json` artifact.
 //!
 //! Runs the RecShard plan for the canonical skewed workload through the
 //! discrete-event cluster simulator at 4 and 16 GPUs, flat and with the
 //! two-level node topology, under identical seeds. Everything in the JSON
 //! is a pure function of the sweep configuration and seed **except** the
-//! wall-clock fields (`wall_ms`, `events_per_sec`), which are only written
-//! under `RECSHARD_BENCH_TIMING=1` — otherwise a `-1` sentinel keeps the
-//! artifact byte-stable, the same contract as `BENCH_solver.json`.
+//! wall-clock fields (`wall_ms`, `iters_per_sec`, `events_per_sec`), which
+//! are only written under `RECSHARD_BENCH_TIMING=1` — otherwise a `-1`
+//! sentinel keeps the artifact byte-stable, the same contract as
+//! `BENCH_solver.json`.
 //!
 //! A `contention` sweep rides along (uniform + incast scenarios, FIFO and
 //! shared-rate contention modes) and is serialised into the artifact's
@@ -16,7 +17,8 @@
 //! Gates (see `recshard_bench::artifact`): with `RECSHARD_BENCH_BASELINE`
 //! set, the run fails on event-log fingerprint drift in either section
 //! (`RECSHARD_BENCH_ALLOW_DRIFT=1` acknowledges intended drift) and, when
-//! both sides are timed, on events/sec regressions beyond 25%.
+//! both sides are timed, on wall iterations/sec regressions beyond 25%
+//! (events/sec is reported alongside, ungated).
 //!
 //! Observability export: when `RECSHARD_OBS_DIR` is set, the sweep's
 //! smallest flat point re-runs once with a collector attached and writes

@@ -7,9 +7,12 @@
 //! identical open-loop arrival pace. Every point records the run's
 //! event-log fingerprint, event count, virtual-time makespan/throughput
 //! and sojourn tails — all pure functions of the seed — plus wall-clock
-//! milliseconds and simulator events/sec, which are only written into the
-//! JSON under `RECSHARD_BENCH_TIMING=1` (otherwise the timing sentinel keeps
-//! the artifact byte-stable; see [`crate::artifact`]).
+//! milliseconds, simulated iterations per wall second (the headline rate)
+//! and simulator events per wall second (secondary: it rises with the GPU
+//! count and with any change that adds events, even when the work per
+//! iteration stays flat). Those three are only written into the JSON under
+//! `RECSHARD_BENCH_TIMING=1` (otherwise the timing sentinel keeps the
+//! artifact byte-stable; see [`crate::artifact`]).
 //!
 //! A `contention` sweep rides along: the uniform flat plan and an incast
 //! plan (all tables concentrated on non-receiving nodes), each run under
@@ -20,7 +23,7 @@
 //! split-bandwidth FIFO model's.
 //!
 //! [`SPEC`] gates the artifact on event-log fingerprint drift (both
-//! sections) and on a 25% events/sec floor.
+//! sections) and on a 25% floor on wall iterations/sec.
 
 use crate::artifact::{best_of, recorded, row, Artifact, Better, PerfGate, Row, Spec};
 use crate::report::env_u64;
@@ -32,9 +35,11 @@ use recshard_obs::{Collector, ObsBundle};
 use recshard_sharding::{NodeTopology, ShardingPlan, TablePlacement};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
 
-/// The `BENCH_des.json` artifact. The events/sec floor is generous because
-/// wall rates on shared runners are noisy: it catches instrumentation-scale
-/// slowdowns, not scheduler jitter.
+/// The `BENCH_des.json` artifact. The iterations/sec floor is generous
+/// because wall rates on shared runners are noisy: it catches
+/// instrumentation-scale slowdowns, not scheduler jitter. Events/sec is
+/// reported but not gated, so a change that drops events cannot read as a
+/// regression.
 pub static SPEC: Spec = Spec {
     bench: "des_throughput",
     file: "BENCH_des.json",
@@ -45,10 +50,10 @@ pub static SPEC: Spec = Spec {
             &["scenario", "mode", "gpus", "nodes", "iterations"],
         ),
     ],
-    timing: &["wall_ms", "events_per_sec"],
+    timing: &["wall_ms", "iters_per_sec", "events_per_sec"],
     drift_gated: true,
     perf: &[PerfGate {
-        metric: "events_per_sec",
+        metric: "iters_per_sec",
         better: Better::Higher,
         tolerance: 0.25,
     }],
@@ -74,7 +79,7 @@ pub struct DesBenchConfig {
     pub contention_iterations: u64,
     /// Master seed.
     pub seed: u64,
-    /// Measure wall-clock times and events/sec into the JSON (breaks
+    /// Measure wall-clock times and rates into the JSON (breaks
     /// byte-stability across runs; stdout always shows measured rates).
     pub include_timing: bool,
 }
@@ -168,6 +173,9 @@ pub struct DesBenchPoint {
     pub fingerprint: u64,
     /// Best-of-N ([`best_of`]) wall-clock time (ms), or `-1` when untimed.
     pub wall_ms: f64,
+    /// Simulated iterations per wall-clock second (best repetition), or
+    /// `-1`: the headline rate.
+    pub iters_per_sec: f64,
     /// Simulator events per wall-clock second (best repetition), or `-1`.
     pub events_per_sec: f64,
 }
@@ -181,7 +189,8 @@ impl DesBenchPoint {
             reshards: Int(u64::from(self.reshards)), makespan_ms: Float(self.makespan_ms),
             virtual_iters_per_s: Float(self.virtual_iters_per_s), p50_ms: Float(self.p50_ms),
             p99_ms: Float(self.p99_ms), fingerprint: Fingerprint(self.fingerprint),
-            wall_ms: Timing(self.wall_ms), events_per_sec: Timing(self.events_per_sec),
+            wall_ms: Timing(self.wall_ms), iters_per_sec: Timing(self.iters_per_sec),
+            events_per_sec: Timing(self.events_per_sec),
         ]
     }
 }
@@ -364,10 +373,13 @@ pub fn run_sweep(cfg: &DesBenchConfig) -> DesBenchReport {
             let (summary, wall_ms) = best_of(cfg.include_timing, || {
                 ClusterSimulator::new(&model, &plan, &profile, &system, cfg.cluster_config()).run()
             });
-            let events_per_sec = summary.events as f64 / (wall_ms / 1e3).max(1e-12);
+            let wall_s = (wall_ms / 1e3).max(1e-12);
+            let iters_per_sec = summary.completed as f64 / wall_s;
+            let events_per_sec = summary.events as f64 / wall_s;
             println!(
                 "des_bench: {gpus} GPUs x {nodes} node(s): {} events in {wall_ms:.1} ms \
-                 ({events_per_sec:.0} events/s wall), virtual {:.1} iters/s, \
+                 ({iters_per_sec:.0} iters/s, {events_per_sec:.0} events/s wall), \
+                 virtual {:.1} iters/s, \
                  sojourn p50/p99 {:.3}/{:.3} ms, fingerprint {:#018x}",
                 summary.events,
                 summary.throughput_iters_per_s,
@@ -387,6 +399,7 @@ pub fn run_sweep(cfg: &DesBenchConfig) -> DesBenchReport {
                 p99_ms: summary.p99_ms,
                 fingerprint: summary.fingerprint,
                 wall_ms: recorded(cfg.include_timing, wall_ms),
+                iters_per_sec: recorded(cfg.include_timing, iters_per_sec),
                 events_per_sec: recorded(cfg.include_timing, events_per_sec),
             });
         }
@@ -441,6 +454,7 @@ mod tests {
             assert!(p.p50_ms > 0.0 && p.p50_ms <= p.p99_ms);
             assert!(p.virtual_iters_per_s > 0.0);
             assert_eq!(p.wall_ms, TIMING_DISABLED);
+            assert_eq!(p.iters_per_sec, TIMING_DISABLED);
             assert_eq!(p.events_per_sec, TIMING_DISABLED);
         }
         assert_eq!(
@@ -475,8 +489,12 @@ mod tests {
         let (u, t) = (untimed.artifact(), timed.artifact());
         assert_ne!(u.to_json(), t.to_json());
         assert_eq!(u.fingerprint(), t.fingerprint());
-        assert!(timed.points[0].wall_ms >= 0.0);
-        assert!(timed.points[0].events_per_sec > 0.0);
+        let point = &timed.points[0];
+        assert!(point.wall_ms >= 0.0);
+        assert!(point.iters_per_sec > 0.0 && point.events_per_sec > point.iters_per_sec);
+        let events_per_iteration = point.events as f64 / point.iterations as f64;
+        let ratio = point.events_per_sec / point.iters_per_sec;
+        assert!((ratio - events_per_iteration).abs() < 1e-9 * events_per_iteration);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! re-shard somewhere in the sweep, and stationary traffic triggers none.
 //!
 //! [`SPEC`] gates the artifact on drift of either fingerprint and, when
-//! timing is on, on the same 25% events/sec floor as `des_bench`.
+//! timing is on, on a 25% events/sec floor.
 
 use crate::artifact::{best_of, recorded, row, Artifact, Better, PerfGate, Row, Spec};
 use crate::report::env_u64;

@@ -13,9 +13,10 @@
 //! [`SampleGenerator::sample_each`] visits each drawn `(feature, value)`
 //! without building a [`SparseSample`], and [`SampleGenerator::sample`]
 //! collects the same draws into one. [`FeatureSampler::draw_keyed`] runs it
-//! for one feature from an RNG seeded by a key (`stream_seed`), so
-//! independent streams (one per query and table when serving) can be drawn
-//! in any order, on any thread. Guided samplers draw values through a
+//! for one feature from an RNG seeded by a key ([`stream_seed`]), so
+//! independent streams (one per query and table when serving, one per
+//! iteration in the cluster simulator) can be drawn in any order, on any
+//! thread. Guided samplers draw values through a
 //! [`ZipfGuide`]: the same values from the same RNG words at 8 KB per
 //! feature, so only long streams (serving) build them.
 
@@ -33,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// seed unrelated generators. Seeding with `key * increment` instead would
 /// hand adjacent keys overlapping SplitMix64 sequences inside
 /// [`SeedableRng::seed_from_u64`].
-fn stream_seed(key: &[u64]) -> u64 {
+pub fn stream_seed(key: &[u64]) -> u64 {
     key.iter().fold(0, |h, &word| {
         let mut z = (h ^ word).wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

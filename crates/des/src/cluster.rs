@@ -10,7 +10,9 @@
 //!
 //! 1. **`Arrival`** — a batch arrives (input pipeline), its lookups are drawn
 //!    and each GPU's embedding work is enqueued at its station; the next
-//!    arrival is scheduled.
+//!    arrival is scheduled. Iteration `i`'s lookups come from the stream
+//!    keyed by `(seed, i)`, usually drawn ahead on worker threads while
+//!    earlier iterations run; see the `draws` module.
 //! 2. **`GpuDone`** — one GPU finished its gather for the iteration; when the
 //!    last GPU finishes, the all-to-all exchange starts (synchronous
 //!    training's barrier).
@@ -60,6 +62,7 @@
 //! resources with their own queueing.
 
 use crate::controller::{CheckOutcome, ReshardController};
+use crate::draws::IterationDraws;
 use crate::engine::EventQueue;
 use crate::error::{check_bandwidth, check_duration, DesError};
 use crate::resource::{CompletedTransfer, SharedRateResource};
@@ -583,12 +586,13 @@ pub struct ClusterSimulator<'obs> {
     base_model: ModelSpec,
     plan: ShardingPlan,
     strategy: String,
-    workload: IterationWorkload,
+    draws: IterationDraws,
+    /// The arriving iteration's per-GPU counters (reused buffer).
+    counters: Vec<AccessCounters>,
     tables_per_gpu: Vec<usize>,
     queue: EventQueue<Event>,
     stations: Vec<GpuStation>,
     arrival_rng: StdRng,
-    workload_rng: StdRng,
     iters: IterationStore,
     sojourn_cdf: StreamingCdf,
     completed: u64,
@@ -676,11 +680,11 @@ impl<'obs> ClusterSimulator<'obs> {
             strategy: plan.strategy().to_string(),
             tables_per_gpu: workload.tables_per_gpu(),
             plan: plan.clone(),
-            workload,
+            draws: IterationDraws::new(workload, config.seed, config.batch_size, config.iterations),
+            counters: vec![AccessCounters::new(); num_gpus],
             queue: EventQueue::new(),
             stations: (0..num_gpus).map(GpuStation::new).collect(),
             arrival_rng: StdRng::seed_from_u64(config.seed ^ 0xA221_7A1C_0FFE_E000),
-            workload_rng: StdRng::seed_from_u64(config.seed ^ 0x3A3B_0B5C_AFE5_0000),
             iters: IterationStore::new(gathers_per_iter),
             sojourn_cdf: StreamingCdf::latency_defaults(),
             completed: 0,
@@ -886,14 +890,13 @@ impl<'obs> ClusterSimulator<'obs> {
         }
         if refresh {
             let model = self.effective_model();
-            self.workload.install_model(&model);
+            self.draws.install_model(&model);
         }
         if let Some(event) = phase_event {
             self.obs.record(now.as_ns(), event);
         }
-        let counters = self
-            .workload
-            .sample_iteration(self.config.batch_size, &mut self.workload_rng);
+        let mut counters = std::mem::take(&mut self.counters);
+        self.draws.draw(iter, &mut counters);
         let obs_on = self.obs.enabled();
         self.iters
             .push(iter, IterRecord::arrived(now, self.stations.len() as u32));
@@ -946,6 +949,7 @@ impl<'obs> ClusterSimulator<'obs> {
                     .schedule_at(completion, Event::GpuDone { iter, gpu });
             }
         }
+        self.counters = counters;
 
         if iter + 1 < self.config.iterations {
             // The seeded gap draw is always consumed; the scenario only
@@ -1249,7 +1253,12 @@ impl<'obs> ClusterSimulator<'obs> {
             return;
         }
         let busy: Vec<u64> = self.stations.iter().map(|s| s.busy_ns()).collect();
-        let outcome = controller.check(&busy, self.workload.model(), &self.plan, &self.system);
+        let outcome = controller.check(
+            &busy,
+            self.draws.workload().model(),
+            &self.plan,
+            &self.system,
+        );
         match outcome {
             CheckOutcome::Balanced { imbalance } => {
                 self.obs.record(
@@ -1290,8 +1299,8 @@ impl<'obs> ClusterSimulator<'obs> {
                 for station in &mut self.stations {
                     station.stall(now, migration_ns);
                 }
-                self.workload.install_plan(&plan, &profile);
-                self.tables_per_gpu = self.workload.tables_per_gpu();
+                self.draws.install_plan(&plan, &profile);
+                self.tables_per_gpu = self.draws.workload().tables_per_gpu();
                 self.plan = plan;
                 if let Some(contention) = &mut self.contention {
                     // Shared-rate gathers are not gated by station free
@@ -1309,8 +1318,33 @@ impl<'obs> ClusterSimulator<'obs> {
         }
     }
 
-    /// Runs the simulation to completion and returns the summary.
-    pub fn run(mut self) -> RunSummary {
+    /// Sets the number of draw workers (0 = inline draws) in place of the
+    /// default taken from the available parallelism. The run's summary does
+    /// not depend on it.
+    #[cfg(test)]
+    fn with_draw_workers(mut self, workers: usize) -> Self {
+        self.draws = self.draws.with_workers(workers);
+        self
+    }
+
+    /// Draws iterations in order from one shared RNG, as the simulator did
+    /// before iterations were keyed: the reference the keyed streams are
+    /// tested against.
+    #[cfg(test)]
+    fn with_serial_draws(mut self) -> Self {
+        let seed = self.config.seed ^ 0x3A3B_0B5C_AFE5_0000;
+        self.draws = self.draws.serial_reference(seed);
+        self
+    }
+
+    /// Runs the simulation to completion and returns the summary. Draw
+    /// workers, if any, draw iterations ahead while it runs.
+    pub fn run(self) -> RunSummary {
+        let pool = self.draws.pool();
+        pool.drive(self.draws.workers(), move || self.simulate())
+    }
+
+    fn simulate(mut self) -> RunSummary {
         self.queue
             .schedule_at(SimTime::ZERO, Event::Arrival { iter: 0 });
         while let Some(scheduled) = self.queue.pop() {
@@ -1666,50 +1700,64 @@ mod tests {
         assert_eq!(phases, Some(recshard_obs::MetricValue::Counter(2)));
     }
 
-    #[test]
-    fn drift_storm_scenario_triggers_a_reshard() {
-        use crate::controller::{ReshardController, ReshardPolicy};
-        use recshard_sharding::LookupCost;
-        let (model, profile, system, _) = setup(2);
-        // A class-split plan (user tables on GPU 0, content on GPU 1, all
-        // HBM-resident): balanced enough under the original statistics, but
-        // three compounding drift waves (user pooling ×1.4 each, content
-        // ×0.7) pile all the extra gather work onto GPU 0.
-        let placements: Vec<TablePlacement> = model
+    /// A class-split plan (user tables on GPU 0, content on GPU 1) holding
+    /// `1 / hbm_divisor` of each table's rows in HBM: balanced enough under
+    /// the original statistics, but three compounding drift waves (user
+    /// pooling ×1.4 each, content ×0.7) pile all the extra gather work
+    /// onto GPU 0.
+    fn class_split_plan(model: &ModelSpec, hbm_divisor: u64) -> ShardingPlan {
+        let placements = model
             .features()
             .iter()
             .map(|f| TablePlacement {
                 table: f.id,
                 gpu: f.id.index() % 2,
-                hbm_rows: f.hash_size,
+                hbm_rows: f.hash_size / hbm_divisor,
                 total_rows: f.hash_size,
                 row_bytes: f.row_bytes(),
             })
             .collect();
-        let plan = ShardingPlan::new("class-split", 2, placements);
-        let spec = ScenarioSpec::drift_storm(0.05, 0.05, 3);
+        ShardingPlan::new("class-split", 2, placements)
+    }
+
+    /// 600 iterations without launch overhead: busy time is pure gather
+    /// time, so the controller's imbalance signal reflects the (drifting)
+    /// lookup volumes and not the constant per-table kernel cost.
+    fn storm_config() -> ClusterConfig {
+        ClusterConfig {
+            kernel_overhead_us_per_table: 0.0,
+            ..config(600)
+        }
+    }
+
+    /// A controller checking every 100 iterations and re-solving with
+    /// lookup-balanced greedy sharding.
+    fn storm_controller() -> ReshardController {
+        let policy = crate::controller::ReshardPolicy {
+            check_every_iterations: 100,
+            ..Default::default()
+        };
+        let solver: Box<crate::controller::PlanSolver> = Box::new(|m, p, s, _prev| {
+            GreedySharder::new(recshard_sharding::LookupCost)
+                .shard(m, p, s)
+                .ok()
+        });
+        ReshardController::new(policy, solver)
+    }
+
+    #[test]
+    fn drift_storm_scenario_triggers_a_reshard() {
+        let (model, profile, system, _) = setup(2);
+        let plan = class_split_plan(&model, 1);
         let run = |scenario: Option<ScenarioSpec>| {
-            let policy = ReshardPolicy {
-                check_every_iterations: 100,
-                ..ReshardPolicy::default()
-            };
-            let solver: Box<crate::controller::PlanSolver> =
-                Box::new(|m, p, s, _prev| GreedySharder::new(LookupCost).shard(m, p, s).ok());
-            // No launch overhead: busy time is pure gather time, so the
-            // imbalance signal reflects the (drifting) lookup volumes and
-            // not the constant per-table kernel cost.
-            let cfg = ClusterConfig {
-                kernel_overhead_us_per_table: 0.0,
-                ..config(600)
-            };
-            let mut sim = ClusterSimulator::new(&model, &plan, &profile, &system, cfg)
-                .with_controller(ReshardController::new(policy, solver));
+            let mut sim = ClusterSimulator::new(&model, &plan, &profile, &system, storm_config())
+                .with_controller(storm_controller());
             if let Some(spec) = scenario {
                 sim = sim.with_scenario(spec);
             }
             sim.run()
         };
-        let stormed = run(Some(spec));
+        let stormed = run(Some(ScenarioSpec::drift_storm(0.05, 0.05, 3)));
         assert!(
             stormed.reshards >= 1,
             "a sustained drift storm must trip the re-sharding controller \
@@ -1736,6 +1784,200 @@ mod tests {
         let a = ClusterSimulator::new(&model, &plan, &profile, &system, cfg).run();
         let b = ClusterSimulator::new(&model, &plan, &profile, &system, cfg).run();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn summaries_are_identical_for_any_draw_worker_count() {
+        // FIFO stations on 4 GPUs, and shared-rate links under a drift
+        // storm whose shifts (`install_model`) and controller re-shards
+        // (`install_plan`) land while later iterations are drawn ahead.
+        let (model, profile, system, plan) = setup(4);
+        let fifo = |workers| {
+            ClusterSimulator::new(&model, &plan, &profile, &system, config(700))
+                .with_draw_workers(workers)
+                .run()
+        };
+        let (split_model, split_profile, split_system, _) = setup(2);
+        let split = class_split_plan(&split_model, 1);
+        let contended = |workers| {
+            let cfg = ClusterConfig {
+                contention: ContentionMode::SharedRate,
+                ..storm_config()
+            };
+            ClusterSimulator::new(&split_model, &split, &split_profile, &split_system, cfg)
+                .with_scenario(ScenarioSpec::drift_storm(0.05, 0.05, 3))
+                .with_controller(storm_controller())
+                .with_draw_workers(workers)
+                .run()
+        };
+        let (fifo_inline, contended_inline) = (fifo(0), contended(0));
+        assert!(contended_inline.reshards >= 1, "the storm must re-shard");
+        for workers in [1, 2, 4] {
+            assert_eq!(fifo(workers), fifo_inline, "FIFO, {workers} workers");
+            assert_eq!(
+                contended(workers),
+                contended_inline,
+                "shared-rate storm, {workers} workers"
+            );
+        }
+    }
+
+    /// Two-sample chi-squared statistic over paired histograms, and its
+    /// degrees of freedom (non-empty bins minus one).
+    fn chi_squared(a: &[u64], b: &[u64]) -> (f64, usize) {
+        let (na, nb) = (a.iter().sum::<u64>() as f64, b.iter().sum::<u64>() as f64);
+        let (ka, kb) = ((nb / na).sqrt(), (na / nb).sqrt());
+        let mut stat = 0.0;
+        let mut bins = 0;
+        for (&x, &y) in a.iter().zip(b) {
+            if x + y > 0 {
+                let d = x as f64 * ka - y as f64 * kb;
+                stat += d * d / (x + y) as f64;
+                bins += 1;
+            }
+        }
+        (stat, bins.max(1) - 1)
+    }
+
+    /// The chi-squared critical value at p = 0.001 (Wilson–Hilferty).
+    fn critical(df: usize) -> f64 {
+        let df = df.max(1) as f64;
+        let v = 2.0 / (9.0 * df);
+        df * (1.0 - v + 3.0902 * v.sqrt()).powi(3)
+    }
+
+    /// Histograms of two samples over the pooled sample's decile edges.
+    fn decile_histograms(a: &[u64], b: &[u64]) -> (Vec<u64>, Vec<u64>) {
+        let mut pooled: Vec<u64> = a.iter().chain(b).copied().collect();
+        pooled.sort_unstable();
+        let mut edges: Vec<u64> = (1..10).map(|k| pooled[k * pooled.len() / 10]).collect();
+        edges.dedup();
+        let histogram = |xs: &[u64]| {
+            let mut h = vec![0u64; edges.len() + 1];
+            for &x in xs {
+                h[edges.partition_point(|&e| e < x)] += 1;
+            }
+            h
+        };
+        (histogram(a), histogram(b))
+    }
+
+    /// The Mann–Whitney rank-sum z score of `a` against `b` (mid ranks for
+    /// ties, normal approximation).
+    fn rank_sum_z(a: &[f64], b: &[f64]) -> f64 {
+        let mut pooled: Vec<(f64, bool)> = a
+            .iter()
+            .map(|&x| (x, true))
+            .chain(b.iter().map(|&x| (x, false)))
+            .collect();
+        pooled.sort_by(|x, y| x.0.total_cmp(&y.0));
+        let mut rank_sum_a = 0.0;
+        let mut i = 0;
+        while i < pooled.len() {
+            let mut j = i;
+            while j < pooled.len() && pooled[j].0 == pooled[i].0 {
+                j += 1;
+            }
+            let mid_rank = (i + j + 1) as f64 / 2.0;
+            rank_sum_a += mid_rank * pooled[i..j].iter().filter(|p| p.1).count() as f64;
+            i = j;
+        }
+        let (na, nb) = (a.len() as f64, b.len() as f64);
+        let u = rank_sum_a - na * (na + 1.0) / 2.0;
+        (u - na * nb / 2.0) / (na * nb * (na + nb + 1.0) / 12.0).sqrt()
+    }
+
+    #[test]
+    fn keyed_streams_match_the_shared_stream_in_distribution() {
+        // Per-GPU HBM and UVM counts of 2,000 iterations keyed (seed, i)
+        // against 2,000 from one shared RNG: every decile chi-squared stays
+        // below its p = 0.001 critical value.
+        const ITERS: u64 = 2_000;
+        const BATCH: usize = 16;
+        let (model, profile, system, _) = setup(2);
+        let plan = class_split_plan(&model, 4);
+        let workload = IterationWorkload::new(&model, &plan, &profile);
+        let per_gpu_tier = |draws: Vec<Vec<AccessCounters>>| {
+            let mut counts = vec![[Vec::new(), Vec::new()]; 2];
+            for iteration in draws {
+                for (gpu, c) in iteration.iter().enumerate() {
+                    counts[gpu][0].push(c.hbm_accesses);
+                    counts[gpu][1].push(c.uvm_accesses);
+                }
+            }
+            counts
+        };
+        let keyed = |workload: &IterationWorkload, batch| {
+            per_gpu_tier(
+                (0..ITERS)
+                    .map(|i| {
+                        let mut out = vec![AccessCounters::new(); 2];
+                        workload.sample_iteration_keyed(batch, &[5, i], &mut out);
+                        out
+                    })
+                    .collect(),
+            )
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        let shared = per_gpu_tier(
+            (0..ITERS)
+                .map(|_| workload.sample_iteration(BATCH, &mut rng))
+                .collect(),
+        );
+        let check = |other: &[[Vec<u64>; 2]]| {
+            let mut worst = 0.0f64;
+            for (gpu, tiers) in other.iter().enumerate() {
+                for (tier, sample) in tiers.iter().enumerate() {
+                    assert!(sample.iter().any(|&n| n > 0), "GPU {gpu} tier {tier} idle");
+                    let (a, b) = decile_histograms(sample, &shared[gpu][tier]);
+                    let (stat, df) = chi_squared(&a, &b);
+                    worst = worst.max(stat / critical(df));
+                }
+            }
+            worst
+        };
+        let worst = check(&keyed(&workload, BATCH));
+        assert!(
+            worst < 1.0,
+            "keyed counts differ: chi2 at {worst:.2} of critical"
+        );
+        // The test has power: one more sample per batch is rejected.
+        let bigger = check(&keyed(&workload, BATCH + 1));
+        assert!(bigger > 1.0, "a 1/16 larger batch passed: {bigger:.2}");
+
+        // Iteration p50 and p99 of loaded Poisson runs over 12 seeds, keyed
+        // against the shared-stream reference: two-sided rank-sum tests at
+        // p = 0.001 (|z| < 3.29).
+        let cfg = |seed| ClusterConfig {
+            seed,
+            batch_size: BATCH,
+            arrival: ArrivalProcess::Poisson {
+                mean_interval_ms: 0.0017,
+            },
+            kernel_overhead_us_per_table: 0.0,
+            ..config(1_500)
+        };
+        let run = |seed, serial: bool| {
+            let sim = ClusterSimulator::new(&model, &plan, &profile, &system, cfg(seed));
+            if serial { sim.with_serial_draws() } else { sim }.run()
+        };
+        let (mut keyed_tails, mut shared_tails) = (Vec::new(), Vec::new());
+        for seed in 1..=12 {
+            keyed_tails.push(run(seed, false));
+            shared_tails.push(run(seed, true));
+        }
+        for (name, quantile) in [
+            ("p50", (|s: &RunSummary| s.p50_ms) as fn(&RunSummary) -> f64),
+            ("p99", |s: &RunSummary| s.p99_ms),
+        ] {
+            let a: Vec<f64> = keyed_tails.iter().map(quantile).collect();
+            let b: Vec<f64> = shared_tails.iter().map(quantile).collect();
+            let z = rank_sum_z(&a, &b);
+            assert!(
+                z.abs() < 3.29,
+                "{name}: rank-sum z = {z:.2} ({a:?} vs {b:?})"
+            );
+        }
     }
 
     fn store_job(iter: u64, gpu: usize) -> GatherJob {

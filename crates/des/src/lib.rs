@@ -25,7 +25,9 @@
 //! * [`ArrivalProcess`] / [`IterationWorkload`] — fixed-rate or Poisson batch
 //!   arrivals whose lookups are drawn from the *same* Zipf/pooling/coverage
 //!   generators as the rest of the reproduction (`recshard-data`) and routed
-//!   through the active plan's remap tables.
+//!   through the active plan's remap tables. Each iteration draws from its
+//!   own keyed stream, so [`ClusterSimulator::run`] draws iterations ahead
+//!   on worker threads and the run is identical for any worker count.
 //! * an **all-to-all exchange barrier** — synchronous training completes an
 //!   iteration only after the slowest GPU's gather plus the interconnect
 //!   exchange.
@@ -75,6 +77,7 @@
 
 pub mod cluster;
 pub mod controller;
+mod draws;
 pub mod engine;
 pub mod error;
 pub mod resource;

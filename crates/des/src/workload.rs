@@ -13,13 +13,22 @@
 //! word and one byte load. They are bit-identical to drawing, hashing and
 //! remapping each lookup; the `recshard_data::zipf` module doc gives the
 //! exactness argument.
+//!
+//! [`IterationWorkload::sample_iteration`] draws from a caller's RNG, so
+//! iterations drawn from one shared stream must be drawn in order, one
+//! after another. [`IterationWorkload::sample_iteration_keyed`] draws one
+//! iteration from its own stream, keyed through
+//! [`recshard_data::stream_seed`]; the cluster simulator keys iteration `i`
+//! by `(seed, i)` and draws iterations ahead on worker threads.
 
 use crate::error::DesError;
 use crate::time::SimTime;
 use rand::rngs::StdRng;
-use rand::Rng;
-use recshard_data::ModelSpec;
-use recshard_memsim::{sample_batch_accesses, AccessCounters, TableSampler};
+use rand::{Rng, SeedableRng};
+use recshard_data::{stream_seed, ModelSpec};
+use recshard_memsim::{
+    sample_batch_accesses, sample_batch_accesses_into, AccessCounters, TableSampler,
+};
 use recshard_sharding::ShardingPlan;
 use recshard_stats::DatasetProfile;
 use serde::{Deserialize, Serialize};
@@ -201,12 +210,36 @@ impl IterationWorkload {
             rng,
         )
     }
+
+    /// Draws one iteration of `batch` samples from the stream keyed by
+    /// `key` into `out`, one entry per GPU, without allocating: the kernel
+    /// of [`sample_iteration`](Self::sample_iteration) fed by
+    /// `StdRng::seed_from_u64(stream_seed(key))`.
+    ///
+    /// How many RNG words a lookup consumes does not depend on the
+    /// placement, so the lookups drawn are a function of `key` and the
+    /// model alone, and `out` of those lookups routed through the active
+    /// plan. Keys can be drawn in any order, on any thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` is zero or `out` has fewer entries than GPUs.
+    pub fn sample_iteration_keyed(&self, batch: usize, key: &[u64], out: &mut [AccessCounters]) {
+        let mut rng = StdRng::seed_from_u64(stream_seed(key));
+        sample_batch_accesses_into(
+            &self.model,
+            &self.samplers,
+            &self.gpu_of_table,
+            batch,
+            &mut rng,
+            out,
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
     use recshard_sharding::{GreedySharder, SizeCost, SystemSpec};
     use recshard_stats::DatasetProfiler;
 
@@ -359,5 +392,32 @@ mod tests {
         assert!(counters[0].uvm_accesses > 0);
         assert_eq!(counters[1].total_accesses(), 0);
         assert_eq!(w.tables_per_gpu(), vec![6, 0]);
+    }
+
+    #[test]
+    fn keyed_draws_match_a_fresh_inline_draw_in_any_order() {
+        let (model, profile, plan) = setup();
+        let w = IterationWorkload::new(&model, &plan, &profile);
+        let draw = |iter: u64| {
+            // Stale contents must not leak into the draw.
+            let mut out = vec![
+                AccessCounters {
+                    hbm_accesses: 7,
+                    ..AccessCounters::new()
+                };
+                2
+            ];
+            w.sample_iteration_keyed(24, &[11, iter], &mut out);
+            out
+        };
+        let forward: Vec<_> = (0..40).map(draw).collect();
+        for iter in (0..40).rev().chain((0..40).step_by(7)) {
+            assert_eq!(draw(iter), forward[iter as usize], "iteration {iter}");
+        }
+        for (iter, expected) in (0..).zip(&forward) {
+            let mut rng = StdRng::seed_from_u64(stream_seed(&[11, iter]));
+            assert_eq!(&w.sample_iteration(24, &mut rng), expected);
+        }
+        assert!(forward.windows(2).all(|pair| pair[0] != pair[1]));
     }
 }

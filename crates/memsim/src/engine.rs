@@ -320,7 +320,9 @@ impl EmbeddingOpSimulator {
 ///
 /// This is *the* trace-sampling kernel shared by the single-iteration
 /// simulator here and the discrete-event cluster simulator in
-/// `recshard-des`, so the two backends stay draw-for-draw comparable.
+/// `recshard-des`, so the two backends stay draw-for-draw comparable. It
+/// allocates the result; [`sample_batch_accesses_into`] fills a
+/// caller-owned buffer with the same counters from the same draws.
 ///
 /// # Panics
 ///
@@ -334,6 +336,26 @@ pub fn sample_batch_accesses<R: Rng + ?Sized>(
     simulated_batch: usize,
     rng: &mut R,
 ) -> Vec<AccessCounters> {
+    let mut counters = vec![AccessCounters::new(); num_gpus];
+    sample_batch_accesses_into(model, samplers, gpu_of, simulated_batch, rng, &mut counters);
+    counters
+}
+
+/// [`sample_batch_accesses`] into `out`, one entry per GPU: zeroes `out`,
+/// then accumulates the batch's counters into it without allocating.
+///
+/// # Panics
+///
+/// Panics if `simulated_batch` is zero, the slices disagree with the
+/// model's feature count, or a table's GPU is out of range of `out`.
+pub fn sample_batch_accesses_into<R: Rng + ?Sized>(
+    model: &ModelSpec,
+    samplers: &[TableSampler],
+    gpu_of: &[usize],
+    simulated_batch: usize,
+    rng: &mut R,
+    out: &mut [AccessCounters],
+) {
     assert!(
         simulated_batch > 0,
         "batch must contain at least one sample"
@@ -344,7 +366,7 @@ pub fn sample_batch_accesses<R: Rng + ?Sized>(
         "samplers/model mismatch"
     );
     assert_eq!(gpu_of.len(), model.num_features(), "gpu map/model mismatch");
-    let mut counters = vec![AccessCounters::new(); num_gpus];
+    out.fill(AccessCounters::new());
     for ((spec, sampler), &gpu) in model.features().iter().zip(samplers).zip(gpu_of) {
         let mut hbm_rows = 0u64;
         let mut uvm_rows = 0u64;
@@ -361,15 +383,15 @@ pub fn sample_batch_accesses<R: Rng + ?Sized>(
             }
         }
         let row_bytes = spec.row_bytes();
-        counters[gpu].record_hbm(hbm_rows, row_bytes);
-        counters[gpu].record_uvm(uvm_rows, row_bytes);
+        out[gpu].record_hbm(hbm_rows, row_bytes);
+        out[gpu].record_uvm(uvm_rows, row_bytes);
     }
-    counters
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use recshard_data::ModelSpec;
     use recshard_sharding::{GreedySharder, LookupCost, SizeCost, TablePlacement};
     use recshard_stats::DatasetProfiler;
@@ -514,5 +536,50 @@ mod tests {
             .unwrap();
         let sim = EmbeddingOpSimulator::new(&model, &plan, &profile, &system, SimConfig::default());
         assert_eq!(sim.remap_storage_bytes(), model.total_hash_size() * 4);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The `_into` kernel overwrites whatever `out` held with exactly
+        /// the allocating form's counters, from the same RNG words (both
+        /// RNGs end in the same state).
+        #[test]
+        fn sample_into_equals_the_allocating_kernel(
+            seed in any::<u64>(),
+            batch in 1usize..48,
+            hbm_rows in 0u64..64,
+            gpus in 1usize..4,
+            garbage in any::<u64>(),
+        ) {
+            let (model, profile, _) = setup(5);
+            let placements = model
+                .features()
+                .iter()
+                .map(|f| TablePlacement {
+                    table: f.id,
+                    gpu: f.id.index() % gpus,
+                    hbm_rows: hbm_rows.min(f.hash_size),
+                    total_rows: f.hash_size,
+                    row_bytes: f.row_bytes(),
+                })
+                .collect();
+            let plan = ShardingPlan::new("mixed", gpus, placements);
+            let samplers = TableSampler::for_plan(&model, &plan, &profile);
+            let gpu_of = plan.gpu_assignments();
+            let mut a = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut b = rand::rngs::StdRng::seed_from_u64(seed);
+            let expected = sample_batch_accesses(&model, &samplers, &gpu_of, gpus, batch, &mut a);
+            let stale = AccessCounters {
+                hbm_accesses: garbage,
+                uvm_accesses: garbage >> 1,
+                hbm_bytes: garbage >> 2,
+                uvm_bytes: garbage >> 3,
+            };
+            let mut out = vec![stale; gpus];
+            sample_batch_accesses_into(&model, &samplers, &gpu_of, batch, &mut b, &mut out);
+            prop_assert_eq!(&out, &expected);
+            prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
     }
 }

@@ -84,8 +84,8 @@ pub mod timing;
 pub use analytical::AnalyticalEstimator;
 pub use counters::AccessCounters;
 pub use engine::{
-    sample_batch_accesses, EmbeddingOpSimulator, GpuIterationStats, IterationReport, RunReport,
-    SimConfig,
+    sample_batch_accesses, sample_batch_accesses_into, EmbeddingOpSimulator, GpuIterationStats,
+    IterationReport, RunReport, SimConfig,
 };
 pub use sampler::TableSampler;
 pub use timing::embedding_kernel_time_ms;

@@ -366,7 +366,10 @@ impl StreamingCdf {
             let lo = rank.floor() as usize;
             let frac = rank - lo as f64;
             let hi = (lo + 1).min(sorted.len() - 1);
-            return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+            // `a + (b - a) * frac`, not `a * (1 - frac) + b * frac`: the
+            // latter can land an ulp below `a` between equal neighbours,
+            // so a higher quantile could read lower than a lower one.
+            return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
         }
         // Monotone repair: running max over markers up to and including q.
         self.quantiles[..=idx]
@@ -592,5 +595,16 @@ mod tests {
     #[should_panic(expected = "strictly inside")]
     fn p2_rejects_degenerate_quantile() {
         let _ = P2Quantile::new(1.0);
+    }
+
+    #[test]
+    fn exact_quantiles_of_equal_observations_are_that_value() {
+        // 0.95 * 38 leaves a fraction of 0.1: `a * 0.9 + a * 0.1` rounds to
+        // 0.04400799999999999 here, which would put p95 below p50.
+        let mut cdf = StreamingCdf::latency_defaults();
+        for _ in 0..39 {
+            cdf.push(0.044008);
+        }
+        assert_eq!([cdf.p50(), cdf.p95(), cdf.p99()], [0.044008; 3]);
     }
 }

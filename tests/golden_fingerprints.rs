@@ -31,20 +31,20 @@ use recshard_stats::{DatasetProfile, DatasetProfiler};
 /// Committed fingerprints of the scaled-down `des_throughput` run, in
 /// `Strategy::all()` order (SB, LB, SBL, RecShard).
 const DES_THROUGHPUT_GOLDEN: [u64; 4] = [
-    0x7687_f9c4_1968_5c4b,
-    0x695b_6bc5_8bc2_deca,
-    0xe817_6674_2fd0_97a0,
-    0xb457_439e_6d16_b2fb,
+    0xf292_4dba_a975_c232,
+    0x4c2f_8cba_2b25_1d55,
+    0x04dc_a2b2_47d4_d6cc,
+    0x311f_1dea_5d96_d7c5,
 ];
 
 /// Committed fingerprint of the shortened `train_contended` run (shared-rate
 /// links, 4×4 hierarchical plan, overlapping Poisson arrivals, a drift storm
 /// and a re-sharding controller).
-const CONTENDED_DES_GOLDEN: u64 = 0x7b02_c829_a906_002d;
+const CONTENDED_DES_GOLDEN: u64 = 0x98ae_fe94_2989_f37a;
 
 /// Committed fingerprint of the `fig13_scaling` DES backend (tiny config,
 /// RM1, RecShard plan).
-const FIG13_DES_GOLDEN: u64 = 0x30a1_6cc5_a413_0f6b;
+const FIG13_DES_GOLDEN: u64 = 0xd92d_83d9_727e_7cd7;
 
 /// Committed fingerprint of the tiny `solver_scaling` sweep: the FNV-1a hash
 /// of the canonical `BENCH_solver.json` payload with timing fields blanked.
@@ -54,8 +54,8 @@ const SOLVER_SCALING_GOLDEN: u64 = 0x6ba7_d67b_4171_619c;
 
 /// Committed fingerprints of the tiny `des_bench` and `scenario_bench`
 /// sweeps: FNV-1a hashes of their canonical JSON with timing blanked.
-const DES_BENCH_TINY_GOLDEN: u64 = 0x868c_34fc_c669_790e;
-const SCENARIO_BENCH_TINY_GOLDEN: u64 = 0xd2d8_db8f_7fb5_484d;
+const DES_BENCH_TINY_GOLDEN: u64 = 0x82a0_891d_f7ac_d199;
+const SCENARIO_BENCH_TINY_GOLDEN: u64 = 0x9a5d_fa18_1bee_331b;
 
 /// Committed per-point scalable-plan fingerprints of the tiny sweep
 /// (placement-level regression lock, finer than the JSON hash).

@@ -25,7 +25,7 @@ use recshard_stats::DatasetProfiler;
 /// RecShard run — the same constant `tests/golden_fingerprints.rs` commits
 /// (`DES_THROUGHPUT_GOLDEN[3]`). Re-asserted here under a no-op sink:
 /// instrumentation hooks must not move a single event.
-const DES_RECSHARD_GOLDEN: u64 = 0xb457_439e_6d16_b2fb;
+const DES_RECSHARD_GOLDEN: u64 = 0x311f_1dea_5d96_d7c5;
 
 /// The scaled-down `des_throughput` RecShard configuration of
 /// `tests/golden_fingerprints.rs`, optionally with a no-op sink attached.
