@@ -11,8 +11,8 @@
 //! 1. **`Arrival`** — a batch arrives (input pipeline), its lookups are drawn
 //!    and each GPU's embedding work is enqueued at its station; the next
 //!    arrival is scheduled. Iteration `i`'s lookups come from the stream
-//!    keyed by `(seed, i)`, usually drawn ahead on worker threads while
-//!    earlier iterations run; see the `draws` module.
+//!    keyed by `(seed, i)`, drawn ahead on a worker thread (given a
+//!    second CPU) while earlier iterations run; see the `draws` module.
 //! 2. **`GpuDone`** — one GPU finished its gather for the iteration; when the
 //!    last GPU finishes, the all-to-all exchange starts (synchronous
 //!    training's barrier).
@@ -1318,9 +1318,9 @@ impl<'obs> ClusterSimulator<'obs> {
         }
     }
 
-    /// Sets the number of draw workers (0 = inline draws) in place of the
-    /// default taken from the available parallelism. The run's summary does
-    /// not depend on it.
+    /// Sets the number of draw workers (0 = the simulator's thread draws
+    /// every chunk) in place of the default taken from the available
+    /// parallelism. The run's summary does not depend on it.
     #[cfg(test)]
     fn with_draw_workers(mut self, workers: usize) -> Self {
         self.draws = self.draws.with_workers(workers);

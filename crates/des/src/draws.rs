@@ -8,14 +8,14 @@
 //! of the iterations drawn before.
 //!
 //! [`IterationDraws`] hands the simulator each iteration's counters, strictly
-//! by iteration index. With no workers it draws each iteration inline when
-//! asked. With workers, [`DrawPool::drive`] runs the simulation inside a
-//! `thread::scope` whose workers draw chunks of [`CHUNK`] iterations ahead,
-//! up to [`WINDOW_CHUNKS`] chunks per worker past the chunk being read, into
-//! reused counter buffers. When the chunk it needs is not ready, the
-//! simulator's thread draws one itself (that chunk, or a later one while a
-//! worker finishes it) rather than wait for a worker to wake. Either way the
-//! simulator sees the same counters in the same order, so the run is
+//! by iteration index, from chunks of [`CHUNK`] iterations drawn into reused
+//! counter buffers. [`DrawPool::drive`] runs the simulation inside a
+//! `thread::scope` whose workers draw chunks ahead, up to [`WINDOW_CHUNKS`]
+//! chunks past the chunk being read. When the chunk it needs is not ready,
+//! the simulator's thread draws one itself (that chunk, or a later one while
+//! a worker finishes it) rather than wait for a worker to wake; with no
+//! workers it draws every chunk that way, and no scope is created. Either way
+//! the simulator sees the same counters in the same order, so the run is
 //! bit-identical for any worker count.
 //!
 //! Installs: a new model (drift, scenario shifts) or plan (re-shards) bumps
@@ -36,19 +36,17 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockRead
 
 /// Iterations per hand-off between a draw worker and the simulator.
 const CHUNK: u64 = 64;
-/// Chunks each worker may draw past the chunk the simulator is reading.
+/// Chunks the workers may draw past the chunk the simulator is reading.
 const WINDOW_CHUNKS: u64 = 2;
-/// Upper bound on draw workers, which also bounds the window's buffers.
-const MAX_WORKERS: usize = 4;
+/// Iterations the workers may draw past the chunk being read.
+const WINDOW: u64 = WINDOW_CHUNKS * CHUNK;
 
-/// The draw workers for a run of `iterations`: one per available CPU
-/// besides the simulator's own, which draws too (at most [`MAX_WORKERS`],
-/// and none past the run's chunk count). A single CPU gets none, and the
-/// draws run inline.
-pub(crate) fn default_workers(iterations: u64) -> usize {
+/// The draw workers: one when a CPU besides the simulator's own is
+/// available, none on a single CPU. One worker is the only count that was
+/// timed; more compete with the event core for CPUs.
+pub(crate) fn default_workers() -> usize {
     let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    let chunks = usize::try_from(iterations.div_ceil(CHUNK)).unwrap_or(usize::MAX);
-    (cpus - 1).min(MAX_WORKERS).min(chunks)
+    (cpus - 1).min(1)
 }
 
 /// The simulator's side of the draws: the chunk being read and the next
@@ -137,25 +135,20 @@ impl IterationDraws {
             #[cfg(test)]
             serial: None,
         };
-        draws.with_workers(default_workers(iterations))
+        draws.with_workers(default_workers())
     }
 
-    /// Sets the number of draw workers (0 = inline) before the run starts.
-    /// Every counter buffer the run can need is allocated here, on the
-    /// simulator's thread, so workers never allocate: the chunk being read,
-    /// the window's chunks, and one chunk per worker that an install leaves
-    /// drawing under the old epoch.
+    /// Sets the number of draw workers before the run starts. Every counter
+    /// buffer the run can need is allocated here, on the simulator's thread,
+    /// so workers never allocate: the chunk being read, the window's chunks,
+    /// and one chunk per worker that an install leaves drawing under the old
+    /// epoch.
     pub(crate) fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        let window = self.window();
         let capacity = CHUNK as usize * self.pool.read().num_gpus();
-        let buffers = if workers == 0 {
-            0
-        } else {
-            1 + window / CHUNK + workers as u64
-        };
+        let buffers = 1 + WINDOW_CHUNKS + workers as u64;
         let mut state = self.pool.lock();
-        state.limit = window;
+        state.limit = WINDOW;
         state.spare = (0..buffers).map(|_| Vec::with_capacity(capacity)).collect();
         drop(state);
         self
@@ -203,7 +196,7 @@ impl IterationDraws {
         let mut state = self.pool.lock();
         state.epoch += 1;
         state.next = self.next;
-        state.limit = self.next + self.window();
+        state.limit = self.next + WINDOW;
         let PoolState { done, spare, .. } = &mut *state;
         let stale = done.drain(..).chain(self.current.take());
         spare.extend(stale.map(|chunk| chunk.counters));
@@ -218,19 +211,19 @@ impl IterationDraws {
         self.pool.claimable.notify_all();
     }
 
-    /// Iterations the workers may draw past the chunk being read.
-    fn window(&self) -> u64 {
-        self.workers as u64 * WINDOW_CHUNKS * CHUNK
-    }
-
     /// Writes iteration `iter`'s per-GPU counters into `out`.
     ///
     /// # Panics
     ///
-    /// Panics unless iterations are asked for in order from 0, or if a draw
-    /// worker stopped.
+    /// Panics unless iterations are asked for in order from 0 and within the
+    /// run, if a draw worker stopped, or if the chunk taken does not hold
+    /// `iter`.
     pub(crate) fn draw(&mut self, iter: u64, out: &mut [AccessCounters]) {
         assert_eq!(iter, self.next, "iterations are drawn in order");
+        assert!(
+            iter < self.pool.iterations,
+            "iteration {iter} is past the run"
+        );
         self.next = iter + 1;
         #[cfg(test)]
         if let Some(rng) = &mut self.serial {
@@ -238,20 +231,13 @@ impl IterationDraws {
             out.copy_from_slice(&drawn);
             return;
         }
-        if self.workers == 0 {
-            self.pool
-                .read()
-                .sample_iteration_keyed(self.pool.batch, &[self.pool.seed, iter], out);
-            return;
-        }
         if let Some(counters) = self.current.as_ref().and_then(|c| c.get(iter)) {
             out.copy_from_slice(counters);
             return;
         }
         let chunk = self.take(iter);
-        if let Some(counters) = chunk.get(iter) {
-            out.copy_from_slice(counters);
-        }
+        assert_eq!(chunk.start, iter, "take returns the chunk starting at iter");
+        out.copy_from_slice(&chunk.counters[..chunk.gpus]);
         self.current = Some(chunk);
     }
 
@@ -264,7 +250,7 @@ impl IterationDraws {
         if let Some(used) = self.current.take() {
             state.spare.push(used.counters);
         }
-        state.limit = iter + CHUNK + self.window();
+        state.limit = iter + CHUNK + WINDOW;
         self.pool.claimable.notify_one();
         loop {
             if let Some(i) = state.done.iter().position(|c| c.start == iter) {
@@ -308,7 +294,8 @@ impl DrawPool {
     }
 
     /// Runs `body` (the simulation) with `workers` draw workers drawing
-    /// ahead, or inline with none. The pool closes when `body` returns or
+    /// ahead. With none, `body` runs without a scope and the simulator's
+    /// thread draws every chunk itself. The pool closes when `body` returns or
     /// unwinds, so the workers always exit and the scope always joins.
     pub(crate) fn drive<R>(&self, workers: usize, body: impl FnOnce() -> R) -> R {
         if workers == 0 {

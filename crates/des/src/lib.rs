@@ -27,7 +27,7 @@
 //!   generators as the rest of the reproduction (`recshard-data`) and routed
 //!   through the active plan's remap tables. Each iteration draws from its
 //!   own keyed stream, so [`ClusterSimulator::run`] draws iterations ahead
-//!   on worker threads and the run is identical for any worker count.
+//!   on a worker thread and the run is identical for any worker count.
 //! * an **all-to-all exchange barrier** — synchronous training completes an
 //!   iteration only after the slowest GPU's gather plus the interconnect
 //!   exchange.
