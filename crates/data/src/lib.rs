@@ -54,7 +54,9 @@ pub use growth::{GpuGeneration, GrowthPoint, GrowthTrend, HardwareCatalog};
 pub use hash::{FeatureHasher, HashStats};
 pub use model::{ModelSpec, RmKind};
 pub use pooling::PoolingSpec;
-pub use sample::{stream_seed, Batch, FeatureSampler, SampleGenerator, SparseSample};
+pub use sample::{
+    default_workers, stream_seed, Batch, FeatureSampler, SampleGenerator, SparseSample,
+};
 pub use scenario::{
     parse_trace_csv, RateCurve, ScenarioError, ScenarioSpec, ShiftEvent, ShiftKind, TracePoint,
 };

@@ -43,6 +43,16 @@ pub fn stream_seed(key: &[u64]) -> u64 {
     })
 }
 
+/// The worker threads that draw ahead of a consumer (the cluster
+/// simulator's keyed iteration draws, the profiler's sample stream): one
+/// when a CPU besides the caller's own is available, none on a single CPU,
+/// where the caller draws everything itself. One worker is the only count
+/// that was timed; more compete with the consumer for CPUs.
+pub fn default_workers() -> usize {
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    (cpus - 1).min(1)
+}
+
 /// One feature's per-sample draw: a Bernoulli presence draw with the
 /// feature's coverage, the pooling factor, then that many values from the
 /// feature's Zipf value distribution.

@@ -27,11 +27,10 @@
 //! claimed before the install lands.
 
 use crate::workload::IterationWorkload;
-use recshard_data::ModelSpec;
+use recshard_data::{default_workers, ModelSpec};
 use recshard_memsim::AccessCounters;
 use recshard_sharding::ShardingPlan;
 use recshard_stats::DatasetProfile;
-use std::num::NonZeroUsize;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 /// Iterations per hand-off between a draw worker and the simulator.
@@ -40,14 +39,6 @@ const CHUNK: u64 = 64;
 const WINDOW_CHUNKS: u64 = 2;
 /// Iterations the workers may draw past the chunk being read.
 const WINDOW: u64 = WINDOW_CHUNKS * CHUNK;
-
-/// The draw workers: one when a CPU besides the simulator's own is
-/// available, none on a single CPU. One worker is the only count that was
-/// timed; more compete with the event core for CPUs.
-pub(crate) fn default_workers() -> usize {
-    let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    (cpus - 1).min(1)
-}
 
 /// The simulator's side of the draws: the chunk being read and the next
 /// iteration to hand out.

@@ -200,9 +200,10 @@ pub struct Icdf {
 }
 
 impl Icdf {
-    /// Number of steps (the paper uses 100, giving 101 points).
+    /// Number of steps (the paper uses 100, giving 101 points); 0 for an
+    /// ICDF without points, which deserialising can produce.
     pub fn steps(&self) -> usize {
-        self.rows.len() - 1
+        self.rows.len().saturating_sub(1)
     }
 
     /// Number of rows needed to reach step `i` (access fraction `i / steps`).
@@ -229,9 +230,9 @@ impl Icdf {
     }
 
     /// Maximum number of rows (the rows needed for 100% access coverage —
-    /// i.e. every row that was ever accessed).
+    /// i.e. every row that was ever accessed); 0 for an ICDF without points.
     pub fn max_rows(&self) -> u64 {
-        *self.rows.last().expect("ICDF has at least one point")
+        self.rows.last().copied().unwrap_or(0)
     }
 }
 
@@ -342,6 +343,15 @@ mod tests {
         assert_eq!(cdf.rows_for_access_fraction(0.9), 0);
         assert_eq!(cdf.icdf(10).max_rows(), 0);
         assert_eq!(cdf.curve(10), vec![(0.0, 0.0)]);
+    }
+
+    #[test]
+    fn icdf_without_points_has_no_rows_and_no_steps() {
+        // `Deserialize` accepts an empty point list.
+        let icdf = Icdf { rows: Vec::new() };
+        assert_eq!(icdf.steps(), 0);
+        assert_eq!(icdf.max_rows(), 0);
+        assert_eq!(icdf.points().count(), 0);
     }
 
     #[test]
