@@ -14,10 +14,10 @@
 //! constants by running the failing test and copying the `actual` values
 //! from the assertion message.
 
-use recshard::{HierarchicalSolver, RecShardConfig};
+use recshard::{HierarchicalSolver, RecShard, RecShardConfig};
 use recshard_bench::des_bench::{self, DesBenchConfig};
 use recshard_bench::scenario_bench::{self, ScenarioBenchConfig};
-use recshard_bench::solver_bench::{run_sweep, SolverBenchConfig};
+use recshard_bench::solver_bench::{bench_system, run_sweep, SolverBenchConfig};
 use recshard_bench::{skewed_model, ExperimentConfig, Strategy};
 use recshard_data::{ModelSpec, RmKind, ScenarioSpec, ShiftEvent, ShiftKind};
 use recshard_des::{
@@ -25,7 +25,7 @@ use recshard_des::{
     ReshardPolicy, RunSummary,
 };
 use recshard_serve::{ArrivalModel, InferenceServer, PolicyKind, ServeConfig, ServeReport};
-use recshard_sharding::{NodeTopology, ShardingPlan, SystemSpec};
+use recshard_sharding::{ClusterSpec, DeviceClass, NodeTopology, ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
 
 /// Committed fingerprints of the scaled-down `des_throughput` run, in
@@ -74,6 +74,15 @@ const SERVE_GOLDEN: [u64; 2] = [0x83df_a45b_09ee_1245, 0x190a_e422_6f22_58c8];
 /// counts, lookups, present samples and the bits of coverage and average
 /// pooling. It pins the profiler itself, upstream of every plan and run.
 const PROFILE_GOLDEN: u64 = 0x27ef_3835_86f3_d1dc;
+
+/// Committed plan fingerprints of the default unbucketed `RecShard::plan`
+/// on a 300-table `skewed_model`, in `unbucketed_plan_systems` order: ample
+/// HBM, HBM cut 50x, and a pressured two-class cluster.
+const UNBUCKETED_PLAN_GOLDEN: [u64; 3] = [
+    0xd621_9ff2_723e_189a,
+    0x07f0_4b87_8a38_d539,
+    0x9a7e_81a0_c2f0_92ba,
+];
 
 /// The scaled-down `des_throughput` configuration: same skewed workload
 /// shape, same capacity pressure (HBM holds ~1/3 of the model), fixed
@@ -390,5 +399,87 @@ fn profile_fingerprint_is_bit_for_bit_stable() {
     assert_eq!(
         actual, PROFILE_GOLDEN,
         "dataset profile drifted (actual {actual:#018x}, golden {PROFILE_GOLDEN:#018x})"
+    );
+}
+
+/// The three systems of `UNBUCKETED_PLAN_GOLDEN`, each with whether split
+/// selection must downgrade on it:
+/// - `bench_system`, where every table's profiled-hot rows fit in HBM, so
+///   split selection keeps every table at its top step (as in `plan_5k`);
+/// - the same system with per-GPU HBM cut 50x, so split selection
+///   downgrades and refinement re-picks splits;
+/// - a mixed cluster of 4 fast GPUs and 4 slow ones with a third of their
+///   HBM, whose aggregate HBM equals the cut system's.
+fn unbucketed_plan_systems(model: &ModelSpec) -> [(SystemSpec, bool); 3] {
+    const GPUS: usize = 8;
+    let bytes = model.total_bytes();
+    let fair = bytes / (3 * GPUS as u64);
+    let big = DeviceClass::new("big", fair / 100 * 3, bytes, 3350.0, 50.0);
+    let small = DeviceClass::new("small", fair / 100, bytes, 1555.0, 16.0);
+    [
+        (bench_system(bytes, GPUS), false),
+        (
+            SystemSpec::uniform(GPUS, fair / 50, bytes, 1555.0, 16.0),
+            true,
+        ),
+        (
+            ClusterSpec::mixed(&[(big, GPUS / 2), (small, GPUS / 2)]),
+            true,
+        ),
+    ]
+}
+
+/// Order-sensitive FNV-1a hash over every placement of a plan.
+fn plan_fingerprint(plan: &ShardingPlan) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for p in plan.placements() {
+        for word in [
+            u64::from(p.table.0),
+            p.gpu as u64,
+            p.hbm_rows,
+            p.total_rows,
+            p.row_bytes,
+        ] {
+            hash ^= word;
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    hash
+}
+
+#[test]
+fn unbucketed_plan_fingerprints_are_bit_for_bit_stable() {
+    let model = skewed_model(300);
+    let profile = DatasetProfiler::profile_model(&model, 1_200, 0x7A11);
+    let config = RecShardConfig::default();
+    let actual = unbucketed_plan_systems(&model).map(|(system, pressured)| {
+        // Split selection downgrades exactly when the top steps (every
+        // profiled-hot row in HBM) overrun the slack-adjusted budget.
+        let top_demand: u64 = profile
+            .profiles()
+            .iter()
+            .map(|p| p.accessed_rows().min(p.hash_size) * p.row_bytes())
+            .sum();
+        let budget = (system.total_hbm_capacity() as f64 * (1.0 - config.hbm_slack)) as u64;
+        assert_eq!(top_demand > budget, pressured, "{top_demand} vs {budget}");
+        let plan = RecShard::new(config)
+            .plan(&model, &profile, &system)
+            .expect("unbucketed plan");
+        plan.validate(&model, &system).expect("valid plan");
+        assert_eq!(plan.strategy(), "recshard");
+        let at_top = plan
+            .placements()
+            .iter()
+            .zip(profile.profiles())
+            .all(|(placement, p)| placement.hbm_rows == p.accessed_rows().min(p.hash_size));
+        assert_eq!(
+            at_top, !pressured,
+            "top steps kept exactly when HBM is ample"
+        );
+        plan_fingerprint(&plan)
+    });
+    assert_eq!(
+        actual, UNBUCKETED_PLAN_GOLDEN,
+        "unbucketed plans drifted (actual {actual:#018x?}; ample, HBM / 50, two-class)"
     );
 }
