@@ -1,10 +1,13 @@
 //! Criterion bench for Section 6.6: RecShard partitioning/placement solve
 //! time (structured solver at full 397-table width, exact MILP on a small
-//! instance) as a function of GPU count.
+//! instance) as a function of GPU count, plus 5,000-table structured solves
+//! with ample HBM (split selection builds no cost menu) and with HBM cut
+//! 50x (it builds every one).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use recshard::{RecShard, RecShardConfig};
-use recshard_bench::ExperimentConfig;
+use recshard_bench::solver_bench::bench_system;
+use recshard_bench::{skewed_model, ExperimentConfig};
 use recshard_data::{ModelSpec, RmKind};
 use recshard_sharding::SystemSpec;
 use recshard_stats::DatasetProfiler;
@@ -53,6 +56,26 @@ fn solver_overhead(c: &mut Criterion) {
                 .expect("plan")
         });
     });
+
+    // Production width: the `plan_5k` shape (5,000 skewed tables, a
+    // 1,200-sample profile, 16 GPUs), on its ample system and with per-GPU
+    // HBM cut 50x.
+    let wide = skewed_model(5_000);
+    let wide_profile = DatasetProfiler::profile_model(&wide, 1_200, 11);
+    let ample = bench_system(wide.total_bytes(), 16);
+    let pressured = SystemSpec::uniform(
+        16,
+        ample.hbm_capacity(0) / 50,
+        wide.total_bytes(),
+        1555.0,
+        16.0,
+    );
+    for (label, system) in [("ample", &ample), ("hbm_div_50", &pressured)] {
+        group.bench_function(format!("structured_5000_tables_{label}"), |b| {
+            let sharder = RecShard::new(RecShardConfig::default());
+            b.iter(|| sharder.plan(&wide, &wide_profile, system).expect("plan"));
+        });
+    }
     group.finish();
 }
 

@@ -1,5 +1,12 @@
 //! The per-table cost model shared by the MILP formulation and the
 //! structured solver (constraints 11 and 12 of the paper).
+//!
+//! A [`TableCostModel`] is a table's menu of split options, one per ICDF
+//! step. The MILP formulation builds every table's menu. The structured
+//! solver builds a menu only when a solve needs a step below the table's
+//! top one, and until then prices the top step with
+//! [`TableCostModel::top_option`], which equals the menu's last option bit
+//! for bit.
 
 use crate::config::RecShardConfig;
 use recshard_sharding::DeviceClass;
@@ -53,6 +60,9 @@ impl TableCostModel {
     /// so solvers build (or evaluate) one menu per class. The menu's
     /// *geometry* — row counts and bytes per step — depends only on the
     /// profile and is identical across classes.
+    ///
+    /// The ICDF's `icdf_steps + 1` points come from one forward pass over
+    /// the table's CDF ([`AccessCdf::icdf`](recshard_stats::AccessCdf::icdf)).
     pub fn build(
         table: usize,
         profile: &FeatureProfile,
@@ -60,46 +70,35 @@ impl TableCostModel {
         batch_size: u32,
         config: &RecShardConfig,
     ) -> Self {
-        let row_bytes = profile.row_bytes();
+        let pricing = Pricing::new(profile, device, batch_size, config);
         let icdf = profile.icdf(config.icdf_steps);
-        let pooling = if config.use_pooling {
-            profile.avg_pooling.max(0.0)
-        } else {
-            1.0
-        };
-        let coverage = if config.use_coverage {
-            profile.coverage
-        } else {
-            1.0
-        };
-        // Expected bytes the table moves per iteration (before tier split).
-        let per_iter_bytes = pooling * row_bytes as f64 * batch_size as f64;
-        let hbm_gbps = device.hbm_bandwidth_gbps * 1e9;
-        let uvm_gbps = device.uvm_bandwidth_gbps * 1e9;
-
-        let mut options = Vec::with_capacity(config.icdf_steps + 1);
-        for step in 0..=config.icdf_steps {
-            let hbm_rows = icdf.rows_at_step(step).min(profile.hash_size);
-            // Use the *actual* CDF value at the chosen row count rather than
-            // the nominal step fraction: identical row counts then yield
-            // identical costs, keeping the option list monotone.
-            let pct = profile.cdf.access_fraction(hbm_rows);
-            let cost_seconds = per_iter_bytes * (pct / hbm_gbps + (1.0 - pct) / uvm_gbps);
-            options.push(SplitOption {
-                step,
-                hbm_rows,
-                hbm_bytes: hbm_rows * row_bytes,
-                uvm_bytes: (profile.hash_size - hbm_rows) * row_bytes,
-                hbm_access_fraction: pct,
-                weighted_cost: coverage * cost_seconds * 1e3, // milliseconds
-            });
-        }
+        let options = (0..=config.icdf_steps)
+            .map(|step| pricing.option(profile, step, icdf.rows_at_step(step)))
+            .collect();
         Self {
             table,
             total_rows: profile.hash_size,
-            row_bytes,
+            row_bytes: profile.row_bytes(),
             options,
         }
+    }
+
+    /// The last (most HBM-hungry, cheapest) option of the menu
+    /// [`build`](Self::build) makes, equal to it bit for bit, computed
+    /// directly: every profiled row in HBM. It costs one CDF search instead
+    /// of `icdf_steps + 1`, so a solver can price a table at its top step
+    /// without building the menu.
+    pub fn top_option(
+        profile: &FeatureProfile,
+        device: &DeviceClass,
+        batch_size: u32,
+        config: &RecShardConfig,
+    ) -> SplitOption {
+        Pricing::new(profile, device, batch_size, config).option(
+            profile,
+            config.icdf_steps,
+            profile.cdf.rows_for_access_fraction(1.0),
+        )
     }
 
     /// The coverage-weighted per-iteration cost (milliseconds) of keeping the
@@ -117,38 +116,70 @@ impl TableCostModel {
         config: &RecShardConfig,
         hbm_rows: u64,
     ) -> f64 {
+        Pricing::new(profile, device, batch_size, config)
+            .cost_ms(profile.cdf.access_fraction(hbm_rows.min(profile.hash_size)))
+    }
+}
+
+/// One table's pricing under one device class: everything in a split's
+/// cost except the fraction of accesses it serves from HBM.
+struct Pricing {
+    /// Expected bytes the table moves per iteration (before tier split).
+    per_iter_bytes: f64,
+    hbm_gbps: f64,
+    uvm_gbps: f64,
+    coverage: f64,
+}
+
+impl Pricing {
+    fn new(
+        profile: &FeatureProfile,
+        device: &DeviceClass,
+        batch_size: u32,
+        config: &RecShardConfig,
+    ) -> Self {
         let pooling = if config.use_pooling {
             profile.avg_pooling.max(0.0)
         } else {
             1.0
         };
-        let coverage = if config.use_coverage {
-            profile.coverage
-        } else {
-            1.0
-        };
-        // Expected bytes the table moves per iteration (before tier split).
-        let per_iter_bytes = pooling * profile.row_bytes() as f64 * batch_size as f64;
-        let hbm_gbps = device.hbm_bandwidth_gbps * 1e9;
-        let uvm_gbps = device.uvm_bandwidth_gbps * 1e9;
-        let pct = profile.cdf.access_fraction(hbm_rows.min(profile.hash_size));
-        let cost_seconds = per_iter_bytes * (pct / hbm_gbps + (1.0 - pct) / uvm_gbps);
-        coverage * cost_seconds * 1e3 // milliseconds
+        Self {
+            per_iter_bytes: pooling * profile.row_bytes() as f64 * batch_size as f64,
+            hbm_gbps: device.hbm_bandwidth_gbps * 1e9,
+            uvm_gbps: device.uvm_bandwidth_gbps * 1e9,
+            coverage: if config.use_coverage {
+                profile.coverage
+            } else {
+                1.0
+            },
+        }
     }
 
-    /// The option at a given ICDF step.
-    pub fn option(&self, step: usize) -> &SplitOption {
-        &self.options[step]
+    /// Coverage-weighted cost in milliseconds when a fraction `pct` of the
+    /// table's accesses is served from HBM.
+    fn cost_ms(&self, pct: f64) -> f64 {
+        let cost_seconds =
+            self.per_iter_bytes * (pct / self.hbm_gbps + (1.0 - pct) / self.uvm_gbps);
+        self.coverage * cost_seconds * 1e3
     }
 
-    /// The last (most HBM-hungry, cheapest) option.
-    pub fn max_option(&self) -> &SplitOption {
-        self.options.last().expect("at least one option")
-    }
-
-    /// The first (no-HBM, most expensive) option.
-    pub fn min_option(&self) -> &SplitOption {
-        self.options.first().expect("at least one option")
+    /// The split at ICDF step `step` keeping `rows` hot rows (clamped to
+    /// the table) in HBM.
+    fn option(&self, profile: &FeatureProfile, step: usize, rows: u64) -> SplitOption {
+        let hbm_rows = rows.min(profile.hash_size);
+        let row_bytes = profile.row_bytes();
+        // Use the *actual* CDF value at the chosen row count rather than
+        // the nominal step fraction: identical row counts then yield
+        // identical costs, keeping the option list monotone.
+        let pct = profile.cdf.access_fraction(hbm_rows);
+        SplitOption {
+            step,
+            hbm_rows,
+            hbm_bytes: hbm_rows * row_bytes,
+            uvm_bytes: (profile.hash_size - hbm_rows) * row_bytes,
+            hbm_access_fraction: pct,
+            weighted_cost: self.cost_ms(pct),
+        }
     }
 }
 
@@ -185,9 +216,9 @@ mod tests {
     #[test]
     fn step_zero_uses_no_hbm() {
         let m = build_one();
-        assert_eq!(m.min_option().hbm_rows, 0);
-        assert_eq!(m.min_option().hbm_bytes, 0);
-        assert_eq!(m.min_option().hbm_access_fraction, 0.0);
+        assert_eq!(m.options[0].hbm_rows, 0);
+        assert_eq!(m.options[0].hbm_bytes, 0);
+        assert_eq!(m.options[0].hbm_access_fraction, 0.0);
     }
 
     #[test]
@@ -211,7 +242,7 @@ mod tests {
         };
         let ablated = TableCostModel::build(0, p, &device, 256, &no_pool);
         if p.avg_pooling > 1.5 {
-            assert!(ablated.min_option().weighted_cost < full.min_option().weighted_cost);
+            assert!(ablated.options[0].weighted_cost < full.options[0].weighted_cost);
         }
     }
 }

@@ -20,17 +20,27 @@
 //!    swaps) with a backfill that spends each GPU's leftover HBM on its own
 //!    tables' splits, until neither improves.
 //!
+//! **Lazy menus.** A bucket's [`TableCostModel`] (one split option per
+//! ICDF step) is built the first time the solve needs a step below the
+//! bucket's top one — a phase-1 downgrade, a phase-2 capacity fallback, or
+//! a phase-3 move onto a GPU that cannot hold the top step — and is kept
+//! for the rest of the solve. Until then the top option comes from
+//! [`TableCostModel::top_option`], one CDF search. When every table's
+//! profiled-hot rows fit in HBM, phase 1 has nothing to downgrade and the
+//! solve builds few menus or none, so the `O(tables × icdf_steps)` cost of
+//! building them is paid only when HBM binds.
+//!
 //! **Bucketing.** The unbucketed solver ([`StructuredSolver::new`], the
 //! default) gives every table a bucket of its own. The bucketed
 //! configuration ([`StructuredSolver::with_bucketing`];
 //! [`ScalableSolver::new`](crate::scalable::ScalableSolver::new) builds it
 //! with default tuning) first groups
-//! near-identical tables with [`TableBuckets`], builds one
-//! [`TableCostModel`] per bucket representative, and lets each phase-1
-//! downgrade free `members × bytes` at once — shrinking the dominant
-//! `O(tables × icdf_steps)` term by the compression ratio. Assignment and
-//! refinement place every table individually and price it exactly from its
-//! own CDF either way, so both configurations emit equally granular plans.
+//! near-identical tables with [`TableBuckets`], prices one menu per bucket
+//! representative, and lets each phase-1 downgrade free `members × bytes`
+//! at once — shrinking the menu-building term, when HBM binds, by the
+//! compression ratio. Assignment and refinement place every table
+//! individually and price it exactly from its own CDF either way, so both
+//! configurations emit equally granular plans.
 //!
 //! **Heterogeneous clusters.** Split selection prices downgrades under the
 //! cluster's reference class; from phase 2 on every GPU is charged the cost
@@ -44,11 +54,12 @@
 
 use crate::bucketing::{BucketingConfig, TableBuckets};
 use crate::config::RecShardConfig;
-use crate::cost::TableCostModel;
+use crate::cost::{SplitOption, TableCostModel};
 use crate::error::RecShardError;
 use recshard_data::ModelSpec;
-use recshard_sharding::{ShardingPlan, SystemSpec, TablePlacement};
+use recshard_sharding::{DeviceClass, ShardingPlan, SystemSpec, TablePlacement};
 use recshard_stats::DatasetProfile;
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -119,6 +130,81 @@ impl Ord for Downgrade {
             .partial_cmp(&self.ratio)
             .unwrap_or(Ordering::Equal)
             .then(other.bucket.cmp(&self.bucket))
+    }
+}
+
+/// The split menus of one solve, one per bucket, priced under the
+/// cluster's reference class. A bucket's [`TableCostModel`] is built the
+/// first time the solve needs a step below its top one, and kept for the
+/// rest of the solve. Until then its top option, which is all the solve
+/// reads of a bucket while HBM does not bind, comes from
+/// [`TableCostModel::top_option`].
+struct Menus<'a> {
+    buckets: &'a TableBuckets,
+    profile: &'a DatasetProfile,
+    reference: DeviceClass,
+    batch: u32,
+    config: &'a RecShardConfig,
+    tops: Vec<SplitOption>,
+    built: Vec<OnceCell<TableCostModel>>,
+}
+
+impl<'a> Menus<'a> {
+    fn new(
+        buckets: &'a TableBuckets,
+        profile: &'a DatasetProfile,
+        reference: DeviceClass,
+        batch: u32,
+        config: &'a RecShardConfig,
+    ) -> Self {
+        let tops = buckets
+            .buckets()
+            .iter()
+            .map(|b| {
+                let rep = &profile.profiles()[b.representative];
+                TableCostModel::top_option(rep, &reference, batch, config)
+            })
+            .collect();
+        Self {
+            buckets,
+            profile,
+            reference,
+            batch,
+            config,
+            tops,
+            built: (0..buckets.num_buckets())
+                .map(|_| OnceCell::new())
+                .collect(),
+        }
+    }
+
+    /// The top (most HBM-hungry, cheapest) step, the same for every menu.
+    fn top_step(&self) -> usize {
+        self.config.icdf_steps
+    }
+
+    /// Bucket `b`'s full menu, built on first use.
+    fn menu(&self, b: usize) -> &TableCostModel {
+        self.built[b].get_or_init(|| {
+            let rep = self.buckets.buckets()[b].representative;
+            TableCostModel::build(
+                rep,
+                &self.profile.profiles()[rep],
+                &self.reference,
+                self.batch,
+                self.config,
+            )
+        })
+    }
+
+    /// Bucket `b`'s option at `step`; only a step below the top builds the
+    /// menu.
+    fn option(&self, b: usize, step: usize) -> &SplitOption {
+        if step == self.top_step() {
+            &self.tops[b]
+        } else {
+            &self.menu(b).options[step]
+        }
     }
 }
 
@@ -287,52 +373,46 @@ impl StructuredSolver {
             Some(bucketing) => TableBuckets::build(model, profile, bucketing),
             None => TableBuckets::singletons(num_tables),
         };
-        // One cost menu per bucket representative, built against the
+        // One cost menu per bucket representative, priced under the
         // cluster's reference class (class 0): phase-1 split selection needs
         // a single shared price per downgrade. Per-GPU costs during
         // assignment and refinement are charged under the owning GPU's own
         // device class (see `true_cost_on`), so heterogeneity only ever
         // sharpens the balancing.
         let reference = *system.reference_class();
-        let menus: Vec<TableCostModel> = buckets
-            .buckets()
-            .iter()
-            .map(|b| {
-                TableCostModel::build(
-                    b.representative,
-                    &profile.profiles()[b.representative],
-                    &reference,
-                    batch,
-                    &self.config,
-                )
-            })
-            .collect();
+        let menus = Menus::new(&buckets, profile, reference, batch, &self.config);
         let menu_of = buckets.bucket_of_table();
+        let top = menus.top_step();
 
         // ---- Phase 1: split selection over buckets ----
         let budget = (system.total_hbm_capacity() as f64 * (1.0 - self.config.hbm_slack)) as u64;
-        let mut bucket_step: Vec<usize> = menus.iter().map(|m| m.options.len() - 1).collect();
+        let mut bucket_step = vec![top; buckets.num_buckets()];
         let mut hbm_demand: u64 = buckets
             .buckets()
             .iter()
-            .zip(&menus)
-            .map(|(b, m)| m.max_option().hbm_bytes * b.members.len() as u64)
+            .enumerate()
+            .map(|(b, bucket)| menus.option(b, top).hbm_bytes * bucket.members.len() as u64)
             .sum();
-        let mut heap: BinaryHeap<Downgrade> = (0..menus.len())
-            .filter_map(|b| Downgrade::of(&menus[b], b, bucket_step[b]))
-            .collect();
-        while hbm_demand > budget {
-            let Some(d) = heap.pop() else { break };
-            if d.from != bucket_step[d.bucket] {
-                continue; // stale entry
-            }
-            let options = &menus[d.bucket].options;
-            let freed_each = options[d.from].hbm_bytes - options[d.to].hbm_bytes;
-            let members = buckets.buckets()[d.bucket].members.len() as u64;
-            bucket_step[d.bucket] = d.to;
-            hbm_demand -= freed_each * members;
-            if let Some(next) = Downgrade::of(&menus[d.bucket], d.bucket, d.to) {
-                heap.push(next);
+        // Pricing every bucket's first downgrade builds every menu, so the
+        // heap is built only when the top steps overrun the budget; when
+        // they fit, the loop would pop nothing.
+        if hbm_demand > budget {
+            let mut heap: BinaryHeap<Downgrade> = (0..buckets.num_buckets())
+                .filter_map(|b| Downgrade::of(menus.menu(b), b, top))
+                .collect();
+            while hbm_demand > budget {
+                let Some(d) = heap.pop() else { break };
+                if d.from != bucket_step[d.bucket] {
+                    continue; // stale entry
+                }
+                let menu = menus.menu(d.bucket);
+                let freed_each = menu.options[d.from].hbm_bytes - menu.options[d.to].hbm_bytes;
+                let members = buckets.buckets()[d.bucket].members.len() as u64;
+                bucket_step[d.bucket] = d.to;
+                hbm_demand -= freed_each * members;
+                if let Some(next) = Downgrade::of(menu, d.bucket, d.to) {
+                    heap.push(next);
+                }
             }
         }
 
@@ -365,7 +445,7 @@ impl StructuredSolver {
         // `cost_of[t]` is the cost of `t` at its current split under its
         // *current owner's* class once assigned (reference class before).
         let mut cost_of: Vec<f64> = (0..num_tables)
-            .map(|t| true_cost_at(t, menus[menu_of[t]].options[step[t]].hbm_rows))
+            .map(|t| true_cost_at(t, menus.option(menu_of[t], step[t]).hbm_rows))
             .collect();
 
         // ---- Phase 2: min-max assignment (LPT + capacity) ----
@@ -389,14 +469,14 @@ impl StructuredSolver {
             // fits there at the current split; the gated local search below
             // moves it only if that strictly improves the bottleneck.
             let seeded = seed_assignment.map(|seed| seed[t]).filter(|&g| {
-                let opt = &menus[menu_of[t]].options[step[t]];
+                let opt = menus.option(menu_of[t], step[t]);
                 hbm_free[g] >= opt.hbm_bytes && dram_free[g] >= opt.uvm_bytes
             });
             // Otherwise the cheapest-loaded GPU that can hold the table at
             // its current split; if none can, progressively downgrade the
             // split until one fits.
             let g = loop {
-                let opt = &menus[menu_of[t]].options[step[t]];
+                let opt = menus.option(menu_of[t], step[t]);
                 let candidate = seeded.or_else(|| {
                     (0..m)
                         .filter(|&g| hbm_free[g] >= opt.hbm_bytes && dram_free[g] >= opt.uvm_bytes)
@@ -415,7 +495,7 @@ impl StructuredSolver {
                     });
                 }
                 step[t] -= 1;
-                cost_of[t] = true_cost_at(t, menus[menu_of[t]].options[step[t]].hbm_rows);
+                cost_of[t] = true_cost_at(t, menus.option(menu_of[t], step[t]).hbm_rows);
             };
             gpu_cost[g] += cost_of[t];
             assignment[t] = g;
@@ -445,8 +525,9 @@ impl StructuredSolver {
                     .filter(|&t| assignment[t] == bottleneck)
                     .collect();
                 for &t in &tables_on_bottleneck {
-                    let menu = &menus[menu_of[t]];
-                    let opt = &menu.options[step[t]];
+                    let b = menu_of[t];
+                    let opt = menus.option(b, step[t]);
+                    let top_opt = menus.option(b, top);
                     let mut best: Option<(usize, usize, f64, f64)> = None; // (gpu, step, cost, new_max)
                     for g in 0..m {
                         if g == bottleneck {
@@ -456,15 +537,29 @@ impl StructuredSolver {
                         // non-decreasing and UVM bytes non-increasing over
                         // the options, so the feasible steps form a
                         // contiguous range found by two partition points.
-                        let hi = menu.options.partition_point(|o| o.hbm_bytes <= hbm_free[g]);
-                        let lo = menu.options.partition_point(|o| o.uvm_bytes > dram_free[g]);
-                        if hi == 0 || lo >= hi {
-                            continue;
-                        }
-                        let s = hi - 1;
-                        let moved_cost = true_cost_on(t, menu.options[s].hbm_rows, g);
+                        // It ends at the top step when that fits, and then
+                        // the menu need not be built.
+                        let s = if hbm_free[g] >= top_opt.hbm_bytes
+                            && dram_free[g] >= top_opt.uvm_bytes
+                        {
+                            top
+                        } else {
+                            let options = &menus.menu(b).options;
+                            let hi = options.partition_point(|o| o.hbm_bytes <= hbm_free[g]);
+                            let lo = options.partition_point(|o| o.uvm_bytes > dram_free[g]);
+                            if hi == 0 || lo >= hi {
+                                continue;
+                            }
+                            hi - 1
+                        };
+                        let moved_cost = true_cost_on(t, menus.option(b, s).hbm_rows, g);
                         let new_src = gpu_cost[bottleneck] - cost_of[t];
                         let new_dst = gpu_cost[g] + moved_cost;
+                        // `new_max` is at least `new_dst`: skip its O(m)
+                        // scan when `new_dst` alone rules the move out.
+                        if new_dst + 1e-12 >= gpu_cost[bottleneck] {
+                            continue;
+                        }
                         let new_max = (0..m)
                             .map(|x| {
                                 if x == bottleneck {
@@ -483,7 +578,7 @@ impl StructuredSolver {
                         }
                     }
                     if let Some((g, s, moved_cost, _)) = best {
-                        let dst_opt = &menu.options[s];
+                        let dst_opt = menus.option(b, s);
                         hbm_free[bottleneck] += opt.hbm_bytes;
                         dram_free[bottleneck] += opt.uvm_bytes;
                         hbm_free[g] -= dst_opt.hbm_bytes;
@@ -510,13 +605,13 @@ impl StructuredSolver {
                         if assignment[t1] != bottleneck {
                             continue;
                         }
-                        let o1 = &menus[menu_of[t1]].options[step[t1]];
+                        let o1 = menus.option(menu_of[t1], step[t1]);
                         for t2 in 0..num_tables {
                             let g = assignment[t2];
                             if g == bottleneck || cost_of[t2] + 1e-15 >= cost_of[t1] {
                                 continue;
                             }
-                            let o2 = &menus[menu_of[t2]].options[step[t2]];
+                            let o2 = menus.option(menu_of[t2], step[t2]);
                             let hbm_ok = hbm_free[bottleneck] + o1.hbm_bytes >= o2.hbm_bytes
                                 && hbm_free[g] + o2.hbm_bytes >= o1.hbm_bytes;
                             let dram_ok = dram_free[bottleneck] + o1.uvm_bytes >= o2.uvm_bytes
@@ -559,15 +654,16 @@ impl StructuredSolver {
 
             // -- 3b: backfill leftover per-GPU HBM by upgrading splits --
             // Candidate geometry comes from the shared menus; gains are
-            // computed exactly per table (O(1) CDF lookups).
+            // computed exactly per table (O(1) CDF lookups). A table at its
+            // top step has no candidates.
             for g in 0..m {
                 loop {
                     let mut best: Option<(usize, usize, f64, u64)> = None; // (table, new_step, gain, extra)
                     for t in (0..num_tables).filter(|&t| assignment[t] == g) {
-                        let menu = &menus[menu_of[t]];
-                        let cur = &menu.options[step[t]];
-                        for s in (step[t] + 1)..menu.options.len() {
-                            let cand = &menu.options[s];
+                        let b = menu_of[t];
+                        let cur = menus.option(b, step[t]);
+                        for s in (step[t] + 1)..=top {
+                            let cand = menus.option(b, s);
                             let extra = cand.hbm_bytes.saturating_sub(cur.hbm_bytes);
                             if extra > hbm_free[g] {
                                 break;
@@ -581,9 +677,10 @@ impl StructuredSolver {
                     let Some((t, s, gain, extra)) = best else {
                         break;
                     };
-                    let menu = &menus[menu_of[t]];
+                    let b = menu_of[t];
                     hbm_free[g] -= extra;
-                    dram_free[g] += menu.options[step[t]].uvm_bytes - menu.options[s].uvm_bytes;
+                    dram_free[g] +=
+                        menus.option(b, step[t]).uvm_bytes - menus.option(b, s).uvm_bytes;
                     gpu_cost[g] -= gain;
                     step[t] = s;
                     cost_of[t] -= gain;
@@ -607,7 +704,8 @@ impl StructuredSolver {
                 // The representative's split row count, clamped to this
                 // table's geometry (identical within a bucket by
                 // construction, the clamp is belt-and-braces).
-                hbm_rows: menus[menu_of[t]].options[step[t]]
+                hbm_rows: menus
+                    .option(menu_of[t], step[t])
                     .hbm_rows
                     .min(spec.hash_size),
                 total_rows: spec.hash_size,

@@ -3,12 +3,12 @@
 //! enumeration, and warm-start/cold-start equivalence.
 
 use proptest::prelude::*;
-use recshard::cost::TableCostModel;
+use recshard::cost::{SplitOption, TableCostModel};
 use recshard::{MilpFormulation, RecShard, RecShardConfig, StructuredSolver};
 use recshard_data::ModelSpec;
 use recshard_milp::SolveOptions;
-use recshard_sharding::{GreedySharder, SizeLookupCost, SystemSpec};
-use recshard_stats::{DatasetProfile, DatasetProfiler};
+use recshard_sharding::{DeviceClass, GreedySharder, SizeLookupCost, SystemSpec};
+use recshard_stats::{DatasetProfile, DatasetProfiler, FeatureProfile};
 
 /// Exhaustive optimum of the placement problem over the MILP's decision
 /// space: every (GPU, ICDF step) combination per table, per-GPU HBM/DRAM
@@ -67,8 +67,53 @@ fn tiny_instance(
     (model, profile, system)
 }
 
+/// Every field of a split option, floats as their bits.
+fn option_bits(o: &SplitOption) -> [u64; 6] {
+    [
+        o.step as u64,
+        o.hbm_rows,
+        o.hbm_bytes,
+        o.uvm_bytes,
+        o.hbm_access_fraction.to_bits(),
+        o.weighted_cost.to_bits(),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The directly computed top option equals the last option of the
+    /// built menu bit for bit, for every table, with pooling and coverage
+    /// on or off, at 1 to 200 ICDF steps and under any bandwidths.
+    #[test]
+    fn top_option_is_the_built_menus_last_option(
+        n_tables in 1usize..12,
+        seed in 0u64..1_000,
+        samples in 1usize..400,
+        steps in 1usize..200,
+        use_pooling in any::<bool>(),
+        use_coverage in any::<bool>(),
+        hbm_gbps in 100.0f64..4_000.0,
+        uvm_gbps in 1.0f64..100.0,
+        batch in 1u32..4_096,
+    ) {
+        let model = ModelSpec::small(n_tables, seed);
+        let profile = DatasetProfiler::profile_model(&model, samples, seed ^ 0x70B);
+        let config = RecShardConfig {
+            use_pooling,
+            use_coverage,
+            ..RecShardConfig::default().with_icdf_steps(steps)
+        };
+        let device = DeviceClass::new("gpu", 1 << 30, 1 << 34, hbm_gbps, uvm_gbps);
+        // A never-profiled table (empty CDF) rides along with the profiled ones.
+        let unprofiled = FeatureProfile::empty(&model.features()[0]);
+        for (t, p) in profile.profiles().iter().chain([&unprofiled]).enumerate() {
+            let menu = TableCostModel::build(t, p, &device, batch, &config);
+            let top = TableCostModel::top_option(p, &device, batch, &config);
+            prop_assert_eq!(menu.options.len(), steps + 1);
+            prop_assert_eq!(option_bits(&top), option_bits(&menu.options[steps]));
+        }
+    }
 
     /// Whenever the solver returns a plan it is structurally valid, within
     /// per-GPU capacities, and covers every table exactly once.

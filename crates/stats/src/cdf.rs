@@ -97,11 +97,9 @@ impl AccessCdf {
     /// Minimum number of hottest rows needed to cover at least `fraction` of
     /// all accesses. `fraction` is clamped to `[0, 1]`.
     pub fn rows_for_access_fraction(&self, fraction: f64) -> u64 {
-        let fraction = fraction.clamp(0.0, 1.0);
-        if self.total == 0 || fraction == 0.0 {
+        let Some(target) = self.access_target(fraction) else {
             return 0;
-        }
-        let target = (fraction * self.total as f64).ceil() as u64;
+        };
         // Binary search for the first cumulative count >= target.
         match self.cumulative.binary_search_by(|&c| {
             if c < target {
@@ -114,13 +112,43 @@ impl AccessCdf {
         }
     }
 
+    /// The access count `fraction` of all accesses needs (clamped to
+    /// `[0, 1]`), or `None` when that takes no rows.
+    fn access_target(&self, fraction: f64) -> Option<u64> {
+        let fraction = fraction.clamp(0.0, 1.0);
+        if self.total == 0 || fraction == 0.0 {
+            return None;
+        }
+        Some((fraction * self.total as f64).ceil() as u64)
+    }
+
     /// The piece-wise linear inverse CDF used by the MILP: `steps + 1` points,
     /// where point `i` is the number of rows needed to cover `i / steps` of
     /// all accesses (Section 4.2 uses `steps = 100`).
+    ///
+    /// Point `i` equals `rows_for_access_fraction(i / steps)`. The targets
+    /// never decrease with `i`, so each point's search starts where the
+    /// previous one stopped: one forward pass over the cumulative counts.
     pub fn icdf(&self, steps: usize) -> Icdf {
         assert!(steps >= 1, "ICDF needs at least one step");
+        let len = self.cumulative.len();
+        let mut first = 0; // first index whose count may reach the target
         let rows = (0..=steps)
-            .map(|i| self.rows_for_access_fraction(i as f64 / steps as f64))
+            .map(|i| {
+                let Some(target) = self.access_target(i as f64 / steps as f64) else {
+                    return 0;
+                };
+                // Gallop past `first` (offsets 0, 1, 3, 7, ...) to a count
+                // that reaches the target, then search the last gap.
+                let rest = &self.cumulative[first..];
+                let mut end = 1;
+                while end <= rest.len() && rest[end - 1] < target {
+                    end *= 2;
+                }
+                let start = end / 2;
+                first += start + rest[start..end.min(rest.len())].partition_point(|&c| c < target);
+                (first + 1).min(len) as u64
+            })
             .collect();
         Icdf { rows }
     }
@@ -213,11 +241,6 @@ impl Icdf {
     /// Panics if `i > steps`.
     pub fn rows_at_step(&self, i: usize) -> u64 {
         self.rows[i]
-    }
-
-    /// The access fraction corresponding to step `i`.
-    pub fn fraction_at_step(&self, i: usize) -> f64 {
-        i as f64 / self.steps() as f64
     }
 
     /// All `(fraction, rows)` points.

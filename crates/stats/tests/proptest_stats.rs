@@ -78,6 +78,59 @@ proptest! {
         }
         prop_assert_eq!(icdf.max_rows(), cdf.rows_ranked());
     }
+
+    /// The ICDF's single forward pass finds, at every step count, the same
+    /// points as one `rows_for_access_fraction` search per step: for
+    /// descending counts with zero tails, one row or none, and totals large
+    /// enough (up to about 2^60) that the `f64` targets round.
+    #[test]
+    fn icdf_walk_equals_per_step_searches(
+        counts in prop::collection::vec(0u64..1_000, 0..400),
+        zeros in 0usize..50,
+        shift in 0u32..42,
+    ) {
+        let mut counts: Vec<u64> = counts.into_iter().map(|c| c << shift).collect();
+        counts.extend(std::iter::repeat_n(0, zeros));
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        assert_icdf_matches_searches(&counts);
+    }
+}
+
+/// Checks `icdf` against per-step `rows_for_access_fraction` at 1, 5, 100
+/// and 1,000 steps.
+fn assert_icdf_matches_searches(counts: &[u64]) {
+    let cdf = AccessCdf::from_ranked_counts(counts);
+    for steps in [1usize, 5, 100, 1_000] {
+        let icdf = cdf.icdf(steps);
+        prop_assert_eq!(icdf.steps(), steps);
+        for i in 0..=steps {
+            prop_assert_eq!(
+                icdf.rows_at_step(i),
+                cdf.rows_for_access_fraction(i as f64 / steps as f64),
+                "step {} of {} over {} counts",
+                i,
+                steps,
+                counts.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn icdf_walk_equals_per_step_searches_on_edge_cases() {
+    let huge = u64::MAX / 4;
+    for counts in [
+        &[][..],
+        &[0],
+        &[0, 0, 0],
+        &[1],
+        &[9, 0, 0],
+        &[huge],
+        &[huge, huge - 1, 3, 0],
+        &[(1 << 53) + 1, 1, 1],
+    ] {
+        assert_icdf_matches_searches(counts);
+    }
 }
 
 /// Checks every read-only query of `map` against the `BTreeMap` reference.
