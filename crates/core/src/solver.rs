@@ -178,11 +178,6 @@ impl<'a> Menus<'a> {
         }
     }
 
-    /// The top (most HBM-hungry, cheapest) step, the same for every menu.
-    fn top_step(&self) -> usize {
-        self.config.icdf_steps
-    }
-
     /// Bucket `b`'s full menu, built on first use.
     fn menu(&self, b: usize) -> &TableCostModel {
         self.built[b].get_or_init(|| {
@@ -197,10 +192,10 @@ impl<'a> Menus<'a> {
         })
     }
 
-    /// Bucket `b`'s option at `step`; only a step below the top builds the
-    /// menu.
+    /// Bucket `b`'s option at `step`; only a step below the top one
+    /// (`icdf_steps`, the most HBM-hungry) builds the menu.
     fn option(&self, b: usize, step: usize) -> &SplitOption {
-        if step == self.top_step() {
+        if step == self.config.icdf_steps {
             &self.tops[b]
         } else {
             &self.menu(b).options[step]
@@ -382,7 +377,7 @@ impl StructuredSolver {
         let reference = *system.reference_class();
         let menus = Menus::new(&buckets, profile, reference, batch, &self.config);
         let menu_of = buckets.bucket_of_table();
-        let top = menus.top_step();
+        let top = self.config.icdf_steps;
 
         // ---- Phase 1: split selection over buckets ----
         let budget = (system.total_hbm_capacity() as f64 * (1.0 - self.config.hbm_slack)) as u64;
