@@ -737,69 +737,180 @@ mod tests {
         }
     }
 
+    /// Replays `accesses` of `(table, row, bytes)` through a cache of
+    /// `policy` (guided by `guide` under [`PolicyKind::StatGuided`]) and
+    /// through the reference side by side. After every access it compares
+    /// the outcome, the counters and the resident set. Returns the
+    /// reference, for the caller to inspect.
+    fn replay_against_reference(
+        policy: PolicyKind,
+        guide: &StatGuide,
+        capacity: u64,
+        accesses: &[(u32, u64, u64)],
+        case: &str,
+    ) -> ReferenceCache {
+        let config = CacheConfig::new(capacity);
+        let (fast, mut slow) = match policy {
+            PolicyKind::StatGuided => (
+                ShardedCache::with_guide(guide.clone(), config),
+                ReferenceCache::new(policy, Some(guide.clone()), capacity),
+            ),
+            _ => (
+                ShardedCache::new(policy, config),
+                ReferenceCache::new(policy, None, capacity),
+            ),
+        };
+        assert_eq!(fast.stats(), slow.stats, "{case} {policy}: warm-up");
+        for (i, &(table, row, bytes)) in accesses.iter().enumerate() {
+            let outcome = fast.access(table, row, bytes);
+            let at = || format!("{case} {policy}: access {i} of ({table}, {row}, {bytes} B)");
+            assert_eq!(outcome, slow.access(table, row, bytes), "{}", at());
+            assert_eq!(fast.stats(), slow.stats, "{}", at());
+            assert_eq!(
+                fast.contains(table, row),
+                slow.find(table, row).is_some(),
+                "{}",
+                at()
+            );
+            // Equal entry counts plus every reference row resident: the
+            // resident sets are equal.
+            for &(t, r, ..) in &slow.rows {
+                assert!(fast.contains(t, r), "{}: ({t}, {r}) must be resident", at());
+            }
+        }
+        slow
+    }
+
     #[test]
-    fn heap_cache_matches_a_brute_force_reference() {
+    fn cache_matches_a_brute_force_reference_across_a_seeded_sweep() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        // Mixed row widths, one per table.
-        const WIDTHS: [u64; 4] = [8, 16, 24, 40];
+        const TABLES: u32 = 4;
+        const ROWS: f64 = 120.0;
+        // What the sweep must have reached at least once.
+        let (mut evicted, mut pins_full, mut zero, mut too_wide) = (0, 0, 0, 0);
         let mut cases = 0;
-        for seed in 0..12u64 {
+        for seed in 0..32u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let capacity = rng.gen_range(60..400u64);
+            // Row widths, one per table, 8 to 64 bytes.
+            let widths: Vec<u64> = (0..TABLES).map(|_| 8 * rng.gen_range(1..9u64)).collect();
+            let capacity = match seed % 4 {
+                0 => 0,
+                1 => rng.gen_range(1..64u64),
+                2 => rng.gen_range(60..400u64),
+                _ => rng.gen_range(400..1_200u64),
+            };
             // Skewed keys: a cubed uniform draw favours low rows.
             let key = |rng: &mut StdRng| {
-                let table = rng.gen_range(0..WIDTHS.len() as u32);
+                let table = rng.gen_range(0..TABLES);
                 let u: f64 = rng.gen();
-                (table, (u * u * u * 120.0) as u64)
+                (table, (u * u * u * ROWS) as u64)
             };
-            let accesses: Vec<(u32, u64)> = (0..3_000).map(|_| key(&mut rng)).collect();
-            // A guide that pins a few hot rows (some past the capacity) and
-            // admits a random half of the rows of three tables.
-            let pins: Vec<(u32, u64, u64)> = (0..rng.gen_range(0..12usize))
+            let accesses: Vec<(u32, u64, u64)> = (0..2_000)
                 .map(|_| {
                     let (table, row) = key(&mut rng);
-                    (table, row, WIDTHS[table as usize])
+                    (table, row, widths[table as usize])
                 })
                 .collect();
-            let admit: Vec<(u32, Vec<u64>)> = (0..3u32)
-                .map(|t| (t, (0..120u64).filter(|_| rng.gen::<bool>()).collect()))
+            // Pins: on every third seed as many hot rows as the cache holds
+            // and then some, so nothing is left to evict; otherwise a few.
+            let pin_count = match seed % 3 {
+                0 => (capacity / 8 + 2) as usize,
+                _ => rng.gen_range(0..12usize),
+            };
+            let pins: Vec<(u32, u64, u64)> = (0..pin_count)
+                .map(|_| {
+                    let (table, row) = key(&mut rng);
+                    (table, row, widths[table as usize])
+                })
+                .collect();
+            // Admission: a random half of the rows of all but the last
+            // table, whose rows all go through the doorkeeper.
+            let admit: Vec<(u32, Vec<u64>)> = (0..TABLES - 1)
+                .map(|t| (t, (0..ROWS as u64).filter(|_| rng.gen::<bool>()).collect()))
                 .collect();
             let guide = StatGuide::from_parts(pins, admit);
             for policy in PolicyKind::all() {
-                let config = CacheConfig::new(capacity);
-                let (fast, mut slow) = match policy {
-                    PolicyKind::StatGuided => (
-                        ShardedCache::with_guide(guide.clone(), config),
-                        ReferenceCache::new(policy, Some(guide.clone()), capacity),
-                    ),
-                    _ => (
-                        ShardedCache::new(policy, config),
-                        ReferenceCache::new(policy, None, capacity),
-                    ),
-                };
-                assert_eq!(fast.stats(), slow.stats, "seed {seed} {policy}: warm-up");
-                for (i, &(table, row)) in accesses.iter().enumerate() {
-                    let bytes = WIDTHS[table as usize];
-                    assert_eq!(
-                        fast.access(table, row, bytes),
-                        slow.access(table, row, bytes),
-                        "seed {seed} {policy}: access {i} of ({table}, {row})"
-                    );
-                }
-                let stats = fast.stats();
-                assert_eq!(stats, slow.stats, "seed {seed} {policy}");
-                assert!(
-                    stats.evictions > 0 && stats.hits > 0,
-                    "seed {seed} {policy}"
+                let case = format!("seed {seed}, capacity {capacity}, widths {widths:?}");
+                let slow = replay_against_reference(policy, &guide, capacity, &accesses, &case);
+                let s = slow.stats;
+                assert_eq!(s.hits + s.misses + s.bypasses, accesses.len() as u64);
+                assert!(s.used_bytes <= capacity, "{case} {policy}");
+                evicted += usize::from(s.evictions > 0);
+                zero += usize::from(capacity == 0);
+                too_wide += usize::from(widths.iter().any(|&w| w > capacity) && capacity > 0);
+                let evictable = slow.rows.iter().any(|r| !r.5);
+                pins_full += usize::from(
+                    policy == PolicyKind::StatGuided
+                        && s.pinned_bytes > 0
+                        && !evictable
+                        && s.misses == 0
+                        && s.bypasses > 0,
                 );
-                for &(table, row, ..) in &slow.rows {
-                    assert!(fast.contains(table, row));
-                }
                 cases += 1;
             }
         }
-        assert_eq!(cases, 36);
+        assert_eq!(cases, 96);
+        assert!(evicted >= 40, "{evicted} cases evicted");
+        assert!(pins_full > 0, "no case had its pins fill the cache");
+        assert!(
+            zero > 0 && too_wide > 0,
+            "{zero} empty, {too_wide} too narrow"
+        );
+    }
+
+    #[test]
+    fn lfu_frequencies_in_the_thousands_match_the_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // One row takes about two thirds of 6,000 accesses; the rest cycle
+        // through 40 rows in a cache of 10.
+        let mut rng = StdRng::seed_from_u64(7);
+        let accesses: Vec<(u32, u64, u64)> = (0..6_000)
+            .map(|_| match rng.gen_range(0..3u32) {
+                0 => (1, rng.gen_range(0..40u64), 16),
+                _ => (0, 0, 16),
+            })
+            .collect();
+        let guide = StatGuide::from_parts(Vec::new(), [(0u32, vec![0u64]), (1, (0..20).collect())]);
+        for policy in PolicyKind::all() {
+            let slow = replay_against_reference(policy, &guide, 160, &accesses, "hammer");
+            let hammered = slow.find(0, 0).map(|i| slow.rows[i]);
+            let freq = hammered.map_or(0, |r| r.3);
+            assert!(freq >= 3_000, "{policy}: hammered row at frequency {freq}");
+        }
+    }
+
+    #[test]
+    fn doorkeeper_admits_on_a_second_sighting_after_every_eviction() {
+        // Table 0 is profiled; row 5 of table 1 never was. Four 8-byte rows
+        // fit.
+        let guide = StatGuide::from_parts(Vec::new(), [(0u32, (0..8).collect())]);
+        let cycle = [(1, 5), (1, 5), (1, 5), (0, 0), (0, 1), (0, 2), (0, 3)];
+        let accesses: Vec<(u32, u64, u64)> = cycle
+            .iter()
+            .chain(&cycle)
+            .map(|&(t, r)| (t, r, 8))
+            .collect();
+        let config = CacheConfig::new(32);
+        let c = ShardedCache::with_guide(guide.clone(), config);
+        let outcomes: Vec<Lookup> = accesses
+            .iter()
+            .map(|&(t, r, b)| c.access(t, r, b))
+            .collect();
+        use Lookup::{Hit, MissBypassed as Out, MissInserted as In};
+        // Sighted, admitted, hit; then three profiled rows fill the cache
+        // and the fourth evicts it. The next sighting starts afresh: the
+        // admission cleared the doorkeeper's record. In the second round
+        // each profiled row evicts the next one, the least recently used.
+        let expected = [
+            Out, In, Hit, In, In, In, In, //
+            Out, In, Hit, In, In, In, In,
+        ];
+        assert_eq!(outcomes, expected);
+        assert!(!c.contains(1, 5) && c.contains(0, 3));
+        assert_eq!(c.stats().evictions, 6);
+        replay_against_reference(PolicyKind::StatGuided, &guide, 32, &accesses, "doorkeeper");
     }
 
     #[test]
