@@ -1,7 +1,7 @@
 //! Criterion bench of the serving layer's hot paths on the 48-table skewed
 //! model of the `serve_mixed` workload (2 shards, RecShard placement,
 //! caches at 1/100 of a shard's fair share): `ShardedCache::access` under
-//! StatGuided and LRU, replaying a seeded request stream through one
+//! StatGuided, LRU and LFU, replaying a seeded request stream through one
 //! single-owner cache per shard on this thread, and
 //! `RequestStream::generate` itself.
 
@@ -36,7 +36,7 @@ fn serve_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache_access");
     group.sample_size(20);
     group.throughput(Throughput::Elements(stream.total_lookups));
-    for policy in [PolicyKind::StatGuided, PolicyKind::Lru] {
+    for policy in [PolicyKind::StatGuided, PolicyKind::Lru, PolicyKind::Lfu] {
         let caches: Vec<ShardedCache> = (0..SHARDS)
             .map(|gpu| {
                 let capacity = system.hbm_capacity(gpu);

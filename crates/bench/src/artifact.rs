@@ -1,5 +1,6 @@
 //! The canonical `BENCH_*.json` artifact: one writer, reader and gate set
-//! for `BENCH_des.json`, `BENCH_scenarios.json` and `BENCH_solver.json`.
+//! for `BENCH_des.json`, `BENCH_scenarios.json`, `BENCH_serve.json` and
+//! `BENCH_solver.json`.
 //!
 //! **Format.** A header (`bench`, `seed`, `timed`, a sentinel note) then
 //! named sections of rows, one row per line. Row fields are [`Field`]s.
@@ -618,18 +619,20 @@ pub fn export_obs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{des_bench, scenario_bench, solver_bench};
+    use crate::{des_bench, scenario_bench, serve_bench, solver_bench};
     use proptest::prelude::*;
 
     /// Every committed artifact with its spec.
-    fn committed() -> [(&'static Spec, &'static str); 3] {
+    fn committed() -> [(&'static Spec, &'static str); 4] {
         let des = include_str!("../../../BENCH_des.json");
         let scenarios = include_str!("../../../BENCH_scenarios.json");
         let solver = include_str!("../../../BENCH_solver.json");
+        let serve = include_str!("../../../BENCH_serve.json");
         [
             (&des_bench::SPEC, des),
             (&scenario_bench::SPEC, scenarios),
             (&solver_bench::SPEC, solver),
+            (&serve_bench::SPEC, serve),
         ]
     }
 
@@ -657,10 +660,11 @@ mod tests {
     fn committed_artifacts_round_trip_and_gate_against_themselves() {
         // (points compared, rows carrying the gated field) of the drift gate,
         // then of each perf gate
-        let expected: [&[(usize, usize)]; 3] = [
+        let expected: [&[(usize, usize)]; 4] = [
             &[(8, 8), (4, 4)],
             &[(16, 16), (0, 16)],
             &[(20, 20), (20, 20), (15, 15)],
+            &[(9, 9), (9, 9)],
         ];
         for ((spec, text), expected) in committed().into_iter().zip(expected) {
             let artifact = Artifact::parse(spec, text).expect("committed artifact parses");
@@ -681,7 +685,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_a_wrong_bench_a_missing_header_and_a_bad_row() {
-        let [(des, text), _, (_, solver_text)] = committed();
+        let [(des, text), _, (_, solver_text), _] = committed();
         let parse = |text: &str| Artifact::parse(des, text);
         let found = "solver_scaling".to_string();
         let mismatch = ParseError::BenchMismatch {

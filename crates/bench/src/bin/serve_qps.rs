@@ -19,174 +19,101 @@
 //! * replaying the winning configuration with the same seed reproduces the
 //!   identical report, fingerprint included.
 //!
+//! The matrix is written to the tracked `BENCH_serve.json` artifact (see
+//! `recshard_bench::serve_bench`): hit rate, p50, p99 and the report
+//! fingerprint of every cell, plus wall queries/sec under
+//! `RECSHARD_BENCH_TIMING=1` (otherwise a `-1` sentinel keeps the file
+//! byte-stable). With `RECSHARD_BENCH_BASELINE` set, the run fails on
+//! fingerprint drift (`RECSHARD_BENCH_ALLOW_DRIFT=1` acknowledges intended
+//! drift) and, when both sides are timed, on queries/sec regressions beyond
+//! 25%.
+//!
 //! Environment overrides: `RECSHARD_GPUS` (default 4, min 2),
 //! `RECSHARD_SERVE_REQUESTS` (default 20,000), `RECSHARD_SERVE_WARMUP`
-//! (default 2,000), `RECSHARD_SERVE_BATCH` (default 8), `RECSHARD_SEED`.
+//! (default 2,000), `RECSHARD_SERVE_BATCH` (default 8), `RECSHARD_SEED`,
+//! `RECSHARD_BENCH_TIMING`, `RECSHARD_BENCH_BASELINE`,
+//! `RECSHARD_BENCH_ALLOW_DRIFT`.
 
 #![allow(clippy::print_stdout)]
-use recshard_bench::report::{determinism_report, env_u64, RunReport};
-use recshard_bench::{print_row, skewed_model, Strategy};
-use recshard_serve::{
-    hash_placement, ArrivalModel, InferenceServer, PolicyKind, ServeConfig, ServeReport,
-};
-use recshard_sharding::{ShardingPlan, SystemSpec};
-use recshard_stats::DatasetProfiler;
+use recshard_bench::artifact::{Baseline, BaselineError};
+use recshard_bench::print_row;
+use recshard_bench::report::{determinism_report, RunReport};
+use recshard_bench::serve_bench::{run_sweep, ServeBenchConfig, SPEC};
+use recshard_serve::PolicyKind;
 
-fn main() {
-    let shards = env_u64("RECSHARD_GPUS", 4).max(2) as usize;
-    let queries = env_u64("RECSHARD_SERVE_REQUESTS", 20_000) as u32;
-    let warmup = env_u64("RECSHARD_SERVE_WARMUP", 2_000) as u32;
-    let batch = env_u64("RECSHARD_SERVE_BATCH", 8).max(1) as usize;
-    let seed = env_u64("RECSHARD_SEED", 0x5E21);
-
-    let model = skewed_model(48);
-    // Each shard's HBM cache holds ~1/24 of its fair share of the embedding
-    // bytes; everything also lives in UVM. Which rows the cache keeps — and
-    // which shard each table's traffic lands on — decides hit rate and tails.
-    let system = SystemSpec::uniform(
-        shards,
-        model.total_bytes() / (24 * shards as u64),
-        model.total_bytes(),
-        1555.0,
-        16.0,
-    );
-    let profile = DatasetProfiler::profile_model(&model, 12_000, seed);
-
-    let placements: Vec<(&str, ShardingPlan)> = vec![
-        ("hash", hash_placement(&model, shards)),
-        ("size", Strategy::SizeBased.plan(&model, &profile, &system)),
-        (
-            "recshard",
-            Strategy::RecShard.plan(&model, &profile, &system),
-        ),
-    ];
-
-    let base = ServeConfig {
-        queries,
-        warmup,
-        batch_size: batch,
-        seed,
-        ..ServeConfig::default()
-    };
-    let serve = |plan: &ShardingPlan, policy: PolicyKind, config: ServeConfig| -> ServeReport {
-        InferenceServer::run(
-            &model,
-            plan,
-            &profile,
-            &system,
-            ServeConfig { policy, ..config },
-        )
-    };
-
-    // Calibrate the arrival rate: unloaded StatGuided-on-RecShard median
-    // plus 10% headroom. Every cell of the matrix is served at this rate.
-    let recshard_plan = &placements
-        .iter()
-        .find(|(name, _)| *name == "recshard")
-        .expect("recshard placement present")
-        .1;
-    let unloaded = serve(
-        recshard_plan,
-        PolicyKind::StatGuided,
-        ServeConfig {
-            queries: 500,
-            warmup: 200,
-            arrival: ArrivalModel::FixedRate {
-                interval_us: 1_000_000.0,
-            },
-            ..base
-        },
-    );
-    let interval_us = unloaded.p50_ms * 1e3 * 1.10;
-    let config = ServeConfig {
-        arrival: ArrivalModel::FixedRate { interval_us },
-        ..base
-    };
-
+fn main() -> Result<(), BaselineError> {
+    let cfg = ServeBenchConfig::from_env();
+    let baseline = Baseline::from_env(&SPEC)?;
+    let sweep = run_sweep(&cfg);
+    let shards = cfg.shards as u64;
     println!(
-        "# Online serving: {} tables, {shards} GPU shards, {queries} queries \
-         (batch {batch}, {warmup} warmup), arrivals every {interval_us:.1} µs \
+        "# Online serving: {} tables, {shards} GPU shards, {} queries \
+         (batch {}, {} warmup), arrivals every {:.1} µs \
          (identical stream per cell)",
-        model.num_features()
+        sweep.tables, cfg.queries, cfg.batch, cfg.warmup, sweep.interval_us
     );
     println!(
         "# HBM cache per shard: {:.1} MiB ({:.0}% of a fair share of the model)",
-        system.hbm_capacity(0) as f64 / (1 << 20) as f64,
-        100.0 * system.hbm_capacity(0) as f64 / (model.total_bytes() as f64 / shards as f64)
+        sweep.cache_bytes as f64 / (1 << 20) as f64,
+        100.0 * sweep.cache_bytes as f64 / (sweep.model_bytes as f64 / shards as f64)
     );
     println!();
-    print_row(&[
-        "placement".into(),
-        "policy".into(),
-        "hit rate".into(),
-        "p50 ms".into(),
-        "p95 ms".into(),
-        "p99 ms".into(),
-        "qps".into(),
-    ]);
-    print_row(&[
-        "---".into(),
-        "---".into(),
-        "---".into(),
-        "---".into(),
-        "---".into(),
-        "---".into(),
-        "---".into(),
-    ]);
-
-    let mut results: Vec<(String, ServeReport)> = Vec::new();
-    for (name, plan) in &placements {
-        for policy in PolicyKind::all() {
-            let r = serve(plan, policy, config);
-            print_row(&[
-                (*name).into(),
-                policy.label().into(),
-                format!("{:.1}%", r.hit_rate * 100.0),
-                format!("{:.3}", r.p50_ms),
-                format!("{:.3}", r.p95_ms),
-                format!("{:.3}", r.p99_ms),
-                format!("{:.0}", r.throughput_qps),
-            ]);
-            results.push((format!("{name}+{policy}"), r));
-        }
+    let header = [
+        "placement",
+        "policy",
+        "hit rate",
+        "p50 ms",
+        "p95 ms",
+        "p99 ms",
+        "qps",
+    ];
+    print_row(&header.map(String::from));
+    print_row(&header.map(|_| "---".to_string()));
+    for cell in &sweep.cells {
+        let r = &cell.report;
+        print_row(&[
+            cell.placement.into(),
+            cell.policy.label().into(),
+            format!("{:.1}%", r.hit_rate * 100.0),
+            format!("{:.3}", r.p50_ms),
+            format!("{:.3}", r.p95_ms),
+            format!("{:.3}", r.p99_ms),
+            format!("{:.0}", r.throughput_qps),
+        ]);
     }
 
-    let find = |label: &str| -> &ServeReport {
-        &results.iter().find(|(l, _)| l == label).expect("cell").1
-    };
-    let best = find("recshard+StatGuided");
-    let baseline = find("hash+LRU");
-
+    let find = |placement, policy| sweep.cell(placement, policy).expect("cell");
+    let best = &find("recshard", PolicyKind::StatGuided).report;
+    let hash_lru = &find("hash", PolicyKind::Lru).report;
     // Determinism: replaying the winning cell with the same seed must
     // reproduce the identical report.
-    let again = serve(recshard_plan, PolicyKind::StatGuided, config);
-    assert_eq!(
-        best, &again,
-        "identical seed must reproduce the identical serving report"
-    );
     println!();
     print!(
         "{}",
         determinism_report(
             "StatGuided-on-RecShard replay",
             best.fingerprint,
-            again.fingerprint
+            sweep.replay_fingerprint
         )
     );
 
     assert!(best.hit_rate > 0.0, "stat-guided hit rate must be non-zero");
     assert!(
-        best.hit_rate > baseline.hit_rate,
+        best.hit_rate > hash_lru.hit_rate,
         "StatGuided-on-RecShard hit rate {:.3} must strictly beat LRU-on-hash {:.3}",
         best.hit_rate,
-        baseline.hit_rate
+        hash_lru.hit_rate
     );
     assert!(
-        best.p99_ms < baseline.p99_ms,
+        best.p99_ms < hash_lru.p99_ms,
         "StatGuided-on-RecShard p99 {:.3} ms must strictly beat LRU-on-hash {:.3} ms",
         best.p99_ms,
-        baseline.p99_ms
+        hash_lru.p99_ms
     );
+    let artifact = sweep.artifact();
+    baseline.check(&artifact)?;
+    std::fs::write(SPEC.file, artifact.to_json()).expect("write BENCH_serve.json");
+
     let mut footer = RunReport::new("serve_qps: StatGuided-on-RecShard vs LRU-on-hash");
     footer
         .push(
@@ -194,14 +121,19 @@ fn main() {
             format!(
                 "{:.1}% vs {:.1}%",
                 best.hit_rate * 100.0,
-                baseline.hit_rate * 100.0
+                hash_lru.hit_rate * 100.0
             ),
         )
         .push(
             "p99 ms",
-            format!("{:.3} vs {:.3}", best.p99_ms, baseline.p99_ms),
+            format!("{:.3} vs {:.3}", best.p99_ms, hash_lru.p99_ms),
         )
-        .push("wins on both", true);
+        .push("wins on both", true)
+        .push_fingerprint("report fingerprint", artifact.fingerprint());
+    if cfg.include_timing {
+        let qps = find("recshard", PolicyKind::StatGuided).queries_per_sec;
+        footer.push("StatGuided-on-RecShard wall queries/s", format!("{qps:.0}"));
+    }
     print!("{footer}");
     println!(
         "The profiled CDF knee pins {:.1} MiB of head rows per run and refuses \
@@ -209,4 +141,6 @@ fn main() {
          serving-side payoff of the paper's statistical placement argument.",
         best.cache.pinned_bytes as f64 / (1 << 20) as f64
     );
+    println!("wrote {}", SPEC.file);
+    Ok(())
 }

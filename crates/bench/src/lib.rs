@@ -23,6 +23,7 @@ pub mod artifact;
 pub mod des_bench;
 pub mod report;
 pub mod scenario_bench;
+pub mod serve_bench;
 pub mod solver_bench;
 
 use recshard::{RecShard, RecShardConfig};

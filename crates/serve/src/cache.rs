@@ -11,33 +11,42 @@
 //! to that shard's worker thread; the cache is `Send` but not `Sync`, so
 //! the compiler rejects any attempt to share one between threads.
 //!
-//! Victim selection uses a lazily invalidated min-heap: every touch pushes a
-//! fresh `(priority, stamp, slot)` entry and bumps the entry's stamp, so
-//! stale heap entries are recognised and discarded when popped. This keeps
-//! both LRU (priority = last use) and LFU (priority = frequency, then last
-//! use) O(log n) per operation with one mechanism, and keeps the whole
-//! structure deterministic: a fixed operation sequence always produces the
-//! same hits, evictions and occupancy. The tests check it outcome by
-//! outcome against a brute-force cache that evicts by linear scan.
+//! Every operation is O(1). Evictable rows live in an arena of slots
+//! threaded by intrusive doubly-linked lists, so a hit relinks one slot and
+//! the victim is a list's tail. Rows are grouped into frequency classes,
+//! each a recency list with its newest row at the head, and the classes
+//! form a list of their own in frequency order. Under LRU and StatGuided
+//! there is one class, so the order is plain recency. Under LFU a hit moves
+//! a row to the newest end of the class one above its own (the O(1) LFU of
+//! Shah, Mitra and Matani, 2010), so the least-frequent class's tail is
+//! always the row of least `(frequency, last use)`. A fixed operation
+//! sequence always produces the same hits, evictions and occupancy; the
+//! tests check it outcome by outcome against a brute-force cache that
+//! evicts by linear scan.
+//!
+//! Pinned rows are never evicted and never ranked, so they stay out of the
+//! arena: a per-table row bitset marks them, and a bit test answers their
+//! hits. The guide's admission filter and the doorkeeper are per-table row
+//! bitsets too, one bit per row of each owned table, so their memory is
+//! fixed by the table sizes however many one-hit wonders pass through.
 //!
 //! # Key hashing
 //!
-//! Every access probes the resident map and, under
-//! [`PolicyKind::StatGuided`], the guide's admission set and the
-//! doorkeeper's ghost sets — one hash lookup per hit, several per miss.
-//! Those maps hash their `(table, row)` keys with `KeyHasher`, one multiply
-//! and one xor-shift per word, instead of std's per-process randomly keyed
-//! SipHash.
+//! The map from `(table, row)` to arena slot holds only evictable rows. It
+//! is probed once per access that is not a pinned hit: one probe per
+//! unpinned hit, one per miss, and no set probes at all. It hashes its keys
+//! with `KeyHasher`, one multiply and one xor-shift per word, instead of
+//! std's per-process randomly keyed SipHash.
 //! The keys are simulator-chosen rows, not attacker input, so flooding
 //! resistance buys nothing. The hasher is deterministic (same key, same
 //! hash, in every process), but behaviour would not depend on it either
-//! way: nothing iterates these maps, so the hash only decides where a key
-//! is stored, never which keys are found or in what order anything runs.
+//! way: nothing iterates the map, so the hash only decides where a key is
+//! stored, never which keys are found or in what order anything runs.
 
 use crate::policy::{PolicyKind, StatGuide};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A deterministic multiply-xorshift hasher for the cache's integer keys
@@ -79,12 +88,77 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// The `BuildHasher` of the cache's maps.
+/// The `BuildHasher` of the cache's map.
 type KeyHashBuilder = BuildHasherDefault<KeyHasher>;
 /// A `HashMap` keyed through [`KeyHasher`].
-pub(crate) type KeyMap<K, V> = HashMap<K, V, KeyHashBuilder>;
-/// A `HashSet` keyed through [`KeyHasher`].
-pub(crate) type KeySet<K> = HashSet<K, KeyHashBuilder>;
+type KeyMap<K, V> = HashMap<K, V, KeyHashBuilder>;
+
+/// Per-table row bitsets, indexed by table: bit `row` of entry `table` is
+/// set for the rows in the set. A table's bitset grows to cover the highest
+/// row set in it, so rows, which are dense indices below their table's row
+/// count, cost one bit each.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct TableBits(Vec<Vec<u64>>);
+
+impl TableBits {
+    /// Empty sets covering `rows[t]` rows of each table `t`.
+    pub(crate) fn with_rows(rows: impl IntoIterator<Item = u64>) -> Self {
+        Self(
+            rows.into_iter()
+                .map(|r| vec![0; r.div_ceil(64) as usize])
+                .collect(),
+        )
+    }
+
+    /// Empty sets of the same sizes as this one's.
+    pub(crate) fn cleared(&self) -> Self {
+        Self(self.0.iter().map(|words| vec![0; words.len()]).collect())
+    }
+
+    /// Whether the row is in the set.
+    #[inline]
+    pub(crate) fn contains(&self, table: u32, row: u64) -> bool {
+        let word = self
+            .0
+            .get(table as usize)
+            .and_then(|words| words.get((row >> 6) as usize));
+        word.is_some_and(|w| w >> (row & 63) & 1 == 1)
+    }
+
+    /// Sets the row's bit.
+    pub(crate) fn insert(&mut self, table: u32, row: u64) {
+        *self.word_mut(table, row) |= 1 << (row & 63);
+    }
+
+    /// Flips the row's bit and returns its old value.
+    #[inline]
+    pub(crate) fn flip(&mut self, table: u32, row: u64) -> bool {
+        let word = self.word_mut(table, row);
+        let old = *word >> (row & 63) & 1 == 1;
+        *word ^= 1 << (row & 63);
+        old
+    }
+
+    /// The word holding the row's bit, growing the sets to cover it.
+    #[inline]
+    fn word_mut(&mut self, table: u32, row: u64) -> &mut u64 {
+        let (table, word) = (table as usize, (row >> 6) as usize);
+        if table >= self.0.len() {
+            self.0.resize_with(table + 1, Vec::new);
+        }
+        let words = &mut self.0[table];
+        if word >= words.len() {
+            words.resize(word + 1, 0);
+        }
+        &mut words[word]
+    }
+
+    /// Bytes of bitset storage.
+    #[cfg(test)]
+    pub(crate) fn storage_bytes(&self) -> usize {
+        self.0.iter().map(|words| 8 * words.len()).sum()
+    }
+}
 
 /// Geometry of one GPU shard's cache.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -167,19 +241,102 @@ impl CacheStats {
     }
 }
 
-/// One resident row.
+/// The end of an intrusive list: no node.
+const NIL: u32 = u32::MAX;
+
+/// A node's neighbours in an intrusive doubly-linked [`List`]: `prev`
+/// toward the head, `next` toward the tail.
+#[derive(Debug, Clone, Copy)]
+struct Links {
+    prev: u32,
+    next: u32,
+}
+
+/// A node of an intrusive [`List`].
+trait Linked {
+    fn links(&mut self) -> &mut Links;
+}
+
+/// An intrusive doubly-linked list over the indices of a node arena. The
+/// nodes carry their own [`Links`], so linking and unlinking are O(1) and
+/// allocate nothing.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+    };
+
+    /// Links node `i` between `prev` and `next`, adjacent nodes of this
+    /// list ([`NIL`] for an end).
+    #[inline]
+    fn link<T: Linked>(&mut self, nodes: &mut [T], i: u32, prev: u32, next: u32) {
+        *nodes[i as usize].links() = Links { prev, next };
+        match prev {
+            NIL => self.head = i,
+            p => nodes[p as usize].links().next = i,
+        }
+        match next {
+            NIL => self.tail = i,
+            n => nodes[n as usize].links().prev = i,
+        }
+    }
+
+    #[inline]
+    fn push_front<T: Linked>(&mut self, nodes: &mut [T], i: u32) {
+        self.link(nodes, i, NIL, self.head);
+    }
+
+    #[inline]
+    fn unlink<T: Linked>(&mut self, nodes: &mut [T], i: u32) {
+        let Links { prev, next } = *nodes[i as usize].links();
+        match prev {
+            NIL => self.head = next,
+            p => nodes[p as usize].links().next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => nodes[n as usize].links().prev = prev,
+        }
+    }
+}
+
+/// One resident, evictable row.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     table: u32,
+    /// The frequency class holding the entry.
+    class: u32,
     row: u64,
     bytes: u64,
+    links: Links,
+}
+
+impl Linked for Entry {
+    fn links(&mut self) -> &mut Links {
+        &mut self.links
+    }
+}
+
+/// The evictable rows hit `freq` times since admission (counting the
+/// admitting miss), newest at the head. Under LRU and StatGuided every row
+/// stays in class 1.
+#[derive(Debug, Clone, Copy)]
+struct Class {
     freq: u64,
-    last_use: u64,
-    /// Generation stamp of the most recent heap push for this slot; heap
-    /// entries with an older stamp are stale.
-    stamp: u64,
-    pinned: bool,
-    occupied: bool,
+    members: List,
+    links: Links,
+}
+
+impl Linked for Class {
+    fn links(&mut self) -> &mut Links {
+        &mut self.links
+    }
 }
 
 /// The cache's state, behind the [`ShardedCache`]'s `RefCell`.
@@ -188,20 +345,23 @@ struct Core {
     policy: PolicyKind,
     guide: Option<StatGuide>,
     capacity: u64,
-    tick: u64,
-    next_stamp: u64,
-    map: KeyMap<(u32, u64), usize>,
+    /// Slot of each evictable row.
+    map: KeyMap<(u32, u64), u32>,
     arena: Vec<Entry>,
-    free: Vec<usize>,
-    /// Min-heap of `(priority, tie, stamp, slot)` with lazy invalidation.
-    heap: BinaryHeap<std::cmp::Reverse<(u64, u64, u64, usize)>>,
-    /// Doorkeeper for guided admission: per table, the rows the guide
-    /// rejected once. A second access proves the row is warm despite being
-    /// unprofiled and admits it (one-hit wonders never pollute the cache;
-    /// genuinely warm unprofiled rows pay exactly one extra miss). Keyed by
-    /// table, like the guide's admission sets, so each set holds 8-byte
-    /// rows and grows on its own instead of as one large table.
-    ghosts: KeyMap<u32, KeySet<u64>>,
+    free: Vec<u32>,
+    classes: Vec<Class>,
+    free_classes: Vec<u32>,
+    /// The non-empty classes, highest frequency at the head: the victim is
+    /// the tail class's tail.
+    order: List,
+    /// The pinned rows.
+    pinned: TableBits,
+    /// Doorkeeper for guided admission: the rows the guide rejected an odd
+    /// number of times since they were last admitted. A second access
+    /// proves a row is warm despite being unprofiled and admits it
+    /// (one-hit wonders never pollute the cache; genuinely warm unprofiled
+    /// rows pay exactly one extra miss).
+    doorkeeper: TableBits,
     stats: CacheStats,
 }
 
@@ -211,49 +371,100 @@ impl Core {
             policy,
             guide: None,
             capacity: config.capacity_bytes,
-            tick: 0,
-            next_stamp: 0,
             map: KeyMap::default(),
             arena: Vec::new(),
             free: Vec::new(),
-            heap: BinaryHeap::new(),
-            ghosts: KeyMap::default(),
+            classes: Vec::new(),
+            free_classes: Vec::new(),
+            order: List::EMPTY,
+            pinned: TableBits::default(),
+            doorkeeper: TableBits::default(),
             stats: CacheStats::default(),
         }
     }
 
-    fn priority(&self, e: &Entry) -> (u64, u64) {
-        match self.policy {
-            // Evict the least-recently used row first.
-            PolicyKind::Lru | PolicyKind::StatGuided => (e.last_use, 0),
-            // Evict the least-frequently used row first, breaking ties by
-            // recency so a once-hot row eventually ages out.
-            PolicyKind::Lfu => (e.freq, e.last_use),
+    /// A fresh, unlinked class of `freq`.
+    fn new_class(&mut self, freq: u64) -> u32 {
+        let class = Class {
+            freq,
+            members: List::EMPTY,
+            links: Links {
+                prev: NIL,
+                next: NIL,
+            },
+        };
+        match self.free_classes.pop() {
+            Some(c) => {
+                self.classes[c as usize] = class;
+                c
+            }
+            None => {
+                self.classes.push(class);
+                (self.classes.len() - 1) as u32
+            }
         }
     }
 
-    fn push_heap(&mut self, slot: usize) {
-        self.next_stamp += 1;
-        self.arena[slot].stamp = self.next_stamp;
-        let (p, tie) = self.priority(&self.arena[slot]);
-        self.heap
-            .push(std::cmp::Reverse((p, tie, self.next_stamp, slot)));
+    /// The class of `freq` just above class `c` (toward the head), linked
+    /// in if it does not exist yet.
+    fn class_above(&mut self, c: u32, freq: u64) -> u32 {
+        let above = self.classes[c as usize].links.prev;
+        if above != NIL && self.classes[above as usize].freq == freq {
+            return above;
+        }
+        let new = self.new_class(freq);
+        self.order.link(&mut self.classes, new, above, c);
+        new
     }
 
-    /// Pops victims until `bytes` fit; returns false if the cache cannot
+    /// Unlinks an entry from its class, dropping the class if that empties
+    /// it.
+    fn detach(&mut self, slot: u32) {
+        let c = self.arena[slot as usize].class;
+        let class = &mut self.classes[c as usize];
+        class.members.unlink(&mut self.arena, slot);
+        if class.members.head == NIL {
+            self.order.unlink(&mut self.classes, c);
+            self.free_classes.push(c);
+        }
+    }
+
+    /// Makes an entry the newest of class `c`.
+    fn attach(&mut self, slot: u32, c: u32) {
+        self.arena[slot as usize].class = c;
+        self.classes[c as usize]
+            .members
+            .push_front(&mut self.arena, slot);
+    }
+
+    /// Records a hit on an evictable entry.
+    fn touch(&mut self, slot: u32) {
+        let c = self.arena[slot as usize].class;
+        if self.policy == PolicyKind::Lfu {
+            let above = self.class_above(c, self.classes[c as usize].freq + 1);
+            self.detach(slot);
+            self.attach(slot, above);
+        } else {
+            let members = &mut self.classes[c as usize].members;
+            if members.head != slot {
+                members.unlink(&mut self.arena, slot);
+                members.push_front(&mut self.arena, slot);
+            }
+        }
+    }
+
+    /// Evicts victims until `bytes` fit; returns false if the cache cannot
     /// make room (everything evictable is gone).
     fn make_room(&mut self, bytes: u64) -> bool {
         while self.stats.used_bytes + bytes > self.capacity {
-            let Some(std::cmp::Reverse((_, _, stamp, slot))) = self.heap.pop() else {
+            let c = self.order.tail;
+            if c == NIL {
                 return false;
-            };
-            let e = self.arena[slot];
-            // Stale heap entry: the slot was re-touched or freed since.
-            if !e.occupied || e.stamp != stamp || e.pinned {
-                continue;
             }
+            let slot = self.classes[c as usize].members.tail;
+            self.detach(slot);
+            let e = self.arena[slot as usize];
             self.map.remove(&(e.table, e.row));
-            self.arena[slot].occupied = false;
             self.free.push(slot);
             self.stats.used_bytes -= e.bytes;
             self.stats.entries -= 1;
@@ -262,68 +473,71 @@ impl Core {
         true
     }
 
-    fn insert(&mut self, table: u32, row: u64, bytes: u64, pinned: bool) {
-        let now = self.tick;
+    /// Inserts an evictable row at frequency 1; false if the arena has no
+    /// slot index left.
+    fn insert(&mut self, table: u32, row: u64, bytes: u64) -> bool {
         let entry = Entry {
             table,
+            class: NIL,
             row,
             bytes,
-            freq: 1,
-            last_use: now,
-            stamp: 0,
-            pinned,
-            occupied: true,
+            links: Links {
+                prev: NIL,
+                next: NIL,
+            },
         };
         let slot = match self.free.pop() {
             Some(s) => {
-                self.arena[s] = entry;
+                self.arena[s as usize] = entry;
                 s
             }
-            None => {
+            None if self.arena.len() < NIL as usize => {
                 self.arena.push(entry);
-                self.arena.len() - 1
+                (self.arena.len() - 1) as u32
             }
+            None => return false,
         };
+        let tail = self.order.tail;
+        let class = if tail != NIL && self.classes[tail as usize].freq == 1 {
+            tail
+        } else {
+            let c = self.new_class(1);
+            self.order.link(&mut self.classes, c, tail, NIL);
+            c
+        };
+        self.attach(slot, class);
         self.map.insert((table, row), slot);
         self.stats.used_bytes += bytes;
         self.stats.entries += 1;
-        if pinned {
-            self.stats.pinned_bytes += bytes;
-        } else {
-            self.push_heap(slot);
-        }
+        true
     }
 
+    #[inline]
     fn access(&mut self, table: u32, row: u64, bytes: u64) -> Lookup {
-        self.tick += 1;
+        if self.pinned.contains(table, row) {
+            self.stats.hits += 1;
+            return Lookup::Hit;
+        }
         if let Some(&slot) = self.map.get(&(table, row)) {
-            let pinned = {
-                let e = &mut self.arena[slot];
-                e.freq += 1;
-                e.last_use = self.tick;
-                e.pinned
-            };
-            if !pinned {
-                self.push_heap(slot);
-            }
+            self.touch(slot);
             self.stats.hits += 1;
             return Lookup::Hit;
         }
         // Miss: admission control (with a second-chance doorkeeper for
         // rows the profile never observed), then eviction.
         let admit = match &self.guide {
-            Some(g) if !g.admits(table, row) => {
-                let ghosts = self.ghosts.entry(table).or_default();
-                // A second sighting admits the row; a first one records it.
-                ghosts.remove(&row) || !ghosts.insert(row)
-            }
+            // A second sighting admits the row; a first one records it.
+            Some(g) if !g.admits(table, row) => self.doorkeeper.flip(table, row),
             _ => true,
         };
-        if !admit || bytes > self.capacity || !self.make_room(bytes) {
+        if !admit
+            || bytes > self.capacity
+            || !self.make_room(bytes)
+            || !self.insert(table, row, bytes)
+        {
             self.stats.bypasses += 1;
             return Lookup::MissBypassed;
         }
-        self.insert(table, row, bytes, false);
         self.stats.misses += 1;
         Lookup::MissInserted
     }
@@ -371,12 +585,14 @@ impl ShardedCache {
     pub fn with_guide(guide: StatGuide, config: CacheConfig) -> Self {
         let mut core = Core::new(PolicyKind::StatGuided, config);
         for &(table, row, bytes) in guide.pins() {
-            if core.stats.used_bytes + bytes <= core.capacity
-                && !core.map.contains_key(&(table, row))
-            {
-                core.insert(table, row, bytes, true);
+            if core.stats.used_bytes + bytes <= core.capacity && !core.pinned.contains(table, row) {
+                core.pinned.insert(table, row);
+                core.stats.used_bytes += bytes;
+                core.stats.pinned_bytes += bytes;
+                core.stats.entries += 1;
             }
         }
+        core.doorkeeper = guide.admission().cleared();
         core.guide = Some(guide);
         Self {
             core: RefCell::new(core),
@@ -396,7 +612,8 @@ impl ShardedCache {
 
     /// Whether a row is currently resident in HBM (does not touch recency).
     pub fn contains(&self, table: u32, row: u64) -> bool {
-        self.core.borrow().map.contains_key(&(table, row))
+        let core = self.core.borrow();
+        core.pinned.contains(table, row) || core.map.contains_key(&(table, row))
     }
 
     /// The cache's counters.
@@ -414,6 +631,7 @@ impl ShardedCache {
 mod tests {
     use super::*;
     use crate::policy::{StatGuide, StatGuidedConfig};
+    use std::collections::HashSet;
 
     #[test]
     fn key_hasher_is_deterministic_and_spreads_dense_keys() {
@@ -911,6 +1129,43 @@ mod tests {
         assert!(!c.contains(1, 5) && c.contains(0, 3));
         assert_eq!(c.stats().evictions, 6);
         replay_against_reference(PolicyKind::StatGuided, &guide, 32, &accesses, "doorkeeper");
+    }
+
+    #[test]
+    fn doorkeeper_memory_is_bounded_by_the_owned_tables_rows() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let model = recshard_data::ModelSpec::small(4, 3);
+        let profile = recshard_stats::DatasetProfiler::profile_model(&model, 500, 5);
+        let gpu_of: Vec<usize> = (0..model.num_features()).map(|t| t % 2).collect();
+        let capacity = 1 << 12;
+        let config = StatGuidedConfig::default();
+        let guide = StatGuide::for_gpu(0, &gpu_of, &profile, capacity, &config);
+        let owned: Vec<(u32, u64)> = profile
+            .profiles()
+            .iter()
+            .enumerate()
+            .filter(|&(t, _)| gpu_of[t] == 0)
+            .map(|(t, p)| (t as u32, p.hash_size))
+            .collect();
+        let bound: usize = owned
+            .iter()
+            .map(|&(_, rows)| 8 * rows.div_ceil(64) as usize)
+            .sum();
+        let c = ShardedCache::with_guide(guide.clone(), CacheConfig::new(capacity));
+        let doorkeeper_bytes = || c.core.borrow().doorkeeper.storage_bytes();
+        assert_eq!(doorkeeper_bytes(), bound);
+        // 200,000 draws over the owned tables' rows, most of them sighted
+        // once: the one-hit wonders the doorkeeper turns away.
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut turned_away = 0u64;
+        for _ in 0..200_000 {
+            let (table, rows) = owned[rng.gen_range(0..owned.len())];
+            let row = rng.gen_range(0..rows);
+            turned_away += u64::from(c.access(table, row, 8) == Lookup::MissBypassed);
+        }
+        assert!(turned_away > 100_000, "{turned_away} turned away");
+        assert_eq!(doorkeeper_bytes(), bound, "the doorkeeper must not grow");
     }
 
     #[test]

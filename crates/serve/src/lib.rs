@@ -18,7 +18,7 @@
 //!
 //! * [`ShardedCache`] — one GPU shard's HBM cache: one sequential
 //!   structure owned by that shard's worker thread (`Send`, not `Sync`),
-//!   byte-budgeted, with pluggable eviction.
+//!   byte-budgeted, with pluggable eviction, O(1) per access.
 //! * [`PolicyKind`] — `Lru`, `Lfu`, or `StatGuided`: LRU over an unpinned
 //!   region plus profile-driven pinning of each table's rows above the
 //!   [CDF knee](recshard_stats::AccessCdf::knee_rank) and admission

@@ -13,16 +13,20 @@
 //!   pre-loaded and never evicted, so the head's hit rate cannot be churned
 //!   away by tail traffic.
 //! * **Admission filtering** — rows that profiling never observed are
-//!   refused admission on their *first* miss (the cache's doorkeeper set
+//!   refused admission on their *first* miss (the cache's doorkeeper
 //!   admits them on a repeat access). Under a power law an unobserved row
 //!   is overwhelmingly likely to be a one-hit wonder; letting it straight
 //!   in would evict a warmer row (cache pollution, the classic failure
 //!   mode of plain LRU under skew), while the second-chance rule keeps
 //!   genuinely warm unprofiled rows cacheable at the cost of one miss.
 //!
+//! The admission filter is one bit per row of each owned table, sized from
+//! the table's profiled `hash_size`, so a miss answers it with one bit test
+//! and the cache sizes its doorkeeper's bitsets to match.
+//!
 //! [CDF knee]: recshard_stats::AccessCdf::knee_rank
 
-use crate::cache::{KeyMap, KeySet};
+use crate::cache::TableBits;
 use recshard_stats::DatasetProfile;
 use serde::{Deserialize, Serialize};
 
@@ -83,8 +87,9 @@ impl Default for StatGuidedConfig {
 pub struct StatGuide {
     /// `(table, row, bytes)` pins, hottest first, within the pin budget.
     pins: Vec<(u32, u64, u64)>,
-    /// Per table, the rows profiling observed (admissible on a miss).
-    admit: KeyMap<u32, KeySet<u64>>,
+    /// Per table, the rows profiling observed (admissible on a miss): one
+    /// bit per row of each owned table, none for the others.
+    admit: TableBits,
 }
 
 impl StatGuide {
@@ -118,13 +123,19 @@ impl StatGuide {
         // the profiled per-row access rate (accesses per profiled sample) as
         // the global ranking key.
         let mut candidates: Vec<(f64, u32, u64, u64)> = Vec::new();
-        let mut admit: KeyMap<u32, KeySet<u64>> = KeyMap::default();
-        for (t, prof) in profile.profiles().iter().enumerate() {
-            if gpu_of[t] != gpu {
-                continue;
-            }
+        let owned = |t: usize| gpu_of[t] == gpu;
+        let profiles = profile.profiles().iter().enumerate();
+        let mut admit =
+            TableBits::with_rows(
+                profiles
+                    .clone()
+                    .map(|(t, prof)| if owned(t) { prof.hash_size } else { 0 }),
+            );
+        for (t, prof) in profiles.filter(|&(t, _)| owned(t)) {
             let table = t as u32;
-            admit.insert(table, prof.ranked_rows.iter().copied().collect());
+            for &row in &prof.ranked_rows {
+                admit.insert(table, row);
+            }
             let knee = prof.cdf.knee_rank();
             let total = prof.total_lookups as f64;
             let row_bytes = prof.row_bytes();
@@ -156,20 +167,24 @@ impl StatGuide {
         pins: Vec<(u32, u64, u64)>,
         admit: impl IntoIterator<Item = (u32, Vec<u64>)>,
     ) -> Self {
-        Self {
-            pins,
-            admit: admit
-                .into_iter()
-                .map(|(t, rows)| (t, rows.into_iter().collect()))
-                .collect(),
+        let mut bits = TableBits::default();
+        for (table, rows) in admit {
+            for row in rows {
+                bits.insert(table, row);
+            }
         }
+        Self { pins, admit: bits }
     }
 
     /// Whether a missed row may be admitted into the cache.
+    #[inline]
     pub fn admits(&self, table: u32, row: u64) -> bool {
-        self.admit
-            .get(&table)
-            .is_some_and(|rows| rows.contains(&row))
+        self.admit.contains(table, row)
+    }
+
+    /// The admission filter's bitsets.
+    pub(crate) fn admission(&self) -> &TableBits {
+        &self.admit
     }
 
     /// The pinned rows, hottest first.
