@@ -50,7 +50,7 @@ fn main() -> Result<(), BaselineError> {
         "# Online serving: {} tables, {shards} GPU shards, {} queries \
          (batch {}, {} warmup), arrivals every {:.1} µs \
          (identical stream per cell)",
-        sweep.tables, cfg.queries, cfg.batch, cfg.warmup, sweep.interval_us
+        cfg.tables, cfg.queries, cfg.batch, cfg.warmup, sweep.interval_us
     );
     println!(
         "# HBM cache per shard: {:.1} MiB ({:.0}% of a fair share of the model)",

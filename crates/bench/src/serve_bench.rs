@@ -155,8 +155,6 @@ pub struct ServeBenchReport {
     pub seed: u64,
     /// Whether timing fields hold measurements.
     pub timed: bool,
-    /// Tables in the model.
-    pub tables: usize,
     /// Embedding bytes of the whole model.
     pub model_bytes: u64,
     /// HBM cache bytes of each shard.
@@ -262,7 +260,6 @@ pub fn run_sweep(cfg: &ServeBenchConfig) -> ServeBenchReport {
     ServeBenchReport {
         seed: cfg.seed,
         timed: cfg.include_timing,
-        tables: cfg.tables,
         model_bytes: model.total_bytes(),
         cache_bytes: system.hbm_capacity(0),
         interval_us,
