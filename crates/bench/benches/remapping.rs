@@ -5,7 +5,6 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use recshard::{RecShard, RecShardConfig};
 use recshard_bench::ExperimentConfig;
 use recshard_data::RmKind;
-use recshard_memsim::EmbeddingOpSimulator;
 use recshard_stats::DatasetProfiler;
 
 fn remapping(c: &mut Criterion) {
@@ -15,17 +14,16 @@ fn remapping(c: &mut Criterion) {
     let model = cfg.model(RmKind::Rm2);
     let system = cfg.system();
     let profile = DatasetProfiler::profile_model(&model, cfg.profile_samples, cfg.seed);
-    let plan = RecShard::new(RecShardConfig::default())
-        .plan(&model, &profile, &system)
-        .expect("plan");
+    let recshard = RecShard::new(RecShardConfig::default());
+    let plan = recshard.plan(&model, &profile, &system).expect("plan");
 
     let mut group = c.benchmark_group("remapping");
     group.sample_size(10);
     group.bench_function("build_remap_tables_397_tables", |b| {
-        b.iter(|| EmbeddingOpSimulator::build_remap_tables(&plan, &profile));
+        b.iter(|| recshard.remap(&plan, &profile));
     });
 
-    let remaps = EmbeddingOpSimulator::build_remap_tables(&plan, &profile);
+    let remaps = recshard.remap(&plan, &profile);
     let biggest = remaps
         .iter()
         .max_by_key(|r| r.total_rows())

@@ -1,8 +1,8 @@
 //! Online-serving comparison: placement × cache-policy matrix under
 //! identical seeded request streams.
 //!
-//! This is the inference-side counterpart of `des_throughput`: instead of
-//! replaying training iterations, a multi-threaded serving layer
+//! This is the inference-side counterpart of `scenario_bench`'s DES rows:
+//! instead of replaying training iterations, a multi-threaded serving layer
 //! (`recshard-serve`) answers batched embedding queries with each GPU
 //! shard's HBM acting as a managed cache over UVM. The matrix crosses three
 //! placements (hash, size-proportional greedy, RecShard) with three cache

@@ -137,8 +137,9 @@ impl ExperimentConfig {
     }
 
     /// The discrete-event cluster configuration matching this experiment
-    /// scale: same traced batch and batch scaling as [`sim_config`]
-    /// (Self::sim_config), `iterations` simulated arrivals at `arrival`.
+    /// scale: same traced batch and batch scaling as
+    /// [`sim_config`](Self::sim_config), `iterations` simulated arrivals at
+    /// `arrival`.
     pub fn des_config(&self, iterations: u64, arrival: ArrivalProcess) -> ClusterConfig {
         ClusterConfig {
             batch_size: self.sim_batch,
@@ -193,9 +194,9 @@ impl ExperimentSetup {
 /// A deliberately skewed multi-hot Zipf feature universe: every table
 /// power-law distributed (exponents 1.05–1.6), table sizes spanning two
 /// orders of magnitude, mixed pooling and coverage. This is the canonical
-/// "skewed workload" shared by the `des_throughput` binary and the DES
-/// integration tests, where hot-row placement decides how much traffic
-/// crosses the UVM link.
+/// "skewed workload" shared by the `des_bench`, `serve_qps` and
+/// `solver_scaling` sweeps and the DES integration tests, where hot-row
+/// placement decides how much traffic crosses the UVM link.
 pub fn skewed_model(tables: usize) -> ModelSpec {
     let features = (0..tables)
         .map(|i| {

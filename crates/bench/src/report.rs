@@ -5,8 +5,8 @@
 //! `u64` environment-override reader, an events/sec line, and a
 //! determinism footer asserting that a same-seed replay reproduced the
 //! first run's fingerprint. They now all come from here, rendered through
-//! [`RunReport`] so the output format is uniform across
-//! `des_throughput`, `serve_qps`, `solver_scaling` and `des_bench`.
+//! [`RunReport`] so the output format is uniform across `des_bench`,
+//! `scenario_bench`, `serve_qps` and `solver_scaling`.
 
 pub use recshard_obs::{events_per_sec, RunReport};
 

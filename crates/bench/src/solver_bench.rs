@@ -297,7 +297,10 @@ fn max_cost(
         .fold(0.0f64, f64::max)
 }
 
-fn plan_fingerprint(plan: &ShardingPlan) -> u64 {
+/// Order-sensitive FNV-1a hash over every placement's GPU, HBM rows,
+/// total rows and row bytes: the plan fingerprint `BENCH_solver.json`
+/// locks.
+pub fn plan_fingerprint(plan: &ShardingPlan) -> u64 {
     let mut hash = FNV_OFFSET;
     for p in plan.placements() {
         for word in [p.gpu as u64, p.hbm_rows, p.total_rows, p.row_bytes] {

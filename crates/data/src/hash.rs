@@ -76,11 +76,6 @@ impl FeatureHasher {
         self.mix(value) % self.hash_size
     }
 
-    /// Hashes a slice of raw values, returning the row index of each.
-    pub fn hash_all(&self, values: &[u64]) -> Vec<u64> {
-        values.iter().map(|&v| self.hash(v)).collect()
-    }
-
     /// Measures collision statistics for a set of distinct raw values
     /// (Figure 7 / Figure 8 of the paper).
     ///

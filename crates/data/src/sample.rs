@@ -141,16 +141,6 @@ impl SparseSample {
         !self.values[feature.index()].is_empty()
     }
 
-    /// The sample pooling factor of the given feature (0 when absent).
-    pub fn pooling_factor(&self, feature: FeatureId) -> usize {
-        self.values[feature.index()].len()
-    }
-
-    /// Raw values of the given feature.
-    pub fn feature_values(&self, feature: FeatureId) -> &[u64] {
-        &self.values[feature.index()]
-    }
-
     /// Total number of embedding lookups this sample induces across all tables.
     pub fn total_lookups(&self) -> usize {
         self.values.iter().map(Vec::len).sum()

@@ -68,12 +68,12 @@ use crate::error::{check_bandwidth, check_duration, DesError};
 use crate::resource::{CompletedTransfer, SharedRateResource};
 use crate::station::{GpuStation, ServiceDemand};
 use crate::time::SimTime;
-use crate::workload::{ArrivalProcess, IterationWorkload};
+use crate::workload::ArrivalProcess;
 use crate::DriftSchedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recshard_data::{ModelSpec, ScenarioSpec};
-use recshard_memsim::AccessCounters;
+use recshard_memsim::{AccessCounters, IterationWorkload};
 use recshard_obs::{LinkKind, ObsHandle, ObsSink, TraceEvent};
 use recshard_sharding::{FabricSpec, NodeTopology, ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, StreamingCdf, Summary, WelfordAccumulator};

@@ -26,9 +26,8 @@
 //! guard while it holds the pool lock, so no chunk of the new epoch can be
 //! claimed before the install lands.
 
-use crate::workload::IterationWorkload;
 use recshard_data::{default_workers, ModelSpec};
-use recshard_memsim::AccessCounters;
+use recshard_memsim::{AccessCounters, IterationWorkload};
 use recshard_sharding::ShardingPlan;
 use recshard_stats::DatasetProfile;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};

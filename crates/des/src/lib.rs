@@ -23,11 +23,13 @@
 //!   in integer virtual time on every tenancy change so incast and
 //!   cross-iteration bandwidth sharing appear in the sojourn tail.
 //! * [`ArrivalProcess`] / [`IterationWorkload`] — fixed-rate or Poisson batch
-//!   arrivals whose lookups are drawn from the *same* Zipf/pooling/coverage
-//!   generators as the rest of the reproduction (`recshard-data`) and routed
-//!   through the active plan's remap tables. Each iteration draws from its
-//!   own keyed stream, so [`ClusterSimulator::run`] draws iterations ahead
-//!   on a worker thread and the run is identical for any worker count.
+//!   arrivals whose lookups are drawn by the trace workload
+//!   `recshard_memsim` defines and its single-iteration simulator shares
+//!   (re-exported here): the *same* Zipf/pooling/coverage generators as the
+//!   rest of the reproduction (`recshard-data`), routed through the active
+//!   plan's HBM rows. Each iteration draws from its own keyed stream, so
+//!   [`ClusterSimulator::run`] draws iterations ahead on a worker thread
+//!   and the run is identical for any worker count.
 //! * an **all-to-all exchange barrier** — synchronous training completes an
 //!   iteration only after the slowest GPU's gather plus the interconnect
 //!   exchange.
@@ -89,7 +91,8 @@ pub use cluster::{ClusterConfig, ClusterSimulator, ContentionMode, RunSummary};
 pub use controller::{CheckOutcome, DriftSchedule, PlanSolver, ReshardController, ReshardPolicy};
 pub use engine::{EventQueue, Scheduled};
 pub use error::DesError;
+pub use recshard_memsim::IterationWorkload;
 pub use resource::{CompletedTransfer, SharedRateResource, WORK_UNITS_PER_NS};
 pub use station::{GpuStation, ServiceDemand};
 pub use time::SimTime;
-pub use workload::{ArrivalProcess, IterationWorkload};
+pub use workload::ArrivalProcess;

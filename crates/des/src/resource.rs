@@ -276,11 +276,6 @@ impl<T> SharedRateResource<T> {
         self.served_units
     }
 
-    /// Work units still outstanding across all tenants.
-    pub fn pending_units(&self) -> u128 {
-        self.tenants.iter().map(|t| t.remaining).sum()
-    }
-
     /// Number of transfers that have completed service.
     pub fn completed_transfers(&self) -> u64 {
         self.completed_transfers

@@ -1,19 +1,21 @@
 //! Trace-driven embedding-operator simulation.
 //!
 //! Simulates single iterations in isolation: each run draws fresh multi-hot
-//! batches, routes every lookup through the plan's remap tables (via the
-//! fused per-table [`TableSampler`]s) and charges the bandwidth-bound timing
-//! model. For time-extended behaviour — queueing between iterations, the
-//! all-to-all barrier, p99 tails, drift and online re-sharding — use the
-//! discrete-event cluster simulator in `recshard-des`, which reuses this
-//! crate's timing model for its station service times.
+//! batches from an [`IterationWorkload`], which routes every lookup through
+//! the plan's HBM rows (via the fused per-table [`TableSampler`]s), and
+//! charges the bandwidth-bound timing model. For time-extended behaviour —
+//! queueing between iterations, the all-to-all barrier, p99 tails, drift
+//! and online re-sharding — use the discrete-event cluster simulator in
+//! `recshard-des`, which replays the same workload and reuses this crate's
+//! timing model for its station service times.
 
 use crate::counters::AccessCounters;
 use crate::sampler::TableSampler;
 use crate::timing::embedding_kernel_time_ms;
+use crate::workload::IterationWorkload;
 use rand::{Rng, SeedableRng};
 use recshard_data::ModelSpec;
-use recshard_sharding::{MemoryTier, RemapTable, ShardingPlan, SystemSpec};
+use recshard_sharding::{MemoryTier, ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, Summary};
 use serde::{Deserialize, Serialize};
 
@@ -152,26 +154,21 @@ impl RunReport {
     }
 }
 
-/// Trace-driven simulator of the model-parallel embedding operator.
+/// Trace-driven simulator of the model-parallel embedding operator: the
+/// bandwidth-bound timing model charged over one [`IterationWorkload`].
 ///
-/// One simulator instance owns the remapping tables materialised from a
-/// sharding plan and a dataset profile, and can run any number of iterations
-/// over freshly generated multi-hot batches.
+/// One simulator instance can run any number of iterations over freshly
+/// generated multi-hot batches.
 #[derive(Debug, Clone)]
 pub struct EmbeddingOpSimulator {
-    model: ModelSpec,
-    plan: ShardingPlan,
+    workload: IterationWorkload,
+    strategy: String,
     system: SystemSpec,
     config: SimConfig,
-    remaps: Vec<RemapTable>,
-    /// The lookup samplers the kernel draws through (pure functions of the
-    /// model, plan and profile, so built once).
-    samplers: Vec<TableSampler>,
-    tables_per_gpu: Vec<usize>,
 }
 
 impl EmbeddingOpSimulator {
-    /// Builds a simulator for a plan, materialising the remapping tables from
+    /// Builds a simulator for a plan, selecting each table's HBM rows from
     /// the profile's hottest-first row ranking (Section 4.3).
     ///
     /// # Panics
@@ -184,56 +181,12 @@ impl EmbeddingOpSimulator {
         system: &SystemSpec,
         config: SimConfig,
     ) -> Self {
-        assert_eq!(
-            plan.placements().len(),
-            model.num_features(),
-            "plan/model mismatch"
-        );
-        assert_eq!(
-            profile.num_features(),
-            model.num_features(),
-            "profile/model mismatch"
-        );
-        let remaps = Self::build_remap_tables(plan, profile);
-        let samplers = TableSampler::for_plan(model, plan, profile);
-        let mut tables_per_gpu = vec![0usize; plan.num_gpus()];
-        for p in plan.placements() {
-            tables_per_gpu[p.gpu] += 1;
-        }
         Self {
-            model: model.clone(),
-            plan: plan.clone(),
+            workload: IterationWorkload::new(model, plan, profile),
+            strategy: plan.strategy().to_string(),
             system: system.clone(),
             config,
-            remaps,
-            samplers,
-            tables_per_gpu,
         }
-    }
-
-    /// Materialises one remapping table per embedding table for a plan, using
-    /// the profile's hottest-first row ranking.
-    pub fn build_remap_tables(plan: &ShardingPlan, profile: &DatasetProfile) -> Vec<RemapTable> {
-        plan.placements()
-            .iter()
-            .zip(profile.profiles())
-            .map(|(placement, prof)| RemapTable::build(placement, &prof.ranked_rows))
-            .collect()
-    }
-
-    /// The plan being simulated.
-    pub fn plan(&self) -> &ShardingPlan {
-        &self.plan
-    }
-
-    /// The remapping tables materialised for the plan.
-    pub fn remap_tables(&self) -> &[RemapTable] {
-        &self.remaps
-    }
-
-    /// Total storage of all remapping tables in bytes (Section 6.6 overhead).
-    pub fn remap_storage_bytes(&self) -> u64 {
-        self.remaps.iter().map(|r| r.storage_bytes()).sum()
     }
 
     /// Simulates one iteration over a freshly drawn batch of
@@ -243,15 +196,8 @@ impl EmbeddingOpSimulator {
         simulated_batch: usize,
         rng: &mut R,
     ) -> IterationReport {
-        let gpu_of = self.plan.gpu_assignments();
-        let counters = sample_batch_accesses(
-            &self.model,
-            &self.samplers,
-            &gpu_of,
-            self.plan.num_gpus(),
-            simulated_batch,
-            rng,
-        );
+        let counters = self.workload.sample_iteration(simulated_batch, rng);
+        let tables_per_gpu = self.workload.tables_per_gpu();
 
         // Scale a sub-sampled batch up to the configured full batch size.
         let scale = self
@@ -270,7 +216,7 @@ impl EmbeddingOpSimulator {
                     &scaled,
                     &self.system,
                     gpu,
-                    self.tables_per_gpu[gpu],
+                    tables_per_gpu[gpu],
                     self.config.kernel_overhead_us_per_table,
                 );
                 GpuIterationStats {
@@ -288,7 +234,7 @@ impl EmbeddingOpSimulator {
     pub fn run(&mut self, iterations: usize, simulated_batch: usize, seed: u64) -> RunReport {
         assert!(iterations > 0, "must simulate at least one iteration");
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let num_gpus = self.plan.num_gpus();
+        let num_gpus = self.workload.num_gpus();
         let mut time_sums = vec![0.0f64; num_gpus];
         let mut counter_sums = vec![AccessCounters::new(); num_gpus];
         for _ in 0..iterations {
@@ -304,7 +250,7 @@ impl EmbeddingOpSimulator {
             .map(|c| c.scaled(1.0 / iterations as f64))
             .collect();
         RunReport {
-            strategy: self.plan.strategy().to_string(),
+            strategy: self.strategy.clone(),
             iterations,
             per_gpu_mean_time_ms,
             per_gpu_mean_counters,
@@ -526,16 +472,6 @@ mod tests {
         let mut b =
             EmbeddingOpSimulator::new(&model, &plan, &profile, &system, SimConfig::default());
         assert_eq!(a.run(2, 64, 99), b.run(2, 64, 99));
-    }
-
-    #[test]
-    fn remap_storage_is_four_bytes_per_row() {
-        let (model, profile, system) = setup(4);
-        let plan = GreedySharder::new(SizeCost)
-            .shard(&model, &profile, &system)
-            .unwrap();
-        let sim = EmbeddingOpSimulator::new(&model, &plan, &profile, &system, SimConfig::default());
-        assert_eq!(sim.remap_storage_bytes(), model.total_hash_size() * 4);
     }
 
     proptest! {

@@ -5,9 +5,9 @@
 //! The paper measures embedding-operator performance on a real 16× A100
 //! server by tracing FBGEMM kernels. Without GPUs, this crate simulates the
 //! part of that system the paper's results depend on: it drives *actual
-//! multi-hot lookups* (hashed row indices from `recshard-data`) through a
-//! sharding plan's remapping tables, counts per-GPU HBM and UVM row accesses,
-//! and charges each GPU the same cost model the paper uses —
+//! multi-hot lookups* (hashed row indices from `recshard-data`) through the
+//! HBM rows a sharding plan's remapping selects, counts per-GPU HBM and UVM
+//! row accesses, and charges each GPU the same cost model the paper uses —
 //! `bytes_from_HBM / BW_HBM + bytes_from_UVM / BW_UVM` plus a per-kernel
 //! overhead — with the iteration time being the maximum across GPUs
 //! (training is synchronous).
@@ -16,6 +16,13 @@
 //! quantities the paper reports (access counts per tier, load balance,
 //! relative speedups between sharding strategies) are functions of *where
 //! accesses land*, which the simulation computes exactly.
+//!
+//! The trace workload is one type, [`IterationWorkload`]: a model's
+//! per-table samplers under the active plan, drawing one batch into
+//! per-GPU [`AccessCounters`]. [`EmbeddingOpSimulator`] charges the timing
+//! model over one, and the `recshard-des` cluster simulator replays one
+//! (re-exported as `recshard_des::IterationWorkload`), installing drifted
+//! models and re-solved plans mid-run.
 //!
 //! All trace sampling goes through one kernel, [`sample_batch_accesses`],
 //! which draws each lookup through a per-table [`TableSampler`]: a guide
@@ -35,9 +42,9 @@
 //!   solver believes, or a fast estimate without sampling (e.g. to calibrate
 //!   an arrival rate).
 //! * [`EmbeddingOpSimulator`] — trace-driven: draws actual multi-hot batches
-//!   and counts where every lookup lands. Use it to validate plans against
-//!   sampled (rather than expected) traffic, and for the per-tier access
-//!   counts of Tables 5–6.
+//!   from an [`IterationWorkload`] and counts where every lookup lands. Use
+//!   it to validate plans against sampled (rather than expected) traffic,
+//!   and for the per-tier access counts of Tables 5–6.
 //!
 //! Neither models *time-extended* behaviour: batches queueing behind a slow
 //! GPU, the all-to-all barrier, tail latency, workload drift, or online
@@ -80,6 +87,7 @@ pub mod counters;
 pub mod engine;
 pub mod sampler;
 pub mod timing;
+pub mod workload;
 
 pub use analytical::AnalyticalEstimator;
 pub use counters::AccessCounters;
@@ -89,3 +97,4 @@ pub use engine::{
 };
 pub use sampler::TableSampler;
 pub use timing::embedding_kernel_time_ms;
+pub use workload::IterationWorkload;

@@ -241,11 +241,6 @@ impl ShardingPlan {
         usage
     }
 
-    /// Total rows placed in HBM across all tables.
-    pub fn total_hbm_rows(&self) -> u64 {
-        self.placements.iter().map(|p| p.hbm_rows).sum()
-    }
-
     /// Total rows placed in UVM across all tables.
     pub fn total_uvm_rows(&self) -> u64 {
         self.placements.iter().map(|p| p.uvm_rows()).sum()

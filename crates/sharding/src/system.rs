@@ -75,12 +75,6 @@ impl DeviceClass {
         Self::new("a100", 24 * GIB, 128 * GIB, 1555.0, 16.0)
     }
 
-    /// An H100-class device: 80 GB HBM3 (3350 GB/s) with the same 128 GB
-    /// host DRAM pool behind PCIe 5.0x16 UVM (~50 GB/s achievable).
-    pub fn h100_like() -> Self {
-        Self::new("h100", 80 * GIB, 128 * GIB, 3350.0, 50.0)
-    }
-
     /// Ratio of HBM to UVM bandwidth — the penalty factor for placing hot
     /// rows in the wrong tier (two orders of magnitude on the paper's
     /// devices).

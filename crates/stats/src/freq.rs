@@ -72,13 +72,6 @@ impl FrequencyMap {
         self.total += n;
     }
 
-    /// Records one access to each row in the slice.
-    pub fn record_all(&mut self, rows: &[u64]) {
-        for &r in rows {
-            self.record(r);
-        }
-    }
-
     /// Total number of recorded accesses.
     pub fn total_accesses(&self) -> u64 {
         self.total

@@ -3,12 +3,13 @@
 //!
 //! Every `RunSummary` carries an order-sensitive FNV-1a hash over the entire
 //! event log, so a seeded run is fingerprint-stable by construction. These
-//! tests commit the fingerprints of fixed, scaled-down versions of the
-//! `des_throughput` and `fig13_scaling` (DES backend) configurations and
-//! assert bit-for-bit stability: any change to the event engine, the
-//! workload sampler, the service-time model, the remap layer or the
-//! strategy solvers that alters a single event — its time, order or payload
-//! — fails here *loudly* instead of silently shifting published numbers.
+//! tests commit the fingerprints of fixed, scaled-down DES configurations
+//! (the skewed 4-GPU workload, `train_contended`, `fig13_scaling`'s DES
+//! backend) and assert bit-for-bit stability: any change to the event
+//! engine, the workload sampler, the service-time model, the remap layer or
+//! the strategy solvers that alters a single event — its time, order or
+//! payload — fails here *loudly* instead of silently shifting published
+//! numbers.
 //!
 //! If a change is *intentional* (e.g. a new event type), re-derive the
 //! constants by running the failing test and copying the `actual` values
@@ -24,13 +25,14 @@ use recshard_des::{
     ArrivalProcess, ClusterConfig, ClusterSimulator, ContentionMode, ReshardController,
     ReshardPolicy, RunSummary,
 };
+use recshard_obs::NoopSink;
 use recshard_serve::{ArrivalModel, InferenceServer, PolicyKind, ServeConfig, ServeReport};
 use recshard_sharding::{ClusterSpec, DeviceClass, NodeTopology, ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
 
-/// Committed fingerprints of the scaled-down `des_throughput` run, in
+/// Committed fingerprints of [`skewed_des_simulator`]'s runs, in
 /// `Strategy::all()` order (SB, LB, SBL, RecShard).
-const DES_THROUGHPUT_GOLDEN: [u64; 4] = [
+const SKEWED_DES_GOLDEN: [u64; 4] = [
     0xf292_4dba_a975_c232,
     0x4c2f_8cba_2b25_1d55,
     0x04dc_a2b2_47d4_d6cc,
@@ -84,11 +86,10 @@ const UNBUCKETED_PLAN_GOLDEN: [u64; 3] = [
     0x9a7e_81a0_c2f0_92ba,
 ];
 
-/// The scaled-down `des_throughput` configuration: same skewed workload
-/// shape, same capacity pressure (HBM holds ~1/3 of the model), fixed
-/// arrival interval instead of the binary's calibration so the golden value
-/// does not depend on floating-point calibration output formatting.
-fn des_throughput_run(strategy: Strategy) -> RunSummary {
+/// The skewed 4-GPU DES configuration: 24 `skewed_model` tables under
+/// capacity pressure (HBM holds ~1/3 of the model), a 32-sample traced
+/// batch reported at the model's batch, and a fixed 2 ms arrival interval.
+fn skewed_des_simulator<'obs>(strategy: Strategy) -> ClusterSimulator<'obs> {
     let model = skewed_model(24);
     let system = SystemSpec::uniform(
         4,
@@ -108,16 +109,16 @@ fn des_throughput_run(strategy: Strategy) -> RunSummary {
         scale_to_batch: Some(model.batch_size()),
         ..ClusterConfig::default()
     };
-    ClusterSimulator::new(&model, &plan, &profile, &system, config).run()
+    ClusterSimulator::new(&model, &plan, &profile, &system, config)
 }
 
 #[test]
-fn des_throughput_fingerprints_are_bit_for_bit_stable() {
+fn skewed_des_fingerprints_are_bit_for_bit_stable() {
     let summaries: Vec<_> = Strategy::all()
         .iter()
-        .map(|&s| (s, des_throughput_run(s)))
+        .map(|&s| (s, skewed_des_simulator(s).run()))
         .collect();
-    for ((strategy, summary), &golden) in summaries.iter().zip(&DES_THROUGHPUT_GOLDEN) {
+    for ((strategy, summary), &golden) in summaries.iter().zip(&SKEWED_DES_GOLDEN) {
         assert_eq!(summary.completed, 400);
         assert_eq!(
             summary.fingerprint,
@@ -134,11 +135,21 @@ fn des_throughput_fingerprints_are_bit_for_bit_stable() {
     }
 }
 
+/// A replay with a no-op sink attached must reproduce the plain run in
+/// every field: same seed, same summary, and instrumentation hooks move no
+/// event.
 #[test]
-fn des_throughput_replay_reproduces_the_full_summary() {
-    let a = des_throughput_run(Strategy::RecShard);
-    let b = des_throughput_run(Strategy::RecShard);
-    assert_eq!(a, b, "identical seeds must reproduce identical summaries");
+fn skewed_des_replay_under_a_noop_sink_reproduces_the_full_summary() {
+    let plain = skewed_des_simulator(Strategy::RecShard).run();
+    let mut noop = NoopSink;
+    let traced = skewed_des_simulator(Strategy::RecShard)
+        .with_obs(&mut noop)
+        .run();
+    assert_eq!(
+        plain, traced,
+        "identical seeds must reproduce identical summaries, no-op sink or not"
+    );
+    assert_eq!(traced.fingerprint, SKEWED_DES_GOLDEN[3]);
 }
 
 /// A shortened `train_contended`: 48 skewed tables on a hierarchical

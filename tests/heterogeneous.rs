@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 use recshard::{MilpFormulation, RecShardConfig, ScalableSolver, StructuredSolver};
+use recshard_bench::solver_bench::plan_fingerprint;
 use recshard_data::ModelSpec;
 use recshard_milp::SolveOptions;
 use recshard_sharding::{
@@ -28,19 +29,6 @@ fn setup(n_tables: usize, seed: u64, samples: usize) -> (ModelSpec, DatasetProfi
     let model = ModelSpec::small(n_tables, seed);
     let profile = DatasetProfiler::profile_model(&model, samples, seed ^ 0x8E7E);
     (model, profile)
-}
-
-/// FNV-1a over a plan's placements — the same fingerprint the solver bench
-/// locks in `BENCH_solver.json`.
-fn plan_fingerprint(plan: &ShardingPlan) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for p in plan.placements() {
-        for word in [p.gpu as u64, p.hbm_rows, p.total_rows, p.row_bytes] {
-            hash ^= word;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
 }
 
 proptest! {
