@@ -25,19 +25,12 @@ use recshard_des::{
     ArrivalProcess, ClusterConfig, ClusterSimulator, ContentionMode, ReshardController,
     ReshardPolicy, RunSummary,
 };
-use recshard_obs::NoopSink;
 use recshard_serve::{ArrivalModel, InferenceServer, PolicyKind, ServeConfig, ServeReport};
 use recshard_sharding::{ClusterSpec, DeviceClass, NodeTopology, ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
 
-/// Committed fingerprints of [`skewed_des_simulator`]'s runs, in
-/// `Strategy::all()` order (SB, LB, SBL, RecShard).
-const SKEWED_DES_GOLDEN: [u64; 4] = [
-    0xf292_4dba_a975_c232,
-    0x4c2f_8cba_2b25_1d55,
-    0x04dc_a2b2_47d4_d6cc,
-    0x311f_1dea_5d96_d7c5,
-];
+mod common;
+use common::{skewed_des_simulator, SKEWED_DES_GOLDEN};
 
 /// Committed fingerprint of the shortened `train_contended` run (shared-rate
 /// links, 4×4 hierarchical plan, overlapping Poisson arrivals, a drift storm
@@ -86,32 +79,6 @@ const UNBUCKETED_PLAN_GOLDEN: [u64; 3] = [
     0x9a7e_81a0_c2f0_92ba,
 ];
 
-/// The skewed 4-GPU DES configuration: 24 `skewed_model` tables under
-/// capacity pressure (HBM holds ~1/3 of the model), a 32-sample traced
-/// batch reported at the model's batch, and a fixed 2 ms arrival interval.
-fn skewed_des_simulator<'obs>(strategy: Strategy) -> ClusterSimulator<'obs> {
-    let model = skewed_model(24);
-    let system = SystemSpec::uniform(
-        4,
-        model.total_bytes() / 12,
-        model.total_bytes(),
-        1555.0,
-        16.0,
-    );
-    let profile = DatasetProfiler::profile_model(&model, 3_000, 0xA5F0);
-    let plan = strategy.plan(&model, &profile, &system);
-    let config = ClusterConfig {
-        batch_size: 32,
-        iterations: 400,
-        seed: 0xA5F0,
-        arrival: ArrivalProcess::FixedRate { interval_ms: 2.0 },
-        kernel_overhead_us_per_table: 8.0,
-        scale_to_batch: Some(model.batch_size()),
-        ..ClusterConfig::default()
-    };
-    ClusterSimulator::new(&model, &plan, &profile, &system, config)
-}
-
 #[test]
 fn skewed_des_fingerprints_are_bit_for_bit_stable() {
     let summaries: Vec<_> = Strategy::all()
@@ -135,21 +102,14 @@ fn skewed_des_fingerprints_are_bit_for_bit_stable() {
     }
 }
 
-/// A replay with a no-op sink attached must reproduce the plain run in
-/// every field: same seed, same summary, and instrumentation hooks move no
-/// event.
+/// Two plain replays of the skewed configuration must agree in every
+/// field, not only in the fingerprint.
 #[test]
-fn skewed_des_replay_under_a_noop_sink_reproduces_the_full_summary() {
-    let plain = skewed_des_simulator(Strategy::RecShard).run();
-    let mut noop = NoopSink;
-    let traced = skewed_des_simulator(Strategy::RecShard)
-        .with_obs(&mut noop)
-        .run();
-    assert_eq!(
-        plain, traced,
-        "identical seeds must reproduce identical summaries, no-op sink or not"
-    );
-    assert_eq!(traced.fingerprint, SKEWED_DES_GOLDEN[3]);
+fn des_throughput_replay_reproduces_the_full_summary() {
+    let a = skewed_des_simulator(Strategy::RecShard).run();
+    let b = skewed_des_simulator(Strategy::RecShard).run();
+    assert_eq!(a, b, "identical seeds must reproduce identical summaries");
+    assert_eq!(a.fingerprint, SKEWED_DES_GOLDEN[3]);
 }
 
 /// A shortened `train_contended`: 48 skewed tables on a hierarchical

@@ -6,9 +6,8 @@
 //!    JSONL traces, Chrome `trace_event` JSON and metrics snapshots on
 //!    every replay.
 //! 2. **Observation never perturbs** — attaching a full collector leaves
-//!    the serving report bit-identical. The DES's counterparts sit
-//!    elsewhere: the no-op-sink check next to its golden fingerprint in
-//!    `tests/golden_fingerprints.rs`, the collector check in
+//!    the serving report bit-identical, and a no-op sink leaves the skewed
+//!    DES run on its golden fingerprint. The DES collector check sits in
 //!    `recshard_bench::des_bench`'s tests.
 //! 3. **Exports are well-formed** — the Chrome export is loadable
 //!    `trace_event` JSON (metadata + spans + instants), and the metrics
@@ -17,10 +16,13 @@
 use recshard_bench::des_bench::{traced_smoke, DesBenchConfig};
 use recshard_bench::{skewed_model, Strategy};
 use recshard_des::RunSummary;
-use recshard_obs::{MetricValue, ObsBundle};
+use recshard_obs::{MetricValue, NoopSink, ObsBundle};
 use recshard_serve::{ArrivalModel, InferenceServer, PolicyKind, ServeConfig};
 use recshard_sharding::SystemSpec;
 use recshard_stats::DatasetProfiler;
+
+mod common;
+use common::{skewed_des_simulator, SKEWED_DES_GOLDEN};
 
 fn smoke_config() -> DesBenchConfig {
     let mut cfg = DesBenchConfig::tiny();
@@ -30,6 +32,25 @@ fn smoke_config() -> DesBenchConfig {
 
 fn smoke_bundle() -> (RunSummary, ObsBundle) {
     traced_smoke(&smoke_config())
+}
+
+#[test]
+fn noop_sink_leaves_the_golden_des_fingerprint_unchanged() {
+    let plain = skewed_des_simulator(Strategy::RecShard).run();
+    let mut noop = NoopSink;
+    let traced = skewed_des_simulator(Strategy::RecShard)
+        .with_obs(&mut noop)
+        .run();
+    assert_eq!(
+        plain, traced,
+        "a no-op sink must not perturb the run summary in any field"
+    );
+    assert_eq!(
+        traced.fingerprint, SKEWED_DES_GOLDEN[3],
+        "no-op-sink run drifted off the committed golden fingerprint \
+         (actual {:#018x}, golden {:#018x})",
+        traced.fingerprint, SKEWED_DES_GOLDEN[3]
+    );
 }
 
 #[test]
