@@ -11,6 +11,11 @@
 //! payload — fails here *loudly* instead of silently shifting published
 //! numbers.
 //!
+//! `CONTENDED_TIMING_GOLDEN` pins a shared-rate sweep differently: it
+//! hashes every `RunSummary` field except `events` and `fingerprint`, so
+//! it holds the run's virtual times fixed while a change to how the engine
+//! sequences one instant re-baselines the event-log fingerprints.
+//!
 //! If a change is *intentional* (e.g. a new event type), re-derive the
 //! constants by running the failing test and copying the `actual` values
 //! from the assertion message.
@@ -118,9 +123,22 @@ fn des_throughput_replay_reproduces_the_full_summary() {
 /// overlap and their barriers open out of arrival order. A drift storm led
 /// by a hot-key shift lands at 30% of the span and trips the controller.
 fn contended_des_run() -> RunSummary {
-    const ITERATIONS: u64 = 3_000;
+    contended_des_variant(4, 0.0, Some(3.2), 3_000)
+}
+
+/// The `contended_des_run` family: the same model, system and arrivals on
+/// `nodes` nodes of `16 / nodes` GPUs, with `overhead_us` of launch
+/// overhead per table kernel, run for `iterations` batches. Given an
+/// imbalance threshold, the drift storm strikes and a re-sharding
+/// controller with that threshold watches the run.
+fn contended_des_variant(
+    nodes: usize,
+    overhead_us: f64,
+    threshold: Option<f64>,
+    iterations: u64,
+) -> RunSummary {
     const INTERVAL_MS: f64 = 0.02;
-    let topology = NodeTopology::new(4, 4);
+    let topology = NodeTopology::new(nodes, 16 / nodes);
     let model = skewed_model(48);
     let profile = DatasetProfiler::profile_model(&model, 3_000, 0xA5F0);
     let system = SystemSpec::uniform(
@@ -139,9 +157,24 @@ fn contended_des_run() -> RunSummary {
             .ok()
     };
     let plan = solve(&model, &profile, &system, None).expect("initial hierarchical solve");
-    let span_s = ITERATIONS as f64 * INTERVAL_MS / 1e3;
-    let mut storm = ScenarioSpec::drift_storm(0.3 * span_s, 0.1 * span_s, 3);
-    storm.shifts.insert(
+    let config = ClusterConfig {
+        batch_size: 1,
+        iterations,
+        seed: 1,
+        arrival: ArrivalProcess::Poisson {
+            mean_interval_ms: INTERVAL_MS,
+        },
+        kernel_overhead_us_per_table: overhead_us,
+        contention: ContentionMode::SharedRate,
+        ..ClusterConfig::default()
+    };
+    let sim = ClusterSimulator::new(&model, &plan, &profile, &system, config);
+    let Some(threshold) = threshold else {
+        return sim.run();
+    };
+    let span_s = iterations as f64 * INTERVAL_MS / 1e3;
+    let mut scenario = ScenarioSpec::drift_storm(0.3 * span_s, 0.1 * span_s, 3);
+    scenario.shifts.insert(
         0,
         ShiftEvent {
             at_s: 0.3 * span_s,
@@ -150,23 +183,11 @@ fn contended_des_run() -> RunSummary {
     );
     let policy = ReshardPolicy {
         check_every_iterations: 300,
-        imbalance_threshold: 3.2,
+        imbalance_threshold: threshold,
         profile_samples: 1_000,
         ..ReshardPolicy::default()
     };
-    let config = ClusterConfig {
-        batch_size: 1,
-        iterations: ITERATIONS,
-        seed: 1,
-        arrival: ArrivalProcess::Poisson {
-            mean_interval_ms: INTERVAL_MS,
-        },
-        kernel_overhead_us_per_table: 0.0,
-        contention: ContentionMode::SharedRate,
-        ..ClusterConfig::default()
-    };
-    ClusterSimulator::new(&model, &plan, &profile, &system, config)
-        .with_scenario(storm)
+    sim.with_scenario(scenario)
         .with_controller(ReshardController::new(policy, Box::new(solve)))
         .run()
 }
@@ -184,6 +205,98 @@ fn contended_des_fingerprint_is_bit_for_bit_stable() {
         summary.fingerprint, CONTENDED_DES_GOLDEN,
         "contended DES: fingerprint drifted (actual {:#018x}, golden {:#018x})",
         summary.fingerprint, CONTENDED_DES_GOLDEN
+    );
+}
+
+/// The shared-rate sweep of `CONTENDED_TIMING_GOLDEN`, as `contended_des_variant`
+/// arguments `(nodes, launch overhead µs per table, controller threshold,
+/// iterations)`: flat, 2- and 4-node plans, with and without launch
+/// overhead, and storms whose controller re-shards 1 to 10 times, so
+/// migration stalls push gather starts past their arrival.
+const CONTENDED_TIMING_SWEEP: [(usize, f64, Option<f64>, u64); 8] = [
+    (1, 0.0, None, 1_000),
+    (1, 0.0, Some(1.5), 3_000),
+    (1, 3.0, Some(1.5), 3_000),
+    (2, 3.0, None, 1_000),
+    (2, 0.0, Some(2.0), 3_000),
+    (4, 0.0, Some(3.2), 3_000),
+    (4, 1.0, Some(1.5), 3_000),
+    (4, 3.0, None, 1_000),
+];
+
+/// Committed `timing_fingerprint`s of `CONTENDED_TIMING_SWEEP`, in order.
+const CONTENDED_TIMING_GOLDEN: [u64; 8] = [
+    0x3e4d_7d1e_2d54_d437,
+    0xbc81_5a06_f41e_9d80,
+    0x26f1_b729_64e0_da17,
+    0xcaf7_67c8_8eee_c490,
+    0x9195_4426_0096_ffa4,
+    0x2f2e_d0e2_ffeb_b519,
+    0x5c9c_2f5a_f12c_c5fa,
+    0x2b22_8074_ee5e_3678,
+];
+
+/// FNV-1a hash over every `RunSummary` field except `events` and
+/// `fingerprint`, floats as bits: everything a run measures in virtual
+/// time, and nothing that depends on how the engine sequences one instant.
+fn timing_fingerprint(summary: &RunSummary) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    let mut fold = |word: u64| {
+        hash ^= word;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    };
+    summary.strategy.bytes().for_each(|b| fold(u64::from(b)));
+    fold(summary.num_gpus as u64);
+    fold(summary.iterations);
+    fold(summary.completed);
+    fold(summary.batch_size as u64);
+    for x in [
+        summary.makespan_ms,
+        summary.throughput_iters_per_s,
+        summary.p50_ms,
+        summary.p95_ms,
+        summary.p99_ms,
+    ] {
+        fold(x.to_bits());
+    }
+    for s in [&summary.iteration_time, &summary.queue_wait] {
+        fold(s.count);
+        for x in [s.min, s.max, s.mean, s.std_dev] {
+            fold(x.to_bits());
+        }
+    }
+    for v in [
+        &summary.busy_fraction,
+        &summary.per_gpu_busy_ms,
+        &summary.uvm_busy_share,
+    ] {
+        fold(v.len() as u64);
+        v.iter().for_each(|x| fold(x.to_bits()));
+    }
+    fold(u64::from(summary.reshards));
+    hash
+}
+
+/// Every virtual time of a shared-rate run — completions, sojourns, busy
+/// and wait accounting, re-shards — is pinned separately from the event
+/// log, so a change to how the engine sequences same-instant steps must
+/// leave this golden untouched while it re-baselines the fingerprints.
+#[test]
+fn contended_des_timing_is_bit_for_bit_stable() {
+    let actual = CONTENDED_TIMING_SWEEP.map(|(nodes, overhead_us, threshold, iterations)| {
+        let summary = contended_des_variant(nodes, overhead_us, threshold, iterations);
+        assert_eq!(summary.completed, iterations);
+        assert_eq!(
+            summary.reshards >= 1,
+            threshold.is_some(),
+            "{nodes} node(s), {overhead_us} µs: only the storm re-shards (got {})",
+            summary.reshards
+        );
+        timing_fingerprint(&summary)
+    });
+    assert_eq!(
+        actual, CONTENDED_TIMING_GOLDEN,
+        "contended DES timing drifted (actual {actual:#018x?})"
     );
 }
 
