@@ -553,7 +553,7 @@ fn perf_summary(
     }
 }
 
-/// Runs `run` once — best of [`TIMING_REPS`] when `include_timing` is set —
+/// Runs `run` once — best of `TIMING_REPS` (3) when `include_timing` is set —
 /// and returns its result with the fastest wall time in ms. Seeded runs are
 /// pure functions of their inputs, so every repetition must return the
 /// same result (asserted). This is the harness's one wall-clock read.

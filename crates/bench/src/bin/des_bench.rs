@@ -12,13 +12,14 @@
 //!
 //! A `contention` sweep rides along (uniform + incast scenarios, FIFO and
 //! shared-rate contention modes) and is serialised into the artifact's
-//! `contention` section — purely virtual quantities, byte-stable.
+//! `contention` section, with `wall_ms` and `iters_per_sec` under the same
+//! timing rule. Both sections record `events_per_iter`.
 //!
 //! Gates (see `recshard_bench::artifact`): with `RECSHARD_BENCH_BASELINE`
 //! set, the run fails on event-log fingerprint drift in either section
 //! (`RECSHARD_BENCH_ALLOW_DRIFT=1` acknowledges intended drift) and, when
-//! both sides are timed, on wall iterations/sec regressions beyond 25%
-//! (events/sec is reported alongside, ungated).
+//! both sides are timed, on wall iterations/sec regressions beyond 25% in
+//! either section (events/sec is reported alongside, ungated).
 //!
 //! Observability export: when `RECSHARD_OBS_DIR` is set, the sweep's
 //! smallest flat point re-runs once with a collector attached and writes

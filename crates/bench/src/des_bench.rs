@@ -16,14 +16,16 @@
 //!
 //! A `contention` sweep rides along: the uniform flat plan and an incast
 //! plan (all tables concentrated on non-receiving nodes), each run under
-//! both [`ContentionMode`]s at the smallest GPU count. Its points carry no
-//! wall-clock fields at all — every number is a pure function of the seed
-//! — and the sweep asserts the shared-rate acceptance criterion in-line:
+//! both [`ContentionMode`]s at the smallest GPU count. Its points carry
+//! wall milliseconds and simulated iterations per wall second under the
+//! same timing rule, so the shared-rate engine has a timed baseline too,
+//! and the sweep asserts the shared-rate acceptance criterion in-line:
 //! incast p99 under processor sharing strictly exceeds the old
-//! split-bandwidth FIFO model's.
+//! split-bandwidth FIFO model's. Both sections record `events_per_iter`,
+//! a pure function of the seed.
 //!
 //! [`SPEC`] gates the artifact on event-log fingerprint drift (both
-//! sections) and on a 25% floor on wall iterations/sec.
+//! sections) and on a 25% floor on wall iterations/sec (both sections).
 
 use crate::artifact::{best_of, recorded, row, Artifact, Better, PerfGate, Row, Spec};
 use crate::report::env_u64;
@@ -168,6 +170,8 @@ pub struct DesBenchPoint {
     pub iterations: u64,
     /// Total simulator events processed.
     pub events: u64,
+    /// Simulator events per simulated iteration.
+    pub events_per_iter: f64,
     /// Plan swaps performed by the re-sharding controller.
     pub reshards: u32,
     /// Virtual-time makespan, ms.
@@ -196,6 +200,7 @@ impl DesBenchPoint {
         row![
             gpus: Int(self.gpus as u64), nodes: Int(self.nodes as u64),
             iterations: Int(self.iterations), events: Int(self.events),
+            events_per_iter: Float(self.events_per_iter),
             reshards: Int(u64::from(self.reshards)), makespan_ms: Float(self.makespan_ms),
             virtual_iters_per_s: Float(self.virtual_iters_per_s), p50_ms: Float(self.p50_ms),
             p99_ms: Float(self.p99_ms), fingerprint: Fingerprint(self.fingerprint),
@@ -206,9 +211,10 @@ impl DesBenchPoint {
 }
 
 /// One `contention`-sweep point: one seeded DES run of one scenario under
-/// one [`ContentionMode`]. Everything here is a pure function of the seed
-/// (no wall-clock fields), so the section is byte-stable and its
-/// fingerprints are drift-gated like the main sweep's.
+/// one [`ContentionMode`]. Everything but the wall-clock fields is a pure
+/// function of the seed, and those hold the sentinel when untimed, so the
+/// section is byte-stable and its fingerprints are drift-gated like the
+/// main sweep's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContentionPoint {
     /// Exchange traffic shape: `"uniform"` (the flat RecShard plan) or
@@ -225,6 +231,8 @@ pub struct ContentionPoint {
     pub iterations: u64,
     /// Total simulator events processed.
     pub events: u64,
+    /// Simulator events per simulated iteration.
+    pub events_per_iter: f64,
     /// Virtual-time makespan, ms.
     pub makespan_ms: f64,
     /// Median iteration sojourn time, ms.
@@ -233,6 +241,11 @@ pub struct ContentionPoint {
     pub p99_ms: f64,
     /// Order-sensitive FNV-1a hash of the run's entire event log.
     pub fingerprint: u64,
+    /// Best-of-N ([`best_of`]) wall-clock time (ms), or `-1` when untimed.
+    pub wall_ms: f64,
+    /// Simulated iterations per wall-clock second (best repetition), or
+    /// `-1`.
+    pub iters_per_sec: f64,
 }
 
 impl ContentionPoint {
@@ -242,8 +255,10 @@ impl ContentionPoint {
             scenario: Str(self.scenario.clone()), mode: Str(self.mode.clone()),
             gpus: Int(self.gpus as u64), nodes: Int(self.nodes as u64),
             iterations: Int(self.iterations), events: Int(self.events),
+            events_per_iter: Float(self.events_per_iter),
             makespan_ms: Float(self.makespan_ms), p50_ms: Float(self.p50_ms),
             p99_ms: Float(self.p99_ms), fingerprint: Fingerprint(self.fingerprint),
+            wall_ms: Timing(self.wall_ms), iters_per_sec: Timing(self.iters_per_sec),
         ]
     }
 }
@@ -336,10 +351,14 @@ fn run_contention_sweep(cfg: &DesBenchConfig, profile: &DatasetProfile) -> Vec<C
                 contention,
                 ..cfg.cluster_config()
             };
-            let summary = ClusterSimulator::new(&model, plan, profile, &system, config).run();
+            let (summary, wall_ms) = best_of(cfg.include_timing, || {
+                ClusterSimulator::new(&model, plan, profile, &system, config).run()
+            });
+            let iters_per_sec = summary.completed as f64 / (wall_ms / 1e3).max(1e-12);
             println!(
                 "des_bench contention: {scenario}/{mode} on {gpus} GPUs x {} node(s): \
-                 {} events, sojourn p50/p99 {:.3}/{:.3} ms, fingerprint {:#018x}",
+                 {} events in {wall_ms:.1} ms ({iters_per_sec:.0} iters/s wall), \
+                 sojourn p50/p99 {:.3}/{:.3} ms, fingerprint {:#018x}",
                 plan.effective_topology().num_nodes,
                 summary.events,
                 summary.p50_ms,
@@ -354,10 +373,13 @@ fn run_contention_sweep(cfg: &DesBenchConfig, profile: &DatasetProfile) -> Vec<C
                 nodes: plan.effective_topology().num_nodes,
                 iterations: summary.completed,
                 events: summary.events,
+                events_per_iter: events_per_iter(&summary),
                 makespan_ms: summary.makespan_ms,
                 p50_ms: summary.p50_ms,
                 p99_ms: summary.p99_ms,
                 fingerprint: summary.fingerprint,
+                wall_ms: recorded(cfg.include_timing, wall_ms),
+                iters_per_sec: recorded(cfg.include_timing, iters_per_sec),
             });
         }
         if scenario == "incast" {
@@ -370,6 +392,11 @@ fn run_contention_sweep(cfg: &DesBenchConfig, profile: &DatasetProfile) -> Vec<C
         }
     }
     points
+}
+
+/// Simulator events per completed iteration of one run.
+fn events_per_iter(summary: &RunSummary) -> f64 {
+    summary.events as f64 / summary.completed.max(1) as f64
 }
 
 /// Runs the sweep.
@@ -402,6 +429,7 @@ pub fn run_sweep(cfg: &DesBenchConfig) -> DesBenchReport {
                 nodes,
                 iterations: summary.completed,
                 events: summary.events,
+                events_per_iter: events_per_iter(&summary),
                 reshards: summary.reshards,
                 makespan_ms: summary.makespan_ms,
                 virtual_iters_per_s: summary.throughput_iters_per_s,
@@ -490,6 +518,9 @@ mod tests {
         for p in &a.contention {
             assert_eq!(p.iterations, cfg.contention_iterations);
             assert!(p.p50_ms > 0.0 && p.p50_ms <= p.p99_ms);
+            assert_eq!(p.events_per_iter, p.events as f64 / p.iterations as f64);
+            assert_eq!(p.wall_ms, TIMING_DISABLED);
+            assert_eq!(p.iters_per_sec, TIMING_DISABLED);
         }
         let find = |scenario: &str, mode: &str| {
             a.contention
@@ -517,9 +548,11 @@ mod tests {
         let point = &timed.points[0];
         assert!(point.wall_ms >= 0.0);
         assert!(point.iters_per_sec > 0.0 && point.events_per_sec > point.iters_per_sec);
-        let events_per_iteration = point.events as f64 / point.iterations as f64;
         let ratio = point.events_per_sec / point.iters_per_sec;
-        assert!((ratio - events_per_iteration).abs() < 1e-9 * events_per_iteration);
+        assert!((ratio - point.events_per_iter).abs() < 1e-9 * point.events_per_iter);
+        for p in &timed.contention {
+            assert!(p.wall_ms >= 0.0 && p.iters_per_sec > 0.0);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A training sample assigns to each sparse feature a (possibly empty) list of
 //! raw categorical values; hashing those values yields the embedding rows the
 //! sample reads (Figure 3 of the paper). The [`SampleGenerator`] draws samples
-//! from a [`ModelSpec`](crate::ModelSpec)'s per-feature distributions:
+//! from a [`ModelSpec`]'s per-feature distributions:
 //! presence is a Bernoulli draw with the feature's coverage, the list length
 //! is drawn from the pooling-factor distribution, and the values themselves
 //! are drawn from the feature's Zipf value distribution.

@@ -15,7 +15,8 @@
 //!    second CPU) while earlier iterations run; see the `draws` module.
 //! 2. **`GpuDone`** — one GPU finished its gather for the iteration; when the
 //!    last GPU finishes, the all-to-all exchange starts (synchronous
-//!    training's barrier).
+//!    training's barrier). In shared-rate mode this is always a
+//!    same-instant step (see below), never a heap event.
 //! 3. **`ExchangeDone`** — the pooled embeddings finished crossing the
 //!    interconnect; the iteration completes and its *sojourn time* (arrival →
 //!    exchange done, queueing included) streams into the p50/p95/p99 CDF.
@@ -60,6 +61,27 @@
 //! split-bandwidth bug where local and remote transfer times were *summed*
 //! into one serial scalar — the phases now occupy separate contended
 //! resources with their own queueing.
+//!
+//! # Same-instant steps
+//!
+//! In shared-rate mode, work due at the current instant skips the event
+//! heap. An event scheduled for `now` — a gather with no stall and no
+//! launch overhead, the `GpuDone` that closes a gather, the wake-up of a
+//! link holding a zero-work transfer — is queued as a *step* on a FIFO
+//! lane instead. Heap events due now were all scheduled before the clock
+//! reached now, so the loop runs them first and then the lane in order:
+//! exactly the `(time, sequence)` order the heap would have produced.
+//! Every handler therefore runs in the same order as when each step was a
+//! heap event, and every virtual time, tie order and order-sensitive
+//! statistic (the P² quantiles, the Welford moments) is unchanged. Steps
+//! are neither counted in `events` nor folded into the fingerprint.
+//!
+//! Running such a step inline, inside the handler that causes it, would
+//! be cheaper still but is not equivalent: it moves the step ahead of
+//! other work due at the same instant, which reorders same-time ties on
+//! the links (admission sequence breaks them) and so the order in which
+//! tied sojourns reach the P² estimator. Migration stalls release many
+//! gathers at one instant, so that reorder moves sojourn quantiles.
 
 use crate::controller::{CheckOutcome, ReshardController};
 use crate::draws::IterationDraws;
@@ -90,6 +112,12 @@ pub enum ContentionMode {
     /// Shared-rate (processor-sharing) links for HBM, UVM, NVLink egress and
     /// per-node fabric ports; the exchange is a two-phase hierarchical
     /// reduce-scatter over first-class link stations.
+    ///
+    /// A transfer with zero work (a GPU with no lookups on one tier) moves
+    /// no bytes, so it records no `LinkTenancy` or `LinkTransfer` trace
+    /// event and `des.link.stretch` covers only transfers that did. It is
+    /// still a tenant for zero time: it completes at its link's next
+    /// advance at the same instant.
     SharedRate,
 }
 
@@ -187,16 +215,21 @@ impl ClusterConfig {
 enum Event {
     /// A training batch arrived from the input pipeline.
     Arrival { iter: u64 },
-    /// One GPU finished its embedding gather for an iteration.
+    /// One GPU finished its embedding gather for an iteration. A heap event
+    /// only in FIFO mode; in shared-rate mode it is due the instant the
+    /// gather's UVM share ends, so it always runs as a same-instant step.
     GpuDone { iter: u64, gpu: usize },
     /// The all-to-all exchange of an iteration finished.
     ExchangeDone { iter: u64 },
-    /// A GPU's memory gathers begin after launch overhead (shared-rate mode
-    /// only).
+    /// A GPU's memory gathers begin after any migration stall and launch
+    /// overhead (shared-rate mode only). A heap event only when one of them
+    /// delays the gather; otherwise a same-instant step of the arrival.
     GatherStart { iter: u64, gpu: usize },
     /// Wake-up at a shared-rate link's earliest projected completion. The
     /// generation stamps the tenancy state the projection was made under; a
     /// stale wake-up (the link changed tenancy since) is ignored when popped.
+    /// A link holding a zero-work tenant wakes at once, as a same-instant
+    /// step.
     LinkUpdate { link: usize, generation: u64 },
 }
 
@@ -591,6 +624,9 @@ pub struct ClusterSimulator<'obs> {
     counters: Vec<AccessCounters>,
     tables_per_gpu: Vec<usize>,
     queue: EventQueue<Event>,
+    /// Same-instant steps (shared-rate mode): events due at the current
+    /// instant, in scheduling order; see [`schedule_at`](Self::schedule_at).
+    steps: VecDeque<Event>,
     stations: Vec<GpuStation>,
     arrival_rng: StdRng,
     iters: IterationStore,
@@ -683,6 +719,7 @@ impl<'obs> ClusterSimulator<'obs> {
             draws: IterationDraws::new(workload, config.seed, config.batch_size, config.iterations),
             counters: vec![AccessCounters::new(); num_gpus],
             queue: EventQueue::new(),
+            steps: VecDeque::new(),
             stations: (0..num_gpus).map(GpuStation::new).collect(),
             arrival_rng: StdRng::seed_from_u64(config.seed ^ 0xA221_7A1C_0FFE_E000),
             iters: IterationStore::new(gathers_per_iter),
@@ -803,6 +840,24 @@ impl<'obs> ClusterSimulator<'obs> {
         }
     }
 
+    /// Schedules `event` at `at`. In shared-rate mode an event due at the
+    /// current instant becomes a same-instant step instead: it runs exactly
+    /// where the heap would have popped it — after every event and step
+    /// already due now, in scheduling order — but skips the heap and is
+    /// neither counted in `events` nor folded into the fingerprint.
+    fn schedule_at(&mut self, at: SimTime, event: Event) {
+        if at == self.queue.now() && self.contention.is_some() {
+            self.steps.push_back(event);
+        } else {
+            self.queue.schedule_at(at, event);
+        }
+    }
+
+    /// [`schedule_at`](Self::schedule_at) `delay_ns` from now.
+    fn schedule_after_ns(&mut self, delay_ns: u64, event: Event) {
+        self.schedule_at(self.queue.now().after_ns(delay_ns), event);
+    }
+
     /// Folds one event into the order-sensitive run fingerprint.
     fn log_event(&mut self, time: SimTime, seq: u64, event: &Event) {
         let (tag, a, b) = match *event {
@@ -913,7 +968,7 @@ impl<'obs> ClusterSimulator<'obs> {
                     start,
                     demand,
                 });
-                self.queue.schedule_at(
+                self.schedule_at(
                     start.after_ns(demand.overhead_ns),
                     Event::GatherStart { iter, gpu },
                 );
@@ -945,8 +1000,7 @@ impl<'obs> ClusterSimulator<'obs> {
                         },
                     );
                 }
-                self.queue
-                    .schedule_at(completion, Event::GpuDone { iter, gpu });
+                self.schedule_at(completion, Event::GpuDone { iter, gpu });
             }
         }
         self.counters = counters;
@@ -959,8 +1013,7 @@ impl<'obs> ClusterSimulator<'obs> {
             if let Some(sc) = &self.scenario {
                 gap = sc.spec.scaled_gap_ns(gap, now.as_ns());
             }
-            self.queue
-                .schedule_after_ns(gap, Event::Arrival { iter: iter + 1 });
+            self.schedule_after_ns(gap, Event::Arrival { iter: iter + 1 });
         }
     }
 
@@ -1011,8 +1064,7 @@ impl<'obs> ClusterSimulator<'obs> {
                         },
                     );
                 }
-                self.queue
-                    .schedule_after_ns(self.exchange_ns, Event::ExchangeDone { iter });
+                self.schedule_after_ns(self.exchange_ns, Event::ExchangeDone { iter });
             }
         }
     }
@@ -1082,8 +1134,7 @@ impl<'obs> ClusterSimulator<'obs> {
                 },
             );
         }
-        self.queue
-            .schedule_after_ns(latency_ns, Event::ExchangeDone { iter });
+        self.schedule_after_ns(latency_ns, Event::ExchangeDone { iter });
     }
 
     /// Admits a transfer on `link` at the current virtual time, re-estimating
@@ -1098,7 +1149,7 @@ impl<'obs> ClusterSimulator<'obs> {
         let mut completed = contention.completion_bufs.pop().unwrap_or_default();
         contention.links[link].advance_into(now.as_ns(), &mut completed);
         contention.links[link].admit(now.as_ns(), work_ns, transfer);
-        if self.obs.enabled() {
+        if self.obs.enabled() && work_ns > 0 {
             let contention = self.contention();
             let (kind, device) = contention.link_kind(link);
             let tenants = contention.links[link].tenants() as u32;
@@ -1131,8 +1182,7 @@ impl<'obs> ClusterSimulator<'obs> {
         let contention = self.contention();
         if let Some(delay) = contention.links[link].next_completion_delay() {
             let generation = contention.links[link].generation();
-            self.queue
-                .schedule_after_ns(delay, Event::LinkUpdate { link, generation });
+            self.schedule_after_ns(delay, Event::LinkUpdate { link, generation });
         }
     }
 
@@ -1154,12 +1204,12 @@ impl<'obs> ClusterSimulator<'obs> {
         self.finish_transfers(link, completed);
     }
 
-    /// One shared-rate transfer finished: record it, then advance its
-    /// pipeline stage (HBM → UVM → gather done; local phase → remote phase →
-    /// exchange done).
+    /// One shared-rate transfer finished: record it (unless it moved no
+    /// bytes), then advance its pipeline stage (HBM → UVM → gather done;
+    /// local phase → remote phase → exchange done).
     fn transfer_done(&mut self, link: usize, done: CompletedTransfer<Transfer>) {
         let now = self.queue.now();
-        if self.obs.enabled() {
+        if self.obs.enabled() && done.work_ns > 0 {
             let contention = self.contention();
             let (kind, device) = contention.link_kind(link);
             self.obs.record(
@@ -1213,7 +1263,7 @@ impl<'obs> ClusterSimulator<'obs> {
                         },
                     );
                 }
-                self.queue.schedule_at(now, Event::GpuDone { iter, gpu });
+                self.schedule_at(now, Event::GpuDone { iter, gpu });
             }
             TransferStage::Local { .. } => {
                 let record = self.iters.record_mut(iter);
@@ -1347,9 +1397,25 @@ impl<'obs> ClusterSimulator<'obs> {
     fn simulate(mut self) -> RunSummary {
         self.queue
             .schedule_at(SimTime::ZERO, Event::Arrival { iter: 0 });
-        while let Some(scheduled) = self.queue.pop() {
-            self.log_event(scheduled.time, scheduled.seq, &scheduled.event);
-            match scheduled.event {
+        loop {
+            // Heap events due now were scheduled before the clock reached
+            // now, so they run before every step queued at this instant.
+            let step = if self.queue.peek_time() == Some(self.queue.now()) {
+                None
+            } else {
+                self.steps.pop_front()
+            };
+            let event = match step {
+                Some(step) => step,
+                None => {
+                    let Some(scheduled) = self.queue.pop() else {
+                        break;
+                    };
+                    self.log_event(scheduled.time, scheduled.seq, &scheduled.event);
+                    scheduled.event
+                }
+            };
+            match event {
                 Event::Arrival { iter } => self.handle_arrival(iter),
                 Event::GpuDone { iter, .. } => self.handle_gpu_done(iter),
                 Event::ExchangeDone { iter } => self.handle_exchange_done(iter),

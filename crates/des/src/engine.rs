@@ -84,6 +84,11 @@ impl<E> EventQueue<E> {
         self.processed
     }
 
+    /// The time of the next pending event, without popping it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|next| next.time)
+    }
+
     /// Number of events still pending.
     pub fn len(&self) -> usize {
         self.heap.len()

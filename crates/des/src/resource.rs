@@ -19,6 +19,12 @@
 //! popped (lazy invalidation — cheaper than deleting from the heap and just
 //! as deterministic).
 //!
+//! A tenant admitted with zero work completes at the link's next advance
+//! (even one that moves the clock by nothing, which is how the simulator
+//! wakes it: a same-instant step). The drain loop sweeps finished tenants
+//! out before it drains any interval, so a zero-work tenant never changes
+//! what another tenant has left or when it completes.
+//!
 //! Completions are reported through
 //! [`SharedRateResource::advance_into`], which appends to a caller-owned
 //! buffer and never clears it, so a caller that recycles its buffers

@@ -178,16 +178,21 @@ fn observation_does_not_perturb_shared_rate_runs() {
         .iter()
         .find(|(n, _)| n == "des.link.transfers")
         .map(|(_, v)| v.clone());
-    // Per iteration: 4 HBM + 4 UVM + 4 NVLink + 2 fabric flows.
+    // Per iteration: 4 HBM + 4 NVLink + 2 fabric flows. Every table fits
+    // in HBM, so the 4 UVM shares carry no work and record nothing.
     assert_eq!(
         transfers,
-        Some(recshard_obs::MetricValue::Counter(80 * (4 + 4 + 4 + 2)))
+        Some(recshard_obs::MetricValue::Counter(80 * (4 + 4 + 2)))
     );
     assert!(bundle
         .trace
         .records()
         .iter()
         .any(|r| r.event.name() == "link_transfer"));
+    assert!(bundle.trace.records().iter().all(|r| !matches!(
+        r.event,
+        recshard_obs::TraceEvent::LinkTransfer { work_ns: 0, .. }
+    )));
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! front of it. [`ShardedCache`] is one GPU's cache: one sequential
 //! structure with a single owner, charged in bytes, with the
 //! eviction/admission decision delegated to a pluggable
-//! [`PolicyKind`](crate::PolicyKind). The server hands each shard's cache
+//! [`PolicyKind`]. The server hands each shard's cache
 //! to that shard's worker thread; the cache is `Send` but not `Sync`, so
 //! the compiler rejects any attempt to share one between threads.
 //!

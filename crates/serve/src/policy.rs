@@ -3,7 +3,7 @@
 //! The paper's core observation — per-table access CDFs are heavily skewed,
 //! so a small head of rows sources most accesses (Figure 5) — applies to
 //! inference traffic exactly as it does to training. [`StatGuide`] turns a
-//! [`DatasetProfile`](recshard_stats::DatasetProfile) into a serving-cache
+//! [`DatasetProfile`] into a serving-cache
 //! policy:
 //!
 //! * **Pinning** — each table's rows above the [CDF knee]

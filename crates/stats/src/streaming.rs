@@ -344,7 +344,7 @@ impl StreamingCdf {
 
     /// The estimate for the tracked quantile `q`.
     ///
-    /// Exact while at most [`STREAMING_CDF_EXACT_HEAD`] observations have
+    /// Exact while at most `STREAMING_CDF_EXACT_HEAD` (64) observations have
     /// been pushed; afterwards the P² estimate, monotone-repaired so that a
     /// higher tracked quantile never reports a smaller value than a lower
     /// one.

@@ -20,27 +20,24 @@
 //! constants by running the failing test and copying the `actual` values
 //! from the assertion message.
 
-use recshard::{HierarchicalSolver, RecShard, RecShardConfig};
+use recshard::{RecShard, RecShardConfig};
 use recshard_bench::des_bench::{self, DesBenchConfig};
 use recshard_bench::scenario_bench::{self, ScenarioBenchConfig};
 use recshard_bench::solver_bench::{bench_system, run_sweep, SolverBenchConfig};
 use recshard_bench::{skewed_model, ExperimentConfig, Strategy};
-use recshard_data::{ModelSpec, RmKind, ScenarioSpec, ShiftEvent, ShiftKind};
-use recshard_des::{
-    ArrivalProcess, ClusterConfig, ClusterSimulator, ContentionMode, ReshardController,
-    ReshardPolicy, RunSummary,
-};
+use recshard_data::{ModelSpec, RmKind};
+use recshard_des::{ArrivalProcess, RunSummary};
 use recshard_serve::{ArrivalModel, InferenceServer, PolicyKind, ServeConfig, ServeReport};
-use recshard_sharding::{ClusterSpec, DeviceClass, NodeTopology, ShardingPlan, SystemSpec};
+use recshard_sharding::{ClusterSpec, DeviceClass, ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
 
 mod common;
-use common::{skewed_des_simulator, SKEWED_DES_GOLDEN};
+use common::{contended_des_simulator, skewed_des_simulator, CONTENDED_DES, SKEWED_DES_GOLDEN};
 
 /// Committed fingerprint of the shortened `train_contended` run (shared-rate
 /// links, 4×4 hierarchical plan, overlapping Poisson arrivals, a drift storm
 /// and a re-sharding controller).
-const CONTENDED_DES_GOLDEN: u64 = 0x98ae_fe94_2989_f37a;
+const CONTENDED_DES_GOLDEN: u64 = 0xb709_65ea_fb7f_4ef3;
 
 /// Committed fingerprint of the `fig13_scaling` DES backend (tiny config,
 /// RM1, RecShard plan).
@@ -54,7 +51,7 @@ const SOLVER_SCALING_GOLDEN: u64 = 0x6ba7_d67b_4171_619c;
 
 /// Committed fingerprints of the tiny `des_bench` and `scenario_bench`
 /// sweeps: FNV-1a hashes of their canonical JSON with timing blanked.
-const DES_BENCH_TINY_GOLDEN: u64 = 0x82a0_891d_f7ac_d199;
+const DES_BENCH_TINY_GOLDEN: u64 = 0xeb01_f1d2_5c31_afe4;
 const SCENARIO_BENCH_TINY_GOLDEN: u64 = 0x9a5d_fa18_1bee_331b;
 
 /// Committed per-point scalable-plan fingerprints of the tiny sweep
@@ -117,79 +114,10 @@ fn des_throughput_replay_reproduces_the_full_summary() {
     assert_eq!(a.fingerprint, SKEWED_DES_GOLDEN[3]);
 }
 
-/// A shortened `train_contended`: 48 skewed tables on a hierarchical
-/// RecShard plan over 4 nodes of 4 GPUs, shared-rate links, batch 1 and
-/// Poisson arrivals far faster than one iteration's sojourn, so iterations
-/// overlap and their barriers open out of arrival order. A drift storm led
-/// by a hot-key shift lands at 30% of the span and trips the controller.
+/// The shortened `train_contended` (see `common::CONTENDED_DES`).
 fn contended_des_run() -> RunSummary {
-    contended_des_variant(4, 0.0, Some(3.2), 3_000)
-}
-
-/// The `contended_des_run` family: the same model, system and arrivals on
-/// `nodes` nodes of `16 / nodes` GPUs, with `overhead_us` of launch
-/// overhead per table kernel, run for `iterations` batches. Given an
-/// imbalance threshold, the drift storm strikes and a re-sharding
-/// controller with that threshold watches the run.
-fn contended_des_variant(
-    nodes: usize,
-    overhead_us: f64,
-    threshold: Option<f64>,
-    iterations: u64,
-) -> RunSummary {
-    const INTERVAL_MS: f64 = 0.02;
-    let topology = NodeTopology::new(nodes, 16 / nodes);
-    let model = skewed_model(48);
-    let profile = DatasetProfiler::profile_model(&model, 3_000, 0xA5F0);
-    let system = SystemSpec::uniform(
-        16,
-        model.total_bytes() / 48,
-        model.total_bytes(),
-        1555.0,
-        16.0,
-    );
-    let solve = move |model: &ModelSpec,
-                      profile: &DatasetProfile,
-                      system: &SystemSpec,
-                      _current: Option<&ShardingPlan>| {
-        HierarchicalSolver::new(RecShardConfig::default(), topology)
-            .solve(model, profile, system)
-            .ok()
-    };
-    let plan = solve(&model, &profile, &system, None).expect("initial hierarchical solve");
-    let config = ClusterConfig {
-        batch_size: 1,
-        iterations,
-        seed: 1,
-        arrival: ArrivalProcess::Poisson {
-            mean_interval_ms: INTERVAL_MS,
-        },
-        kernel_overhead_us_per_table: overhead_us,
-        contention: ContentionMode::SharedRate,
-        ..ClusterConfig::default()
-    };
-    let sim = ClusterSimulator::new(&model, &plan, &profile, &system, config);
-    let Some(threshold) = threshold else {
-        return sim.run();
-    };
-    let span_s = iterations as f64 * INTERVAL_MS / 1e3;
-    let mut scenario = ScenarioSpec::drift_storm(0.3 * span_s, 0.1 * span_s, 3);
-    scenario.shifts.insert(
-        0,
-        ShiftEvent {
-            at_s: 0.3 * span_s,
-            shift: ShiftKind::HotKeyShift { fraction: 0.3 },
-        },
-    );
-    let policy = ReshardPolicy {
-        check_every_iterations: 300,
-        imbalance_threshold: threshold,
-        profile_samples: 1_000,
-        ..ReshardPolicy::default()
-    };
-    sim.with_scenario(scenario)
-        .with_controller(ReshardController::new(policy, Box::new(solve)))
-        .run()
+    let (nodes, overhead_us, threshold, iterations) = CONTENDED_DES;
+    contended_des_simulator(nodes, overhead_us, threshold, iterations).run()
 }
 
 #[test]
@@ -208,8 +136,8 @@ fn contended_des_fingerprint_is_bit_for_bit_stable() {
     );
 }
 
-/// The shared-rate sweep of `CONTENDED_TIMING_GOLDEN`, as `contended_des_variant`
-/// arguments `(nodes, launch overhead µs per table, controller threshold,
+/// The shared-rate sweep of `CONTENDED_TIMING_GOLDEN`, as
+/// `contended_des_simulator` arguments `(nodes, launch overhead µs per table, controller threshold,
 /// iterations)`: flat, 2- and 4-node plans, with and without launch
 /// overhead, and storms whose controller re-shards 1 to 10 times, so
 /// migration stalls push gather starts past their arrival.
@@ -284,7 +212,7 @@ fn timing_fingerprint(summary: &RunSummary) -> u64 {
 #[test]
 fn contended_des_timing_is_bit_for_bit_stable() {
     let actual = CONTENDED_TIMING_SWEEP.map(|(nodes, overhead_us, threshold, iterations)| {
-        let summary = contended_des_variant(nodes, overhead_us, threshold, iterations);
+        let summary = contended_des_simulator(nodes, overhead_us, threshold, iterations).run();
         assert_eq!(summary.completed, iterations);
         assert_eq!(
             summary.reshards >= 1,

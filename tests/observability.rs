@@ -6,8 +6,9 @@
 //!    JSONL traces, Chrome `trace_event` JSON and metrics snapshots on
 //!    every replay.
 //! 2. **Observation never perturbs** — attaching a full collector leaves
-//!    the serving report bit-identical, and a no-op sink leaves the skewed
-//!    DES run on its golden fingerprint. The DES collector check sits in
+//!    the serving report and the shortened shared-rate `train_contended`
+//!    run bit-identical, and a no-op sink leaves the skewed DES run on its
+//!    golden fingerprint. The FIFO DES collector check sits in
 //!    `recshard_bench::des_bench`'s tests.
 //! 3. **Exports are well-formed** — the Chrome export is loadable
 //!    `trace_event` JSON (metadata + spans + instants), and the metrics
@@ -16,13 +17,13 @@
 use recshard_bench::des_bench::{traced_smoke, DesBenchConfig};
 use recshard_bench::{skewed_model, Strategy};
 use recshard_des::RunSummary;
-use recshard_obs::{MetricValue, NoopSink, ObsBundle};
+use recshard_obs::{Collector, MetricValue, NoopSink, ObsBundle, TraceEvent, TraceRecord};
 use recshard_serve::{ArrivalModel, InferenceServer, PolicyKind, ServeConfig};
 use recshard_sharding::SystemSpec;
 use recshard_stats::DatasetProfiler;
 
 mod common;
-use common::{skewed_des_simulator, SKEWED_DES_GOLDEN};
+use common::{contended_des_simulator, skewed_des_simulator, CONTENDED_DES, SKEWED_DES_GOLDEN};
 
 fn smoke_config() -> DesBenchConfig {
     let mut cfg = DesBenchConfig::tiny();
@@ -112,6 +113,31 @@ fn traced_des_metrics_agree_with_the_run_summary() {
         }
         other => panic!("expected quantile, got {other:?}"),
     }
+}
+
+/// A full collector on the shortened `train_contended` leaves its summary
+/// bit-identical, and the trace holds link records only for transfers
+/// that moved bytes: zero-work transfers record no `LinkTransfer`.
+#[test]
+fn traced_contended_des_matches_untraced_and_skips_zero_work_transfers() {
+    let (nodes, overhead_us, threshold, iterations) = CONTENDED_DES;
+    let plain = contended_des_simulator(nodes, overhead_us, threshold, iterations).run();
+    let mut collector = Collector::new();
+    let traced = contended_des_simulator(nodes, overhead_us, threshold, iterations)
+        .with_obs(&mut collector)
+        .run();
+    assert_eq!(plain, traced, "observation must not perturb the run");
+    let bundle = collector.finish();
+    let work = |r: &TraceRecord| match r.event {
+        TraceEvent::LinkTransfer { work_ns, .. } => Some(work_ns),
+        _ => None,
+    };
+    let works: Vec<u64> = bundle.trace.records().iter().filter_map(work).collect();
+    assert!(!works.is_empty(), "the run must record link transfers");
+    assert!(
+        works.iter().all(|&w| w > 0),
+        "a zero-work transfer moved no bytes and must record no LinkTransfer"
+    );
 }
 
 #[test]
