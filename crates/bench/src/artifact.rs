@@ -661,7 +661,7 @@ mod tests {
         // (points compared, rows carrying the gated field) of the drift gate,
         // then of each perf gate
         let expected: [&[(usize, usize)]; 4] = [
-            &[(8, 8), (4, 4)],
+            &[(8, 8), (8, 8)],
             &[(16, 16), (0, 16)],
             &[(20, 20), (20, 20), (15, 15)],
             &[(9, 9), (9, 9)],
