@@ -1394,33 +1394,30 @@ impl<'obs> ClusterSimulator<'obs> {
         pool.drive(self.draws.workers(), move || self.simulate())
     }
 
+    /// Runs the handler of one heap event or same-instant step.
+    fn dispatch(&mut self, event: Event) {
+        match event {
+            Event::Arrival { iter } => self.handle_arrival(iter),
+            Event::GpuDone { iter, .. } => self.handle_gpu_done(iter),
+            Event::ExchangeDone { iter } => self.handle_exchange_done(iter),
+            Event::GatherStart { iter, gpu } => self.handle_gather_start(iter, gpu),
+            Event::LinkUpdate { link, generation } => self.handle_link_update(link, generation),
+        }
+    }
+
     fn simulate(mut self) -> RunSummary {
         self.queue
             .schedule_at(SimTime::ZERO, Event::Arrival { iter: 0 });
-        loop {
+        while let Some(scheduled) = self.queue.pop() {
+            self.log_event(scheduled.time, scheduled.seq, &scheduled.event);
+            self.dispatch(scheduled.event);
             // Heap events due now were scheduled before the clock reached
-            // now, so they run before every step queued at this instant.
-            let step = if self.queue.peek_time() == Some(self.queue.now()) {
-                None
-            } else {
-                self.steps.pop_front()
-            };
-            let event = match step {
-                Some(step) => step,
-                None => {
-                    let Some(scheduled) = self.queue.pop() else {
-                        break;
-                    };
-                    self.log_event(scheduled.time, scheduled.seq, &scheduled.event);
-                    scheduled.event
+            // now, so they run before every step queued at this instant;
+            // once none is left, nothing can add one, and the steps run.
+            if self.queue.peek_time() != Some(self.queue.now()) {
+                while let Some(step) = self.steps.pop_front() {
+                    self.dispatch(step);
                 }
-            };
-            match event {
-                Event::Arrival { iter } => self.handle_arrival(iter),
-                Event::GpuDone { iter, .. } => self.handle_gpu_done(iter),
-                Event::ExchangeDone { iter } => self.handle_exchange_done(iter),
-                Event::GatherStart { iter, gpu } => self.handle_gather_start(iter, gpu),
-                Event::LinkUpdate { link, generation } => self.handle_link_update(link, generation),
             }
         }
         assert!(

@@ -137,17 +137,18 @@ fn contended_des_fingerprint_is_bit_for_bit_stable() {
 }
 
 /// The shared-rate sweep of `CONTENDED_TIMING_GOLDEN`, as
-/// `contended_des_simulator` arguments `(nodes, launch overhead µs per table, controller threshold,
-/// iterations)`: flat, 2- and 4-node plans, with and without launch
-/// overhead, and storms whose controller re-shards 1 to 10 times, so
-/// migration stalls push gather starts past their arrival.
+/// `contended_des_simulator` arguments `(nodes, launch overhead µs per
+/// table, controller threshold, iterations)`: flat, 2- and 4-node plans,
+/// with and without launch overhead, and storms whose controller
+/// re-shards 1 to 10 times, so migration stalls push gather starts past
+/// their arrival.
 const CONTENDED_TIMING_SWEEP: [(usize, f64, Option<f64>, u64); 8] = [
     (1, 0.0, None, 1_000),
     (1, 0.0, Some(1.5), 3_000),
     (1, 3.0, Some(1.5), 3_000),
     (2, 3.0, None, 1_000),
     (2, 0.0, Some(2.0), 3_000),
-    (4, 0.0, Some(3.2), 3_000),
+    CONTENDED_DES,
     (4, 1.0, Some(1.5), 3_000),
     (4, 3.0, None, 1_000),
 ];
