@@ -7,10 +7,9 @@
 //! four variants and produces the corresponding configurations.
 
 use crate::config::RecShardConfig;
-use serde::{Deserialize, Serialize};
 
 /// The four RecShard formulations evaluated in Table 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AblationVariant {
     /// Only the value-frequency CDF is used; pooling and coverage are set to 1.
     CdfOnly,

@@ -2,10 +2,9 @@
 
 use recshard_sharding::ShardingPlan;
 use recshard_stats::Summary;
-use serde::{Deserialize, Serialize};
 
 /// Pairwise comparison of two plans over the same model (Table 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanComparison {
     /// Fraction of rows the baseline placed in UVM that the subject plan
     /// promotes to HBM ("UVM->HBM" in Table 4).
@@ -27,7 +26,7 @@ impl PlanComparison {
 }
 
 /// Per-strategy timing results and the derived speedups (Figure 11 / Table 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupReport {
     entries: Vec<(String, Summary)>,
 }
@@ -176,6 +175,20 @@ mod tests {
         // Degenerate cases.
         assert_eq!(amdahl_end_to_end_speedup(0.0, 10.0), 1.0);
         assert!((amdahl_end_to_end_speedup(1.0, 10.0) - 10.0).abs() < 1e-12);
+        // Measured iteration times give the same number: with baseline and
+        // RecShard embedding times e_b, e_r and dense time d, the wall-clock
+        // speedup (e_b + d) / (e_r + d) is Amdahl's at share e_b / (e_b + d)
+        // and embedding speedup e_b / e_r.
+        for (e_b, e_r, d) in [
+            (3.0, 1.2, 2.0),
+            (0.5, 0.5, 9.5),
+            (7.5, 3.0, 2.5),
+            (40.0, 1.0, 0.1),
+        ] {
+            let measured = (e_b + d) / (e_r + d);
+            let amdahl = amdahl_end_to_end_speedup(e_b / (e_b + d), e_b / e_r);
+            assert!((measured - amdahl).abs() < 1e-12, "{measured} vs {amdahl}");
+        }
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! RecShard configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Which placement solver to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverKind {
     /// The structured solver, unbucketed: split selection by marginal-cost
     /// sweep over every table, then min-max assignment with local search and
@@ -25,7 +23,7 @@ pub enum SolverKind {
 }
 
 /// Configuration of the RecShard partitioning and placement stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecShardConfig {
     /// Number of uniform steps used for the piece-wise linear ICDF
     /// approximation (the paper uses 100).

@@ -11,10 +11,9 @@
 use crate::config::RecShardConfig;
 use recshard_sharding::DeviceClass;
 use recshard_stats::FeatureProfile;
-use serde::{Deserialize, Serialize};
 
 /// One candidate split of a table: keep the `hbm_rows` hottest rows in HBM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitOption {
     /// ICDF step index this option corresponds to (0..=steps).
     pub step: usize,
@@ -32,7 +31,7 @@ pub struct SplitOption {
 }
 
 /// The full menu of split options for one table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableCostModel {
     /// Dense table index.
     pub table: usize,

@@ -9,10 +9,9 @@
 use rand::{Rng, SeedableRng};
 use recshard_data::hash::{expected_collision_fraction, expected_usage};
 use recshard_data::{FeatureHasher, Zipf};
-use serde::{Deserialize, Serialize};
 
 /// One point of the hash-size sweep of Figure 8.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HashSweepPoint {
     /// Hash size as a multiple of the number of distinct input values.
     pub size_multiple: f64,
@@ -69,7 +68,7 @@ pub fn hash_size_sweep(
 /// The pre- and post-hash frequency distributions of one synthetic skewed
 /// feature (Figure 7): per-value counts of the raw categorical space and
 /// per-row counts of the hashed embedding space, both sorted descending.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrePostHashDistribution {
     /// Raw value access counts, sorted descending.
     pub pre_hash_counts: Vec<u64>,

@@ -11,10 +11,9 @@
 
 use crate::feature::FeatureClass;
 use crate::model::ModelSpec;
-use serde::{Deserialize, Serialize};
 
 /// One point of the drift trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftPoint {
     /// Month index (0-based).
     pub month: u32,
@@ -28,7 +27,7 @@ pub struct DriftPoint {
 
 /// Deterministic model of how per-class average pooling factors evolve over a
 /// multi-month training window (Figure 9).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriftModel {
     months: u32,
     user_growth_per_month: f64,

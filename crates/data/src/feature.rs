@@ -9,10 +9,9 @@
 use crate::hash::FeatureHasher;
 use crate::pooling::PoolingSpec;
 use crate::zipf::Zipf;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a sparse feature (and of its embedding table) within a model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FeatureId(pub u32);
 
 impl FeatureId {
@@ -30,7 +29,7 @@ impl std::fmt::Display for FeatureId {
 
 /// High-level class of a sparse feature (Figure 9 groups features into these
 /// two classes, which exhibit different temporal drift).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureClass {
     /// Features describing the user (location, demographics, history, ...).
     User,
@@ -48,7 +47,7 @@ impl std::fmt::Display for FeatureClass {
 }
 
 /// Full description of one sparse feature and its embedding table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureSpec {
     /// Feature identifier (also indexes the embedding table).
     pub id: FeatureId,

@@ -7,10 +7,8 @@
 //! small catalog of the accelerator generations the figure references so the
 //! figure can be regenerated.
 
-use serde::{Deserialize, Serialize};
-
 /// A GPU generation relevant to DLRM training (Figure 1's annotations).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuGeneration {
     /// Marketing name, e.g. "A100 (40GB)".
     pub name: String,
@@ -25,7 +23,7 @@ pub struct GpuGeneration {
 }
 
 /// Catalog of training accelerators across the 2017–2021 window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareCatalog {
     generations: Vec<GpuGeneration>,
 }
@@ -109,7 +107,7 @@ impl HardwareCatalog {
 }
 
 /// One year of the DLRM requirement growth trend (Figure 1a/1b series).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GrowthPoint {
     /// Calendar year.
     pub year: u32,
@@ -124,7 +122,7 @@ pub struct GrowthPoint {
 
 /// The DLRM requirement growth trend the paper reports for 2017–2021:
 /// capacity ×16, rows ×12, bandwidth ×28.35 — both growing super-linearly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GrowthTrend {
     points: Vec<GrowthPoint>,
 }

@@ -12,8 +12,6 @@
 //! which is statistically indistinguishable from the "random hash" the paper
 //! assumes for collision-analysis purposes.
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic feature hasher mapping raw categorical values to embedding
 /// rows in `[0, hash_size)`.
 ///
@@ -29,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// // Deterministic.
 /// assert_eq!(row, h.hash(123_456));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FeatureHasher {
     hash_size: u64,
     seed: u64,
@@ -97,7 +95,7 @@ impl FeatureHasher {
 
 /// Collision/utilization statistics of hashing `n` distinct values into a
 /// table of `hash_size` rows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HashStats {
     /// Number of distinct raw input values hashed.
     pub distinct_inputs: u64,

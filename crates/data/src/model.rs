@@ -18,7 +18,6 @@
 use crate::feature::{FeatureClass, FeatureId, FeatureSpec};
 use crate::pooling::PoolingSpec;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The number of sparse features in the paper's evaluation models.
 pub const PAPER_NUM_FEATURES: usize = 397;
@@ -34,7 +33,7 @@ pub const PAPER_EMBEDDING_DIM: u32 = 64;
 pub const PAPER_BATCH_SIZE: u32 = 16_384;
 
 /// Which of the paper's reference models a [`ModelSpec`] corresponds to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RmKind {
     /// RM1: fits in aggregate HBM of 16 GPUs.
     Rm1,
@@ -59,7 +58,7 @@ impl std::fmt::Display for RmKind {
 
 /// A full DLRM sparse-feature specification: the set of embedding tables the
 /// sharder must place.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     name: String,
     kind: RmKind,

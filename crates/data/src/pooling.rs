@@ -12,10 +12,9 @@
 //! long-tailed, integer-valued behaviour.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Per-feature distribution of the number of activated categories per sample.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PoolingSpec {
     /// Every present sample activates exactly `1` category (one-hot features,
     /// e.g. "country of the user").

@@ -26,7 +26,6 @@ use crate::pooling::PoolingSpec;
 use crate::zipf::{Zipf, ZipfGuide};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The seed of the draw stream keyed by `key`. Each word is folded in by
 /// one SplitMix64 step (add the golden-ratio increment, then the
@@ -129,7 +128,7 @@ impl FeatureSampler {
 
 /// One training sample: for each feature, the list of raw categorical values
 /// (empty when the feature is absent from the sample).
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SparseSample {
     /// `values[f]` holds the raw (pre-hash) categorical values of feature `f`.
     pub values: Vec<Vec<u64>>,

@@ -26,7 +26,6 @@
 
 use crate::feature::{FeatureClass, FeatureSpec};
 use crate::model::ModelSpec;
-use serde::{Deserialize, Serialize};
 
 /// Floor applied to the composed rate multiplier, so a pathological curve
 /// stack can slow arrivals by at most 1000x instead of stalling virtual
@@ -60,7 +59,7 @@ fn s_to_ns(s: f64) -> u64 {
 }
 
 /// One breakpoint of a piecewise-constant trace curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePoint {
     /// Virtual time of the breakpoint, seconds.
     pub t_s: f64,
@@ -70,7 +69,7 @@ pub struct TracePoint {
 
 /// A multiplicative arrival-rate modulation over virtual time. Multiple
 /// curves on one [`ScenarioSpec`] compose by multiplying their values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RateCurve {
     /// Constant multiplier 1 — the identity curve.
     Stationary,
@@ -156,7 +155,7 @@ impl RateCurve {
 }
 
 /// A discrete change to the feature universe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ShiftKind {
     /// A correlated hot-key shift: the hash seed of a deterministic
     /// `fraction` of the tables rotates, relocating every hot row of the
@@ -185,7 +184,7 @@ pub enum ShiftKind {
 }
 
 /// A [`ShiftKind`] scheduled at a virtual instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShiftEvent {
     /// When the shift applies, seconds of virtual time.
     pub at_s: f64,
@@ -309,7 +308,7 @@ pub fn parse_trace_csv(text: &str) -> Result<Vec<TracePoint>, ScenarioError> {
 /// A complete workload scenario: a name, a stack of composable rate
 /// curves, and a schedule of distribution shifts. One spec drives both the
 /// discrete-event trainer and the online serving layer, deterministically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Human-readable scenario name (used in bench artifacts).
     pub name: String,

@@ -48,7 +48,6 @@
 //! cell of the benchmark models at both ends of its word range.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A Zipf distribution over ranks `1..=n` with exponent `s >= 0`.
 ///
@@ -65,7 +64,7 @@ use serde::{Deserialize, Serialize};
 /// let v = zipf.sample(&mut rng);
 /// assert!(v < 1_000_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Zipf {
     n: u64,
     s: f64,

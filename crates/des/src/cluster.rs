@@ -99,11 +99,10 @@ use recshard_memsim::{AccessCounters, IterationWorkload};
 use recshard_obs::{LinkKind, ObsHandle, ObsSink, TraceEvent};
 use recshard_sharding::{FabricSpec, NodeTopology, ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, StreamingCdf, Summary, WelfordAccumulator};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// How contended resources are scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ContentionMode {
     /// Historical model: per-GPU single-server FIFO stations, one scalar
     /// all-to-all delay. Bit-compatible with every committed fingerprint.
@@ -122,7 +121,7 @@ pub enum ContentionMode {
 }
 
 /// Configuration of a cluster simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Samples per training batch actually traced. Counters (and therefore
     /// service times) can be scaled up via [`scale_to_batch`](Self::scale_to_batch).
@@ -536,7 +535,7 @@ impl Contention {
 /// Aggregated results of one simulated run. Two runs with identical inputs
 /// and seed produce identical summaries (including the event-log
 /// fingerprint) — the determinism contract of the engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Strategy name of the initially installed plan.
     pub strategy: String,

@@ -15,10 +15,9 @@ use crate::time::SimTime;
 use recshard_data::{DriftModel, ModelSpec};
 use recshard_sharding::{ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
-use serde::{Deserialize, Serialize};
 
 /// When and how strongly the training-data distribution drifts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriftSchedule {
     /// The per-class drift trajectories (Figure 9).
     pub drift: DriftModel,
@@ -50,7 +49,7 @@ impl DriftSchedule {
 }
 
 /// Tunables of the online re-sharding controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReshardPolicy {
     /// Completed iterations between imbalance checks.
     pub check_every_iterations: u64,

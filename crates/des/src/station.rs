@@ -9,11 +9,10 @@
 
 use crate::time::SimTime;
 use recshard_stats::WelfordAccumulator;
-use serde::{Deserialize, Serialize};
 
 /// Service demand of one job (one iteration's embedding work on one GPU),
 /// split by memory tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceDemand {
     /// Time to gather the job's HBM-resident rows, in nanoseconds.
     pub hbm_ns: u64,

@@ -1,16 +1,12 @@
 //! Virtual simulation time.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in virtual time, in integer nanoseconds since simulation start.
 ///
 /// Integer nanoseconds (rather than `f64` milliseconds) make event ordering
 /// exact: two events scheduled from the same timing computation compare
 /// identically on every platform, which the determinism guarantee of the
 /// engine relies on.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

@@ -11,10 +11,9 @@ use crate::error::DesError;
 use crate::time::SimTime;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How training batches arrive at the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// One batch every `interval_ms` milliseconds, exactly.
     FixedRate {

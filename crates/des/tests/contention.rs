@@ -231,8 +231,9 @@ fn try_new_reports_typed_configuration_errors() {
         other => panic!("expected NonPositiveBandwidth, got {other:?}"),
     }
 
-    // The constructors reject bad bandwidths, but the fields are public (and
-    // the spec deserializes), so a poisoned spec can still reach `try_new`.
+    // The constructors reject bad bandwidths, but the fields are public and
+    // `map_classes` rewrites them unchecked, so a poisoned spec can still
+    // reach `try_new`.
     let bad_system = system.map_classes(|mut c| {
         c.hbm_bandwidth_gbps = -3.0;
         c

@@ -172,7 +172,7 @@ mod tests {
         );
         assert_eq!(classify("crates/lint/src/main.rs"), Some(FileKind::Bin));
         assert_eq!(
-            classify("crates/dlrm/benches/iteration_time.rs"),
+            classify("crates/bench/benches/des_core.rs"),
             Some(FileKind::Bin)
         );
         assert_eq!(

@@ -14,10 +14,9 @@
 
 use recshard_sharding::{FabricSpec, ShardingPlan, SystemSpec};
 use recshard_stats::DatasetProfile;
-use serde::{Deserialize, Serialize};
 
 /// Analytical per-GPU estimate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GpuEstimate {
     /// Expected embedding rows read from HBM per iteration.
     pub hbm_accesses: f64,

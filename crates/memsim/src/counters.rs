@@ -1,10 +1,8 @@
 //! Per-GPU access counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Counts of embedding-row accesses served by each memory tier, plus the
 /// bytes they moved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessCounters {
     /// Embedding rows read from HBM.
     pub hbm_accesses: u64,

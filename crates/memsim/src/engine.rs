@@ -17,10 +17,9 @@ use rand::{Rng, SeedableRng};
 use recshard_data::ModelSpec;
 use recshard_sharding::{MemoryTier, ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, Summary};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the embedding-operator simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Fixed overhead charged per table kernel per iteration, in microseconds
     /// (models kernel launch + pooling arithmetic).
@@ -42,7 +41,7 @@ impl Default for SimConfig {
 }
 
 /// Per-GPU results of one simulated training iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuIterationStats {
     /// The GPU these statistics describe.
     pub gpu: usize,
@@ -53,7 +52,7 @@ pub struct GpuIterationStats {
 }
 
 /// Results of one simulated training iteration across all GPUs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IterationReport {
     per_gpu: Vec<GpuIterationStats>,
 }
@@ -81,7 +80,7 @@ impl IterationReport {
 }
 
 /// Aggregated results of a multi-iteration simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     strategy: String,
     iterations: usize,

@@ -3,10 +3,9 @@
 use crate::branch::BranchAndBound;
 use crate::error::MilpError;
 use crate::solution::Solution;
-use serde::{Deserialize, Serialize};
 
 /// Handle to a decision variable in a [`Model`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub(crate) usize);
 
 impl VarId {
@@ -17,7 +16,7 @@ impl VarId {
 }
 
 /// Whether a variable is continuous or must take integer values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VarKind {
     /// Real-valued variable.
     Continuous,
@@ -28,7 +27,7 @@ pub enum VarKind {
 }
 
 /// Optimization direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sense {
     /// Minimize the objective.
     Minimize,
@@ -37,7 +36,7 @@ pub enum Sense {
 }
 
 /// Constraint comparison sense.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConstraintSense {
     /// `expr <= rhs`
     Le,
@@ -48,7 +47,7 @@ pub enum ConstraintSense {
 }
 
 /// A decision variable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Variable {
     /// Display name.
     pub name: String,
@@ -64,7 +63,7 @@ pub struct Variable {
 }
 
 /// A linear constraint `sum(coeff * var) sense rhs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Constraint {
     /// Display name.
     pub name: String,
@@ -77,7 +76,7 @@ pub struct Constraint {
 }
 
 /// A mixed-integer linear program under construction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     sense: Sense,
     variables: Vec<Variable>,

@@ -1,10 +1,9 @@
 //! Solver output types.
 
 use crate::model::VarId;
-use serde::{Deserialize, Serialize};
 
 /// Termination status of a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Status {
     /// Proven optimal solution.
     Optimal,
@@ -14,7 +13,7 @@ pub enum Status {
 }
 
 /// Search statistics of a solve.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Branch-and-bound nodes explored.
     pub nodes_explored: usize,
@@ -27,7 +26,7 @@ pub struct SolveStats {
 }
 
 /// A solution to a MILP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     status: Status,
     objective: f64,

@@ -44,7 +44,6 @@
 //! stored, never which keys are found or in what order anything runs.
 
 use crate::policy::{PolicyKind, StatGuide};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -161,7 +160,7 @@ impl TableBits {
 }
 
 /// Geometry of one GPU shard's cache.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Total HBM bytes this shard may cache.
     pub capacity_bytes: u64,
@@ -200,7 +199,7 @@ impl Lookup {
 }
 
 /// Counters of one cache, or of several folded together.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses served from HBM.
     pub hits: u64,

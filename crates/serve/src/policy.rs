@@ -28,10 +28,9 @@
 
 use crate::cache::TableBits;
 use recshard_stats::DatasetProfile;
-use serde::{Deserialize, Serialize};
 
 /// The eviction/admission policy of a serving cache shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Evict the least-recently-used row; admit everything.
     Lru,
@@ -66,7 +65,7 @@ impl std::fmt::Display for PolicyKind {
 }
 
 /// Tunables of the stat-guided policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatGuidedConfig {
     /// Fraction of the shard's capacity reserved for pinned knee rows; the
     /// remainder is the LRU-managed region for the admitted tail.

@@ -3,12 +3,11 @@
 use crate::cache::CacheStats;
 use crate::policy::PolicyKind;
 use recshard_stats::Summary;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated results of one serving run. Identical inputs and seed produce
 /// identical reports, fingerprint included — the same determinism contract
 /// as the discrete-event simulator's `RunSummary`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Strategy name of the placement that routed tables to shards.
     pub placement: String,

@@ -28,10 +28,9 @@ use crate::error::ServeError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recshard_data::{FeatureHasher, FeatureSampler, ModelSpec, ScenarioSpec};
-use serde::{Deserialize, Serialize};
 
 /// How inference requests arrive at the server (open loop).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalModel {
     /// One request every `interval_us` microseconds, exactly.
     FixedRate {
@@ -96,7 +95,7 @@ pub struct ShardTask {
 
 /// A scenario phase transition observed while materialising a stream:
 /// the first arrival at or after a rate-curve boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseChange {
     /// Arrival time at which the new phase was first observed, in ns.
     pub at_ns: u64,

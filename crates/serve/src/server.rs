@@ -40,10 +40,9 @@ use recshard_data::{ModelSpec, ScenarioSpec};
 use recshard_obs::{Collector, MetricsRegistry, ObsBundle, ObsSink, TraceBuffer, TraceEvent};
 use recshard_sharding::{ShardingPlan, SystemSpec};
 use recshard_stats::DatasetProfile;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a serving run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// Measured queries.
     pub queries: u32,

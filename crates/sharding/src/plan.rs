@@ -4,10 +4,9 @@ use crate::error::ShardingError;
 use crate::system::SystemSpec;
 use crate::topology::NodeTopology;
 use recshard_data::{FeatureId, ModelSpec};
-use serde::{Deserialize, Serialize};
 
 /// The memory tier a row lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryTier {
     /// GPU high-bandwidth memory.
     Hbm,
@@ -27,7 +26,7 @@ impl std::fmt::Display for MemoryTier {
 /// Placement decision for one embedding table: the GPU that owns it and how
 /// many of its hottest rows are resident in that GPU's HBM (the remaining
 /// `total_rows - hbm_rows` rows live in UVM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TablePlacement {
     /// The table being placed.
     pub table: FeatureId,
@@ -70,7 +69,7 @@ impl TablePlacement {
 /// A complete sharding plan: one [`TablePlacement`] per embedding table,
 /// optionally annotated with the node grid it was solved against
 /// (two-level plans; see [`ShardingPlan::with_topology`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardingPlan {
     strategy: String,
     num_gpus: usize,

@@ -9,10 +9,9 @@
 //! same trick.
 
 use crate::plan::{MemoryTier, TablePlacement};
-use serde::{Deserialize, Serialize};
 
 /// The remapped location of one embedding row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RemappedRow {
     /// Which tier the row lives in.
     pub tier: MemoryTier,
@@ -25,7 +24,7 @@ pub struct RemappedRow {
 /// Encoded exactly as the paper describes: one 32-bit signed entry per row
 /// whose sign selects the partition (non-negative = HBM, negative = UVM) and
 /// whose magnitude is the slot within that partition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RemapTable {
     entries: Vec<i32>,
     hbm_rows: u64,

@@ -15,8 +15,6 @@
 //! fingerprint in the repo is unchanged; `SystemSpec` survives as a type
 //! alias for source compatibility.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of bytes in one gibibyte.
 pub const GIB: u64 = 1 << 30;
 
@@ -26,7 +24,7 @@ pub const GIB: u64 = 1 << 30;
 /// The paper's evaluation devices reserve 24 GB of HBM and 128 GB of host
 /// DRAM per GPU with A100-class HBM bandwidth and PCIe 3.0x16 UVM bandwidth;
 /// [`DeviceClass::paper_a100`] encodes exactly that.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceClass {
     /// Short human-readable SKU label (e.g. `"a100"`).
     pub name: &'static str,
@@ -104,7 +102,7 @@ impl DeviceClass {
 /// is the *reference class*: solvers build their shared split-selection
 /// menus against it (for a uniform cluster it is the only class, so the
 /// historical behaviour is reproduced bit-for-bit).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     classes: Vec<DeviceClass>,
     class_of_gpu: Vec<usize>,

@@ -17,11 +17,10 @@ use crate::error::ShardingError;
 use crate::system::SystemSpec;
 use recshard_data::ModelSpec;
 use recshard_stats::DatasetProfile;
-use serde::{Deserialize, Serialize};
 
 /// The node grid of a training cluster: `num_nodes` hosts with
 /// `gpus_per_node` GPUs each, global GPU ids node-major.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeTopology {
     /// Number of nodes (hosts).
     pub num_nodes: usize,
@@ -103,7 +102,7 @@ impl NodeTopology {
 ///   bytes by the same rates (its no-queueing lower bound);
 /// * the serving simulator (`recshard-serve`) derives its per-hop
 ///   `internode_hop_ns` charge from the same fabric rate and latency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricSpec {
     /// Per-GPU NVLink egress bandwidth, GB/s. NVLink is switched, so each
     /// GPU's egress is an independent link rather than a shared bus.
@@ -170,7 +169,7 @@ impl FabricSpec {
 }
 
 /// The first level of a two-level plan: one owning node per table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeAssignment {
     topology: NodeTopology,
     node_of_table: Vec<usize>,

@@ -7,7 +7,6 @@
 //! (Section 4.2, constraints 4–7).
 
 use crate::freq::FrequencyMap;
-use serde::{Deserialize, Serialize};
 
 /// Cumulative distribution of accesses over ranked rows for one table.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// all accesses covered by the `k` hottest rows. Rows never accessed during
 /// profiling are not part of the ranking (their cumulative contribution is
 /// zero), so `rows_ranked() <= hash_size`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessCdf {
     /// Cumulative access counts: `cumulative[i]` = accesses covered by the
     /// `i + 1` hottest rows.
@@ -222,14 +221,14 @@ impl AccessCdf {
 
 /// Piece-wise linear inverse CDF: maps an access-percentage step to the
 /// number of rows required (the paper's `ICDF_j(i)` in constraint 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Icdf {
     rows: Vec<u64>,
 }
 
 impl Icdf {
     /// Number of steps (the paper uses 100, giving 101 points); 0 for an
-    /// ICDF without points, which deserialising can produce.
+    /// ICDF without points.
     pub fn steps(&self) -> usize {
         self.rows.len().saturating_sub(1)
     }
@@ -370,7 +369,9 @@ mod tests {
 
     #[test]
     fn icdf_without_points_has_no_rows_and_no_steps() {
-        // `Deserialize` accepts an empty point list.
+        // `AccessCdf::icdf` always builds at least two points, but the
+        // accessors are total: an ICDF without points has no steps and no
+        // rows rather than underflowing.
         let icdf = Icdf { rows: Vec::new() };
         assert_eq!(icdf.steps(), 0);
         assert_eq!(icdf.max_rows(), 0);

@@ -17,7 +17,6 @@
 //! construction, so an ordered walk keeps those paths bit-deterministic
 //! without a sort-before-emit at every call site.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::iter::Peekable;
@@ -32,7 +31,7 @@ const COMPACT_MIN: usize = 256;
 /// remainder of the hash space implicitly has count zero, which is exactly
 /// the under-utilisation RecShard exploits (Section 3.4). Two maps are equal
 /// when they hold the same counts, whatever order they were recorded in.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FrequencyMap {
     /// Distinct rows in ascending order, with their access counts.
     runs: Vec<(u64, u64)>,

@@ -2,11 +2,10 @@
 
 use crate::cdf::{AccessCdf, Icdf};
 use recshard_data::{FeatureId, FeatureSpec};
-use serde::{Deserialize, Serialize};
 
 /// The profiled memory characteristics of one sparse feature / embedding
 /// table: everything RecShard's MILP needs (Table 1 of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureProfile {
     /// The feature this profile describes.
     pub id: FeatureId,
@@ -86,7 +85,7 @@ impl FeatureProfile {
 }
 
 /// Profiles for all features of a model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetProfile {
     profiles: Vec<FeatureProfile>,
     samples_profiled: u64,

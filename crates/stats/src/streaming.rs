@@ -8,10 +8,8 @@
 //! O(1) space per percentile with the deterministic P² algorithm (Jain &
 //! Chlamtac, CACM 1985), alongside exact mean/min/max from Welford's method.
 
-use serde::{Deserialize, Serialize};
-
 /// Welford's online algorithm for mean and variance, plus extrema.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WelfordAccumulator {
     count: u64,
     mean: f64,
@@ -114,7 +112,7 @@ impl WelfordAccumulator {
 
 /// Min / max / mean / standard deviation of a set of observations — the
 /// format Table 3 of the paper reports per-GPU iteration times in.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: u64,
@@ -158,7 +156,7 @@ impl std::fmt::Display for Summary {
 /// It is deterministic (no sampling), exact for the first five observations,
 /// and typically within a fraction of a percent of the true quantile for
 /// unimodal distributions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct P2Quantile {
     q: f64,
     /// Marker heights (estimates of the tracked quantiles).
@@ -294,7 +292,7 @@ impl P2Quantile {
 /// This is the sink the discrete-event simulator streams per-iteration times
 /// into; [`StreamingCdf::p50`]/[`p95`](StreamingCdf::p95)/[`p99`](StreamingCdf::p99)
 /// are the numbers its reports quote.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingCdf {
     quantiles: Vec<P2Quantile>,
     moments: WelfordAccumulator,
