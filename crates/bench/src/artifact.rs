@@ -577,6 +577,12 @@ pub fn best_of<T: PartialEq + fmt::Debug>(
     (first, best_ms)
 }
 
+/// Whether `RECSHARD_BENCH_TIMING=1` asks a bench binary to measure wall
+/// times into its artifact.
+pub fn timing_from_env() -> bool {
+    std::env::var("RECSHARD_BENCH_TIMING").as_deref() == Ok("1")
+}
+
 /// `measured` when timing is recorded, else [`TIMING_DISABLED`].
 pub fn recorded(include_timing: bool, measured: f64) -> f64 {
     if include_timing {

@@ -25,18 +25,17 @@
 //! smallest flat point re-runs once with a collector attached and writes
 //! `des_trace.jsonl`, `des_trace.chrome.json` (load it in
 //! `chrome://tracing` or Perfetto) and `des_metrics.json` there.
-//!
-//! Environment overrides: `RECSHARD_DES_MAX_GPUS`, `RECSHARD_DES_ITERS`,
-//! `RECSHARD_SEED`, `RECSHARD_BENCH_TIMING`, `RECSHARD_BENCH_BASELINE`,
-//! `RECSHARD_BENCH_ALLOW_DRIFT`, `RECSHARD_OBS_DIR`.
 
 #![allow(clippy::print_stdout)]
-use recshard_bench::artifact::{export_obs, Baseline, BaselineError};
+use recshard_bench::artifact::{export_obs, timing_from_env, Baseline, BaselineError};
 use recshard_bench::des_bench::{run_sweep, traced_smoke, DesBenchConfig, SPEC};
 use recshard_bench::report::RunReport;
 
 fn main() -> Result<(), BaselineError> {
-    let cfg = DesBenchConfig::from_env();
+    let cfg = DesBenchConfig {
+        include_timing: timing_from_env(),
+        ..DesBenchConfig::full()
+    };
     println!(
         "# des_bench: {} tables x gpus {:?} (flat + hierarchical), {} iterations, \
          batch {}, seed {:#x}, timing {}",

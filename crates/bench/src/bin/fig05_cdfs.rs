@@ -9,7 +9,7 @@ use recshard_bench::ExperimentConfig;
 use recshard_data::RmKind;
 
 fn main() {
-    let cfg = ExperimentConfig::from_env();
+    let cfg = ExperimentConfig::fast();
     let profile = cfg.setup(RmKind::Rm1).profile;
 
     println!(

@@ -6,7 +6,7 @@ use recshard_data::RmKind;
 use recshard_stats::Summary;
 
 fn main() {
-    let cfg = ExperimentConfig::from_env();
+    let cfg = ExperimentConfig::fast();
     let profile = cfg.setup(RmKind::Rm1).profile;
 
     println!("# Figure 6a/6b: average pooling factor and coverage per feature");

@@ -6,7 +6,7 @@ use recshard_bench::{compare_strategies, ExperimentConfig, Strategy};
 use recshard_data::RmKind;
 
 fn main() {
-    let cfg = ExperimentConfig::from_env();
+    let cfg = ExperimentConfig::fast();
     let cmp = compare_strategies(RmKind::Rm2, &cfg);
     let plan = &cmp.result(Strategy::RecShard).1;
 

@@ -6,7 +6,7 @@
 //! * default — the trace-driven single-iteration simulator (`recshard-memsim`),
 //! * `RECSHARD_BACKEND=des` — the discrete-event cluster simulator
 //!   (`recshard-des`): each strategy's plan is replayed under lightly loaded
-//!   arrivals (`RECSHARD_DES_ITERS` iterations, default 200) and the median
+//!   arrivals (`DES_ITERS` = 200 iterations) and the median
 //!   iteration sojourn time is reported. The DES numbers additionally include
 //!   the all-to-all exchange and queueing: a baseline whose slowest GPU
 //!   cannot keep the arrival pace builds a queue, so its slowdown can come
@@ -19,13 +19,12 @@ use recshard_data::RmKind;
 use recshard_des::ArrivalProcess;
 use std::collections::HashMap;
 
+/// Iterations each plan is replayed for under the DES backend.
+const DES_ITERS: u64 = 200;
+
 fn main() {
-    let cfg = ExperimentConfig::from_env();
+    let cfg = ExperimentConfig::fast();
     let use_des = std::env::var("RECSHARD_BACKEND").is_ok_and(|v| v == "des");
-    let des_iters = std::env::var("RECSHARD_DES_ITERS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(200);
     let mut times: HashMap<(RmKind, Strategy), f64> = HashMap::new();
     for kind in [RmKind::Rm1, RmKind::Rm2, RmKind::Rm3] {
         if use_des {
@@ -38,7 +37,7 @@ fn main() {
                 let summary = setup.des_summary(
                     &plan,
                     cfg.des_config(
-                        des_iters,
+                        DES_ITERS,
                         ArrivalProcess::FixedRate {
                             interval_ms: interval,
                         },

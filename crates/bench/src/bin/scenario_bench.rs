@@ -26,20 +26,19 @@
 //! `scenario_trace.jsonl`, `scenario_trace.chrome.json` and
 //! `scenario_metrics.json` there — the trace carries the run's
 //! `scenario_phase` events.
-//!
-//! Environment overrides: `RECSHARD_SCENARIO_ITERS`, `RECSHARD_SEED`,
-//! `RECSHARD_BENCH_TIMING`, `RECSHARD_BENCH_BASELINE`,
-//! `RECSHARD_BENCH_ALLOW_DRIFT`, `RECSHARD_OBS_DIR`.
 
 #![allow(clippy::print_stdout)]
-use recshard_bench::artifact::{export_obs, Baseline, BaselineError};
+use recshard_bench::artifact::{export_obs, timing_from_env, Baseline, BaselineError};
 use recshard_bench::report::RunReport;
 use recshard_bench::scenario_bench::{
     run_sweep, traced_smoke, ScenarioBenchConfig, SCENARIOS, SPEC,
 };
 
 fn main() -> Result<(), BaselineError> {
-    let cfg = ScenarioBenchConfig::from_env();
+    let cfg = ScenarioBenchConfig {
+        include_timing: timing_from_env(),
+        ..ScenarioBenchConfig::full()
+    };
     println!(
         "# scenario_bench: {} tables x {} GPUs, scenarios {:?} x 4 placements, \
          {} DES iterations + {} serve queries, seed {:#x}, timing {}",

@@ -31,7 +31,7 @@ fn main() {
     // Section 6.6 overhead: solver time and remapping storage at experiment scale.
     println!();
     println!("# Section 6.6: RecShard overhead (at experiment scale)");
-    let cfg = ExperimentConfig::from_env();
+    let cfg = ExperimentConfig::fast();
     println!("| model | solve time | remap storage | remap storage (paper scale) |");
     println!("|-------|------------|---------------|------------------------------|");
     for kind in [RmKind::Rm1, RmKind::Rm2, RmKind::Rm3] {

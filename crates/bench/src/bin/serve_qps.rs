@@ -27,22 +27,19 @@
 //! fingerprint drift (`RECSHARD_BENCH_ALLOW_DRIFT=1` acknowledges intended
 //! drift) and, when both sides are timed, on queries/sec regressions beyond
 //! 25%.
-//!
-//! Environment overrides: `RECSHARD_GPUS` (default 4, min 2),
-//! `RECSHARD_SERVE_REQUESTS` (default 20,000), `RECSHARD_SERVE_WARMUP`
-//! (default 2,000), `RECSHARD_SERVE_BATCH` (default 8), `RECSHARD_SEED`,
-//! `RECSHARD_BENCH_TIMING`, `RECSHARD_BENCH_BASELINE`,
-//! `RECSHARD_BENCH_ALLOW_DRIFT`.
 
 #![allow(clippy::print_stdout)]
-use recshard_bench::artifact::{Baseline, BaselineError};
+use recshard_bench::artifact::{timing_from_env, Baseline, BaselineError};
 use recshard_bench::print_row;
 use recshard_bench::report::{determinism_report, RunReport};
 use recshard_bench::serve_bench::{run_sweep, ServeBenchConfig, SPEC};
 use recshard_serve::PolicyKind;
 
 fn main() -> Result<(), BaselineError> {
-    let cfg = ServeBenchConfig::from_env();
+    let cfg = ServeBenchConfig {
+        include_timing: timing_from_env(),
+        ..ServeBenchConfig::full()
+    };
     let baseline = Baseline::from_env(&SPEC)?;
     let sweep = run_sweep(&cfg);
     let shards = cfg.shards as u64;

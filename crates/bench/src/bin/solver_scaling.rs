@@ -22,18 +22,17 @@
 //! set, the run fails when a point's scalable or structured plan cost
 //! exceeds the baseline's by more than 2% — not on mere plan-fingerprint
 //! drift. Each gate prints how many points it compared.
-//!
-//! Environment overrides: `RECSHARD_SOLVER_MAX_TABLES`,
-//! `RECSHARD_SOLVER_MAX_GPUS`, `RECSHARD_SEED`, `RECSHARD_BENCH_TIMING`,
-//! `RECSHARD_BENCH_BASELINE`.
 
 #![allow(clippy::print_stdout)]
-use recshard_bench::artifact::{Baseline, BaselineError};
+use recshard_bench::artifact::{timing_from_env, Baseline, BaselineError};
 use recshard_bench::report::RunReport;
 use recshard_bench::solver_bench::{run_sweep, SolverBenchConfig, SPEC};
 
 fn main() -> Result<(), BaselineError> {
-    let cfg = SolverBenchConfig::from_env();
+    let cfg = SolverBenchConfig {
+        include_timing: timing_from_env(),
+        ..SolverBenchConfig::full()
+    };
     println!(
         "# solver_scaling: tables {:?} x gpus {:?}, {} profile samples, seed {:#x}, timing {}",
         cfg.table_counts,

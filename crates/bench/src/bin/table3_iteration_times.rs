@@ -8,7 +8,7 @@ use recshard_bench::{compare_strategies, ExperimentConfig, Strategy};
 use recshard_data::RmKind;
 
 fn main() {
-    let cfg = ExperimentConfig::from_env();
+    let cfg = ExperimentConfig::fast();
     println!(
         "# Table 3 / Figure 11: EMB iteration time (ms) across {} GPUs (scale 1/{}, batch {})",
         cfg.gpus,

@@ -8,7 +8,7 @@ use recshard_bench::{compare_strategies, ExperimentConfig, Strategy};
 use recshard_data::RmKind;
 
 fn main() {
-    let cfg = ExperimentConfig::from_env();
+    let cfg = ExperimentConfig::fast();
     println!("# Table 4: placement disparity of RecShard vs the baselines");
     println!("| model | disparity | Size-Based | Lookup-Based | Size-Based-Lookup |");
     println!("|-------|-----------|------------|--------------|-------------------|");

@@ -6,7 +6,7 @@ use recshard_bench::{compare_strategies, fmt_count, ExperimentConfig, Strategy};
 use recshard_data::RmKind;
 
 fn main() {
-    let cfg = ExperimentConfig::from_env();
+    let cfg = ExperimentConfig::fast();
     println!(
         "# Table 5: average HBM/UVM accesses per GPU per iteration (batch {}, scale 1/{})",
         recshard_data::model::PAPER_BATCH_SIZE,

@@ -9,7 +9,7 @@ use recshard_data::RmKind;
 use recshard_memsim::EmbeddingOpSimulator;
 
 fn main() {
-    let cfg = ExperimentConfig::from_env();
+    let cfg = ExperimentConfig::fast();
     let setup = cfg.setup(RmKind::Rm3);
     let (model, profile) = (setup.model, setup.profile);
     // The paper profiles >200M samples, so the set of *observed* rows is far

@@ -28,7 +28,6 @@
 //! sections) and on a 25% floor on wall iterations/sec (both sections).
 
 use crate::artifact::{best_of, recorded, row, Artifact, Better, PerfGate, Row, Spec};
-use crate::report::env_u64;
 use crate::solver_bench::{bench_system, bench_topology};
 use crate::{skewed_model, Strategy};
 use recshard::{HierarchicalSolver, RecShardConfig};
@@ -117,31 +116,6 @@ impl DesBenchConfig {
             seed: 0xA5F0,
             include_timing: false,
         }
-    }
-
-    /// [`full`](Self::full) with environment overrides:
-    /// `RECSHARD_DES_MAX_GPUS` drops the GPU counts above it (keeping the
-    /// smallest, so the sweep never empties), `RECSHARD_DES_ITERS`
-    /// overrides the iteration count, `RECSHARD_SEED` reseeds, and
-    /// `RECSHARD_BENCH_TIMING=1` measures wall times into the JSON.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::full();
-        let get = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
-        if let Some(max) = get("RECSHARD_DES_MAX_GPUS") {
-            cfg.truncate_gpus(max);
-        }
-        cfg.iterations = env_u64("RECSHARD_DES_ITERS", cfg.iterations).max(1);
-        cfg.seed = env_u64("RECSHARD_SEED", cfg.seed);
-        cfg.include_timing = std::env::var("RECSHARD_BENCH_TIMING").as_deref() == Ok("1");
-        cfg
-    }
-
-    /// Drops the swept GPU counts above `max`, keeping the smallest count
-    /// so the sweep never empties.
-    fn truncate_gpus(&mut self, max: u64) {
-        let smallest = self.gpu_counts.iter().copied().min();
-        self.gpu_counts
-            .retain(|&g| g as u64 <= max || Some(g) == smallest);
     }
 
     fn cluster_config(&self) -> ClusterConfig {
@@ -475,21 +449,6 @@ pub fn traced_smoke(cfg: &DesBenchConfig) -> (RunSummary, ObsBundle) {
 mod tests {
     use super::*;
     use crate::artifact::TIMING_DISABLED;
-
-    #[test]
-    fn a_gpu_cap_below_every_count_keeps_the_smallest() {
-        let truncated = |max| {
-            let mut cfg = DesBenchConfig::full();
-            cfg.truncate_gpus(max);
-            cfg.gpu_counts
-        };
-        assert_eq!(truncated(0), vec![4]);
-        assert_eq!(truncated(3), vec![4]);
-        assert_eq!(truncated(4), vec![4]);
-        assert_eq!(truncated(15), vec![4]);
-        assert_eq!(truncated(16), vec![4, 16]);
-        assert_eq!(truncated(u64::MAX), vec![4, 16]);
-    }
 
     #[test]
     fn tiny_sweep_is_deterministic_and_sound() {

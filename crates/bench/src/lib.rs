@@ -79,36 +79,12 @@ impl ExperimentConfig {
         }
     }
 
-    /// Reads overrides from environment variables (`RECSHARD_SCALE`,
-    /// `RECSHARD_GPUS`, `RECSHARD_PROFILE_SAMPLES`, `RECSHARD_SIM_ITERS`,
-    /// `RECSHARD_SIM_BATCH`).
-    pub fn from_env() -> Self {
-        let mut cfg = Self::fast();
-        let get = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
-        if let Some(v) = get("RECSHARD_SCALE") {
-            cfg.scale = v.max(1);
-        }
-        if let Some(v) = get("RECSHARD_GPUS") {
-            cfg.gpus = v.max(1) as usize;
-        }
-        if let Some(v) = get("RECSHARD_PROFILE_SAMPLES") {
-            cfg.profile_samples = v.max(1) as usize;
-        }
-        if let Some(v) = get("RECSHARD_SIM_ITERS") {
-            cfg.sim_iterations = v.max(1) as usize;
-        }
-        if let Some(v) = get("RECSHARD_SIM_BATCH") {
-            cfg.sim_batch = v.max(1) as usize;
-        }
-        cfg
-    }
-
     /// The scaled reference model for one of the paper's RMs.
     pub fn model(&self, kind: RmKind) -> ModelSpec {
         ModelSpec::reference(kind).scaled(self.scale)
     }
 
-    /// The scaled 16-GPU (or overridden GPU count) evaluation system.
+    /// The scaled evaluation system with this configuration's GPU count.
     pub fn system(&self) -> SystemSpec {
         SystemSpec::paper_with_gpus(self.gpus).scaled(self.scale)
     }

@@ -1,23 +1,13 @@
 //! Shared reporting for the bench binaries, built on the `recshard-obs`
 //! run-report layer.
 //!
-//! Every throughput binary used to hand-roll the same three things: a
-//! `u64` environment-override reader, an events/sec line, and a
-//! determinism footer asserting that a same-seed replay reproduced the
-//! first run's fingerprint. They now all come from here, rendered through
-//! [`RunReport`] so the output format is uniform across `des_bench`,
-//! `scenario_bench`, `serve_qps` and `solver_scaling`.
+//! Every seeded bench binary prints the same determinism footer, asserting
+//! that a same-seed replay reproduced the first run's fingerprint. It comes
+//! from here, rendered through [`RunReport`] so the output format is
+//! uniform across `des_bench`, `scenario_bench`, `serve_qps` and
+//! `solver_scaling`.
 
-pub use recshard_obs::{events_per_sec, RunReport};
-
-/// Reads a `u64` environment override, falling back to `default` when the
-/// variable is unset or unparseable.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+pub use recshard_obs::RunReport;
 
 /// The determinism footer every seeded bench binary prints: a same-seed
 /// replay must reproduce the first run's fingerprint exactly.
@@ -43,17 +33,6 @@ pub fn determinism_report(label: &str, first: u64, replay: u64) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_u64_parses_and_falls_back() {
-        // Deliberately unset / garbage variables fall back to the default.
-        assert_eq!(env_u64("RECSHARD_TEST_SURELY_UNSET_VAR", 42), 42);
-        std::env::set_var("RECSHARD_TEST_REPORT_ENV_U64", "17");
-        assert_eq!(env_u64("RECSHARD_TEST_REPORT_ENV_U64", 42), 17);
-        std::env::set_var("RECSHARD_TEST_REPORT_ENV_U64", "not a number");
-        assert_eq!(env_u64("RECSHARD_TEST_REPORT_ENV_U64", 42), 42);
-        std::env::remove_var("RECSHARD_TEST_REPORT_ENV_U64");
-    }
 
     #[test]
     fn determinism_report_renders_matching_fingerprints() {

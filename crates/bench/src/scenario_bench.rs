@@ -22,7 +22,6 @@
 //! timing is on, on a 25% events/sec floor.
 
 use crate::artifact::{best_of, recorded, row, Artifact, Better, PerfGate, Row, Spec};
-use crate::report::env_u64;
 use crate::solver_bench::bench_system;
 use crate::Strategy;
 use recshard_data::{
@@ -115,18 +114,6 @@ impl ScenarioBenchConfig {
             seed: 0xA5F0,
             include_timing: false,
         }
-    }
-
-    /// [`full`](Self::full) with environment overrides:
-    /// `RECSHARD_SCENARIO_ITERS` overrides the DES iteration count,
-    /// `RECSHARD_SEED` reseeds, and `RECSHARD_BENCH_TIMING=1` measures
-    /// wall times into the JSON.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::full();
-        cfg.iterations = env_u64("RECSHARD_SCENARIO_ITERS", cfg.iterations).max(1);
-        cfg.seed = env_u64("RECSHARD_SEED", cfg.seed);
-        cfg.include_timing = std::env::var("RECSHARD_BENCH_TIMING").as_deref() == Ok("1");
-        cfg
     }
 
     /// The DES run's virtual span in seconds (open-loop arrivals pace the

@@ -15,7 +15,6 @@
 //! floor on wall queries/sec.
 
 use crate::artifact::{best_of, recorded, row, Artifact, Better, PerfGate, Row, Spec};
-use crate::report::env_u64;
 use crate::{skewed_model, Strategy};
 use recshard_serve::{
     hash_placement, ArrivalModel, InferenceServer, PolicyKind, ServeConfig, ServeReport,
@@ -99,23 +98,6 @@ impl ServeBenchConfig {
             batch: 4,
             seed: 0x5E21,
             include_timing: false,
-        }
-    }
-
-    /// [`full`](Self::full) with environment overrides: `RECSHARD_GPUS`
-    /// (at least 2), `RECSHARD_SERVE_REQUESTS`, `RECSHARD_SERVE_WARMUP`,
-    /// `RECSHARD_SERVE_BATCH` (at least 1), `RECSHARD_SEED`, and
-    /// `RECSHARD_BENCH_TIMING=1` to measure queries/sec into the JSON.
-    pub fn from_env() -> Self {
-        let cfg = Self::full();
-        Self {
-            shards: env_u64("RECSHARD_GPUS", cfg.shards as u64).max(2) as usize,
-            queries: env_u64("RECSHARD_SERVE_REQUESTS", u64::from(cfg.queries)) as u32,
-            warmup: env_u64("RECSHARD_SERVE_WARMUP", u64::from(cfg.warmup)) as u32,
-            batch: env_u64("RECSHARD_SERVE_BATCH", cfg.batch as u64).max(1) as usize,
-            seed: env_u64("RECSHARD_SEED", cfg.seed),
-            include_timing: std::env::var("RECSHARD_BENCH_TIMING").as_deref() == Ok("1"),
-            ..cfg
         }
     }
 }

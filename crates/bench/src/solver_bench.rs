@@ -20,7 +20,6 @@
 use crate::artifact::{
     best_of, fnv_fold, recorded, row, Artifact, Better, PerfGate, Row, Spec, FNV_OFFSET,
 };
-use crate::report::env_u64;
 use crate::{skewed_model, Strategy};
 use recshard::{HierarchicalSolver, RecShardConfig, ScalableSolver, StructuredSolver};
 use recshard_memsim::AnalyticalEstimator;
@@ -96,24 +95,6 @@ impl SolverBenchConfig {
             seed: 0x5CA1E,
             include_timing: false,
         }
-    }
-
-    /// [`full`](Self::full) with environment overrides:
-    /// `RECSHARD_SOLVER_MAX_TABLES` truncates the table sweep,
-    /// `RECSHARD_SOLVER_MAX_GPUS` the GPU sweep, `RECSHARD_SEED` reseeds,
-    /// and `RECSHARD_BENCH_TIMING=1` measures wall times into the JSON.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::full();
-        let get = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
-        if let Some(max) = get("RECSHARD_SOLVER_MAX_TABLES") {
-            cfg.table_counts.retain(|&t| t as u64 <= max);
-        }
-        if let Some(max) = get("RECSHARD_SOLVER_MAX_GPUS") {
-            cfg.gpu_counts.retain(|&g| g as u64 <= max);
-        }
-        cfg.seed = env_u64("RECSHARD_SEED", cfg.seed);
-        cfg.include_timing = std::env::var("RECSHARD_BENCH_TIMING").as_deref() == Ok("1");
-        cfg
     }
 }
 

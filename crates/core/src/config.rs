@@ -39,8 +39,6 @@ pub struct RecShardConfig {
     pub hbm_slack: f64,
     /// Which solver implementation to use.
     pub solver: SolverKind,
-    /// Maximum local-search improvement passes during assignment refinement.
-    pub refinement_passes: usize,
 }
 
 impl Default for RecShardConfig {
@@ -51,7 +49,6 @@ impl Default for RecShardConfig {
             use_coverage: true,
             hbm_slack: 0.02,
             solver: SolverKind::Structured,
-            refinement_passes: 4,
         }
     }
 }

@@ -29,51 +29,25 @@ use recshard_sharding::{
 };
 use recshard_stats::{DatasetProfile, FeatureProfile};
 
-/// Tuning of the hierarchical solver.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HierarchicalConfig {
-    /// Per-node sub-problems with at most this many tables are solved with
-    /// the exact warm-started MILP; larger ones use the bucketed solver.
-    pub per_node_exact_max_tables: usize,
-    /// ICDF step count used for the exact per-node MILP (kept small so the
-    /// formulation stays tractable).
-    pub per_node_exact_icdf_steps: usize,
-    /// Bucketing tuning of the bucketed per-node path.
-    pub bucketing: BucketingConfig,
-}
+/// Per-node sub-problems with at most this many tables are solved with the
+/// exact warm-started MILP; larger ones use the bucketed solver.
+const PER_NODE_EXACT_MAX_TABLES: usize = 4;
 
-impl Default for HierarchicalConfig {
-    fn default() -> Self {
-        Self {
-            per_node_exact_max_tables: 4,
-            per_node_exact_icdf_steps: 6,
-            bucketing: BucketingConfig::default(),
-        }
-    }
-}
+/// ICDF step count of the exact per-node MILP (kept small so the
+/// formulation stays tractable).
+const PER_NODE_EXACT_ICDF_STEPS: usize = 6;
 
 /// The two-level solver.
 #[derive(Debug, Clone)]
 pub struct HierarchicalSolver {
     config: RecShardConfig,
     topology: NodeTopology,
-    hier: HierarchicalConfig,
 }
 
 impl HierarchicalSolver {
     /// Creates a solver for the given node grid.
     pub fn new(config: RecShardConfig, topology: NodeTopology) -> Self {
-        Self {
-            config,
-            topology,
-            hier: HierarchicalConfig::default(),
-        }
-    }
-
-    /// Overrides the hierarchical tuning.
-    pub fn with_hierarchical_config(mut self, hier: HierarchicalConfig) -> Self {
-        self.hier = hier;
-        self
+        Self { config, topology }
     }
 
     /// The node grid this solver targets.
@@ -99,9 +73,9 @@ impl HierarchicalSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`RecShardError::InvalidConfig`] for an invalid solver or
-    /// bucketing configuration and propagates node-assignment and per-node
-    /// solver errors (see [`RecShardError`]).
+    /// Returns [`RecShardError::InvalidConfig`] for an invalid solver
+    /// configuration and propagates node-assignment and per-node solver
+    /// errors (see [`RecShardError`]).
     ///
     /// # Panics
     ///
@@ -145,10 +119,6 @@ impl HierarchicalSolver {
         self.config
             .validate()
             .map_err(RecShardError::InvalidConfig)?;
-        self.hier
-            .bucketing
-            .validate()
-            .map_err(RecShardError::InvalidConfig)?;
         let assignment = self.assign_nodes(model, profile, system)?;
 
         let mut placements: Vec<Option<TablePlacement>> = vec![None; model.num_features()];
@@ -179,7 +149,7 @@ impl HierarchicalSolver {
                 .collect();
             let node_system = SystemSpec::with_classes(local_classes, local_assignment);
             let (sub_model, sub_profile) = subproblem(model, profile, &tables);
-            let exact = tables.len() <= self.hier.per_node_exact_max_tables;
+            let exact = tables.len() <= PER_NODE_EXACT_MAX_TABLES;
             obs.record(
                 node as u64,
                 recshard_obs::TraceEvent::NodeSolve {
@@ -190,19 +160,16 @@ impl HierarchicalSolver {
                 },
             );
             let sub_plan = if exact {
-                MilpFormulation::new(
-                    self.config
-                        .with_icdf_steps(self.hier.per_node_exact_icdf_steps),
-                )
-                .solve_observed(
-                    &sub_model,
-                    &sub_profile,
-                    &node_system,
-                    recshard_milp::SolveOptions::default(),
-                    &mut obs.reborrow(),
-                )?
+                MilpFormulation::new(self.config.with_icdf_steps(PER_NODE_EXACT_ICDF_STEPS))
+                    .solve_observed(
+                        &sub_model,
+                        &sub_profile,
+                        &node_system,
+                        recshard_milp::SolveOptions::default(),
+                        &mut obs.reborrow(),
+                    )?
             } else {
-                StructuredSolver::with_bucketing(self.config, self.hier.bucketing)
+                StructuredSolver::with_bucketing(self.config, BucketingConfig::default())
                     .solve_report_observed(
                         &sub_model,
                         &sub_profile,

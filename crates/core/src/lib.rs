@@ -74,7 +74,7 @@ pub use config::{RecShardConfig, SolverKind};
 pub use error::RecShardError;
 pub use formulation::MilpFormulation;
 pub use hash_analysis::{hash_size_sweep, HashSweepPoint};
-pub use hierarchical::{HierarchicalConfig, HierarchicalSolver};
+pub use hierarchical::HierarchicalSolver;
 pub use pipeline::{RecShard, RecShardOutput};
 pub use scalable::ScalableSolver;
 pub use solver::{SolveReport, StructuredSolver};

@@ -63,6 +63,10 @@ use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// Rounds of phase-3 refinement (bottleneck local search, then HBM
+/// backfill); each round's local search makes at most 8× this many moves.
+const REFINEMENT_PASSES: usize = 4;
+
 /// The RecShard placement solver, unbucketed or bucketed.
 #[derive(Debug, Clone)]
 pub struct StructuredSolver {
@@ -501,7 +505,7 @@ impl StructuredSolver {
         // bucket-granular ones coarser still), so a single search+backfill
         // pass leaves a percent-level gap; alternating the two (each strictly
         // improving) until a joint fixpoint recovers it.
-        for _round in 0..self.config.refinement_passes.max(1) {
+        for _round in 0..REFINEMENT_PASSES {
             let mut any_change = false;
 
             // -- 3a: move-with-resplit local search on the bottleneck GPU --
@@ -511,7 +515,7 @@ impl StructuredSolver {
             // the wrong GPU. Moves and swaps strictly reduce the max per-GPU
             // cost, so more passes can only help; the cap bounds worst-case
             // work.
-            for _ in 0..self.config.refinement_passes.max(1) * 8 {
+            for _ in 0..REFINEMENT_PASSES * 8 {
                 let Some(bottleneck) = (0..m).max_by(|&a, &b| by_cost(&gpu_cost, a, b)) else {
                     break;
                 };
@@ -751,10 +755,8 @@ impl StructuredSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchical::{HierarchicalConfig, HierarchicalSolver};
     use crate::scalable::ScalableSolver;
     use recshard_data::ModelSpec;
-    use recshard_sharding::NodeTopology;
     use recshard_stats::DatasetProfiler;
 
     fn setup(n: usize, seed: u64) -> (ModelSpec, DatasetProfile) {
@@ -905,9 +907,8 @@ mod tests {
         );
     }
 
-    /// `bad` is rejected with a typed error, never a panic, both by the flat
-    /// bucketed solver and by the hierarchical solver's bucketed per-node
-    /// path (about 6 tables per node, above the exact-MILP cutoff).
+    /// `bad` is rejected by the bucketed solver with a typed error, never a
+    /// panic.
     fn assert_bucketing_rejected(bad: BucketingConfig) {
         let (model, profile) = setup(12, 7);
         let system = pressured(&model, 2, 4);
@@ -916,16 +917,6 @@ mod tests {
         assert!(
             matches!(flat, Err(RecShardError::InvalidConfig(_))),
             "{flat:?}"
-        );
-        let hier = HierarchicalSolver::new(config, NodeTopology::new(2, 1))
-            .with_hierarchical_config(HierarchicalConfig {
-                bucketing: bad,
-                ..HierarchicalConfig::default()
-            })
-            .solve(&model, &profile, &system);
-        assert!(
-            matches!(hier, Err(RecShardError::InvalidConfig(_))),
-            "{hier:?}"
         );
     }
 

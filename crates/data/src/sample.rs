@@ -241,17 +241,6 @@ impl SampleGenerator {
     pub fn batch(&mut self, batch_size: usize) -> Batch {
         (0..batch_size).map(|_| self.sample()).collect()
     }
-
-    /// Draws `num_lookups` *hashed* row indices for a single feature,
-    /// ignoring presence/pooling (a pure access-stream view of the feature,
-    /// used when only the post-hash frequency distribution matters).
-    pub fn feature_row_stream(&mut self, feature: FeatureId, num_lookups: usize) -> Vec<u64> {
-        let hasher = self.model.feature(feature).hasher();
-        let values = &self.samplers[feature.index()].values;
-        (0..num_lookups)
-            .map(|_| hasher.hash(values.sample(&mut self.rng)))
-            .collect()
-    }
 }
 
 /// An iterator adapter that yields an endless stream of samples.
@@ -346,15 +335,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn feature_row_stream_is_hashed() {
-        let model = ModelSpec::small(4, 9);
-        let mut gen = SampleGenerator::new(&model, 2);
-        let rows = gen.feature_row_stream(FeatureId(1), 1000);
-        let hs = model.feature(FeatureId(1)).hash_size;
-        assert!(rows.iter().all(|&r| r < hs));
     }
 
     #[test]

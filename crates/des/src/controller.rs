@@ -48,6 +48,14 @@ impl DriftSchedule {
     }
 }
 
+/// Bandwidth at which embedding rows migrate between residencies during a
+/// re-shard, in GB/s (bounded by the UVM interconnect).
+const MIGRATION_BANDWIDTH_GBPS: f64 = 16.0;
+
+/// Seed of the re-profiling pass, kept separate from the workload stream so
+/// re-sharding does not perturb it; each re-shard XORs in its ordinal.
+const PROFILE_SEED: u64 = 0x5EED_CAFE;
+
 /// Tunables of the online re-sharding controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReshardPolicy {
@@ -57,14 +65,8 @@ pub struct ReshardPolicy {
     /// window since the last check. `1.0` means perfectly balanced; the
     /// controller fires above the threshold.
     pub imbalance_threshold: f64,
-    /// Bandwidth at which embedding rows can be migrated between residencies
-    /// during a re-shard, in GB/s (bounded by the UVM interconnect).
-    pub migration_bandwidth_gbps: f64,
     /// Training samples profiled when re-solving the plan.
     pub profile_samples: usize,
-    /// Seed for the re-profiling pass (kept separate from the workload
-    /// stream so re-sharding does not perturb it).
-    pub profile_seed: u64,
 }
 
 impl Default for ReshardPolicy {
@@ -72,9 +74,7 @@ impl Default for ReshardPolicy {
         Self {
             check_every_iterations: 500,
             imbalance_threshold: 1.25,
-            migration_bandwidth_gbps: 16.0,
             profile_samples: 2_000,
-            profile_seed: 0x5EED_CAFE,
         }
     }
 }
@@ -137,11 +137,6 @@ impl ReshardController {
         assert!(
             policy.imbalance_threshold >= 1.0,
             "imbalance threshold below 1 always fires"
-        );
-        assert!(
-            policy.migration_bandwidth_gbps.is_finite() && policy.migration_bandwidth_gbps > 0.0,
-            "migration bandwidth must be positive and finite, got {}",
-            policy.migration_bandwidth_gbps
         );
         Self {
             policy,
@@ -210,7 +205,7 @@ impl ReshardController {
         let profile = DatasetProfiler::profile_model(
             model,
             self.policy.profile_samples,
-            self.policy.profile_seed ^ self.reshard_count as u64,
+            PROFILE_SEED ^ self.reshard_count as u64,
         );
         let Some(plan) = (self.solver)(model, &profile, system, Some(current_plan)) else {
             return CheckOutcome::Balanced { imbalance };
@@ -241,7 +236,7 @@ impl ReshardController {
                 bytes += a.hbm_rows.abs_diff(b.hbm_rows) * a.row_bytes;
             }
         }
-        let seconds = bytes as f64 / (self.policy.migration_bandwidth_gbps * 1e9);
+        let seconds = bytes as f64 / (MIGRATION_BANDWIDTH_GBPS * 1e9);
         SimTime::saturating_ns_from_secs(seconds)
     }
 }

@@ -132,3 +132,37 @@ fn committed_tree_has_no_stray_annotation_spellings() {
         }
     }
 }
+
+#[test]
+fn library_and_binary_sources_read_only_the_kept_environment_variables() {
+    // Every `RECSHARD_*` name a crate's `src/` spells as a whole string
+    // literal: the bench timing, baseline and drift switches, the
+    // observability export directory, and fig13's measurement backend. A
+    // run's size and seed are constants of its binary, not env overrides.
+    let root = root();
+    let mut names = std::collections::BTreeSet::new();
+    for (abs, rel, _) in recshard_lint::scan::workspace_files(&root).unwrap() {
+        if !(rel.starts_with("crates/") && rel.split('/').nth(2) == Some("src")) {
+            continue;
+        }
+        let src = std::fs::read_to_string(&abs).unwrap();
+        for token in recshard_lint::lexer::lex(&src).tokens {
+            let is_name = token.text.starts_with("RECSHARD_")
+                && token
+                    .text
+                    .bytes()
+                    .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_');
+            if token.kind == recshard_lint::lexer::TokenKind::Str && is_name {
+                names.insert(token.text);
+            }
+        }
+    }
+    let kept = [
+        "RECSHARD_BACKEND",
+        "RECSHARD_BENCH_ALLOW_DRIFT",
+        "RECSHARD_BENCH_BASELINE",
+        "RECSHARD_BENCH_TIMING",
+        "RECSHARD_OBS_DIR",
+    ];
+    assert_eq!(names.iter().map(String::as_str).collect::<Vec<_>>(), kept);
+}

@@ -32,8 +32,9 @@
 //!   [`Collector`] buffers trace records and routes them into well-known
 //!   registry metrics, and [`Collector::finish`] yields an [`ObsBundle`]
 //!   (merged trace + sorted metrics snapshot).
-//! * [`RunReport`] — renders per-run summaries (events/sec, pivots, hit
-//!   rates, tails) for the bench bins, replacing their hand-rolled output.
+//! * [`RunReport`] — renders per-run `key: value` summaries (point counts,
+//!   fingerprints, determinism footers) for the bench bins, replacing their
+//!   hand-rolled output.
 //!
 //! ```
 //! use recshard_obs::{Collector, ObsHandle, ObsSink, TraceEvent};
@@ -61,6 +62,6 @@ pub use registry::{
     CounterId, GaugeId, HistogramId, MetricValue, MetricsRegistry, MetricsSnapshot, QuantileId,
     QuantileStats,
 };
-pub use report::{events_per_sec, RunReport};
+pub use report::RunReport;
 pub use sink::{Collector, NoopSink, ObsBundle, ObsHandle, ObsSink};
 pub use trace::{LinkKind, PruneReason, Trace, TraceBuffer, TraceEvent, TraceRecord};

@@ -1,18 +1,5 @@
 //! The run-report layer: a small key/value report the bench bins render
-//! instead of hand-rolling their own events/sec + fingerprint printing.
-
-use crate::registry::{MetricValue, MetricsSnapshot};
-use std::time::Duration;
-
-/// Wall-clock event rate, robust to zero-duration clocks.
-pub fn events_per_sec(count: u64, wall: Duration) -> f64 {
-    let secs = wall.as_secs_f64();
-    if secs > 0.0 {
-        count as f64 / secs
-    } else {
-        0.0
-    }
-}
+//! instead of hand-rolling their own summary and fingerprint printing.
 
 /// A titled list of `key: value` lines, renderable to the terminal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -41,57 +28,6 @@ impl RunReport {
         self.push(key, format!("{fingerprint:#018x}"))
     }
 
-    /// Appends a wall-clock rate line: `count events in X ms (Y/s)`.
-    pub fn push_rate(&mut self, key: &str, count: u64, wall: Duration) -> &mut Self {
-        self.push(
-            key,
-            format!(
-                "{count} in {:.1} ms ({:.0}/s)",
-                wall.as_secs_f64() * 1e3,
-                events_per_sec(count, wall)
-            ),
-        )
-    }
-
-    /// Appends one line per metric of a snapshot (counters and gauges as
-    /// plain values, quantiles as `count/p50/p95/p99`, histograms as bucket
-    /// counts), skipping untouched metrics so reports stay readable.
-    pub fn push_metrics(&mut self, snapshot: &MetricsSnapshot) -> &mut Self {
-        for (name, value) in &snapshot.entries {
-            match value {
-                MetricValue::Counter(0) => {}
-                MetricValue::Counter(v) => {
-                    self.push(name, v);
-                }
-                MetricValue::Gauge(v) if *v == 0.0 => {}
-                MetricValue::Gauge(v) => {
-                    self.push(name, format!("{v:.3}"));
-                }
-                MetricValue::Histogram { counts, .. } => {
-                    if counts.iter().any(|&c| c > 0) {
-                        let joined = counts
-                            .iter()
-                            .map(|c| c.to_string())
-                            .collect::<Vec<_>>()
-                            .join("/");
-                        self.push(name, joined);
-                    }
-                }
-                MetricValue::Quantile(q) if q.count > 0 => {
-                    self.push(
-                        name,
-                        format!(
-                            "n={} p50={:.3} p95={:.3} p99={:.3}",
-                            q.count, q.p50, q.p95, q.p99
-                        ),
-                    );
-                }
-                MetricValue::Quantile(_) => {}
-            }
-        }
-        self
-    }
-
     /// The `key: value` lines pushed so far.
     pub fn lines(&self) -> &[(String, String)] {
         &self.lines
@@ -116,38 +52,14 @@ impl std::fmt::Display for RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::MetricsRegistry;
 
     #[test]
     fn rates_and_rendering() {
-        assert_eq!(events_per_sec(500, Duration::from_millis(250)), 2_000.0);
-        assert_eq!(events_per_sec(500, Duration::ZERO), 0.0);
         let mut r = RunReport::new("demo");
-        r.push("iters", 10)
-            .push_fingerprint("fingerprint", 0xABCD)
-            .push_rate("events", 100, Duration::from_secs(2));
+        r.push("iters", 10).push_fingerprint("fingerprint", 0xABCD);
         let text = r.render();
         assert!(text.starts_with("== demo ==\n"));
         assert!(text.contains("  iters: 10\n"));
         assert!(text.contains("0x000000000000abcd"));
-        assert!(text.contains("(50/s)"));
-    }
-
-    #[test]
-    fn metrics_lines_skip_untouched_entries() {
-        let mut reg = MetricsRegistry::new();
-        let used = reg.counter("used");
-        reg.counter("unused");
-        let q = reg.quantile("lat");
-        reg.quantile("empty");
-        reg.incr(used);
-        reg.record(q, 1.0);
-        let mut r = RunReport::new("m");
-        r.push_metrics(&reg.snapshot());
-        let text = r.render();
-        assert!(text.contains("used: 1"));
-        assert!(!text.contains("unused"));
-        assert!(text.contains("lat: n=1"));
-        assert!(!text.contains("empty"));
     }
 }

@@ -41,6 +41,14 @@ use recshard_obs::{Collector, MetricsRegistry, ObsBundle, ObsSink, TraceBuffer, 
 use recshard_sharding::{ShardingPlan, SystemSpec};
 use recshard_stats::DatasetProfile;
 
+/// Fixed overhead per distinct table touched by a query on a shard, in
+/// nanoseconds (kernel launch + pooling, as in the training simulators).
+const TABLE_OVERHEAD_NS: u64 = 2_000;
+
+/// Extra latency per row fetched from UVM, in nanoseconds (page-fault /
+/// random-access cost on top of the bandwidth term).
+const MISS_LATENCY_NS: u64 = 1_000;
+
 /// Configuration of a serving run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
@@ -64,12 +72,6 @@ pub struct ServeConfig {
     /// Ignored: each shard's cache is one unstriped structure. Kept so
     /// callers that pass it to [`CacheConfig::with_stripes`] still build.
     pub stripes: usize,
-    /// Fixed overhead per distinct table touched by a query on a shard, in
-    /// nanoseconds (kernel launch + pooling, as in the training simulators).
-    pub table_overhead_ns: u64,
-    /// Extra latency per row fetched from UVM, in nanoseconds (page-fault /
-    /// random-access cost on top of the bandwidth term).
-    pub miss_latency_ns: u64,
     /// One-way network hop latency for fan-in from a shard on a *different
     /// node* than the front-end, in nanoseconds. Only exercised when the plan
     /// carries a multi-node topology (the front-end sits on node 0); flat
@@ -107,8 +109,6 @@ impl Default for ServeConfig {
             stat_guided: StatGuidedConfig::default(),
             capacity_per_shard: None,
             stripes: 1,
-            table_overhead_ns: 2_000,
-            miss_latency_ns: 1_000,
             internode_hop_ns: 0,
         }
     }
@@ -673,8 +673,8 @@ impl Shards {
             let service_ns = (hbm_bytes as f64 * hbm_ns_per_byte
                 + uvm_bytes as f64 * uvm_ns_per_byte)
                 .round() as u64
-                + tables * config.table_overhead_ns
-                + uvm_rows * config.miss_latency_ns;
+                + tables * TABLE_OVERHEAD_NS
+                + uvm_rows * MISS_LATENCY_NS;
             let start = free_at.max(arrival_ns);
             // Saturates with the arrival clock (see `RequestStream`).
             let done = start.saturating_add(service_ns);

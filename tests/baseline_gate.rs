@@ -23,6 +23,7 @@ fn bench_binaries_exit_non_zero_on_a_wrong_or_garbled_baseline() {
             env!("CARGO_BIN_EXE_solver_scaling"),
             committed("BENCH_scenarios.json"),
         ),
+        (env!("CARGO_BIN_EXE_serve_qps"), committed("BENCH_des.json")),
     ] {
         let garbled = garbled.to_str().unwrap();
         for (baseline, error) in [(&*wrong_bench, "artifact of bench"), (garbled, "line 2")] {

@@ -112,7 +112,6 @@ pub fn contended_des_simulator<'obs>(
         check_every_iterations: 300,
         imbalance_threshold: threshold,
         profile_samples: 1_000,
-        ..ReshardPolicy::default()
     };
     sim.with_scenario(scenario)
         .with_controller(ReshardController::new(policy, Box::new(solve)))
