@@ -1,14 +1,17 @@
 //! Criterion bench of the trace-sampling kernel: a plain `Zipf::sample`
-//! against the guide-table draw (which returns the same values), and the
-//! whole `sample_batch_accesses` kernel on the 48-table skewed model that
-//! `des_bench` and the `train_fifo` workload replay.
+//! and a plain long-tail `PoolingSpec::sample` against their guide-table
+//! draws (which return the same values), the whole `sample_batch_accesses`
+//! kernel on the 48-table skewed model that `des_bench` and the
+//! `train_fifo` workload replay, and what the kernel's tables cost to build
+//! on that model: `TableSampler::for_plan`, and one `install_placement`
+//! pass over all 48 tables (a re-shard).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recshard_bench::solver_bench::bench_system;
 use recshard_bench::{skewed_model, Strategy};
-use recshard_data::{Zipf, ZipfGuide};
+use recshard_data::{PoolingGuide, PoolingSpec, Zipf, ZipfGuide};
 use recshard_memsim::{sample_batch_accesses, TableSampler};
 use recshard_stats::DatasetProfiler;
 
@@ -28,6 +31,27 @@ fn zipf_draws(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("guided", s), &guide, |b, guide| {
             let mut rng = StdRng::seed_from_u64(1);
             b.iter(|| (0..DRAWS).map(|_| guide.sample(&mut rng)).sum::<u64>());
+        });
+    }
+    group.finish();
+}
+
+fn pooling_draws(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pooling_draw");
+    group.throughput(Throughput::Elements(DRAWS));
+    for spec in [
+        PoolingSpec::LongTail { mean: 8.0, max: 32 },
+        PoolingSpec::long_tail(50.0),
+    ] {
+        let guide = PoolingGuide::new(spec);
+        let mean = spec.mean();
+        group.bench_with_input(BenchmarkId::new("sample", mean), &spec, |b, spec| {
+            let mut rng = StdRng::seed_from_u64(1);
+            b.iter(|| (0..DRAWS).map(|_| spec.sample(&mut rng)).sum::<u32>());
+        });
+        group.bench_with_input(BenchmarkId::new("guided", mean), &guide, |b, guide| {
+            let mut rng = StdRng::seed_from_u64(1);
+            b.iter(|| (0..DRAWS).map(|_| guide.sample(&mut rng)).sum::<u32>());
         });
     }
     group.finish();
@@ -61,7 +85,27 @@ fn batch_kernel(c: &mut Criterion) {
         });
     });
     group.finish();
+
+    let mut group = c.benchmark_group("table_sampler_build");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(model.num_features() as u64));
+    group.bench_function("for_plan_skewed_48_tables", |b| {
+        b.iter(|| black_box(TableSampler::for_plan(&model, &plan, &profile)));
+    });
+    let mut installed = samplers.clone();
+    group.bench_function("install_placement_48_tables", |b| {
+        b.iter(|| {
+            for ((sampler, placement), prof) in installed
+                .iter_mut()
+                .zip(plan.placements())
+                .zip(profile.profiles())
+            {
+                sampler.install_placement(placement, &prof.ranked_rows);
+            }
+        });
+    });
+    group.finish();
 }
 
-criterion_group!(benches, zipf_draws, batch_kernel);
+criterion_group!(benches, zipf_draws, pooling_draws, batch_kernel);
 criterion_main!(benches);

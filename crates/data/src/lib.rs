@@ -60,4 +60,4 @@ pub use sample::{
 pub use scenario::{
     parse_trace_csv, RateCurve, ScenarioError, ScenarioSpec, ShiftEvent, ShiftKind, TracePoint,
 };
-pub use zipf::{Zipf, ZipfGuide};
+pub use zipf::{PoolingGuide, Zipf, ZipfGuide};

@@ -11,6 +11,7 @@
 //! geometric-like distribution around a target mean, which produces the same
 //! long-tailed, integer-valued behaviour.
 
+use crate::zipf::unit_f64;
 use rand::Rng;
 
 /// Per-feature distribution of the number of activated categories per sample.
@@ -75,13 +76,7 @@ impl PoolingSpec {
         match *self {
             PoolingSpec::OneHot => 1,
             PoolingSpec::Constant(n) => n.max(1),
-            PoolingSpec::LongTail { mean, max } => {
-                // 1 + Geometric(p) has mean 1 + (1-p)/p = 1/p, so p = 1/mean.
-                let p = (1.0 / mean).clamp(1e-6, 1.0);
-                let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-                let g = (u.ln() / (1.0 - p).ln()).floor() as u64;
-                ((1 + g).min(max as u64)).max(1) as u32
-            }
+            PoolingSpec::LongTail { mean, max } => long_tail_factor(mean, max, rng.gen()),
         }
     }
 
@@ -118,6 +113,24 @@ impl PoolingSpec {
             },
         }
     }
+}
+
+/// `ln q` of a long-tail draw with mean `mean`: the factor is
+/// `1 + floor(ln u / ln q)`, capped, with `q = 1 − p`.
+#[inline]
+pub(crate) fn long_tail_ln_q(mean: f64) -> f64 {
+    // 1 + Geometric(p) has mean 1 + (1-p)/p = 1/p, so p = 1/mean.
+    let p = (1.0 / mean).clamp(1e-6, 1.0);
+    (1.0 - p).ln()
+}
+
+/// The long-tail pooling factor [`PoolingSpec::sample`] draws from its one
+/// RNG word `word`.
+#[inline]
+pub(crate) fn long_tail_factor(mean: f64, max: u32, word: u64) -> u32 {
+    let u = unit_f64(word).max(f64::MIN_POSITIVE);
+    let g = (u.ln() / long_tail_ln_q(mean)).floor() as u64;
+    ((1 + g).min(u64::from(max))).max(1) as u32
 }
 
 #[cfg(test)]

@@ -16,14 +16,15 @@
 //! for one feature from an RNG seeded by a key ([`stream_seed`]), so
 //! independent streams (one per query and table when serving, one per
 //! iteration in the cluster simulator) can be drawn in any order, on any
-//! thread. Guided samplers draw values through a
-//! [`ZipfGuide`]: the same values from the same RNG words at 8 KB per
-//! feature, so only long streams (serving) build them.
+//! thread. Guided samplers draw pooling factors through a
+//! [`PoolingGuide`] and values through a [`ZipfGuide`]: the same draws from
+//! the same RNG words at up to 12 KB per feature, so only long streams
+//! (serving) build them.
 
 use crate::feature::{FeatureId, FeatureSpec};
 use crate::model::ModelSpec;
 use crate::pooling::PoolingSpec;
-use crate::zipf::{Zipf, ZipfGuide};
+use crate::zipf::{PoolingGuide, Zipf, ZipfGuide};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,8 +61,8 @@ pub struct FeatureSampler {
     coverage: f64,
     pooling: PoolingSpec,
     values: Zipf,
-    /// The value guide, or `None` for an unguided sampler.
-    guide: Option<ZipfGuide>,
+    /// The pooling and value guides, or `None` for an unguided sampler.
+    guides: Option<(PoolingGuide, ZipfGuide)>,
 }
 
 impl FeatureSampler {
@@ -71,17 +72,22 @@ impl FeatureSampler {
             coverage: spec.coverage,
             pooling: spec.pooling,
             values: spec.value_distribution(),
-            guide: None,
+            guides: None,
         }
     }
 
-    /// Like [`new`](Self::new), but drawing values through a [`ZipfGuide`]:
-    /// the identical values from the identical RNG words, with most draws
-    /// skipping the rejection-inversion arithmetic. Building the guide
-    /// costs microseconds and 8 KB, which only pays off over long streams.
+    /// Like [`new`](Self::new), but drawing pooling factors through a
+    /// [`PoolingGuide`] and values through a [`ZipfGuide`]: the identical
+    /// draws from the identical RNG words, with most of them skipping the
+    /// logarithms and the rejection-inversion arithmetic. Building the
+    /// guides costs microseconds and up to 12 KB, which only pays off over
+    /// long streams.
     pub fn guided(spec: &FeatureSpec) -> Self {
         let mut sampler = Self::new(spec);
-        sampler.guide = Some(ZipfGuide::new(sampler.values));
+        sampler.guides = Some((
+            PoolingGuide::new(sampler.pooling),
+            ZipfGuide::new(sampler.values),
+        ));
         sampler
     }
 
@@ -108,15 +114,17 @@ impl FeatureSampler {
         visit: impl Fn(&mut S, u64),
     ) {
         if rng.gen::<f64>() < self.coverage {
-            let k = self.pooling.sample(rng) as usize;
-            present(sink, k);
-            match &self.guide {
-                Some(guide) => {
+            match &self.guides {
+                Some((pooling, values)) => {
+                    let k = pooling.sample(rng) as usize;
+                    present(sink, k);
                     for _ in 0..k {
-                        visit(sink, guide.sample(rng));
+                        visit(sink, values.sample(rng));
                     }
                 }
                 None => {
+                    let k = self.pooling.sample(rng) as usize;
+                    present(sink, k);
                     for _ in 0..k {
                         visit(sink, self.values.sample(rng));
                     }
@@ -371,7 +379,7 @@ mod tests {
             let mut plain = SampleGenerator::new(&model, seed);
             let mut guided = SampleGenerator::with_samplers(&model, seed, FeatureSampler::guided);
             assert_eq!(guided.samplers.len(), model.num_features());
-            let has_cells = |f: usize| guided.samplers[f].guide.as_ref().unwrap().is_guided();
+            let has_cells = |f: usize| guided.samplers[f].guides.as_ref().unwrap().1.is_guided();
             assert!(!has_cells(0) && has_cells(4));
             for _ in 0..400 {
                 assert_eq!(guided.sample(), plain.sample(), "seed {seed}");

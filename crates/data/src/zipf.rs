@@ -23,12 +23,18 @@
 //!    `k`'s *squeeze interval* `[max(k − ½, k − t), k + ½)`, `t` being the
 //!    sampler's dense threshold (for `k = n` the clamp extends it to `+∞`).
 //!    Mapped through `H`, that interval is an interval of `r`.
-//! 3. The top [`ZipfGuide::BITS`] bits of `w` select one of
-//!    [`ZipfGuide::CELLS`] equal cells of `r`. A cell that lies inside rank
-//!    `k`'s `r`-interval shrunk by a margin `m` on both sides always returns
-//!    `k` from its first word, so the guide stores `k` for it. Every other
-//!    cell is a *miss*: the draw runs [`Zipf::try_draw`] on the same word and
-//!    continues the rejection loop exactly as [`Zipf::sample`] does.
+//! 3. The top `b` bits of `w` select one of `2ᵇ` equal cells of `r`. A cell
+//!    that lies inside rank `k`'s `r`-interval shrunk by a margin `m` on
+//!    both sides always returns `k` from its first word, so the guide stores
+//!    `k` for it. Every other cell is a *miss*: the draw runs
+//!    [`Zipf::try_draw`] on the same word and continues the rejection loop
+//!    exactly as [`Zipf::sample`] does.
+//!
+//! Nothing in the argument depends on `b`: [`Zipf::resolve_cells`] resolves
+//! cells at any resolution. [`ZipfGuide`] stores ranks at
+//! [`ZipfGuide::BITS`] `= 12`; the trace kernel's per-table sampler
+//! (`recshard_memsim::TableSampler`) stores at 15 bits only the two-bit
+//! memory tier of each resolved rank's row, which is all it needs.
 //!
 //! The margin covers floating-point error: rounding `u` and `r` contributes
 //! a few `2⁻⁵²` in `r`, and each `powf` or the `H` evaluations the build
@@ -36,18 +42,51 @@
 //! `H(x) = (x^(1−s) − 1)/(1 − s)` near `s = 1` (the `ln`/`exp` branch taken
 //! within `10⁻⁹` of `s = 1` is well conditioned). With
 //! `m = 10⁻⁹ · (1 + 1/|1 − s|)` (`2·10⁻⁹` on the `ln` branch) the margin is
-//! about `10⁶` times that error bound. Cell boundaries come from two forward
-//! `H` evaluations per head rank; the build stops at the first rank whose
-//! interval is narrower than one cell (interval widths fall with the rank),
-//! so a build costs microseconds. `s = 0` keeps its integer
+//! about `10⁶` times that error bound. `s = 0` keeps its integer
 //! `gen_range` path and gets no guide.
 //!
-//! The property tests in this module check the guided draw against
-//! [`Zipf::sample`] draw for draw, RNG state included, across supports up to
-//! `2³¹` and exponents in `[0, 3]`; the workspace tests check every resolved
-//! cell of the benchmark models at both ends of its word range.
+//! The build walks the ranks from the head and costs one `H` evaluation
+//! per rank, `H(k + ½)`, at the top of rank `k`'s squeeze interval. The
+//! bottom `H(k − t)` is not evaluated but bounded from above by the
+//! concavity of `H` (its derivative `x^(−s)` falls): `H(k − t) ≤ H(k − ½) +
+//! (½ − t) · (H(k − ½) − H(k − 1.5))`, both terms known from the two ranks
+//! before. Only rank 1 evaluates its bottom. The bounded interval lies inside
+//! the squeeze interval, so it can only lose cells, never resolve a wrong
+//! one; the bound's few roundings sit inside the same margin. The walk
+//! stops at the first rank whose interval is narrower than a given number
+//! of cells (interval widths fall with the rank): one cell for
+//! [`ZipfGuide`], four for the 15-bit tier map, whose narrower ranks would
+//! cost more to walk than their misses cost to draw. Stopping early only
+//! leaves cells as misses.
+//!
+//! # The pooling guide
+//!
+//! [`PoolingGuide`] does the same for the long-tail pooling factor, which
+//! [`PoolingSpec::sample`] draws from one word as `1 + g`, capped at `max`,
+//! with `g = ⌊ln u / ln q⌋`, `u = max(r, MIN_POSITIVE)`, `q = 1 − p` and
+//! `p = 1/mean` clamped to `[10⁻⁶, 1]`. `g ≥ j` exactly when `u ≤ qʲ`, so
+//! factor `v < max` is drawn for `u ∈ (qᵛ, qᵛ⁻¹]` (for `v = 1` the upper
+//! end is open, as `u < 1`) and the cap for `u ≤ q^(max−1)`. A cell strictly
+//! inside `(qᵛ(1 + m), qᵛ⁻¹(1 − m))` returns `v`, and every other cell falls
+//! back to the spec's draw on the same word. The boundaries are
+//! `exp(v · ln q)` with the draw's own `ln q`, so rounding moves them, and
+//! `ln u` and the division move the draw, by a relative few `2⁻⁵²` times
+//! `|ln u| ≤ 37` (for `u ≥ 2⁻⁵³`); `m = 10⁻⁹` is more than `10⁴` times
+//! that. Only `u = 0`, in cell 0, lies below `2⁻⁵³`; its `MIN_POSITIVE`
+//! draws the largest factor of the cell, and cell 0 resolves to a factor
+//! `v < max` only when `qᵛ` underflows to 0, below `MIN_POSITIVE`. Factors
+//! are stored in a byte, so caps above 255 get no guide; `OneHot` and
+//! `Constant` draw no word and need none.
+//!
+//! The property tests in this module check the guided draws against
+//! [`Zipf::sample`] and [`PoolingSpec::sample`] draw for draw, RNG state
+//! included, across supports up to `2³¹`, exponents in `[0, 3]`, pooling
+//! means in `[1, 200]` and caps up to 254; the workspace tests check every
+//! resolved cell of the benchmark models at both ends of its word range.
 
+use crate::pooling::{long_tail_factor, long_tail_ln_q, PoolingSpec};
 use rand::Rng;
+use std::ops::Range;
 
 /// A Zipf distribution over ranks `1..=n` with exponent `s >= 0`.
 ///
@@ -163,9 +202,10 @@ impl Zipf {
     }
 
     /// Finishes a draw (`s > 0`) whose first RNG word is `word`, pulling
-    /// further words from `rng` while steps reject.
+    /// further words from `rng` while steps reject: [`Zipf::sample`] after
+    /// it drew `word`.
     #[inline]
-    fn sample_from_word<R: Rng + ?Sized>(&self, mut word: u64, rng: &mut R) -> u64 {
+    pub fn sample_from_word<R: Rng + ?Sized>(&self, mut word: u64, rng: &mut R) -> u64 {
         loop {
             if let Some(k) = self.try_draw(word) {
                 return k;
@@ -189,40 +229,69 @@ impl Zipf {
         Some(1e-9 * (1.0 + conditioning))
     }
 
-    /// Resolves every guide cell that lies inside one rank's squeeze
-    /// interval (see the module doc); unresolved cells hold
-    /// [`ZipfGuide::MISS`].
-    fn guide_cells(&self) -> Vec<u16> {
+    /// Walks the ranks whose squeeze interval (see the module doc) holds
+    /// whole cells of a `2^bits`-cell guide over the RNG word, calling
+    /// `visit(rank, cells)` with each 0-based rank and the cells every word
+    /// of which returns that rank from its first step. The walk stops at the
+    /// first rank whose interval is narrower than `min_cells` cells; every
+    /// cell it does not visit is a miss. Returns `false`, visiting nothing,
+    /// when the distribution gets no guide (`s == 0`).
+    ///
+    /// Each rank costs one `H` evaluation, at the top of its squeeze
+    /// interval, `x = k + ½`; the bottom, `x = k − t`, is bounded from the
+    /// two evaluations before by the concavity of `H` (module doc).
+    pub fn resolve_cells(
+        &self,
+        bits: u32,
+        min_cells: u32,
+        mut visit: impl FnMut(u64, Range<usize>),
+    ) -> bool {
         let Some(margin) = self.guide_margin() else {
-            return Vec::new();
+            return false;
         };
-        let mut cells = vec![ZipfGuide::MISS; ZipfGuide::CELLS];
-        let scale = ZipfGuide::CELLS as f64;
+        let s = self.s;
+        let scale = (1u64 << bits) as f64;
+        let min_width = f64::from(min_cells) / scale;
         let span = self.h_n - self.h_x1;
-        // `r` of a continuous position `x`: the inverse of step 1.
-        let r_of = |x: f64| (self.h_n - Self::h_static(x, self.s)) / span;
-        // Ranks above `CELLS` cannot own a whole cell (widths fall with the
-        // rank and sum to at most 1), so the stored rank fits a `u16`.
-        for (rank, k) in (1..=self.n.min(ZipfGuide::CELLS as u64)).enumerate() {
-            let kf = k as f64;
-            let r_top = r_of((kf - 0.5).max(kf - self.dense_threshold));
-            let r_bottom = if k == self.n {
+        // `r` of a position whose `H` is `h`: the inverse of step 1.
+        let r_of = |h: f64| (self.h_n - h) / span;
+        let t = self.dense_threshold;
+        // `H(k − 1.5)` and `H(k − ½)`, shifted along as `k` rises.
+        let mut h_before = Self::h_static(0.5, s);
+        let mut h_prev = h_before;
+        // Ranks above `2^bits` cannot own a whole cell (widths fall with
+        // the rank and sum to at most 1).
+        for k in 1..=self.n.min(1 << bits) {
+            // `H` at the bottom and the top of rank `k`'s squeeze interval;
+            // the bottom may be overestimated, which only shrinks it.
+            let h_bottom = if k == 1 {
+                Self::h_static(0.5f64.max(1.0 - t), s)
+            } else if t >= 0.5 {
+                h_prev
+            } else {
+                h_prev + (0.5 - t) * (h_prev - h_before)
+            };
+            let h_top = Self::h_static(k as f64 + 0.5, s);
+            // `r` falls as `x` rises.
+            let r_high = r_of(h_bottom);
+            let r_low = if k == self.n {
                 f64::NEG_INFINITY
             } else {
-                r_of(kf + 0.5)
+                r_of(h_top)
             };
-            if r_top - r_bottom < 1.0 / scale {
+            if r_high - r_low < min_width {
                 break;
             }
-            // Cells `c` with `[c, c + 1) / CELLS` inside the shrunk interval.
-            let first = ((r_bottom + margin) * scale).ceil().max(0.0);
-            let end = ((r_top - margin) * scale).floor().min(scale);
+            // Cells `c` with `[c, c + 1) / 2^bits` inside the shrunk interval.
+            let first = ((r_low + margin) * scale).ceil().max(0.0);
+            let end = ((r_high - margin) * scale).floor().min(scale);
             if first < end {
-                let rank = rank as u16;
-                cells[first as usize..end as usize].fill(rank);
+                visit(k - 1, first as usize..end as usize);
             }
+            h_before = h_prev;
+            h_prev = h_top;
         }
-        cells
+        true
     }
 
     /// Draws `count` 0-based categorical values.
@@ -242,7 +311,7 @@ impl Zipf {
 /// Converts one RNG word to the `[0, 1)` float vendored rand's
 /// `gen::<f64>()` draws from it: the top 53 bits, scaled by `2⁻⁵³`.
 #[inline]
-fn unit_f64(word: u64) -> f64 {
+pub(crate) fn unit_f64(word: u64) -> f64 {
     (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
@@ -282,15 +351,15 @@ impl ZipfGuide {
 
     /// Builds the guide for `zipf`.
     pub fn new(zipf: Zipf) -> Self {
-        Self {
-            zipf,
-            cells: zipf.guide_cells(),
+        let mut cells = vec![Self::MISS; Self::CELLS];
+        let guided = zipf.resolve_cells(Self::BITS, 1, |rank, resolved| {
+            // The walk visits ranks below `CELLS`, so the rank fits a `u16`.
+            cells[resolved].fill(rank as u16);
+        });
+        if !guided {
+            cells = Vec::new();
         }
-    }
-
-    /// The guided distribution.
-    pub fn zipf(&self) -> &Zipf {
-        &self.zipf
+        Self { zipf, cells }
     }
 
     /// Whether the guide has cells. Without them (`s == 0`) every draw goes
@@ -301,7 +370,7 @@ impl ZipfGuide {
 
     /// The cell the RNG word `word` falls in.
     #[inline]
-    pub fn cell(word: u64) -> usize {
+    fn cell(word: u64) -> usize {
         (word >> (64 - Self::BITS)) as usize
     }
 
@@ -315,22 +384,6 @@ impl ZipfGuide {
         }
     }
 
-    /// Finishes a guided draw whose first RNG word is `word`: the cell's
-    /// rank when resolved, otherwise the rejection loop from `word` on.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the guide has no cells: an unguided
-    /// draw's first word is not a step word.
-    #[inline]
-    pub fn sample_from_word<R: Rng + ?Sized>(&self, word: u64, rng: &mut R) -> u64 {
-        debug_assert!(self.is_guided(), "unguided draws go through Zipf::sample");
-        match self.rank(Self::cell(word)) {
-            Some(rank) => rank,
-            None => self.zipf.sample_from_word(word, rng),
-        }
-    }
-
     /// Draws one 0-based value; identical to [`Zipf::sample`] on the same
     /// generator state, and leaves the generator in the same state.
     #[inline]
@@ -339,7 +392,138 @@ impl ZipfGuide {
             return self.zipf.sample(rng);
         }
         let word = rng.gen();
-        self.sample_from_word(word, rng)
+        match self.rank(Self::cell(word)) {
+            Some(rank) => rank,
+            None => self.zipf.sample_from_word(word, rng),
+        }
+    }
+}
+
+/// A guide table over a [`PoolingSpec::LongTail`] draw: the pooling factor
+/// each of [`PoolingGuide::CELLS`] RNG-word cells is known to return, so
+/// most draws skip the two logarithms. Draws are bit-identical to
+/// [`PoolingSpec::sample`]; the module doc gives the argument. Other specs,
+/// and caps above 255, get no cells and draw through [`PoolingSpec::sample`].
+///
+/// ```
+/// use rand::SeedableRng;
+/// use recshard_data::{PoolingGuide, PoolingSpec};
+///
+/// let spec = PoolingSpec::long_tail(8.0);
+/// let guide = PoolingGuide::new(spec);
+/// let mut a = rand::rngs::StdRng::seed_from_u64(1);
+/// let mut b = a.clone();
+/// for _ in 0..1000 {
+///     assert_eq!(guide.sample(&mut a), spec.sample(&mut b));
+/// }
+/// assert_eq!(a, b);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct PoolingGuide {
+    spec: PoolingSpec,
+    /// Pooling factor per cell, [`PoolingGuide::MISS`] when unresolved;
+    /// `None` when the spec has no guide.
+    cells: Option<Box<[u8; PoolingGuide::CELLS]>>,
+}
+
+impl PoolingGuide {
+    /// Bits of the RNG word that select a cell.
+    pub const BITS: u32 = 12;
+    /// Number of cells.
+    pub const CELLS: usize = 1 << Self::BITS;
+    /// Cell value of an unresolved cell (every factor is at least 1).
+    const MISS: u8 = 0;
+    /// The `u`-space safety margin, relative (see the module doc).
+    const MARGIN: f64 = 1e-9;
+
+    /// Builds the guide for `spec`, at one `exp` per factor below the cap.
+    pub fn new(spec: PoolingSpec) -> Self {
+        let cells = match spec {
+            PoolingSpec::LongTail { mean, max } if max <= u32::from(u8::MAX) => {
+                Some(Self::long_tail_cells(mean, max.max(1)))
+            }
+            _ => None,
+        };
+        Self { spec, cells }
+    }
+
+    fn long_tail_cells(mean: f64, cap: u32) -> Box<[u8; Self::CELLS]> {
+        let mut cells = Box::new([Self::MISS; Self::CELLS]);
+        let scale = Self::CELLS as f64;
+        let ln_q = long_tail_ln_q(mean);
+        // Factor `v < cap` is drawn for `u ∈ (q^v, q^(v−1)]`, the cap for
+        // `u ≤ q^(cap−1)`; `q^0 = 1` bounds nothing, as `u < 1`.
+        let mut fill = |v: u32, low: f64, high: f64| {
+            let first = (low * scale).ceil().max(0.0);
+            let end = (high * scale).floor().min(scale);
+            if first < end {
+                cells[first as usize..end as usize].fill(v as u8);
+            }
+        };
+        let mut high = f64::INFINITY;
+        for v in 1..cap {
+            if high * scale < 1.0 {
+                // Every interval left lies inside cell 0.
+                return cells;
+            }
+            let boundary = (ln_q * f64::from(v)).exp();
+            fill(v, boundary * (1.0 + Self::MARGIN), high);
+            high = boundary * (1.0 - Self::MARGIN);
+        }
+        fill(cap, f64::NEG_INFINITY, high);
+        cells
+    }
+
+    /// The guided spec.
+    pub fn spec(&self) -> &PoolingSpec {
+        &self.spec
+    }
+
+    /// Whether the guide has cells. Without them every draw goes through
+    /// [`PoolingSpec::sample`].
+    pub fn is_guided(&self) -> bool {
+        self.cells.is_some()
+    }
+
+    /// The cell the RNG word `word` falls in.
+    #[inline]
+    fn cell(word: u64) -> usize {
+        (word >> (64 - Self::BITS)) as usize
+    }
+
+    /// The factor every word in `cell` draws, if the guide resolved the cell.
+    #[inline]
+    pub fn factor(&self, cell: usize) -> Option<u32> {
+        match self.cells.as_ref()?.get(cell) {
+            Some(&v) if v != Self::MISS => Some(u32::from(v)),
+            _ => None,
+        }
+    }
+
+    /// Draws one pooling factor; identical to [`PoolingSpec::sample`] on the
+    /// same generator state, and leaves the generator in the same state.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
+        let Some(cells) = &self.cells else {
+            return self.spec.sample(rng);
+        };
+        let word = rng.gen();
+        match cells[Self::cell(word)] {
+            Self::MISS => self.draw_miss(word),
+            v => u32::from(v),
+        }
+    }
+
+    /// [`PoolingSpec::sample`]'s draw from `word`, for a word in an
+    /// unresolved cell: kept out of line, as at most two cells per factor
+    /// boundary miss.
+    #[cold]
+    #[inline(never)]
+    fn draw_miss(&self, word: u64) -> u32 {
+        match self.spec {
+            PoolingSpec::LongTail { mean, max } => long_tail_factor(mean, max, word),
+            _ => unreachable!("only long-tail specs have cells"),
+        }
     }
 }
 
@@ -486,17 +670,26 @@ mod tests {
             (4096, 0.05),
             (1 << 31, 1.0),
             (777, 1.0 + 1e-7),
+            (1 << 16, 1.05),
         ] {
             let zipf = Zipf::new(n, s);
             let guide = ZipfGuide::new(zipf);
             for cell in 0..ZipfGuide::CELLS {
                 if let Some(rank) = guide.rank(cell) {
-                    let lo = (cell as u64) << (64 - ZipfGuide::BITS);
-                    let hi = lo | (u64::MAX >> ZipfGuide::BITS);
-                    assert_eq!(zipf.try_draw(lo), Some(rank), "n={n} s={s} cell {cell}");
-                    assert_eq!(zipf.try_draw(hi), Some(rank), "n={n} s={s} cell {cell}");
+                    for word in cell_ends(cell, ZipfGuide::BITS) {
+                        assert_eq!(zipf.try_draw(word), Some(rank), "n={n} s={s} cell {cell}");
+                    }
                 }
             }
+            // The same walk at a finer resolution, down to one-cell ranks.
+            let bits = 16;
+            zipf.resolve_cells(bits, 1, |rank, cells| {
+                for cell in cells {
+                    for word in cell_ends(cell, bits) {
+                        assert_eq!(zipf.try_draw(word), Some(rank), "n={n} s={s} cell {cell}");
+                    }
+                }
+            });
         }
     }
 
@@ -532,6 +725,103 @@ mod tests {
             let mut b = a.clone();
             for _ in 0..4_000 {
                 proptest::prop_assert_eq!(guide.sample(&mut a), zipf.sample(&mut b));
+            }
+            proptest::prop_assert_eq!(a, b);
+        }
+    }
+
+    /// The lowest and the highest RNG word of `cell` of a `2^bits`-cell
+    /// guide.
+    fn cell_ends(cell: usize, bits: u32) -> [u64; 2] {
+        let lowest = (cell as u64) << (64 - bits);
+        [lowest, lowest | (u64::MAX >> bits)]
+    }
+
+    #[test]
+    fn resolved_pooling_cells_return_their_factor_at_both_word_ends() {
+        let mut specs = vec![
+            PoolingSpec::LongTail { mean: 1.0, max: 1 },
+            PoolingSpec::LongTail { mean: 1.0, max: 9 },
+            PoolingSpec::LongTail { mean: 5.0, max: 0 },
+            PoolingSpec::LongTail {
+                mean: 1e7,
+                max: 255,
+            },
+            PoolingSpec::LongTail {
+                mean: 1.0001,
+                max: 3,
+            },
+        ];
+        for mean in [1.5, 2.0, 8.0, 37.5, 200.0] {
+            for max in [1, 2, 32, 254, 255] {
+                specs.push(PoolingSpec::LongTail { mean, max });
+            }
+        }
+        for spec in specs {
+            let PoolingSpec::LongTail { mean, max } = spec else {
+                unreachable!()
+            };
+            let guide = PoolingGuide::new(spec);
+            let mut resolved = 0;
+            for cell in 0..PoolingGuide::CELLS {
+                if let Some(factor) = guide.factor(cell) {
+                    for word in cell_ends(cell, PoolingGuide::BITS) {
+                        assert_eq!(
+                            long_tail_factor(mean, max, word),
+                            factor,
+                            "{spec:?} cell {cell}"
+                        );
+                    }
+                    resolved += 1;
+                }
+            }
+            // Only the (at most two) cells at each factor boundary miss.
+            let boundaries = max.max(1) as usize - 1;
+            assert!(
+                resolved + 2 * boundaries >= PoolingGuide::CELLS,
+                "{spec:?}: {resolved}"
+            );
+        }
+        for spec in [
+            PoolingSpec::OneHot,
+            PoolingSpec::Constant(3),
+            PoolingSpec::LongTail {
+                mean: 80.0,
+                max: 256,
+            },
+        ] {
+            assert!(!PoolingGuide::new(spec).is_guided(), "{spec:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The guided pooling draw equals `PoolingSpec::sample` draw for
+        /// draw and leaves the generator in the same state — long tails
+        /// with means 1–200 and caps 1–254, mean 1 with cap 1, a cap of 256
+        /// or more (no guide) and the other specs (no guide).
+        #[test]
+        fn guided_pooling_draws_equal_sample(
+            mean in 1.0f64..200.0,
+            max in 1u32..255,
+            wide in 256u32..4096,
+            pick in 0u32..7,
+            seed in proptest::any::<u64>(),
+        ) {
+            let spec = match pick {
+                0 => PoolingSpec::LongTail { mean: 1.0, max: 1 },
+                1 => PoolingSpec::LongTail { mean, max: wide },
+                2 => PoolingSpec::Constant(max),
+                3 => PoolingSpec::LongTail { mean: 200.0, max },
+                _ => PoolingSpec::LongTail { mean, max },
+            };
+            let guide = PoolingGuide::new(spec);
+            proptest::prop_assert_eq!(guide.is_guided(), pick == 0 || pick >= 3);
+            let mut a = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut b = a.clone();
+            for _ in 0..4_000 {
+                proptest::prop_assert_eq!(guide.sample(&mut a), spec.sample(&mut b));
             }
             proptest::prop_assert_eq!(a, b);
         }

@@ -319,7 +319,7 @@ pub fn sample_batch_accesses_into<R: Rng + ?Sized>(
             if rng.gen::<f64>() >= spec.coverage {
                 continue;
             }
-            let pool = spec.pooling.sample(rng);
+            let pool = sampler.sample_pooling(rng);
             for _ in 0..pool {
                 match sampler.sample_tier(rng) {
                     MemoryTier::Hbm => hbm_rows += 1,

@@ -25,11 +25,12 @@
 //! models and re-solved plans mid-run.
 //!
 //! All trace sampling goes through one kernel, [`sample_batch_accesses`],
-//! which draws each lookup through a per-table [`TableSampler`]: a guide
-//! table over the Zipf sampler whose cells hold the looked-up row's tier, so
-//! most lookups cost one RNG word and one byte load. The draws are
-//! bit-identical to sampling, hashing and remapping one lookup at a time;
-//! the `recshard_data::zipf` module doc gives the exactness argument.
+//! which draws each sample's pooling factor and lookups through a
+//! per-table [`TableSampler`]: a pooling guide, and a two-bit tier map over
+//! the Zipf sampler whose cells hold the looked-up row's tier, so most
+//! lookups cost one RNG word and one byte load. The draws are bit-identical
+//! to sampling, hashing and remapping one lookup at a time; the
+//! `recshard_data::zipf` module doc gives the exactness argument.
 //!
 //! ## Analytical model vs. discrete-event model
 //!

@@ -72,7 +72,7 @@ impl IterationWorkload {
     }
 
     /// Swaps in a new plan (online re-sharding), rebuilding each table's
-    /// HBM rows and tier cells (the value guides stay).
+    /// HBM rows and tier map (the pooling guides stay).
     ///
     /// # Panics
     ///
@@ -101,9 +101,9 @@ impl IterationWorkload {
     }
 
     /// Swaps in a drifted model (same feature universe, shifted pooling
-    /// statistics), keeping the current plan's HBM rows. A table's value
-    /// guide is rebuilt only if its cardinality or exponent changed, and its
-    /// tier cells only if that guide or its hash size or seed did.
+    /// statistics), keeping the current plan's HBM rows. A table's pooling
+    /// guide is rebuilt only if its pooling distribution changed, and its
+    /// tier map only if its cardinality, exponent, hash size or seed did.
     ///
     /// # Panics
     ///
@@ -211,11 +211,13 @@ mod tests {
     fn install_model_draws_like_a_fresh_workload() {
         let (model, profile, plan) = setup();
         let mut w = IterationWorkload::new(&model, &plan, &profile);
-        // Re-seeded hashes, a grown table and a flattened exponent.
+        // Re-seeded hashes, a grown table, a flattened exponent and a
+        // longer-tailed pooling.
         let mut features = model.features().to_vec();
         features[0].hash_seed ^= 0x5EED;
         features[1].cardinality *= 3;
         features[2].zipf_exponent *= 0.5;
+        features[3].pooling = recshard_data::PoolingSpec::long_tail(5.0).with_mean_scaled(1.4);
         let drifted = ModelSpec::new("drifted", model.kind(), features, model.batch_size());
         w.install_model(&drifted);
         let fresh = IterationWorkload::new(&drifted, &plan, &profile);

@@ -440,7 +440,18 @@ impl Core {
     fn touch(&mut self, slot: u32) {
         let c = self.arena[slot as usize].class;
         if self.policy == PolicyKind::Lfu {
-            let above = self.class_above(c, self.classes[c as usize].freq + 1);
+            let class = &self.classes[c as usize];
+            let freq = class.freq + 1;
+            let above = class.links.prev;
+            // A lone member whose next frequency has no class yet keeps its
+            // class, which moves up to that frequency in place.
+            if class.members.head == class.members.tail
+                && (above == NIL || self.classes[above as usize].freq != freq)
+            {
+                self.classes[c as usize].freq = freq;
+                return;
+            }
+            let above = self.class_above(c, freq);
             self.detach(slot);
             self.attach(slot, above);
         } else {
