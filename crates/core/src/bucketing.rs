@@ -32,58 +32,20 @@ use recshard_data::ModelSpec;
 use recshard_stats::DatasetProfile;
 use std::collections::HashMap;
 
-/// Tuning of the bucketing preprocessor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BucketingConfig {
-    /// Relative tolerance for treating two tables' statistics as equal.
-    pub tolerance: f64,
-    /// Number of CDF probe points (geometrically spaced head fractions
-    /// `1/2, 1/4, …, 1/2^probe_points`).
-    pub probe_points: usize,
-    /// Absolute floor of the tail-mass comparison: tail differences below
-    /// `tolerance × floor` never separate tables (sub-percent tails are cost
-    /// noise).
-    pub tail_floor: f64,
-}
+// Tuning, calibrated on the solver_scaling sweep: keeps the final plan cost
+// within 0.5% of the unbucketed structured solver while collapsing skewed
+// production-shaped models by ~1.4–1.8x (looser tolerances compress more
+// but leak past the 1% plan-cost bound).
 
-impl BucketingConfig {
-    /// Validates the tuning.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field: a tolerance that
-    /// is not positive (or is NaN), or a probe count outside `1..=63` (the
-    /// head fractions `1/2^k` must be representable).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.tolerance.is_nan() || self.tolerance <= 0.0 {
-            return Err(format!(
-                "bucketing tolerance must be positive, got {}",
-                self.tolerance
-            ));
-        }
-        if !(1..=63).contains(&self.probe_points) {
-            return Err(format!(
-                "bucketing probe_points must be in 1..=63, got {}",
-                self.probe_points
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl Default for BucketingConfig {
-    fn default() -> Self {
-        // Calibrated on the solver_scaling sweep: keeps the final plan cost
-        // within 0.5% of the unbucketed structured solver while collapsing
-        // skewed production-shaped models by ~1.4–1.8x (looser tolerances
-        // compress more but leak past the 1% plan-cost bound).
-        Self {
-            tolerance: 0.02,
-            probe_points: 6,
-            tail_floor: 0.005,
-        }
-    }
-}
+/// Relative tolerance for treating two tables' statistics as equal.
+const TOLERANCE: f64 = 0.02;
+/// Number of CDF probe points (geometrically spaced head fractions
+/// `1/2, 1/4, …, 1/2^PROBE_POINTS`).
+const PROBE_POINTS: usize = 6;
+/// Absolute floor of the tail-mass comparison: tail differences below
+/// `TOLERANCE × TAIL_FLOOR` never separate tables (sub-percent tails are
+/// cost noise).
+const TAIL_FLOOR: f64 = 0.005;
 
 /// One equivalence class of near-identical tables.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,22 +78,31 @@ impl TableBuckets {
     ///
     /// # Panics
     ///
-    /// Panics if the profile does not cover the model or the configuration
-    /// fails [`BucketingConfig::validate`].
-    pub fn build(model: &ModelSpec, profile: &DatasetProfile, config: &BucketingConfig) -> Self {
+    /// Panics if the profile does not cover the model.
+    pub fn build(model: &ModelSpec, profile: &DatasetProfile) -> Self {
+        Self::build_tuned(model, profile, TOLERANCE, PROBE_POINTS, TAIL_FLOOR)
+    }
+
+    /// [`build`](Self::build) with explicit tuning: a positive `tolerance`
+    /// and `probe_points` in `1..=63` (the head fractions `1/2^k` must be
+    /// representable).
+    fn build_tuned(
+        model: &ModelSpec,
+        profile: &DatasetProfile,
+        tolerance: f64,
+        probe_points: usize,
+        tail_floor: f64,
+    ) -> Self {
         assert_eq!(
             profile.num_features(),
             model.num_features(),
             "profile must cover the model"
         );
-        if let Err(reason) = config.validate() {
-            panic!("invalid bucketing config: {reason}");
-        }
 
         // Two quantities are "close" when they differ by at most
         // `tolerance × max(|a|, |b|, floor)`.
         let close = |a: f64, b: f64, floor: f64| -> bool {
-            (a - b).abs() <= config.tolerance * a.abs().max(b.abs()).max(floor)
+            (a - b).abs() <= tolerance * a.abs().max(b.abs()).max(floor)
         };
 
         let mut buckets: Vec<TableBucket> = Vec::new();
@@ -147,7 +118,7 @@ impl TableBuckets {
             let sig = Signature {
                 coverage: prof.coverage,
                 pooling: prof.avg_pooling.max(0.0),
-                tails: (1..=config.probe_points)
+                tails: (1..=probe_points)
                     .map(|k| {
                         let rows =
                             ((spec.hash_size as f64 / (1u64 << k) as f64).ceil() as u64).max(1);
@@ -161,10 +132,10 @@ impl TableBuckets {
             // Conservative superset of the key-probe values close() can
             // accept (the exact check still runs per candidate).
             let a = *sig.tails.last().expect("probes non-empty");
-            let (lo_key, hi_key) = if config.tolerance < 1.0 {
+            let (lo_key, hi_key) = if tolerance < 1.0 {
                 (
-                    a * (1.0 - config.tolerance) - config.tolerance * config.tail_floor - 1e-12,
-                    (a + config.tolerance * config.tail_floor) / (1.0 - config.tolerance) + 1e-12,
+                    a * (1.0 - tolerance) - tolerance * tail_floor - 1e-12,
+                    (a + tolerance * tail_floor) / (1.0 - tolerance) + 1e-12,
                 )
             } else {
                 (f64::NEG_INFINITY, f64::INFINITY)
@@ -182,7 +153,7 @@ impl TableBuckets {
                             .tails
                             .iter()
                             .zip(&rep.tails)
-                            .all(|(&a, &b)| close(a, b, config.tail_floor))
+                            .all(|(&a, &b)| close(a, b, tail_floor))
                 });
             let bucket = match found {
                 Some(b) => b,
@@ -263,7 +234,7 @@ mod tests {
     fn buckets_partition_the_tables() {
         let model = ModelSpec::small(10, 3);
         let profile = DatasetProfiler::profile_model(&model, 800, 5);
-        let buckets = TableBuckets::build(&model, &profile, &BucketingConfig::default());
+        let buckets = TableBuckets::build(&model, &profile);
         assert_eq!(buckets.num_tables(), 10);
         let mut seen = [false; 10];
         for (b, bucket) in buckets.buckets().iter().enumerate() {
@@ -288,12 +259,7 @@ mod tests {
         // collapse them aggressively.
         let model = recshard_bucketing_test_model(24);
         let profile = DatasetProfiler::profile_model(&model, 20_000, 11);
-        let loose = BucketingConfig {
-            tolerance: 0.1,
-            tail_floor: 0.02,
-            probe_points: 6,
-        };
-        let buckets = TableBuckets::build(&model, &profile, &loose);
+        let buckets = TableBuckets::build_tuned(&model, &profile, 0.1, 6, 0.02);
         assert!(
             buckets.compression_ratio() > 4.0,
             "repeating features must compress (got {:.2}: {} buckets for {} tables)",
@@ -302,7 +268,7 @@ mod tests {
             buckets.num_tables()
         );
         // The fidelity-first default still finds some of the duplicates.
-        let default = TableBuckets::build(&model, &profile, &BucketingConfig::default());
+        let default = TableBuckets::build(&model, &profile);
         assert!(default.compression_ratio() > 1.2);
         assert!(default.num_buckets() >= buckets.num_buckets());
     }
@@ -311,14 +277,8 @@ mod tests {
     fn different_geometry_never_merges() {
         let model = ModelSpec::small(8, 17);
         let profile = DatasetProfiler::profile_model(&model, 500, 2);
-        let buckets = TableBuckets::build(
-            &model,
-            &profile,
-            &BucketingConfig {
-                tolerance: 100.0, // merge everything stat-wise
-                ..BucketingConfig::default()
-            },
-        );
+        // A tolerance of 100 merges everything stat-wise.
+        let buckets = TableBuckets::build_tuned(&model, &profile, 100.0, PROBE_POINTS, TAIL_FLOOR);
         for bucket in buckets.buckets() {
             let rep = &model.features()[bucket.representative];
             for &t in &bucket.members {
@@ -332,22 +292,13 @@ mod tests {
     fn tighter_tolerance_never_compresses_more() {
         let model = recshard_bucketing_test_model(16);
         let profile = DatasetProfiler::profile_model(&model, 1_000, 2);
-        let tight = TableBuckets::build(
-            &model,
-            &profile,
-            &BucketingConfig {
-                tolerance: 1e-9,
-                tail_floor: 1e-9,
-                probe_points: 8,
-            },
-        );
-        let loose = TableBuckets::build(&model, &profile, &BucketingConfig::default());
+        let tight = TableBuckets::build_tuned(&model, &profile, 1e-9, 8, 1e-9);
+        let loose = TableBuckets::build(&model, &profile);
         assert!(tight.num_buckets() >= loose.num_buckets());
     }
 
     #[test]
     fn singletons_give_every_table_its_own_bucket() {
-        assert!(BucketingConfig::default().validate().is_ok());
         let buckets = TableBuckets::singletons(5);
         assert_eq!(buckets.num_buckets(), 5);
         assert_eq!(buckets.compression_ratio(), 1.0);

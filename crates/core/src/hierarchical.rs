@@ -11,18 +11,17 @@
 //! 2. **Per-node placement → GPUs** — each node's tables become an
 //!    independent sub-problem over `gpus_per_node` GPUs, solved with the
 //!    exact warm-started MILP when the sub-problem is small enough and the
-//!    bucketed [`StructuredSolver`] otherwise.
+//!    bucketed [`StructuredSolver`](crate::solver::StructuredSolver) otherwise.
 //!
 //! The merged [`ShardingPlan`] uses node-major global GPU ids and carries
 //! its [`NodeTopology`], which `recshard-des`, `recshard-serve` and
 //! `recshard-memsim` route through (inter-node exchange bandwidth, remote
 //! fan-in hops, inter-node byte estimates).
 
-use crate::bucketing::BucketingConfig;
 use crate::config::RecShardConfig;
 use crate::error::RecShardError;
 use crate::formulation::MilpFormulation;
-use crate::solver::StructuredSolver;
+use crate::scalable::ScalableSolver;
 use recshard_data::{FeatureId, ModelSpec};
 use recshard_sharding::{
     NodeAssigner, NodeAssignment, NodeTopology, ShardingPlan, SystemSpec, TablePlacement,
@@ -169,7 +168,7 @@ impl HierarchicalSolver {
                         &mut obs.reborrow(),
                     )?
             } else {
-                StructuredSolver::with_bucketing(self.config, BucketingConfig::default())
+                ScalableSolver::new(self.config)
                     .solve_report_observed(
                         &sub_model,
                         &sub_profile,
@@ -286,10 +285,9 @@ mod tests {
         let hier = HierarchicalSolver::new(RecShardConfig::default(), NodeTopology::single(2))
             .solve(&model, &profile, &system)
             .unwrap();
-        let flat =
-            StructuredSolver::with_bucketing(RecShardConfig::default(), BucketingConfig::default())
-                .solve(&model, &profile, &system)
-                .unwrap();
+        let flat = ScalableSolver::new(RecShardConfig::default())
+            .solve(&model, &profile, &system)
+            .unwrap();
         // One node means level 1 is trivial: the per-node solve sees the whole
         // problem, so the placements agree exactly.
         assert_eq!(hier.placements(), flat.placements());

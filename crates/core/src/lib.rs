@@ -30,7 +30,7 @@
 //! 4. **Dynamic validation** — replaying a plan through the discrete-event
 //!    cluster simulator (`recshard-des`) for sustained-throughput and
 //!    tail-latency numbers, optionally with drift-driven online re-sharding
-//!    ([`RecShard::simulate_cluster`](pipeline::RecShard::simulate_cluster)).
+//!    ([`RecShard::reshard_controller`](pipeline::RecShard::reshard_controller)).
 //!
 //! ## Quick example
 //!
@@ -69,7 +69,7 @@ pub mod solver;
 
 pub use ablation::AblationVariant;
 pub use analysis::{PlanComparison, SpeedupReport};
-pub use bucketing::{BucketingConfig, TableBucket, TableBuckets};
+pub use bucketing::{TableBucket, TableBuckets};
 pub use config::{RecShardConfig, SolverKind};
 pub use error::RecShardError;
 pub use formulation::MilpFormulation;

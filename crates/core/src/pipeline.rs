@@ -1,16 +1,14 @@
 //! The end-to-end RecShard pipeline (Figure 10): profile → partition/place →
-//! remap — plus the dynamic-cluster entry point
-//! [`RecShard::simulate_cluster`] built on `recshard-des`.
+//! remap — plus [`RecShard::reshard_controller`], the online re-sharding
+//! controller `recshard-des` drives with this sharder's re-solves.
 
-use crate::bucketing::BucketingConfig;
 use crate::config::{RecShardConfig, SolverKind};
 use crate::error::RecShardError;
 use crate::formulation::MilpFormulation;
+use crate::scalable::ScalableSolver;
 use crate::solver::StructuredSolver;
 use recshard_data::ModelSpec;
-use recshard_des::{
-    ClusterConfig, ClusterSimulator, DriftSchedule, ReshardController, ReshardPolicy, RunSummary,
-};
+use recshard_des::{ReshardController, ReshardPolicy};
 use recshard_sharding::{RemapTable, ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
 
@@ -80,13 +78,8 @@ impl RecShard {
             SolverKind::ExactMilp => {
                 MilpFormulation::new(self.config).solve(model, profile, system)
             }
-            SolverKind::Scalable => self.bucketed().solve(model, profile, system),
+            SolverKind::Scalable => ScalableSolver::new(self.config).solve(model, profile, system),
         }
-    }
-
-    /// The bucketed solver [`SolverKind::Scalable`] selects.
-    fn bucketed(&self) -> StructuredSolver {
-        StructuredSolver::with_bucketing(self.config, BucketingConfig::default())
     }
 
     /// Like [`plan`](Self::plan), warm-started from a previous plan when the
@@ -107,7 +100,7 @@ impl RecShard {
     ) -> Result<ShardingPlan, RecShardError> {
         match (self.config.solver, previous) {
             (SolverKind::Scalable, Some(prev)) => {
-                self.bucketed().solve_seeded(model, profile, system, prev)
+                ScalableSolver::new(self.config).solve_seeded(model, profile, system, prev)
             }
             _ => self.plan(model, profile, system),
         }
@@ -122,54 +115,18 @@ impl RecShard {
             .collect()
     }
 
-    /// Solves for a plan and replays it through the discrete-event cluster
-    /// simulator: open-loop batch arrivals, per-GPU queueing, the all-to-all
-    /// barrier — reporting sustained throughput and p50/p95/p99 iteration
-    /// sojourn times instead of the analytical single-iteration cost.
-    ///
-    /// # Errors
-    ///
-    /// See [`RecShardError`] (plan solving is the only fallible phase).
-    pub fn simulate_cluster(
-        &self,
-        model: &ModelSpec,
-        profile: &DatasetProfile,
-        system: &SystemSpec,
-        config: ClusterConfig,
-    ) -> Result<RunSummary, RecShardError> {
-        let plan = self.plan(model, profile, system)?;
-        Ok(ClusterSimulator::new(model, &plan, profile, system, config).run())
-    }
-
-    /// Like [`simulate_cluster`](Self::simulate_cluster), but the workload
-    /// drifts over `drift` and an online controller with `policy` watches
-    /// per-GPU busy-time imbalance, re-solving with *this* sharder's
-    /// configuration and hot-swapping the plan (with a migration stall) when
-    /// it trips.
-    ///
-    /// # Errors
-    ///
-    /// See [`RecShardError`] (initial plan solving is the fallible phase;
-    /// re-solve failures mid-run keep the current plan).
-    pub fn simulate_cluster_with_resharding(
-        &self,
-        model: &ModelSpec,
-        profile: &DatasetProfile,
-        system: &SystemSpec,
-        config: ClusterConfig,
-        drift: DriftSchedule,
-        policy: ReshardPolicy,
-    ) -> Result<RunSummary, RecShardError> {
-        let plan = self.plan(model, profile, system)?;
+    /// An online re-sharding controller with `policy` whose re-solves use
+    /// *this* sharder's configuration, warm-started from the installed plan
+    /// through [`plan_seeded`](Self::plan_seeded). A re-solve that fails
+    /// mid-run keeps the current plan. Attach it to a
+    /// [`ClusterSimulator`](recshard_des::ClusterSimulator) with
+    /// `with_controller`, and drift the workload with `with_scenario`.
+    pub fn reshard_controller(&self, policy: ReshardPolicy) -> ReshardController {
         let resolver = self.clone();
-        let controller = ReshardController::new(
+        ReshardController::new(
             policy,
             Box::new(move |m, p, s, prev| resolver.plan_seeded(m, p, s, prev).ok()),
-        );
-        Ok(ClusterSimulator::new(model, &plan, profile, system, config)
-            .with_drift(drift)
-            .with_controller(controller)
-            .run())
+        )
     }
 
     /// The full pipeline: profile `profile_samples` synthetic training samples
@@ -200,7 +157,8 @@ impl RecShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recshard_data::ModelSpec;
+    use recshard_data::{ModelSpec, ScenarioSpec};
+    use recshard_des::{CheckOutcome, ClusterConfig, ClusterSimulator, RunSummary};
     use recshard_sharding::MemoryTier;
 
     #[test]
@@ -263,37 +221,15 @@ mod tests {
         assert_eq!(out.plan.strategy(), "recshard-milp");
     }
 
-    #[test]
-    fn simulate_cluster_reports_tails_deterministically() {
-        let model = ModelSpec::small(6, 13);
-        let system = SystemSpec::uniform(
-            2,
-            model.total_bytes() / 6,
-            model.total_bytes(),
-            1555.0,
-            16.0,
-        );
-        let profile = recshard_stats::DatasetProfiler::profile_model(&model, 1_000, 3);
-        let config = recshard_des::ClusterConfig {
-            iterations: 100,
-            batch_size: 32,
-            ..recshard_des::ClusterConfig::default()
-        };
-        let sharder = RecShard::default();
-        let a = sharder
-            .simulate_cluster(&model, &profile, &system, config)
-            .unwrap();
-        let b = sharder
-            .simulate_cluster(&model, &profile, &system, config)
-            .unwrap();
-        assert_eq!(a, b, "same seed must reproduce the same cluster summary");
-        assert_eq!(a.completed, 100);
-        assert!(a.p99_ms >= a.p50_ms && a.p50_ms > 0.0);
-        assert_eq!(a.strategy, "recshard");
-    }
-
-    #[test]
-    fn simulate_cluster_with_resharding_runs_controller() {
+    /// Plans `model` with `sharder` on 2 GPUs holding a sixth of it in HBM
+    /// and replays the plan twice for 200 iterations, one arrival per ms,
+    /// with `sharder.reshard_controller` checking every 50 iterations. A
+    /// drift storm sized to the 200 ms run (pooling waves at 20, 40 and
+    /// 60 ms, table growth at 80 ms) shifts the workload. Asserts that the
+    /// replays are bit-identical, that every iteration completes and that
+    /// the controller re-shards, and returns the workload, the initial plan
+    /// and one summary.
+    fn storm_run(sharder: &RecShard) -> (ModelSpec, SystemSpec, ShardingPlan, RunSummary) {
         let model = ModelSpec::small(6, 19);
         let system = SystemSpec::uniform(
             2,
@@ -303,23 +239,39 @@ mod tests {
             16.0,
         );
         let profile = recshard_stats::DatasetProfiler::profile_model(&model, 1_000, 5);
-        let config = recshard_des::ClusterConfig {
+        let config = ClusterConfig {
             iterations: 200,
             batch_size: 32,
-            ..recshard_des::ClusterConfig::default()
+            ..ClusterConfig::default()
         };
-        let drift = recshard_des::DriftSchedule::paper_like(20);
-        let policy = recshard_des::ReshardPolicy {
+        let policy = ReshardPolicy {
             check_every_iterations: 50,
-            ..recshard_des::ReshardPolicy::default()
+            imbalance_threshold: 1.05,
+            ..ReshardPolicy::default()
         };
-        let summary = RecShard::default()
-            .simulate_cluster_with_resharding(&model, &profile, &system, config, drift, policy)
-            .unwrap();
-        assert_eq!(summary.completed, 200);
-        // The controller may or may not fire on this workload; either way the
-        // run must drain and stay internally consistent.
-        assert!(summary.p95_ms >= summary.p50_ms);
+        let plan = sharder.plan(&model, &profile, &system).unwrap();
+        let run = || {
+            ClusterSimulator::new(&model, &plan, &profile, &system, config)
+                .with_scenario(ScenarioSpec::drift_storm(0.02, 0.02, 3))
+                .with_controller(sharder.reshard_controller(policy))
+                .run()
+        };
+        let a = run();
+        assert_eq!(a, run(), "a re-sharding replay must be bit-identical");
+        assert_eq!(a.completed, 200);
+        assert!(
+            a.reshards >= 1,
+            "the drift storm must trip the controller (got {} reshards)",
+            a.reshards
+        );
+        (model, system, plan, a)
+    }
+
+    #[test]
+    fn reshard_controller_reshards_under_a_drift_storm() {
+        let (_, _, _, summary) = storm_run(&RecShard::default());
+        assert!(summary.p99_ms >= summary.p50_ms && summary.p50_ms > 0.0);
+        assert_eq!(summary.strategy, "recshard");
     }
 
     #[test]
@@ -328,44 +280,16 @@ mod tests {
         // controller's re-solves seed from the installed plan (and gate
         // against cold), so the run must stay deterministic and drain
         // exactly like any other.
-        let model = ModelSpec::small(6, 19);
-        let system = SystemSpec::uniform(
-            2,
-            model.total_bytes() / 6,
-            model.total_bytes(),
-            1555.0,
-            16.0,
-        );
-        let profile = recshard_stats::DatasetProfiler::profile_model(&model, 1_000, 5);
-        let config = recshard_des::ClusterConfig {
-            iterations: 200,
-            batch_size: 32,
-            ..recshard_des::ClusterConfig::default()
-        };
-        let drift = recshard_des::DriftSchedule::paper_like(20);
-        let policy = recshard_des::ReshardPolicy {
-            check_every_iterations: 50,
-            imbalance_threshold: 1.05,
-            ..recshard_des::ReshardPolicy::default()
-        };
         let sharder = RecShard::new(RecShardConfig::default().with_scalable());
-        let run = || {
-            sharder
-                .simulate_cluster_with_resharding(
-                    &model,
-                    &profile,
-                    &system,
-                    config,
-                    drift.clone(),
-                    policy,
-                )
-                .unwrap()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "warm-started re-solves must stay deterministic");
-        assert_eq!(a.completed, 200);
-        assert_eq!(a.strategy, "recshard-scalable");
+        let (model, system, plan, summary) = storm_run(&sharder);
+        assert_eq!(summary.strategy, "recshard-scalable");
+        // The controller's own re-solve goes through the bucketed solver.
+        let stormed = ScenarioSpec::drift_storm(0.02, 0.02, 3).model_after(&model, usize::MAX);
+        let mut controller = sharder.reshard_controller(ReshardPolicy::default());
+        match controller.check(&[1_000, 10], &stormed, &plan, &system) {
+            CheckOutcome::Reshard { plan, .. } => assert_eq!(plan.strategy(), "recshard-scalable"),
+            other => panic!("expected a re-shard, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The bucketed configuration of the placement solver.
 //!
 //! [`ScalableSolver::new`] builds a [`StructuredSolver`] that groups
-//! near-identical tables into buckets ([`BucketingConfig`] default tuning)
-//! before split selection; all solve logic lives in [`crate::solver`]. It is
+//! near-identical tables into buckets
+//! ([`TableBuckets`](crate::bucketing::TableBuckets)) before split
+//! selection; all solve logic lives in [`crate::solver`]. It is
 //! the configuration [`SolverKind::Scalable`](crate::config::SolverKind::Scalable)
 //! selects, the one the online re-sharding controller warm-starts
 //! ([`StructuredSolver::solve_seeded`]), and on seed experiment
 //! configurations its plan cost matches the unbucketed solver's within 1%
 //! (asserted by the `solver_scaling` bench and the tests below).
 
-use crate::bucketing::BucketingConfig;
 use crate::config::RecShardConfig;
 use crate::solver::StructuredSolver;
 
@@ -17,10 +17,12 @@ use crate::solver::StructuredSolver;
 pub enum ScalableSolver {}
 
 impl ScalableSolver {
-    /// A [`StructuredSolver`] bucketed with the default [`BucketingConfig`].
+    /// A [`StructuredSolver`] that runs split selection over
+    /// [`TableBuckets`](crate::bucketing::TableBuckets); the one bucketed
+    /// constructor.
     #[allow(clippy::new_ret_no_self)]
     pub fn new(config: RecShardConfig) -> StructuredSolver {
-        StructuredSolver::with_bucketing(config, BucketingConfig::default())
+        StructuredSolver::with_bucketing(config)
     }
 }
 

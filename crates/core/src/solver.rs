@@ -32,13 +32,11 @@
 //!
 //! **Bucketing.** The unbucketed solver ([`StructuredSolver::new`], the
 //! default) gives every table a bucket of its own. The bucketed
-//! configuration ([`StructuredSolver::with_bucketing`];
-//! [`ScalableSolver::new`](crate::scalable::ScalableSolver::new) builds it
-//! with default tuning) first groups
-//! near-identical tables with [`TableBuckets`], prices one menu per bucket
-//! representative, and lets each phase-1 downgrade free `members × bytes`
-//! at once — shrinking the menu-building term, when HBM binds, by the
-//! compression ratio. Assignment and refinement place every table
+//! configuration ([`ScalableSolver::new`](crate::scalable::ScalableSolver::new))
+//! first groups near-identical tables with [`TableBuckets`], prices one
+//! menu per bucket representative, and lets each phase-1 downgrade free
+//! `members × bytes` at once — shrinking the menu-building term, when HBM
+//! binds, by the compression ratio. Assignment and refinement place every table
 //! individually and price it exactly from its own CDF either way, so both
 //! configurations emit equally granular plans.
 //!
@@ -52,7 +50,7 @@
 //! against the exact MILP on small instances and verify capacity safety on
 //! random ones.
 
-use crate::bucketing::{BucketingConfig, TableBuckets};
+use crate::bucketing::TableBuckets;
 use crate::config::RecShardConfig;
 use crate::cost::{SplitOption, TableCostModel};
 use crate::error::RecShardError;
@@ -71,7 +69,7 @@ const REFINEMENT_PASSES: usize = 4;
 #[derive(Debug, Clone)]
 pub struct StructuredSolver {
     config: RecShardConfig,
-    bucketing: Option<BucketingConfig>,
+    bucketed: bool,
 }
 
 /// A solve plus the bucketing statistics the benches report.
@@ -219,16 +217,16 @@ impl StructuredSolver {
     pub fn new(config: RecShardConfig) -> Self {
         Self {
             config,
-            bucketing: None,
+            bucketed: false,
         }
     }
 
     /// Creates the bucketed solver: split selection runs over the buckets
-    /// `bucketing` groups the tables into.
-    pub fn with_bucketing(config: RecShardConfig, bucketing: BucketingConfig) -> Self {
+    /// [`TableBuckets::build`] groups the tables into.
+    pub(crate) fn with_bucketing(config: RecShardConfig) -> Self {
         Self {
             config,
-            bucketing: Some(bucketing),
+            bucketed: true,
         }
     }
 
@@ -236,8 +234,8 @@ impl StructuredSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`RecShardError::InvalidConfig`] for an invalid solver or
-    /// bucketing configuration, [`RecShardError::CapacityExceeded`] if the
+    /// Returns [`RecShardError::InvalidConfig`] for an invalid solver
+    /// configuration, [`RecShardError::CapacityExceeded`] if the
     /// model cannot fit in the system at all, and
     /// [`RecShardError::ProfileMismatch`] if the profile does not cover the
     /// model.
@@ -349,9 +347,6 @@ impl StructuredSolver {
         self.config
             .validate()
             .map_err(RecShardError::InvalidConfig)?;
-        if let Some(bucketing) = &self.bucketing {
-            bucketing.validate().map_err(RecShardError::InvalidConfig)?;
-        }
         if profile.num_features() != model.num_features() {
             return Err(RecShardError::ProfileMismatch(format!(
                 "profile covers {} features, model has {}",
@@ -368,9 +363,10 @@ impl StructuredSolver {
 
         let batch = model.batch_size();
         let num_tables = model.num_features();
-        let buckets = match &self.bucketing {
-            Some(bucketing) => TableBuckets::build(model, profile, bucketing),
-            None => TableBuckets::singletons(num_tables),
+        let buckets = if self.bucketed {
+            TableBuckets::build(model, profile)
+        } else {
+            TableBuckets::singletons(num_tables)
         };
         // One cost menu per bucket representative, priced under the
         // cluster's reference class (class 0): phase-1 split selection needs
@@ -711,9 +707,10 @@ impl StructuredSolver {
                 row_bytes: spec.row_bytes(),
             })
             .collect();
-        let strategy = match self.bucketing {
-            Some(_) => "recshard-scalable",
-            None => "recshard",
+        let strategy = if self.bucketed {
+            "recshard-scalable"
+        } else {
+            "recshard"
         };
         let plan = ShardingPlan::new(strategy, m, placements);
         debug_assert!(plan.validate(model, system).is_ok());
@@ -905,58 +902,5 @@ mod tests {
             max <= rr_max + 1e-9,
             "RecShard max per-GPU cost {max} should not exceed round-robin {rr_max}"
         );
-    }
-
-    /// `bad` is rejected by the bucketed solver with a typed error, never a
-    /// panic.
-    fn assert_bucketing_rejected(bad: BucketingConfig) {
-        let (model, profile) = setup(12, 7);
-        let system = pressured(&model, 2, 4);
-        let config = RecShardConfig::default();
-        let flat = StructuredSolver::with_bucketing(config, bad).solve(&model, &profile, &system);
-        assert!(
-            matches!(flat, Err(RecShardError::InvalidConfig(_))),
-            "{flat:?}"
-        );
-    }
-
-    #[test]
-    fn zero_bucketing_tolerance_is_an_error() {
-        assert_bucketing_rejected(BucketingConfig {
-            tolerance: 0.0,
-            ..BucketingConfig::default()
-        });
-    }
-
-    #[test]
-    fn negative_bucketing_tolerance_is_an_error() {
-        assert_bucketing_rejected(BucketingConfig {
-            tolerance: -0.02,
-            ..BucketingConfig::default()
-        });
-    }
-
-    #[test]
-    fn nan_bucketing_tolerance_is_an_error() {
-        assert_bucketing_rejected(BucketingConfig {
-            tolerance: f64::NAN,
-            ..BucketingConfig::default()
-        });
-    }
-
-    #[test]
-    fn zero_bucketing_probe_points_is_an_error() {
-        assert_bucketing_rejected(BucketingConfig {
-            probe_points: 0,
-            ..BucketingConfig::default()
-        });
-    }
-
-    #[test]
-    fn unrepresentable_bucketing_probe_points_is_an_error() {
-        assert_bucketing_rejected(BucketingConfig {
-            probe_points: 64,
-            ..BucketingConfig::default()
-        });
     }
 }

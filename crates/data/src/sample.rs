@@ -251,29 +251,6 @@ impl SampleGenerator {
     }
 }
 
-/// An iterator adapter that yields an endless stream of samples.
-#[derive(Debug)]
-pub struct SampleStream {
-    gen: SampleGenerator,
-}
-
-impl SampleStream {
-    /// Creates an endless stream of samples for the model.
-    pub fn new(model: &ModelSpec, seed: u64) -> Self {
-        Self {
-            gen: SampleGenerator::new(model, seed),
-        }
-    }
-}
-
-impl Iterator for SampleStream {
-    type Item = SparseSample;
-
-    fn next(&mut self) -> Option<SparseSample> {
-        Some(self.gen.sample())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,13 +320,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn stream_iterator_yields() {
-        let model = ModelSpec::small(3, 9);
-        let stream = SampleStream::new(&model, 4);
-        assert_eq!(stream.take(10).count(), 10);
     }
 
     /// A skewed model with the guide's edge cases: a uniform feature

@@ -493,8 +493,14 @@ impl ScenarioSpec {
                 content_scale,
             } = ev.shift
             {
-                if not_positive(user_scale) || not_positive(content_scale) {
-                    return bad("drift-storm scales must be > 0".into());
+                if [user_scale, content_scale]
+                    .iter()
+                    .any(|&x| not_positive(x) || !x.is_finite())
+                {
+                    return bad(format!(
+                        "drift-storm scales must be finite and > 0, got {user_scale} and \
+                         {content_scale}"
+                    ));
                 }
             }
         }
@@ -729,6 +735,25 @@ mod tests {
         let bad = ScenarioSpec::new("x").with_shift(1.0, ShiftKind::HotKeyShift { fraction: 1.5 });
         assert!(bad.validate().is_err());
         assert!(ScenarioSpec::drift_storm(1.0, 1.0, 3).validate().is_ok());
+        // A non-finite scale would saturate pooling counts to `u32::MAX`.
+        for (user_scale, content_scale) in [
+            (f64::INFINITY, 0.7),
+            (1.4, f64::INFINITY),
+            (f64::NAN, 0.7),
+            (1.4, 0.0),
+        ] {
+            let bad = ScenarioSpec::new("x").with_shift(
+                1.0,
+                ShiftKind::DriftStorm {
+                    user_scale,
+                    content_scale,
+                },
+            );
+            assert!(
+                bad.validate().is_err(),
+                "scales {user_scale} / {content_scale}"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`ClusterSimulator`] composes the deterministic event engine with the
 //! domain components: per-GPU [`GpuStation`]s, a batch [`ArrivalProcess`],
 //! the trace-driven [`IterationWorkload`], an all-to-all exchange barrier,
-//! and optionally a [drift schedule](crate::DriftSchedule) plus an
+//! and optionally a workload [scenario](recshard_data::ScenarioSpec) plus an
 //! [online re-sharding controller](crate::ReshardController).
 //!
 //! One training iteration flows through three event types:
@@ -91,7 +91,6 @@ use crate::resource::{CompletedTransfer, SharedRateResource};
 use crate::station::{GpuStation, ServiceDemand};
 use crate::time::SimTime;
 use crate::workload::ArrivalProcess;
-use crate::DriftSchedule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recshard_data::{ModelSpec, ScenarioSpec};
@@ -632,8 +631,6 @@ pub struct ClusterSimulator<'obs> {
     sojourn_cdf: StreamingCdf,
     completed: u64,
     exchange_ns: u64,
-    drift: Option<DriftSchedule>,
-    current_month: u32,
     scenario: Option<ScenarioRuntime>,
     controller: Option<ReshardController>,
     fingerprint: u64,
@@ -725,21 +722,12 @@ impl<'obs> ClusterSimulator<'obs> {
             sojourn_cdf: StreamingCdf::latency_defaults(),
             completed: 0,
             exchange_ns: Self::exchange_ns_for(model, plan, system, &config),
-            drift: None,
-            current_month: 0,
             scenario: None,
             controller: None,
             fingerprint: 0xCBF2_9CE4_8422_2325,
             contention,
             obs: ObsHandle::noop(),
         })
-    }
-
-    /// Attaches a feature-drift schedule: the workload's pooling statistics
-    /// advance one month every `iterations_per_month` arrivals.
-    pub fn with_drift(mut self, drift: DriftSchedule) -> Self {
-        self.drift = Some(drift);
-        self
     }
 
     /// Attaches a workload scenario: the spec's rate curves scale the
@@ -749,9 +737,8 @@ impl<'obs> ClusterSimulator<'obs> {
     /// feature universe — hot-key re-hashing, per-class pooling drift,
     /// table growth — at their scheduled virtual instants. Phase changes
     /// are recorded as [`TraceEvent::ScenarioPhase`] instants when an
-    /// observation sink is attached. Composes with
-    /// [`with_drift`](Self::with_drift): drift adjusts the base model
-    /// first, then the scenario's shifts apply on top.
+    /// observation sink is attached. This is the only way the workload
+    /// changes mid-run.
     ///
     /// # Panics
     ///
@@ -889,48 +876,19 @@ impl<'obs> ClusterSimulator<'obs> {
         self.contention.as_mut().expect("shared-rate mode")
     }
 
-    /// The workload's current effective model: the base model adjusted for
-    /// the drift schedule's month, with the scenario's applied shifts
-    /// layered on top.
-    fn effective_model(&self) -> ModelSpec {
-        let mut model = if self.current_month > 0 {
-            // recshard-lint: allow(unwrap) -- current_month only advances in
-            // handle_arrival when a drift schedule is present.
-            let drift = self.drift.as_ref().expect("month advanced without drift");
-            drift
-                .drift
-                .model_at_month(&self.base_model, self.current_month)
-        } else {
-            self.base_model.clone()
-        };
-        if let Some(sc) = &self.scenario {
-            if sc.applied > 0 {
-                model = sc.spec.model_after(&model, sc.applied);
-            }
-        }
-        model
-    }
-
     fn handle_arrival(&mut self, iter: u64) {
         let now = self.queue.now();
-        // Feature drift advances with the data the pipeline feeds in.
-        let mut refresh = false;
-        if let Some(drift) = &self.drift {
-            let month = drift.month_of_iteration(iter);
-            if month > self.current_month {
-                self.current_month = month;
-                refresh = true;
-            }
-        }
         // Scenario shifts and phase boundaries apply at the first arrival
-        // at or past their virtual instant.
+        // at or past their virtual instant; the shifted model is the base
+        // model with every shift due so far applied.
+        let mut shifted = None;
         let mut phase_event = None;
         if let Some(sc) = &mut self.scenario {
             let t = now.as_ns();
             let due = sc.spec.shifts_due(t);
             if due > sc.applied {
                 sc.applied = due;
-                refresh = true;
+                shifted = Some(sc.spec.model_after(&self.base_model, due));
             }
             let phase = sc.boundaries_ns.iter().filter(|&&b| b <= t).count() as u32;
             if phase > sc.phase {
@@ -942,8 +900,7 @@ impl<'obs> ClusterSimulator<'obs> {
                 });
             }
         }
-        if refresh {
-            let model = self.effective_model();
+        if let Some(model) = shifted {
             self.draws.install_model(&model);
         }
         if let Some(event) = phase_event {

@@ -12,41 +12,9 @@
 //! stall proportional to the embedding bytes that change residency.
 
 use crate::time::SimTime;
-use recshard_data::{DriftModel, ModelSpec};
+use recshard_data::ModelSpec;
 use recshard_sharding::{ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
-
-/// When and how strongly the training-data distribution drifts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftSchedule {
-    /// The per-class drift trajectories (Figure 9).
-    pub drift: DriftModel,
-    /// How many training iterations correspond to one month of data. The
-    /// simulator advances the workload's month every this many *arrived*
-    /// batches, up to the drift model's horizon.
-    pub iterations_per_month: u64,
-}
-
-impl DriftSchedule {
-    /// A paper-like drift trajectory advancing one month every
-    /// `iterations_per_month` iterations.
-    pub fn paper_like(iterations_per_month: u64) -> Self {
-        assert!(
-            iterations_per_month > 0,
-            "need at least one iteration per month"
-        );
-        Self {
-            drift: DriftModel::paper_like(),
-            iterations_per_month,
-        }
-    }
-
-    /// The drifted month an iteration index falls into (clamped to the drift
-    /// horizon).
-    pub fn month_of_iteration(&self, iter: u64) -> u32 {
-        ((iter / self.iterations_per_month) as u32).min(self.drift.months())
-    }
-}
 
 /// Bandwidth at which embedding rows migrate between residencies during a
 /// re-shard, in GB/s (bounded by the UVM interconnect).
@@ -364,14 +332,5 @@ mod tests {
         if other.placements() != plan.placements() {
             assert!(c.migration_ns(&plan, &other) > 0);
         }
-    }
-
-    #[test]
-    fn drift_schedule_months_clamp() {
-        let s = DriftSchedule::paper_like(100);
-        assert_eq!(s.month_of_iteration(0), 0);
-        assert_eq!(s.month_of_iteration(99), 0);
-        assert_eq!(s.month_of_iteration(100), 1);
-        assert_eq!(s.month_of_iteration(1_000_000), s.drift.months());
     }
 }

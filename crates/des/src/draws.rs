@@ -18,7 +18,7 @@
 //! the simulator sees the same counters in the same order, so the run is
 //! bit-identical for any worker count.
 //!
-//! Installs: a new model (drift, scenario shifts) or plan (re-shards) bumps
+//! Installs: a new model (scenario shifts) or plan (re-shards) bumps
 //! an epoch. Chunks drawn under an older epoch are discarded and their
 //! iterations are drawn again under the new model or plan, which keyed
 //! streams make exact. The workload sits behind a `RwLock` and is never

@@ -33,14 +33,15 @@
 //! * an **all-to-all exchange barrier** — synchronous training completes an
 //!   iteration only after the slowest GPU's gather plus the interconnect
 //!   exchange.
-//! * [`ReshardController`] + [`DriftSchedule`] — online re-sharding: the
-//!   workload drifts (Figure 9), the controller watches per-GPU busy-time
-//!   imbalance, and swaps in a freshly solved [`ShardingPlan`] mid-run,
-//!   charging a migration stall.
+//! * [`ReshardController`] — online re-sharding: a [`ScenarioSpec`]'s shift
+//!   events drift the workload mid-run (Figure 9's pooling drift among
+//!   them), the controller watches per-GPU busy-time imbalance, and swaps
+//!   in a freshly solved [`ShardingPlan`], charging a migration stall.
 //! * tail-latency metrics — per-iteration sojourn times stream into
 //!   `recshard-stats`' constant-space [`StreamingCdf`] (P² quantiles), so
 //!   p50/p95/p99 come out of million-iteration runs without buffering.
 //!
+//! [`ScenarioSpec`]: recshard_data::ScenarioSpec
 //! [`ShardingPlan`]: recshard_sharding::ShardingPlan
 //! [`StreamingCdf`]: recshard_stats::StreamingCdf
 //!
@@ -88,7 +89,7 @@ pub mod time;
 pub mod workload;
 
 pub use cluster::{ClusterConfig, ClusterSimulator, ContentionMode, RunSummary};
-pub use controller::{CheckOutcome, DriftSchedule, PlanSolver, ReshardController, ReshardPolicy};
+pub use controller::{CheckOutcome, PlanSolver, ReshardController, ReshardPolicy};
 pub use engine::{EventQueue, Scheduled};
 pub use error::DesError;
 pub use recshard_memsim::IterationWorkload;

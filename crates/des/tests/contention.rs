@@ -2,13 +2,14 @@
 //! link fabric, the incast acceptance scenario, typed construction errors,
 //! and the determinism/observation contracts in contention mode.
 
-use recshard_data::ModelSpec;
+use recshard_data::{ModelSpec, ScenarioSpec};
 use recshard_des::{
-    ArrivalProcess, ClusterConfig, ClusterSimulator, ContentionMode, DesError, DriftSchedule,
-    ReshardController, ReshardPolicy,
+    ArrivalProcess, ClusterConfig, ClusterSimulator, ContentionMode, DesError, ReshardController,
+    ReshardPolicy,
 };
 use recshard_sharding::{
-    FabricSpec, GreedySharder, NodeTopology, ShardingPlan, SizeCost, SystemSpec, TablePlacement,
+    FabricSpec, GreedySharder, LookupCost, NodeTopology, ShardingPlan, SizeCost, SystemSpec,
+    TablePlacement,
 };
 use recshard_stats::{DatasetProfile, DatasetProfiler};
 
@@ -204,16 +205,29 @@ fn shared_rate_handles_online_resharding() {
         imbalance_threshold: 1.01,
         ..ReshardPolicy::default()
     };
-    let solver: Box<recshard_des::PlanSolver> = Box::new(|model, profile, system, _| {
-        GreedySharder::new(SizeCost)
-            .shard(model, profile, system)
-            .ok()
-    });
-    let summary = ClusterSimulator::new(&model, &plan, &profile, &system, cfg)
-        .with_drift(DriftSchedule::paper_like(50))
-        .with_controller(ReshardController::new(policy, solver))
-        .run();
+    // The size-balanced plan ignores lookup volume; the controller
+    // re-solves for it once the storm has shifted the pooling factors.
+    let run = || {
+        let solver: Box<recshard_des::PlanSolver> = Box::new(|model, profile, system, _| {
+            GreedySharder::new(LookupCost)
+                .shard(model, profile, system)
+                .ok()
+        });
+        // Pooling waves at 50, 100 and 150 ms, table growth at 200 ms, all
+        // inside the 400 ms run.
+        ClusterSimulator::new(&model, &plan, &profile, &system, cfg)
+            .with_scenario(ScenarioSpec::drift_storm(0.05, 0.05, 3))
+            .with_controller(ReshardController::new(policy, solver))
+            .run()
+    };
+    let summary = run();
     assert_eq!(summary.completed, 400);
+    assert!(
+        summary.reshards >= 1,
+        "the drift storm must trip the controller (got {} reshards)",
+        summary.reshards
+    );
+    assert_eq!(summary, run(), "a re-sharding replay must be bit-identical");
 }
 
 #[test]

@@ -31,14 +31,12 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod cdf;
-pub mod error;
 pub mod freq;
 pub mod profile;
 pub mod profiler;
 pub mod streaming;
 
 pub use cdf::{AccessCdf, Icdf};
-pub use error::StatsError;
 pub use freq::FrequencyMap;
 pub use profile::{DatasetProfile, FeatureProfile};
 pub use profiler::DatasetProfiler;

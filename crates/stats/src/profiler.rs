@@ -35,10 +35,8 @@
 //! simulation's to 6.6 MB.
 
 use crate::cdf::AccessCdf;
-use crate::error::StatsError;
 use crate::freq::FrequencyMap;
 use crate::profile::{DatasetProfile, FeatureProfile};
-use rand::Rng;
 use recshard_data::{default_workers, FeatureHasher, ModelSpec, SampleGenerator, SparseSample};
 use std::sync::mpsc;
 
@@ -59,11 +57,10 @@ pub struct DatasetProfiler {
     freqs: Vec<FrequencyMap>,
     present: Vec<u64>,
     samples_seen: u64,
-    sampling_rate: f64,
 }
 
 impl DatasetProfiler {
-    /// Creates a profiler that inspects every sample it is offered.
+    /// Creates a profiler.
     pub fn new(model: &ModelSpec) -> Self {
         let n = model.num_features();
         Self {
@@ -72,47 +69,15 @@ impl DatasetProfiler {
             freqs: vec![FrequencyMap::new(); n],
             present: vec![0; n],
             samples_seen: 0,
-            sampling_rate: 1.0,
         }
     }
 
-    /// Creates a profiler that inspects each offered sample with probability
-    /// `sampling_rate` (the paper profiles ~1% of the training store).
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::InvalidSamplingRate`] if the rate is not within
-    /// `(0, 1]` (NaN and infinities included).
-    pub fn with_sampling_rate(model: &ModelSpec, sampling_rate: f64) -> Result<Self, StatsError> {
-        if sampling_rate > 0.0 && sampling_rate <= 1.0 {
-            Ok(Self {
-                sampling_rate,
-                ..Self::new(model)
-            })
-        } else {
-            Err(StatsError::InvalidSamplingRate(sampling_rate))
-        }
-    }
-
-    /// The sampling rate this profiler applies.
-    pub fn sampling_rate(&self) -> f64 {
-        self.sampling_rate
-    }
-
-    /// Number of samples actually inspected so far.
+    /// Number of samples inspected so far.
     pub fn samples_seen(&self) -> u64 {
         self.samples_seen
     }
 
-    /// Offers one sample to the profiler; it is inspected with probability
-    /// `sampling_rate`.
-    pub fn offer<R: Rng + ?Sized>(&mut self, sample: &SparseSample, rng: &mut R) {
-        if self.sampling_rate >= 1.0 || rng.gen::<f64>() < self.sampling_rate {
-            self.consume(sample);
-        }
-    }
-
-    /// Unconditionally inspects one sample.
+    /// Inspects one sample.
     pub fn consume(&mut self, sample: &SparseSample) {
         assert_eq!(
             sample.values.len(),
@@ -308,7 +273,6 @@ impl DrawStage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
     use recshard_data::{FeatureId, FeatureSpec, ModelSpec, PoolingSpec, RmKind};
 
     #[test]
@@ -364,32 +328,13 @@ mod tests {
     }
 
     #[test]
-    fn sampling_rate_reduces_inspected_samples() {
-        let model = ModelSpec::small(3, 8);
-        let mut gen = SampleGenerator::new(&model, 2);
-        let mut profiler = DatasetProfiler::with_sampling_rate(&model, 0.1).expect("valid rate");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        for _ in 0..5_000 {
-            profiler.offer(&gen.sample(), &mut rng);
-        }
-        let seen = profiler.samples_seen();
-        assert!(seen > 300 && seen < 800, "sampled {seen} of 5000 at 10%");
-    }
-
-    #[test]
     fn sampled_profile_approximates_full_profile() {
         // The paper's claim (§4.1): ~1% sampling suffices for placement-grade
-        // statistics. Verify a 10% sample tracks the full profile closely on
-        // coverage and pooling for a small model.
+        // statistics. Verify a 10% sample (800 of 8,000 samples) tracks the
+        // full profile closely on coverage and pooling for a small model.
         let model = ModelSpec::small(5, 21);
         let full = DatasetProfiler::profile_model(&model, 8_000, 33);
-        let mut gen = SampleGenerator::new(&model, 33);
-        let mut sampled = DatasetProfiler::with_sampling_rate(&model, 0.1).expect("valid rate");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        for _ in 0..8_000 {
-            sampled.offer(&gen.sample(), &mut rng);
-        }
-        let sampled = sampled.finish();
+        let sampled = DatasetProfiler::profile_model(&model, 800, 5);
         for (a, b) in full.profiles().iter().zip(sampled.profiles()) {
             assert!((a.coverage - b.coverage).abs() < 0.07);
             if a.avg_pooling > 2.0 {
@@ -415,33 +360,6 @@ mod tests {
         let skewed = &profile.profiles()[idx[idx.len() - 1]];
         if flat.total_lookups > 100 && skewed.total_lookups > 100 {
             assert!(skewed.cdf.top_percent_share(5.0) >= flat.cdf.top_percent_share(5.0));
-        }
-    }
-
-    #[test]
-    fn invalid_sampling_rate_rejected() {
-        let model = ModelSpec::small(2, 1);
-        for rate in [
-            0.0,
-            -0.5,
-            1.0 + f64::EPSILON,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ] {
-            assert_eq!(
-                DatasetProfiler::with_sampling_rate(&model, rate).err(),
-                Some(StatsError::InvalidSamplingRate(rate)),
-                "rate {rate}"
-            );
-        }
-        let nan = DatasetProfiler::with_sampling_rate(&model, f64::NAN).err();
-        assert!(
-            matches!(nan, Some(StatsError::InvalidSamplingRate(r)) if r.is_nan()),
-            "NaN rate: {nan:?}"
-        );
-        for rate in [f64::MIN_POSITIVE, 0.01, 1.0] {
-            let profiler = DatasetProfiler::with_sampling_rate(&model, rate).expect("valid rate");
-            assert_eq!(profiler.sampling_rate(), rate);
         }
     }
 

@@ -2,13 +2,15 @@
 //! dynamic replay, tail latency under load, and online re-sharding under
 //! feature drift.
 //!
-//! Run with `cargo run --release --example cluster_simulation`.
+//! Run with `cargo run --release --example cluster_simulation`. It panics
+//! (exits non-zero) if the drift-storm run leaves an iteration incomplete
+//! or never re-shards.
 
 #![allow(clippy::print_stdout)]
 use recshard::{RecShard, RecShardConfig};
 use recshard_bench::Strategy;
-use recshard_data::ModelSpec;
-use recshard_des::{ArrivalProcess, ClusterConfig, ClusterSimulator, DriftSchedule, ReshardPolicy};
+use recshard_data::{ModelSpec, ScenarioSpec};
+use recshard_des::{ArrivalProcess, ClusterConfig, ClusterSimulator, ReshardPolicy};
 use recshard_sharding::SystemSpec;
 use recshard_stats::DatasetProfiler;
 
@@ -42,9 +44,10 @@ fn main() {
         },
         ..ClusterConfig::default()
     };
-    let summary = sharder
-        .simulate_cluster(&model, &profile, &system, config)
+    let plan = sharder
+        .plan(&model, &profile, &system)
         .expect("recshard plan");
+    let summary = ClusterSimulator::new(&model, &plan, &profile, &system, config).run();
     println!("\nunloaded RecShard cluster:\n  {summary}");
     println!(
         "  per-GPU busy: {}",
@@ -79,20 +82,31 @@ fn main() {
         );
     }
 
-    // ── 4. Twenty months of feature drift with an online controller. ───────
-    // Pooling factors drift (Figure 9); the controller watches per-GPU
-    // busy-time imbalance every 250 iterations and re-solves when it trips.
-    let drift = DriftSchedule::paper_like(100);
+    // ── 4. A drift storm with an online controller. ────────────────────────
+    // Three waves of pooling drift (Figure 9: user features grow, content
+    // features shrink) from 0.2 s, 0.3 s apart, then table growth, all
+    // within the ~2 s run. The controller watches per-GPU busy-time
+    // imbalance every 250 iterations and re-solves when it trips.
+    let storm = ScenarioSpec::drift_storm(0.2, 0.3, 3);
     let policy = ReshardPolicy {
         check_every_iterations: 250,
         imbalance_threshold: 1.15,
         ..ReshardPolicy::default()
     };
-    let drifted = sharder
-        .simulate_cluster_with_resharding(&model, &profile, &system, config, drift, policy)
-        .expect("recshard plan");
+    let drifted = ClusterSimulator::new(&model, &plan, &profile, &system, config)
+        .with_scenario(storm)
+        .with_controller(sharder.reshard_controller(policy))
+        .run();
     println!(
-        "\nwith drift + online re-sharding:\n  {drifted}\n  (the controller re-solved {} time(s) as the workload drifted)",
+        "\nwith a drift storm + online re-sharding:\n  {drifted}\n  (the controller re-solved {} time(s) as the workload drifted)",
         drifted.reshards
+    );
+    assert_eq!(
+        drifted.completed, config.iterations,
+        "the drift-storm run must complete every iteration"
+    );
+    assert!(
+        drifted.reshards >= 1,
+        "the drift storm must trip the re-sharding controller"
     );
 }

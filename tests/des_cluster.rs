@@ -4,7 +4,8 @@
 
 use recshard::{RecShard, RecShardConfig};
 use recshard_bench::{skewed_model, Strategy};
-use recshard_des::{ArrivalProcess, ClusterConfig, ClusterSimulator};
+use recshard_data::ScenarioSpec;
+use recshard_des::{ArrivalProcess, ClusterConfig, ClusterSimulator, ReshardPolicy};
 use recshard_sharding::SystemSpec;
 use recshard_stats::DatasetProfiler;
 
@@ -68,39 +69,11 @@ fn recshard_beats_size_based_on_p99_for_skewed_workload() {
     );
 }
 
-/// The `RecShard::simulate_cluster` pipeline entry point is deterministic and
-/// consistent with driving the simulator directly.
-#[test]
-fn pipeline_entry_point_matches_direct_simulator() {
-    let model = skewed_model(12);
-    let system = SystemSpec::uniform(
-        2,
-        model.total_bytes() / 6,
-        model.total_bytes(),
-        1555.0,
-        16.0,
-    );
-    let profile = DatasetProfiler::profile_model(&model, 1_500, 3);
-    let config = ClusterConfig {
-        iterations: 200,
-        batch_size: 32,
-        ..ClusterConfig::default()
-    };
-
-    let sharder = RecShard::new(RecShardConfig::default());
-    let via_pipeline = sharder
-        .simulate_cluster(&model, &profile, &system, config)
-        .unwrap();
-    let plan = sharder.plan(&model, &profile, &system).unwrap();
-    let direct = ClusterSimulator::new(&model, &plan, &profile, &system, config).run();
-    assert_eq!(via_pipeline, direct);
-}
-
-/// Re-sharding mid-run keeps the simulation consistent: every iteration
-/// completes and the summary stays deterministic.
+/// Re-sharding mid-run keeps the simulation consistent: a drift storm
+/// trips the controller, every iteration completes and the summary stays
+/// deterministic.
 #[test]
 fn online_resharding_is_deterministic() {
-    use recshard_des::{DriftSchedule, ReshardPolicy};
     let model = skewed_model(12);
     let system = SystemSpec::uniform(
         2,
@@ -110,32 +83,35 @@ fn online_resharding_is_deterministic() {
         16.0,
     );
     let profile = DatasetProfiler::profile_model(&model, 1_500, 5);
+    // No launch overhead: busy time is pure gather time, so the
+    // controller's imbalance signal follows the drifting lookup volumes.
     let config = ClusterConfig {
         iterations: 400,
         batch_size: 32,
+        kernel_overhead_us_per_table: 0.0,
         ..ClusterConfig::default()
     };
-    let drift = DriftSchedule::paper_like(50);
     let policy = ReshardPolicy {
         check_every_iterations: 100,
         imbalance_threshold: 1.05,
         ..ReshardPolicy::default()
     };
     let sharder = RecShard::new(RecShardConfig::default());
+    let plan = sharder.plan(&model, &profile, &system).unwrap();
+    // One arrival per ms: pooling waves at 50, 100 and 150 ms and table
+    // growth at 200 ms, all inside the 400 ms run.
     let run = || {
-        sharder
-            .simulate_cluster_with_resharding(
-                &model,
-                &profile,
-                &system,
-                config,
-                drift.clone(),
-                policy,
-            )
-            .unwrap()
+        ClusterSimulator::new(&model, &plan, &profile, &system, config)
+            .with_scenario(ScenarioSpec::drift_storm(0.05, 0.05, 3))
+            .with_controller(sharder.reshard_controller(policy))
+            .run()
     };
     let a = run();
-    let b = run();
-    assert_eq!(a, b);
+    assert_eq!(a, run(), "a re-sharding replay must be bit-identical");
     assert_eq!(a.completed, 400);
+    assert!(
+        a.reshards >= 1,
+        "the drift storm must trip the controller (got {} reshards)",
+        a.reshards
+    );
 }
