@@ -268,7 +268,36 @@ mod tests {
     }
 
     #[test]
-    fn reshard_controller_reshards_under_a_drift_storm() {
+    fn simulate_cluster_reports_tails_deterministically() {
+        let model = ModelSpec::small(6, 13);
+        let system = SystemSpec::uniform(
+            2,
+            model.total_bytes() / 6,
+            model.total_bytes(),
+            1555.0,
+            16.0,
+        );
+        let profile = recshard_stats::DatasetProfiler::profile_model(&model, 1_000, 3);
+        let config = ClusterConfig {
+            iterations: 100,
+            batch_size: 32,
+            ..ClusterConfig::default()
+        };
+        let plan = RecShard::default().plan(&model, &profile, &system).unwrap();
+        let run = || ClusterSimulator::new(&model, &plan, &profile, &system, config).run();
+        let a = run();
+        assert_eq!(
+            a,
+            run(),
+            "same seed must reproduce the same cluster summary"
+        );
+        assert_eq!(a.completed, 100);
+        assert!(a.p99_ms >= a.p50_ms && a.p50_ms > 0.0);
+        assert_eq!(a.strategy, "recshard");
+    }
+
+    #[test]
+    fn simulate_cluster_with_resharding_runs_controller() {
         let (_, _, _, summary) = storm_run(&RecShard::default());
         assert!(summary.p99_ms >= summary.p50_ms && summary.p50_ms > 0.0);
         assert_eq!(summary.strategy, "recshard");
