@@ -25,8 +25,8 @@
 //! representative and runs split selection over buckets weighted by member
 //! count, collapsing the dominant `O(tables × icdf_steps)` term of
 //! formulation time by the bucketing compression ratio (reported by the
-//! `solver_scaling` bench). Unbucketed, it runs on
-//! [`TableBuckets::singletons`], one bucket per table.
+//! `solver_scaling` bench). Unbucketed, it builds no buckets and treats
+//! every table as a bucket of its own.
 
 use recshard_data::ModelSpec;
 use recshard_stats::DatasetProfile;
@@ -179,20 +179,6 @@ impl TableBuckets {
         }
     }
 
-    /// The trivial partition: one bucket per table, each its own
-    /// representative (the unbucketed solve).
-    pub fn singletons(num_tables: usize) -> Self {
-        Self {
-            buckets: (0..num_tables)
-                .map(|t| TableBucket {
-                    representative: t,
-                    members: vec![t],
-                })
-                .collect(),
-            bucket_of_table: (0..num_tables).collect(),
-        }
-    }
-
     /// The equivalence classes, in order of first appearance.
     pub fn buckets(&self) -> &[TableBucket] {
         &self.buckets
@@ -295,17 +281,6 @@ mod tests {
         let tight = TableBuckets::build_tuned(&model, &profile, 1e-9, 8, 1e-9);
         let loose = TableBuckets::build(&model, &profile);
         assert!(tight.num_buckets() >= loose.num_buckets());
-    }
-
-    #[test]
-    fn singletons_give_every_table_its_own_bucket() {
-        let buckets = TableBuckets::singletons(5);
-        assert_eq!(buckets.num_buckets(), 5);
-        assert_eq!(buckets.compression_ratio(), 1.0);
-        for (t, bucket) in buckets.buckets().iter().enumerate() {
-            assert_eq!((bucket.representative, &bucket.members[..]), (t, &[t][..]));
-            assert_eq!(buckets.bucket_of_table()[t], t);
-        }
     }
 
     /// A model of `n` tables all sharing one spec shape.

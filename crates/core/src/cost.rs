@@ -7,6 +7,10 @@
 //! top one, and until then prices the top step with
 //! [`TableCostModel::top_option`], which equals the menu's last option bit
 //! for bit.
+//!
+//! A split's cost is a table's `TableRate` (bytes per iteration and
+//! coverage, the same under every device class) priced at one class's
+//! `Bandwidths` and the fraction of accesses the split serves from HBM.
 
 use crate::config::RecShardConfig;
 use recshard_sharding::DeviceClass;
@@ -69,10 +73,13 @@ impl TableCostModel {
         batch_size: u32,
         config: &RecShardConfig,
     ) -> Self {
-        let pricing = Pricing::new(profile, device, batch_size, config);
+        let (rate, bandwidths) = (
+            TableRate::new(profile, batch_size, config),
+            Bandwidths::of(device),
+        );
         let icdf = profile.icdf(config.icdf_steps);
         let options = (0..=config.icdf_steps)
-            .map(|step| pricing.option(profile, step, icdf.rows_at_step(step)))
+            .map(|step| rate.option(&bandwidths, profile, step, icdf.rows_at_step(step)))
             .collect();
         Self {
             table,
@@ -84,19 +91,20 @@ impl TableCostModel {
 
     /// The last (most HBM-hungry, cheapest) option of the menu
     /// [`build`](Self::build) makes, equal to it bit for bit, computed
-    /// directly: every profiled row in HBM. It costs one CDF search instead
-    /// of `icdf_steps + 1`, so a solver can price a table at its top step
-    /// without building the menu.
+    /// directly: every profiled row in HBM. It reads the CDF's stored
+    /// [full-coverage row count](recshard_stats::AccessCdf::full_coverage_rows)
+    /// and no cumulative count, so a solver can price a table at its top
+    /// step in `O(1)` without building the menu.
     pub fn top_option(
         profile: &FeatureProfile,
         device: &DeviceClass,
         batch_size: u32,
         config: &RecShardConfig,
     ) -> SplitOption {
-        Pricing::new(profile, device, batch_size, config).option(
+        TableRate::new(profile, batch_size, config).top_option(
+            &Bandwidths::of(device),
             profile,
             config.icdf_steps,
-            profile.cdf.rows_for_access_fraction(1.0),
         )
     }
 
@@ -115,28 +123,48 @@ impl TableCostModel {
         config: &RecShardConfig,
         hbm_rows: u64,
     ) -> f64 {
-        Pricing::new(profile, device, batch_size, config)
-            .cost_ms(profile.cdf.access_fraction(hbm_rows.min(profile.hash_size)))
+        TableRate::new(profile, batch_size, config).cost_ms(
+            &Bandwidths::of(device),
+            profile.cdf.access_fraction(hbm_rows.min(profile.hash_size)),
+        )
     }
 }
 
-/// One table's pricing under one device class: everything in a split's
-/// cost except the fraction of accesses it serves from HBM.
-struct Pricing {
+/// One device class's bandwidths in bytes per second: everything in a
+/// split's cost that depends on the class.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Bandwidths {
+    hbm: f64,
+    uvm: f64,
+}
+
+impl Bandwidths {
+    pub(crate) fn of(device: &DeviceClass) -> Self {
+        Self {
+            hbm: device.hbm_bandwidth_gbps * 1e9,
+            uvm: device.uvm_bandwidth_gbps * 1e9,
+        }
+    }
+
+    /// Whether `self` and `other` are the same bits, so that every split
+    /// costs the same bits under both.
+    pub(crate) fn prices_like(&self, other: &Self) -> bool {
+        self.hbm.to_bits() == other.hbm.to_bits() && self.uvm.to_bits() == other.uvm.to_bits()
+    }
+}
+
+/// One table's pricing under any device class: everything in a split's
+/// cost except the class's bandwidths and the fraction of accesses the
+/// split serves from HBM.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TableRate {
     /// Expected bytes the table moves per iteration (before tier split).
     per_iter_bytes: f64,
-    hbm_gbps: f64,
-    uvm_gbps: f64,
     coverage: f64,
 }
 
-impl Pricing {
-    fn new(
-        profile: &FeatureProfile,
-        device: &DeviceClass,
-        batch_size: u32,
-        config: &RecShardConfig,
-    ) -> Self {
+impl TableRate {
+    pub(crate) fn new(profile: &FeatureProfile, batch_size: u32, config: &RecShardConfig) -> Self {
         let pooling = if config.use_pooling {
             profile.avg_pooling.max(0.0)
         } else {
@@ -144,8 +172,6 @@ impl Pricing {
         };
         Self {
             per_iter_bytes: pooling * profile.row_bytes() as f64 * batch_size as f64,
-            hbm_gbps: device.hbm_bandwidth_gbps * 1e9,
-            uvm_gbps: device.uvm_bandwidth_gbps * 1e9,
             coverage: if config.use_coverage {
                 profile.coverage
             } else {
@@ -154,17 +180,23 @@ impl Pricing {
         }
     }
 
-    /// Coverage-weighted cost in milliseconds when a fraction `pct` of the
-    /// table's accesses is served from HBM.
-    fn cost_ms(&self, pct: f64) -> f64 {
+    /// Coverage-weighted cost in milliseconds under `bandwidths` when a
+    /// fraction `pct` of the table's accesses is served from HBM.
+    pub(crate) fn cost_ms(&self, bandwidths: &Bandwidths, pct: f64) -> f64 {
         let cost_seconds =
-            self.per_iter_bytes * (pct / self.hbm_gbps + (1.0 - pct) / self.uvm_gbps);
+            self.per_iter_bytes * (pct / bandwidths.hbm + (1.0 - pct) / bandwidths.uvm);
         self.coverage * cost_seconds * 1e3
     }
 
     /// The split at ICDF step `step` keeping `rows` hot rows (clamped to
     /// the table) in HBM.
-    fn option(&self, profile: &FeatureProfile, step: usize, rows: u64) -> SplitOption {
+    fn option(
+        &self,
+        bandwidths: &Bandwidths,
+        profile: &FeatureProfile,
+        step: usize,
+        rows: u64,
+    ) -> SplitOption {
         let hbm_rows = rows.min(profile.hash_size);
         let row_bytes = profile.row_bytes();
         // Use the *actual* CDF value at the chosen row count rather than
@@ -177,8 +209,23 @@ impl Pricing {
             hbm_bytes: hbm_rows * row_bytes,
             uvm_bytes: (profile.hash_size - hbm_rows) * row_bytes,
             hbm_access_fraction: pct,
-            weighted_cost: self.cost_ms(pct),
+            weighted_cost: self.cost_ms(bandwidths, pct),
         }
+    }
+
+    /// [`TableCostModel::top_option`] of `profile`, whose rate this is.
+    pub(crate) fn top_option(
+        &self,
+        bandwidths: &Bandwidths,
+        profile: &FeatureProfile,
+        icdf_steps: usize,
+    ) -> SplitOption {
+        self.option(
+            bandwidths,
+            profile,
+            icdf_steps,
+            profile.cdf.full_coverage_rows(),
+        )
     }
 }
 

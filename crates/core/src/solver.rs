@@ -25,13 +25,23 @@
 //! bucket's top one — a phase-1 downgrade, a phase-2 capacity fallback, or
 //! a phase-3 move onto a GPU that cannot hold the top step — and is kept
 //! for the rest of the solve. Until then the top option comes from
-//! [`TableCostModel::top_option`], one CDF search. When every table's
-//! profiled-hot rows fit in HBM, phase 1 has nothing to downgrade and the
-//! solve builds few menus or none, so the `O(tables × icdf_steps)` cost of
-//! building them is paid only when HBM binds.
+//! [`TableCostModel::top_option`], which reads no cumulative count. When
+//! every table's profiled-hot rows fit in HBM, phase 1 has nothing to
+//! downgrade and the solve builds few menus or none, so the
+//! `O(tables × icdf_steps)` cost of building them is paid only when HBM
+//! binds.
+//!
+//! **One price per table.** The pass that prices the top options also
+//! keeps each table's rate (bytes per iteration and coverage). From then
+//! on a table that is its own bucket's representative is charged its menu
+//! option's stored cost on every GPU whose class has the reference class's
+//! bandwidths (the same bits), and its rate at the option's stored HBM
+//! fraction elsewhere; only a bucket member that is not the representative
+//! reads its own CDF again. A solve on ample HBM therefore reads each
+//! profile once.
 //!
 //! **Bucketing.** The unbucketed solver ([`StructuredSolver::new`], the
-//! default) gives every table a bucket of its own. The bucketed
+//! default) treats every table as a bucket of its own. The bucketed
 //! configuration ([`ScalableSolver::new`](crate::scalable::ScalableSolver::new))
 //! first groups near-identical tables with [`TableBuckets`], prices one
 //! menu per bucket representative, and lets each phase-1 downgrade free
@@ -52,7 +62,7 @@
 
 use crate::bucketing::TableBuckets;
 use crate::config::RecShardConfig;
-use crate::cost::{SplitOption, TableCostModel};
+use crate::cost::{Bandwidths, SplitOption, TableCostModel, TableRate};
 use crate::error::RecShardError;
 use recshard_data::ModelSpec;
 use recshard_sharding::{DeviceClass, ShardingPlan, SystemSpec, TablePlacement};
@@ -97,14 +107,14 @@ struct Downgrade {
 }
 
 impl Downgrade {
-    /// The next downgrade of `bucket` (priced by `menu`) from step `from`,
-    /// if any step below it frees bytes (plateaus are skipped).
-    fn of(menu: &TableCostModel, bucket: usize, from: usize) -> Option<Self> {
-        let cur = &menu.options[from];
-        let to = menu.options[..from]
+    /// The next downgrade of `bucket` (priced by its menu `options`) from
+    /// step `from`, if any step below it frees bytes (plateaus are skipped).
+    fn of(options: &[SplitOption], bucket: usize, from: usize) -> Option<Self> {
+        let cur = &options[from];
+        let to = options[..from]
             .iter()
             .rposition(|o| o.hbm_bytes < cur.hbm_bytes)?;
-        let next = &menu.options[to];
+        let next = &options[to];
         let extra_cost = (next.weighted_cost - cur.weighted_cost).max(0.0);
         Some(Self {
             // Per-byte marginal cost is member-count invariant: each member
@@ -135,55 +145,98 @@ impl Ord for Downgrade {
     }
 }
 
-/// The split menus of one solve, one per bucket, priced under the
-/// cluster's reference class. A bucket's [`TableCostModel`] is built the
-/// first time the solve needs a step below its top one, and kept for the
-/// rest of the solve. Until then its top option, which is all the solve
-/// reads of a bucket while HBM does not bind, comes from
+/// The split menus and table prices of one solve. Menus are one per
+/// bucket, priced under the cluster's reference class; without bucketing
+/// every table is its own bucket. A bucket's menu is built the first time
+/// the solve needs a step below its top one, and kept for the rest of the
+/// solve. Until then its top option, which is all the solve reads of a
+/// bucket while HBM does not bind, comes from
 /// [`TableCostModel::top_option`].
 struct Menus<'a> {
-    buckets: &'a TableBuckets,
+    /// `None`: one bucket per table.
+    buckets: Option<&'a TableBuckets>,
     profile: &'a DatasetProfile,
     reference: DeviceClass,
+    reference_bw: Bandwidths,
     batch: u32,
     config: &'a RecShardConfig,
+    /// Per table: its bytes per iteration and coverage.
+    rates: Vec<TableRate>,
+    /// Per GPU: its class's bandwidths, and whether they are the reference
+    /// class's bits.
+    gpus: Vec<(Bandwidths, bool)>,
     tops: Vec<SplitOption>,
-    built: Vec<OnceCell<TableCostModel>>,
+    built: Vec<OnceCell<Box<[SplitOption]>>>,
 }
 
 impl<'a> Menus<'a> {
+    /// Prices every table's rate, and every bucket's top option, in one
+    /// pass over the tables.
     fn new(
-        buckets: &'a TableBuckets,
+        buckets: Option<&'a TableBuckets>,
         profile: &'a DatasetProfile,
-        reference: DeviceClass,
+        system: &SystemSpec,
         batch: u32,
         config: &'a RecShardConfig,
     ) -> Self {
-        let tops = buckets
-            .buckets()
-            .iter()
-            .map(|b| {
-                let rep = &profile.profiles()[b.representative];
-                TableCostModel::top_option(rep, &reference, batch, config)
+        let reference = *system.reference_class();
+        let reference_bw = Bandwidths::of(&reference);
+        let num_buckets = buckets.map_or(profile.num_features(), TableBuckets::num_buckets);
+        let mut rates = Vec::with_capacity(profile.num_features());
+        let mut tops = Vec::with_capacity(num_buckets);
+        for (t, p) in profile.profiles().iter().enumerate() {
+            let rate = TableRate::new(p, batch, config);
+            // Representatives come in ascending table order.
+            let b = tops.len();
+            if b < num_buckets && buckets.map_or(b, |bk| bk.buckets()[b].representative) == t {
+                tops.push(rate.top_option(&reference_bw, p, config.icdf_steps));
+            }
+            rates.push(rate);
+        }
+        let gpus = (0..system.num_gpus())
+            .map(|g| {
+                let bw = Bandwidths::of(system.device(g));
+                (bw, bw.prices_like(&reference_bw))
             })
             .collect();
         Self {
             buckets,
             profile,
             reference,
+            reference_bw,
             batch,
             config,
+            rates,
+            gpus,
             tops,
-            built: (0..buckets.num_buckets())
-                .map(|_| OnceCell::new())
-                .collect(),
+            built: (0..num_buckets).map(|_| OnceCell::new()).collect(),
         }
     }
 
+    fn num_buckets(&self) -> usize {
+        self.tops.len()
+    }
+
+    /// The bucket table `t` belongs to.
+    fn bucket_of(&self, t: usize) -> usize {
+        self.buckets.map_or(t, |bk| bk.bucket_of_table()[t])
+    }
+
+    /// The table whose menu stands in for bucket `b`.
+    fn representative(&self, b: usize) -> usize {
+        self.buckets.map_or(b, |bk| bk.buckets()[b].representative)
+    }
+
+    /// Number of tables in bucket `b`.
+    fn members(&self, b: usize) -> u64 {
+        self.buckets
+            .map_or(1, |bk| bk.buckets()[b].members.len() as u64)
+    }
+
     /// Bucket `b`'s full menu, built on first use.
-    fn menu(&self, b: usize) -> &TableCostModel {
+    fn menu(&self, b: usize) -> &[SplitOption] {
         self.built[b].get_or_init(|| {
-            let rep = self.buckets.buckets()[b].representative;
+            let rep = self.representative(b);
             TableCostModel::build(
                 rep,
                 &self.profile.profiles()[rep],
@@ -191,6 +244,8 @@ impl<'a> Menus<'a> {
                 self.batch,
                 self.config,
             )
+            .options
+            .into_boxed_slice()
         })
     }
 
@@ -200,9 +255,70 @@ impl<'a> Menus<'a> {
         if step == self.config.icdf_steps {
             &self.tops[b]
         } else {
-            &self.menu(b).options[step]
+            &self.menu(b)[step]
         }
     }
+
+    /// The exact cost of table `t` at `opt`, an option of its bucket's
+    /// menu, under the reference class (`gpu` `None`) or GPU `gpu`'s class:
+    /// the option's own cost when `t` is its bucket's representative and
+    /// the class prices like the reference class, and otherwise `t`'s rate
+    /// at the fraction of `t`'s accesses the option's rows serve.
+    fn cost(&self, t: usize, opt: &SplitOption, gpu: Option<usize>) -> f64 {
+        let (bandwidths, like_reference) = gpu.map_or((self.reference_bw, true), |g| self.gpus[g]);
+        let is_rep = self.representative(self.bucket_of(t)) == t;
+        if is_rep && like_reference {
+            return opt.weighted_cost;
+        }
+        let pct = if is_rep {
+            opt.hbm_access_fraction
+        } else {
+            let p = &self.profile.profiles()[t];
+            p.cdf.access_fraction(opt.hbm_rows.min(p.hash_size))
+        };
+        self.rates[t].cost_ms(&bandwidths, pct)
+    }
+}
+
+/// The tables in LPT order: costliest first, ties to the lower table, as
+/// [`lpt_order_by_comparator`] sorts them. Without a NaN its comparator is
+/// a total order on the tables, so sorting `(descending cost key, table)`
+/// integer keys reaches the same order in about a third of the time; with a
+/// NaN it is not, and the comparator sort itself runs.
+fn lpt_order(cost_of: &[f64]) -> Vec<usize> {
+    if cost_of.iter().any(|c| c.is_nan()) {
+        return lpt_order_by_comparator(cost_of);
+    }
+    let mut keyed: Vec<(u64, usize)> = cost_of
+        .iter()
+        .enumerate()
+        .map(|(t, &c)| {
+            // `+ 0.0` makes -0.0 the +0.0 it compares equal to; the bits of
+            // the rest, sign-flipped, ascend with the value.
+            let bits = (c + 0.0).to_bits();
+            let ascending = if bits >> 63 == 1 {
+                !bits
+            } else {
+                bits | 1 << 63
+            };
+            (!ascending, t)
+        })
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, t)| t).collect()
+}
+
+/// The LPT order as a stable sort of the tables under `partial_cmp` of
+/// their costs, descending, then table index.
+fn lpt_order_by_comparator(cost_of: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..cost_of.len()).collect();
+    order.sort_by(|&a, &b| {
+        cost_of[b]
+            .partial_cmp(&cost_of[a])
+            .unwrap_or(Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    order
 }
 
 /// Orders GPUs by accumulated cost.
@@ -361,38 +477,34 @@ impl StructuredSolver {
             });
         }
 
-        let batch = model.batch_size();
         let num_tables = model.num_features();
-        let buckets = if self.bucketed {
-            TableBuckets::build(model, profile)
-        } else {
-            TableBuckets::singletons(num_tables)
-        };
+        let buckets = self.bucketed.then(|| TableBuckets::build(model, profile));
         // One cost menu per bucket representative, priced under the
         // cluster's reference class (class 0): phase-1 split selection needs
         // a single shared price per downgrade. Per-GPU costs during
         // assignment and refinement are charged under the owning GPU's own
-        // device class (see `true_cost_on`), so heterogeneity only ever
+        // device class (see `Menus::cost`), so heterogeneity only ever
         // sharpens the balancing.
-        let reference = *system.reference_class();
-        let menus = Menus::new(&buckets, profile, reference, batch, &self.config);
-        let menu_of = buckets.bucket_of_table();
+        let menus = Menus::new(
+            buckets.as_ref(),
+            profile,
+            system,
+            model.batch_size(),
+            &self.config,
+        );
         let top = self.config.icdf_steps;
 
         // ---- Phase 1: split selection over buckets ----
         let budget = (system.total_hbm_capacity() as f64 * (1.0 - self.config.hbm_slack)) as u64;
-        let mut bucket_step = vec![top; buckets.num_buckets()];
-        let mut hbm_demand: u64 = buckets
-            .buckets()
-            .iter()
-            .enumerate()
-            .map(|(b, bucket)| menus.option(b, top).hbm_bytes * bucket.members.len() as u64)
+        let mut bucket_step = vec![top; menus.num_buckets()];
+        let mut hbm_demand: u64 = (0..menus.num_buckets())
+            .map(|b| menus.option(b, top).hbm_bytes * menus.members(b))
             .sum();
         // Pricing every bucket's first downgrade builds every menu, so the
         // heap is built only when the top steps overrun the budget; when
         // they fit, the loop would pop nothing.
         if hbm_demand > budget {
-            let mut heap: BinaryHeap<Downgrade> = (0..buckets.num_buckets())
+            let mut heap: BinaryHeap<Downgrade> = (0..menus.num_buckets())
                 .filter_map(|b| Downgrade::of(menus.menu(b), b, top))
                 .collect();
             while hbm_demand > budget {
@@ -401,10 +513,9 @@ impl StructuredSolver {
                     continue; // stale entry
                 }
                 let menu = menus.menu(d.bucket);
-                let freed_each = menu.options[d.from].hbm_bytes - menu.options[d.to].hbm_bytes;
-                let members = buckets.buckets()[d.bucket].members.len() as u64;
+                let freed_each = menu[d.from].hbm_bytes - menu[d.to].hbm_bytes;
                 bucket_step[d.bucket] = d.to;
-                hbm_demand -= freed_each * members;
+                hbm_demand -= freed_each * menus.members(d.bucket);
                 if let Some(next) = Downgrade::of(menu, d.bucket, d.to) {
                     heap.push(next);
                 }
@@ -414,33 +525,17 @@ impl StructuredSolver {
         // Per-table steps seeded from the bucket decision; assignment and
         // backfill refine them individually from here on. The shared menus
         // supply step geometry (row counts, bytes); each table's *cost* at
-        // its current step is computed exactly from its own CDF — an O(1)
-        // indexed lookup — so balancing never pays the merge tolerance.
-        let mut step: Vec<usize> = (0..num_tables).map(|t| bucket_step[menu_of[t]]).collect();
-        // Exact cost of a table's split under one GPU's device class.
-        let true_cost_on = |t: usize, hbm_rows: u64, gpu: usize| -> f64 {
-            TableCostModel::weighted_cost_at(
-                &profile.profiles()[t],
-                system.device(gpu),
-                batch,
-                &self.config,
-                hbm_rows,
-            )
-        };
-        // Reference-class cost, used before a table has an owner (LPT order).
-        let true_cost_at = |t: usize, hbm_rows: u64| -> f64 {
-            TableCostModel::weighted_cost_at(
-                &profile.profiles()[t],
-                &reference,
-                batch,
-                &self.config,
-                hbm_rows,
-            )
-        };
+        // its current step is exact for the table itself (`Menus::cost`),
+        // so balancing never pays the merge tolerance.
+        let mut step: Vec<usize> = (0..num_tables)
+            .map(|t| bucket_step[menus.bucket_of(t)])
+            .collect();
+        // Table `t`'s option at its current step.
+        let option_of = |t: usize, step: usize| menus.option(menus.bucket_of(t), step);
         // `cost_of[t]` is the cost of `t` at its current split under its
         // *current owner's* class once assigned (reference class before).
         let mut cost_of: Vec<f64> = (0..num_tables)
-            .map(|t| true_cost_at(t, menus.option(menu_of[t], step[t]).hbm_rows))
+            .map(|t| menus.cost(t, option_of(t, step[t]), None))
             .collect();
 
         // ---- Phase 2: min-max assignment (LPT + capacity) ----
@@ -451,27 +546,19 @@ impl StructuredSolver {
         // Every entry is written below, or the solve fails.
         let mut assignment: Vec<usize> = vec![0; num_tables];
 
-        let mut order: Vec<usize> = (0..num_tables).collect();
-        order.sort_by(|&a, &b| {
-            cost_of[b]
-                .partial_cmp(&cost_of[a])
-                .unwrap_or(Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-
-        for &t in &order {
+        for t in lpt_order(&cost_of) {
             // Warm start: keep the table on its previous GPU when it still
             // fits there at the current split; the gated local search below
             // moves it only if that strictly improves the bottleneck.
             let seeded = seed_assignment.map(|seed| seed[t]).filter(|&g| {
-                let opt = menus.option(menu_of[t], step[t]);
+                let opt = option_of(t, step[t]);
                 hbm_free[g] >= opt.hbm_bytes && dram_free[g] >= opt.uvm_bytes
             });
             // Otherwise the cheapest-loaded GPU that can hold the table at
             // its current split; if none can, progressively downgrade the
             // split until one fits.
             let g = loop {
-                let opt = menus.option(menu_of[t], step[t]);
+                let opt = option_of(t, step[t]);
                 let candidate = seeded.or_else(|| {
                     (0..m)
                         .filter(|&g| hbm_free[g] >= opt.hbm_bytes && dram_free[g] >= opt.uvm_bytes)
@@ -480,7 +567,7 @@ impl StructuredSolver {
                 if let Some(g) = candidate {
                     hbm_free[g] -= opt.hbm_bytes;
                     dram_free[g] -= opt.uvm_bytes;
-                    cost_of[t] = true_cost_on(t, opt.hbm_rows, g);
+                    cost_of[t] = menus.cost(t, opt, Some(g));
                     break g;
                 }
                 if step[t] == 0 {
@@ -490,11 +577,27 @@ impl StructuredSolver {
                     });
                 }
                 step[t] -= 1;
-                cost_of[t] = true_cost_at(t, menus.option(menu_of[t], step[t]).hbm_rows);
+                cost_of[t] = menus.cost(t, option_of(t, step[t]), None);
             };
             gpu_cost[g] += cost_of[t];
             assignment[t] = g;
         }
+
+        // Each GPU's tables in ascending order, kept so across moves and
+        // swaps.
+        let mut tables_on: Vec<Vec<usize>> = vec![Vec::new(); m];
+        for (t, &g) in assignment.iter().enumerate() {
+            tables_on[g].push(t);
+        }
+        let relocate = |tables_on: &mut [Vec<usize>], t: usize, from: usize, to: usize| {
+            let src = &mut tables_on[from];
+            if let Ok(at) = src.binary_search(&t) {
+                src.remove(at);
+            }
+            let dst = &mut tables_on[to];
+            let at = dst.partition_point(|&x| x < t);
+            dst.insert(at, t);
+        };
 
         // ---- Phase 3: alternate bottleneck local search and HBM backfill ----
         // Phase-1 downgrades land coarser than a per-GPU optimum (and
@@ -516,11 +619,9 @@ impl StructuredSolver {
                     break;
                 };
                 let mut improved = false;
-                let tables_on_bottleneck: Vec<usize> = (0..num_tables)
-                    .filter(|&t| assignment[t] == bottleneck)
-                    .collect();
+                let tables_on_bottleneck = tables_on[bottleneck].clone();
                 for &t in &tables_on_bottleneck {
-                    let b = menu_of[t];
+                    let b = menus.bucket_of(t);
                     let opt = menus.option(b, step[t]);
                     let top_opt = menus.option(b, top);
                     let mut best: Option<(usize, usize, f64, f64)> = None; // (gpu, step, cost, new_max)
@@ -539,7 +640,7 @@ impl StructuredSolver {
                         {
                             top
                         } else {
-                            let options = &menus.menu(b).options;
+                            let options = menus.menu(b);
                             let hi = options.partition_point(|o| o.hbm_bytes <= hbm_free[g]);
                             let lo = options.partition_point(|o| o.uvm_bytes > dram_free[g]);
                             if hi == 0 || lo >= hi {
@@ -547,7 +648,7 @@ impl StructuredSolver {
                             }
                             hi - 1
                         };
-                        let moved_cost = true_cost_on(t, menus.option(b, s).hbm_rows, g);
+                        let moved_cost = menus.cost(t, menus.option(b, s), Some(g));
                         let new_src = gpu_cost[bottleneck] - cost_of[t];
                         let new_dst = gpu_cost[g] + moved_cost;
                         // `new_max` is at least `new_dst`: skip its O(m)
@@ -581,6 +682,7 @@ impl StructuredSolver {
                         gpu_cost[bottleneck] -= cost_of[t];
                         gpu_cost[g] += moved_cost;
                         assignment[t] = g;
+                        relocate(&mut tables_on, t, bottleneck, g);
                         step[t] = s;
                         cost_of[t] = moved_cost;
                         improved = true;
@@ -600,13 +702,13 @@ impl StructuredSolver {
                         if assignment[t1] != bottleneck {
                             continue;
                         }
-                        let o1 = menus.option(menu_of[t1], step[t1]);
+                        let o1 = option_of(t1, step[t1]);
                         for t2 in 0..num_tables {
                             let g = assignment[t2];
                             if g == bottleneck || cost_of[t2] + 1e-15 >= cost_of[t1] {
                                 continue;
                             }
-                            let o2 = menus.option(menu_of[t2], step[t2]);
+                            let o2 = option_of(t2, step[t2]);
                             let hbm_ok = hbm_free[bottleneck] + o1.hbm_bytes >= o2.hbm_bytes
                                 && hbm_free[g] + o2.hbm_bytes >= o1.hbm_bytes;
                             let dram_ok = dram_free[bottleneck] + o1.uvm_bytes >= o2.uvm_bytes
@@ -617,8 +719,8 @@ impl StructuredSolver {
                             // Each side's delta is priced under its own
                             // class; on a uniform cluster both reduce to
                             // `cost_of[t1] - cost_of[t2]`.
-                            let t2_on_src = true_cost_on(t2, o2.hbm_rows, bottleneck);
-                            let t1_on_dst = true_cost_on(t1, o1.hbm_rows, g);
+                            let t2_on_src = menus.cost(t2, o2, Some(bottleneck));
+                            let t1_on_dst = menus.cost(t1, o1, Some(g));
                             let new_src = gpu_cost[bottleneck] - (cost_of[t1] - t2_on_src);
                             let new_dst = gpu_cost[g] + (t1_on_dst - cost_of[t2]);
                             if new_src.max(new_dst) + 1e-12 >= gpu_cost[bottleneck] {
@@ -636,6 +738,8 @@ impl StructuredSolver {
                             cost_of[t2] = t2_on_src;
                             assignment[t1] = g;
                             assignment[t2] = bottleneck;
+                            relocate(&mut tables_on, t1, bottleneck, g);
+                            relocate(&mut tables_on, t2, g, bottleneck);
                             improved = true;
                             any_change = true;
                             break 'swap;
@@ -649,13 +753,13 @@ impl StructuredSolver {
 
             // -- 3b: backfill leftover per-GPU HBM by upgrading splits --
             // Candidate geometry comes from the shared menus; gains are
-            // computed exactly per table (O(1) CDF lookups). A table at its
-            // top step has no candidates.
-            for g in 0..m {
+            // computed exactly per table. A table at its top step has no
+            // candidates.
+            for (g, tables) in tables_on.iter().enumerate() {
                 loop {
                     let mut best: Option<(usize, usize, f64, u64)> = None; // (table, new_step, gain, extra)
-                    for t in (0..num_tables).filter(|&t| assignment[t] == g) {
-                        let b = menu_of[t];
+                    for &t in tables {
+                        let b = menus.bucket_of(t);
                         let cur = menus.option(b, step[t]);
                         for s in (step[t] + 1)..=top {
                             let cand = menus.option(b, s);
@@ -663,7 +767,7 @@ impl StructuredSolver {
                             if extra > hbm_free[g] {
                                 break;
                             }
-                            let gain = cost_of[t] - true_cost_on(t, cand.hbm_rows, g);
+                            let gain = cost_of[t] - menus.cost(t, cand, Some(g));
                             if gain > 1e-15 && best.is_none_or(|(_, _, bg, _)| gain > bg) {
                                 best = Some((t, s, gain, extra));
                             }
@@ -672,10 +776,8 @@ impl StructuredSolver {
                     let Some((t, s, gain, extra)) = best else {
                         break;
                     };
-                    let b = menu_of[t];
                     hbm_free[g] -= extra;
-                    dram_free[g] +=
-                        menus.option(b, step[t]).uvm_bytes - menus.option(b, s).uvm_bytes;
+                    dram_free[g] += option_of(t, step[t]).uvm_bytes - option_of(t, s).uvm_bytes;
                     gpu_cost[g] -= gain;
                     step[t] = s;
                     cost_of[t] -= gain;
@@ -699,10 +801,7 @@ impl StructuredSolver {
                 // The representative's split row count, clamped to this
                 // table's geometry (identical within a bucket by
                 // construction, the clamp is belt-and-braces).
-                hbm_rows: menus
-                    .option(menu_of[t], step[t])
-                    .hbm_rows
-                    .min(spec.hash_size),
+                hbm_rows: option_of(t, step[t]).hbm_rows.min(spec.hash_size),
                 total_rows: spec.hash_size,
                 row_bytes: spec.row_bytes(),
             })
@@ -717,8 +816,10 @@ impl StructuredSolver {
         Ok(SolveReport {
             plan,
             tables: num_tables,
-            buckets: buckets.num_buckets(),
-            compression_ratio: buckets.compression_ratio(),
+            buckets: menus.num_buckets(),
+            compression_ratio: buckets
+                .as_ref()
+                .map_or(1.0, TableBuckets::compression_ratio),
         })
     }
 
@@ -871,6 +972,45 @@ mod tests {
         let a = solver.solve(&model, &profile, &system).unwrap();
         let b = solver.solve(&model, &profile, &system).unwrap();
         assert_eq!(a, b);
+    }
+
+    proptest::proptest! {
+        /// The keyed LPT order equals the comparator sort on costs with
+        /// ties, signed zeros, infinities and subnormals. (With a NaN both
+        /// are the comparator sort, which may panic on the order it breaks.)
+        #[test]
+        fn lpt_order_equals_the_comparator_sort(
+            picks in proptest::collection::vec((0usize..9, 0.0f64..1e3), 0..300),
+        ) {
+            let costs: Vec<f64> = picks
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::INFINITY,
+                    3 => f64::NEG_INFINITY,
+                    4 => -x,
+                    5 => x.floor(),
+                    6 => f64::MIN_POSITIVE / 4.0,
+                    _ => x,
+                })
+                .collect();
+            proptest::prop_assert_eq!(lpt_order(&costs), lpt_order_by_comparator(&costs));
+        }
+    }
+
+    #[test]
+    fn lpt_order_edge_cases() {
+        for costs in [
+            &[][..],
+            &[f64::NAN],
+            &[0.0, -0.0, 0.0],
+            &[1.0, f64::NAN, 2.0, 1.0],
+            &[f64::INFINITY, -1.0, f64::NEG_INFINITY, 3.0, 3.0],
+        ] {
+            assert_eq!(lpt_order(costs), lpt_order_by_comparator(costs));
+        }
+        assert_eq!(lpt_order(&[1.0, 3.0, 2.0, 3.0]), vec![1, 3, 2, 0]);
     }
 
     #[test]

@@ -20,22 +20,16 @@ pub struct AccessCdf {
     /// `i + 1` hottest rows.
     cumulative: Vec<u64>,
     total: u64,
+    /// Rows covering every access: the index of the first entry of
+    /// `cumulative` that reaches `total`, plus one (0 when nothing was
+    /// accessed).
+    covering_rows: u64,
 }
 
 impl AccessCdf {
     /// Builds the CDF from a per-row frequency map.
     pub fn from_frequency(freq: &FrequencyMap) -> Self {
-        let counts = freq.ranked_counts();
-        let mut cumulative = Vec::with_capacity(counts.len());
-        let mut running = 0u64;
-        for c in counts {
-            running += c;
-            cumulative.push(running);
-        }
-        Self {
-            cumulative,
-            total: freq.total_accesses(),
-        }
+        Self::from_cumulative(running_sums(&freq.ranked_counts()), freq.total_accesses())
     }
 
     /// Builds a CDF directly from descending per-row access counts.
@@ -48,23 +42,26 @@ impl AccessCdf {
             counts.windows(2).all(|w| w[0] >= w[1]),
             "ranked counts must be descending"
         );
-        let mut cumulative = Vec::with_capacity(counts.len());
-        let mut running = 0u64;
-        for &c in counts {
-            running += c;
-            cumulative.push(running);
-        }
-        Self {
-            total: running,
-            cumulative,
-        }
+        let cumulative = running_sums(counts);
+        let total = cumulative.last().copied().unwrap_or(0);
+        Self::from_cumulative(cumulative, total)
     }
 
     /// A degenerate CDF for a table that was never accessed during profiling.
     pub fn empty() -> Self {
+        Self::from_cumulative(Vec::new(), 0)
+    }
+
+    fn from_cumulative(cumulative: Vec<u64>, total: u64) -> Self {
+        let covering_rows = if total == 0 {
+            0
+        } else {
+            (cumulative.partition_point(|&c| c < total) + 1).min(cumulative.len()) as u64
+        };
         Self {
-            cumulative: Vec::new(),
-            total: 0,
+            cumulative,
+            total,
+            covering_rows,
         }
     }
 
@@ -84,17 +81,30 @@ impl AccessCdf {
         self.cumulative.len() as u64
     }
 
+    /// Number of hottest rows that cover every access: the rows with a
+    /// nonzero count, and equal to
+    /// [`rows_for_access_fraction(1.0)`](Self::rows_for_access_fraction),
+    /// without its search. 0 when nothing was accessed.
+    pub fn full_coverage_rows(&self) -> u64 {
+        self.covering_rows
+    }
+
     /// Fraction of accesses covered by the `rows` hottest rows (in `[0, 1]`).
+    /// At or past [`full_coverage_rows`](Self::full_coverage_rows) it is
+    /// exactly 1 and reads no count.
     pub fn access_fraction(&self, rows: u64) -> f64 {
         if self.total == 0 || rows == 0 {
             return 0.0;
+        }
+        if rows >= self.covering_rows {
+            return 1.0;
         }
         let idx = (rows.min(self.cumulative.len() as u64) - 1) as usize;
         self.cumulative[idx] as f64 / self.total as f64
     }
 
     /// Minimum number of hottest rows needed to cover at least `fraction` of
-    /// all accesses. `fraction` is clamped to `[0, 1]`.
+    /// all accesses. `fraction` is clamped to `[0, 1]`; a NaN needs no rows.
     pub fn rows_for_access_fraction(&self, fraction: f64) -> u64 {
         let Some(target) = self.access_target(fraction) else {
             return 0;
@@ -112,13 +122,15 @@ impl AccessCdf {
     }
 
     /// The access count `fraction` of all accesses needs (clamped to
-    /// `[0, 1]`), or `None` when that takes no rows.
+    /// `[0, 1]`, and at most the total even where `f64` rounds a large
+    /// total up), or `None` when that takes no rows (a fraction of at most
+    /// 0, or NaN).
     fn access_target(&self, fraction: f64) -> Option<u64> {
-        let fraction = fraction.clamp(0.0, 1.0);
-        if self.total == 0 || fraction == 0.0 {
+        if self.total == 0 || fraction.is_nan() || fraction <= 0.0 {
             return None;
         }
-        Some((fraction * self.total as f64).ceil() as u64)
+        let target = (fraction.min(1.0) * self.total as f64).ceil() as u64;
+        Some(target.min(self.total))
     }
 
     /// The piece-wise linear inverse CDF used by the MILP: `steps + 1` points,
@@ -217,6 +229,17 @@ impl AccessCdf {
         }
         pts
     }
+}
+
+/// Running sums of `counts`: entry `i` is the sum of the first `i + 1`.
+fn running_sums(counts: &[u64]) -> Vec<u64> {
+    let mut sums = Vec::with_capacity(counts.len());
+    let mut running = 0u64;
+    for &c in counts {
+        running += c;
+        sums.push(running);
+    }
+    sums
 }
 
 /// Piece-wise linear inverse CDF: maps an access-percentage step to the
@@ -365,6 +388,30 @@ mod tests {
         assert_eq!(cdf.rows_for_access_fraction(0.9), 0);
         assert_eq!(cdf.icdf(10).max_rows(), 0);
         assert_eq!(cdf.curve(10), vec![(0.0, 0.0)]);
+    }
+
+    #[test]
+    fn nan_fraction_needs_no_rows() {
+        // `f64::clamp` keeps a NaN, and `NaN as u64` is 0: a target of 0
+        // would stop the search at the first row.
+        let cdf = AccessCdf::from_ranked_counts(&[5, 3, 2, 1]);
+        assert_eq!(cdf.rows_for_access_fraction(f64::NAN), 0);
+        assert_eq!(cdf.rows_for_access_fraction(-0.5), 0);
+        assert_eq!(cdf.rows_for_access_fraction(1.0), 4);
+    }
+
+    #[test]
+    fn full_coverage_stops_at_the_last_nonzero_count() {
+        let cdf = AccessCdf::from_ranked_counts(&[5, 3, 0, 0]);
+        assert_eq!(cdf.full_coverage_rows(), 2);
+        assert_eq!(cdf.rows_for_access_fraction(1.0), 2);
+        assert_eq!(cdf.access_fraction(1), 5.0 / 8.0);
+        assert_eq!(cdf.access_fraction(2), 1.0);
+        assert_eq!(cdf.access_fraction(9), 1.0);
+        assert_eq!(
+            AccessCdf::from_ranked_counts(&[0, 0]).full_coverage_rows(),
+            0
+        );
     }
 
     #[test]

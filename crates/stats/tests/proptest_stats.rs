@@ -94,6 +94,71 @@ proptest! {
         counts.sort_unstable_by(|a, b| b.cmp(a));
         assert_icdf_matches_searches(&counts);
     }
+
+    /// The O(1) full-coverage row count equals the search for 100% of the
+    /// accesses, and the CDF at or past it equals the cumulative-count
+    /// formula bit for bit, with zero tails and large shifted totals.
+    #[test]
+    fn full_coverage_rows_equal_the_full_search(
+        counts in prop::collection::vec(0u64..1_000, 0..400),
+        zeros in 0usize..50,
+        shift in 0u32..42,
+    ) {
+        let mut counts: Vec<u64> = counts.into_iter().map(|c| c << shift).collect();
+        counts.extend(std::iter::repeat_n(0, zeros));
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        assert_full_coverage_matches_search(&counts);
+    }
+}
+
+/// Checks `full_coverage_rows` against `rows_for_access_fraction(1.0)` and
+/// `access_fraction` from it to two past the end against
+/// `cumulative[min(rows, len) - 1] / total` (0 everywhere without accesses).
+fn assert_full_coverage_matches_search(counts: &[u64]) {
+    let cdf = AccessCdf::from_ranked_counts(counts);
+    let rows = cdf.full_coverage_rows();
+    prop_assert_eq!(
+        rows,
+        cdf.rows_for_access_fraction(1.0),
+        "counts {:?}",
+        counts
+    );
+    prop_assert_eq!(rows, counts.iter().filter(|&&c| c > 0).count() as u64);
+    if cdf.total_accesses() == 0 {
+        prop_assert_eq!(cdf.access_fraction(counts.len() as u64 + 1), 0.0);
+        return;
+    }
+    let cumulative = cdf.cumulative_counts();
+    let len = cumulative.len() as u64;
+    for k in rows..=len + 2 {
+        let expected = cumulative[(k.min(len) - 1) as usize] as f64 / cdf.total_accesses() as f64;
+        prop_assert_eq!(
+            cdf.access_fraction(k).to_bits(),
+            expected.to_bits(),
+            "rows {}",
+            k
+        );
+    }
+}
+
+#[test]
+fn full_coverage_rows_equal_the_full_search_on_edge_cases() {
+    for counts in [
+        &[][..],
+        &[0],
+        &[7],
+        &[5, 3, 0, 0],
+        &[5, 3, 2, 1],
+        &[u64::MAX / 4, 3, 0],
+        &[(1 << 53) + 1, 1, 1, 0, 0],
+    ] {
+        assert_full_coverage_matches_search(counts);
+    }
+    assert_eq!(
+        AccessCdf::from_ranked_counts(&[5, 3, 0, 0]).full_coverage_rows(),
+        2
+    );
+    assert_eq!(AccessCdf::empty().full_coverage_rows(), 0);
 }
 
 /// Checks `icdf` against per-step `rows_for_access_fraction` at 1, 5, 100

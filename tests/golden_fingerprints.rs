@@ -74,11 +74,13 @@ const PROFILE_GOLDEN: u64 = 0x27ef_3835_86f3_d1dc;
 
 /// Committed plan fingerprints of the default unbucketed `RecShard::plan`
 /// on a 300-table `skewed_model`, in `unbucketed_plan_systems` order: ample
-/// HBM, HBM cut 50x, and a pressured two-class cluster.
-const UNBUCKETED_PLAN_GOLDEN: [u64; 3] = [
+/// HBM, HBM cut 50x, a pressured two-class cluster, and a pressured
+/// cluster whose two classes share their bandwidths.
+const UNBUCKETED_PLAN_GOLDEN: [u64; 4] = [
     0xd621_9ff2_723e_189a,
     0x07f0_4b87_8a38_d539,
     0x9a7e_81a0_c2f0_92ba,
+    0xa5bc_f354_0006_e193,
 ];
 
 #[test]
@@ -415,20 +417,23 @@ fn profile_fingerprint_is_bit_for_bit_stable() {
     );
 }
 
-/// The three systems of `UNBUCKETED_PLAN_GOLDEN`, each with whether split
+/// The four systems of `UNBUCKETED_PLAN_GOLDEN`, each with whether split
 /// selection must downgrade on it:
 /// - `bench_system`, where every table's profiled-hot rows fit in HBM, so
 ///   split selection keeps every table at its top step (as in `plan_5k`);
 /// - the same system with per-GPU HBM cut 50x, so split selection
 ///   downgrades and refinement re-picks splits;
 /// - a mixed cluster of 4 fast GPUs and 4 slow ones with a third of their
-///   HBM, whose aggregate HBM equals the cut system's.
-fn unbucketed_plan_systems(model: &ModelSpec) -> [(SystemSpec, bool); 3] {
+///   HBM, whose aggregate HBM equals the cut system's;
+/// - the same mix, but the small class has the fast class's bandwidths, so
+///   a table costs the same on every GPU and only the capacities differ.
+fn unbucketed_plan_systems(model: &ModelSpec) -> [(SystemSpec, bool); 4] {
     const GPUS: usize = 8;
     let bytes = model.total_bytes();
     let fair = bytes / (3 * GPUS as u64);
     let big = DeviceClass::new("big", fair / 100 * 3, bytes, 3350.0, 50.0);
     let small = DeviceClass::new("small", fair / 100, bytes, 1555.0, 16.0);
+    let small_fast = DeviceClass::new("small-fast", fair / 100, bytes, 3350.0, 50.0);
     [
         (bench_system(bytes, GPUS), false),
         (
@@ -437,6 +442,10 @@ fn unbucketed_plan_systems(model: &ModelSpec) -> [(SystemSpec, bool); 3] {
         ),
         (
             ClusterSpec::mixed(&[(big, GPUS / 2), (small, GPUS / 2)]),
+            true,
+        ),
+        (
+            ClusterSpec::mixed(&[(big, GPUS / 2), (small_fast, GPUS / 2)]),
             true,
         ),
     ]
@@ -493,6 +502,7 @@ fn unbucketed_plan_fingerprints_are_bit_for_bit_stable() {
     });
     assert_eq!(
         actual, UNBUCKETED_PLAN_GOLDEN,
-        "unbucketed plans drifted (actual {actual:#018x?}; ample, HBM / 50, two-class)"
+        "unbucketed plans drifted (actual {actual:#018x?}; ample, HBM / 50, two-class, \
+         two-capacity)"
     );
 }
