@@ -21,6 +21,15 @@ pub enum RecShardError {
     ProfileMismatch(String),
     /// The configuration is invalid (e.g. zero ICDF steps).
     InvalidConfig(String),
+    /// A table has no finite cost under a device class: its profile has a
+    /// NaN coverage or an infinite pooling factor, or the class has a zero
+    /// bandwidth.
+    NonFiniteCost {
+        /// Dense index of the table.
+        table: usize,
+        /// Name of the device class.
+        class: &'static str,
+    },
 }
 
 impl std::fmt::Display for RecShardError {
@@ -37,6 +46,10 @@ impl std::fmt::Display for RecShardError {
             RecShardError::Milp(e) => write!(f, "MILP solver error: {e}"),
             RecShardError::ProfileMismatch(msg) => write!(f, "profile mismatch: {msg}"),
             RecShardError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            RecShardError::NonFiniteCost { table, class } => write!(
+                f,
+                "table {table} has no finite cost under device class {class:?}"
+            ),
         }
     }
 }

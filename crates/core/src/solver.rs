@@ -14,7 +14,12 @@
 //!    subproblem).
 //! 2. **Assignment** — Longest-Processing-Time greedy of every table onto
 //!    the GPU with the lowest accumulated cost that still has capacity,
-//!    optionally warm-started from a previous plan's assignment.
+//!    optionally warm-started from a previous plan's assignment. The LPT
+//!    order is one sort of a `u64` per table (its cost key, with the table
+//!    index in the low bits) plus a re-sort of any run whose high bits tie.
+//!    The GPUs are the leaves of a tournament tree keyed by their loads, so
+//!    placing a table costs `O(log m)` when the least-loaded GPU can hold
+//!    it; only when it cannot are all `m` GPUs scanned.
 //! 3. **Refinement** — alternate a local search on the bottleneck GPU
 //!    (moves that re-pick the moved table's split for its new GPU, then
 //!    swaps) with a backfill that spends each GPU's leftover HBM on its own
@@ -49,6 +54,12 @@
 //! binds, by the compression ratio. Assignment and refinement place every table
 //! individually and price it exactly from its own CDF either way, so both
 //! configurations emit equally granular plans.
+//!
+//! **Finite costs.** Before phase 1 the solve checks that every table's
+//! cost is finite under every device class of the system, and otherwise
+//! fails with [`RecShardError::NonFiniteCost`]; so no NaN reaches
+//! the LPT sort or the GPU pick, whose orders are `partial_cmp`'s only
+//! without one.
 //!
 //! **Heterogeneous clusters.** Split selection prices downgrades under the
 //! cluster's reference class; from phase 2 on every GPU is charged the cost
@@ -213,6 +224,25 @@ impl<'a> Menus<'a> {
         }
     }
 
+    /// Fails on the first table whose cost is not finite under one of the
+    /// system's classes. A cost is linear in the fraction of accesses HBM
+    /// serves, so its values at 0 and 1 bound every split's; with both
+    /// finite, no NaN reaches the LPT sort or the GPU pick.
+    fn check_finite(&self, system: &SystemSpec) -> Result<(), RecShardError> {
+        for class in system.classes() {
+            let bw = Bandwidths::of(class);
+            for (table, rate) in self.rates.iter().enumerate() {
+                if !(rate.cost_ms(&bw, 0.0).is_finite() && rate.cost_ms(&bw, 1.0).is_finite()) {
+                    return Err(RecShardError::NonFiniteCost {
+                        table,
+                        class: class.name,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn num_buckets(&self) -> usize {
         self.tops.len()
     }
@@ -280,45 +310,111 @@ impl<'a> Menus<'a> {
     }
 }
 
-/// The tables in LPT order: costliest first, ties to the lower table, as
-/// [`lpt_order_by_comparator`] sorts them. Without a NaN its comparator is
-/// a total order on the tables, so sorting `(descending cost key, table)`
-/// integer keys reaches the same order in about a third of the time; with a
-/// NaN it is not, and the comparator sort itself runs.
-fn lpt_order(cost_of: &[f64]) -> Vec<usize> {
-    if cost_of.iter().any(|c| c.is_nan()) {
-        return lpt_order_by_comparator(cost_of);
+/// The bits of `c` as a key that ascends with its value: `-0.0` and `+0.0`
+/// share a key, and without a NaN the order of keys is `partial_cmp`'s.
+fn ascending_key(c: f64) -> u64 {
+    // `+ 0.0` makes -0.0 the +0.0 it compares equal to; the bits of the
+    // rest, sign-flipped, ascend with the value.
+    let bits = (c + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
-    let mut keyed: Vec<(u64, usize)> = cost_of
-        .iter()
-        .enumerate()
-        .map(|(t, &c)| {
-            // `+ 0.0` makes -0.0 the +0.0 it compares equal to; the bits of
-            // the rest, sign-flipped, ascend with the value.
-            let bits = (c + 0.0).to_bits();
-            let ascending = if bits >> 63 == 1 {
-                !bits
-            } else {
-                bits | 1 << 63
-            };
-            (!ascending, t)
-        })
-        .collect();
-    keyed.sort_unstable();
-    keyed.into_iter().map(|(_, t)| t).collect()
 }
 
-/// The LPT order as a stable sort of the tables under `partial_cmp` of
-/// their costs, descending, then table index.
-fn lpt_order_by_comparator(cost_of: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..cost_of.len()).collect();
-    order.sort_by(|&a, &b| {
-        cost_of[b]
-            .partial_cmp(&cost_of[a])
-            .unwrap_or(Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    order
+/// The tables in LPT order: costliest first, ties to the lower table. No
+/// cost may be NaN (`Menus::check_finite`).
+///
+/// Each table is one `u64`: its descending cost key with the low
+/// `⌈log2 n⌉` bits replaced by its index. Sorting those puts the tables
+/// in order wherever their keys differ above the low bits; a run of
+/// tables whose keys agree there comes out in table order, and is
+/// re-sorted on the full keys.
+fn lpt_order(cost_of: &[f64]) -> Vec<usize> {
+    let n = cost_of.len();
+    // The low bits hold every index below `n`; none when `n` is at most 1.
+    let low = u64::MAX
+        .checked_shr((n.saturating_sub(1) as u64).leading_zeros())
+        .unwrap_or(0);
+    let key = |t: u64| !ascending_key(cost_of[t as usize]);
+    let mut packed: Vec<u64> = (0..n as u64).map(|t| key(t) & !low | t).collect();
+    packed.sort_unstable();
+    for run in packed.chunk_by_mut(|a, b| a & !low == b & !low) {
+        if run.len() > 1 {
+            run.sort_unstable_by_key(|&p| (key(p & low), p & low));
+        }
+    }
+    packed.into_iter().map(|p| (p & low) as usize).collect()
+}
+
+/// Phase 2's choice of GPU for a table: the least-loaded GPU that can hold
+/// it, ties to the lower index, as `(0..m).filter(fits).min_by(by_cost.then(index))`
+/// picks it while no load is NaN. The GPUs are the leaves of a tournament
+/// tree keyed by `(ascending_key(load), gpu)`, so a load update costs
+/// `O(log m)`. When the top GPU fits, it is the pick; otherwise the GPUs are
+/// scanned.
+struct GpuPick {
+    /// The tree's nodes as `(key, gpu)`, node 1 the root and node `i`'s
+    /// children `2i` and `2i + 1`. Leaf `leaves + g` is GPU `g`; the leaves
+    /// past the last GPU hold `u64::MAX` and lose every tie, so the root is
+    /// always a GPU.
+    nodes: Vec<(u64, usize)>,
+    gpus: usize,
+}
+
+impl GpuPick {
+    /// `gpus` GPUs, at least one, each with load 0.
+    fn new(gpus: usize) -> Self {
+        let leaves = gpus.next_power_of_two();
+        let mut nodes = vec![(0, 0); leaves];
+        nodes.extend((0..leaves).map(|g| {
+            let key = if g < gpus {
+                ascending_key(0.0)
+            } else {
+                u64::MAX
+            };
+            (key, g)
+        }));
+        for node in (1..leaves).rev() {
+            nodes[node] = Self::winner(nodes[2 * node], nodes[2 * node + 1]);
+        }
+        Self { nodes, gpus }
+    }
+
+    /// The lower key of two siblings. Every leaf under the left one precedes
+    /// every leaf under the right one, so a tie goes to the lower GPU.
+    fn winner(left: (u64, usize), right: (u64, usize)) -> (u64, usize) {
+        if right.0 < left.0 {
+            right
+        } else {
+            left
+        }
+    }
+
+    /// Sets GPU `g`'s load.
+    fn set(&mut self, g: usize, load: f64) {
+        let mut node = self.nodes.len() / 2 + g;
+        self.nodes[node].0 = ascending_key(load);
+        while node > 1 {
+            node /= 2;
+            self.nodes[node] = Self::winner(self.nodes[2 * node], self.nodes[2 * node + 1]);
+        }
+    }
+
+    /// The least-loaded GPU for which `fits` holds, ties to the lower index.
+    fn pick(&self, fits: impl Fn(usize) -> bool) -> Option<usize> {
+        let top = self.nodes[1].1;
+        if fits(top) {
+            return Some(top);
+        }
+        let leaves = &self.nodes[self.nodes.len() / 2..][..self.gpus];
+        leaves
+            .iter()
+            .filter(|&&(_, g)| fits(g))
+            .min_by_key(|&&(key, _)| key)
+            .map(|&(_, g)| g)
+    }
 }
 
 /// Orders GPUs by accumulated cost.
@@ -352,9 +448,10 @@ impl StructuredSolver {
     ///
     /// Returns [`RecShardError::InvalidConfig`] for an invalid solver
     /// configuration, [`RecShardError::CapacityExceeded`] if the
-    /// model cannot fit in the system at all, and
+    /// model cannot fit in the system at all,
     /// [`RecShardError::ProfileMismatch`] if the profile does not cover the
-    /// model.
+    /// model, and [`RecShardError::NonFiniteCost`] if a table's cost is not
+    /// finite under one of the system's device classes.
     pub fn solve(
         &self,
         model: &ModelSpec,
@@ -492,6 +589,7 @@ impl StructuredSolver {
             model.batch_size(),
             &self.config,
         );
+        menus.check_finite(system)?;
         let top = self.config.icdf_steps;
 
         // ---- Phase 1: split selection over buckets ----
@@ -541,6 +639,7 @@ impl StructuredSolver {
         // ---- Phase 2: min-max assignment (LPT + capacity) ----
         let m = system.num_gpus();
         let mut gpu_cost = vec![0.0f64; m];
+        let mut pick = GpuPick::new(m);
         let mut hbm_free: Vec<u64> = (0..m).map(|g| system.hbm_capacity(g)).collect();
         let mut dram_free: Vec<u64> = (0..m).map(|g| system.dram_capacity(g)).collect();
         // Every entry is written below, or the solve fails.
@@ -560,9 +659,7 @@ impl StructuredSolver {
             let g = loop {
                 let opt = option_of(t, step[t]);
                 let candidate = seeded.or_else(|| {
-                    (0..m)
-                        .filter(|&g| hbm_free[g] >= opt.hbm_bytes && dram_free[g] >= opt.uvm_bytes)
-                        .min_by(|&a, &b| by_cost(&gpu_cost, a, b).then(a.cmp(&b)))
+                    pick.pick(|g| hbm_free[g] >= opt.hbm_bytes && dram_free[g] >= opt.uvm_bytes)
                 });
                 if let Some(g) = candidate {
                     hbm_free[g] -= opt.hbm_bytes;
@@ -580,6 +677,7 @@ impl StructuredSolver {
                 cost_of[t] = menus.cost(t, option_of(t, step[t]), None);
             };
             gpu_cost[g] += cost_of[t];
+            pick.set(g, gpu_cost[g]);
             assignment[t] = g;
         }
 
@@ -600,6 +698,8 @@ impl StructuredSolver {
         };
 
         // ---- Phase 3: alternate bottleneck local search and HBM backfill ----
+        // The bottleneck's tables at the start of a local-search round.
+        let mut tables_on_bottleneck: Vec<usize> = Vec::new();
         // Phase-1 downgrades land coarser than a per-GPU optimum (and
         // bucket-granular ones coarser still), so a single search+backfill
         // pass leaves a percent-level gap; alternating the two (each strictly
@@ -619,7 +719,7 @@ impl StructuredSolver {
                     break;
                 };
                 let mut improved = false;
-                let tables_on_bottleneck = tables_on[bottleneck].clone();
+                tables_on_bottleneck.clone_from(&tables_on[bottleneck]);
                 for &t in &tables_on_bottleneck {
                     let b = menus.bucket_of(t);
                     let opt = menus.option(b, step[t]);
@@ -974,28 +1074,92 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The LPT order as a stable sort of the tables under `partial_cmp` of
+    /// their costs, descending, then table index.
+    fn lpt_order_by_comparator(cost_of: &[f64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..cost_of.len()).collect();
+        order.sort_by(|&a, &b| {
+            cost_of[b]
+                .partial_cmp(&cost_of[a])
+                .unwrap_or(Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        order
+    }
+
+    /// The GPU phase 2 picked before `GpuPick`: a scan of every GPU.
+    fn pick_by_scan(gpu_cost: &[f64], fits: impl Fn(usize) -> bool) -> Option<usize> {
+        (0..gpu_cost.len())
+            .filter(|&g| fits(g))
+            .min_by(|&a, &b| by_cost(gpu_cost, a, b).then(a.cmp(&b)))
+    }
+
+    /// A cost of kind `kind`: zeros of both signs, infinities, integers and
+    /// values a few ulps from 500 or -500.
+    fn edge_cost(kind: usize, x: f64, ulps: u64) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            4 => -x,
+            5 => x.floor(),
+            6 => f64::MIN_POSITIVE / 4.0,
+            7 => f64::from_bits(500.0f64.to_bits() + ulps),
+            8 => -f64::from_bits(500.0f64.to_bits() + ulps),
+            _ => x,
+        }
+    }
+
     proptest::proptest! {
         /// The keyed LPT order equals the comparator sort on costs with
-        /// ties, signed zeros, infinities and subnormals. (With a NaN both
-        /// are the comparator sort, which may panic on the order it breaks.)
+        /// ties, signed zeros, infinities, subnormals and costs that differ
+        /// only in their low key bits, at table counts `2^k - 1`, `2^k` and
+        /// `2^k + 1`.
         #[test]
         fn lpt_order_equals_the_comparator_sort(
-            picks in proptest::collection::vec((0usize..9, 0.0f64..1e3), 0..300),
+            k in 0u32..11,
+            extra in 0usize..3,
+            picks in proptest::collection::vec((0usize..11, 0.0f64..1e3, 0u64..16), 1025),
         ) {
-            let costs: Vec<f64> = picks
+            let n = (1usize << k) - 1 + extra;
+            let costs: Vec<f64> = picks[..n]
                 .iter()
-                .map(|&(kind, x)| match kind {
-                    0 => 0.0,
-                    1 => -0.0,
-                    2 => f64::INFINITY,
-                    3 => f64::NEG_INFINITY,
-                    4 => -x,
-                    5 => x.floor(),
-                    6 => f64::MIN_POSITIVE / 4.0,
-                    _ => x,
-                })
+                .map(|&(kind, x, ulps)| edge_cost(kind, x, ulps))
                 .collect();
             proptest::prop_assert_eq!(lpt_order(&costs), lpt_order_by_comparator(&costs));
+        }
+
+        /// `GpuPick` picks the GPU the filtered scan picks, through loads
+        /// with ties, signed zeros and infinities, capacity misses of the
+        /// top GPU and updates of GPUs that are not the top.
+        #[test]
+        fn gpu_pick_equals_the_scan(
+            gpus in 1usize..20,
+            steps in proptest::collection::vec(
+                (0usize..11, 0.0f64..1e3, 0u64..16, (0usize..4, 0usize..20, 0u64..1 << 20)),
+                0..200,
+            ),
+        ) {
+            let mut loads = vec![0.0f64; gpus];
+            let mut pick = GpuPick::new(gpus);
+            for (kind, x, ulps, (mode, other, mask)) in steps {
+                // Mode 0 misses the top GPU, mode 1 fits only the GPUs in
+                // `mask`, and the others fit every GPU.
+                let top = pick_by_scan(&loads, |_| true).unwrap();
+                let fits = |g: usize| match mode {
+                    0 => g != top,
+                    1 => mask >> g & 1 == 1,
+                    _ => true,
+                };
+                let expected = pick_by_scan(&loads, fits);
+                proptest::prop_assert_eq!(pick.pick(fits), expected);
+                // Mode 2 charges another GPU, as a warm-start seed does.
+                let g = if mode == 2 { other % gpus } else { expected.unwrap_or(top) };
+                let load = if kind == 9 { loads[g] + x } else { edge_cost(kind, x, ulps) };
+                loads[g] = load;
+                pick.set(g, load);
+            }
         }
     }
 
@@ -1003,14 +1167,75 @@ mod tests {
     fn lpt_order_edge_cases() {
         for costs in [
             &[][..],
-            &[f64::NAN],
             &[0.0, -0.0, 0.0],
-            &[1.0, f64::NAN, 2.0, 1.0],
             &[f64::INFINITY, -1.0, f64::NEG_INFINITY, 3.0, 3.0],
+            &[1.0, f64::from_bits(1.0f64.to_bits() + 1)],
         ] {
             assert_eq!(lpt_order(costs), lpt_order_by_comparator(costs));
         }
         assert_eq!(lpt_order(&[1.0, 3.0, 2.0, 3.0]), vec![1, 3, 2, 0]);
+    }
+
+    /// Solves `profile` on `system` with the default solver.
+    fn solve_err(
+        model: &ModelSpec,
+        profile: &DatasetProfile,
+        system: &SystemSpec,
+    ) -> RecShardError {
+        StructuredSolver::new(RecShardConfig::default())
+            .solve(model, profile, system)
+            .unwrap_err()
+    }
+
+    #[test]
+    fn non_finite_costs_are_rejected_before_the_solve() {
+        let (model, profile) = setup(6, 5);
+        let system = pressured(&model, 2, 4);
+        let with = |t: usize, edit: fn(&mut recshard_stats::FeatureProfile)| {
+            let mut profiles = profile.profiles().to_vec();
+            edit(&mut profiles[t]);
+            DatasetProfile::new(profiles, profile.samples_profiled())
+        };
+        let name = system.reference_class().name;
+        let nan_coverage = with(3, |p| p.coverage = f64::NAN);
+        assert_eq!(
+            solve_err(&model, &nan_coverage, &system),
+            RecShardError::NonFiniteCost {
+                table: 3,
+                class: name
+            }
+        );
+        let infinite_pooling = with(4, |p| {
+            p.avg_pooling = f64::INFINITY;
+            p.coverage = 0.0;
+        });
+        assert_eq!(
+            solve_err(&model, &infinite_pooling, &system),
+            RecShardError::NonFiniteCost {
+                table: 4,
+                class: name
+            }
+        );
+        // A class without HBM bandwidth prices step 0 at 0 / 0.
+        let reference = *system.reference_class();
+        let stalled = DeviceClass {
+            name: "stalled",
+            hbm_bandwidth_gbps: 0.0,
+            ..reference
+        };
+        let mixed = SystemSpec::mixed(&[(reference, 1), (stalled, 1)]);
+        assert_eq!(
+            solve_err(&model, &profile, &mixed),
+            RecShardError::NonFiniteCost {
+                table: 0,
+                class: "stalled"
+            }
+        );
+        // The bucketed solver checks every table too.
+        assert!(matches!(
+            ScalableSolver::new(RecShardConfig::default()).solve(&model, &nan_coverage, &system),
+            Err(RecShardError::NonFiniteCost { table: 3, .. })
+        ));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use recshard_bench::{skewed_model, ExperimentConfig, Strategy};
 use recshard_data::{ModelSpec, RmKind};
 use recshard_des::{ArrivalProcess, RunSummary};
 use recshard_serve::{ArrivalModel, InferenceServer, PolicyKind, ServeConfig, ServeReport};
-use recshard_sharding::{ClusterSpec, DeviceClass, ShardingPlan, SystemSpec};
+use recshard_sharding::{ClusterSpec, DeviceClass, ShardingPlan, SystemSpec, TablePlacement};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
 
 mod common;
@@ -82,6 +82,12 @@ const UNBUCKETED_PLAN_GOLDEN: [u64; 4] = [
     0x9a7e_81a0_c2f0_92ba,
     0xa5bc_f354_0006_e193,
 ];
+
+/// Committed plan fingerprints of the bucketed `RecShard::plan_seeded` on
+/// the same 300-table `skewed_model`, on the ample and HBM / 50 systems of
+/// `unbucketed_plan_systems`. Each is seeded from that system's cold plan
+/// with every 18th table moved one GPU over.
+const WARM_PLAN_GOLDEN: [u64; 2] = [0x5301_867c_d1a1_f2c7, 0x8fc7_0eaa_7db2_b9c7];
 
 #[test]
 fn skewed_des_fingerprints_are_bit_for_bit_stable() {
@@ -504,5 +510,44 @@ fn unbucketed_plan_fingerprints_are_bit_for_bit_stable() {
         actual, UNBUCKETED_PLAN_GOLDEN,
         "unbucketed plans drifted (actual {actual:#018x?}; ample, HBM / 50, two-class, \
          two-capacity)"
+    );
+}
+
+#[test]
+fn warm_started_plan_fingerprints_are_bit_for_bit_stable() {
+    let model = skewed_model(300);
+    let profile = DatasetProfiler::profile_model(&model, 1_200, 0x7A11);
+    let sharder = RecShard::new(RecShardConfig::default().with_scalable());
+    let [ample, cut, ..] = unbucketed_plan_systems(&model);
+    let actual = [ample, cut].map(|(system, _)| {
+        let cold = sharder.plan(&model, &profile, &system).expect("cold plan");
+        let gpus = system.num_gpus();
+        let placements = cold
+            .placements()
+            .iter()
+            .enumerate()
+            .map(|(t, p)| TablePlacement {
+                gpu: if t % 18 == 0 {
+                    (p.gpu + 1) % gpus
+                } else {
+                    p.gpu
+                },
+                ..*p
+            })
+            .collect();
+        let previous = ShardingPlan::new("previous", gpus, placements);
+        let plan = sharder
+            .plan_seeded(&model, &profile, &system, Some(&previous))
+            .expect("warm-started plan");
+        plan.validate(&model, &system).expect("valid plan");
+        assert_ne!(
+            plan, cold,
+            "the warm attempt wins the gate, so the golden pins it"
+        );
+        plan_fingerprint(&plan)
+    });
+    assert_eq!(
+        actual, WARM_PLAN_GOLDEN,
+        "warm-started plans drifted (actual {actual:#018x?}; ample, HBM / 50)"
     );
 }
