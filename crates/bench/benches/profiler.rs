@@ -1,7 +1,8 @@
 //! Criterion bench for the training-data profiling stage (Section 4.1 /
 //! Section 6.6 overhead): cost of profiling per sample, of streaming a wide
-//! skewed model through `profile_model`'s row counters, and of deriving the
-//! 100-step ICDFs.
+//! skewed model through `profile_model`'s row counters (500 tables, and the
+//! 5,000 of perfbench's `plan_5k` set-up), and of deriving the 100-step
+//! ICDFs.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use recshard_bench::skewed_model;
@@ -42,6 +43,14 @@ fn profiler(c: &mut Criterion) {
     group.throughput(Throughput::Elements(200));
     group.bench_function("profile_model_200_samples_500_skewed_tables", |b| {
         b.iter(|| DatasetProfiler::profile_model(&wide, 200, 7));
+    });
+
+    // The profile behind perfbench's `plan_5k` set-up: 5,000 skewed tables
+    // x 1,200 samples, about 13.6M lookups.
+    let plan_5k = skewed_model(5_000);
+    group.throughput(Throughput::Elements(1_200));
+    group.bench_function("profile_model_1200_samples_5000_skewed_tables", |b| {
+        b.iter(|| DatasetProfiler::profile_model(&plan_5k, 1_200, 1));
     });
     group.finish();
 }

@@ -68,10 +68,18 @@ impl FeatureHasher {
     }
 
     /// Hashes a raw categorical value to an embedding row index in
-    /// `[0, hash_size)`.
+    /// `[0, hash_size)`: the mixed value modulo `hash_size`, taken with a
+    /// mask when `hash_size` is a power of two (the same row, without the
+    /// division).
     #[inline]
     pub fn hash(&self, value: u64) -> u64 {
-        self.mix(value) % self.hash_size
+        let mixed = self.mix(value);
+        let low_bits = self.hash_size - 1;
+        if self.hash_size & low_bits == 0 {
+            mixed & low_bits
+        } else {
+            mixed % self.hash_size
+        }
     }
 
     /// Measures collision statistics for a set of distinct raw values

@@ -19,7 +19,10 @@
 //! thread. Guided samplers draw pooling factors through a
 //! [`PoolingGuide`] and values through a [`ZipfGuide`]: the same draws from
 //! the same RNG words at up to 12 KB per feature, so only long streams
-//! (serving) build them.
+//! (serving) build them. [`SampleGenerator::guided`] draws every feature
+//! through a 1 KB [`ZipfGuide::compact`] guide, and features with equal
+//! pooling specs share one [`PoolingGuide`], so a profile of thousands of
+//! tables can afford guides too.
 
 use crate::feature::{FeatureId, FeatureSpec};
 use crate::model::ModelSpec;
@@ -27,6 +30,7 @@ use crate::pooling::PoolingSpec;
 use crate::zipf::{PoolingGuide, Zipf, ZipfGuide};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The seed of the draw stream keyed by `key`. Each word is folded in by
 /// one SplitMix64 step (add the golden-ratio increment, then the
@@ -83,11 +87,18 @@ impl FeatureSampler {
     /// guides costs microseconds and up to 12 KB, which only pays off over
     /// long streams.
     pub fn guided(spec: &FeatureSpec) -> Self {
+        Self::with_guides(spec, PoolingGuide::new(spec.pooling), ZipfGuide::new)
+    }
+
+    /// A sampler for `spec` drawing through `pooling` (a guide for
+    /// `spec.pooling`) and the value guide `values` builds.
+    fn with_guides(
+        spec: &FeatureSpec,
+        pooling: PoolingGuide,
+        values: impl FnOnce(Zipf) -> ZipfGuide,
+    ) -> Self {
         let mut sampler = Self::new(spec);
-        sampler.guides = Some((
-            PoolingGuide::new(sampler.pooling),
-            ZipfGuide::new(sampler.values),
-        ));
+        sampler.guides = Some((pooling, values(sampler.values)));
         sampler
     }
 
@@ -182,11 +193,42 @@ impl SampleGenerator {
         Self::with_samplers(model, seed, FeatureSampler::new)
     }
 
+    /// Like [`new`](Self::new), drawing the identical samples from the
+    /// identical RNG words, but through guides sized for thousands of
+    /// features: a [`ZipfGuide::compact`] value guide per feature (1 KB) and
+    /// one [`PoolingGuide`] (4 KB) per distinct long-tail pooling spec.
+    pub fn guided(model: &ModelSpec, seed: u64) -> Self {
+        // Long-tail specs by `(mean bits, cap)`, with their shared guide.
+        let mut shared: BTreeMap<(u64, u32), PoolingGuide> = BTreeMap::new();
+        Self::with_samplers(model, seed, |spec| {
+            let pooling = match spec.pooling {
+                PoolingSpec::LongTail { mean, max } => shared
+                    .entry((mean.to_bits(), max))
+                    .or_insert_with(|| PoolingGuide::new(spec.pooling))
+                    .clone(),
+                other => PoolingGuide::new(other),
+            };
+            FeatureSampler::with_guides(spec, pooling, ZipfGuide::compact)
+        })
+    }
+
+    /// Heap bytes the generator's guides take, counting a pooling guide
+    /// that features share once.
+    pub fn guide_bytes(&self) -> usize {
+        let mut pooling = BTreeSet::new();
+        let mut bytes = 0;
+        for (poolings, values) in self.samplers.iter().filter_map(|s| s.guides.as_ref()) {
+            pooling.extend(poolings.cells_addr());
+            bytes += values.heap_bytes();
+        }
+        bytes + pooling.len() * PoolingGuide::CELLS
+    }
+
     /// A generator drawing each feature through `sampler(spec)`.
     fn with_samplers(
         model: &ModelSpec,
         seed: u64,
-        sampler: impl Fn(&FeatureSpec) -> FeatureSampler,
+        sampler: impl FnMut(&FeatureSpec) -> FeatureSampler,
     ) -> Self {
         Self {
             model: model.clone(),
@@ -357,6 +399,91 @@ mod tests {
             }
             assert_eq!(guided.samples_generated(), plain.samples_generated());
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// `SampleGenerator::guided`, the profiler's generator (byte value
+        /// guides at `ZipfGuide::COMPACT_BITS`, one pooling guide per
+        /// distinct long-tail spec), draws exactly what
+        /// `SampleGenerator::new` draws, sample for sample and RNG state
+        /// included: exponents in [0, 3] (0 gets no guide), supports from 1
+        /// to 2^31, coverage 0, 1 and between, and OneHot, `Constant(0)`,
+        /// `Constant(k)` and long-tail pooling, with caps above 255 (no
+        /// guide) and one spec shared by two features.
+        #[test]
+        fn guided_generator_draws_what_the_plain_one_draws(
+            features in proptest::collection::vec(
+                (0.0f64..3.0, 1u64..=(1u64 << 31), 0u32..8, 0u32..6),
+                1..5,
+            ),
+            mean in 1.0f64..40.0,
+            cap in 1u32..255,
+            wide_cap in 256u32..2_048,
+            seed in proptest::any::<u64>(),
+        ) {
+            let base = ModelSpec::small(1, 1).features()[0].clone();
+            let mut specs: Vec<FeatureSpec> = features
+                .iter()
+                .enumerate()
+                .map(|(i, &(exponent, support, pick, pooling))| FeatureSpec {
+                    id: FeatureId(i as u32),
+                    name: format!("f{i}"),
+                    cardinality: if pick == 7 { 1 + support % 3 } else { support },
+                    zipf_exponent: match pick {
+                        0 => 0.0,
+                        1 => 1.0,
+                        _ => exponent,
+                    },
+                    coverage: match pick % 3 {
+                        0 => 1.0,
+                        1 => exponent / 3.0,
+                        _ => f64::from(pick % 2),
+                    },
+                    pooling: match pooling {
+                        0 => PoolingSpec::OneHot,
+                        1 => PoolingSpec::Constant(0),
+                        2 => PoolingSpec::Constant(1 + cap % 7),
+                        3 => PoolingSpec::LongTail { mean, max: wide_cap },
+                        _ => PoolingSpec::LongTail { mean, max: cap },
+                    },
+                    ..base.clone()
+                })
+                .collect();
+            // A second feature with the first's spec shares its guides' spec.
+            let twin = FeatureSpec {
+                id: FeatureId(specs.len() as u32),
+                ..specs[0].clone()
+            };
+            specs.push(twin);
+            let model = ModelSpec::new("guided", crate::model::RmKind::Custom, specs, 8);
+            let mut guided = SampleGenerator::guided(&model, seed);
+            let mut plain = SampleGenerator::new(&model, seed);
+            for _ in 0..300 {
+                proptest::prop_assert_eq!(guided.sample(), plain.sample());
+                proptest::prop_assert_eq!(&guided.rng, &plain.rng);
+            }
+        }
+    }
+
+    #[test]
+    fn guided_generator_shares_equal_pooling_guides() {
+        let mut feats = edge_model(2).features().to_vec();
+        for f in &mut feats {
+            f.pooling = PoolingSpec::long_tail(8.0);
+        }
+        feats[1].pooling = PoolingSpec::long_tail(3.0);
+        feats[2].pooling = PoolingSpec::OneHot;
+        let model = ModelSpec::new("shared", crate::model::RmKind::Custom, feats, 8);
+        let gen = SampleGenerator::guided(&model, 1);
+        // Feature 0 is uniform (s = 0): no value guide.
+        let value_guides = model.num_features() - 1;
+        assert_eq!(
+            gen.guide_bytes(),
+            value_guides * ZipfGuide::COMPACT_CELLS + 2 * PoolingGuide::CELLS
+        );
+        assert_eq!(SampleGenerator::new(&model, 1).guide_bytes(), 0);
     }
 
     #[test]

@@ -31,10 +31,14 @@
 //!    exactly as [`Zipf::sample`] does.
 //!
 //! Nothing in the argument depends on `b`: [`Zipf::resolve_cells`] resolves
-//! cells at any resolution. [`ZipfGuide`] stores ranks at
-//! [`ZipfGuide::BITS`] `= 12`; the trace kernel's per-table sampler
-//! (`recshard_memsim::TableSampler`) stores at 15 bits only the two-bit
-//! memory tier of each resolved rank's row, which is all it needs.
+//! cells at any resolution. [`ZipfGuide::new`] stores `u16` ranks at
+//! [`ZipfGuide::BITS`] `= 12` (8 KB), and [`ZipfGuide::compact`] byte ranks
+//! at [`ZipfGuide::COMPACT_BITS`] `= 10` (1 KB), where ranks from 255 up
+//! stay misses: on the 5,000-table benchmark model every rank that owns a
+//! cell at 10 bits is at most 104, and the byte guides resolve 70% of its
+//! draws against 78% for the 12-bit ones. The trace kernel's per-table
+//! sampler (`recshard_memsim::TableSampler`) stores at 15 bits only the
+//! two-bit memory tier of each resolved rank's row, which is all it needs.
 //!
 //! The margin covers floating-point error: rounding `u` and `r` contributes
 //! a few `2⁻⁵²` in `r`, and each `powf` or the `H` evaluations the build
@@ -87,6 +91,7 @@
 use crate::pooling::{long_tail_factor, long_tail_ln_q, PoolingSpec};
 use rand::Rng;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A Zipf distribution over ranks `1..=n` with exponent `s >= 0`.
 ///
@@ -320,6 +325,11 @@ pub(crate) fn unit_f64(word: u64) -> f64 {
 /// skip the rejection-inversion arithmetic. Draws are bit-identical to
 /// [`Zipf::sample`]; the module doc gives the argument.
 ///
+/// [`ZipfGuide::new`] stores a `u16` rank per cell at [`ZipfGuide::BITS`]
+/// (8 KB). [`ZipfGuide::compact`] stores a byte per cell at
+/// [`ZipfGuide::COMPACT_BITS`] (1 KB), for thousands of tables at once:
+/// ranks from 255 up stay misses there.
+///
 /// ```
 /// use rand::SeedableRng;
 /// use recshard_data::{Zipf, ZipfGuide};
@@ -336,65 +346,115 @@ pub(crate) fn unit_f64(word: u64) -> f64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZipfGuide {
     zipf: Zipf,
-    /// 0-based rank per cell, [`ZipfGuide::MISS`] when unresolved; empty
-    /// when the distribution has no guide.
-    cells: Vec<u16>,
+    cells: RankCells,
+}
+
+/// A [`ZipfGuide`]'s cells: the 0-based rank per cell, the cell type's
+/// `MAX` when unresolved.
+#[derive(Debug, Clone, PartialEq)]
+enum RankCells {
+    /// The distribution has no guide (`s == 0`).
+    Unguided,
+    /// [`ZipfGuide::CELLS`] `u16` ranks.
+    Wide(Box<[u16; ZipfGuide::CELLS]>),
+    /// [`ZipfGuide::COMPACT_CELLS`] byte ranks.
+    Compact(Box<[u8; ZipfGuide::COMPACT_CELLS]>),
 }
 
 impl ZipfGuide {
-    /// Bits of the RNG word that select a cell.
+    /// Bits of the RNG word that select a cell of [`ZipfGuide::new`]'s guide.
     pub const BITS: u32 = 12;
-    /// Number of cells.
+    /// Number of cells of [`ZipfGuide::new`]'s guide.
     pub const CELLS: usize = 1 << Self::BITS;
-    /// Cell value of an unresolved cell.
-    const MISS: u16 = u16::MAX;
+    /// Bits of the RNG word that select a cell of [`ZipfGuide::compact`]'s
+    /// guide.
+    pub const COMPACT_BITS: u32 = 10;
+    /// Number of cells of [`ZipfGuide::compact`]'s guide.
+    pub const COMPACT_CELLS: usize = 1 << Self::COMPACT_BITS;
 
-    /// Builds the guide for `zipf`.
+    /// Builds the guide for `zipf`: a `u16` rank per cell at
+    /// [`BITS`](Self::BITS).
     pub fn new(zipf: Zipf) -> Self {
-        let mut cells = vec![Self::MISS; Self::CELLS];
+        let mut cells = Box::new([u16::MAX; Self::CELLS]);
         let guided = zipf.resolve_cells(Self::BITS, 1, |rank, resolved| {
             // The walk visits ranks below `CELLS`, so the rank fits a `u16`.
             cells[resolved].fill(rank as u16);
         });
-        if !guided {
-            cells = Vec::new();
+        Self::with_cells(zipf, guided.then_some(RankCells::Wide(cells)))
+    }
+
+    /// Builds the guide for `zipf` at a byte per cell and
+    /// [`COMPACT_BITS`](Self::COMPACT_BITS): 1 KB instead of 8 KB, for
+    /// thousands of tables at once. Cells of ranks from 255 up stay misses.
+    pub fn compact(zipf: Zipf) -> Self {
+        let mut cells = Box::new([u8::MAX; Self::COMPACT_CELLS]);
+        let guided = zipf.resolve_cells(Self::COMPACT_BITS, 1, |rank, resolved| {
+            if let Ok(rank) = u8::try_from(rank) {
+                if rank != u8::MAX {
+                    cells[resolved].fill(rank);
+                }
+            }
+        });
+        Self::with_cells(zipf, guided.then_some(RankCells::Compact(cells)))
+    }
+
+    fn with_cells(zipf: Zipf, cells: Option<RankCells>) -> Self {
+        Self {
+            zipf,
+            cells: cells.unwrap_or(RankCells::Unguided),
         }
-        Self { zipf, cells }
     }
 
     /// Whether the guide has cells. Without them (`s == 0`) every draw goes
     /// through [`Zipf::sample`], whose first RNG word is not a step word.
     pub fn is_guided(&self) -> bool {
-        !self.cells.is_empty()
+        self.cells != RankCells::Unguided
     }
 
-    /// The cell the RNG word `word` falls in.
-    #[inline]
-    fn cell(word: u64) -> usize {
-        (word >> (64 - Self::BITS)) as usize
+    /// Heap bytes the cells take.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self.cells {
+            RankCells::Unguided => 0,
+            RankCells::Wide(_) => std::mem::size_of::<[u16; Self::CELLS]>(),
+            RankCells::Compact(_) => Self::COMPACT_CELLS,
+        }
     }
 
-    /// The rank every word in `cell` draws from its first step, if the
-    /// guide resolved the cell.
+    /// The rank every word in `cell` (of [`CELLS`](Self::CELLS) or, for a
+    /// [`compact`](Self::compact) guide,
+    /// [`COMPACT_CELLS`](Self::COMPACT_CELLS)) draws from its first step,
+    /// if the guide resolved the cell.
     #[inline]
     pub fn rank(&self, cell: usize) -> Option<u64> {
-        match self.cells.get(cell) {
-            Some(&rank) if rank != Self::MISS => Some(u64::from(rank)),
-            _ => None,
-        }
+        let (rank, miss) = match &self.cells {
+            RankCells::Unguided => return None,
+            RankCells::Wide(cells) => (u64::from(*cells.get(cell)?), u64::from(u16::MAX)),
+            RankCells::Compact(cells) => (u64::from(*cells.get(cell)?), u64::from(u8::MAX)),
+        };
+        (rank != miss).then_some(rank)
     }
 
     /// Draws one 0-based value; identical to [`Zipf::sample`] on the same
     /// generator state, and leaves the generator in the same state.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        if !self.is_guided() {
-            return self.zipf.sample(rng);
-        }
-        let word = rng.gen();
-        match self.rank(Self::cell(word)) {
-            Some(rank) => rank,
-            None => self.zipf.sample_from_word(word, rng),
+        let (word, rank, miss) = match &self.cells {
+            RankCells::Unguided => return self.zipf.sample(rng),
+            RankCells::Wide(cells) => {
+                let word: u64 = rng.gen();
+                let rank = cells[(word >> (64 - Self::BITS)) as usize];
+                (word, u64::from(rank), u64::from(u16::MAX))
+            }
+            RankCells::Compact(cells) => {
+                let word: u64 = rng.gen();
+                let rank = cells[(word >> (64 - Self::COMPACT_BITS)) as usize];
+                (word, u64::from(rank), u64::from(u8::MAX))
+            }
+        };
+        if rank != miss {
+            rank
+        } else {
+            self.zipf.sample_from_word(word, rng)
         }
     }
 }
@@ -404,6 +464,8 @@ impl ZipfGuide {
 /// most draws skip the two logarithms. Draws are bit-identical to
 /// [`PoolingSpec::sample`]; the module doc gives the argument. Other specs,
 /// and caps above 255, get no cells and draw through [`PoolingSpec::sample`].
+/// Clones share one set of cells, so tables with equal specs can share a
+/// guide.
 ///
 /// ```
 /// use rand::SeedableRng;
@@ -423,7 +485,7 @@ pub struct PoolingGuide {
     spec: PoolingSpec,
     /// Pooling factor per cell, [`PoolingGuide::MISS`] when unresolved;
     /// `None` when the spec has no guide.
-    cells: Option<Box<[u8; PoolingGuide::CELLS]>>,
+    cells: Option<Arc<[u8; PoolingGuide::CELLS]>>,
 }
 
 impl PoolingGuide {
@@ -440,15 +502,15 @@ impl PoolingGuide {
     pub fn new(spec: PoolingSpec) -> Self {
         let cells = match spec {
             PoolingSpec::LongTail { mean, max } if max <= u32::from(u8::MAX) => {
-                Some(Self::long_tail_cells(mean, max.max(1)))
+                Some(Arc::new(Self::long_tail_cells(mean, max.max(1))))
             }
             _ => None,
         };
         Self { spec, cells }
     }
 
-    fn long_tail_cells(mean: f64, cap: u32) -> Box<[u8; Self::CELLS]> {
-        let mut cells = Box::new([Self::MISS; Self::CELLS]);
+    fn long_tail_cells(mean: f64, cap: u32) -> [u8; Self::CELLS] {
+        let mut cells = [Self::MISS; Self::CELLS];
         let scale = Self::CELLS as f64;
         let ln_q = long_tail_ln_q(mean);
         // Factor `v < cap` is drawn for `u ∈ (q^v, q^(v−1)]`, the cap for
@@ -483,6 +545,11 @@ impl PoolingGuide {
     /// [`PoolingSpec::sample`].
     pub fn is_guided(&self) -> bool {
         self.cells.is_some()
+    }
+
+    /// The address of the cells, which clones share; `None` without cells.
+    pub(crate) fn cells_addr(&self) -> Option<usize> {
+        self.cells.as_ref().map(|cells| Arc::as_ptr(cells) as usize)
     }
 
     /// The cell the RNG word `word` falls in.
@@ -662,6 +729,25 @@ mod tests {
     }
 
     #[test]
+    fn compact_guides_hold_ranks_below_255_in_a_kilobyte() {
+        // A flat, short support owns cells up to rank 299 at 10 bits; the
+        // byte guide leaves ranks from 255 up as misses.
+        let zipf = Zipf::new(300, 0.05);
+        let (wide, compact) = (ZipfGuide::new(zipf), ZipfGuide::compact(zipf));
+        assert_eq!((wide.heap_bytes(), compact.heap_bytes()), (8_192, 1_024));
+        let ranks = |guide: &ZipfGuide, cells: usize| -> Vec<u64> {
+            (0..cells).filter_map(|c| guide.rank(c)).collect()
+        };
+        assert!(ranks(&wide, ZipfGuide::CELLS).iter().any(|&r| r > 254));
+        let compact_ranks = ranks(&compact, ZipfGuide::COMPACT_CELLS);
+        assert!(compact_ranks.contains(&254) && compact_ranks.iter().all(|&r| r < 255));
+        assert_eq!(compact.rank(ZipfGuide::COMPACT_CELLS), None);
+        let unguided = ZipfGuide::compact(Zipf::new(300, 0.0));
+        assert_eq!(unguided.heap_bytes(), 0);
+        assert_eq!(unguided.rank(0), None);
+    }
+
+    #[test]
     fn resolved_cells_return_their_rank_at_both_word_ends() {
         for (n, s) in [
             (1, 1.2),
@@ -673,11 +759,15 @@ mod tests {
             (1 << 16, 1.05),
         ] {
             let zipf = Zipf::new(n, s);
-            let guide = ZipfGuide::new(zipf);
-            for cell in 0..ZipfGuide::CELLS {
-                if let Some(rank) = guide.rank(cell) {
-                    for word in cell_ends(cell, ZipfGuide::BITS) {
-                        assert_eq!(zipf.try_draw(word), Some(rank), "n={n} s={s} cell {cell}");
+            for (guide, bits) in [
+                (ZipfGuide::new(zipf), ZipfGuide::BITS),
+                (ZipfGuide::compact(zipf), ZipfGuide::COMPACT_BITS),
+            ] {
+                for cell in 0..1 << bits {
+                    if let Some(rank) = guide.rank(cell) {
+                        for word in cell_ends(cell, bits) {
+                            assert_eq!(zipf.try_draw(word), Some(rank), "n={n} s={s} cell {cell}");
+                        }
                     }
                 }
             }
@@ -696,8 +786,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
-        /// The guided draw equals `Zipf::sample` draw for draw and leaves the
-        /// generator in the same state, across supports and exponents —
+        /// The guided draw, through a `u16` and a byte guide, equals
+        /// `Zipf::sample` draw for draw and leaves the generator in the same
+        /// state, across supports and exponents —
         /// including `s = 1` and `1 ± 1e-10` (the `ln` branch), the
         /// ill-conditioned `1 ± 1e-7`, `s < 1` and `s = 0` (no guide).
         #[test]
@@ -720,13 +811,14 @@ mod tests {
             // Small supports exercise the clamped top rank.
             let n = if pick % 2 == 0 { n } else { small_n };
             let zipf = Zipf::new(n, s);
-            let guide = ZipfGuide::new(zipf);
-            let mut a = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut b = a.clone();
-            for _ in 0..4_000 {
-                proptest::prop_assert_eq!(guide.sample(&mut a), zipf.sample(&mut b));
+            for guide in [ZipfGuide::new(zipf), ZipfGuide::compact(zipf)] {
+                let mut a = rand::rngs::StdRng::seed_from_u64(seed);
+                let mut b = a.clone();
+                for _ in 0..4_000 {
+                    proptest::prop_assert_eq!(guide.sample(&mut a), zipf.sample(&mut b));
+                }
+                proptest::prop_assert_eq!(a, b);
             }
-            proptest::prop_assert_eq!(a, b);
         }
     }
 

@@ -23,6 +23,31 @@ proptest! {
         }
     }
 
+    /// The hash equals the mixed value modulo the hash size, whether it is
+    /// masked (powers of two, 1 and 2^63 included) or divided (2^k ± 1 and
+    /// arbitrary sizes).
+    #[test]
+    fn hash_equals_mix_modulo_hash_size(
+        k in 0u32..64,
+        pick in 0u32..4,
+        any_size in 1u64..=u64::MAX,
+        seed in any::<u64>(),
+        values in prop::collection::vec(any::<u64>(), 1..200),
+    ) {
+        let hash_size = match pick {
+            0 => 1u64 << k,
+            1 => (1u64 << k) + 1,
+            2 => ((1u64 << k) - 1).max(1),
+            _ => any_size,
+        };
+        for size in [hash_size, 1, 1 << 63] {
+            let h = FeatureHasher::new(size, seed);
+            for &v in &values {
+                prop_assert_eq!(h.hash(v), h.mix(v) % size, "size {}", size);
+            }
+        }
+    }
+
     /// Collision statistics are internally consistent: occupied rows never
     /// exceed either the input count or the hash size, and the derived
     /// fractions stay in [0, 1].

@@ -24,6 +24,13 @@ pub enum ShardingError {
     InvalidPlan(String),
     /// The model and profile disagree (e.g. different feature counts).
     ProfileMismatch(String),
+    /// A table's sort key is NaN or infinite: its greedy cost, or its
+    /// node-assignment traffic (`coverage × row_bytes`), typically from a
+    /// NaN coverage or an infinite pooling factor in the profile.
+    NonFiniteCost {
+        /// The table whose cost or traffic is not finite.
+        table: FeatureId,
+    },
 }
 
 impl std::fmt::Display for ShardingError {
@@ -47,6 +54,9 @@ impl std::fmt::Display for ShardingError {
             ),
             ShardingError::InvalidPlan(msg) => write!(f, "invalid plan: {msg}"),
             ShardingError::ProfileMismatch(msg) => write!(f, "profile mismatch: {msg}"),
+            ShardingError::NonFiniteCost { table } => {
+                write!(f, "table {table} has a non-finite cost or traffic")
+            }
         }
     }
 }

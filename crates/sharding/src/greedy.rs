@@ -32,8 +32,10 @@ impl<C: CostFunction> GreedySharder<C> {
     ///
     /// Returns [`ShardingError::ProfileMismatch`] if the profile does not
     /// cover the model, [`ShardingError::SystemTooSmall`] if the model cannot
-    /// fit in the system at all, and [`ShardingError::CapacityExceeded`] if a
-    /// single table cannot be placed anywhere.
+    /// fit in the system at all, [`ShardingError::NonFiniteCost`] if a
+    /// table's cost is NaN or infinite, and
+    /// [`ShardingError::CapacityExceeded`] if a single table cannot be placed
+    /// anywhere.
     pub fn shard(
         &self,
         model: &ModelSpec,
@@ -61,6 +63,12 @@ impl<C: CostFunction> GreedySharder<C> {
             .zip(profile.profiles())
             .map(|(spec, prof)| (spec.id.index(), self.cost_fn.cost(spec, prof)))
             .collect();
+        // A NaN cost would break the sort's total order.
+        if let Some(&(idx, _)) = order.iter().find(|(_, cost)| !cost.is_finite()) {
+            return Err(ShardingError::NonFiniteCost {
+                table: model.features()[idx].id,
+            });
+        }
         // Descending cost, deterministic tie-break on feature id.
         order.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)

@@ -224,8 +224,9 @@ impl NodeAssigner {
     ///
     /// [`ShardingError::ProfileMismatch`] when the profile does not cover the
     /// model, [`ShardingError::SystemTooSmall`] when the model cannot fit the
-    /// cluster, [`ShardingError::CapacityExceeded`] when some table fits on
-    /// no node.
+    /// cluster, [`ShardingError::NonFiniteCost`] when some table's traffic is
+    /// NaN or infinite, [`ShardingError::CapacityExceeded`] when some table
+    /// fits on no node.
     pub fn assign(
         &self,
         model: &ModelSpec,
@@ -264,6 +265,12 @@ impl NodeAssigner {
                 (spec.id.index(), traffic)
             })
             .collect();
+        // A NaN traffic would break the sort's total order.
+        if let Some(&(idx, _)) = order.iter().find(|(_, traffic)| !traffic.is_finite()) {
+            return Err(ShardingError::NonFiniteCost {
+                table: model.features()[idx].id,
+            });
+        }
         order.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)

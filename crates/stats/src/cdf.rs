@@ -6,8 +6,6 @@
 //! X% of accesses" — approximated by 100 uniformly spaced steps
 //! (Section 4.2, constraints 4–7).
 
-use crate::freq::FrequencyMap;
-
 /// Cumulative distribution of accesses over ranked rows for one table.
 ///
 /// Rows are ranked hottest-first; `cdf.access_fraction(k)` is the fraction of
@@ -27,11 +25,6 @@ pub struct AccessCdf {
 }
 
 impl AccessCdf {
-    /// Builds the CDF from a per-row frequency map.
-    pub fn from_frequency(freq: &FrequencyMap) -> Self {
-        Self::from_cumulative(running_sums(&freq.ranked_counts()), freq.total_accesses())
-    }
-
     /// Builds a CDF directly from descending per-row access counts.
     ///
     /// # Panics
@@ -42,9 +35,19 @@ impl AccessCdf {
             counts.windows(2).all(|w| w[0] >= w[1]),
             "ranked counts must be descending"
         );
-        let cumulative = running_sums(counts);
-        let total = cumulative.last().copied().unwrap_or(0);
-        Self::from_cumulative(cumulative, total)
+        Self::from_ranked_counts_in_place(counts.to_vec())
+    }
+
+    /// [`from_ranked_counts`](Self::from_ranked_counts) without the order
+    /// check, summing the counts in place into the cumulative counts.
+    pub(crate) fn from_ranked_counts_in_place(mut counts: Vec<u64>) -> Self {
+        debug_assert!(counts.windows(2).all(|w| w[0] >= w[1]));
+        let mut running = 0;
+        for count in &mut counts {
+            running += *count;
+            *count = running;
+        }
+        Self::from_cumulative(counts, running)
     }
 
     /// A degenerate CDF for a table that was never accessed during profiling.
@@ -231,17 +234,6 @@ impl AccessCdf {
     }
 }
 
-/// Running sums of `counts`: entry `i` is the sum of the first `i + 1`.
-fn running_sums(counts: &[u64]) -> Vec<u64> {
-    let mut sums = Vec::with_capacity(counts.len());
-    let mut running = 0u64;
-    for &c in counts {
-        running += c;
-        sums.push(running);
-    }
-    sums
-}
-
 /// Piece-wise linear inverse CDF: maps an access-percentage step to the
 /// number of rows required (the paper's `ICDF_j(i)` in constraint 4).
 #[derive(Debug, Clone, PartialEq)]
@@ -285,22 +277,22 @@ impl Icdf {
 mod tests {
     use super::*;
 
-    fn skewed_freq() -> FrequencyMap {
-        // Row 0: 1000 accesses, rows 1..=9: 10 each, rows 10..=109: 1 each.
-        let mut f = FrequencyMap::new();
-        f.record_n(0, 1000);
-        for r in 1..=9u64 {
-            f.record_n(r, 10);
-        }
-        for r in 10..110u64 {
-            f.record_n(r, 1);
-        }
-        f
+    /// Ranked counts of 110 rows: 1000 accesses, then 10 for each of 9
+    /// rows, then 1 for each of 100.
+    fn skewed_counts() -> Vec<u64> {
+        let mut counts = vec![1000];
+        counts.extend([10; 9]);
+        counts.extend([1; 100]);
+        counts
+    }
+
+    fn skewed_cdf() -> AccessCdf {
+        AccessCdf::from_ranked_counts(&skewed_counts())
     }
 
     #[test]
     fn cdf_monotone_and_normalised() {
-        let cdf = AccessCdf::from_frequency(&skewed_freq());
+        let cdf = skewed_cdf();
         let mut prev = 0.0;
         for rows in 0..=cdf.rows_ranked() {
             let f = cdf.access_fraction(rows);
@@ -313,7 +305,7 @@ mod tests {
 
     #[test]
     fn skew_concentrates_in_head() {
-        let cdf = AccessCdf::from_frequency(&skewed_freq());
+        let cdf = skewed_cdf();
         // One row out of 110 covers 1000/1190 ≈ 84% of accesses.
         assert!(cdf.access_fraction(1) > 0.8);
         assert!(cdf.top_percent_share(1.0) > 0.8);
@@ -321,7 +313,7 @@ mod tests {
 
     #[test]
     fn rows_for_fraction_inverts_access_fraction() {
-        let cdf = AccessCdf::from_frequency(&skewed_freq());
+        let cdf = skewed_cdf();
         for pct in [0.0, 0.1, 0.5, 0.84, 0.9, 0.99, 1.0] {
             let rows = cdf.rows_for_access_fraction(pct);
             assert!(
@@ -336,7 +328,7 @@ mod tests {
 
     #[test]
     fn icdf_monotone_and_covers_all_rows_at_last_step() {
-        let cdf = AccessCdf::from_frequency(&skewed_freq());
+        let cdf = skewed_cdf();
         let icdf = cdf.icdf(100);
         assert_eq!(icdf.steps(), 100);
         let rows: Vec<u64> = icdf.points().map(|(_, r)| r).collect();
@@ -347,11 +339,7 @@ mod tests {
 
     #[test]
     fn uniform_distribution_needs_proportional_rows() {
-        let mut f = FrequencyMap::new();
-        for r in 0..1000u64 {
-            f.record_n(r, 5);
-        }
-        let cdf = AccessCdf::from_frequency(&f);
+        let cdf = AccessCdf::from_ranked_counts(&[5; 1000]);
         let half = cdf.rows_for_access_fraction(0.5);
         assert!((half as f64 - 500.0).abs() <= 1.0);
         assert!(cdf.top_percent_share(10.0) < 0.12);
@@ -359,7 +347,7 @@ mod tests {
 
     #[test]
     fn knee_separates_head_from_tail_on_skewed_cdf() {
-        let cdf = AccessCdf::from_frequency(&skewed_freq());
+        let cdf = skewed_cdf();
         let knee = cdf.knee_rank();
         // The single 1000-access row dominates; the knee must sit in the
         // small head, and the head it selects must cover most accesses.
@@ -369,11 +357,7 @@ mod tests {
 
     #[test]
     fn knee_is_small_for_uniform_cdf() {
-        let mut f = FrequencyMap::new();
-        for r in 0..500u64 {
-            f.record_n(r, 3);
-        }
-        let cdf = AccessCdf::from_frequency(&f);
+        let cdf = AccessCdf::from_ranked_counts(&[3; 500]);
         let knee = cdf.knee_rank();
         // Uniform access has no knee: the degenerate maximum lands on the
         // first rank, so a stat-guided cache pins (almost) nothing.
@@ -427,10 +411,17 @@ mod tests {
 
     #[test]
     fn from_ranked_counts_matches_frequency_path() {
-        let freq = skewed_freq();
-        let a = AccessCdf::from_frequency(&freq);
-        let b = AccessCdf::from_ranked_counts(&freq.ranked_counts());
-        assert_eq!(a, b);
+        // The same accesses recorded one by one, coldest row first, so only
+        // the ranking puts the hottest row first.
+        let mut counters = crate::freq::RowCounters::new(1);
+        for (row, &count) in skewed_counts().iter().enumerate().rev() {
+            for _ in 0..count {
+                counters.record(0, row as u64);
+            }
+        }
+        let (rows, counts) = counters.into_ranked().next().unwrap();
+        assert_eq!(rows, (0..110).collect::<Vec<u64>>());
+        assert_eq!(AccessCdf::from_ranked_counts(&counts), skewed_cdf());
     }
 
     #[test]
@@ -441,7 +432,7 @@ mod tests {
 
     #[test]
     fn curve_is_bounded_and_ends_at_one() {
-        let cdf = AccessCdf::from_frequency(&skewed_freq());
+        let cdf = skewed_cdf();
         let curve = cdf.curve(20);
         assert!(curve.len() <= 23);
         assert_eq!(*curve.first().unwrap(), (0.0, 0.0));

@@ -37,7 +37,7 @@ pub mod profiler;
 pub mod streaming;
 
 pub use cdf::{AccessCdf, Icdf};
-pub use freq::FrequencyMap;
+pub use freq::RowCounters;
 pub use profile::{DatasetProfile, FeatureProfile};
 pub use profiler::DatasetProfiler;
 pub use streaming::{P2Quantile, StreamingCdf, Summary, WelfordAccumulator};

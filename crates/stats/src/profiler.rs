@@ -11,31 +11,38 @@
 //! drawing stage walks one sequential sample stream, which must run in
 //! order for the profile to stay bit-identical to
 //! [`consume`](DatasetProfiler::consume)-ing each
-//! [`SampleGenerator::sample`]. It counts each table's presence and writes
-//! every drawn `(table, raw value)` record into fixed-size chunks. The
-//! counting stage hashes each record and counts its row, then
-//! [`finish`](DatasetProfiler::finish) ranks every table. On
-//! `profile_model(skewed_model(5000), 1200)` about 40% of the time goes to
-//! the draws, under 10% to hashing, about 40% to row counting and about
-//! 10% to `finish`. So when a second CPU is available ([`default_workers`])
-//! the drawing stage runs on one scoped worker, and the caller hashes and
-//! counts beside it. Chunks go to the caller and come back empty over two
-//! bounded channels. On a single CPU the caller draws each chunk and then
-//! counts it, through the same two stages.
+//! [`SampleGenerator::sample`]. It draws through
+//! [`SampleGenerator::guided`]'s byte-wide rank guides (the same values
+//! from the same RNG words, at 1 KB per table), counts each table's
+//! presence and writes every drawn `(table, raw value)` record into
+//! fixed-size chunks. The counting stage hashes each record and counts its
+//! row in [`RowCounters`], then [`finish`](DatasetProfiler::finish) ranks
+//! every table. On `profile_model(skewed_model(5000), 1200)`, each stage
+//! timed alone on one thread of a 2-vCPU VM, about 3% of the time goes to
+//! building the guides, 48% to the draws, 6% to hashing, 33% to row
+//! counting and 9% to `finish`. So when a second CPU is available
+//! ([`default_workers`]) the drawing stage runs on one scoped worker, and
+//! the caller hashes and counts beside it. Chunks go to the caller and come
+//! back empty over two bounded channels. `finish` then sorts about half
+//! the rows on a second scoped thread. On a single CPU the caller draws
+//! each chunk and then counts it, through the same two stages, and
+//! finishes alone.
 //!
 //! Counting, `finish` and every allocation stay on the calling thread. The
-//! caller allocates the generator, the presence counts and all chunk
-//! buffers and lends them to the worker, which allocates no buffer of its
-//! own. The reason is memory: glibc gives a thread that allocates an arena
-//! of its own, and memory freed into an arena stays with it, so whatever
-//! the worker allocated would add to the peak RSS beside the caller's heap.
-//! In a prototype, counting on the worker (whose sorted-run buffers grow
-//! and shrink) raised the peak RSS of a 5,000-table profile from 64.5 to
-//! 105 MB, and chunk buffers allocated on the worker raised a 5.2 MB
-//! simulation's to 6.6 MB.
+//! caller allocates the generator and its guides, the presence counts, all
+//! chunk buffers and every buffer `finish`'s sorting thread writes, and
+//! lends them out; no other thread allocates. The reason is memory: glibc
+//! gives a thread that allocates an arena of its own, and memory freed
+//! into an arena stays with it, so whatever another thread allocated would
+//! add to the peak RSS beside the caller's heap. In a prototype, counting
+//! on the worker (whose sorted-run buffers grow and shrink) raised the peak
+//! RSS of a 5,000-table profile from 64.5 to 105 MB, and chunk buffers
+//! allocated on the worker raised a 5.2 MB simulation's to 6.6 MB. The
+//! generator, guides included, is freed before `finish` allocates the
+//! profile, so the profile reuses its memory.
 
 use crate::cdf::AccessCdf;
-use crate::freq::FrequencyMap;
+use crate::freq::RowCounters;
 use crate::profile::{DatasetProfile, FeatureProfile};
 use recshard_data::{default_workers, FeatureHasher, ModelSpec, SampleGenerator, SparseSample};
 use std::sync::mpsc;
@@ -54,7 +61,7 @@ pub struct DatasetProfiler {
     model: ModelSpec,
     hashers: Vec<FeatureHasher>,
     /// Per-table row counts; their totals are the tables' lookup counts.
-    freqs: Vec<FrequencyMap>,
+    rows: RowCounters,
     present: Vec<u64>,
     samples_seen: u64,
 }
@@ -66,7 +73,7 @@ impl DatasetProfiler {
         Self {
             model: model.clone(),
             hashers: model.features().iter().map(|f| f.hasher()).collect(),
-            freqs: vec![FrequencyMap::new(); n],
+            rows: RowCounters::new(n),
             present: vec![0; n],
             samples_seen: 0,
         }
@@ -91,9 +98,8 @@ impl DatasetProfiler {
             }
             self.present[f] += 1;
             let hasher = &self.hashers[f];
-            let freq = &mut self.freqs[f];
             for &raw in values {
-                freq.record(hasher.hash(raw));
+                self.rows.record(f, hasher.hash(raw));
             }
         }
     }
@@ -108,10 +114,19 @@ impl DatasetProfiler {
     /// Finalises the profile, consuming each table's counts with a single
     /// ranking sort.
     pub fn finish(self) -> DatasetProfile {
+        self.finish_on(0)
+    }
+
+    /// [`finish`](Self::finish), sorting about half the rows on one scoped
+    /// thread when `helpers > 0` (see [`RowCounters::into_ranked_on`]).
+    fn finish_on(self, helpers: usize) -> DatasetProfile {
         let mut profiles = Vec::with_capacity(self.model.num_features());
-        let tables = self.freqs.into_iter().zip(self.present);
-        for (spec, (freq, present)) in self.model.features().iter().zip(tables) {
-            let lookups = freq.total_accesses();
+        let tables = self.rows.into_ranked_on(helpers).zip(self.present);
+        for (spec, ((ranked_rows, ranked_counts), present)) in
+            self.model.features().iter().zip(tables)
+        {
+            let cdf = AccessCdf::from_ranked_counts_in_place(ranked_counts);
+            let lookups = cdf.total_accesses();
             let avg_pooling = if present > 0 {
                 lookups as f64 / present as f64
             } else {
@@ -122,7 +137,6 @@ impl DatasetProfiler {
             } else {
                 0.0
             };
-            let (ranked_rows, ranked_counts) = freq.into_ranked();
             profiles.push(FeatureProfile {
                 id: spec.id,
                 hash_size: spec.hash_size,
@@ -133,7 +147,7 @@ impl DatasetProfiler {
                 total_lookups: lookups,
                 avg_pooling,
                 coverage,
-                cdf: AccessCdf::from_ranked_counts(&ranked_counts),
+                cdf,
                 ranked_rows,
             });
         }
@@ -143,7 +157,7 @@ impl DatasetProfiler {
     /// The counting stage: hashes each drawn record and counts its row.
     fn count(&mut self, chunk: &[Record]) {
         for &(f, raw) in chunk {
-            self.freqs[f].record(self.hashers[f].hash(raw));
+            self.rows.record(f, self.hashers[f].hash(raw));
         }
     }
 
@@ -152,6 +166,7 @@ impl DatasetProfiler {
     ///
     /// Bit-identical to [`consume`](Self::consume)-ing each
     /// [`SampleGenerator::sample`], but draws through
+    /// [`SampleGenerator::guided`]'s guides and
     /// [`SampleGenerator::sample_each`], so no sample is materialised. The
     /// draws run on one worker thread when a second CPU is available, while
     /// this thread hashes, counts and finishes; on a single CPU this thread
@@ -173,7 +188,7 @@ impl DatasetProfiler {
     ) -> DatasetProfile {
         let mut profiler = DatasetProfiler::new(model);
         let mut stage = DrawStage {
-            gen: SampleGenerator::new(model, seed),
+            gen: SampleGenerator::guided(model, seed),
             samples: num_samples,
             present: std::mem::take(&mut profiler.present),
         };
@@ -218,9 +233,11 @@ impl DatasetProfiler {
                 }
             });
         }
+        // The generator and its guides go before `finish` allocates.
         profiler.present = stage.present;
+        drop(stage.gen);
         profiler.samples_seen = num_samples as u64;
-        profiler.finish()
+        profiler.finish_on(workers)
     }
 }
 

@@ -1,42 +1,61 @@
-//! Property-based tests for the statistics stack: frequency maps, access
+//! Property-based tests for the statistics stack: row counters, access
 //! CDFs and their piece-wise linear inverses.
 
 use proptest::prelude::*;
-use recshard_stats::{AccessCdf, FrequencyMap};
+use recshard_stats::{AccessCdf, RowCounters};
 use std::collections::BTreeMap;
+
+/// The ranked rows and counts of one table that recorded `rows`.
+fn ranked(rows: &[u64]) -> (Vec<u64>, Vec<u64>) {
+    let mut counters = RowCounters::new(1);
+    for &row in rows {
+        counters.record(0, row);
+    }
+    counters.into_ranked().next().unwrap_or_default()
+}
+
+/// The access CDF of one table that recorded `rows`.
+fn cdf_of(rows: &[u64]) -> AccessCdf {
+    AccessCdf::from_ranked_counts(&ranked(rows).1)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Total accesses and distinct-row counts are conserved by construction.
     #[test]
-    fn frequency_map_conserves_counts(rows in prop::collection::vec(0u64..500, 1..400)) {
-        let map: FrequencyMap = rows.iter().copied().collect();
-        prop_assert_eq!(map.total_accesses(), rows.len() as u64);
+    fn row_counters_conserve_counts(rows in prop::collection::vec(0u64..500, 1..400)) {
+        let mut counters = RowCounters::new(1);
+        for &row in &rows {
+            counters.record(0, row);
+        }
+        prop_assert_eq!(counters.total_accesses(0), rows.len() as u64);
+        let (ranked, counts) = counters.into_ranked().next().unwrap_or_default();
         let distinct: std::collections::HashSet<_> = rows.iter().collect();
-        prop_assert_eq!(map.distinct_rows(), distinct.len() as u64);
-        let summed: u64 = map.iter().map(|(_, c)| c).sum();
-        prop_assert_eq!(summed, rows.len() as u64);
+        prop_assert_eq!(ranked.len(), distinct.len());
+        prop_assert_eq!(counts.iter().sum::<u64>(), rows.len() as u64);
     }
 
     /// The ranked-row ordering is a permutation of the accessed rows with
-    /// non-increasing counts.
+    /// non-increasing counts, each the row's number of accesses.
     #[test]
     fn ranked_rows_are_sorted_by_count(rows in prop::collection::vec(0u64..100, 1..300)) {
-        let map: FrequencyMap = rows.iter().copied().collect();
-        let ranked = map.ranked_rows();
-        prop_assert_eq!(ranked.len() as u64, map.distinct_rows());
-        for w in ranked.windows(2) {
-            prop_assert!(map.count(w[0]) >= map.count(w[1]));
+        let (ranked, counts) = ranked(&rows);
+        let mut sorted = ranked.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        prop_assert_eq!(sorted.len(), ranked.len());
+        for (row, &count) in ranked.iter().zip(&counts) {
+            prop_assert_eq!(rows.iter().filter(|&r| r == row).count() as u64, count);
         }
+        prop_assert!(counts.windows(2).all(|w| w[0] >= w[1]));
     }
 
     /// The CDF is monotone, bounded by [0, 1], and reaches exactly 1 at the
     /// number of ranked rows.
     #[test]
     fn cdf_is_monotone_and_normalised(rows in prop::collection::vec(0u64..200, 1..500)) {
-        let map: FrequencyMap = rows.iter().copied().collect();
-        let cdf = AccessCdf::from_frequency(&map);
+        let cdf = cdf_of(&rows);
         let mut prev = 0.0;
         for k in 0..=cdf.rows_ranked() {
             let f = cdf.access_fraction(k);
@@ -54,8 +73,7 @@ proptest! {
         rows in prop::collection::vec(0u64..200, 1..500),
         pct in 0.0f64..1.0,
     ) {
-        let map: FrequencyMap = rows.iter().copied().collect();
-        let cdf = AccessCdf::from_frequency(&map);
+        let cdf = cdf_of(&rows);
         let needed = cdf.rows_for_access_fraction(pct);
         prop_assert!(cdf.access_fraction(needed) + 1e-12 >= pct);
         if needed > 0 {
@@ -67,8 +85,7 @@ proptest! {
     /// number of accessed rows.
     #[test]
     fn icdf_steps_monotone(rows in prop::collection::vec(0u64..300, 1..400)) {
-        let map: FrequencyMap = rows.iter().copied().collect();
-        let cdf = AccessCdf::from_frequency(&map);
+        let cdf = cdf_of(&rows);
         let icdf = cdf.icdf(100);
         let mut prev = 0;
         for i in 0..=100 {
@@ -198,25 +215,18 @@ fn icdf_walk_equals_per_step_searches_on_edge_cases() {
     }
 }
 
-/// Checks every read-only query of `map` against the `BTreeMap` reference.
-fn assert_matches_reference(map: &FrequencyMap, reference: &BTreeMap<u64, u64>) {
-    let expected: Vec<(u64, u64)> = reference.iter().map(|(&r, &c)| (r, c)).collect();
-    prop_assert_eq!(map.iter().collect::<Vec<_>>(), expected.clone());
-    prop_assert_eq!(map.distinct_rows(), reference.len() as u64);
-    prop_assert_eq!(map.total_accesses(), reference.values().sum::<u64>());
-    for row in (0..ROWS + 3).step_by(13) {
-        prop_assert_eq!(map.count(row), reference.get(&row).copied().unwrap_or(0));
+/// Checks the ranking of every table of `counters` against its `BTreeMap`
+/// reference: hottest first, ties broken by ascending row id.
+fn assert_matches_reference(counters: &RowCounters, reference: &[BTreeMap<u64, u64>]) {
+    let tables: Vec<(Vec<u64>, Vec<u64>)> = counters.clone().into_ranked().collect();
+    prop_assert_eq!(tables.len(), reference.len());
+    for (t, ((rows, counts), expected)) in tables.iter().zip(reference).enumerate() {
+        prop_assert_eq!(counters.total_accesses(t), expected.values().sum::<u64>());
+        let mut ranked: Vec<(u64, u64)> = expected.iter().map(|(&r, &c)| (r, c)).collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        prop_assert_eq!(rows, &ranked.iter().map(|&(r, _)| r).collect::<Vec<_>>());
+        prop_assert_eq!(counts, &ranked.iter().map(|&(_, c)| c).collect::<Vec<_>>());
     }
-    let mut ranked = expected;
-    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    prop_assert_eq!(
-        map.ranked_rows(),
-        ranked.iter().map(|&(r, _)| r).collect::<Vec<_>>()
-    );
-    prop_assert_eq!(
-        map.ranked_counts(),
-        ranked.iter().map(|&(_, c)| c).collect::<Vec<_>>()
-    );
 }
 
 /// Row ids drawn by the interleaving test: few enough that bursts repeat
@@ -227,66 +237,37 @@ const ROWS: u64 = 1_500;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The sorted-run map agrees with a `BTreeMap` reference after every
-    /// step of a random interleaving of `record` bursts, `record_n` (n may
-    /// be 0) and `merge`, and equal maps compare equal whatever order they
-    /// were built in.
+    /// The counters agree with a `BTreeMap` reference per table after every
+    /// step of a random interleaving of bursts of records, spread over three
+    /// tables that share one merge buffer, some bursts with rows past
+    /// `u32::MAX` (which move a table to its wide map), and the same
+    /// accesses in reverse rank identically.
     #[test]
-    fn frequency_map_matches_a_btreemap_reference(
+    fn row_counters_match_a_btreemap_reference(
         steps in prop::collection::vec(
-            (0u8..3, 0u64..ROWS, 0u64..4, prop::collection::vec(0u64..ROWS, 0..700)),
+            (0usize..3, 0u64..8, prop::collection::vec(0u64..ROWS, 0..700)),
             1..10,
         ),
     ) {
-        let mut map = FrequencyMap::new();
-        let mut reference = BTreeMap::new();
+        let mut counters = RowCounters::new(3);
+        let mut reference = vec![BTreeMap::new(); 3];
         let mut accesses = Vec::new();
-        for (kind, row, n, burst) in steps {
-            match kind {
-                0 => {
-                    for &r in &burst {
-                        map.record(r);
-                        *reference.entry(r).or_insert(0) += 1;
-                    }
-                    accesses.extend(burst.iter().map(|&r| (r, 1)));
-                }
-                1 => {
-                    map.record_n(row, n);
-                    if n > 0 {
-                        *reference.entry(row).or_insert(0) += n;
-                    }
-                    accesses.push((row, n));
-                }
-                _ => {
-                    let other: FrequencyMap = burst.iter().copied().collect();
-                    map.merge(&other);
-                    for &r in &burst {
-                        *reference.entry(r).or_insert(0) += 1;
-                    }
-                    accesses.extend(burst.iter().map(|&r| (r, 1)));
-                }
+        for (table, wide, burst) in steps {
+            for &r in &burst {
+                // One burst in eight lands past 32 bits.
+                let row = if wide == 0 { r << 32 | r } else { r };
+                counters.record(table, row);
+                *reference[table].entry(row).or_insert(0) += 1;
+                accesses.push((table, row));
             }
-            assert_matches_reference(&map, &reference);
+            assert_matches_reference(&counters, &reference);
         }
 
-        // The same accesses in reverse, and the reference's counts in
-        // descending row order, build maps equal to `map`.
-        let mut reversed = FrequencyMap::new();
-        for &(r, n) in accesses.iter().rev() {
-            if n == 1 {
-                reversed.record(r);
-            } else {
-                reversed.record_n(r, n);
-            }
+        let mut reversed = RowCounters::new(3);
+        for &(table, row) in accesses.iter().rev() {
+            reversed.record(table, row);
         }
-        let mut bulk = FrequencyMap::new();
-        for (&r, &c) in reference.iter().rev() {
-            bulk.record_n(r, c);
-        }
-        prop_assert!(reversed == map);
-        prop_assert!(bulk == map);
-        bulk.record(ROWS);
-        prop_assert!(bulk != map);
+        assert_matches_reference(&reversed, &reference);
     }
 }
 
@@ -294,29 +275,21 @@ proptest! {
 /// pinning: single-row tables, uniform CDFs with no knee, and degenerate
 /// all-zero / never-accessed profiles.
 mod knee_rank_edge_cases {
-    use recshard_stats::{AccessCdf, FrequencyMap};
+    use recshard_stats::AccessCdf;
 
     #[test]
     fn single_row_table_knees_at_its_only_row() {
-        let mut f = FrequencyMap::new();
-        f.record_n(0, 1);
-        let knee = AccessCdf::from_frequency(&f).knee_rank();
+        let knee = AccessCdf::from_ranked_counts(&[1]).knee_rank();
         assert_eq!(knee, 1, "the only accessed row is the whole head");
 
         // Heavier traffic on the same single row changes nothing.
-        let mut f = FrequencyMap::new();
-        f.record_n(0, 1_000_000);
-        assert_eq!(AccessCdf::from_frequency(&f).knee_rank(), 1);
+        assert_eq!(AccessCdf::from_ranked_counts(&[1_000_000]).knee_rank(), 1);
     }
 
     #[test]
     fn uniform_cdf_has_no_knee_and_pins_almost_nothing() {
-        for rows in [2u64, 10, 1_000] {
-            let mut f = FrequencyMap::new();
-            for r in 0..rows {
-                f.record_n(r, 7);
-            }
-            let cdf = AccessCdf::from_frequency(&f);
+        for rows in [2usize, 10, 1_000] {
+            let cdf = AccessCdf::from_ranked_counts(&vec![7; rows]);
             let knee = cdf.knee_rank();
             // A perfectly uniform curve sits on the diagonal: the degenerate
             // maximum lands on the first rank, so a stat-guided cache pins
@@ -331,9 +304,8 @@ mod knee_rank_edge_cases {
     #[test]
     fn all_zero_and_empty_profiles_knee_at_zero() {
         assert_eq!(AccessCdf::empty().knee_rank(), 0);
-        // A frequency map that recorded nothing behaves like empty.
-        let f = FrequencyMap::new();
-        assert_eq!(AccessCdf::from_frequency(&f).knee_rank(), 0);
+        // A table that recorded nothing behaves like empty.
+        assert_eq!(super::cdf_of(&[]).knee_rank(), 0);
         // Ranked counts that are all zero carry zero total accesses.
         let cdf = AccessCdf::from_ranked_counts(&[0, 0, 0]);
         assert_eq!(cdf.total_accesses(), 0);
@@ -344,14 +316,9 @@ mod knee_rank_edge_cases {
     fn knee_is_within_ranked_rows_and_covers_the_head() {
         // A two-tier distribution: the knee must sit at the head/tail
         // boundary and cover the head's share of accesses.
-        let mut f = FrequencyMap::new();
-        for r in 0..10u64 {
-            f.record_n(r, 100);
-        }
-        for r in 10..1_000u64 {
-            f.record_n(r, 1);
-        }
-        let cdf = AccessCdf::from_frequency(&f);
+        let mut counts = vec![100; 10];
+        counts.extend([1; 990]);
+        let cdf = AccessCdf::from_ranked_counts(&counts);
         let knee = cdf.knee_rank();
         assert!(knee >= 1 && knee <= cdf.rows_ranked());
         assert_eq!(knee, 10, "knee must sit exactly at the head/tail boundary");

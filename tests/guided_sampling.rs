@@ -13,36 +13,51 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use recshard_bench::solver_bench::bench_system;
 use recshard_bench::{skewed_model, Strategy};
-use recshard_data::{ModelSpec, PoolingGuide, Zipf, ZipfGuide};
+use recshard_data::{ModelSpec, PoolingGuide, SampleGenerator, Zipf, ZipfGuide};
 use recshard_memsim::{sample_batch_accesses, AccessCounters, TableSampler};
 use recshard_sharding::{MemoryTier, RemapTable, ShardingPlan};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
 
-/// Every resolved cell of every table's guide returns its stored rank from
-/// the lowest and the highest RNG word in the cell.
+/// Every resolved cell of every table's guide, `u16` and byte-wide,
+/// returns its stored rank from the lowest and the highest RNG word in the
+/// cell.
 fn assert_cells_exact(model: &ModelSpec) {
     let mut resolved = 0;
     for spec in model.features() {
         let zipf = spec.value_distribution();
-        let guide = ZipfGuide::new(zipf);
-        for cell in 0..ZipfGuide::CELLS {
-            let Some(rank) = guide.rank(cell) else {
-                continue;
-            };
-            let lowest = (cell as u64) << (64 - ZipfGuide::BITS);
-            let highest = lowest | (u64::MAX >> ZipfGuide::BITS);
-            for word in [lowest, highest] {
-                assert_eq!(
-                    zipf.try_draw(word),
-                    Some(rank),
-                    "{}: cell {cell}, word {word:#018x}",
-                    spec.id
-                );
+        for (guide, bits) in [
+            (ZipfGuide::new(zipf), ZipfGuide::BITS),
+            (ZipfGuide::compact(zipf), ZipfGuide::COMPACT_BITS),
+        ] {
+            for cell in 0..1 << bits {
+                let Some(rank) = guide.rank(cell) else {
+                    continue;
+                };
+                for word in cell_ends(cell, bits) {
+                    assert_eq!(
+                        zipf.try_draw(word),
+                        Some(rank),
+                        "{}: {bits}-bit cell {cell}, word {word:#018x}",
+                        spec.id
+                    );
+                }
+                resolved += 1;
             }
-            resolved += 1;
         }
     }
     assert!(resolved > 0, "{} resolved no cells", model.name());
+}
+
+#[test]
+fn the_plan_5k_profile_guides_fit_their_byte_budget() {
+    // The profile behind perfbench's `plan_5k`: a 1 KiB byte guide per
+    // table (every exponent is positive) and one 4 KiB pooling guide for
+    // the 1,667 long-tail tables, which share one spec; about 5 MB in all.
+    let model = skewed_model(5_000);
+    let budget = 5_000 * ZipfGuide::COMPACT_CELLS + PoolingGuide::CELLS;
+    let gen = SampleGenerator::guided(&model, 1);
+    assert_eq!(gen.guide_bytes(), budget);
+    assert!(budget < 5_200_000);
 }
 
 #[test]

@@ -2,10 +2,14 @@
 //! capacity-constrained system, checking the invariants every stage must
 //! uphold together.
 
-use recshard::{RecShard, RecShardConfig};
-use recshard_data::ModelSpec;
+use recshard::{HierarchicalSolver, RecShard, RecShardConfig, RecShardError, StructuredSolver};
+use recshard_bench::skewed_model;
+use recshard_data::{FeatureId, ModelSpec};
 use recshard_memsim::{EmbeddingOpSimulator, SimConfig};
-use recshard_sharding::{MemoryTier, SystemSpec};
+use recshard_sharding::{
+    GreedySharder, LookupCost, MemoryTier, NodeTopology, ShardingError, SizeLookupCost, SystemSpec,
+};
+use recshard_stats::{DatasetProfile, DatasetProfiler};
 
 #[test]
 fn full_pipeline_respects_all_invariants() {
@@ -118,4 +122,59 @@ fn exact_milp_and_structured_solver_agree_on_tiny_instances() {
     let est = recshard_memsim::AnalyticalEstimator::new(&profile, &system, 64);
     assert!(est.uvm_access_fraction(&exact) < 0.2);
     assert!(est.uvm_access_fraction(&structured) < 0.2);
+}
+
+#[test]
+fn nan_coverage_and_pooling_are_typed_errors_in_every_solver() {
+    // Every third table's coverage is NaN. The hierarchical solver's node
+    // assignment sorts on traffic derived from it and the structured solver
+    // prices it; each must return a typed error rather than panic in a sort.
+    let model = skewed_model(300);
+    let profile = DatasetProfiler::profile_model(&model, 200, 3);
+    let with_nan = |edit: fn(&mut recshard_stats::FeatureProfile)| {
+        let mut profiles = profile.profiles().to_vec();
+        profiles.iter_mut().step_by(3).for_each(edit);
+        DatasetProfile::new(profiles, profile.samples_profiled())
+    };
+    let nan_coverage = with_nan(|p| p.coverage = f64::NAN);
+    let system = SystemSpec::uniform(
+        16,
+        model.total_bytes() / 48,
+        model.total_bytes(),
+        1555.0,
+        16.0,
+    );
+    let nan_table = ShardingError::NonFiniteCost {
+        table: FeatureId(0),
+    };
+    let config = RecShardConfig::default();
+    assert_eq!(
+        HierarchicalSolver::new(config, NodeTopology::new(4, 4)).solve(
+            &model,
+            &nan_coverage,
+            &system
+        ),
+        Err(RecShardError::Sharding(nan_table.clone()))
+    );
+    assert_eq!(
+        StructuredSolver::new(config).solve(&model, &nan_coverage, &system),
+        Err(RecShardError::NonFiniteCost {
+            table: 0,
+            class: system.reference_class().name,
+        })
+    );
+    // The greedy baselines' costs read the pooling factor, not the
+    // coverage: they still plan on the NaN coverages, and reject NaN
+    // pooling factors.
+    let greedy = GreedySharder::new(SizeLookupCost).shard(&model, &nan_coverage, &system);
+    assert!(greedy.is_ok_and(|plan| plan.validate(&model, &system).is_ok()));
+    let nan_pooling = with_nan(|p| p.avg_pooling = f64::NAN);
+    assert_eq!(
+        GreedySharder::new(LookupCost).shard(&model, &nan_pooling, &system),
+        Err(nan_table.clone())
+    );
+    assert_eq!(
+        GreedySharder::new(SizeLookupCost).shard(&model, &nan_pooling, &system),
+        Err(nan_table)
+    );
 }
