@@ -68,6 +68,8 @@ impl ExperimentConfig {
     }
 
     /// A smaller configuration for tests.
+    // recshard-lint: allow(test-only-pub) -- the reduced run the golden tests
+    // under tests/ pin, which cannot reach a #[cfg(test)] item.
     pub fn tiny() -> Self {
         Self {
             scale: 16_384,

@@ -100,6 +100,8 @@ impl ScenarioBenchConfig {
     }
 
     /// A seconds-scale sweep for tests and CI smoke runs.
+    // recshard-lint: allow(test-only-pub) -- the reduced run the golden tests
+    // under tests/ pin, which cannot reach a #[cfg(test)] item.
     pub fn tiny() -> Self {
         Self {
             tables: 16,

@@ -88,7 +88,8 @@ impl ServeBenchConfig {
     }
 
     /// A seconds-scale sweep for tests.
-    pub fn tiny() -> Self {
+    #[cfg(test)]
+    pub(crate) fn tiny() -> Self {
         Self {
             tables: 12,
             profile_samples: 1_500,

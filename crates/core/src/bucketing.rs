@@ -115,23 +115,23 @@ impl TableBuckets {
         let mut strata: HashMap<(u64, u64), Vec<(f64, usize)>> = HashMap::new();
 
         for (t, (spec, prof)) in model.features().iter().zip(profile.profiles()).enumerate() {
+            // Access share outside the hottest `1/2^k` of the rows.
+            let tail = |k: usize| {
+                let rows = ((spec.hash_size as f64 / (1u64 << k) as f64).ceil() as u64).max(1);
+                1.0 - prof.cdf.access_fraction(rows)
+            };
             let sig = Signature {
                 coverage: prof.coverage,
                 pooling: prof.avg_pooling.max(0.0),
-                tails: (1..=probe_points)
-                    .map(|k| {
-                        let rows =
-                            ((spec.hash_size as f64 / (1u64 << k) as f64).ceil() as u64).max(1);
-                        1.0 - prof.cdf.access_fraction(rows)
-                    })
-                    .collect(),
+                tails: (1..=probe_points).map(tail).collect(),
             };
             let stratum = strata
                 .entry((spec.row_bytes(), spec.hash_size))
                 .or_default();
-            // Conservative superset of the key-probe values close() can
-            // accept (the exact check still runs per candidate).
-            let a = *sig.tails.last().expect("probes non-empty");
+            // The key probe is the finest one. Conservative superset of the
+            // key-probe values close() can accept (the exact check still
+            // runs per candidate).
+            let a = tail(probe_points);
             let (lo_key, hi_key) = if tolerance < 1.0 {
                 (
                     a * (1.0 - tolerance) - tolerance * tail_floor - 1e-12,

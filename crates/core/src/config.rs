@@ -75,12 +75,6 @@ impl RecShardConfig {
         self
     }
 
-    /// Returns a copy using the bucketed solver (warm-startable).
-    pub fn with_scalable(mut self) -> Self {
-        self.solver = SolverKind::Scalable;
-        self
-    }
-
     /// Returns a copy with a different ICDF step count.
     pub fn with_icdf_steps(mut self, steps: usize) -> Self {
         self.icdf_steps = steps;

@@ -221,8 +221,7 @@ impl MilpFormulation {
         }
         // Constraints 11+12+1: per-GPU coverage-weighted cost <= C. The C
         // variable absorbs the cost normalisation, so the reported objective
-        // must be divided by `cost_scale` to recover milliseconds (see
-        // `optimal_objective`).
+        // must be divided by `cost_scale` to recover milliseconds.
         for m in 0..num_gpus {
             let menus = &costs_by_class[system.class_of(m)];
             let mut terms = Vec::new();
@@ -241,6 +240,8 @@ impl MilpFormulation {
         let costs = costs_by_class
             .into_iter()
             .next()
+            // recshard-lint: allow(unwrap) -- a SystemSpec has at least one
+            // device class: its constructor rejects an empty class list.
             .expect("at least one device class");
         Ok((
             milp,
@@ -336,27 +337,13 @@ impl MilpFormulation {
             .collect();
         let mut next_in_class = vec![0usize; system.num_classes()];
         for (j, spec) in model.features().iter().enumerate() {
-            let gpu = (0..num_gpus)
-                .max_by(|&a, &b| {
-                    solution
-                        .value(vars.p[a][j])
-                        .partial_cmp(&solution.value(vars.p[b][j]))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("at least one GPU");
+            let gpu = arg_max(num_gpus, |m| solution.value(vars.p[m][j]));
             if canonical_of[gpu] == usize::MAX {
                 let class = system.class_of(gpu);
                 canonical_of[gpu] = class_ids[class][next_in_class[class]];
                 next_in_class[class] += 1;
             }
-            let step = (0..=steps)
-                .max_by(|&a, &b| {
-                    solution
-                        .value(vars.x[j][a])
-                        .partial_cmp(&solution.value(vars.x[j][b]))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("at least one step");
+            let step = arg_max(steps + 1, |i| solution.value(vars.x[j][i]));
             placements.push(TablePlacement {
                 table: spec.id,
                 gpu: canonical_of[gpu],
@@ -367,22 +354,16 @@ impl MilpFormulation {
         }
         Ok(ShardingPlan::new("recshard-milp", num_gpus, placements))
     }
+}
 
-    /// The optimal objective value (max per-GPU cost) of the exact MILP, in
-    /// the same milliseconds unit the cost model uses.
-    ///
-    /// # Errors
-    ///
-    /// Propagates build and solver errors.
-    pub fn optimal_objective(
-        &self,
-        model: &ModelSpec,
-        profile: &DatasetProfile,
-        system: &SystemSpec,
-    ) -> Result<f64, RecShardError> {
-        let (milp, vars, _) = self.build(model, profile, system)?;
-        Ok(milp.solve()?.objective() / vars.cost_scale)
-    }
+/// The index in `0..n` with the largest `value`, the last on ties and
+/// treating incomparable values as tied (as `Iterator::max_by` does); 0
+/// when `n` is 0.
+fn arg_max(n: usize, value: impl Fn(usize) -> f64) -> usize {
+    (1..n).fold(0, |best, i| match value(best).partial_cmp(&value(i)) {
+        Some(std::cmp::Ordering::Greater) => best,
+        _ => i,
+    })
 }
 
 #[cfg(test)]
@@ -441,10 +422,10 @@ mod tests {
     #[test]
     fn structured_solver_close_to_exact_optimum() {
         let (model, profile, system, config) = tiny_setup(4, 43);
-        let formulation = MilpFormulation::new(config);
-        let exact_obj = formulation
-            .optimal_objective(&model, &profile, &system)
+        let (milp, vars, _) = MilpFormulation::new(config)
+            .build(&model, &profile, &system)
             .unwrap();
+        let exact_obj = milp.solve().unwrap().objective() / vars.cost_scale;
 
         let mut structured_cfg = config;
         structured_cfg.hbm_slack = 0.0;

@@ -120,7 +120,7 @@ impl HierarchicalSolver {
             .map_err(RecShardError::InvalidConfig)?;
         let assignment = self.assign_nodes(model, profile, system)?;
 
-        let mut placements: Vec<Option<TablePlacement>> = vec![None; model.num_features()];
+        let mut placements: Vec<TablePlacement> = Vec::with_capacity(model.num_features());
         for node in 0..self.topology.num_nodes {
             let tables = assignment.tables_on_node(node);
             if tables.is_empty() {
@@ -180,18 +180,16 @@ impl HierarchicalSolver {
             let base_gpu = node * self.topology.gpus_per_node;
             for (local, placement) in sub_plan.placements().iter().enumerate() {
                 let global_table = tables[local];
-                placements[global_table] = Some(TablePlacement {
+                placements.push(TablePlacement {
                     table: FeatureId(global_table as u32),
                     gpu: base_gpu + placement.gpu,
                     ..*placement
                 });
             }
         }
-
-        let placements = placements
-            .into_iter()
-            .map(|p| p.expect("every table placed by its node"))
-            .collect();
+        // The node assignment places every table on exactly one node: back
+        // to dense feature order.
+        placements.sort_unstable_by_key(|p| p.table.index());
         let plan = ShardingPlan::new("recshard-hierarchical", system.num_gpus(), placements)
             .with_topology(self.topology);
         debug_assert!(plan.validate(model, system).is_ok());
@@ -215,13 +213,20 @@ fn subproblem(
             spec
         })
         .collect();
+    // The solvers read each table's statistics and CDF only: the ranked
+    // rows, about half a profile's bytes, build remap tables and are left
+    // out.
     let profiles: Vec<FeatureProfile> = tables
         .iter()
         .enumerate()
         .map(|(local, &t)| {
-            let mut p = profile.profiles()[t].clone();
-            p.id = FeatureId(local as u32);
-            p
+            let p = &profile.profiles()[t];
+            FeatureProfile {
+                id: FeatureId(local as u32),
+                cdf: p.cdf.clone(),
+                ranked_rows: Vec::new(),
+                ..*p
+            }
         })
         .collect();
     let sub_model = ModelSpec::new(
@@ -262,10 +267,11 @@ mod tests {
         plan.validate(&model, &system).unwrap();
         assert_eq!(plan.topology(), Some(topology));
         assert_eq!(plan.strategy(), "recshard-hierarchical");
-        // Node assignments derived from GPU ids must be in range.
-        for &node in &plan.node_assignments() {
-            assert!(node < 2);
-        }
+        // The two nodes' tables partition the model.
+        assert_eq!(
+            plan.tables_on_node(0).len() + plan.tables_on_node(1).len(),
+            model.num_features()
+        );
         // Flattening drops the annotation but keeps a valid plan.
         let flat = plan.flatten();
         assert_eq!(flat.topology(), None);

@@ -309,7 +309,10 @@ mod tests {
         // controller's re-solves seed from the installed plan (and gate
         // against cold), so the run must stay deterministic and drain
         // exactly like any other.
-        let sharder = RecShard::new(RecShardConfig::default().with_scalable());
+        let sharder = RecShard::new(RecShardConfig {
+            solver: SolverKind::Scalable,
+            ..RecShardConfig::default()
+        });
         let (model, system, plan, summary) = storm_run(&sharder);
         assert_eq!(summary.strategy, "recshard-scalable");
         // The controller's own re-solve goes through the bucketed solver.

@@ -30,7 +30,7 @@ impl ScalableSolver {
 mod tests {
     use super::*;
     use crate::error::RecShardError;
-    use recshard_data::ModelSpec;
+    use recshard_data::{DriftModel, ModelSpec};
     use recshard_sharding::{ShardingPlan, SystemSpec};
     use recshard_stats::{DatasetProfile, DatasetProfiler};
 
@@ -48,6 +48,25 @@ mod tests {
             model.total_bytes(),
             1555.0,
             16.0,
+        )
+    }
+
+    /// `model` with every feature's mean pooling scaled to `month` of `drift`.
+    fn model_at_month(drift: &DriftModel, model: &ModelSpec, month: u32) -> ModelSpec {
+        let features = model
+            .features()
+            .iter()
+            .map(|f| {
+                let mut f = f.clone();
+                f.pooling = f.pooling.with_mean_scaled(drift.factor(f.class, month));
+                f
+            })
+            .collect();
+        ModelSpec::new(
+            format!("{}@month{}", model.name(), month),
+            model.kind(),
+            features,
+            model.batch_size(),
         )
     }
 
@@ -124,7 +143,6 @@ mod tests {
     /// the whole point of carrying the assignment across re-sharding events.
     #[test]
     fn warm_start_no_worse_than_cold_on_seeded_drift_traces() {
-        use recshard_data::DriftModel;
         for seed in [3u64, 11, 29] {
             let (model, profile) = setup(12, seed);
             let system = pressured(&model, 2, 6);
@@ -133,7 +151,7 @@ mod tests {
 
             let drift = DriftModel::paper_like();
             for month in [2u32, drift.months()] {
-                let drifted = drift.model_at_month(&model, month);
+                let drifted = model_at_month(&drift, &model, month);
                 let drifted_profile =
                     DatasetProfiler::profile_model(&drifted, 2_000, seed ^ 0xD81F7);
 

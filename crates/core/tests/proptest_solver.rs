@@ -189,11 +189,12 @@ proptest! {
         let (model, profile, system) = tiny_instance(n_tables, seed, hbm_denominator);
         let config = RecShardConfig::default().with_icdf_steps(3);
         let formulation = MilpFormulation::new(config);
-        let (_, _, costs) = formulation.build(&model, &profile, &system).unwrap();
+        let (milp, vars, costs) = formulation.build(&model, &profile, &system).unwrap();
 
         let brute = brute_force_optimum(&costs, &system);
-        match formulation.optimal_objective(&model, &profile, &system) {
-            Ok(exact) => {
+        match milp.solve() {
+            Ok(solution) => {
+                let exact = solution.objective() / vars.cost_scale;
                 let brute = brute.expect("MILP feasible implies enumeration feasible");
                 prop_assert!(
                     (exact - brute).abs() <= 1e-6 * brute.max(1.0),

@@ -10,7 +10,6 @@
 //! two feature classes following different trajectories.
 
 use crate::feature::FeatureClass;
-use crate::model::ModelSpec;
 
 /// One point of the drift trajectory.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,27 +110,6 @@ impl DriftModel {
             })
             .collect()
     }
-
-    /// Returns a copy of `model` with every feature's pooling mean adjusted to
-    /// the given month, e.g. to evaluate how stale a sharding plan becomes as
-    /// the data distribution shifts.
-    pub fn model_at_month(&self, model: &ModelSpec, month: u32) -> ModelSpec {
-        let features = model
-            .features()
-            .iter()
-            .map(|f| {
-                let mut f = f.clone();
-                f.pooling = f.pooling.with_mean_scaled(self.factor(f.class, month));
-                f
-            })
-            .collect();
-        ModelSpec::new(
-            format!("{}@month{}", model.name(), month),
-            model.kind(),
-            features,
-            model.batch_size(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -182,24 +160,6 @@ mod tests {
         assert_eq!(t.len(), 21);
         assert_eq!(t[0].month, 0);
         assert_eq!(t[20].month, 20);
-    }
-
-    #[test]
-    fn model_at_month_rescales_pooling() {
-        let model = ModelSpec::small(6, 3);
-        let d = DriftModel::paper_like();
-        let drifted = d.model_at_month(&model, 20);
-        for (orig, new) in model.features().iter().zip(drifted.features()) {
-            let expected = d.factor(orig.class, 20);
-            let ratio = new.avg_pooling() / orig.avg_pooling();
-            // Constant(1)/OneHot poolings cannot shrink below 1 and round to integers.
-            if orig.avg_pooling() > 1.5 {
-                assert!(
-                    (ratio - expected).abs() < 0.2,
-                    "ratio {ratio} expected {expected}"
-                );
-            }
-        }
     }
 
     #[test]

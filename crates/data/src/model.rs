@@ -23,10 +23,6 @@ use rand::{Rng, SeedableRng};
 pub const PAPER_NUM_FEATURES: usize = 397;
 /// Total hash size (rows) of RM1 in the paper.
 pub const RM1_TOTAL_HASH_SIZE: u64 = 1_331_656_544;
-/// Total hash size (rows) of RM2 in the paper.
-pub const RM2_TOTAL_HASH_SIZE: u64 = 2_661_369_917;
-/// Total hash size (rows) of RM3 in the paper.
-pub const RM3_TOTAL_HASH_SIZE: u64 = 5_320_796_628;
 /// Embedding dimension used by all three models in the paper.
 pub const PAPER_EMBEDDING_DIM: u32 = 64;
 /// The batch size used throughout the paper's evaluation.

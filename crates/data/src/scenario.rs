@@ -395,6 +395,8 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Propagates [`ScenarioError::Parse`] from the CSV parser.
+    // recshard-lint: allow(test-only-pub) -- the one way to feed in the rate
+    // trace the README documents.
     pub fn from_trace_csv(name: impl Into<String>, csv: &str) -> Result<Self, ScenarioError> {
         let points = parse_trace_csv(csv)?;
         Ok(Self::new(name).with_curve(RateCurve::Trace { points }))
@@ -547,12 +549,6 @@ impl ScenarioSpec {
         out
     }
 
-    /// The scenario phase index at virtual time `t_ns`: the number of
-    /// regime boundaries at or before `t_ns` (phase 0 before the first).
-    pub fn phase_of(&self, t_ns: u64) -> u32 {
-        self.boundaries_ns().iter().filter(|&&b| b <= t_ns).count() as u32
-    }
-
     /// How many shift events are due at or before virtual time `t_ns`.
     pub fn shifts_due(&self, t_ns: u64) -> usize {
         self.shifts
@@ -622,13 +618,18 @@ impl ScenarioSpec {
 mod tests {
     use super::*;
 
+    /// The regime index at `t_ns`: the boundaries at or before it.
+    fn phase_of(s: &ScenarioSpec, t_ns: u64) -> usize {
+        s.boundaries_ns().iter().filter(|&&b| b <= t_ns).count()
+    }
+
     #[test]
     fn stationary_is_identity() {
         let s = ScenarioSpec::stationary();
         assert_eq!(s.rate_multiplier(0), 1.0);
         assert_eq!(s.rate_multiplier(1_000_000_000), 1.0);
         assert_eq!(s.scaled_gap_ns(500, 12345), 500);
-        assert_eq!(s.phase_of(u64::MAX), 0);
+        assert_eq!(phase_of(&s, u64::MAX), 0);
         assert!(s.validate().is_ok());
     }
 
@@ -656,9 +657,9 @@ mod tests {
         assert_eq!(s.rate_multiplier(s_to_ns(3.1)), 1.0);
         // Phase 0 → 1 at onset (hot-key shift + spike edge coincide),
         // → 2 when the spike ends.
-        assert_eq!(s.phase_of(s_to_ns(1.0)), 0);
-        assert_eq!(s.phase_of(s_to_ns(2.5)), 1);
-        assert_eq!(s.phase_of(s_to_ns(5.0)), 2);
+        assert_eq!(phase_of(&s, s_to_ns(1.0)), 0);
+        assert_eq!(phase_of(&s, s_to_ns(2.5)), 1);
+        assert_eq!(phase_of(&s, s_to_ns(5.0)), 2);
         assert_eq!(s.shifts_due(s_to_ns(1.0)), 0);
         assert_eq!(s.shifts_due(s_to_ns(2.5)), 1);
     }
@@ -706,7 +707,7 @@ mod tests {
         assert_eq!(s.rate_multiplier(0), 1.0, "1.0 before the first point");
         assert_eq!(s.rate_multiplier(s_to_ns(1.0)), 2.0);
         assert_eq!(s.rate_multiplier(s_to_ns(2.0)), 0.25);
-        assert_eq!(s.phase_of(s_to_ns(2.0)), 2);
+        assert_eq!(phase_of(&s, s_to_ns(2.0)), 2);
 
         let err = parse_trace_csv("0.5,1.0\n0.5,2.0\n").unwrap_err();
         assert!(matches!(err, ScenarioError::Parse { line: 2, .. }), "{err}");

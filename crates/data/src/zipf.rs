@@ -143,16 +143,6 @@ impl Zipf {
         }
     }
 
-    /// The number of categories in the support.
-    pub fn support(&self) -> u64 {
-        self.n
-    }
-
-    /// The Zipf exponent.
-    pub fn exponent(&self) -> f64 {
-        self.s
-    }
-
     #[inline]
     fn pow_neg(x: f64, s: f64) -> f64 {
         (-s * x.ln()).exp()
@@ -298,19 +288,6 @@ impl Zipf {
         }
         true
     }
-
-    /// Draws `count` 0-based categorical values.
-    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, count: usize) -> Vec<u64> {
-        (0..count).map(|_| self.sample(rng)).collect()
-    }
-
-    /// Exact probability mass of the 0-based rank `k` (expensive for large
-    /// `n` on first use: requires the harmonic normalizer).
-    pub fn pmf(&self, k: u64) -> f64 {
-        assert!(k < self.n, "rank out of support");
-        let z: f64 = (1..=self.n).map(|i| 1.0 / (i as f64).powf(self.s)).sum();
-        (1.0 / ((k + 1) as f64).powf(self.s)) / z
-    }
 }
 
 /// Converts one RNG word to the `[0, 1)` float vendored rand's
@@ -403,12 +380,6 @@ impl ZipfGuide {
             zipf,
             cells: cells.unwrap_or(RankCells::Unguided),
         }
-    }
-
-    /// Whether the guide has cells. Without them (`s == 0`) every draw goes
-    /// through [`Zipf::sample`], whose first RNG word is not a step word.
-    pub fn is_guided(&self) -> bool {
-        self.cells != RankCells::Unguided
     }
 
     /// Heap bytes the cells take.
@@ -541,12 +512,6 @@ impl PoolingGuide {
         &self.spec
     }
 
-    /// Whether the guide has cells. Without them every draw goes through
-    /// [`PoolingSpec::sample`].
-    pub fn is_guided(&self) -> bool {
-        self.cells.is_some()
-    }
-
     /// The address of the cells, which clones share; `None` without cells.
     pub(crate) fn cells_addr(&self) -> Option<usize> {
         self.cells.as_ref().map(|cells| Arc::as_ptr(cells) as usize)
@@ -599,6 +564,18 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// `count` draws of `zipf`.
+    fn sample_many(zipf: &Zipf, rng: &mut rand::rngs::StdRng, count: usize) -> Vec<u64> {
+        (0..count).map(|_| zipf.sample(rng)).collect()
+    }
+
+    /// Exact probability mass of the 0-based rank `k`: the reference the
+    /// sampler is held to.
+    fn pmf(zipf: &Zipf, k: u64) -> f64 {
+        let z: f64 = (1..=zipf.n).map(|i| 1.0 / (i as f64).powf(zipf.s)).sum();
+        (1.0 / ((k + 1) as f64).powf(zipf.s)) / z
+    }
+
     fn seeded() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(0xC0FFEE)
     }
@@ -632,7 +609,7 @@ mod tests {
     fn skew_concentrates_head() {
         let zipf = Zipf::new(1_000_000, 1.1);
         let mut rng = seeded();
-        let samples = zipf.sample_many(&mut rng, 50_000);
+        let samples = sample_many(&zipf, &mut rng, 50_000);
         let head = samples.iter().filter(|&&v| v < 100).count() as f64 / samples.len() as f64;
         // With s=1.1 and n=1e6 the top-100 ranks carry well over a third of the mass.
         assert!(head > 0.3, "head mass too small: {head}");
@@ -644,7 +621,7 @@ mod tests {
         let weak = Zipf::new(100_000, 0.6);
         let strong = Zipf::new(100_000, 1.4);
         let head_mass = |z: &Zipf, rng: &mut rand::rngs::StdRng| {
-            let s = z.sample_many(rng, 20_000);
+            let s = sample_many(z, rng, 20_000);
             s.iter().filter(|&&v| v < 10).count() as f64 / s.len() as f64
         };
         let weak_head = head_mass(&weak, &mut rng);
@@ -655,7 +632,7 @@ mod tests {
     #[test]
     fn pmf_sums_to_one_small_support() {
         let zipf = Zipf::new(50, 0.9);
-        let total: f64 = (0..50).map(|k| zipf.pmf(k)).sum();
+        let total: f64 = (0..50).map(|k| pmf(&zipf, k)).sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
 
@@ -664,9 +641,9 @@ mod tests {
         let zipf = Zipf::new(1_000, 1.0);
         let mut rng = seeded();
         let n = 200_000;
-        let samples = zipf.sample_many(&mut rng, n);
+        let samples = sample_many(&zipf, &mut rng, n);
         for k in 0..5u64 {
-            let expected = zipf.pmf(k);
+            let expected = pmf(&zipf, k);
             let got = samples.iter().filter(|&&v| v == k).count() as f64 / n as f64;
             assert!(
                 (got - expected).abs() < 0.01 + expected * 0.15,
@@ -725,7 +702,7 @@ mod tests {
             assert!(10 * by_skew[4] > 9 * ZipfGuide::CELLS, "{by_skew:?}");
         }
         assert!(resolved(1 << 12, 1.05) > resolved(1 << 20, 1.05));
-        assert!(!ZipfGuide::new(Zipf::new(1000, 0.0)).is_guided());
+        assert!(ZipfGuide::new(Zipf::new(1000, 0.0)).cells == RankCells::Unguided);
     }
 
     #[test]
@@ -882,7 +859,7 @@ mod tests {
                 max: 256,
             },
         ] {
-            assert!(!PoolingGuide::new(spec).is_guided(), "{spec:?}");
+            assert!(PoolingGuide::new(spec).cells.is_none(), "{spec:?}");
         }
     }
 
@@ -909,7 +886,7 @@ mod tests {
                 _ => PoolingSpec::LongTail { mean, max },
             };
             let guide = PoolingGuide::new(spec);
-            proptest::prop_assert_eq!(guide.is_guided(), pick == 0 || pick >= 3);
+            proptest::prop_assert_eq!(guide.cells.is_some(), pick == 0 || pick >= 3);
             let mut a = rand::rngs::StdRng::seed_from_u64(seed);
             let mut b = a.clone();
             for _ in 0..4_000 {

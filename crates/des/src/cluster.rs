@@ -96,7 +96,7 @@ use rand::SeedableRng;
 use recshard_data::{ModelSpec, ScenarioSpec};
 use recshard_memsim::{AccessCounters, IterationWorkload};
 use recshard_obs::{LinkKind, ObsHandle, ObsSink, TraceEvent};
-use recshard_sharding::{FabricSpec, NodeTopology, ShardingPlan, SystemSpec};
+use recshard_sharding::{NodeTopology, ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, StreamingCdf, Summary, WelfordAccumulator};
 use std::collections::VecDeque;
 
@@ -195,16 +195,6 @@ impl ClusterConfig {
         check_bandwidth("alltoall_bandwidth_gbps", self.alltoall_bandwidth_gbps)?;
         check_bandwidth("internode_bandwidth_gbps", self.internode_bandwidth_gbps)?;
         Ok(())
-    }
-
-    /// Adopts the link rates of a shared [`FabricSpec`], so the DES, the
-    /// analytical estimator and the serving simulator price the same fabric
-    /// identically.
-    pub fn with_fabric(mut self, fabric: FabricSpec) -> Self {
-        self.alltoall_bandwidth_gbps = fabric.nvlink_gbps;
-        self.internode_bandwidth_gbps = fabric.fabric_gbps;
-        self.alltoall_latency_us = fabric.base_latency_us;
-        self
     }
 }
 

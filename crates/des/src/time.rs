@@ -13,11 +13,6 @@ impl SimTime {
     /// Simulation start.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Converts from milliseconds (saturating at zero for negative inputs).
-    pub fn from_ms(ms: f64) -> Self {
-        SimTime((ms.max(0.0) * 1e6).round() as u64)
-    }
-
     /// Converts from microseconds (saturating at zero for negative inputs).
     pub fn from_us(us: f64) -> Self {
         SimTime((us.max(0.0) * 1e3).round() as u64)
@@ -56,27 +51,6 @@ impl SimTime {
             // recshard-lint: allow(unwrap) -- documented panic: a reversed
             // interval is a causality bug, not a recoverable condition.
             .expect("SimTime::since called with a later timestamp")
-    }
-
-    /// Converts fractional seconds to integer nanoseconds, or `None` when
-    /// the value cannot be represented (negative, NaN, or past `u64::MAX`).
-    ///
-    /// `as u64` on a float silently saturates (`inf → u64::MAX`) and maps
-    /// NaN to 0, so huge-table-on-slow-link transfer times and poisoned
-    /// bandwidth configs used to alias onto legitimate durations. Code that
-    /// must distinguish those cases goes through here; code that only needs
-    /// a sane clamp uses [`SimTime::saturating_ns_from_secs`].
-    pub fn checked_ns_from_secs(seconds: f64) -> Option<u64> {
-        if seconds.is_nan() || seconds < 0.0 {
-            return None;
-        }
-        let ns = (seconds * 1e9).round();
-        // 2^64 ns ≈ 584 years of virtual time; anything at or past it is a
-        // config bug, not a schedulable delay.
-        if ns >= u64::MAX as f64 {
-            return None;
-        }
-        Some(ns as u64)
     }
 
     /// Converts fractional seconds to integer nanoseconds, clamping negative
@@ -130,7 +104,7 @@ mod tests {
 
     #[test]
     fn conversions_round_trip() {
-        let t = SimTime::from_ms(1.5);
+        let t = SimTime(SimTime::saturating_ns_from_ms(1.5));
         assert_eq!(t.as_ns(), 1_500_000);
         assert!((t.as_ms() - 1.5).abs() < 1e-12);
         assert!((SimTime::from_us(250.0).as_ms() - 0.25).abs() < 1e-12);
@@ -139,9 +113,9 @@ mod tests {
 
     #[test]
     fn arithmetic() {
-        let t = SimTime::from_ms(1.0).after_ns(500);
+        let t = SimTime(1_000_000).after_ns(500);
         assert_eq!(t.as_ns(), 1_000_500);
-        assert_eq!(t.since(SimTime::from_ms(1.0)), 500);
+        assert_eq!(t.since(SimTime(1_000_000)), 500);
         assert_eq!((SimTime(3) + SimTime(4)).as_ns(), 7);
     }
 
@@ -158,29 +132,13 @@ mod tests {
 
     #[test]
     fn negative_ms_saturates_to_zero() {
-        assert_eq!(SimTime::from_ms(-3.0), SimTime::ZERO);
+        assert_eq!(SimTime(SimTime::saturating_ns_from_ms(-3.0)), SimTime::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "later timestamp")]
     fn since_panics_on_causality_violation() {
         let _ = SimTime(1).since(SimTime(2));
-    }
-
-    #[test]
-    fn checked_ns_covers_the_edges() {
-        // Ordinary values round like the legacy expression.
-        assert_eq!(SimTime::checked_ns_from_secs(1.5), Some(1_500_000_000));
-        // Sub-nanosecond transfers round to zero or one, never panic.
-        assert_eq!(SimTime::checked_ns_from_secs(4e-10), Some(0));
-        assert_eq!(SimTime::checked_ns_from_secs(6e-10), Some(1));
-        // Unrepresentable inputs are rejected, not aliased.
-        assert_eq!(SimTime::checked_ns_from_secs(1e30), None);
-        assert_eq!(SimTime::checked_ns_from_secs(f64::INFINITY), None);
-        assert_eq!(SimTime::checked_ns_from_secs(f64::NAN), None);
-        assert_eq!(SimTime::checked_ns_from_secs(-1.0), None);
-        // The largest representable second count still converts.
-        assert!(SimTime::checked_ns_from_secs(1.8e10).is_some());
     }
 
     #[test]

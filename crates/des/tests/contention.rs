@@ -8,8 +8,7 @@ use recshard_des::{
     ReshardPolicy,
 };
 use recshard_sharding::{
-    FabricSpec, GreedySharder, LookupCost, NodeTopology, ShardingPlan, SizeCost, SystemSpec,
-    TablePlacement,
+    GreedySharder, LookupCost, NodeTopology, ShardingPlan, SizeCost, SystemSpec, TablePlacement,
 };
 use recshard_stats::{DatasetProfile, DatasetProfiler};
 
@@ -283,29 +282,4 @@ fn try_new_reports_typed_configuration_errors() {
         Err(DesError::EmptyRun { .. }) => {}
         other => panic!("expected EmptyRun, got {other:?}"),
     }
-}
-
-#[test]
-fn fabric_spec_prices_both_contention_modes() {
-    let (model, profile, system, plan) = setup(4);
-    let fabric = FabricSpec::hgx();
-    let cfg = config(60).with_fabric(fabric);
-    // hgx() carries the same figures as the config defaults, so adopting it
-    // must be a no-op on the FIFO fingerprint.
-    let adopted = ClusterSimulator::new(&model, &plan, &profile, &system, cfg).run();
-    let default = ClusterSimulator::new(&model, &plan, &profile, &system, config(60)).run();
-    assert_eq!(adopted.fingerprint, default.fingerprint);
-    // And the shared-rate fabric accepts the same spec.
-    let shared = ClusterSimulator::new(
-        &model,
-        &plan,
-        &profile,
-        &system,
-        ClusterConfig {
-            contention: ContentionMode::SharedRate,
-            ..cfg
-        },
-    )
-    .run();
-    assert_eq!(shared.completed, 60);
 }

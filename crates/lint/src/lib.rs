@@ -9,6 +9,10 @@
 //! tool encodes the invariants as declarative, checkable rules so they fail
 //! at review time instead.
 //!
+//! A third invariant keeps the workspace small: every public item in a
+//! library crate has a caller outside tests (`test-only-pub`, the one rule
+//! that looks across files; `perfbench/src` is read for its callers only).
+//!
 //! The tool is dependency-free (the build environment has no crates.io
 //! access, so no `syn`): a hand-rolled [`lexer`] feeds token-pattern
 //! [`rules`], orchestrated per file by [`file::SourceFile`] and across the
@@ -36,4 +40,4 @@ pub mod scan;
 
 pub use diag::{Baseline, Diagnostic};
 pub use file::{FileKind, SourceFile};
-pub use scan::{analyze_source, check, scan_workspace, CheckReport, BASELINE_FILE};
+pub use scan::{analyze_sources, check, scan_workspace, CheckReport, BASELINE_FILE};

@@ -1,15 +1,17 @@
 //! The lint rules: repo-specific determinism and robustness invariants that
 //! `clippy` cannot express.
 //!
-//! Every rule is a pattern match over the token stream of one
-//! [`SourceFile`]. Rules are deliberately *syntactic* — there is no type
+//! Every rule but one is a pattern match over the token stream of one
+//! [`SourceFile`]; `test-only-pub` runs after them, across every file of the
+//! workspace at once. Rules are deliberately *syntactic* — there is no type
 //! inference — so each one documents the approximation it makes and errs
 //! toward flagging; the `// recshard-lint: allow(rule) -- reason` annotation
 //! is the pressure valve, and an annotation is itself an auditable artifact
 //! (it must carry a reason, and must suppress something).
 
 use crate::file::{FileKind, SourceFile};
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
+use std::collections::BTreeSet;
 
 /// A single finding, before path/baseline bookkeeping.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,6 +117,15 @@ pub const RULES: &[RuleMeta] = &[
         include_tests: false,
     },
     RuleMeta {
+        name: "test-only-pub",
+        summary: "pub item in a library crate that only test code names",
+        invariant: "every public item has a caller outside tests (in a library, bin, bench, \
+                    example or perfbench); code only its own tests reach is dead weight — \
+                    delete it with its tests, or annotate why a test needs it",
+        applies_to: &[Lib],
+        include_tests: false,
+    },
+    RuleMeta {
         name: "bad-allow",
         summary: "malformed recshard-lint annotation",
         invariant: "annotations are part of the audit trail: they must parse, name known \
@@ -137,10 +148,25 @@ pub fn rule(name: &str) -> Option<&'static RuleMeta> {
     RULES.iter().find(|r| r.name == name)
 }
 
-/// Runs every applicable rule over `file`, returning unsuppressed
-/// violations (allow annotations and test regions already applied), plus
-/// the annotation-hygiene findings.
-pub fn run_all(file: &SourceFile) -> Vec<Violation> {
+/// Runs every applicable rule over `files`, which stand for the whole
+/// workspace, returning each file's unsuppressed violations (allow
+/// annotations and test regions already applied) plus its
+/// annotation-hygiene findings, aligned with `files`. The per-file rules run
+/// first, then `test-only-pub` across `files` and the caller-only sources.
+pub fn run_all(files: &[SourceFile], callers: &[SourceFile]) -> Vec<Vec<Violation>> {
+    let mut raw: Vec<Vec<Violation>> = files.iter().map(per_file).collect();
+    for (i, v) in test_only_pub(files, callers) {
+        raw[i].push(v);
+    }
+    files
+        .iter()
+        .zip(raw)
+        .map(|(file, raw)| finish(file, raw))
+        .collect()
+}
+
+/// Every per-file rule's raw findings for `file`.
+fn per_file(file: &SourceFile) -> Vec<Violation> {
     let mut raw: Vec<Violation> = Vec::new();
     hash_iter_and_float_acc(file, &mut raw);
     wall_clock(file, &mut raw);
@@ -149,7 +175,12 @@ pub fn run_all(file: &SourceFile) -> Vec<Violation> {
     narrowing_cast(file, &mut raw);
     seqcst(file, &mut raw);
     obs_ordering(file, &mut raw);
+    raw
+}
 
+/// Applies rule scopes, test regions and allow annotations to `raw`, then
+/// adds the annotation-hygiene findings.
+fn finish(file: &SourceFile, raw: Vec<Violation>) -> Vec<Violation> {
     let mut out = Vec::new();
     for v in raw {
         let Some(meta) = rule(v.rule) else {
@@ -669,4 +700,116 @@ fn obs_ordering(file: &SourceFile, out: &mut Vec<Violation>) {
             });
         }
     }
+}
+
+/// Item keywords whose next identifier names the item being defined.
+const DEFINERS: &[&str] = &[
+    "fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod",
+];
+
+/// Whether the identifier at `idx` is the name in an item definition
+/// (`fn name`, `static mut NAME`, ...) rather than a use of that name.
+fn defines(file: &SourceFile, idx: usize) -> bool {
+    let toks = &file.tokens;
+    let mut k = idx;
+    if k >= 2 && file.is_ident(k - 1, "mut") && file.is_ident(k - 2, "static") {
+        k -= 1;
+    }
+    k >= 1
+        && toks[k - 1].kind == TokenKind::Ident
+        && DEFINERS.contains(&toks[k - 1].text.as_str())
+        // `*const T` is a pointer type, not a const item.
+        && !(toks[k - 1].text == "const" && k >= 2 && file.is_punct(k - 2, '*'))
+}
+
+/// The name token of the item a bare `pub` at `idx` introduces, when that
+/// item is a fn, const, static or type; `None` for `pub use`, `pub mod`,
+/// fields and restricted visibility (`pub(crate)`, which rustc's own
+/// dead-code lint already covers).
+fn pub_item_name(file: &SourceFile, idx: usize) -> Option<&Token> {
+    let toks = &file.tokens;
+    if file.is_punct(idx + 1, '(') {
+        return None;
+    }
+    let mut j = idx + 1;
+    // Qualifiers: `unsafe`, `async`, `extern "C"`, and `const` when a `fn`
+    // follows it (`pub const fn`, as against `pub const NAME`).
+    while let Some(t) = toks.get(j) {
+        let qualifier = t.kind == TokenKind::Str
+            || (t.kind == TokenKind::Ident
+                && (matches!(t.text.as_str(), "unsafe" | "async" | "extern")
+                    || (t.text == "const"
+                        && toks.get(j + 1).is_some_and(|n| {
+                            matches!(n.text.as_str(), "fn" | "unsafe" | "async" | "extern")
+                        }))));
+        if !qualifier {
+            break;
+        }
+        j += 1;
+    }
+    let keyword = toks.get(j)?;
+    if keyword.kind != TokenKind::Ident
+        || keyword.text == "mod"
+        || !DEFINERS.contains(&keyword.text.as_str())
+    {
+        return None;
+    }
+    j += 1;
+    if keyword.text == "static" && file.is_ident(j, "mut") {
+        j += 1;
+    }
+    toks.get(j).filter(|t| t.kind == TokenKind::Ident)
+}
+
+/// `test-only-pub`: a bare-`pub` fn, method, const, static or type in
+/// non-test library code whose name no non-test token names outside a
+/// definition. Callers are the identifiers of every non-test file and of
+/// the caller-only sources, minus `#[cfg(test)]` items, `use` declarations
+/// (a re-export is not a caller) and definition names. Name-based: any two
+/// items sharing a name count each other's callers, so the rule errs toward
+/// silence on common names like `new`.
+fn test_only_pub(files: &[SourceFile], callers: &[SourceFile]) -> Vec<(usize, Violation)> {
+    let mut used: BTreeSet<&str> = BTreeSet::new();
+    for file in files.iter().filter(|f| f.kind != Test).chain(callers) {
+        let mut in_use = false;
+        for (idx, t) in file.tokens.iter().enumerate() {
+            if in_use {
+                in_use = !file.is_punct(idx, ';');
+            } else if file.is_ident(idx, "use") {
+                in_use = true;
+            } else if t.kind == TokenKind::Ident
+                && !file.in_test_code(t.line)
+                && !defines(file, idx)
+            {
+                used.insert(&t.text);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (i, file) in files.iter().enumerate().filter(|(_, f)| f.kind == Lib) {
+        for idx in 0..file.tokens.len() {
+            if !file.is_ident(idx, "pub") {
+                continue;
+            }
+            let Some(name) = pub_item_name(file, idx) else {
+                continue;
+            };
+            if file.in_test_code(name.line) || used.contains(name.text.as_str()) {
+                continue;
+            }
+            out.push((
+                i,
+                Violation {
+                    rule: "test-only-pub",
+                    line: name.line,
+                    message: format!(
+                        "`{}` is public but only test code names it: delete it with its \
+                         tests, or annotate why a test needs it",
+                        name.text
+                    ),
+                },
+            ));
+        }
+    }
+    out
 }

@@ -50,31 +50,46 @@ pub fn classify(rel: &str) -> Option<FileKind> {
     None
 }
 
+/// Directories read only for the callers `test-only-pub` counts: the
+/// benchmark harness builds on the library crates but is not itself linted.
+const CALLER_ROOTS: &[&str] = &["perfbench/src"];
+
 /// Recursively lists the `.rs` files under the scanned roots, sorted by
 /// path for deterministic diagnostic order.
 pub fn workspace_files(root: &Path) -> Result<Vec<(PathBuf, String, FileKind)>, String> {
     let mut out = Vec::new();
-    for dir in ROOT_DIRS {
-        let abs = root.join(dir);
-        if abs.is_dir() {
-            walk(root, &abs, &mut out)?;
+    for p in files_under(root, ROOT_DIRS)? {
+        if let Some(rel) = relative(root, &p) {
+            if let Some(kind) = classify(&rel) {
+                out.push((p, rel, kind));
+            }
         }
     }
     out.sort_by(|a, b| a.1.cmp(&b.1));
     Ok(out)
 }
 
-fn walk(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, String, FileKind)>) -> Result<(), String> {
+/// Every file under the existing `dirs` of `root`, recursively.
+fn files_under(root: &Path, dirs: &[&str]) -> Result<Vec<PathBuf>, String> {
+    let mut out = Vec::new();
+    for dir in dirs {
+        let abs = root.join(dir);
+        if abs.is_dir() {
+            walk(&abs, &mut out)?;
+        }
+    }
+    Ok(out)
+}
+
+fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries = fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
     let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
     paths.sort();
     for p in paths {
         if p.is_dir() {
-            walk(root, &p, out)?;
-        } else if let Some(rel) = relative(root, &p) {
-            if let Some(kind) = classify(&rel) {
-                out.push((p, rel, kind));
-            }
+            walk(&p, out)?;
+        } else {
+            out.push(p);
         }
     }
     Ok(())
@@ -92,32 +107,55 @@ fn relative(root: &Path, p: &Path) -> Option<String> {
     Some(s)
 }
 
-/// Runs every rule over one in-memory source, returning located
-/// diagnostics. This is the seam the fixture tests drive.
-pub fn analyze_source(rel_path: &str, kind: FileKind, src: &str) -> Vec<Diagnostic> {
-    let file = SourceFile::parse(rel_path, kind, src);
-    rules::run_all(&file)
-        .into_iter()
-        .map(|v| Diagnostic {
-            path: rel_path.to_string(),
+fn read(path: &Path) -> Result<String, String> {
+    fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+}
+
+/// Runs every rule over in-memory sources that stand for a whole workspace:
+/// `files` as `(path, kind, source)`, and `callers` read only for the
+/// callers `test-only-pub` counts, as `perfbench/src` is. Diagnostics come
+/// out sorted. This is the seam the fixture tests drive.
+pub fn analyze_sources(files: &[(&str, FileKind, &str)], callers: &[&str]) -> Vec<Diagnostic> {
+    let files: Vec<SourceFile> = files
+        .iter()
+        .map(|&(rel, kind, src)| SourceFile::parse(rel, kind, src))
+        .collect();
+    let callers: Vec<SourceFile> = callers
+        .iter()
+        .map(|src| SourceFile::parse("", FileKind::Bin, src))
+        .collect();
+    let mut diags = Vec::new();
+    for (file, violations) in files.iter().zip(rules::run_all(&files, &callers)) {
+        diags.extend(violations.into_iter().map(|v| Diagnostic {
+            path: file.path.clone(),
             line: v.line,
             rule: v.rule.to_string(),
             message: v.message,
             code: file.line_text(v.line).replace('\t', " "),
-        })
-        .collect()
+        }));
+    }
+    crate::diag::sort(&mut diags);
+    diags
 }
 
 /// Scans the whole workspace under `root`.
 pub fn scan_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
-    let mut diags = Vec::new();
+    let mut files = Vec::new();
     for (abs, rel, kind) in workspace_files(root)? {
-        let src =
-            fs::read_to_string(&abs).map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
-        diags.extend(analyze_source(&rel, kind, &src));
+        files.push((rel, kind, read(&abs)?));
     }
-    crate::diag::sort(&mut diags);
-    Ok(diags)
+    let mut callers = Vec::new();
+    for p in files_under(root, CALLER_ROOTS)? {
+        if p.extension().is_some_and(|e| e == "rs") {
+            callers.push(read(&p)?);
+        }
+    }
+    let files: Vec<(&str, FileKind, &str)> = files
+        .iter()
+        .map(|(rel, kind, src)| (rel.as_str(), *kind, src.as_str()))
+        .collect();
+    let callers: Vec<&str> = callers.iter().map(String::as_str).collect();
+    Ok(analyze_sources(&files, &callers))
 }
 
 /// Outcome of a `--check` run.
@@ -189,7 +227,7 @@ mod tests {
     #[test]
     fn analyze_source_locates_and_snips() {
         let src = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-        let diags = analyze_source("crates/demo/src/lib.rs", FileKind::Lib, src);
+        let diags = analyze_sources(&[("crates/demo/src/lib.rs", FileKind::Lib, src)], &[]);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].line, 2);
         assert_eq!(diags[0].rule, "unwrap");

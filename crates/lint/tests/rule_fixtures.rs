@@ -1,9 +1,9 @@
 //! Per-rule positive/negative fixtures, driven through the same
-//! [`analyze_source`] seam the workspace scan uses. Every fixture is an
+//! [`analyze_sources`] seam the workspace scan uses. Every fixture is an
 //! in-memory source string, so these tests pin the *behaviour* of each rule
 //! — what it must flag and, just as important, what it must stay silent on.
 
-use recshard_lint::{analyze_source, FileKind};
+use recshard_lint::{analyze_sources, FileKind};
 
 /// Rules fired for `src` as a library file, as `(line, rule)` pairs.
 fn lib(src: &str) -> Vec<(u32, String)> {
@@ -11,7 +11,7 @@ fn lib(src: &str) -> Vec<(u32, String)> {
 }
 
 fn at(path: &str, kind: FileKind, src: &str) -> Vec<(u32, String)> {
-    analyze_source(path, kind, src)
+    analyze_sources(&[(path, kind, src)], &[])
         .into_iter()
         .map(|d| (d.line, d.rule))
         .collect()
@@ -292,6 +292,159 @@ fn obs_ordering_accepts_a_justified_edge() {
                    a.store(1, Ordering::Release);\n\
                }\n";
     assert_eq!(at("crates/obs/src/registry.rs", FileKind::Lib, src), vec![]);
+}
+
+// ------------------------------------------------------------ test-only-pub
+
+const LIB: &str = "crates/demo/src/lib.rs";
+
+/// `(path, line, rule)` of every finding in a workspace made of `files`,
+/// with `callers` read for their callers only (as `perfbench/src` is).
+fn workspace(files: &[(&str, FileKind, &str)], callers: &[&str]) -> Vec<(String, u32, String)> {
+    analyze_sources(files, callers)
+        .into_iter()
+        .map(|d| (d.path, d.line, d.rule))
+        .collect()
+}
+
+fn finding(path: &str, line: u32, rule: &str) -> (String, u32, String) {
+    (path.to_string(), line, rule.to_string())
+}
+
+#[test]
+fn test_only_pub_flags_a_re_added_test_only_function() {
+    let profiler = "pub struct DatasetProfiler;\n\
+                    impl DatasetProfiler {\n    \
+                        pub fn profile(&mut self) {}\n    \
+                        pub fn offer(&mut self) {}\n\
+                    }\n";
+    let test = "fn t(p: &mut DatasetProfiler) {\n    p.offer();\n    p.profile();\n}\n";
+    let bin = "fn main() {\n    let mut p = DatasetProfiler;\n    p.profile();\n}\n";
+    let path = "crates/stats/src/profiler.rs";
+    let found = workspace(
+        &[
+            (path, FileKind::Lib, profiler),
+            ("tests/profiler.rs", FileKind::Test, test),
+            ("crates/bench/src/bin/profile.rs", FileKind::Bin, bin),
+        ],
+        &[],
+    );
+    assert_eq!(found, vec![finding(path, 4, "test-only-pub")]);
+}
+
+#[test]
+fn test_only_pub_covers_consts_statics_and_types_but_not_restricted_items() {
+    let src = "pub const A: u32 = 1;\n\
+               pub static mut B: u32 = 2;\n\
+               pub struct C;\n\
+               pub type D = u32;\n\
+               pub trait E {}\n\
+               pub enum F {}\n\
+               pub const unsafe fn g() {}\n\
+               pub(crate) fn h() {}\n\
+               pub struct Used {\n    pub field: *const u32,\n}\n\
+               pub mod m {}\n\
+               pub use m::*;\n";
+    let bin = "fn main() {\n    let _: Option<Used> = None;\n}\n";
+    let found = workspace(
+        &[
+            (LIB, FileKind::Lib, src),
+            ("examples/demo.rs", FileKind::Example, bin),
+        ],
+        &[],
+    );
+    let lines: Vec<u32> = found.iter().map(|(_, line, _)| *line).collect();
+    assert_eq!(lines, vec![1, 2, 3, 4, 5, 6, 7], "{found:?}");
+}
+
+#[test]
+fn test_only_pub_counts_a_caller_below_a_cfg_test_item() {
+    // `EventQueue::peek_time`'s shape: its one caller follows a
+    // `#[cfg(test)]` item, and only that item is test code.
+    let engine = "pub struct EventQueue;\n\
+                  impl EventQueue {\n    \
+                      pub fn peek_time(&self) -> u64 {\n        0\n    }\n\
+                  }\n";
+    let test_only = "#[cfg(test)]\n\
+                     fn probe(q: &EventQueue) -> u64 {\n    q.peek_time()\n}\n";
+    let cluster =
+        format!("{test_only}\nfn step(q: &EventQueue) -> u64 {{\n    q.peek_time()\n}}\n");
+    let path = "crates/des/src/engine.rs";
+    let with = |cluster: &str| {
+        workspace(
+            &[
+                (path, FileKind::Lib, engine),
+                ("crates/des/src/cluster.rs", FileKind::Lib, cluster),
+            ],
+            &[],
+        )
+    };
+    assert_eq!(with(test_only), vec![finding(path, 3, "test-only-pub")]);
+    assert_eq!(with(&cluster), vec![]);
+}
+
+#[test]
+fn test_only_pub_does_not_count_use_or_re_exports() {
+    let scenario = "pub fn parse_trace_csv(csv: &str) -> usize {\n    csv.len()\n}\n";
+    let lib = "pub mod scenario;\npub use scenario::parse_trace_csv;\n";
+    let other = "use crate::scenario::{parse_trace_csv};\n";
+    let test = "fn t() {\n    assert_eq!(parse_trace_csv(\"\"), 0);\n}\n";
+    let path = "crates/data/src/scenario.rs";
+    let found = workspace(
+        &[
+            (path, FileKind::Lib, scenario),
+            ("crates/data/src/lib.rs", FileKind::Lib, lib),
+            ("crates/data/src/other.rs", FileKind::Lib, other),
+            ("crates/data/tests/scenario.rs", FileKind::Test, test),
+        ],
+        &[],
+    );
+    assert_eq!(found, vec![finding(path, 1, "test-only-pub")]);
+}
+
+#[test]
+fn test_only_pub_counts_perfbench_callers_without_linting_them() {
+    let src = "pub fn total_counters() -> u64 {\n    0\n}\n";
+    assert_eq!(
+        workspace(&[(LIB, FileKind::Lib, src)], &[]),
+        vec![finding(LIB, 1, "test-only-pub")]
+    );
+    // The caller-only source breaks the per-file rules and has an uncalled
+    // `pub fn` of its own; none of that is reported.
+    let perfbench = "pub fn main() {\n    \
+                         let t = std::time::Instant::now();\n    \
+                         let _ = Some(total_counters()).unwrap();\n    \
+                         let _ = t;\n\
+                     }\n";
+    assert_eq!(
+        workspace(&[(LIB, FileKind::Lib, src)], &[perfbench]),
+        vec![]
+    );
+}
+
+#[test]
+fn test_only_pub_allow_needs_a_reason_and_an_uncalled_item() {
+    let annotated = |reason: &str| {
+        format!("// recshard-lint: allow(test-only-pub){reason}\npub fn oracle() {{}}\n")
+    };
+    let kept = annotated(" -- the reference search");
+    assert_eq!(workspace(&[(LIB, FileKind::Lib, &kept)], &[]), vec![]);
+    let no_reason = annotated("");
+    assert_eq!(
+        workspace(&[(LIB, FileKind::Lib, &no_reason)], &[]),
+        vec![finding(LIB, 1, "bad-allow")]
+    );
+    let bin = "fn main() {\n    oracle();\n}\n";
+    assert_eq!(
+        workspace(
+            &[
+                (LIB, FileKind::Lib, &kept),
+                ("crates/demo/src/main.rs", FileKind::Bin, bin)
+            ],
+            &[]
+        ),
+        vec![finding(LIB, 1, "unused-allow")]
+    );
 }
 
 // ------------------------------------------------------- annotation hygiene

@@ -12,7 +12,7 @@
 //! service times to answer the dynamic questions (queueing, tails, drift);
 //! see the crate-level docs for when to use which.
 
-use recshard_sharding::{FabricSpec, ShardingPlan, SystemSpec};
+use recshard_sharding::{ShardingPlan, SystemSpec};
 use recshard_stats::DatasetProfile;
 
 /// Analytical per-GPU estimate.
@@ -108,77 +108,6 @@ impl<'a> AnalyticalEstimator<'a> {
             * remote_consumers
     }
 
-    /// Per-node expected inter-node *send* bytes per iteration (the
-    /// bottleneck entry is what the node-assignment stage minimises).
-    pub fn internode_send_bytes_per_node(&self, plan: &ShardingPlan) -> Vec<f64> {
-        let topology = plan.effective_topology();
-        let g = topology.num_gpus() as f64;
-        let remote_consumers = (topology.num_gpus() - topology.gpus_per_node) as f64 / g;
-        let mut per_node = vec![0.0f64; topology.num_nodes];
-        if topology.num_nodes <= 1 {
-            return per_node;
-        }
-        for (t, p) in plan.placements().iter().enumerate() {
-            let prof = &self.profile.profiles()[t];
-            per_node[topology.node_of_gpu(p.gpu)] +=
-                self.batch_size as f64 * prof.coverage * prof.row_bytes() as f64 * remote_consumers;
-        }
-        per_node
-    }
-
-    /// Closed-form lower bound on one all-to-all exchange of `plan` over
-    /// `fabric`, in milliseconds — the analytical cross-check of
-    /// `recshard-des`'s shared-rate exchange.
-    ///
-    /// Mirrors the DES volume model exactly: every GPU owes
-    /// `batch · Σ row_bytes · (p−1)/G` to its intra-node peers over its
-    /// NVLink egress, and each node ships `node_bytes / N` to every other
-    /// node, served by the *receiver's* fabric port. With all flows admitted
-    /// simultaneously, a processor-sharing port drains its total inbound
-    /// work in `Σ work / rate` regardless of interleaving, so the bound is
-    ///
-    /// `latency + max_g(local_g) + max_dst(Σ_src≠dst remote_src→dst)`.
-    ///
-    /// The DES reports this exactly for one isolated exchange; under load it
-    /// reports more, because consecutive iterations' transfers share the
-    /// links (cross-iteration queueing the closed form cannot express).
-    ///
-    /// Unlike
-    /// [`internode_bytes_per_iteration`](Self::internode_bytes_per_iteration),
-    /// which weights each table's
-    /// pooled output by its *coverage* (the solver's objective), this uses
-    /// the full `row_bytes` volume per sample — the same basis the DES
-    /// charges, so the two sides are comparable bit for bit in spirit:
-    /// same volumes, same phases, no queueing.
-    pub fn exchange_time_ms(&self, plan: &ShardingPlan, fabric: &FabricSpec) -> f64 {
-        let topology = plan.effective_topology();
-        let g = topology.num_gpus() as f64;
-        let p = topology.gpus_per_node as f64;
-        let n = topology.num_nodes;
-        let mut owned_bytes = vec![0.0f64; topology.num_gpus()];
-        for placement in plan.placements() {
-            owned_bytes[placement.gpu] += self.batch_size as f64 * placement.row_bytes as f64;
-        }
-        let local_secs = owned_bytes
-            .iter()
-            .map(|&bytes| fabric.nvlink_secs(bytes * (p - 1.0) / g))
-            .fold(0.0, f64::max);
-        let mut node_bytes = vec![0.0f64; n];
-        for (gpu, &bytes) in owned_bytes.iter().enumerate() {
-            node_bytes[topology.node_of_gpu(gpu)] += bytes;
-        }
-        let remote_secs = (0..n)
-            .map(|dst| {
-                let inbound: f64 = (0..n)
-                    .filter(|&src| src != dst)
-                    .map(|src| node_bytes[src] / n as f64)
-                    .sum();
-                fabric.fabric_secs(inbound)
-            })
-            .fold(0.0, f64::max);
-        (fabric.base_latency_us * 1e-6 + local_secs + remote_secs) * 1e3
-    }
-
     /// The estimated fraction of all accesses served from UVM.
     pub fn uvm_access_fraction(&self, plan: &ShardingPlan) -> f64 {
         let est = self.estimate(plan);
@@ -269,68 +198,9 @@ mod tests {
             .unwrap();
         let est = AnalyticalEstimator::new(&profile, &system, 256);
         assert_eq!(est.internode_bytes_per_iteration(&plan), 0.0);
-        assert!(est
-            .internode_send_bytes_per_node(&plan)
-            .iter()
-            .all(|&b| b == 0.0));
 
         let two_level = plan.with_topology(NodeTopology::new(2, 1));
-        let total = est.internode_bytes_per_iteration(&two_level);
-        assert!(total > 0.0);
-        let per_node = est.internode_send_bytes_per_node(&two_level);
-        assert_eq!(per_node.len(), 2);
-        assert!(
-            (per_node.iter().sum::<f64>() - total).abs() <= total * 1e-12 + 1e-9,
-            "per-node sends must sum to the total"
-        );
-    }
-
-    #[test]
-    fn exchange_bound_reduces_to_uniform_alltoall_and_punishes_incast() {
-        use recshard_sharding::{FabricSpec, NodeTopology};
-        let (model, profile, _) = setup();
-        let fabric = FabricSpec::hgx();
-        let batch = 256u32;
-        let mk = |gpu_of: &dyn Fn(usize) -> usize, gpus: usize| {
-            let placements = model
-                .features()
-                .iter()
-                .map(|f| TablePlacement {
-                    table: f.id,
-                    gpu: gpu_of(f.id.index()),
-                    hbm_rows: f.hash_size,
-                    total_rows: f.hash_size,
-                    row_bytes: f.row_bytes(),
-                })
-                .collect();
-            ShardingPlan::new("x", gpus, placements)
-        };
-        let system4 = SystemSpec::uniform(4, u64::MAX / 8, u64::MAX / 8, 1555.0, 16.0);
-        let est = AnalyticalEstimator::new(&profile, &system4, batch);
-
-        // Flat single-node uniform plan: the bound reduces to the classic
-        // per-GPU all-to-all volume batch·bytes·(G−1)/G² over NVLink.
-        let flat = mk(&|i| i % 4, 4).with_topology(NodeTopology::single(4));
-        let pooled: u64 = model.features().iter().map(|f| f.row_bytes()).sum();
-        // Tables split 2/2/1/1 across 4 GPUs; the max GPU owns the larger
-        // share, so bound ≥ the uniform-volume formula.
-        let uniform_ms = fabric.base_latency_us * 1e-3
-            + fabric.nvlink_secs(batch as f64 * pooled as f64 * 3.0 / 16.0) * 1e3;
-        let flat_ms = est.exchange_time_ms(&flat, &fabric);
-        assert!(
-            flat_ms >= uniform_ms - 1e-12,
-            "flat bound {flat_ms} must cover the uniform volume {uniform_ms}"
-        );
-
-        // Concentrating every table on one node turns the remote phase into
-        // an incast on the other node's port and must raise the bound over a
-        // balanced two-level split of the same tables.
-        let balanced = mk(&|i| i % 4, 4).with_topology(NodeTopology::new(2, 2));
-        let incast = mk(&|i| i % 2, 4).with_topology(NodeTopology::new(2, 2));
-        assert!(
-            est.exchange_time_ms(&incast, &fabric) > est.exchange_time_ms(&balanced, &fabric),
-            "incast concentration must raise the exchange bound"
-        );
+        assert!(est.internode_bytes_per_iteration(&two_level) > 0.0);
     }
 
     #[test]

@@ -68,15 +68,6 @@ impl IterationReport {
     pub fn iteration_time_ms(&self) -> f64 {
         self.per_gpu.iter().map(|g| g.time_ms).fold(0.0, f64::max)
     }
-
-    /// Total accesses across all GPUs.
-    pub fn total_counters(&self) -> AccessCounters {
-        let mut total = AccessCounters::new();
-        for g in &self.per_gpu {
-            total.merge(&g.counters);
-        }
-        total
-    }
 }
 
 /// Aggregated results of a multi-iteration simulation run.
@@ -341,6 +332,15 @@ mod tests {
     use recshard_sharding::{GreedySharder, LookupCost, SizeCost, TablePlacement};
     use recshard_stats::DatasetProfiler;
 
+    /// Accesses summed over every GPU of one iteration.
+    fn total_counters(report: &IterationReport) -> AccessCounters {
+        let mut total = AccessCounters::new();
+        for g in report.per_gpu() {
+            total.merge(&g.counters);
+        }
+        total
+    }
+
     fn setup(n: usize) -> (ModelSpec, DatasetProfile, SystemSpec) {
         let model = ModelSpec::small(n, 5);
         let profile = DatasetProfiler::profile_model(&model, 2_000, 3);
@@ -357,7 +357,7 @@ mod tests {
         let sim = EmbeddingOpSimulator::new(&model, &plan, &profile, &system, SimConfig::default());
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let report = sim.run_iteration(128, &mut rng);
-        let total = report.total_counters();
+        let total = total_counters(&report);
         // With everything in HBM, no UVM accesses may appear.
         assert_eq!(total.uvm_accesses, 0);
         assert!(total.hbm_accesses > 0);
@@ -382,8 +382,8 @@ mod tests {
         let sim = EmbeddingOpSimulator::new(&model, &plan, &profile, &system, SimConfig::default());
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let report = sim.run_iteration(64, &mut rng);
-        assert_eq!(report.total_counters().hbm_accesses, 0);
-        assert!(report.total_counters().uvm_accesses > 0);
+        assert_eq!(total_counters(&report).hbm_accesses, 0);
+        assert!(total_counters(&report).uvm_accesses > 0);
     }
 
     #[test]
@@ -434,8 +434,8 @@ mod tests {
         let sim_b = EmbeddingOpSimulator::new(&model, &plan, &profile, &system, scaled);
         let mut rng_a = rand::rngs::StdRng::seed_from_u64(3);
         let mut rng_b = rand::rngs::StdRng::seed_from_u64(3);
-        let a = sim_a.run_iteration(128, &mut rng_a).total_counters();
-        let b = sim_b.run_iteration(128, &mut rng_b).total_counters();
+        let a = total_counters(&sim_a.run_iteration(128, &mut rng_a));
+        let b = total_counters(&sim_b.run_iteration(128, &mut rng_b));
         let ratio = b.hbm_accesses as f64 / a.hbm_accesses.max(1) as f64;
         assert!(
             (ratio - 8.0).abs() < 0.01,

@@ -57,15 +57,6 @@
 //! iteration?" → this crate; "what happens to the training pipeline over a
 //! million iterations?" → `recshard-des`.
 //!
-//! The bridge between the two views is
-//! [`AnalyticalEstimator::exchange_time_ms`]: a no-queueing lower bound on
-//! one all-to-all exchange over a shared `recshard_sharding::FabricSpec`,
-//! computed from the *same* per-link volumes the DES's shared-rate
-//! contention mode admits on its NVLink and fabric links. For one isolated
-//! exchange the two agree; under load the DES reports more, because
-//! consecutive iterations' transfers share the links — exactly the
-//! queueing/incast effect the closed form assumes away.
-//!
 //! ```
 //! use recshard_data::ModelSpec;
 //! use recshard_stats::DatasetProfiler;

@@ -144,6 +144,8 @@ impl TableSampler {
     /// The tier of the row every RNG word in tier-map cell `cell` (its top
     /// [`TableSampler::TIER_BITS`] bits) reads from its first step, if the
     /// map resolved the cell.
+    // recshard-lint: allow(test-only-pub) -- no public path can observe that
+    // every resolved cell's tier is exact, which its test pins.
     pub fn cell_tier(&self, cell: usize) -> Option<MemoryTier> {
         match tier_code(self.tiers.as_ref()?, cell) {
             HBM => Some(MemoryTier::Hbm),

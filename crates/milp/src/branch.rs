@@ -74,11 +74,15 @@ impl Ord for Node {
     }
 }
 
+/// Nodes branch and bound explores before it gives up.
+const NODE_LIMIT: usize = 200_000;
+
 /// Branch-and-bound driver for a [`Model`].
 pub struct BranchAndBound<'a> {
     model: &'a Model,
     lp: SparseLp,
     options: SolveOptions,
+    node_limit: usize,
 }
 
 impl<'a> BranchAndBound<'a> {
@@ -101,6 +105,7 @@ impl<'a> BranchAndBound<'a> {
             model,
             lp: SparseLp::try_new(model)?,
             options,
+            node_limit: NODE_LIMIT,
         })
     }
 
@@ -193,7 +198,7 @@ impl<'a> BranchAndBound<'a> {
         let mut next_id: u64 = 1;
 
         let mut incumbent: Option<(f64, Vec<f64>)> = None; // minimization objective, values
-        let node_limit = model.node_limit();
+        let node_limit = self.node_limit;
 
         while let Some(node) = heap.pop() {
             if stats.nodes_explored >= node_limit {
@@ -519,8 +524,9 @@ mod tests {
             ConstraintSense::Le,
             3.7,
         );
-        m.set_node_limit(1);
-        match m.solve() {
+        let mut search = BranchAndBound::new(&m).unwrap();
+        search.node_limit = 1;
+        match search.solve() {
             Err(MilpError::NodeLimit { limit }) => assert_eq!(limit, 1),
             Ok(sol) => assert_eq!(sol.status(), Status::Feasible),
             Err(e) => panic!("unexpected error {e}"),

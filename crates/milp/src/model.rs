@@ -81,7 +81,6 @@ pub struct Model {
     sense: Sense,
     variables: Vec<Variable>,
     constraints: Vec<Constraint>,
-    node_limit: usize,
 }
 
 impl Model {
@@ -91,7 +90,6 @@ impl Model {
             sense,
             variables: Vec::new(),
             constraints: Vec::new(),
-            node_limit: 200_000,
         }
     }
 
@@ -167,12 +165,6 @@ impl Model {
         });
     }
 
-    /// Sets the branch-and-bound node limit (default 200,000).
-    pub fn set_node_limit(&mut self, limit: usize) {
-        assert!(limit > 0, "node limit must be positive");
-        self.node_limit = limit;
-    }
-
     /// The optimization direction.
     pub fn sense(&self) -> Sense {
         self.sense
@@ -196,11 +188,6 @@ impl Model {
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
-    }
-
-    /// Configured branch-and-bound node limit.
-    pub fn node_limit(&self) -> usize {
-        self.node_limit
     }
 
     /// Evaluates the objective for a full assignment of variable values.

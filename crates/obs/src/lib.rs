@@ -14,10 +14,10 @@
 //!
 //! The three layers:
 //!
-//! * [`MetricsRegistry`] — named counters, gauges, fixed-bucket histograms
-//!   and P² quantile sinks ([`recshard_stats::StreamingCdf`]). Registration
-//!   returns `Copy` handles; the hot path is an index plus one atomic op
-//!   (counters/gauges/histograms) or one per-metric lock (quantiles) — no
+//! * [`MetricsRegistry`] — named counters, gauges and P² quantile sinks
+//!   ([`recshard_stats::StreamingCdf`]). Registration returns `Copy`
+//!   handles; the hot path is an index plus one atomic op
+//!   (counters/gauges) or one per-metric lock (quantiles) — no
 //!   allocation, no name lookup. Contention is bounded by the metric, not
 //!   the registry.
 //! * [`TraceEvent`] / [`TraceBuffer`] / [`Trace`] — typed span/instant
@@ -59,8 +59,7 @@ pub mod sink;
 pub mod trace;
 
 pub use registry::{
-    CounterId, GaugeId, HistogramId, MetricValue, MetricsRegistry, MetricsSnapshot, QuantileId,
-    QuantileStats,
+    CounterId, GaugeId, MetricValue, MetricsRegistry, MetricsSnapshot, QuantileId, QuantileStats,
 };
 pub use report::RunReport;
 pub use sink::{Collector, NoopSink, ObsBundle, ObsHandle, ObsSink};

@@ -2,7 +2,7 @@
 //!
 //! Metrics are registered once at setup time by name and handed back as
 //! `Copy` handle ids; the hot path indexes by handle and performs one
-//! relaxed atomic op (counters, gauges, histogram buckets) or takes one
+//! relaxed atomic op (counters, gauges) or takes one
 //! per-metric mutex (quantile sinks, so two metrics never contend).
 //! Snapshots sort by name and serialise to canonical JSON, making
 //! a seeded run's metrics byte-identical across repetitions.
@@ -19,21 +19,9 @@ pub struct CounterId(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GaugeId(usize);
 
-/// Handle of a registered fixed-bucket histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
-
 /// Handle of a registered P² quantile sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuantileId(usize);
-
-/// A fixed-bucket histogram: `bounds` are inclusive upper bounds, plus one
-/// overflow bucket.
-#[derive(Debug)]
-struct Histogram {
-    bounds: Vec<f64>,
-    counts: Vec<AtomicU64>,
-}
 
 /// Snapshot of one quantile sink: P² tail estimates plus exact moments.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,7 +44,6 @@ pub struct QuantileStats {
 pub struct MetricsRegistry {
     counters: Vec<(String, AtomicU64)>,
     gauges: Vec<(String, AtomicU64)>,
-    histograms: Vec<(String, Histogram)>,
     quantiles: Vec<(String, Mutex<StreamingCdf>)>,
 }
 
@@ -84,32 +71,6 @@ impl MetricsRegistry {
         self.gauges
             .push((name.to_string(), AtomicU64::new(0f64.to_bits())));
         GaugeId(self.gauges.len() - 1)
-    }
-
-    /// Registers (or finds) a histogram over ascending inclusive upper
-    /// `bounds` plus an implicit overflow bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn histogram(&mut self, name: &str, bounds: &[f64]) -> HistogramId {
-        if let Some(i) = self.histograms.iter().position(|(n, _)| n == name) {
-            return HistogramId(i);
-        }
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must ascend strictly"
-        );
-        let counts = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-        self.histograms.push((
-            name.to_string(),
-            Histogram {
-                bounds: bounds.to_vec(),
-                counts,
-            },
-        ));
-        HistogramId(self.histograms.len() - 1)
     }
 
     /// Registers (or finds) a P² quantile sink tracking p50/p95/p99 with
@@ -145,19 +106,6 @@ impl MetricsRegistry {
             .store(value.to_bits(), Ordering::Relaxed);
     }
 
-    /// Adds one observation to a histogram (linear scan over the fixed
-    /// bounds; no allocation).
-    #[inline]
-    pub fn observe(&self, id: HistogramId, value: f64) {
-        let h = &self.histograms[id.0].1;
-        let bucket = h
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(h.bounds.len());
-        h.counts[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Locks one quantile stripe. No writer panics while holding a stripe
     /// lock, so poisoning only follows a panic that already tore down the
     /// run; every acquisition goes through here.
@@ -172,16 +120,6 @@ impl MetricsRegistry {
     #[inline]
     pub fn record(&self, id: QuantileId, value: f64) {
         Self::lock_cdf(&self.quantiles[id.0].1).push(value);
-    }
-
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1.load(Ordering::Relaxed)
-    }
-
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        f64::from_bits(self.gauges[id.0].1.load(Ordering::Relaxed))
     }
 
     /// Snapshot of one quantile sink.
@@ -216,15 +154,6 @@ impl MetricsRegistry {
                 MetricValue::Gauge(f64::from_bits(v.load(Ordering::Relaxed))),
             ));
         }
-        for (name, h) in &self.histograms {
-            entries.push((
-                name.clone(),
-                MetricValue::Histogram {
-                    bounds: h.bounds.clone(),
-                    counts: h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                },
-            ));
-        }
         for (name, cdf) in &self.quantiles {
             let cdf = Self::lock_cdf(cdf);
             entries.push((name.clone(), MetricValue::Quantile(Self::stats_of(&cdf))));
@@ -241,13 +170,6 @@ pub enum MetricValue {
     Counter(u64),
     /// Gauge value.
     Gauge(f64),
-    /// Histogram bucket bounds and counts (last count = overflow).
-    Histogram {
-        /// Inclusive upper bounds, ascending.
-        bounds: Vec<f64>,
-        /// Per-bucket counts; one longer than `bounds`.
-        counts: Vec<u64>,
-    },
     /// Quantile sink estimates and moments.
     Quantile(QuantileStats),
 }
@@ -269,15 +191,6 @@ impl MetricsSnapshot {
             let body = match value {
                 MetricValue::Counter(v) => format!("\"type\": \"counter\", \"value\": {v}"),
                 MetricValue::Gauge(v) => format!("\"type\": \"gauge\", \"value\": {}", f(*v)),
-                MetricValue::Histogram { bounds, counts } => format!(
-                    "\"type\": \"histogram\", \"bounds\": [{}], \"counts\": [{}]",
-                    bounds.iter().map(|&b| f(b)).collect::<Vec<_>>().join(", "),
-                    counts
-                        .iter()
-                        .map(|c| c.to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
                 MetricValue::Quantile(q) => format!(
                     "\"type\": \"quantile\", \"count\": {}, \"p50\": {}, \"p95\": {}, \
                      \"p99\": {}, \"mean\": {}, \"min\": {}, \"max\": {}, \"std_dev\": {}",
@@ -315,6 +228,12 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    /// A metric's value as the snapshot reports it.
+    fn value(reg: &MetricsRegistry, name: &str) -> MetricValue {
+        let entry = reg.snapshot().entries.into_iter().find(|(n, _)| n == name);
+        entry.expect("metric registered").1
+    }
+
     #[test]
     fn registration_dedupes_by_name_and_handles_index_correctly() {
         let mut reg = MetricsRegistry::new();
@@ -325,21 +244,17 @@ mod tests {
         reg.add(a, 3);
         reg.incr(a);
         reg.incr(b);
-        assert_eq!(reg.counter_value(a), 4);
-        assert_eq!(reg.counter_value(b), 1);
+        assert_eq!(value(&reg, "a"), MetricValue::Counter(4));
+        assert_eq!(value(&reg, "b"), MetricValue::Counter(1));
     }
 
     #[test]
-    fn gauges_histograms_and_quantiles_round_trip() {
+    fn gauges_and_quantiles_round_trip() {
         let mut reg = MetricsRegistry::new();
         let g = reg.gauge("g");
-        let h = reg.histogram("h", &[1.0, 10.0, 100.0]);
         let q = reg.quantile("q");
         reg.set(g, 2.5);
-        assert_eq!(reg.gauge_value(g), 2.5);
-        for v in [0.5, 5.0, 50.0, 500.0, 5.0] {
-            reg.observe(h, v);
-        }
+        assert_eq!(value(&reg, "g"), MetricValue::Gauge(2.5));
         for v in 1..=100 {
             reg.record(q, v as f64);
         }
@@ -350,11 +265,7 @@ mod tests {
 
         let snap = reg.snapshot();
         let names: Vec<_> = snap.entries.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["g", "h", "q"], "snapshot sorts by name");
-        match &snap.entries[1].1 {
-            MetricValue::Histogram { counts, .. } => assert_eq!(counts, &vec![1, 2, 1, 1]),
-            other => panic!("expected histogram, got {other:?}"),
-        }
+        assert_eq!(names, vec!["g", "q"], "snapshot sorts by name");
     }
 
     #[test]
@@ -394,7 +305,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(reg.counter_value(c), 4_000);
+        assert_eq!(value(&reg, "c"), MetricValue::Counter(4_000));
         assert_eq!(reg.quantile_stats(q).count, 4_000);
     }
 }

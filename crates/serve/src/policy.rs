@@ -159,10 +159,11 @@ impl StatGuide {
         Self { pins, admit }
     }
 
-    /// Builds a guide directly from parts (for tests and custom policies).
-    /// The pins are not capped: the cache warms them in order while they
-    /// fit, so they may fill it entirely.
-    pub fn from_parts(
+    /// Builds a guide directly from parts, for the cache tests. The pins are
+    /// not capped: the cache warms them in order while they fit, so they may
+    /// fill it entirely.
+    #[cfg(test)]
+    pub(crate) fn from_parts(
         pins: Vec<(u32, u64, u64)>,
         admit: impl IntoIterator<Item = (u32, Vec<u64>)>,
     ) -> Self {

@@ -162,6 +162,8 @@ impl RequestStream {
     ///
     /// As [`generate`](Self::generate).
     #[allow(clippy::too_many_arguments)]
+    // recshard-lint: allow(test-only-pub) -- the materialised stream the
+    // threaded scenario server is checked against.
     pub fn generate_scenario(
         model: &ModelSpec,
         gpu_of: &[usize],

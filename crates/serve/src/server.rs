@@ -35,7 +35,7 @@ use crate::cache::{CacheConfig, CacheStats, Lookup, ShardedCache};
 use crate::error::ServeError;
 use crate::policy::{PolicyKind, StatGuide, StatGuidedConfig};
 use crate::report::ServeReport;
-use crate::request::{schedule, shard_tasks, ArrivalModel, PhaseChange};
+use crate::request::{schedule, shard_tasks, ArrivalModel};
 use recshard_data::{ModelSpec, ScenarioSpec};
 use recshard_obs::{Collector, MetricsRegistry, ObsBundle, ObsSink, TraceBuffer, TraceEvent};
 use recshard_sharding::{ShardingPlan, SystemSpec};
@@ -78,23 +78,6 @@ pub struct ServeConfig {
     /// plans and the default of 0 reproduce the single-host behaviour
     /// exactly.
     pub internode_hop_ns: u64,
-}
-
-impl ServeConfig {
-    /// Prices the remote fan-in hop off a shared
-    /// [`FabricSpec`](recshard_sharding::FabricSpec): one response of
-    /// `response_bytes` crossing the inter-node fabric costs its base
-    /// latency plus the serialisation time at the fabric rate — the same
-    /// per-byte rate the training simulators charge for inter-node
-    /// transfers, so serving and training price the fabric identically.
-    pub fn with_fabric(
-        mut self,
-        fabric: recshard_sharding::FabricSpec,
-        response_bytes: f64,
-    ) -> Self {
-        self.internode_hop_ns = fabric.hop_ns(response_bytes);
-        self
-    }
 }
 
 impl Default for ServeConfig {
@@ -236,35 +219,6 @@ impl InferenceServer {
         Self::run_impl(model, plan, profile, system, config, Some(scenario), None)
     }
 
-    /// [`run_scenario`](Self::run_scenario) with observation: the bundle
-    /// additionally carries one `scenario_phase` trace event per rate-curve
-    /// boundary crossed, plus `scenario.*` metrics. The report is identical
-    /// to the untraced [`run_scenario`](Self::run_scenario).
-    ///
-    /// # Panics
-    ///
-    /// As [`run_scenario`](Self::run_scenario).
-    pub fn run_scenario_traced(
-        model: &ModelSpec,
-        plan: &ShardingPlan,
-        profile: &DatasetProfile,
-        system: &SystemSpec,
-        config: ServeConfig,
-        scenario: &ScenarioSpec,
-    ) -> (ServeReport, ObsBundle) {
-        let mut collector = Collector::new();
-        let report = or_panic(Self::run_impl(
-            model,
-            plan,
-            profile,
-            system,
-            config,
-            Some(scenario),
-            Some(&mut collector),
-        ));
-        (report, collector.finish())
-    }
-
     /// Like [`run`](Self::run), additionally collecting a structured trace
     /// (per-task `query_served` spans, per-query `query_latency` instants,
     /// per-shard end-state `cache_shard` records) and a metrics snapshot.
@@ -356,32 +310,19 @@ impl InferenceServer {
         system: &SystemSpec,
         config: ServeConfig,
         scenario: Option<&ScenarioSpec>,
-        mut obs: Option<&mut Collector>,
+        obs: Option<&mut Collector>,
     ) -> Result<ServeReport, ServeError> {
         Self::validate(model, plan, profile, system, &config, scenario)?;
         let (shards, caches) = Shards::build(model, plan, profile, system, &config);
         let traced = obs.is_some();
-        let (arrivals_ns, phase_changes, runs) =
+        let (arrivals_ns, runs) =
             Self::pipeline(model, system, &shards, caches, &config, scenario, traced);
-        if let Some(c) = obs.as_deref_mut() {
-            for pc in &phase_changes {
-                c.record(
-                    pc.at_ns,
-                    TraceEvent::ScenarioPhase {
-                        phase: pc.phase,
-                        rate_multiplier: pc.rate_multiplier,
-                        shifts_applied: pc.shifts_applied,
-                    },
-                );
-            }
-        }
         Ok(Self::merge(plan, &arrivals_ns, &shards, runs, &config, obs))
     }
 
     /// Serves the stream on one worker per shard, each drawing and serving
     /// its own tasks and owning its cache (see the module doc). Returns the
-    /// arrivals, the scenario phase changes and the per-shard results in
-    /// shard order.
+    /// arrivals and the per-shard results in shard order.
     fn pipeline(
         model: &ModelSpec,
         system: &SystemSpec,
@@ -390,9 +331,9 @@ impl InferenceServer {
         config: &ServeConfig,
         scenario: Option<&ScenarioSpec>,
         traced: bool,
-    ) -> (Vec<u64>, Vec<PhaseChange>, Vec<ShardRun>) {
+    ) -> (Vec<u64>, Vec<ShardRun>) {
         let queries = config.warmup + config.queries;
-        let (arrivals_ns, phase_changes) = schedule(queries, config.arrival, config.seed, scenario);
+        let (arrivals_ns, _) = schedule(queries, config.arrival, config.seed, scenario);
         // Each worker owns its cache and clock, so the merged result is
         // schedule-independent. Traced runs buffer per-shard records
         // privately and merge them in shard order afterwards, keeping the
@@ -421,7 +362,7 @@ impl InferenceServer {
                 })
                 .collect()
         });
-        (arrivals_ns, phase_changes, runs)
+        (arrivals_ns, runs)
     }
 
     /// Fan-in: per-query latency, CDFs, hit rates, fingerprint.
@@ -1183,27 +1124,6 @@ mod tests {
     }
 
     #[test]
-    fn fabric_spec_prices_the_fan_in_hop() {
-        use recshard_sharding::{FabricSpec, NodeTopology};
-        let (model, profile, system) = setup();
-        let plan = hash_placement(&model, 2).with_topology(NodeTopology::new(2, 1));
-        let fabric = FabricSpec::hgx();
-        let response_bytes = 4096.0;
-        let cfg = config(PolicyKind::Lru).with_fabric(fabric, response_bytes);
-        assert_eq!(cfg.internode_hop_ns, fabric.hop_ns(response_bytes));
-        // The fabric-priced hop behaves like any explicit hop of the same
-        // size: identical run, fingerprint included.
-        let explicit = ServeConfig {
-            internode_hop_ns: fabric.hop_ns(response_bytes),
-            ..config(PolicyKind::Lru)
-        };
-        let a = InferenceServer::run(&model, &plan, &profile, &system, cfg);
-        let b = InferenceServer::run(&model, &plan, &profile, &system, explicit);
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert!(a.p50_ms > 0.0);
-    }
-
-    #[test]
     fn stationary_scenario_reproduces_the_plain_run() {
         let (model, profile, system) = setup();
         let plan = hash_placement(&model, 2);
@@ -1224,7 +1144,7 @@ mod tests {
     }
 
     #[test]
-    fn flash_crowd_scenario_is_deterministic_and_observable() {
+    fn flash_crowd_scenario_is_deterministic() {
         let (model, profile, system) = setup();
         let plan = hash_placement(&model, 2);
         let cfg = config(PolicyKind::StatGuided);
@@ -1235,24 +1155,6 @@ mod tests {
         assert_eq!(a, b, "same seed and spec must reproduce the report");
         let plain = InferenceServer::run(&model, &plan, &profile, &system, cfg);
         assert_ne!(a.fingerprint, plain.fingerprint);
-
-        let (traced, bundle) =
-            InferenceServer::run_scenario_traced(&model, &plan, &profile, &system, cfg, &spec);
-        assert_eq!(a, traced, "tracing must not perturb the scenario run");
-        let phases: Vec<_> = bundle
-            .trace
-            .records()
-            .iter()
-            .filter(|r| r.event.name() == "scenario_phase")
-            .collect();
-        assert_eq!(phases.len(), 2, "both flash boundaries must be traced");
-        let counter = bundle
-            .metrics
-            .entries
-            .iter()
-            .find(|(n, _)| n == "scenario.phases")
-            .map(|(_, v)| v.clone());
-        assert_eq!(counter, Some(recshard_obs::MetricValue::Counter(2)));
     }
 
     #[test]

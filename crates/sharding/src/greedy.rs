@@ -86,7 +86,7 @@ impl<C: CostFunction> GreedySharder<C> {
         let mut gpu_cost = vec![0.0f64; m];
         let mut hbm_free: Vec<u64> = (0..m).map(|g| system.hbm_capacity(g)).collect();
         let mut dram_free: Vec<u64> = (0..m).map(|g| system.dram_capacity(g)).collect();
-        let mut placements: Vec<Option<TablePlacement>> = vec![None; model.num_features()];
+        let mut placements: Vec<TablePlacement> = Vec::with_capacity(order.len());
 
         for (idx, cost) in order {
             let spec = &model.features()[idx];
@@ -137,13 +137,10 @@ impl<C: CostFunction> GreedySharder<C> {
                     row_bytes: spec.row_bytes(),
                 }
             };
-            placements[idx] = Some(placement);
+            placements.push(placement);
         }
-
-        let placements = placements
-            .into_iter()
-            .map(|p| p.expect("every table placed"))
-            .collect();
+        // `order` holds every table once: back to dense feature order.
+        placements.sort_unstable_by_key(|p| p.table.index());
         Ok(ShardingPlan::new(self.cost_fn.name(), m, placements))
     }
 }

@@ -41,4 +41,4 @@ pub use greedy::GreedySharder;
 pub use plan::{MemoryTier, ShardingPlan, TablePlacement};
 pub use remap::{HbmRowSet, RemapTable, RemappedRow};
 pub use system::{ClusterSpec, DeviceClass, SystemSpec, GIB};
-pub use topology::{FabricSpec, NodeAssigner, NodeAssignment, NodeTopology};
+pub use topology::{NodeAssigner, NodeAssignment, NodeTopology};

@@ -133,16 +133,6 @@ impl ShardingPlan {
             .unwrap_or_else(|| NodeTopology::single(self.num_gpus))
     }
 
-    /// Per-table owning node, indexed by dense feature id (all zeros for a
-    /// flat plan).
-    pub fn node_assignments(&self) -> Vec<usize> {
-        let topology = self.effective_topology();
-        self.placements
-            .iter()
-            .map(|p| topology.node_of_gpu(p.gpu))
-            .collect()
-    }
-
     /// Tables owned by GPUs of the given node.
     pub fn tables_on_node(&self, node: usize) -> Vec<FeatureId> {
         let topology = self.effective_topology();
@@ -151,26 +141,6 @@ impl ShardingPlan {
             .filter(|p| topology.node_of_gpu(p.gpu) == node)
             .map(|p| p.table)
             .collect()
-    }
-
-    /// HBM bytes used on each node (summed over its GPUs).
-    pub fn hbm_bytes_per_node(&self) -> Vec<u64> {
-        let topology = self.effective_topology();
-        let mut usage = vec![0u64; topology.num_nodes];
-        for p in &self.placements {
-            usage[topology.node_of_gpu(p.gpu)] += p.hbm_bytes();
-        }
-        usage
-    }
-
-    /// UVM bytes used on behalf of each node.
-    pub fn uvm_bytes_per_node(&self) -> Vec<u64> {
-        let topology = self.effective_topology();
-        let mut usage = vec![0u64; topology.num_nodes];
-        for p in &self.placements {
-            usage[topology.node_of_gpu(p.gpu)] += p.uvm_bytes();
-        }
-        usage
     }
 
     /// Strips the node annotation, yielding the equivalent flat single-level

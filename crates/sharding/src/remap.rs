@@ -88,14 +88,6 @@ impl RemapTable {
         Self { entries, hbm_rows }
     }
 
-    /// Builds an identity-style remap table that keeps the first `hbm_rows`
-    /// rows (by index) in HBM — what a plan without profiling information
-    /// (or a whole-table placement) degenerates to.
-    pub fn without_profile(placement: &TablePlacement) -> Self {
-        let ranked: Vec<u64> = (0..placement.hbm_rows.min(placement.total_rows)).collect();
-        Self::build(placement, &ranked)
-    }
-
     /// Number of rows mapped to HBM.
     pub fn hbm_rows(&self) -> u64 {
         self.hbm_rows
@@ -292,19 +284,8 @@ mod tests {
     }
 
     #[test]
-    fn without_profile_uses_leading_rows() {
-        let remap = RemapTable::without_profile(&placement(4, 10));
-        for row in 0..4 {
-            assert_eq!(remap.tier_of(row), MemoryTier::Hbm);
-        }
-        for row in 4..10 {
-            assert_eq!(remap.tier_of(row), MemoryTier::Uvm);
-        }
-    }
-
-    #[test]
     fn storage_matches_paper_four_bytes_per_row() {
-        let remap = RemapTable::without_profile(&placement(0, 1000));
+        let remap = RemapTable::build(&placement(0, 1000), &[]);
         assert_eq!(remap.storage_bytes(), 4000);
         assert_eq!(remap.total_rows(), 1000);
     }

@@ -269,12 +269,6 @@ impl ClusterSpec {
             .collect()
     }
 
-    /// Whether every GPU shares one device class — the regime in which the
-    /// MILP's optimum set is closed under arbitrary GPU permutation.
-    pub fn is_uniform(&self) -> bool {
-        self.class_of_gpu.iter().all(|&c| c == self.class_of_gpu[0])
-    }
-
     /// HBM bytes reserved for embeddings on `gpu`.
     pub fn hbm_capacity(&self, gpu: usize) -> u64 {
         self.device(gpu).hbm_capacity
@@ -343,7 +337,7 @@ mod tests {
             s.bandwidth_ratio(0) > 90.0,
             "HBM should be ~100x faster than UVM"
         );
-        assert!(s.is_uniform());
+        assert_eq!(s.num_classes(), 1);
     }
 
     #[test]
@@ -380,7 +374,6 @@ mod tests {
         let s = ClusterSpec::mixed(&[(big, 2), (small, 2)]);
         assert_eq!(s.num_gpus(), 4);
         assert_eq!(s.num_classes(), 2);
-        assert!(!s.is_uniform());
         assert_eq!(s.class_of(0), 0);
         assert_eq!(s.class_of(3), 1);
         assert_eq!(s.hbm_capacity(0), 64 * GIB);
@@ -401,7 +394,7 @@ mod tests {
             vec![0; 4],
         );
         assert_eq!(via_uniform, via_classes);
-        assert!(via_classes.is_uniform());
+        assert_eq!(via_classes.num_classes(), 1);
     }
 
     #[test]

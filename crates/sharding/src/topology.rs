@@ -89,85 +89,6 @@ impl NodeTopology {
     }
 }
 
-/// Link-rate parameters of the exchange fabric, shared by every layer that
-/// prices a cross-GPU or cross-node byte.
-///
-/// Three consumers read this one description so their assumptions cannot
-/// drift apart:
-///
-/// * the DES (`recshard-des`) instantiates one shared-rate link per GPU
-///   NVLink egress and one per node fabric port and lets in-flight
-///   transfers contend for them;
-/// * the analytical estimator (`recshard-memsim`) divides aggregate phase
-///   bytes by the same rates (its no-queueing lower bound);
-/// * the serving simulator (`recshard-serve`) derives its per-hop
-///   `internode_hop_ns` charge from the same fabric rate and latency.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FabricSpec {
-    /// Per-GPU NVLink egress bandwidth, GB/s. NVLink is switched, so each
-    /// GPU's egress is an independent link rather than a shared bus.
-    pub nvlink_gbps: f64,
-    /// Per-node inter-node port (NIC) bandwidth, GB/s. All flows *into* a
-    /// node share this link — the incast bottleneck.
-    pub fabric_gbps: f64,
-    /// Base all-to-all software/launch latency, µs.
-    pub base_latency_us: f64,
-}
-
-impl FabricSpec {
-    /// Builds a fabric description.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bandwidth is not positive and finite or the latency is
-    /// negative or non-finite.
-    pub fn new(nvlink_gbps: f64, fabric_gbps: f64, base_latency_us: f64) -> Self {
-        assert!(
-            nvlink_gbps.is_finite() && nvlink_gbps > 0.0,
-            "nvlink_gbps must be positive and finite"
-        );
-        assert!(
-            fabric_gbps.is_finite() && fabric_gbps > 0.0,
-            "fabric_gbps must be positive and finite"
-        );
-        assert!(
-            base_latency_us.is_finite() && base_latency_us >= 0.0,
-            "base_latency_us must be non-negative and finite"
-        );
-        Self {
-            nvlink_gbps,
-            fabric_gbps,
-            base_latency_us,
-        }
-    }
-
-    /// An HGX-class node: 150 GB/s effective NVLink all-to-all egress per
-    /// GPU, a 25 GB/s (200 Gb/s RoCE) fabric port per node, 20 µs base
-    /// latency — the same figures the DES has always defaulted to.
-    pub fn hgx() -> Self {
-        Self::new(150.0, 25.0, 20.0)
-    }
-
-    /// Solo (uncontended) seconds to move `bytes` over one NVLink egress.
-    pub fn nvlink_secs(&self, bytes: f64) -> f64 {
-        bytes / (self.nvlink_gbps * 1e9)
-    }
-
-    /// Solo (uncontended) seconds to move `bytes` through one node's fabric
-    /// port.
-    pub fn fabric_secs(&self, bytes: f64) -> f64 {
-        bytes / (self.fabric_gbps * 1e9)
-    }
-
-    /// Nanoseconds a single `bytes`-sized remote hop costs (base latency
-    /// plus solo fabric service) — the per-shard remote charge the serving
-    /// simulator applies.
-    pub fn hop_ns(&self, bytes: f64) -> u64 {
-        let secs = self.base_latency_us * 1e-6 + self.fabric_secs(bytes);
-        (secs * 1e9).round() as u64
-    }
-}
-
 /// The first level of a two-level plan: one owning node per table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeAssignment {
@@ -217,7 +138,7 @@ impl NodeAssigner {
     /// lookups are pooled (summed) on the owning GPU before the all-to-all,
     /// so each table ships exactly one `row_bytes`-wide vector per covered
     /// sample regardless of its pooling factor (the same quantity
-    /// `recshard-memsim`'s `internode_send_bytes_per_node` charges). Total
+    /// `recshard-memsim`'s `internode_bytes_per_iteration` charges). Total
     /// table bytes must fit in each node's aggregate HBM+DRAM capacity.
     ///
     /// # Errors
@@ -340,23 +261,6 @@ mod tests {
     #[should_panic(expected = "outside the topology")]
     fn out_of_range_gpu_rejected() {
         let _ = NodeTopology::new(2, 2).node_of_gpu(4);
-    }
-
-    #[test]
-    fn fabric_prices_links_consistently() {
-        let fabric = FabricSpec::hgx();
-        // 150 MB over one 150 GB/s NVLink egress: 1 ms.
-        assert!((fabric.nvlink_secs(150e6) - 1e-3).abs() < 1e-12);
-        // 25 MB through one 25 GB/s fabric port: 1 ms.
-        assert!((fabric.fabric_secs(25e6) - 1e-3).abs() < 1e-12);
-        // Hop = 20 µs latency + 40 ns of wire time for 1 KiB.
-        assert_eq!(fabric.hop_ns(1024.0), 20_000 + 41);
-    }
-
-    #[test]
-    #[should_panic(expected = "fabric_gbps must be positive")]
-    fn zero_fabric_bandwidth_rejected() {
-        let _ = FabricSpec::new(150.0, 0.0, 20.0);
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl DatasetProfiler {
         for (spec, ((ranked_rows, ranked_counts), present)) in
             self.model.features().iter().zip(tables)
         {
-            let cdf = AccessCdf::from_ranked_counts_in_place(ranked_counts);
+            let cdf = AccessCdf::from_ranked_counts(ranked_counts);
             let lookups = cdf.total_accesses();
             let avg_pooling = if present > 0 {
                 lookups as f64 / present as f64

@@ -16,7 +16,7 @@ fn ranked(rows: &[u64]) -> (Vec<u64>, Vec<u64>) {
 
 /// The access CDF of one table that recorded `rows`.
 fn cdf_of(rows: &[u64]) -> AccessCdf {
-    AccessCdf::from_ranked_counts(&ranked(rows).1)
+    AccessCdf::from_ranked_counts(ranked(rows).1)
 }
 
 proptest! {
@@ -132,7 +132,7 @@ proptest! {
 /// `access_fraction` from it to two past the end against
 /// `cumulative[min(rows, len) - 1] / total` (0 everywhere without accesses).
 fn assert_full_coverage_matches_search(counts: &[u64]) {
-    let cdf = AccessCdf::from_ranked_counts(counts);
+    let cdf = AccessCdf::from_ranked_counts(counts.to_vec());
     let rows = cdf.full_coverage_rows();
     prop_assert_eq!(
         rows,
@@ -145,7 +145,13 @@ fn assert_full_coverage_matches_search(counts: &[u64]) {
         prop_assert_eq!(cdf.access_fraction(counts.len() as u64 + 1), 0.0);
         return;
     }
-    let cumulative = cdf.cumulative_counts();
+    let cumulative: Vec<u64> = counts
+        .iter()
+        .scan(0, |running, &c| {
+            *running += c;
+            Some(*running)
+        })
+        .collect();
     let len = cumulative.len() as u64;
     for k in rows..=len + 2 {
         let expected = cumulative[(k.min(len) - 1) as usize] as f64 / cdf.total_accesses() as f64;
@@ -172,7 +178,7 @@ fn full_coverage_rows_equal_the_full_search_on_edge_cases() {
         assert_full_coverage_matches_search(counts);
     }
     assert_eq!(
-        AccessCdf::from_ranked_counts(&[5, 3, 0, 0]).full_coverage_rows(),
+        AccessCdf::from_ranked_counts(vec![5, 3, 0, 0]).full_coverage_rows(),
         2
     );
     assert_eq!(AccessCdf::empty().full_coverage_rows(), 0);
@@ -181,7 +187,7 @@ fn full_coverage_rows_equal_the_full_search_on_edge_cases() {
 /// Checks `icdf` against per-step `rows_for_access_fraction` at 1, 5, 100
 /// and 1,000 steps.
 fn assert_icdf_matches_searches(counts: &[u64]) {
-    let cdf = AccessCdf::from_ranked_counts(counts);
+    let cdf = AccessCdf::from_ranked_counts(counts.to_vec());
     for steps in [1usize, 5, 100, 1_000] {
         let icdf = cdf.icdf(steps);
         prop_assert_eq!(icdf.steps(), steps);
@@ -279,17 +285,20 @@ mod knee_rank_edge_cases {
 
     #[test]
     fn single_row_table_knees_at_its_only_row() {
-        let knee = AccessCdf::from_ranked_counts(&[1]).knee_rank();
+        let knee = AccessCdf::from_ranked_counts(vec![1]).knee_rank();
         assert_eq!(knee, 1, "the only accessed row is the whole head");
 
         // Heavier traffic on the same single row changes nothing.
-        assert_eq!(AccessCdf::from_ranked_counts(&[1_000_000]).knee_rank(), 1);
+        assert_eq!(
+            AccessCdf::from_ranked_counts(vec![1_000_000]).knee_rank(),
+            1
+        );
     }
 
     #[test]
     fn uniform_cdf_has_no_knee_and_pins_almost_nothing() {
         for rows in [2usize, 10, 1_000] {
-            let cdf = AccessCdf::from_ranked_counts(&vec![7; rows]);
+            let cdf = AccessCdf::from_ranked_counts(vec![7; rows]);
             let knee = cdf.knee_rank();
             // A perfectly uniform curve sits on the diagonal: the degenerate
             // maximum lands on the first rank, so a stat-guided cache pins
@@ -307,7 +316,7 @@ mod knee_rank_edge_cases {
         // A table that recorded nothing behaves like empty.
         assert_eq!(super::cdf_of(&[]).knee_rank(), 0);
         // Ranked counts that are all zero carry zero total accesses.
-        let cdf = AccessCdf::from_ranked_counts(&[0, 0, 0]);
+        let cdf = AccessCdf::from_ranked_counts(vec![0, 0, 0]);
         assert_eq!(cdf.total_accesses(), 0);
         assert_eq!(cdf.knee_rank(), 0);
     }
@@ -318,7 +327,7 @@ mod knee_rank_edge_cases {
         // boundary and cover the head's share of accesses.
         let mut counts = vec![100; 10];
         counts.extend([1; 990]);
-        let cdf = AccessCdf::from_ranked_counts(&counts);
+        let cdf = AccessCdf::from_ranked_counts(counts);
         let knee = cdf.knee_rank();
         assert!(knee >= 1 && knee <= cdf.rows_ranked());
         assert_eq!(knee, 10, "knee must sit exactly at the head/tail boundary");

@@ -20,7 +20,7 @@
 //! constants by running the failing test and copying the `actual` values
 //! from the assertion message.
 
-use recshard::{RecShard, RecShardConfig};
+use recshard::{RecShard, RecShardConfig, SolverKind};
 use recshard_bench::des_bench::{self, DesBenchConfig};
 use recshard_bench::scenario_bench::{self, ScenarioBenchConfig};
 use recshard_bench::solver_bench::{bench_system, run_sweep, SolverBenchConfig};
@@ -517,7 +517,10 @@ fn unbucketed_plan_fingerprints_are_bit_for_bit_stable() {
 fn warm_started_plan_fingerprints_are_bit_for_bit_stable() {
     let model = skewed_model(300);
     let profile = DatasetProfiler::profile_model(&model, 1_200, 0x7A11);
-    let sharder = RecShard::new(RecShardConfig::default().with_scalable());
+    let sharder = RecShard::new(RecShardConfig {
+        solver: SolverKind::Scalable,
+        ..RecShardConfig::default()
+    });
     let [ample, cut, ..] = unbucketed_plan_systems(&model);
     let actual = [ample, cut].map(|(system, _)| {
         let cold = sharder.plan(&model, &profile, &system).expect("cold plan");
