@@ -24,6 +24,14 @@
 //! split-bandwidth FIFO model's. Both sections record `events_per_iter`,
 //! a pure function of the seed.
 //!
+//! The sweep's last `contention` point, `storm`, has the shape of
+//! perfbench's `train_contended`: 16 GPUs in 4 nodes on a hierarchical
+//! plan, shared-rate links, batch 1, no launch overhead, Poisson arrivals
+//! far faster than a sojourn, and a drift storm under a re-sharding
+//! controller, over ten times the sweep's contention iterations. The other
+//! points time batch-32 runs whose wall time is mostly sampling; this one's
+//! is mostly the shared-rate event core, so its floor can see that layer.
+//!
 //! [`SPEC`] gates the artifact on event-log fingerprint drift (both
 //! sections) and on a 25% floor on wall iterations/sec (both sections).
 
@@ -31,9 +39,13 @@ use crate::artifact::{best_of, recorded, row, Artifact, Better, PerfGate, Row, S
 use crate::solver_bench::{bench_system, bench_topology};
 use crate::{skewed_model, Strategy};
 use recshard::{HierarchicalSolver, RecShardConfig};
-use recshard_des::{ArrivalProcess, ClusterConfig, ClusterSimulator, ContentionMode, RunSummary};
+use recshard_data::{ModelSpec, ScenarioSpec, ShiftEvent, ShiftKind};
+use recshard_des::{
+    ArrivalProcess, ClusterConfig, ClusterSimulator, ContentionMode, ReshardController,
+    ReshardPolicy, RunSummary,
+};
 use recshard_obs::{Collector, ObsBundle};
-use recshard_sharding::{NodeTopology, ShardingPlan, TablePlacement};
+use recshard_sharding::{NodeTopology, ShardingPlan, SystemSpec, TablePlacement};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
 
 /// The `BENCH_des.json` artifact. The iterations/sec floor is generous
@@ -78,7 +90,8 @@ pub struct DesBenchConfig {
     /// Open-loop arrival interval, ms (identical across points).
     pub arrival_interval_ms: f64,
     /// Iterations per point of the `contention` sweep (shorter than the
-    /// main sweep — four scenario × mode runs ride along).
+    /// main sweep — four scenario × mode runs ride along). The batch-1
+    /// `storm` point runs ten times as many.
     pub contention_iterations: u64,
     /// Master seed.
     pub seed: u64,
@@ -193,9 +206,10 @@ impl DesBenchPoint {
 /// main sweep's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContentionPoint {
-    /// Exchange traffic shape: `"uniform"` (the flat RecShard plan) or
+    /// Exchange traffic shape: `"uniform"` (the flat RecShard plan),
     /// `"incast"` (every table concentrated on the non-receiving nodes'
-    /// GPUs of a two-level topology).
+    /// GPUs of a two-level topology) or `"storm"` (the batch-1 drift-storm
+    /// run of the module docs).
     pub scenario: String,
     /// `"fifo"` or `"shared_rate"`.
     pub mode: String,
@@ -249,7 +263,8 @@ pub struct DesBenchReport {
     /// Per-point results, sweep order (gpus outer; flat before
     /// hierarchical).
     pub points: Vec<DesBenchPoint>,
-    /// Contention-sweep results (scenario outer, FIFO before shared-rate).
+    /// Contention-sweep results (scenario outer, FIFO before shared-rate),
+    /// then the `storm` point.
     pub contention: Vec<ContentionPoint>,
 }
 
@@ -301,8 +316,81 @@ fn incast_plan(cfg: &DesBenchConfig, topology: NodeTopology) -> ShardingPlan {
     ShardingPlan::new("incast", gpus, placements).with_topology(topology)
 }
 
+/// GPUs of the `storm` point.
+const STORM_GPUS: usize = 16;
+/// Nodes of the `storm` point's hierarchical plan.
+const STORM_NODES: usize = 4;
+/// Poisson mean gap of the `storm` point, ms: far below a sojourn, so
+/// iterations overlap on the links.
+const STORM_INTERVAL_MS: f64 = 0.02;
+/// Controller checks per `storm` run.
+const STORM_CHECKS: u64 = 20;
+/// Imbalance threshold of the `storm` point's controller; only the storm's
+/// hot-key wave lifts the plan's windowed busy imbalance above it.
+const STORM_THRESHOLD: f64 = 3.2;
+
+/// The drift storm of `train_contended`-shaped runs spanning `span_s`
+/// virtual seconds: three pooling waves from 30% of the span, 10% apart,
+/// led by a hot-key wave that re-keys 30% of the tables.
+pub fn hot_key_storm(span_s: f64) -> ScenarioSpec {
+    let mut storm = ScenarioSpec::drift_storm(0.3 * span_s, 0.1 * span_s, 3);
+    storm.shifts.insert(
+        0,
+        ShiftEvent {
+            at_s: 0.3 * span_s,
+            shift: ShiftKind::HotKeyShift { fraction: 0.3 },
+        },
+    );
+    storm
+}
+
+/// The `storm` point's simulator: the module docs' batch-1 drift-storm
+/// run of `iterations` iterations, under a controller that re-solves
+/// hierarchically.
+fn storm_simulator<'obs>(
+    cfg: &DesBenchConfig,
+    model: &ModelSpec,
+    profile: &DatasetProfile,
+    iterations: u64,
+) -> ClusterSimulator<'obs> {
+    let topology = NodeTopology::new(STORM_NODES, STORM_GPUS / STORM_NODES);
+    let system = bench_system(model.total_bytes(), STORM_GPUS);
+    let solve = move |model: &ModelSpec,
+                      profile: &DatasetProfile,
+                      system: &SystemSpec,
+                      _current: Option<&ShardingPlan>| {
+        HierarchicalSolver::new(RecShardConfig::default(), topology)
+            .solve(model, profile, system)
+            .ok()
+    };
+    // recshard-lint: allow(unwrap) -- the sweep's fixed skewed model always
+    // fits the bench system, whose DRAM holds all of it.
+    let plan = solve(model, profile, &system, None).expect("hierarchical solve failed");
+    let config = ClusterConfig {
+        batch_size: 1,
+        iterations,
+        seed: cfg.seed,
+        arrival: ArrivalProcess::Poisson {
+            mean_interval_ms: STORM_INTERVAL_MS,
+        },
+        kernel_overhead_us_per_table: 0.0,
+        contention: ContentionMode::SharedRate,
+        ..ClusterConfig::default()
+    };
+    let span_s = iterations as f64 * STORM_INTERVAL_MS / 1e3;
+    let policy = ReshardPolicy {
+        check_every_iterations: (iterations / STORM_CHECKS).max(1),
+        imbalance_threshold: STORM_THRESHOLD,
+        ..ReshardPolicy::default()
+    };
+    ClusterSimulator::new(model, &plan, profile, &system, config)
+        .with_scenario(hot_key_storm(span_s))
+        .with_controller(ReshardController::new(policy, Box::new(solve)))
+}
+
 /// Runs the `contention` sweep: the uniform flat plan and the incast plan,
-/// each once per [`ContentionMode`], at the smallest sweep GPU count.
+/// each once per [`ContentionMode`], at the smallest sweep GPU count, then
+/// the `storm` point.
 ///
 /// # Panics
 ///
@@ -367,6 +455,32 @@ fn run_contention_sweep(cfg: &DesBenchConfig, profile: &DatasetProfile) -> Vec<C
             );
         }
     }
+    let iterations = 10 * cfg.contention_iterations;
+    let (summary, wall_ms) = best_of(cfg.include_timing, || {
+        storm_simulator(cfg, &model, profile, iterations).run()
+    });
+    let iters_per_sec = summary.completed as f64 / (wall_ms / 1e3).max(1e-12);
+    println!(
+        "des_bench contention: storm/shared_rate on {STORM_GPUS} GPUs x {STORM_NODES} node(s), \
+         batch 1: {} events in {wall_ms:.1} ms ({iters_per_sec:.0} iters/s wall), \
+         {} reshard(s), sojourn p50/p99 {:.3}/{:.3} ms, fingerprint {:#018x}",
+        summary.events, summary.reshards, summary.p50_ms, summary.p99_ms, summary.fingerprint,
+    );
+    points.push(ContentionPoint {
+        scenario: "storm".to_string(),
+        mode: "shared_rate".to_string(),
+        gpus: STORM_GPUS,
+        nodes: STORM_NODES,
+        iterations: summary.completed,
+        events: summary.events,
+        events_per_iter: events_per_iter(&summary),
+        makespan_ms: summary.makespan_ms,
+        p50_ms: summary.p50_ms,
+        p99_ms: summary.p99_ms,
+        fingerprint: summary.fingerprint,
+        wall_ms: recorded(cfg.include_timing, wall_ms),
+        iters_per_sec: recorded(cfg.include_timing, iters_per_sec),
+    });
     points
 }
 
@@ -473,11 +587,12 @@ mod tests {
         }
         assert_eq!(
             a.contention.len(),
-            4,
-            "uniform + incast, each under both contention modes"
+            5,
+            "uniform + incast, each under both contention modes, then storm"
         );
         for p in &a.contention {
-            assert_eq!(p.iterations, cfg.contention_iterations);
+            let iterations = if p.scenario == "storm" { 10 } else { 1 } * cfg.contention_iterations;
+            assert_eq!(p.iterations, iterations);
             assert!(p.p50_ms > 0.0 && p.p50_ms <= p.p99_ms);
             assert_eq!(p.events_per_iter, p.events as f64 / p.iterations as f64);
             assert_eq!(p.wall_ms, TIMING_DISABLED);
@@ -494,6 +609,8 @@ mod tests {
         assert!(find("incast", "shared_rate").p99_ms > find("incast", "fifo").p99_ms);
         assert!(find("incast", "fifo").nodes > 1);
         assert_eq!(find("uniform", "fifo").nodes, 1);
+        let storm = find("storm", "shared_rate");
+        assert_eq!((storm.gpus, storm.nodes), (16, 4));
     }
 
     #[test]

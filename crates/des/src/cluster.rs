@@ -66,22 +66,31 @@
 //!
 //! In shared-rate mode, work due at the current instant skips the event
 //! heap. An event scheduled for `now` — a gather with no stall and no
-//! launch overhead, the `GpuDone` that closes a gather, the wake-up of a
-//! link holding a zero-work transfer — is queued as a *step* on a FIFO
-//! lane instead. Heap events due now were all scheduled before the clock
-//! reached now, so the loop runs them first and then the lane in order:
-//! exactly the `(time, sequence)` order the heap would have produced.
-//! Every handler therefore runs in the same order as when each step was a
-//! heap event, and every virtual time, tie order and order-sensitive
-//! statistic (the P² quantiles, the Welford moments) is unchanged. Steps
-//! are neither counted in `events` nor folded into the fingerprint.
+//! launch overhead, the `GpuDone` that closes a gather, the hand-off of a
+//! zero-work transfer — is queued as a *step* on a FIFO lane instead. Heap
+//! events due now were all scheduled before the clock reached now, so the
+//! loop runs them first and then the lane. Steps are neither counted in
+//! `events` nor folded into the fingerprint.
 //!
-//! Running such a step inline, inside the handler that causes it, would
-//! be cheaper still but is not equivalent: it moves the step ahead of
-//! other work due at the same instant, which reorders same-time ties on
-//! the links (admission sequence breaks them) and so the order in which
-//! tied sojourns reach the P² estimator. Migration stalls release many
-//! gathers at one instant, so that reorder moves sojourn quantiles.
+//! The order of one instant's handlers does not reach the [`RunSummary`].
+//! It decides same-time ties on the links (admission sequence breaks
+//! them) and so the order in which tied completions are recorded, and the
+//! P² quantiles and Welford moments depend on the order of their samples.
+//! So the sojourns and shared-rate station waits recorded at an instant
+//! are buffered, and pushed once the clock moves on sorted by iteration
+//! (waits by GPU, then iteration): the summary is a function of what
+//! completes at each instant. The event log still records the heap's tie
+//! order.
+//!
+//! # Zero-work transfers
+//!
+//! A transfer with no work (a GPU with no lookups on one tier, a node
+//! with nothing to send) never becomes a link tenant. Its link is still
+//! advanced to now and any transfers completing there are handled, as an
+//! admission would; the link's wake-up is re-projected if that advance
+//! moved it. Fixed-point drains round per interval, so advancing at the
+//! same instants as before keeps every later completion where it was.
+//! The transfer then completes as a same-instant step.
 
 use crate::controller::{CheckOutcome, ReshardController};
 use crate::draws::IterationDraws;
@@ -112,10 +121,9 @@ pub enum ContentionMode {
     /// reduce-scatter over first-class link stations.
     ///
     /// A transfer with zero work (a GPU with no lookups on one tier) moves
-    /// no bytes, so it records no `LinkTenancy` or `LinkTransfer` trace
-    /// event and `des.link.stretch` covers only transfers that did. It is
-    /// still a tenant for zero time: it completes at its link's next
-    /// advance at the same instant.
+    /// no bytes and never occupies its link: it completes at the instant
+    /// it starts, records no `LinkTenancy` or `LinkTransfer` trace event,
+    /// and `des.link.stretch` covers only transfers that moved bytes.
     SharedRate,
 }
 
@@ -216,9 +224,11 @@ enum Event {
     /// Wake-up at a shared-rate link's earliest projected completion. The
     /// generation stamps the tenancy state the projection was made under; a
     /// stale wake-up (the link changed tenancy since) is ignored when popped.
-    /// A link holding a zero-work tenant wakes at once, as a same-instant
-    /// step.
     LinkUpdate { link: usize, generation: u64 },
+    /// A zero-work transfer finished: it moved no bytes, never sat on its
+    /// link, and hands off to the next pipeline stage as a same-instant
+    /// step (shared-rate mode only).
+    ZeroWorkDone { iter: u64, stage: TransferStage },
 }
 
 /// Live state of an attached workload scenario: the spec plus how far the
@@ -417,6 +427,9 @@ struct Contention {
     /// Per-GPU earliest virtual time new gathers may start (pushed out by
     /// migration stalls).
     stalled_until: Vec<SimTime>,
+    /// Per-link virtual time of the last wake-up scheduled, ns: a wake-up
+    /// due at any other time is stale even if its generation is current.
+    wake_ns: Vec<u64>,
     /// Reusable completion buffers for [`SharedRateResource::advance_into`].
     /// Link handlers nest (a completion on one link admits onto the next,
     /// which advances that link), so each nesting level takes its own
@@ -436,6 +449,7 @@ impl Contention {
             local_work_ns: vec![0; num_gpus],
             remote_work_ns: vec![vec![0; topology.num_nodes]; topology.num_nodes],
             stalled_until: vec![SimTime::ZERO; num_gpus],
+            wake_ns: vec![u64::MAX; num_links],
             completion_bufs: Vec::new(),
         }
     }
@@ -615,10 +629,19 @@ pub struct ClusterSimulator<'obs> {
     /// Same-instant steps (shared-rate mode): events due at the current
     /// instant, in scheduling order; see [`schedule_at`](Self::schedule_at).
     steps: VecDeque<Event>,
+    /// Drains the step lane newest first instead of in scheduling order;
+    /// only tests set it.
+    lifo_steps: bool,
     stations: Vec<GpuStation>,
     arrival_rng: StdRng,
     iters: IterationStore,
     sojourn_cdf: StreamingCdf,
+    /// `(iteration, sojourn ns)` of the iterations completed at the current
+    /// instant; see [`end_instant`](Self::end_instant).
+    instant_sojourns: Vec<(u64, u64)>,
+    /// `(gpu, iteration, wait ns)` of the shared-rate gathers finished at
+    /// the current instant.
+    instant_waits: Vec<(usize, u64, u64)>,
     completed: u64,
     exchange_ns: u64,
     scenario: Option<ScenarioRuntime>,
@@ -706,10 +729,13 @@ impl<'obs> ClusterSimulator<'obs> {
             counters: vec![AccessCounters::new(); num_gpus],
             queue: EventQueue::new(),
             steps: VecDeque::new(),
+            lifo_steps: false,
             stations: (0..num_gpus).map(GpuStation::new).collect(),
             arrival_rng: StdRng::seed_from_u64(config.seed ^ 0xA221_7A1C_0FFE_E000),
             iters: IterationStore::new(gathers_per_iter),
             sojourn_cdf: StreamingCdf::latency_defaults(),
+            instant_sojourns: Vec::new(),
+            instant_waits: Vec::new(),
             completed: 0,
             exchange_ns: Self::exchange_ns_for(model, plan, system, &config),
             scenario: None,
@@ -842,6 +868,8 @@ impl<'obs> ClusterSimulator<'obs> {
             Event::ExchangeDone { iter } => (3, iter, 0),
             Event::GatherStart { iter, gpu } => (4, iter, gpu as u64),
             Event::LinkUpdate { link, generation } => (5, link as u64, generation),
+            // Always a same-instant step, so never logged.
+            Event::ZeroWorkDone { iter, .. } => (6, iter, 0),
         };
         for word in [time.as_ns(), seq, tag, a, b] {
             self.fingerprint ^= word;
@@ -1089,13 +1117,38 @@ impl<'obs> ClusterSimulator<'obs> {
     /// projected completion coincides with this instant) are processed
     /// immediately; the wake-up they had scheduled becomes stale via the
     /// generation bump and is skipped when popped.
+    ///
+    /// A zero-work transfer is not admitted: the link is still advanced to
+    /// now and its completions handled, so every later drain rounds exactly
+    /// as if it had been, and the transfer then completes as a same-instant
+    /// [`Event::ZeroWorkDone`] step.
     fn admit_transfer(&mut self, link: usize, work_ns: u64, transfer: Transfer) {
         let now = self.queue.now();
         let contention = self.contention_mut();
         let mut completed = contention.completion_bufs.pop().unwrap_or_default();
         contention.links[link].advance_into(now.as_ns(), &mut completed);
+        if work_ns == 0 {
+            if completed.is_empty() {
+                contention.completion_bufs.push(completed);
+                // Draining up to now re-rounded what each tenant has left,
+                // which can push the earliest completion a nanosecond past
+                // the pending wake-up; re-project it as admitting would.
+                let link_state = &contention.links[link];
+                let moved = link_state
+                    .next_completion_delay()
+                    .is_some_and(|delay| now.after_ns(delay).as_ns() != contention.wake_ns[link]);
+                if moved {
+                    self.schedule_link_wakeup(link);
+                }
+            } else {
+                self.finish_transfers(link, completed);
+            }
+            let Transfer { iter, stage } = transfer;
+            self.steps.push_back(Event::ZeroWorkDone { iter, stage });
+            return;
+        }
         contention.links[link].admit(now.as_ns(), work_ns, transfer);
-        if self.obs.enabled() && work_ns > 0 {
+        if self.obs.enabled() {
             let contention = self.contention();
             let (kind, device) = contention.link_kind(link);
             let tenants = contention.links[link].tenants() as u32;
@@ -1125,20 +1178,26 @@ impl<'obs> ClusterSimulator<'obs> {
     /// Schedules a wake-up at the link's earliest projected completion,
     /// stamped with the current generation.
     fn schedule_link_wakeup(&mut self, link: usize) {
-        let contention = self.contention();
+        let now = self.queue.now();
+        let contention = self.contention_mut();
         if let Some(delay) = contention.links[link].next_completion_delay() {
+            let at = now.after_ns(delay);
+            contention.wake_ns[link] = at.as_ns();
             let generation = contention.links[link].generation();
-            self.schedule_after_ns(delay, Event::LinkUpdate { link, generation });
+            self.schedule_at(at, Event::LinkUpdate { link, generation });
         }
     }
 
-    /// A link wake-up fired: if the stamped generation is current, the
-    /// earliest tenant(s) complete exactly now; otherwise tenancy changed
-    /// since the projection and the event is stale.
+    /// A link wake-up fired: if it is the link's last projection (its
+    /// generation is current and no later projection moved the time), the
+    /// earliest tenant(s) complete exactly now; otherwise the event is
+    /// stale.
     fn handle_link_update(&mut self, link: usize, generation: u64) {
         let now = self.queue.now();
         let contention = self.contention_mut();
-        if contention.links[link].generation() != generation {
+        if contention.links[link].generation() != generation
+            || contention.wake_ns[link] != now.as_ns()
+        {
             return;
         }
         let mut completed = contention.completion_bufs.pop().unwrap_or_default();
@@ -1150,12 +1209,10 @@ impl<'obs> ClusterSimulator<'obs> {
         self.finish_transfers(link, completed);
     }
 
-    /// One shared-rate transfer finished: record it (unless it moved no
-    /// bytes), then advance its pipeline stage (HBM → UVM → gather done;
-    /// local phase → remote phase → exchange done).
+    /// One shared-rate transfer finished on `link`: record it, then advance
+    /// its pipeline stage.
     fn transfer_done(&mut self, link: usize, done: CompletedTransfer<Transfer>) {
-        let now = self.queue.now();
-        if self.obs.enabled() && done.work_ns > 0 {
+        if self.obs.enabled() {
             let contention = self.contention();
             let (kind, device) = contention.link_kind(link);
             self.obs.record(
@@ -1172,6 +1229,13 @@ impl<'obs> ClusterSimulator<'obs> {
             );
         }
         let Transfer { iter, stage } = done.payload;
+        self.advance_stage(iter, stage);
+    }
+
+    /// A transfer of `iter` finished its `stage`: start the next one (HBM →
+    /// UVM → gather done; local phase → remote phase → exchange done).
+    fn advance_stage(&mut self, iter: u64, stage: TransferStage) {
+        let now = self.queue.now();
         match stage {
             TransferStage::Hbm { gpu } => {
                 let uvm_ns = self.iters.gather(iter, gpu).demand.uvm_ns;
@@ -1188,7 +1252,7 @@ impl<'obs> ClusterSimulator<'obs> {
             TransferStage::Uvm { gpu } => {
                 let job = self.iters.gather(iter, gpu);
                 let wait_ns = job.start.since(job.arrival);
-                self.stations[gpu].record_wait_ns(wait_ns);
+                self.instant_waits.push((gpu, iter, wait_ns));
                 if self.obs.enabled() {
                     self.obs.record(
                         job.arrival.as_ns(),
@@ -1236,7 +1300,7 @@ impl<'obs> ClusterSimulator<'obs> {
         let entry = self.iters.complete(iter);
         let now = self.queue.now();
         let sojourn_ns = now.since(entry.arrival);
-        self.sojourn_cdf.push(sojourn_ns as f64 / 1e6);
+        self.instant_sojourns.push((iter, sojourn_ns));
         self.completed += 1;
         self.obs
             .record(now.as_ns(), TraceEvent::IterationDone { iter, sojourn_ns });
@@ -1333,11 +1397,49 @@ impl<'obs> ClusterSimulator<'obs> {
         self
     }
 
+    /// Runs same-instant steps newest first: any order of one instant's
+    /// steps is a valid run, and the summary must not depend on it.
+    #[cfg(test)]
+    fn with_lifo_steps(mut self) -> Self {
+        self.lifo_steps = true;
+        self
+    }
+
+    /// The next same-instant step to run.
+    fn next_step(&mut self) -> Option<Event> {
+        if self.lifo_steps {
+            self.steps.pop_back()
+        } else {
+            self.steps.pop_front()
+        }
+    }
+
     /// Runs the simulation to completion and returns the summary. Draw
     /// workers, if any, draw iterations ahead while it runs.
     pub fn run(self) -> RunSummary {
         let pool = self.draws.pool();
         pool.drive(self.draws.workers(), move || self.simulate())
+    }
+
+    /// Ends the current instant: pushes the sojourns and station waits
+    /// recorded during it into the P² CDF and the station accumulators,
+    /// sorted by iteration (waits by GPU, then iteration). Both estimators
+    /// depend on the order of their samples, so this makes them a function
+    /// of what completed at each instant, not of the order in which that
+    /// instant's handlers ran.
+    fn end_instant(&mut self) {
+        self.instant_sojourns
+            .sort_unstable_by_key(|&(iter, _)| iter);
+        for &(_, sojourn_ns) in &self.instant_sojourns {
+            self.sojourn_cdf.push(sojourn_ns as f64 / 1e6);
+        }
+        self.instant_sojourns.clear();
+        self.instant_waits
+            .sort_unstable_by_key(|&(gpu, iter, _)| (gpu, iter));
+        for &(gpu, _, wait_ns) in &self.instant_waits {
+            self.stations[gpu].record_wait_ns(wait_ns);
+        }
+        self.instant_waits.clear();
     }
 
     /// Runs the handler of one heap event or same-instant step.
@@ -1348,6 +1450,7 @@ impl<'obs> ClusterSimulator<'obs> {
             Event::ExchangeDone { iter } => self.handle_exchange_done(iter),
             Event::GatherStart { iter, gpu } => self.handle_gather_start(iter, gpu),
             Event::LinkUpdate { link, generation } => self.handle_link_update(link, generation),
+            Event::ZeroWorkDone { iter, stage } => self.advance_stage(iter, stage),
         }
     }
 
@@ -1360,10 +1463,12 @@ impl<'obs> ClusterSimulator<'obs> {
             // Heap events due now were scheduled before the clock reached
             // now, so they run before every step queued at this instant;
             // once none is left, nothing can add one, and the steps run.
+            // Then nothing more happens at this instant.
             if self.queue.peek_time() != Some(self.queue.now()) {
-                while let Some(step) = self.steps.pop_front() {
+                while let Some(step) = self.next_step() {
                     self.dispatch(step);
                 }
+                self.end_instant();
             }
         }
         assert!(
@@ -1448,7 +1553,7 @@ impl<'obs> ClusterSimulator<'obs> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use recshard_sharding::{GreedySharder, SizeCost, TablePlacement};
+    use recshard_sharding::{GreedySharder, NodeTopology, SizeCost, TablePlacement};
     use recshard_stats::DatasetProfiler;
     use std::collections::HashMap;
 
@@ -1987,6 +2092,102 @@ mod tests {
                 "{name}: rank-sum z = {z:.2} ({a:?} vs {b:?})"
             );
         }
+    }
+
+    /// The shape of the golden shared-rate timing sweep, as `(nodes, launch
+    /// overhead µs per table, controller threshold, iterations)`: flat, 2-
+    /// and 4-node plans of 16 GPUs, with and without launch overhead, and
+    /// drift storms whose re-shards release many gathers at one instant.
+    const TIE_SWEEP: [(usize, f64, Option<f64>, u64); 8] = [
+        (1, 0.0, None, 1_000),
+        (1, 0.0, Some(1.5), 3_000),
+        (1, 3.0, Some(1.5), 3_000),
+        (2, 3.0, None, 1_000),
+        (2, 0.0, Some(2.0), 3_000),
+        (4, 0.0, Some(3.2), 3_000),
+        (4, 1.0, Some(1.5), 3_000),
+        (4, 3.0, None, 1_000),
+    ];
+
+    /// One `TIE_SWEEP` point: 24 tables on 16 GPUs that hold 1/48 of the
+    /// model each, a lookup-balanced plan over `nodes` nodes, shared-rate
+    /// links, batch 1 and Poisson arrivals far faster than a sojourn, so
+    /// iterations overlap. Given a threshold, a drift storm led by a
+    /// hot-key shift lands at 30% of the span under a re-sharding
+    /// controller.
+    fn tie_sweep_simulator(
+        (nodes, overhead_us, threshold, iterations): (usize, f64, Option<f64>, u64),
+    ) -> ClusterSimulator<'static> {
+        const INTERVAL_MS: f64 = 0.02;
+        let topology = NodeTopology::new(nodes, 16 / nodes);
+        let model = ModelSpec::small(24, 7);
+        let profile = DatasetProfiler::profile_model(&model, 2_000, 7);
+        let system = SystemSpec::uniform(
+            16,
+            model.total_bytes() / 48,
+            model.total_bytes(),
+            1555.0,
+            16.0,
+        );
+        let solve = move |m: &ModelSpec, p: &DatasetProfile, s: &SystemSpec| {
+            GreedySharder::new(recshard_sharding::LookupCost)
+                .shard(m, p, s)
+                .ok()
+                .map(|plan| plan.with_topology(topology))
+        };
+        let plan = solve(&model, &profile, &system).unwrap();
+        let cfg = ClusterConfig {
+            batch_size: 1,
+            iterations,
+            seed: 1,
+            arrival: ArrivalProcess::Poisson {
+                mean_interval_ms: INTERVAL_MS,
+            },
+            kernel_overhead_us_per_table: overhead_us,
+            contention: ContentionMode::SharedRate,
+            ..ClusterConfig::default()
+        };
+        let sim = ClusterSimulator::new(&model, &plan, &profile, &system, cfg);
+        let Some(threshold) = threshold else {
+            return sim;
+        };
+        let span_s = iterations as f64 * INTERVAL_MS / 1e3;
+        let mut scenario = ScenarioSpec::drift_storm(0.3 * span_s, 0.1 * span_s, 3);
+        scenario.shifts.insert(
+            0,
+            recshard_data::ShiftEvent {
+                at_s: 0.3 * span_s,
+                shift: recshard_data::ShiftKind::HotKeyShift { fraction: 0.3 },
+            },
+        );
+        let policy = crate::controller::ReshardPolicy {
+            check_every_iterations: 300,
+            imbalance_threshold: threshold,
+            profile_samples: 1_000,
+        };
+        let solver: Box<crate::controller::PlanSolver> = Box::new(move |m, p, s, _| solve(m, p, s));
+        sim.with_scenario(scenario)
+            .with_controller(ReshardController::new(policy, solver))
+    }
+
+    #[test]
+    fn summaries_do_not_depend_on_the_order_of_same_instant_steps() {
+        // Everything but the event log: draining each instant's steps newest
+        // first reorders same-time ties on the links and the heap, and so
+        // the order in which tied completions are recorded.
+        let timing = |mut s: RunSummary| {
+            (s.events, s.fingerprint) = (0, 0);
+            s
+        };
+        let mut reshards = 0;
+        for point in TIE_SWEEP {
+            let fifo = tie_sweep_simulator(point).run();
+            let lifo = tie_sweep_simulator(point).with_lifo_steps().run();
+            assert_eq!(fifo.completed, point.3);
+            reshards += fifo.reshards;
+            assert_eq!(timing(lifo), timing(fifo), "{point:?}");
+        }
+        assert!(reshards > 0, "the storms must re-shard");
     }
 
     fn store_job(iter: u64, gpu: usize) -> GatherJob {

@@ -20,10 +20,12 @@
 //! as deterministic).
 //!
 //! A tenant admitted with zero work completes at the link's next advance
-//! (even one that moves the clock by nothing, which is how the simulator
-//! wakes it: a same-instant step). The drain loop sweeps finished tenants
-//! out before it drains any interval, so a zero-work tenant never changes
-//! what another tenant has left or when it completes.
+//! (even one that moves the clock by nothing). The drain loop sweeps
+//! finished tenants out before it drains any interval, so a zero-work
+//! tenant never changes what another tenant has left or when it completes:
+//! admitting one is the same as advancing the link to its instant. The
+//! cluster simulator relies on that and never admits zero work; it only
+//! advances the link. Direct callers may still admit it.
 //!
 //! Completions are reported through
 //! [`SharedRateResource::advance_into`], which appends to a caller-owned
@@ -315,6 +317,7 @@ fn drain_units(dt: u64, n: u64) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The drain formula `⌊dt · units / n⌋` evaluated entirely in `u128`.
     fn drain_units_u128(dt: u64, n: u64) -> u128 {
@@ -491,6 +494,107 @@ mod tests {
         assert_eq!(link.generation(), g1);
         assert_eq!(link.advance(20).len(), 1);
         assert!(link.generation() > g1);
+    }
+
+    /// How a driven link treats a zero-work transfer.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum ZeroWork {
+        /// Admit it as a tenant; the link's next advance sweeps it out.
+        Admit,
+        /// Only advance the link to the transfer's instant.
+        AdvanceOnly,
+        /// Leave the link alone.
+        Skip,
+    }
+
+    /// Drives a link through `ops` (gap before the transfer, its work ns;
+    /// the op index is the payload), advancing it at its own projected
+    /// completions in between, as the simulator's wake-ups do, and drains
+    /// it at the end. Returns every completion and the drained link.
+    fn drive(
+        ops: &[(u64, u64)],
+        zero: ZeroWork,
+    ) -> (Vec<CompletedTransfer<usize>>, SharedRateResource<usize>) {
+        let mut link = SharedRateResource::new();
+        let mut done = Vec::new();
+        let (mut now, mut clock) = (0, 0);
+        for (i, &(gap_ns, work_ns)) in ops.iter().enumerate() {
+            now += gap_ns;
+            while let Some(delay) = link.next_completion_delay() {
+                if clock + delay > now {
+                    break;
+                }
+                clock += delay;
+                link.advance_into(clock, &mut done);
+            }
+            if work_ns == 0 && zero == ZeroWork::Skip {
+                continue;
+            }
+            link.advance_into(now, &mut done);
+            clock = now;
+            if work_ns > 0 || zero == ZeroWork::Admit {
+                link.admit(now, work_ns, i);
+            }
+        }
+        while let Some(delay) = link.next_completion_delay() {
+            clock += delay;
+            link.advance_into(clock, &mut done);
+        }
+        (done, link)
+    }
+
+    /// `(payload, admitted, completed)` of the transfers that moved bytes.
+    fn positive_work(done: &[CompletedTransfer<usize>]) -> Vec<(usize, u64, u64)> {
+        done.iter()
+            .filter(|c| c.work_ns > 0)
+            .map(|c| (c.payload, c.admitted_ns, c.completed_ns))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A link that is only advanced to a zero-work transfer's instant
+        /// completes every other transfer exactly when, and in the order,
+        /// a link that admits the zero-work tenant does, and serves the
+        /// same units: the tenant leaves at the next advance, before any
+        /// interval drains, so admitting it adds nothing but that advance.
+        #[test]
+        fn advancing_to_a_zero_work_transfer_equals_admitting_it(
+            ops in prop::collection::vec((0u64..400, 1u64..600, any::<bool>()), 1..48),
+        ) {
+            // About half the transfers carry no work, and about a third of
+            // the gaps are zero, so that transfers share instants.
+            let ops: Vec<(u64, u64)> = ops
+                .iter()
+                .map(|&(gap, work, zero)| (gap * u64::from(gap % 3 != 0), work * u64::from(!zero)))
+                .collect();
+            let (admitted, admit_link) = drive(&ops, ZeroWork::Admit);
+            let (advanced, advance_link) = drive(&ops, ZeroWork::AdvanceOnly);
+            prop_assert_eq!(positive_work(&admitted), positive_work(&advanced));
+            prop_assert_eq!(advance_link.served_units(), admit_link.served_units());
+            prop_assert_eq!(advance_link.served_units(), advance_link.admitted_units());
+            for c in admitted.iter().filter(|c| c.work_ns == 0) {
+                prop_assert_eq!(c.completed_ns, c.admitted_ns, "zero work ends at once");
+            }
+        }
+    }
+
+    #[test]
+    fn skipping_the_advance_at_a_zero_work_transfer_moves_a_completion() {
+        // Three tenants of 10 ns each finish together at 30 ns when the
+        // link drains [0, 30] in one interval. Advancing it at 2 ns splits
+        // the drain into ⌊2·2²⁰/3⌋ + ⌊28·2²⁰/3⌋ units, one short of 10·2²⁰,
+        // so they finish a nanosecond later, as when a zero-work tenant is
+        // admitted at 2 ns.
+        let ops = [(0, 10), (0, 10), (0, 10), (2, 0)];
+        let ends = |zero| {
+            let (done, _) = drive(&ops, zero);
+            positive_work(&done).iter().map(|c| c.2).collect::<Vec<_>>()
+        };
+        assert_eq!(ends(ZeroWork::Admit), [31, 31, 31]);
+        assert_eq!(ends(ZeroWork::AdvanceOnly), [31, 31, 31]);
+        assert_eq!(ends(ZeroWork::Skip), [30, 30, 30]);
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl RequestStream {
         arrival: ArrivalModel,
         seed: u64,
     ) -> Self {
-        let (arrivals_ns, _) = schedule(queries, arrival, seed, None);
+        let arrivals_ns = schedule(queries, arrival, seed, None);
         Self::collect(model, gpu_of, num_shards, batch, seed, arrivals_ns, None)
     }
 
@@ -175,7 +175,8 @@ impl RequestStream {
         scenario: &ScenarioSpec,
     ) -> Result<(Self, Vec<PhaseChange>), ServeError> {
         scenario.validate().map_err(ServeError::InvalidScenario)?;
-        let (arrivals_ns, phase_changes) = schedule(queries, arrival, seed, Some(scenario));
+        let arrivals_ns = schedule(queries, arrival, seed, Some(scenario));
+        let phase_changes = phase_changes(&arrivals_ns, scenario);
         let stream = Self::collect(
             model,
             gpu_of,
@@ -229,35 +230,19 @@ impl RequestStream {
     }
 }
 
-/// The arrival time of each of `queries` queries and the scenario phase
-/// changes they cross, drawn from the arrival RNG alone. Every shard shares
-/// this schedule.
+/// The arrival time of each of `queries` queries, drawn from the arrival
+/// RNG alone. Every shard shares this schedule.
 pub(crate) fn schedule(
     queries: u32,
     arrival: ArrivalModel,
     seed: u64,
     scenario: Option<&ScenarioSpec>,
-) -> (Vec<u64>, Vec<PhaseChange>) {
+) -> Vec<u64> {
     let mut arrival_rng = StdRng::seed_from_u64(seed ^ 0x5E2E_A221_7A1C_0FFE);
-    let boundaries = scenario.map(|s| s.boundaries_ns()).unwrap_or_default();
-    let mut phase = 0u32;
-    let mut phase_changes = Vec::new();
     let mut arrivals_ns = Vec::with_capacity(queries as usize);
     let mut now = 0u64;
     for _ in 0..queries {
         arrivals_ns.push(now);
-        if let Some(spec) = scenario {
-            let now_phase = boundaries.iter().filter(|&&b| b <= now).count() as u32;
-            if now_phase > phase {
-                phase = now_phase;
-                phase_changes.push(PhaseChange {
-                    at_ns: now,
-                    phase,
-                    rate_multiplier: spec.rate_multiplier(now),
-                    shifts_applied: spec.shifts_due(now) as u64,
-                });
-            }
-        }
         let mut gap = arrival.next_gap_ns(&mut arrival_rng);
         if let Some(spec) = scenario {
             gap = spec.scaled_gap_ns(gap, now);
@@ -266,7 +251,28 @@ pub(crate) fn schedule(
         // wrapping, so arrivals never decrease.
         now = now.saturating_add(gap);
     }
-    (arrivals_ns, phase_changes)
+    arrivals_ns
+}
+
+/// The scenario phase changes that `arrivals_ns` cross: each is the first
+/// arrival at or after a rate-curve boundary.
+fn phase_changes(arrivals_ns: &[u64], scenario: &ScenarioSpec) -> Vec<PhaseChange> {
+    let boundaries = scenario.boundaries_ns();
+    let mut phase = 0u32;
+    let mut changes = Vec::new();
+    for &now in arrivals_ns {
+        let now_phase = boundaries.iter().filter(|&&b| b <= now).count() as u32;
+        if now_phase > phase {
+            phase = now_phase;
+            changes.push(PhaseChange {
+                at_ns: now,
+                phase,
+                rate_multiplier: scenario.rate_multiplier(now),
+                shifts_applied: scenario.shifts_due(now) as u64,
+            });
+        }
+    }
+    changes
 }
 
 /// One shard's tasks, in query order: for each query that touches the
@@ -522,7 +528,7 @@ mod tests {
         assert_eq!(two, generate(model.num_features()));
         // Each shard's generator alone draws exactly its share.
         let gpu_of = hash_placement(&model, 3).gpu_assignments();
-        let (arrivals, _) = schedule(80, arrival, 5, None);
+        let arrivals = schedule(80, arrival, 5, None);
         let one_shard: Vec<_> = shard_tasks(&model, &gpu_of, 1, 4, 5, &arrivals, None)
             .map(|(query, _, lookups)| ShardTask { query, lookups })
             .collect();

@@ -333,7 +333,7 @@ impl InferenceServer {
         traced: bool,
     ) -> (Vec<u64>, Vec<ShardRun>) {
         let queries = config.warmup + config.queries;
-        let (arrivals_ns, _) = schedule(queries, config.arrival, config.seed, scenario);
+        let arrivals_ns = schedule(queries, config.arrival, config.seed, scenario);
         // Each worker owns its cache and clock, so the merged result is
         // schedule-independent. Traced runs buffer per-shard records
         // privately and merge them in shard order afterwards, keeping the

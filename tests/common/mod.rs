@@ -1,8 +1,9 @@
 //! Fixtures shared by the integration tests.
 
 use recshard::{HierarchicalSolver, RecShardConfig};
+use recshard_bench::des_bench::hot_key_storm;
 use recshard_bench::{skewed_model, Strategy};
-use recshard_data::{ModelSpec, ScenarioSpec, ShiftEvent, ShiftKind};
+use recshard_data::ModelSpec;
 use recshard_des::{
     ArrivalProcess, ClusterConfig, ClusterSimulator, ContentionMode, ReshardController,
     ReshardPolicy,
@@ -99,15 +100,7 @@ pub fn contended_des_simulator<'obs>(
     let Some(threshold) = threshold else {
         return sim;
     };
-    let span_s = iterations as f64 * INTERVAL_MS / 1e3;
-    let mut scenario = ScenarioSpec::drift_storm(0.3 * span_s, 0.1 * span_s, 3);
-    scenario.shifts.insert(
-        0,
-        ShiftEvent {
-            at_s: 0.3 * span_s,
-            shift: ShiftKind::HotKeyShift { fraction: 0.3 },
-        },
-    );
+    let scenario = hot_key_storm(iterations as f64 * INTERVAL_MS / 1e3);
     let policy = ReshardPolicy {
         check_every_iterations: 300,
         imbalance_threshold: threshold,

@@ -37,7 +37,7 @@ use common::{contended_des_simulator, skewed_des_simulator, CONTENDED_DES, SKEWE
 /// Committed fingerprint of the shortened `train_contended` run (shared-rate
 /// links, 4×4 hierarchical plan, overlapping Poisson arrivals, a drift storm
 /// and a re-sharding controller).
-const CONTENDED_DES_GOLDEN: u64 = 0xb709_65ea_fb7f_4ef3;
+const CONTENDED_DES_GOLDEN: u64 = 0xbe24_a651_ce90_8de9;
 
 /// Committed fingerprint of the `fig13_scaling` DES backend (tiny config,
 /// RM1, RecShard plan).
@@ -51,7 +51,7 @@ const SOLVER_SCALING_GOLDEN: u64 = 0x6ba7_d67b_4171_619c;
 
 /// Committed fingerprints of the tiny `des_bench` and `scenario_bench`
 /// sweeps: FNV-1a hashes of their canonical JSON with timing blanked.
-const DES_BENCH_TINY_GOLDEN: u64 = 0xeb01_f1d2_5c31_afe4;
+const DES_BENCH_TINY_GOLDEN: u64 = 0x2880_9725_2e5f_dcb8;
 const SCENARIO_BENCH_TINY_GOLDEN: u64 = 0x9a5d_fa18_1bee_331b;
 
 /// Committed per-point scalable-plan fingerprints of the tiny sweep
@@ -164,12 +164,12 @@ const CONTENDED_TIMING_SWEEP: [(usize, f64, Option<f64>, u64); 8] = [
 /// Committed `timing_fingerprint`s of `CONTENDED_TIMING_SWEEP`, in order.
 const CONTENDED_TIMING_GOLDEN: [u64; 8] = [
     0x3e4d_7d1e_2d54_d437,
-    0xbc81_5a06_f41e_9d80,
-    0x26f1_b729_64e0_da17,
+    0x750a_58b8_30a7_5d9a,
+    0xedef_f5ea_b124_1502,
     0xcaf7_67c8_8eee_c490,
-    0x9195_4426_0096_ffa4,
-    0x2f2e_d0e2_ffeb_b519,
-    0x5c9c_2f5a_f12c_c5fa,
+    0xc39b_d848_c479_18dd,
+    0xe224_4223_45b8_dfc0,
+    0x83c1_3fa5_e500_9bca,
     0x2b22_8074_ee5e_3678,
 ];
 
