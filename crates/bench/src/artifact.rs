@@ -25,6 +25,7 @@
 //! (`RECSHARD_BENCH_ALLOW_DRIFT=1` turns drift into a note).
 
 use crate::report::RunReport;
+use recshard_data::{fnv1a, FNV_OFFSET};
 use recshard_des::RunSummary;
 use recshard_obs::ObsBundle;
 use std::fmt;
@@ -35,15 +36,6 @@ pub const TIMING_DISABLED: f64 = -1.0;
 
 /// Wall-clock repetitions of a timed run; see [`best_of`].
 const TIMING_REPS: usize = 3;
-
-/// FNV-1a offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
-/// Folds one word into an FNV-1a hash.
-pub(crate) fn fnv_fold(hash: &mut u64, word: u64) {
-    *hash ^= word;
-    *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-}
 
 /// One row field.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,11 +164,9 @@ impl Artifact {
 
     /// FNV-1a hash of the canonical JSON with every timing blanked.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash = FNV_OFFSET;
-        for byte in self.render(true).bytes() {
-            fnv_fold(&mut hash, u64::from(byte));
-        }
-        hash
+        self.render(true)
+            .bytes()
+            .fold(FNV_OFFSET, |h, byte| fnv1a(h, u64::from(byte)))
     }
 
     fn render(&self, blank_timing: bool) -> String {

@@ -17,11 +17,10 @@
 //! are always printed to stdout. The scaled-down sweep is regression-locked
 //! by `tests/golden_fingerprints.rs`.
 
-use crate::artifact::{
-    best_of, fnv_fold, recorded, row, Artifact, Better, PerfGate, Row, Spec, FNV_OFFSET,
-};
+use crate::artifact::{best_of, recorded, row, Artifact, Better, PerfGate, Row, Spec};
 use crate::{skewed_model, Strategy};
 use recshard::{HierarchicalSolver, RecShardConfig, ScalableSolver, StructuredSolver};
+use recshard_data::{fnv1a, FNV_OFFSET};
 use recshard_memsim::AnalyticalEstimator;
 use recshard_sharding::{ClusterSpec, DeviceClass, NodeTopology, ShardingPlan, SystemSpec};
 use recshard_stats::{DatasetProfile, DatasetProfiler};
@@ -284,13 +283,10 @@ fn max_cost(
 /// total rows and row bytes: the plan fingerprint `BENCH_solver.json`
 /// locks.
 pub fn plan_fingerprint(plan: &ShardingPlan) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for p in plan.placements() {
-        for word in [p.gpu as u64, p.hbm_rows, p.total_rows, p.row_bytes] {
-            fnv_fold(&mut hash, word);
-        }
-    }
-    hash
+    plan.placements()
+        .iter()
+        .flat_map(|p| [p.gpu as u64, p.hbm_rows, p.total_rows, p.row_bytes])
+        .fold(FNV_OFFSET, fnv1a)
 }
 
 /// Runs the sweep.

@@ -11,6 +11,9 @@
 //! The hasher here is a deterministic 64-bit finalizer (SplitMix64-style),
 //! which is statistically indistinguishable from the "random hash" the paper
 //! assumes for collision-analysis purposes.
+//!
+//! [`fnv1a`] is the FNV-1a fold behind every fingerprint in the workspace:
+//! event logs, reports, traces, metrics snapshots and bench artifacts.
 
 /// A deterministic feature hasher mapping raw categorical values to embedding
 /// rows in `[0, hash_size)`.
@@ -167,6 +170,18 @@ pub fn expected_collision_fraction(distinct_inputs: u64, hash_size: u64) -> f64 
     }
     let occupied = expected_usage(distinct_inputs, hash_size) * hash_size as f64;
     ((distinct_inputs as f64) - occupied).max(0.0) / distinct_inputs as f64
+}
+
+/// FNV-1a offset basis: the hash of nothing, where every fingerprint in
+/// the workspace starts.
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Folds one word into an FNV-1a hash. Byte-wise FNV-1a folds each byte
+/// as a word, so `bytes.fold(FNV_OFFSET, |h, b| fnv1a(h, b.into()))` is
+/// the textbook hash; fingerprints of structured records fold whole
+/// `u64` words instead.
+pub fn fnv1a(hash: u64, word: u64) -> u64 {
+    (hash ^ word).wrapping_mul(0x0000_0100_0000_01B3)
 }
 
 #[cfg(test)]

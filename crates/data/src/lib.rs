@@ -51,7 +51,7 @@ pub mod zipf;
 pub use drift::{DriftModel, DriftPoint};
 pub use feature::{FeatureClass, FeatureId, FeatureSpec};
 pub use growth::{GpuGeneration, GrowthPoint, GrowthTrend, HardwareCatalog};
-pub use hash::{FeatureHasher, HashStats};
+pub use hash::{fnv1a, FeatureHasher, HashStats, FNV_OFFSET};
 pub use model::{ModelSpec, RmKind};
 pub use pooling::PoolingSpec;
 pub use sample::{

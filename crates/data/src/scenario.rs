@@ -25,6 +25,7 @@
 //! bit-deterministic.
 
 use crate::feature::{FeatureClass, FeatureSpec};
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::model::ModelSpec;
 
 /// Floor applied to the composed rate multiplier, so a pathological curve
@@ -196,15 +197,11 @@ pub struct ShiftEvent {
 /// shift `shift_idx` at the given fraction. FNV-1a over the two indices,
 /// mapped to `[0, 1)` — no RNG, so DES and serve select identically.
 fn selects(fi: usize, shift_idx: usize, fraction: f64) -> bool {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for byte in (fi as u64)
+    let hash = (fi as u64)
         .to_le_bytes()
         .into_iter()
         .chain((shift_idx as u64).to_le_bytes())
-    {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+        .fold(FNV_OFFSET, |h, byte| fnv1a(h, u64::from(byte)));
     ((hash >> 11) as f64 / (1u64 << 53) as f64) < fraction
 }
 

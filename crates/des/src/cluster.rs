@@ -19,7 +19,7 @@
 //!    same-instant step (see below), never a heap event.
 //! 3. **`ExchangeDone`** — the pooled embeddings finished crossing the
 //!    interconnect; the iteration completes and its *sojourn time* (arrival →
-//!    exchange done, queueing included) streams into the p50/p95/p99 CDF.
+//!    exchange done, queueing included) goes into the p50/p95/p99 sketch.
 //!
 //! # Per-iteration state
 //!
@@ -74,13 +74,11 @@
 //!
 //! The order of one instant's handlers does not reach the [`RunSummary`].
 //! It decides same-time ties on the links (admission sequence breaks
-//! them) and so the order in which tied completions are recorded, and the
-//! P² quantiles and Welford moments depend on the order of their samples.
-//! So the sojourns and shared-rate station waits recorded at an instant
-//! are buffered, and pushed once the clock moves on sorted by iteration
-//! (waits by GPU, then iteration): the summary is a function of what
-//! completes at each instant. The event log still records the heap's tie
-//! order.
+//! them) and so the order in which tied completions are recorded. The
+//! sojourns and station waits go into [`LogLinearHistogram`]s, whose
+//! quantiles and moments depend only on the set of samples, so the summary
+//! is a function of what completes at each instant. The event log still
+//! records the heap's tie order.
 //!
 //! # Zero-work transfers
 //!
@@ -102,12 +100,16 @@ use crate::time::SimTime;
 use crate::workload::ArrivalProcess;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use recshard_data::{ModelSpec, ScenarioSpec};
+use recshard_data::{fnv1a, ModelSpec, ScenarioSpec, FNV_OFFSET};
 use recshard_memsim::{AccessCounters, IterationWorkload};
-use recshard_obs::{LinkKind, ObsHandle, ObsSink, TraceEvent};
+use recshard_obs::{LinkKind, ObsHandle, ObsSink, QuantileStats, TraceEvent};
 use recshard_sharding::{NodeTopology, ShardingPlan, SystemSpec};
-use recshard_stats::{DatasetProfile, StreamingCdf, Summary, WelfordAccumulator};
+use recshard_stats::{DatasetProfile, LogLinearHistogram, Summary};
 use std::collections::VecDeque;
+
+/// Nanoseconds per millisecond: the sketches record nanoseconds, and the
+/// summary reports milliseconds.
+const NS_PER_MS: f64 = 1e6;
 
 /// How contended resources are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -635,13 +637,8 @@ pub struct ClusterSimulator<'obs> {
     stations: Vec<GpuStation>,
     arrival_rng: StdRng,
     iters: IterationStore,
-    sojourn_cdf: StreamingCdf,
-    /// `(iteration, sojourn ns)` of the iterations completed at the current
-    /// instant; see [`end_instant`](Self::end_instant).
-    instant_sojourns: Vec<(u64, u64)>,
-    /// `(gpu, iteration, wait ns)` of the shared-rate gathers finished at
-    /// the current instant.
-    instant_waits: Vec<(usize, u64, u64)>,
+    /// Sojourn times of completed iterations, ns.
+    sojourns: LogLinearHistogram,
     completed: u64,
     exchange_ns: u64,
     scenario: Option<ScenarioRuntime>,
@@ -733,14 +730,12 @@ impl<'obs> ClusterSimulator<'obs> {
             stations: (0..num_gpus).map(GpuStation::new).collect(),
             arrival_rng: StdRng::seed_from_u64(config.seed ^ 0xA221_7A1C_0FFE_E000),
             iters: IterationStore::new(gathers_per_iter),
-            sojourn_cdf: StreamingCdf::latency_defaults(),
-            instant_sojourns: Vec::new(),
-            instant_waits: Vec::new(),
+            sojourns: LogLinearHistogram::new(),
             completed: 0,
             exchange_ns: Self::exchange_ns_for(model, plan, system, &config),
             scenario: None,
             controller: None,
-            fingerprint: 0xCBF2_9CE4_8422_2325,
+            fingerprint: FNV_OFFSET,
             contention,
             obs: ObsHandle::noop(),
         })
@@ -871,10 +866,9 @@ impl<'obs> ClusterSimulator<'obs> {
             // Always a same-instant step, so never logged.
             Event::ZeroWorkDone { iter, .. } => (6, iter, 0),
         };
-        for word in [time.as_ns(), seq, tag, a, b] {
-            self.fingerprint ^= word;
-            self.fingerprint = self.fingerprint.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.fingerprint = [time.as_ns(), seq, tag, a, b]
+            .into_iter()
+            .fold(self.fingerprint, fnv1a);
     }
 
     /// The shared-rate contention state. The gather/exchange/link handlers
@@ -1252,7 +1246,7 @@ impl<'obs> ClusterSimulator<'obs> {
             TransferStage::Uvm { gpu } => {
                 let job = self.iters.gather(iter, gpu);
                 let wait_ns = job.start.since(job.arrival);
-                self.instant_waits.push((gpu, iter, wait_ns));
+                self.stations[gpu].record_wait_ns(wait_ns);
                 if self.obs.enabled() {
                     self.obs.record(
                         job.arrival.as_ns(),
@@ -1300,7 +1294,7 @@ impl<'obs> ClusterSimulator<'obs> {
         let entry = self.iters.complete(iter);
         let now = self.queue.now();
         let sojourn_ns = now.since(entry.arrival);
-        self.instant_sojourns.push((iter, sojourn_ns));
+        self.sojourns.push(sojourn_ns);
         self.completed += 1;
         self.obs
             .record(now.as_ns(), TraceEvent::IterationDone { iter, sojourn_ns });
@@ -1421,27 +1415,6 @@ impl<'obs> ClusterSimulator<'obs> {
         pool.drive(self.draws.workers(), move || self.simulate())
     }
 
-    /// Ends the current instant: pushes the sojourns and station waits
-    /// recorded during it into the P² CDF and the station accumulators,
-    /// sorted by iteration (waits by GPU, then iteration). Both estimators
-    /// depend on the order of their samples, so this makes them a function
-    /// of what completed at each instant, not of the order in which that
-    /// instant's handlers ran.
-    fn end_instant(&mut self) {
-        self.instant_sojourns
-            .sort_unstable_by_key(|&(iter, _)| iter);
-        for &(_, sojourn_ns) in &self.instant_sojourns {
-            self.sojourn_cdf.push(sojourn_ns as f64 / 1e6);
-        }
-        self.instant_sojourns.clear();
-        self.instant_waits
-            .sort_unstable_by_key(|&(gpu, iter, _)| (gpu, iter));
-        for &(gpu, _, wait_ns) in &self.instant_waits {
-            self.stations[gpu].record_wait_ns(wait_ns);
-        }
-        self.instant_waits.clear();
-    }
-
     /// Runs the handler of one heap event or same-instant step.
     fn dispatch(&mut self, event: Event) {
         match event {
@@ -1468,7 +1441,6 @@ impl<'obs> ClusterSimulator<'obs> {
                 while let Some(step) = self.next_step() {
                     self.dispatch(step);
                 }
-                self.end_instant();
             }
         }
         assert!(
@@ -1499,10 +1471,11 @@ impl<'obs> ClusterSimulator<'obs> {
             },
         );
         let makespan_ms = makespan.as_ms();
-        let mut queue_wait = WelfordAccumulator::new();
+        let mut queue_wait = LogLinearHistogram::new();
         for s in &self.stations {
-            queue_wait.merge(s.queue_wait_ms());
+            queue_wait.merge(s.queue_wait_ns());
         }
+        let sojourn = QuantileStats::of(&self.sojourns, NS_PER_MS);
         RunSummary {
             strategy: self.strategy.clone(),
             num_gpus: self.stations.len(),
@@ -1515,11 +1488,11 @@ impl<'obs> ClusterSimulator<'obs> {
             } else {
                 0.0
             },
-            p50_ms: self.sojourn_cdf.p50(),
-            p95_ms: self.sojourn_cdf.p95(),
-            p99_ms: self.sojourn_cdf.p99(),
-            iteration_time: self.sojourn_cdf.summary(),
-            queue_wait: queue_wait.summary(),
+            p50_ms: sojourn.p50,
+            p95_ms: sojourn.p95,
+            p99_ms: sojourn.p99,
+            iteration_time: sojourn.summary,
+            queue_wait: queue_wait.summary(NS_PER_MS),
             busy_fraction: self
                 .stations
                 .iter()

@@ -11,6 +11,7 @@
 //! [`ShardingPlan`], and installs it — charging every station a migration
 //! stall proportional to the embedding bytes that change residency.
 
+use crate::error::DesError;
 use crate::time::SimTime;
 use recshard_data::ModelSpec;
 use recshard_sharding::{ShardingPlan, SystemSpec};
@@ -97,21 +98,42 @@ pub enum CheckOutcome {
 
 impl ReshardController {
     /// Creates a controller around a plan solver.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a policy [`try_new`](Self::try_new) rejects.
     pub fn new(policy: ReshardPolicy, solver: Box<PlanSolver>) -> Self {
-        assert!(
-            policy.check_every_iterations > 0,
-            "check interval must be non-zero"
-        );
-        assert!(
-            policy.imbalance_threshold >= 1.0,
-            "imbalance threshold below 1 always fires"
-        );
-        Self {
+        Self::try_new(policy, solver).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a controller around a plan solver, returning a typed error
+    /// on an invalid policy instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// [`DesError::InvalidReshardPolicy`] for a zero check interval (no
+    /// check would ever be due) or an imbalance threshold below 1 or NaN
+    /// (a threshold below 1 fires on a perfectly balanced window).
+    pub fn try_new(policy: ReshardPolicy, solver: Box<PlanSolver>) -> Result<Self, DesError> {
+        if policy.check_every_iterations == 0 {
+            return Err(DesError::InvalidReshardPolicy {
+                name: "check_every_iterations",
+                value: 0.0,
+            });
+        }
+        let threshold = policy.imbalance_threshold;
+        if threshold.is_nan() || threshold < 1.0 {
+            return Err(DesError::InvalidReshardPolicy {
+                name: "imbalance_threshold",
+                value: threshold,
+            });
+        }
+        Ok(Self {
             policy,
             solver,
             window_baseline_ns: Vec::new(),
             reshard_count: 0,
-        }
+        })
     }
 
     /// The active policy.
@@ -232,6 +254,49 @@ mod tests {
             .shard(&model, &profile, &system)
             .unwrap();
         (model, plan, system)
+    }
+
+    #[test]
+    fn try_new_rejects_a_zero_check_interval() {
+        let policy = ReshardPolicy {
+            check_every_iterations: 0,
+            ..ReshardPolicy::default()
+        };
+        let err = ReshardController::try_new(policy, greedy_solver()).unwrap_err();
+        assert_eq!(
+            err,
+            DesError::InvalidReshardPolicy {
+                name: "check_every_iterations",
+                value: 0.0
+            }
+        );
+        assert!(err.to_string().contains("check_every_iterations"));
+    }
+
+    #[test]
+    fn try_new_rejects_a_threshold_below_one_or_nan() {
+        for bad in [0.99, 0.0, -1.0, f64::NAN] {
+            let policy = ReshardPolicy {
+                imbalance_threshold: bad,
+                ..ReshardPolicy::default()
+            };
+            let err = ReshardController::try_new(policy, greedy_solver()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    DesError::InvalidReshardPolicy {
+                        name: "imbalance_threshold",
+                        ..
+                    }
+                ),
+                "{bad}: {err}"
+            );
+        }
+        let policy = ReshardPolicy {
+            imbalance_threshold: 1.0,
+            ..ReshardPolicy::default()
+        };
+        assert!(ReshardController::try_new(policy, greedy_solver()).is_ok());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! silently turn into `inf`/NaN transfer seconds (which the float→integer
 //! cast then collapsed to `0` or `u64::MAX` nanoseconds). Validation now
 //! happens up front in [`ClusterSimulator::try_new`](crate::ClusterSimulator::try_new)
+//! and [`ReshardController::try_new`](crate::ReshardController::try_new)
 //! and surfaces one of these variants instead.
 
 /// A rejected cluster-simulation configuration.
@@ -45,6 +46,14 @@ pub enum DesError {
         /// Human-readable description of the degenerate dimension.
         what: &'static str,
     },
+    /// A re-sharding policy field is below 1 (or NaN): a zero check
+    /// interval never checks, a threshold below 1 always fires.
+    InvalidReshardPolicy {
+        /// Which policy field was rejected.
+        name: &'static str,
+        /// The offending value.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for DesError {
@@ -67,6 +76,9 @@ impl std::fmt::Display for DesError {
                 "plan/system GPU count mismatch: plan shards {plan} GPUs, system has {system}"
             ),
             DesError::EmptyRun { what } => write!(f, "{what}"),
+            DesError::InvalidReshardPolicy { name, value } => {
+                write!(f, "re-shard policy {name} must be at least 1, got {value}")
+            }
         }
     }
 }

@@ -37,13 +37,14 @@
 //!   events drift the workload mid-run (Figure 9's pooling drift among
 //!   them), the controller watches per-GPU busy-time imbalance, and swaps
 //!   in a freshly solved [`ShardingPlan`], charging a migration stall.
-//! * tail-latency metrics — per-iteration sojourn times stream into
-//!   `recshard-stats`' constant-space [`StreamingCdf`] (P² quantiles), so
-//!   p50/p95/p99 come out of million-iteration runs without buffering.
+//! * tail-latency metrics — per-iteration sojourn times go into
+//!   `recshard-stats`' [`LogLinearHistogram`], an integer quantile sketch
+//!   that depends only on the set of samples, so p50/p95/p99 (within
+//!   2^-8 relative) come out of million-iteration runs without buffering.
 //!
 //! [`ScenarioSpec`]: recshard_data::ScenarioSpec
 //! [`ShardingPlan`]: recshard_sharding::ShardingPlan
-//! [`StreamingCdf`]: recshard_stats::StreamingCdf
+//! [`LogLinearHistogram`]: recshard_stats::LogLinearHistogram
 //!
 //! ## When to use which simulator
 //!

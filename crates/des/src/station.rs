@@ -8,7 +8,7 @@
 //! are tracked separately so reports can attribute busy time to tiers.
 
 use crate::time::SimTime;
-use recshard_stats::WelfordAccumulator;
+use recshard_stats::LogLinearHistogram;
 
 /// Service demand of one job (one iteration's embedding work on one GPU),
 /// split by memory tier.
@@ -43,8 +43,8 @@ pub struct GpuStation {
     /// Cumulative stall time injected by migrations/re-sharding.
     stall_ns: u64,
     jobs_served: u64,
-    /// Distribution of how long jobs waited in queue before service.
-    queue_wait_ms: WelfordAccumulator,
+    /// Distribution of how long jobs waited in queue before service, ns.
+    queue_wait_ns: LogLinearHistogram,
 }
 
 impl GpuStation {
@@ -58,7 +58,7 @@ impl GpuStation {
             busy_overhead_ns: 0,
             stall_ns: 0,
             jobs_served: 0,
-            queue_wait_ms: WelfordAccumulator::new(),
+            queue_wait_ns: LogLinearHistogram::new(),
         }
     }
 
@@ -76,7 +76,7 @@ impl GpuStation {
     /// accepted but records a queue wait measured from *its* `now`.
     pub fn submit(&mut self, now: SimTime, demand: ServiceDemand) -> SimTime {
         let start = self.free_at.max(now);
-        self.queue_wait_ms.push(start.since(now) as f64 / 1e6);
+        self.queue_wait_ns.push(start.since(now));
         let completion = start.after_ns(demand.total_ns());
         self.free_at = completion;
         self.busy_hbm_ns += demand.hbm_ns;
@@ -108,7 +108,7 @@ impl GpuStation {
     /// Records how long a shared-rate job was delayed before its gather
     /// started (the contention-mode analogue of FIFO queue wait).
     pub fn record_wait_ns(&mut self, wait_ns: u64) {
-        self.queue_wait_ms.push(wait_ns as f64 / 1e6);
+        self.queue_wait_ns.push(wait_ns);
     }
 
     /// Virtual time at which the station next becomes idle.
@@ -141,9 +141,9 @@ impl GpuStation {
         self.jobs_served
     }
 
-    /// Queue-wait distribution (milliseconds) of submitted jobs.
-    pub fn queue_wait_ms(&self) -> &WelfordAccumulator {
-        &self.queue_wait_ms
+    /// Queue-wait distribution (nanoseconds) of submitted jobs.
+    pub fn queue_wait_ns(&self) -> &LogLinearHistogram {
+        &self.queue_wait_ns
     }
 }
 
@@ -166,7 +166,7 @@ mod tests {
         assert_eq!(done, SimTime(175));
         assert_eq!(s.busy_ns(), 75);
         assert_eq!(s.jobs_served(), 1);
-        assert_eq!(s.queue_wait_ms().max(), Some(0.0));
+        assert_eq!(s.queue_wait_ns().summary(1.0).max, 0.0);
     }
 
     #[test]
@@ -178,7 +178,7 @@ mod tests {
         let second = s.submit(SimTime(30), demand(50, 0, 0));
         assert_eq!(second, SimTime(150));
         // Queue wait of the second job was 70 ns.
-        assert!((s.queue_wait_ms().max().unwrap() - 70.0 / 1e6).abs() < 1e-12);
+        assert_eq!(s.queue_wait_ns().summary(1.0).max, 70.0);
     }
 
     #[test]

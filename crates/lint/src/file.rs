@@ -257,7 +257,7 @@ fn find_test_ranges(tokens: &[Token]) -> Vec<(u32, u32)> {
                 && inside.iter().any(|t| t.text == "test" || t.text == "tests")
                 && !inside.iter().any(|t| t.text == "not");
             if is_cfg_test {
-                if let Some((_, end)) = item_after_attributes(tokens, close + 1) {
+                if let Some((_, end)) = item_after_attributes(tokens, i, close + 1) {
                     ranges.push((tokens[i].line, end));
                 }
             }
@@ -295,14 +295,21 @@ fn match_bracket(tokens: &[Token], open: usize) -> usize {
     tokens.len().saturating_sub(1)
 }
 
-/// Starting at `from` (just past an attribute), skips further attributes and
-/// returns the `(start_line, end_line)` of the next item: to its matching
-/// close brace, or to the terminating `;` for brace-less items.
-fn item_after_attributes(tokens: &[Token], mut from: usize) -> Option<(u32, u32)> {
+/// Starting at `from` (just past the attribute whose `#` is at `hash`),
+/// skips further attributes and returns the `(start_line, end_line)` of
+/// what they are attached to. An element of a comma-separated list in
+/// braces (a struct field, struct-literal field, enum variant or match
+/// arm) ends at its list's next `,` or before the list's close; anything
+/// else runs to its matching close brace, or to the terminating `;` for
+/// brace-less items.
+fn item_after_attributes(tokens: &[Token], hash: usize, mut from: usize) -> Option<(u32, u32)> {
     while is_p(tokens, from, '#') && is_p(tokens, from + 1, '[') {
         from = match_bracket(tokens, from + 1) + 1;
     }
     let start_line = tokens.get(from)?.line;
+    if in_list(tokens, hash) {
+        return Some((start_line, tokens[list_element_end(tokens, from)].line));
+    }
     let mut i = from;
     while i < tokens.len() {
         if is_p(tokens, i, '{') {
@@ -315,6 +322,103 @@ fn item_after_attributes(tokens: &[Token], mut from: usize) -> Option<(u32, u32)
         i += 1;
     }
     Some((start_line, tokens.last()?.line))
+}
+
+/// Whether token `at` sits directly in braces that [`brace_opens_list`].
+fn in_list(tokens: &[Token], at: usize) -> bool {
+    let mut depth = 0usize;
+    for i in (0..at).rev() {
+        if tokens[i].kind != TokenKind::Punct {
+            continue;
+        }
+        match tokens[i].text.as_str() {
+            ")" | "]" | "}" => depth += 1,
+            "(" | "[" | "{" if depth > 0 => depth -= 1,
+            "(" | "[" => return false,
+            "{" => return brace_opens_list(tokens, i),
+            _ => {}
+        }
+    }
+    false
+}
+
+/// Keywords that, found first scanning back from a `{`, make it a struct,
+/// enum or match body (`true`) or a fn, impl, trait, mod or block body
+/// (`false`).
+const LIST_HEADS: &[(&str, bool)] = &[
+    ("struct", true),
+    ("enum", true),
+    ("union", true),
+    ("match", true),
+    ("fn", false),
+    ("impl", false),
+    ("trait", false),
+    ("mod", false),
+    ("macro_rules", false),
+    ("if", false),
+    ("while", false),
+    ("for", false),
+    ("loop", false),
+    ("else", false),
+    ("unsafe", false),
+    ("extern", false),
+    ("async", false),
+    ("move", false),
+];
+
+/// Whether the `{` at `open` opens a comma-separated list: a struct or
+/// enum body, a match body or a struct literal (a path then `{` with no
+/// keyword before it in the statement), as against any other body or
+/// block.
+fn brace_opens_list(tokens: &[Token], open: usize) -> bool {
+    // `= {`, `=> {`, `|| {`, `; {`: a block.
+    let block = open.checked_sub(1).is_none_or(|prev| {
+        let t = &tokens[prev];
+        t.kind == TokenKind::Punct
+            && (!matches!(t.text.as_str(), ")" | "]" | ">")
+                || is_p(tokens, prev.wrapping_sub(1), '='))
+    });
+    if block {
+        return false;
+    }
+    let mut depth = 0usize;
+    for t in tokens[..open].iter().rev() {
+        match (t.kind, t.text.as_str()) {
+            (TokenKind::Punct, ")" | "]") => depth += 1,
+            (TokenKind::Punct, "(" | "[") if depth > 0 => depth -= 1,
+            (TokenKind::Punct, "(" | "[" | "{" | "}" | ";") => return true,
+            (TokenKind::Ident, word) if depth == 0 => {
+                if let Some(&(_, list)) = LIST_HEADS.iter().find(|(k, _)| *k == word) {
+                    return list;
+                }
+            }
+            _ => {}
+        }
+    }
+    true
+}
+
+/// Index of the last token of the list element starting at `from`: its
+/// trailing `,` (or a `;` ending a statement), the token before the
+/// list's close, or for a match arm with a block body that block's `}`.
+fn list_element_end(tokens: &[Token], from: usize) -> usize {
+    let mut depth = 0usize;
+    for i in from..tokens.len() {
+        if tokens[i].kind != TokenKind::Punct {
+            continue;
+        }
+        match tokens[i].text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" if depth == 0 => return i.saturating_sub(1).max(from),
+            ")" | "]" | "}" => depth -= 1,
+            "," | ";" if depth == 0 => return i,
+            "=" if depth == 0 && is_p(tokens, i + 1, '>') && is_p(tokens, i + 2, '{') => {
+                return match_brace(tokens, i + 2);
+            }
+            _ => {}
+        }
+    }
+    tokens.len().saturating_sub(1)
 }
 
 /// Token-index ranges of every `fn` body (brace-inclusive). Closures are not

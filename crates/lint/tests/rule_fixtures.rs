@@ -218,6 +218,53 @@ fn unwrap_ignores_test_files_and_cfg_test_blocks() {
     );
 }
 
+// A `#[cfg(test)]` on one element of a comma-separated list covers that
+// element only: a violation inside it is test code, one after it is not.
+
+#[test]
+fn cfg_test_on_a_struct_field_ends_at_the_field() {
+    let src = "struct S {\n    \
+                   #[cfg(test)]\n    \
+                   probe: [u8; Some(4).unwrap()],\n    \
+                   #[cfg(test)]\n    \
+                   serial: Option<u8>,\n\
+               }\n\
+               impl S {\n    \
+                   fn f(o: Option<u8>) -> u8 {\n        \
+                       o.unwrap()\n    \
+                   }\n\
+               }\n";
+    assert_eq!(lib(src), vec![(9, "unwrap".to_string())]);
+}
+
+#[test]
+fn cfg_test_on_a_struct_literal_field_ends_at_the_field() {
+    let src = "fn build(o: Option<u8>) -> S {\n    \
+                   S {\n        \
+                       #[cfg(test)]\n        \
+                       probe: o.unwrap(),\n        \
+                       live: o.unwrap(),\n    \
+                   }\n\
+               }\n";
+    assert_eq!(lib(src), vec![(5, "unwrap".to_string())]);
+}
+
+#[test]
+fn cfg_test_on_a_match_arm_ends_at_the_arm() {
+    let src = "fn pick(k: u8, o: Option<u8>) -> u8 {\n    \
+                   match k {\n        \
+                       #[cfg(test)]\n        \
+                       1 => {\n            \
+                           o.unwrap()\n        \
+                       }\n        \
+                       #[cfg(test)]\n        \
+                       0 => o.unwrap(),\n        \
+                       _ => o.expect(\"set\"),\n    \
+                   }\n\
+               }\n";
+    assert_eq!(lib(src), vec![(9, "unwrap".to_string())]);
+}
+
 #[test]
 fn unwrap_ignores_bins_and_examples() {
     let src = "fn main() {\n    let x: Option<u32> = Some(1);\n    x.unwrap();\n}\n";

@@ -14,12 +14,14 @@
 //!
 //! The three layers:
 //!
-//! * [`MetricsRegistry`] — named counters, gauges and P² quantile sinks
-//!   ([`recshard_stats::StreamingCdf`]). Registration returns `Copy`
-//!   handles; the hot path is an index plus one atomic op
-//!   (counters/gauges) or one per-metric lock (quantiles) — no
-//!   allocation, no name lookup. Contention is bounded by the metric, not
-//!   the registry.
+//! * [`MetricsRegistry`] — named counters, gauges and quantile sinks
+//!   ([`recshard_stats::LogLinearHistogram`], recording integers in each
+//!   metric's own unit and snapshotting in the reported one). Registration
+//!   returns `Copy` handles; the hot path is an index plus one atomic op
+//!   (counters/gauges) or one per-metric lock (quantiles) — no name
+//!   lookup. Contention is bounded by the metric, not the registry, and a
+//!   quantile sink's snapshot does not depend on how its recorders
+//!   interleaved.
 //! * [`TraceEvent`] / [`TraceBuffer`] / [`Trace`] — typed span/instant
 //!   records (station enqueue/service, barrier waits, re-shard decisions,
 //!   simplex pivot/refactorisation counts, B&B node open/prune, bucketing

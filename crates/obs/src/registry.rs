@@ -1,13 +1,22 @@
-//! The zero-alloc-on-hot-path metrics registry.
+//! The metrics registry.
 //!
 //! Metrics are registered once at setup time by name and handed back as
 //! `Copy` handle ids; the hot path indexes by handle and performs one
 //! relaxed atomic op (counters, gauges) or takes one
-//! per-metric mutex (quantile sinks, so two metrics never contend).
+//! per-metric mutex (quantile sinks, so two metrics never contend). Only a
+//! quantile sample landing beyond every earlier sample's bucket allocates.
 //! Snapshots sort by name and serialise to canonical JSON, making
 //! a seeded run's metrics byte-identical across repetitions.
+//!
+//! A quantile sink is a [`LogLinearHistogram`]: it records integers in the
+//! metric's own unit (nanoseconds for times, a count for tenancy, parts
+//! per million for ratios), and the snapshot divides by the scale given at
+//! registration, so exported values keep their names and units. The
+//! histogram depends only on the set of samples, so threads recording into
+//! one sink in any interleaving snapshot the same bits.
 
-use recshard_stats::{StreamingCdf, Summary};
+use recshard_data::{fnv1a, FNV_OFFSET};
+use recshard_stats::{LogLinearHistogram, Summary};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -19,23 +28,58 @@ pub struct CounterId(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GaugeId(usize);
 
-/// Handle of a registered P² quantile sink.
+/// Handle of a registered quantile sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuantileId(usize);
 
-/// Snapshot of one quantile sink: P² tail estimates plus exact moments.
+/// Snapshot of one quantile sink: tail quantiles within 2^-8 relative of
+/// the exact nearest-rank ones, plus exact moments.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantileStats {
     /// Observations recorded.
     pub count: u64,
-    /// Median estimate (0 when empty).
+    /// Median (0 when empty).
     pub p50: f64,
-    /// 95th-percentile estimate (0 when empty).
+    /// 95th percentile (0 when empty).
     pub p95: f64,
-    /// 99th-percentile estimate (0 when empty).
+    /// 99th percentile (0 when empty).
     pub p99: f64,
     /// Exact min/max/mean/std of everything recorded.
     pub summary: Summary,
+}
+
+impl QuantileStats {
+    /// The p50/p95/p99 and moments of `sketch`, each divided by `scale`
+    /// (recorded units per reported unit).
+    pub fn of(sketch: &LogLinearHistogram, scale: f64) -> Self {
+        Self {
+            count: sketch.count(),
+            p50: sketch.quantile(0.50) as f64 / scale,
+            p95: sketch.quantile(0.95) as f64 / scale,
+            p99: sketch.quantile(0.99) as f64 / scale,
+            summary: sketch.summary(scale),
+        }
+    }
+}
+
+/// One registered quantile sink.
+#[derive(Debug)]
+struct QuantileSink {
+    name: String,
+    /// Recorded units per reported unit.
+    scale: f64,
+    sketch: Mutex<LogLinearHistogram>,
+}
+
+impl QuantileSink {
+    /// Locks the sink. No writer panics while holding the lock, so
+    /// poisoning only follows a panic that already tore down the run;
+    /// every acquisition goes through here.
+    fn lock(&self) -> std::sync::MutexGuard<'_, LogLinearHistogram> {
+        // recshard-lint: allow(unwrap) -- see above: poisoning implies a
+        // prior panic, and propagating it is the only option.
+        self.sketch.lock().expect("quantile sink poisoned")
+    }
 }
 
 /// The registry. Registration (`&mut self`) happens at setup; recording
@@ -44,7 +88,7 @@ pub struct QuantileStats {
 pub struct MetricsRegistry {
     counters: Vec<(String, AtomicU64)>,
     gauges: Vec<(String, AtomicU64)>,
-    quantiles: Vec<(String, Mutex<StreamingCdf>)>,
+    quantiles: Vec<QuantileSink>,
 }
 
 impl MetricsRegistry {
@@ -73,16 +117,20 @@ impl MetricsRegistry {
         GaugeId(self.gauges.len() - 1)
     }
 
-    /// Registers (or finds) a P² quantile sink tracking p50/p95/p99 with
-    /// exact moments — the same estimator the simulators report tails from.
-    pub fn quantile(&mut self, name: &str) -> QuantileId {
-        if let Some(i) = self.quantiles.iter().position(|(n, _)| n == name) {
+    /// Registers (or finds) a quantile sink reporting p50/p95/p99 with
+    /// exact moments — the same sketch the simulators report tails from.
+    /// It records integers and reports them divided by `scale` (e.g. `1e6`
+    /// to record nanoseconds and report milliseconds); a name registered
+    /// again keeps its first scale.
+    pub fn quantile(&mut self, name: &str, scale: f64) -> QuantileId {
+        if let Some(i) = self.quantiles.iter().position(|q| q.name == name) {
             return QuantileId(i);
         }
-        self.quantiles.push((
-            name.to_string(),
-            Mutex::new(StreamingCdf::latency_defaults()),
-        ));
+        self.quantiles.push(QuantileSink {
+            name: name.to_string(),
+            scale,
+            sketch: Mutex::new(LogLinearHistogram::new()),
+        });
         QuantileId(self.quantiles.len() - 1)
     }
 
@@ -106,37 +154,11 @@ impl MetricsRegistry {
             .store(value.to_bits(), Ordering::Relaxed);
     }
 
-    /// Locks one quantile stripe. No writer panics while holding a stripe
-    /// lock, so poisoning only follows a panic that already tore down the
-    /// run; every acquisition goes through here.
-    fn lock_cdf(cdf: &Mutex<StreamingCdf>) -> std::sync::MutexGuard<'_, StreamingCdf> {
-        // recshard-lint: allow(unwrap) -- see above: poisoning implies a
-        // prior panic, and propagating it is the only option.
-        cdf.lock().expect("quantile stripe poisoned")
-    }
-
-    /// Streams one observation into a quantile sink. Takes that metric's
-    /// stripe lock only.
+    /// Records one observation, in the sink's recorded unit. Takes that
+    /// metric's lock only.
     #[inline]
-    pub fn record(&self, id: QuantileId, value: f64) {
-        Self::lock_cdf(&self.quantiles[id.0].1).push(value);
-    }
-
-    /// Snapshot of one quantile sink.
-    pub fn quantile_stats(&self, id: QuantileId) -> QuantileStats {
-        let cdf = Self::lock_cdf(&self.quantiles[id.0].1);
-        Self::stats_of(&cdf)
-    }
-
-    fn stats_of(cdf: &StreamingCdf) -> QuantileStats {
-        let empty = cdf.count() == 0;
-        QuantileStats {
-            count: cdf.count(),
-            p50: if empty { 0.0 } else { cdf.p50() },
-            p95: if empty { 0.0 } else { cdf.p95() },
-            p99: if empty { 0.0 } else { cdf.p99() },
-            summary: cdf.summary(),
-        }
+    pub fn record(&self, id: QuantileId, value: u64) {
+        self.quantiles[id.0].lock().push(value);
     }
 
     /// A point-in-time snapshot of every registered metric, sorted by name.
@@ -154,9 +176,9 @@ impl MetricsRegistry {
                 MetricValue::Gauge(f64::from_bits(v.load(Ordering::Relaxed))),
             ));
         }
-        for (name, cdf) in &self.quantiles {
-            let cdf = Self::lock_cdf(cdf);
-            entries.push((name.clone(), MetricValue::Quantile(Self::stats_of(&cdf))));
+        for q in &self.quantiles {
+            let stats = QuantileStats::of(&q.lock(), q.scale);
+            entries.push((q.name.clone(), MetricValue::Quantile(stats)));
         }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         MetricsSnapshot { entries }
@@ -215,12 +237,9 @@ impl MetricsSnapshot {
 
     /// FNV-1a hash over the canonical JSON.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
-        for byte in self.to_json().bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash
+        self.to_json()
+            .bytes()
+            .fold(FNV_OFFSET, |h, byte| fnv1a(h, u64::from(byte)))
     }
 }
 
@@ -252,16 +271,18 @@ mod tests {
     fn gauges_and_quantiles_round_trip() {
         let mut reg = MetricsRegistry::new();
         let g = reg.gauge("g");
-        let q = reg.quantile("q");
+        let q = reg.quantile("q", 1e3);
         reg.set(g, 2.5);
         assert_eq!(value(&reg, "g"), MetricValue::Gauge(2.5));
         for v in 1..=100 {
-            reg.record(q, v as f64);
+            reg.record(q, v);
         }
-        let stats = reg.quantile_stats(q);
+        let MetricValue::Quantile(stats) = value(&reg, "q") else {
+            panic!("q is a quantile sink");
+        };
         assert_eq!(stats.count, 100);
-        assert!(stats.p50 <= stats.p95 && stats.p95 <= stats.p99);
-        assert!((stats.summary.mean - 50.5).abs() < 1e-9);
+        assert_eq!([stats.p50, stats.p95, stats.p99], [0.05, 0.095, 0.099]);
+        assert_eq!(stats.summary.mean, 0.0505, "the snapshot scales back");
 
         let snap = reg.snapshot();
         let names: Vec<_> = snap.entries.iter().map(|(n, _)| n.as_str()).collect();
@@ -273,10 +294,10 @@ mod tests {
         let build = || {
             let mut reg = MetricsRegistry::new();
             let c = reg.counter("z.counter");
-            let q = reg.quantile("a.quantile");
+            let q = reg.quantile("a.quantile", 1.0);
             reg.add(c, 7);
             for v in 0..10 {
-                reg.record(q, v as f64);
+                reg.record(q, v);
             }
             reg.snapshot()
         };
@@ -293,19 +314,38 @@ mod tests {
     fn hot_path_is_shareable_across_threads() {
         let mut reg = MetricsRegistry::new();
         let c = reg.counter("c");
-        let q = reg.quantile("q");
+        let q = reg.quantile("q", 1e6);
+        // Each thread records its own values, so the interleaving decides
+        // the order the sink sees them in.
+        let value_of = |thread: u64, i: u64| (i * 7_919 + thread * 104_729) % 1_000_003;
         std::thread::scope(|scope| {
-            for _ in 0..4 {
+            for thread in 0..4 {
                 let reg = &reg;
                 scope.spawn(move || {
                     for i in 0..1_000 {
                         reg.incr(c);
-                        reg.record(q, i as f64);
+                        reg.record(q, value_of(thread, i));
                     }
                 });
             }
         });
         assert_eq!(value(&reg, "c"), MetricValue::Counter(4_000));
-        assert_eq!(reg.quantile_stats(q).count, 4_000);
+        let MetricValue::Quantile(stats) = value(&reg, "q") else {
+            panic!("q is a quantile sink");
+        };
+        assert_eq!(stats.count, 4_000);
+
+        let mut serial = MetricsRegistry::new();
+        let serial_q = serial.quantile("q", 1e6);
+        for thread in 0..4 {
+            for i in 0..1_000 {
+                serial.record(serial_q, value_of(thread, i));
+            }
+        }
+        assert_eq!(
+            value(&reg, "q"),
+            value(&serial, "q"),
+            "the snapshot must not depend on how the threads interleaved"
+        );
     }
 }

@@ -90,6 +90,13 @@ impl<'a> ObsHandle<'a> {
     }
 }
 
+/// Scale of the time sinks: they record nanoseconds and report
+/// milliseconds.
+const NS_PER_MS: f64 = 1e6;
+
+/// Scale of the ratio sinks: they record parts per million.
+const PPM: f64 = 1e6;
+
 /// Well-known metric handles the collector routes events into.
 #[derive(Debug, Clone, Copy)]
 struct Ids {
@@ -136,13 +143,13 @@ impl Ids {
             des_reshard_checks: reg.counter("des.reshard.checks"),
             des_reshards: reg.counter("des.reshard.applied"),
             des_events: reg.gauge("des.events"),
-            des_sojourn_ms: reg.quantile("des.sojourn_ms"),
-            des_station_wait_ms: reg.quantile("des.station.wait_ms"),
-            des_barrier_wait_ms: reg.quantile("des.barrier.wait_ms"),
+            des_sojourn_ms: reg.quantile("des.sojourn_ms", NS_PER_MS),
+            des_station_wait_ms: reg.quantile("des.station.wait_ms", NS_PER_MS),
+            des_barrier_wait_ms: reg.quantile("des.barrier.wait_ms", NS_PER_MS),
             des_link_transfers: reg.counter("des.link.transfers"),
-            des_link_duration_ms: reg.quantile("des.link.duration_ms"),
-            des_link_stretch: reg.quantile("des.link.stretch"),
-            des_link_tenancy: reg.quantile("des.link.tenancy"),
+            des_link_duration_ms: reg.quantile("des.link.duration_ms", NS_PER_MS),
+            des_link_stretch: reg.quantile("des.link.stretch", PPM),
+            des_link_tenancy: reg.quantile("des.link.tenancy", 1.0),
             solver_lp_solves: reg.counter("solver.lp_solves"),
             solver_pivots: reg.counter("solver.simplex.pivots"),
             solver_refactorizations: reg.counter("solver.simplex.refactorizations"),
@@ -157,8 +164,8 @@ impl Ids {
             serve_misses: reg.counter("serve.cache.misses"),
             serve_bypasses: reg.counter("serve.cache.bypasses"),
             serve_evictions: reg.counter("serve.cache.evictions"),
-            serve_latency_ms: reg.quantile("serve.latency_ms"),
-            serve_service_ms: reg.quantile("serve.service_ms"),
+            serve_latency_ms: reg.quantile("serve.latency_ms", NS_PER_MS),
+            serve_service_ms: reg.quantile("serve.service_ms", NS_PER_MS),
             scenario_phases: reg.counter("scenario.phases"),
             scenario_rate_multiplier: reg.gauge("scenario.rate_multiplier"),
             scenario_shifts_applied: reg.gauge("scenario.shifts_applied"),
@@ -202,21 +209,10 @@ impl Collector {
         }
     }
 
-    /// The underlying registry (for reading values mid-run).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Mutable access to the registry, so callers can register additional
-    /// metrics of their own alongside the well-known ones.
-    pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
-    }
-
     /// Absorbs a buffer recorded elsewhere (e.g. by a worker thread),
     /// routing its events into the metrics and keeping its records for the
-    /// deterministic merge. Ingestion order must itself be deterministic
-    /// (e.g. shard order) for quantile sinks to see a stable push order.
+    /// deterministic merge. The metrics do not depend on the order buffers
+    /// arrive in; the trace merge orders records by `(ts, worker, seq)`.
     pub fn ingest_buffer(&mut self, buffer: TraceBuffer) {
         for r in buffer.records() {
             self.route(&r.event);
@@ -241,15 +237,15 @@ impl Collector {
             TraceEvent::StationEnqueue { .. } => {}
             TraceEvent::StationService { wait_ns, .. } => {
                 reg.incr(ids.des_station_jobs);
-                reg.record(ids.des_station_wait_ms, wait_ns as f64 / 1e6);
+                reg.record(ids.des_station_wait_ms, wait_ns);
             }
             TraceEvent::BarrierWait { wait_ns, .. } => {
-                reg.record(ids.des_barrier_wait_ms, wait_ns as f64 / 1e6);
+                reg.record(ids.des_barrier_wait_ms, wait_ns);
             }
             TraceEvent::Exchange { .. } => reg.incr(ids.des_exchanges),
             TraceEvent::IterationDone { sojourn_ns, .. } => {
                 reg.incr(ids.des_iterations);
-                reg.record(ids.des_sojourn_ms, sojourn_ns as f64 / 1e6);
+                reg.record(ids.des_sojourn_ms, sojourn_ns);
             }
             TraceEvent::ReshardCheck { resharded, .. } => {
                 reg.incr(ids.des_reshard_checks);
@@ -266,16 +262,17 @@ impl Collector {
                 ..
             } => {
                 reg.incr(ids.des_link_transfers);
-                reg.record(ids.des_link_duration_ms, elapsed_ns as f64 / 1e6);
-                let stretch = if work_ns == 0 {
-                    1.0
+                reg.record(ids.des_link_duration_ms, elapsed_ns);
+                let stretch_ppm = if work_ns == 0 {
+                    1_000_000
                 } else {
-                    elapsed_ns as f64 / work_ns as f64
+                    u64::try_from(u128::from(elapsed_ns) * 1_000_000 / u128::from(work_ns))
+                        .unwrap_or(u64::MAX)
                 };
-                reg.record(ids.des_link_stretch, stretch);
+                reg.record(ids.des_link_stretch, stretch_ppm);
             }
             TraceEvent::LinkTenancy { tenants, .. } => {
-                reg.record(ids.des_link_tenancy, tenants as f64);
+                reg.record(ids.des_link_tenancy, u64::from(tenants));
             }
             TraceEvent::LpSolved {
                 pivots,
@@ -301,14 +298,14 @@ impl Collector {
                 ..
             } => {
                 reg.incr(ids.serve_shard_tasks);
-                reg.record(ids.serve_service_ms, service_ns as f64 / 1e6);
+                reg.record(ids.serve_service_ms, service_ns);
                 reg.add(ids.serve_hits, hits);
                 reg.add(ids.serve_misses, misses);
                 reg.add(ids.serve_bypasses, bypasses);
             }
             TraceEvent::QueryLatency { latency_ns, .. } => {
                 reg.incr(ids.serve_queries);
-                reg.record(ids.serve_latency_ms, latency_ns as f64 / 1e6);
+                reg.record(ids.serve_latency_ms, latency_ns);
             }
             TraceEvent::ScenarioPhase {
                 rate_multiplier,

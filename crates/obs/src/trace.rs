@@ -8,6 +8,8 @@
 //! run's exported trace is byte-identical across repetitions regardless of
 //! thread scheduling.
 
+use recshard_data::{fnv1a, FNV_OFFSET};
+
 /// Why a branch-and-bound node was discarded without branching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneReason {
@@ -671,12 +673,9 @@ impl Trace {
 
     /// Order-sensitive FNV-1a hash over the JSONL export.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
-        for byte in self.to_jsonl().bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash
+        self.to_jsonl()
+            .bytes()
+            .fold(FNV_OFFSET, |h, byte| fnv1a(h, u64::from(byte)))
     }
 }
 

@@ -30,8 +30,9 @@
 //! * [`InferenceServer`] — one worker thread per GPU shard, each drawing
 //!   its own tables' lookups and owning its shard's cache, FIFO
 //!   virtual-time queueing, fan-out/fan-in query completion, and
-//!   p50/p95/p99 latency + hit-rate reporting through the P² streaming
-//!   quantiles ([`StreamingCdf`](recshard_stats::StreamingCdf)).
+//!   p50/p95/p99 latency + hit-rate reporting through the integer
+//!   quantile sketch
+//!   ([`LogLinearHistogram`](recshard_stats::LogLinearHistogram)).
 //!
 //! Runs are deterministic per seed (reports carry an event fingerprint), so
 //! serving results regression-test exactly like the discrete-event trainer.

@@ -18,9 +18,10 @@
 //!
 //! A query completes when its slowest shard finishes (fan-out/fan-in), so
 //! per-query latency is `max` over shard completions minus the arrival time.
-//! Measured latencies stream into a constant-space P² CDF
-//! ([`StreamingCdf`](recshard_stats::StreamingCdf)) exactly as the
-//! discrete-event trainer reports its sojourn times.
+//! Measured latencies, in nanoseconds, go into one quantile sketch
+//! ([`LogLinearHistogram`]), the sketch the discrete-event trainer reports
+//! its sojourn times from. A traced run also routes each latency through
+//! its collector's `serve.latency_ms` sink, which holds the same samples.
 //!
 //! Determinism: every shard's tasks depend only on the seed, the schedule
 //! and the shard's own tables, each worker processes them in query order
@@ -36,10 +37,10 @@ use crate::error::ServeError;
 use crate::policy::{PolicyKind, StatGuide, StatGuidedConfig};
 use crate::report::ServeReport;
 use crate::request::{schedule, shard_tasks, ArrivalModel};
-use recshard_data::{ModelSpec, ScenarioSpec};
-use recshard_obs::{Collector, MetricsRegistry, ObsBundle, ObsSink, TraceBuffer, TraceEvent};
+use recshard_data::{fnv1a, ModelSpec, ScenarioSpec, FNV_OFFSET};
+use recshard_obs::{Collector, ObsBundle, ObsSink, QuantileStats, TraceBuffer, TraceEvent};
 use recshard_sharding::{ShardingPlan, SystemSpec};
-use recshard_stats::DatasetProfile;
+use recshard_stats::{DatasetProfile, LogLinearHistogram};
 
 /// Fixed overhead per distinct table touched by a query on a shard, in
 /// nanoseconds (kernel launch + pooling, as in the training simulators).
@@ -365,12 +366,8 @@ impl InferenceServer {
         (arrivals_ns, runs)
     }
 
-    /// Fan-in: per-query latency, CDFs, hit rates, fingerprint.
-    ///
-    /// Latency quantiles live in a [`MetricsRegistry`] (`serve.latency_ms`)
-    /// rather than a hand-rolled CDF; traced runs share the collector's
-    /// registry (events routed through it push the very same sink), so the
-    /// exported snapshot and the report agree by construction.
+    /// Fan-in: per-query latency, its quantile sketch, hit rates,
+    /// fingerprint.
     fn merge(
         plan: &ShardingPlan,
         arrivals_ns: &[u64],
@@ -389,7 +386,6 @@ impl InferenceServer {
                 makespan_ns = makespan_ns.max(done);
             }
         }
-        // Shard-order ingestion keeps quantile push order deterministic.
         if let Some(c) = obs.as_deref_mut() {
             for run in &mut runs {
                 if let Some(buffer) = run.trace.take() {
@@ -398,38 +394,25 @@ impl InferenceServer {
             }
         }
 
-        let mut own_registry = MetricsRegistry::new();
-        let latency_q = own_registry.quantile("serve.latency_ms");
-        let mut fingerprint: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut fold = |word: u64| {
-            fingerprint ^= word;
-            fingerprint = fingerprint.wrapping_mul(0x0000_0100_0000_01B3);
-        };
+        let mut latency = LogLinearHistogram::new();
+        let mut fingerprint = FNV_OFFSET;
+        let mut fold = |word: u64| fingerprint = fnv1a(fingerprint, word);
         for q in config.warmup as usize..total_queries {
             let latency_ns = done_ns[q].saturating_sub(arrivals_ns[q]);
-            match obs.as_deref_mut() {
-                // The collector routes the event into its own
-                // `serve.latency_ms` quantile — exactly one push per
-                // measured query either way, in query order.
-                Some(c) => c.record(
+            latency.push(latency_ns);
+            if let Some(c) = obs.as_deref_mut() {
+                c.record(
                     done_ns[q],
                     TraceEvent::QueryLatency {
                         query: q as u64,
                         latency_ns,
                     },
-                ),
-                None => own_registry.record(latency_q, latency_ns as f64 / 1e6),
+                );
             }
             fold(q as u64);
             fold(latency_ns);
         }
-        let latency_stats = match obs {
-            Some(c) => {
-                let q = c.registry_mut().quantile("serve.latency_ms");
-                c.registry().quantile_stats(q)
-            }
-            None => own_registry.quantile_stats(latency_q),
-        };
+        let latency_stats = QuantileStats::of(&latency, 1e6);
         let (hits, misses, bypasses) = runs.iter().fold((0, 0, 0), |(h, m, b), r| {
             (h + r.hits, m + r.misses, b + r.bypasses)
         });
@@ -1111,11 +1094,14 @@ mod tests {
                 ..base
             },
         );
+        // The 50 µs hop is less than one sketch bucket at these 20 ms
+        // latencies (2^-8 relative), so the exact mean shows it and the
+        // quantiles may not.
         assert!(
-            remote.p50_ms > flat.p50_ms,
+            remote.latency.mean > flat.latency.mean && remote.p50_ms >= flat.p50_ms,
             "remote fan-in hop must inflate latency ({} vs {})",
-            remote.p50_ms,
-            flat.p50_ms
+            remote.latency.mean,
+            flat.latency.mean
         );
         // Hop of zero reproduces the flat run bit-for-bit even with a
         // multi-node annotation.

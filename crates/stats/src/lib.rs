@@ -40,4 +40,4 @@ pub use cdf::{AccessCdf, Icdf};
 pub use freq::RowCounters;
 pub use profile::{DatasetProfile, FeatureProfile};
 pub use profiler::DatasetProfiler;
-pub use streaming::{P2Quantile, StreamingCdf, Summary, WelfordAccumulator};
+pub use streaming::{LogLinearHistogram, Summary};

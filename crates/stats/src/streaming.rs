@@ -1,111 +1,155 @@
-//! Streaming summary statistics: mean / variance / extrema
-//! ([`WelfordAccumulator`]) and constant-space quantile estimation
-//! ([`P2Quantile`], [`StreamingCdf`]).
+//! Order-free summary statistics: [`LogLinearHistogram`], a mergeable
+//! quantile sketch over integer samples, and [`Summary`], the moments it
+//! and [`Summary::of`] report.
 //!
-//! The discrete-event cluster simulator (`recshard-des`) replays millions of
-//! training iterations and reports tail latency, so it cannot buffer every
-//! iteration time. [`StreamingCdf`] tracks an arbitrary set of percentiles in
-//! O(1) space per percentile with the deterministic P² algorithm (Jain &
-//! Chlamtac, CACM 1985), alongside exact mean/min/max from Welford's method.
+//! The discrete-event trainer, the serving layer and the metrics registry
+//! quote p50/p95/p99 tails of millions of samples, so none of them keeps
+//! every sample. The histogram keeps counts instead. Values below 2^7 each
+//! have a bucket of their own, and every power of two from 2^7 up is cut
+//! into 2^7 equal sub-buckets (so `[2^7, 2^8)` is exact too): a bucket is
+//! never wider than 2^-7 of its lowest value. A quantile is the midpoint
+//! of the bucket holding the nearest-rank sample, clamped to the exact
+//! extrema, so its relative error is at most 2^-8. Counts, extrema, sum
+//! and sum of squares are integers: pushing the same samples in any
+//! order, or merging histograms by adding their counts, gives the same
+//! bits. DDSketch (Masson, Rim & Lee, VLDB 2019) makes the same trade on a
+//! purely logarithmic grid.
 
-/// Welford's online algorithm for mean and variance, plus extrema.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WelfordAccumulator {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
+/// Sub-buckets per power of two, as a power of two.
+const SUB_BITS: u32 = 7;
+
+/// Sub-buckets per power of two.
+const SUB: u64 = 1 << SUB_BITS;
+
+/// The bucket holding `value`. Below 2^8 every value has its own bucket;
+/// above, the bucket keeps the top `SUB_BITS + 1` significant bits.
+fn bucket_of(value: u64) -> usize {
+    let shift = (u64::BITS - value.leading_zeros()).saturating_sub(SUB_BITS + 1);
+    (u64::from(shift) * SUB + (value >> shift)) as usize
 }
 
-impl WelfordAccumulator {
-    /// Creates an empty accumulator.
+/// `(lowest value, width)` of bucket `idx`.
+fn bucket_bounds(idx: usize) -> (u64, u64) {
+    let idx = idx as u64;
+    let shift = (idx >> SUB_BITS).saturating_sub(1);
+    ((idx - shift * SUB) << shift, 1 << shift)
+}
+
+/// An integer log-linear histogram: a quantile sketch whose state depends
+/// only on the multiset of samples pushed (see the module doc).
+///
+/// Its count vector grows only as far as the largest bucket seen: a
+/// million nanoseconds needs about 1,800 buckets, `u64::MAX` 7,424. The
+/// mean and standard deviation are exact functions of the integer sum and
+/// sum of squares while `count · Σx²` fits in a `u128` (for example up to
+/// 2^44 samples below 2^20, or 2^24 below 2^40); past that the standard
+/// deviation takes the same identity in floating point. A sum that would
+/// overflow a `u128` saturates, and the moments it feeds are meaningless.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogLinearHistogram {
+    counts: Vec<u64>,
+    count: u64,
+    min: u64,
+    max: u64,
+    sum: u128,
+    sum_sq: u128,
+}
+
+impl Default for LogLinearHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LogLinearHistogram {
+    /// An empty histogram.
     pub fn new() -> Self {
         Self {
+            counts: Vec::new(),
             count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
+            min: u64::MAX,
+            max: 0,
+            sum: 0,
+            sum_sq: 0,
         }
     }
 
-    /// Adds one observation.
-    pub fn push(&mut self, value: f64) {
+    /// Adds one sample. No floating-point math.
+    pub fn push(&mut self, value: u64) {
+        let idx = bucket_of(value);
+        if idx >= self.counts.len() {
+            self.counts.resize(idx + 1, 0);
+        }
+        self.counts[idx] += 1;
         self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
+        let wide = u128::from(value);
+        self.sum = self.sum.saturating_add(wide);
+        self.sum_sq = self.sum_sq.saturating_add(wide * wide);
     }
 
-    /// Number of observations.
+    /// Adds every sample of `other`: the result equals pushing both
+    /// histograms' samples into one.
+    pub fn merge(&mut self, other: &Self) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        self.sum = self.sum.saturating_add(other.sum);
+        self.sum_sq = self.sum_sq.saturating_add(other.sum_sq);
+    }
+
+    /// Number of samples.
     pub fn count(&self) -> u64 {
         self.count
     }
 
-    /// Mean of the observations (0 when empty).
-    pub fn mean(&self) -> f64 {
+    /// The nearest-rank `q`-quantile, `q` in `[0, 1]`: the midpoint of the
+    /// bucket holding the ⌈q·n⌉-th smallest sample, clamped to the
+    /// extrema. Within 2^-8 of that sample, relatively; 0 when empty.
+    pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
-            0.0
-        } else {
-            self.mean
+            return 0;
         }
-    }
-
-    /// Population variance of the observations (0 when fewer than two).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0;
+        for (idx, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                let (lowest, width) = bucket_bounds(idx);
+                return (lowest + width / 2).clamp(self.min, self.max);
+            }
         }
+        self.max
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &WelfordAccumulator) {
-        if other.count == 0 {
-            return;
-        }
+    /// Count, extrema, mean and population standard deviation of the
+    /// samples, each divided by `scale` (recorded units per reported unit,
+    /// e.g. `1e6` to report nanoseconds in milliseconds). All zero when
+    /// empty.
+    pub fn summary(&self, scale: f64) -> Summary {
         if self.count == 0 {
-            *self = *other;
-            return;
+            return Summary::default();
         }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Snapshot of the accumulated statistics.
-    pub fn summary(&self) -> Summary {
+        let n = u128::from(self.count);
+        // n·Σx² − (Σx)² = n²·variance, exact in integers while it fits.
+        let spread = match n.checked_mul(self.sum_sq) {
+            Some(n_sum_sq) => (n_sum_sq - self.sum * self.sum) as f64,
+            None => (self.sum_sq as f64 * n as f64 - (self.sum as f64).powi(2)).max(0.0),
+        };
+        let n = self.count as f64;
         Summary {
             count: self.count,
-            min: self.min().unwrap_or(0.0),
-            max: self.max().unwrap_or(0.0),
-            mean: self.mean(),
-            std_dev: self.std_dev(),
+            min: self.min as f64 / scale,
+            max: self.max as f64 / scale,
+            mean: self.sum as f64 / n / scale,
+            std_dev: spread.sqrt() / n / scale,
         }
     }
 }
@@ -127,13 +171,22 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Computes a summary from a slice of observations.
+    /// Computes a summary from a slice of observations in two passes: the
+    /// mean, then the squared deviations from it. All zero when empty.
     pub fn of(values: &[f64]) -> Self {
-        let mut acc = WelfordAccumulator::new();
-        for &v in values {
-            acc.push(v);
+        if values.is_empty() {
+            return Self::default();
         }
-        acc.summary()
+        let n = values.len() as f64;
+        let mean = values.iter().sum::<f64>() / n;
+        let variance = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
+        Self {
+            count: values.len() as u64,
+            min: values.iter().copied().fold(f64::INFINITY, f64::min),
+            max: values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            mean,
+            std_dev: variance.sqrt(),
+        }
     }
 }
 
@@ -147,259 +200,15 @@ impl std::fmt::Display for Summary {
     }
 }
 
-/// Constant-space streaming estimator of a single quantile using the P²
-/// (piecewise-parabolic) algorithm.
-///
-/// The estimator keeps five markers that track the minimum, the target
-/// quantile, the quantiles halfway to each extreme, and the maximum; marker
-/// heights are adjusted with a parabolic prediction as observations arrive.
-/// It is deterministic (no sampling), exact for the first five observations,
-/// and typically within a fraction of a percent of the true quantile for
-/// unimodal distributions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights (estimates of the tracked quantiles).
-    heights: [f64; 5],
-    /// Actual marker positions (1-based observation ranks).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired-position increments applied per observation.
-    increments: [f64; 5],
-    count: u64,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for quantile `q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < q < 1`.
-    pub fn new(q: f64) -> Self {
-        assert!(
-            q > 0.0 && q < 1.0,
-            "quantile must be strictly inside (0, 1)"
-        );
-        Self {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    /// The quantile this estimator tracks.
-    pub fn quantile(&self) -> f64 {
-        self.q
-    }
-
-    /// Number of observations consumed.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, value: f64) {
-        if self.count < 5 {
-            self.heights[self.count as usize] = value;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights.sort_by(f64::total_cmp);
-            }
-            return;
-        }
-        self.count += 1;
-
-        // Find the cell the observation falls into, widening an extreme
-        // marker if it lands outside the current range.
-        let k = if value < self.heights[0] {
-            self.heights[0] = value;
-            0
-        } else if value >= self.heights[4] {
-            self.heights[4] = value;
-            3
-        } else {
-            // heights[k] <= value < heights[k + 1]
-            (1..4).rfind(|&i| self.heights[i] <= value).unwrap_or(0)
-        };
-
-        for i in (k + 1)..5 {
-            self.positions[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.increments[i];
-        }
-
-        // Nudge the three interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right_gap = self.positions[i + 1] - self.positions[i];
-            let left_gap = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0) {
-                let d = d.signum();
-                let parabolic = self.parabolic(i, d);
-                let new_height =
-                    if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                        parabolic
-                    } else {
-                        self.linear(i, d)
-                    };
-                self.heights[i] = new_height;
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let (h, n) = (&self.heights, &self.positions);
-        h[i] + d / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + d) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// The current estimate of the tracked quantile (`None` when empty).
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.count <= 5 {
-            // Exact: interpolate the sorted prefix.
-            let mut sorted = self.heights;
-            let n = self.count as usize;
-            sorted[..n].sort_by(f64::total_cmp);
-            let rank = self.q * (n - 1) as f64;
-            let lo = rank.floor() as usize;
-            let hi = rank.ceil() as usize;
-            let frac = rank - lo as f64;
-            return Some(sorted[lo] * (1.0 - frac) + sorted[hi.min(n - 1)] * frac);
-        }
-        Some(self.heights[2])
-    }
-}
-
-/// Streaming CDF summary of a latency-like metric: a set of [`P2Quantile`]
-/// markers plus exact [`WelfordAccumulator`] moments, all in constant space.
-///
-/// This is the sink the discrete-event simulator streams per-iteration times
-/// into; [`StreamingCdf::p50`]/[`p95`](StreamingCdf::p95)/[`p99`](StreamingCdf::p99)
-/// are the numbers its reports quote.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamingCdf {
-    quantiles: Vec<P2Quantile>,
-    moments: WelfordAccumulator,
-    /// Exact buffer of the first observations: short streams get exact
-    /// quantiles, and the independent P² markers (which can invert on tiny
-    /// samples) only take over once they have data to stabilise on.
-    head: Vec<f64>,
-}
-
-/// Observations buffered exactly before [`StreamingCdf`] switches to its P²
-/// estimates.
-const STREAMING_CDF_EXACT_HEAD: usize = 64;
-
-impl StreamingCdf {
-    /// Creates a CDF tracking the given quantiles (each strictly in `(0,1)`),
-    /// sorted ascending.
-    pub fn new(quantiles: &[f64]) -> Self {
-        let mut qs: Vec<f64> = quantiles.to_vec();
-        qs.sort_by(f64::total_cmp);
-        Self {
-            quantiles: qs.iter().map(|&q| P2Quantile::new(q)).collect(),
-            moments: WelfordAccumulator::new(),
-            head: Vec::new(),
-        }
-    }
-
-    /// The conventional latency summary: p50, p95 and p99.
-    pub fn latency_defaults() -> Self {
-        Self::new(&[0.50, 0.95, 0.99])
-    }
-
-    /// Adds one observation to every tracked quantile and the moments.
-    pub fn push(&mut self, value: f64) {
-        for q in &mut self.quantiles {
-            q.push(value);
-        }
-        self.moments.push(value);
-        if self.head.len() < STREAMING_CDF_EXACT_HEAD {
-            self.head.push(value);
-        }
-    }
-
-    /// Number of observations consumed.
-    pub fn count(&self) -> u64 {
-        self.moments.count()
-    }
-
-    /// The estimate for the tracked quantile `q`.
-    ///
-    /// Exact while at most `STREAMING_CDF_EXACT_HEAD` (64) observations have
-    /// been pushed; afterwards the P² estimate, monotone-repaired so that a
-    /// higher tracked quantile never reports a smaller value than a lower
-    /// one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not tracked or no observations were pushed.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let idx = self
-            .quantiles
-            .iter()
-            .position(|m| (m.q - q).abs() < 1e-9)
-            .unwrap_or_else(|| panic!("quantile {q} is not tracked"));
-        assert!(self.count() > 0, "no observations pushed");
-        if self.count() <= self.head.len() as u64 {
-            let mut sorted = self.head.clone();
-            sorted.sort_by(f64::total_cmp);
-            let rank = q * (sorted.len() - 1) as f64;
-            let lo = rank.floor() as usize;
-            let frac = rank - lo as f64;
-            let hi = (lo + 1).min(sorted.len() - 1);
-            // `a + (b - a) * frac`, not `a * (1 - frac) + b * frac`: the
-            // latter can land an ulp below `a` between equal neighbours,
-            // so a higher quantile could read lower than a lower one.
-            return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-        }
-        // Monotone repair: running max over markers up to and including q.
-        self.quantiles[..=idx]
-            .iter()
-            .filter_map(|m| m.estimate())
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Median estimate.
-    pub fn p50(&self) -> f64 {
-        self.quantile(0.50)
-    }
-
-    /// 95th-percentile estimate.
-    pub fn p95(&self) -> f64 {
-        self.quantile(0.95)
-    }
-
-    /// 99th-percentile estimate.
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
-    }
-
-    /// Exact mean/min/max/std of everything pushed.
-    pub fn summary(&self) -> Summary {
-        self.moments.summary()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn histogram(values: &[u64]) -> LogLinearHistogram {
+        let mut h = LogLinearHistogram::new();
+        values.iter().for_each(|&v| h.push(v));
+        h
+    }
 
     #[test]
     fn mean_and_variance_match_direct_computation() {
@@ -410,48 +219,34 @@ mod tests {
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 9.0);
         assert_eq!(s.count, 8);
+        let h = histogram(&[2, 4, 4, 4, 5, 5, 7, 9]);
+        assert_eq!(h.summary(1.0), s, "integer moments are exact");
     }
 
     #[test]
     fn empty_accumulator_is_safe() {
-        let acc = WelfordAccumulator::new();
-        assert_eq!(acc.mean(), 0.0);
-        assert_eq!(acc.variance(), 0.0);
-        assert_eq!(acc.min(), None);
-        assert_eq!(acc.max(), None);
-        assert_eq!(acc.summary().count, 0);
+        assert_eq!(Summary::of(&[]), Summary::default());
+        let h = LogLinearHistogram::new();
+        assert_eq!(h.summary(1e6), Summary::default());
+        assert_eq!(h.quantile(0.5), 0);
+        assert_eq!(h.count(), 0);
     }
 
     #[test]
     fn merge_equals_sequential() {
-        let values: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = WelfordAccumulator::new();
-        for &v in &values {
-            all.push(v);
-        }
-        let mut a = WelfordAccumulator::new();
-        let mut b = WelfordAccumulator::new();
-        for &v in &values[..37] {
-            a.push(v);
-        }
-        for &v in &values[37..] {
-            b.push(v);
-        }
-        a.merge(&b);
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), all.count());
+        let values: Vec<u64> = (0..1_000u64).map(|i| (i * 7_919) % 100_003 * i).collect();
+        let mut a = histogram(&values[..370]);
+        a.merge(&histogram(&values[370..]));
+        assert_eq!(a, histogram(&values));
     }
 
     #[test]
     fn merge_with_empty_sides() {
-        let mut a = WelfordAccumulator::new();
-        a.push(1.0);
-        let empty = WelfordAccumulator::new();
-        let mut b = a;
-        b.merge(&empty);
+        let a = histogram(&[1, 1_000, 1_000_000]);
+        let mut b = a.clone();
+        b.merge(&LogLinearHistogram::new());
         assert_eq!(b, a);
-        let mut c = WelfordAccumulator::new();
+        let mut c = LogLinearHistogram::new();
         c.merge(&a);
         assert_eq!(c, a);
     }
@@ -462,147 +257,108 @@ mod tests {
         assert_eq!(format!("{s}"), "1.00/3.00/2.00/0.82");
     }
 
-    /// Deterministic pseudo-random stream (no rand dependency in this crate's
-    /// tests) — SplitMix64 mapped to [0, 1).
-    fn uniform_stream(seed: u64, n: usize) -> Vec<f64> {
-        let mut state = seed;
-        (0..n)
-            .map(|_| {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) as f64 / u64::MAX as f64
-            })
-            .collect()
+    #[test]
+    fn buckets_tile_the_integers_without_gaps() {
+        let mut next = 0u64;
+        for idx in 0..bucket_of(u64::MAX) + 1 {
+            let (lowest, width) = bucket_bounds(idx);
+            assert_eq!(lowest, next, "bucket {idx} starts where the last one ended");
+            assert_eq!(bucket_of(lowest), idx);
+            assert_eq!(bucket_of(lowest + (width - 1)), idx);
+            assert!(
+                width == 1 || width <= lowest >> SUB_BITS,
+                "bucket {idx} too wide"
+            );
+            next = lowest.wrapping_add(width);
+        }
+        assert_eq!(next, 0, "the last bucket ends at u64::MAX");
     }
 
-    fn exact_quantile(values: &[f64], q: f64) -> f64 {
+    /// Asserts each quantile is within 2^-8 of the exact nearest-rank
+    /// sample, and the summary's extrema are exact.
+    fn assert_within_bound(values: &[u64]) {
+        let h = histogram(values);
         let mut sorted = values.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-    }
-
-    #[test]
-    fn p2_exact_for_small_streams() {
-        let mut est = P2Quantile::new(0.5);
-        assert_eq!(est.estimate(), None);
-        est.push(3.0);
-        assert_eq!(est.estimate(), Some(3.0));
-        est.push(1.0);
-        est.push(2.0);
-        // Median of {1, 2, 3}.
-        assert_eq!(est.estimate(), Some(2.0));
-    }
-
-    #[test]
-    fn p2_tracks_uniform_quantiles() {
-        let values = uniform_stream(42, 50_000);
-        for q in [0.5, 0.95, 0.99] {
-            let mut est = P2Quantile::new(q);
-            for &v in &values {
-                est.push(v);
-            }
-            let got = est.estimate().unwrap();
-            let want = exact_quantile(&values, q);
+        sorted.sort_unstable();
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            let want = sorted[rank - 1] as f64;
+            let got = h.quantile(q) as f64;
             assert!(
-                (got - want).abs() < 0.01,
-                "P2 estimate {got} for q={q} too far from exact {want}"
+                (got - want).abs() <= want / 256.0,
+                "n={} q={q}: {got} vs exact {want}",
+                values.len()
             );
         }
+        let s = h.summary(1.0);
+        assert_eq!(s.min, sorted[0] as f64);
+        assert_eq!(s.max, sorted[sorted.len() - 1] as f64);
     }
 
     #[test]
-    fn p2_tracks_heavy_tailed_quantiles() {
-        // Pareto-ish: x = (1 - u)^(-1) spans orders of magnitude, the shape
-        // of queueing-delay tails the DES reports.
-        let values: Vec<f64> = uniform_stream(7, 50_000)
-            .iter()
-            .map(|u| (1.0 - u).powi(-1))
+    fn tracks_uniform_quantiles() {
+        // A stride permutation of 0..100,000, scaled to microseconds.
+        let values: Vec<u64> = (0..100_000u64)
+            .map(|i| (i * 7_919) % 100_000 * 1_000)
             .collect();
-        for q in [0.5, 0.95] {
-            let mut est = P2Quantile::new(q);
-            for &v in &values {
-                est.push(v);
-            }
-            let got = est.estimate().unwrap();
-            let want = exact_quantile(&values, q);
-            assert!(
-                (got / want - 1.0).abs() < 0.05,
-                "P2 estimate {got} for q={q} more than 5% from exact {want}"
-            );
+        assert_within_bound(&values);
+    }
+
+    #[test]
+    fn tracks_heavy_tailed_quantiles() {
+        // Pareto (alpha = 1.2) inverse CDF on a stride permutation of the
+        // uniform grid: a tail five decades above the median.
+        let n = 20_000u64;
+        let values: Vec<u64> = (0..n)
+            .map(|i| {
+                let u = ((i * 7_919) % n) as f64 + 0.5;
+                (1_000.0 * (n as f64 / u).powf(1.0 / 1.2)) as u64
+            })
+            .collect();
+        assert_within_bound(&values);
+    }
+
+    #[test]
+    fn short_streams_keep_the_bound_and_exact_extrema() {
+        let values: Vec<u64> = (1..=64u64).map(|i| (i * i * 977) % 65_537 + 300).collect();
+        for len in 1..=values.len() {
+            assert_within_bound(&values[..len]);
         }
     }
 
     #[test]
-    fn p2_is_deterministic() {
-        let values = uniform_stream(9, 10_000);
-        let run = || {
-            let mut est = P2Quantile::new(0.99);
-            for &v in &values {
-                est.push(v);
-            }
-            est.estimate().unwrap()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn streaming_cdf_percentiles_are_ordered() {
-        let mut cdf = StreamingCdf::latency_defaults();
-        for v in uniform_stream(11, 20_000) {
-            cdf.push(v * 10.0);
-        }
-        assert_eq!(cdf.count(), 20_000);
-        assert!(cdf.p50() <= cdf.p95());
-        assert!(cdf.p95() <= cdf.p99());
-        let s = cdf.summary();
-        assert!(s.min <= cdf.p50() && cdf.p99() <= s.max);
-    }
-
-    #[test]
-    fn streaming_cdf_exact_for_short_streams() {
-        let mut cdf = StreamingCdf::latency_defaults();
-        for v in [5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0, 4.0, 6.0] {
-            cdf.push(v);
-        }
-        // Exact sample median of 1..=9.
-        assert!((cdf.p50() - 5.0).abs() < 1e-12);
-        assert!(cdf.p50() <= cdf.p95() && cdf.p95() <= cdf.p99());
-        assert!(cdf.p99() <= 9.0);
-    }
-
-    #[test]
-    fn streaming_cdf_monotone_after_head() {
-        let mut cdf = StreamingCdf::latency_defaults();
-        for v in uniform_stream(23, 500) {
-            cdf.push(v);
-        }
-        assert!(cdf.p50() <= cdf.p95() && cdf.p95() <= cdf.p99());
-    }
-
-    #[test]
-    #[should_panic(expected = "not tracked")]
-    fn streaming_cdf_rejects_untracked_quantile() {
-        let mut cdf = StreamingCdf::new(&[0.5]);
-        cdf.push(1.0);
-        let _ = cdf.quantile(0.9);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly inside")]
-    fn p2_rejects_degenerate_quantile() {
-        let _ = P2Quantile::new(1.0);
+    fn small_values_are_exact() {
+        let h = histogram(&(0..200).collect::<Vec<_>>());
+        assert_eq!(h.quantile(0.5), 99);
+        assert_eq!(h.quantile(0.99), 197);
+        assert_eq!(h.quantile(0.0), 0);
+        assert_eq!(h.quantile(1.0), 199);
     }
 
     #[test]
     fn exact_quantiles_of_equal_observations_are_that_value() {
-        // 0.95 * 38 leaves a fraction of 0.1: `a * 0.9 + a * 0.1` rounds to
-        // 0.04400799999999999 here, which would put p95 below p50.
-        let mut cdf = StreamingCdf::latency_defaults();
-        for _ in 0..39 {
-            cdf.push(0.044008);
+        let h = histogram(&[1_000_001; 39]);
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(h.quantile(q), 1_000_001);
         }
-        assert_eq!([cdf.p50(), cdf.p95(), cdf.p99()], [0.044008; 3]);
+        let s = h.summary(1e6);
+        assert_eq!(
+            [s.min, s.max, s.mean, s.std_dev],
+            [1.000001, 1.000001, 1.000001, 0.0]
+        );
+    }
+
+    #[test]
+    fn huge_values_keep_their_bound() {
+        let values = [u64::MAX - 5, u64::MAX / 3, 1 << 40];
+        let h = histogram(&values);
+        for (q, want) in [(1.0, values[0]), (0.5, values[1]), (0.0, values[2])] {
+            let got = h.quantile(q) as f64;
+            assert!(
+                (got / want as f64 - 1.0).abs() <= 1.0 / 256.0,
+                "q={q}: {got}"
+            );
+        }
+        assert_eq!(h.summary(1.0).max, u64::MAX as f64);
     }
 }

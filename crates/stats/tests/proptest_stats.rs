@@ -1,8 +1,10 @@
 //! Property-based tests for the statistics stack: row counters, access
-//! CDFs and their piece-wise linear inverses.
+//! CDFs and their piece-wise linear inverses, and the quantile sketch.
 
 use proptest::prelude::*;
-use recshard_stats::{AccessCdf, RowCounters};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use recshard_stats::{AccessCdf, LogLinearHistogram, RowCounters};
 use std::collections::BTreeMap;
 
 /// The ranked rows and counts of one table that recorded `rows`.
@@ -332,5 +334,64 @@ mod knee_rank_edge_cases {
         assert!(knee >= 1 && knee <= cdf.rows_ranked());
         assert_eq!(knee, 10, "knee must sit exactly at the head/tail boundary");
         assert!(cdf.access_fraction(knee) > 0.5);
+    }
+}
+
+/// A histogram of `values`, pushed in order.
+fn sketch_of(values: &[u64]) -> LogLinearHistogram {
+    let mut sketch = LogLinearHistogram::new();
+    values.iter().for_each(|&v| sketch.push(v));
+    sketch
+}
+
+/// `values` in a seeded Fisher-Yates order.
+fn permuted(values: &[u64], seed: u64) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = values.to_vec();
+    for i in (1..out.len()).rev() {
+        out.swap(i, rng.gen_range(0..i + 1));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The sketch depends on the multiset of samples only: any order of
+    /// the same samples gives the same bits, so the same quantiles and
+    /// moments. Ties are common (values drawn from a small range, then
+    /// scaled into wide buckets).
+    #[test]
+    fn sketch_is_independent_of_sample_order(
+        small in prop::collection::vec(0u64..64, 1..300),
+        scale in 1u64..100_000,
+        seed in any::<u64>(),
+    ) {
+        let values: Vec<u64> = small.iter().map(|&v| v * scale + v % 3).collect();
+        let a = sketch_of(&values);
+        let b = sketch_of(&permuted(&values, seed));
+        let mut sorted = values.clone();
+        sorted.sort_unstable_by(|x, y| y.cmp(x));
+        let c = sketch_of(&sorted);
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(&a, &c);
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            prop_assert_eq!(a.quantile(q), b.quantile(q));
+        }
+        prop_assert_eq!(a.summary(1e6), b.summary(1e6));
+    }
+
+    /// `merge(a, b)` equals pushing both inputs into one sketch.
+    #[test]
+    fn sketch_merge_equals_pushing_both(
+        left in prop::collection::vec(any::<u64>(), 0..100),
+        right in prop::collection::vec(0u64..1_000_000_000, 0..100),
+    ) {
+        let left: Vec<u64> = left.iter().map(|v| v >> 24).collect();
+        let mut merged = sketch_of(&left);
+        merged.merge(&sketch_of(&right));
+        let both: Vec<u64> = left.iter().chain(&right).copied().collect();
+        prop_assert_eq!(&merged, &sketch_of(&both));
+        prop_assert_eq!(merged.quantile(0.99), sketch_of(&both).quantile(0.99));
     }
 }

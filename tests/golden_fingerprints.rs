@@ -25,7 +25,7 @@ use recshard_bench::des_bench::{self, DesBenchConfig};
 use recshard_bench::scenario_bench::{self, ScenarioBenchConfig};
 use recshard_bench::solver_bench::{bench_system, run_sweep, SolverBenchConfig};
 use recshard_bench::{skewed_model, ExperimentConfig, Strategy};
-use recshard_data::{ModelSpec, RmKind};
+use recshard_data::{fnv1a, ModelSpec, RmKind, FNV_OFFSET};
 use recshard_des::{ArrivalProcess, RunSummary};
 use recshard_serve::{ArrivalModel, InferenceServer, PolicyKind, ServeConfig, ServeReport};
 use recshard_sharding::{ClusterSpec, DeviceClass, ShardingPlan, SystemSpec, TablePlacement};
@@ -51,8 +51,8 @@ const SOLVER_SCALING_GOLDEN: u64 = 0x6ba7_d67b_4171_619c;
 
 /// Committed fingerprints of the tiny `des_bench` and `scenario_bench`
 /// sweeps: FNV-1a hashes of their canonical JSON with timing blanked.
-const DES_BENCH_TINY_GOLDEN: u64 = 0x2880_9725_2e5f_dcb8;
-const SCENARIO_BENCH_TINY_GOLDEN: u64 = 0x9a5d_fa18_1bee_331b;
+const DES_BENCH_TINY_GOLDEN: u64 = 0x0f51_5072_1882_631d;
+const SCENARIO_BENCH_TINY_GOLDEN: u64 = 0xf62e_7780_2a0a_62a8;
 
 /// Committed per-point scalable-plan fingerprints of the tiny sweep
 /// (placement-level regression lock, finer than the JSON hash).
@@ -163,25 +163,22 @@ const CONTENDED_TIMING_SWEEP: [(usize, f64, Option<f64>, u64); 8] = [
 
 /// Committed `timing_fingerprint`s of `CONTENDED_TIMING_SWEEP`, in order.
 const CONTENDED_TIMING_GOLDEN: [u64; 8] = [
-    0x3e4d_7d1e_2d54_d437,
-    0x750a_58b8_30a7_5d9a,
-    0xedef_f5ea_b124_1502,
-    0xcaf7_67c8_8eee_c490,
-    0xc39b_d848_c479_18dd,
-    0xe224_4223_45b8_dfc0,
-    0x83c1_3fa5_e500_9bca,
-    0x2b22_8074_ee5e_3678,
+    0x4aef_037f_95fc_abe6,
+    0x8827_a60c_8d17_6c6d,
+    0xf3ca_afb8_dde5_f650,
+    0x73cf_6c0f_3286_8922,
+    0x0107_d73a_2971_9434,
+    0x990e_aa4d_410f_20f2,
+    0xa850_dc08_54ef_54a2,
+    0x7596_b6b4_b0cc_05e5,
 ];
 
 /// FNV-1a hash over every `RunSummary` field except `events` and
 /// `fingerprint`, floats as bits: everything a run measures in virtual
 /// time, and nothing that depends on how the engine sequences one instant.
 fn timing_fingerprint(summary: &RunSummary) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    let mut fold = |word: u64| {
-        hash ^= word;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    };
+    let mut hash = FNV_OFFSET;
+    let mut fold = |word: u64| hash = fnv1a(hash, word);
     summary.strategy.bytes().for_each(|b| fold(u64::from(b)));
     fold(summary.num_gpus as u64);
     fold(summary.iterations);
@@ -386,11 +383,8 @@ fn serve_fingerprints_are_bit_for_bit_stable() {
 
 /// Order-sensitive FNV-1a hash over every field of every feature profile.
 fn profile_fingerprint(profile: &DatasetProfile) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    let mut fold = |word: u64| {
-        hash ^= word;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    };
+    let mut hash = FNV_OFFSET;
+    let mut fold = |word: u64| hash = fnv1a(hash, word);
     fold(profile.samples_profiled());
     for p in profile.profiles() {
         fold(u64::from(p.id.0));
@@ -459,20 +453,18 @@ fn unbucketed_plan_systems(model: &ModelSpec) -> [(SystemSpec, bool); 4] {
 
 /// Order-sensitive FNV-1a hash over every placement of a plan.
 fn plan_fingerprint(plan: &ShardingPlan) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for p in plan.placements() {
-        for word in [
-            u64::from(p.table.0),
-            p.gpu as u64,
-            p.hbm_rows,
-            p.total_rows,
-            p.row_bytes,
-        ] {
-            hash ^= word;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
+    plan.placements()
+        .iter()
+        .flat_map(|p| {
+            [
+                u64::from(p.table.0),
+                p.gpu as u64,
+                p.hbm_rows,
+                p.total_rows,
+                p.row_bytes,
+            ]
+        })
+        .fold(FNV_OFFSET, fnv1a)
 }
 
 #[test]
