@@ -42,11 +42,6 @@ impl SpeedupReport {
         Self { entries }
     }
 
-    /// The raw entries.
-    pub fn entries(&self) -> &[(String, Summary)] {
-        &self.entries
-    }
-
     /// Iteration time of a strategy (the max across GPUs — training is bound
     /// by the slowest trainer).
     pub fn iteration_time(&self, strategy: &str) -> Option<f64> {

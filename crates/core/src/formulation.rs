@@ -425,7 +425,8 @@ mod tests {
         let (milp, vars, _) = MilpFormulation::new(config)
             .build(&model, &profile, &system)
             .unwrap();
-        let exact_obj = milp.solve().unwrap().objective() / vars.cost_scale;
+        let exact = milp.solve().unwrap();
+        let exact_obj = milp.objective_value(exact.values()) / vars.cost_scale;
 
         let mut structured_cfg = config;
         structured_cfg.hbm_slack = 0.0;

@@ -49,11 +49,6 @@ impl HierarchicalSolver {
         Self { config, topology }
     }
 
-    /// The node grid this solver targets.
-    pub fn topology(&self) -> NodeTopology {
-        self.topology
-    }
-
     /// Level 1 only: the table→node assignment this solver would use.
     ///
     /// # Errors
@@ -265,7 +260,7 @@ mod tests {
             .solve(&model, &profile, &system)
             .unwrap();
         plan.validate(&model, &system).unwrap();
-        assert_eq!(plan.topology(), Some(topology));
+        assert_eq!(plan.effective_topology(), topology);
         assert_eq!(plan.strategy(), "recshard-hierarchical");
         // The two nodes' tables partition the model.
         assert_eq!(
@@ -274,7 +269,7 @@ mod tests {
         );
         // Flattening drops the annotation but keeps a valid plan.
         let flat = plan.flatten();
-        assert_eq!(flat.topology(), None);
+        assert_eq!(flat.effective_topology().num_nodes, 1);
         flat.validate(&model, &system).unwrap();
     }
 
@@ -316,6 +311,6 @@ mod tests {
             .solve(&model, &profile, &system)
             .unwrap();
         plan.validate(&model, &system).unwrap();
-        assert_eq!(plan.topology(), Some(topology));
+        assert_eq!(plan.effective_topology(), topology);
     }
 }

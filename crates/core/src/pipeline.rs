@@ -177,7 +177,7 @@ mod tests {
         // Remap tables agree with the plan's split sizes.
         for (remap, placement) in out.remap_tables.iter().zip(out.plan.placements()) {
             assert_eq!(remap.total_rows(), placement.total_rows);
-            assert_eq!(remap.hbm_rows(), placement.hbm_rows);
+            assert_eq!(remap.uvm_rows(), placement.uvm_rows());
         }
         assert_eq!(out.remap_storage_bytes(), model.total_hash_size() * 4);
     }

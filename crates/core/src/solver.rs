@@ -996,7 +996,7 @@ mod tests {
         plan.validate(&model, &system).unwrap();
         for (p, prof) in plan.placements().iter().zip(profile.profiles()) {
             assert!(
-                p.hbm_rows >= prof.accessed_rows(),
+                p.hbm_rows >= prof.cdf.full_coverage_rows(),
                 "all accessed rows should be in HBM"
             );
         }

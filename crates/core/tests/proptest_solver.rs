@@ -194,7 +194,7 @@ proptest! {
         let brute = brute_force_optimum(&costs, &system);
         match milp.solve() {
             Ok(solution) => {
-                let exact = solution.objective() / vars.cost_scale;
+                let exact = milp.objective_value(solution.values()) / vars.cost_scale;
                 let brute = brute.expect("MILP feasible implies enumeration feasible");
                 prop_assert!(
                     (exact - brute).abs() <= 1e-6 * brute.max(1.0),
@@ -272,7 +272,7 @@ proptest! {
         if let Ok(out) = RecShard::default().run(&model, &system, 400, seed) {
             for (remap, placement) in out.remap_tables.iter().zip(out.plan.placements()) {
                 prop_assert_eq!(remap.total_rows(), placement.total_rows);
-                prop_assert_eq!(remap.hbm_rows(), placement.hbm_rows);
+                prop_assert_eq!(remap.uvm_rows(), placement.uvm_rows());
             }
         }
     }

@@ -47,16 +47,6 @@ impl FeatureHasher {
         Self { hash_size, seed }
     }
 
-    /// The number of output rows (the embedding table's row count).
-    pub fn hash_size(&self) -> u64 {
-        self.hash_size
-    }
-
-    /// The per-table seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Mixes a raw 64-bit value into a uniformly distributed 64-bit value.
     ///
     /// This is the SplitMix64 finalizer, a standard high-quality mixer.

@@ -60,8 +60,6 @@ pub struct ModelSpec {
     kind: RmKind,
     features: Vec<FeatureSpec>,
     batch_size: u32,
-    /// Factor by which production-scale row counts were divided (1 = unscaled).
-    scale_factor: u64,
 }
 
 impl ModelSpec {
@@ -88,7 +86,6 @@ impl ModelSpec {
             kind,
             features,
             batch_size,
-            scale_factor: 1,
         }
     }
 
@@ -252,7 +249,6 @@ impl ModelSpec {
             kind,
             features,
             batch_size: PAPER_BATCH_SIZE,
-            scale_factor: 1,
         }
     }
 
@@ -293,11 +289,6 @@ impl ModelSpec {
         self
     }
 
-    /// The factor by which this model was scaled down from production size.
-    pub fn scale_factor(&self) -> u64 {
-        self.scale_factor
-    }
-
     /// Sum of all tables' row counts (the paper's "Total Hash Size").
     pub fn total_hash_size(&self) -> u64 {
         self.features.iter().map(|f| f.hash_size).sum()
@@ -332,7 +323,6 @@ impl ModelSpec {
             kind: self.kind,
             features,
             batch_size: self.batch_size,
-            scale_factor: self.scale_factor * factor,
         }
     }
 
@@ -351,7 +341,6 @@ impl ModelSpec {
             kind: RmKind::Custom,
             features: self.features[..n].to_vec(),
             batch_size: self.batch_size,
-            scale_factor: self.scale_factor,
         }
     }
 }
@@ -402,7 +391,6 @@ mod tests {
         let s = m.scaled(1024);
         assert_eq!(s.num_features(), m.num_features());
         assert!(s.total_hash_size() <= m.total_hash_size() / 1000);
-        assert_eq!(s.scale_factor(), 1024);
         assert_eq!(s.kind(), RmKind::Rm1);
     }
 

@@ -153,13 +153,6 @@ pub struct SparseSample {
     pub values: Vec<Vec<u64>>,
 }
 
-impl SparseSample {
-    /// Total number of embedding lookups this sample induces across all tables.
-    pub fn total_lookups(&self) -> usize {
-        self.values.iter().map(Vec::len).sum()
-    }
-}
-
 /// A batch of training samples.
 pub type Batch = Vec<SparseSample>;
 
@@ -179,7 +172,6 @@ pub struct SampleGenerator {
     model: ModelSpec,
     samplers: Vec<FeatureSampler>,
     rng: StdRng,
-    samples_generated: u64,
 }
 
 impl SampleGenerator {
@@ -231,18 +223,12 @@ impl SampleGenerator {
             model: model.clone(),
             samplers: model.features().iter().map(sampler).collect(),
             rng: StdRng::seed_from_u64(seed),
-            samples_generated: 0,
         }
     }
 
     /// The model this generator draws samples for.
     pub fn model(&self) -> &ModelSpec {
         &self.model
-    }
-
-    /// Number of samples generated so far.
-    pub fn samples_generated(&self) -> u64 {
-        self.samples_generated
     }
 
     /// Draws one training sample.
@@ -273,7 +259,6 @@ impl SampleGenerator {
         present: impl Fn(&mut S, usize, usize),
         visit: impl Fn(&mut S, usize, u64),
     ) {
-        self.samples_generated += 1;
         for (f, sampler) in self.samplers.iter().enumerate() {
             sampler.draw(
                 &mut self.rng,
@@ -397,7 +382,6 @@ mod tests {
                 assert_eq!(guided.sample(), plain.sample(), "seed {seed}");
                 assert_eq!(guided.rng, plain.rng, "seed {seed}: RNG state diverged");
             }
-            assert_eq!(guided.samples_generated(), plain.samples_generated());
         }
     }
 
@@ -509,7 +493,6 @@ mod tests {
                 assert_eq!(visited, expected);
                 assert_eq!(visit.rng, collect.rng);
             }
-            assert_eq!(visit.samples_generated(), 300);
         }
     }
 
@@ -686,14 +669,5 @@ mod tests {
                 assert!(draw(&plain, &key).iter().all(|&v| v < spec.cardinality));
             }
         }
-    }
-
-    #[test]
-    fn total_lookups_counts_all_features() {
-        let model = ModelSpec::small(3, 10);
-        let mut gen = SampleGenerator::new(&model, 6);
-        let s = gen.sample();
-        let manual: usize = s.values.iter().map(Vec::len).sum();
-        assert_eq!(s.total_lookups(), manual);
     }
 }

@@ -396,6 +396,8 @@ impl ZipfGuide {
     /// [`COMPACT_CELLS`](Self::COMPACT_CELLS)) draws from its first step,
     /// if the guide resolved the cell.
     #[inline]
+    // recshard-lint: allow(test-only-pub) -- the guide exactness tests check
+    // each cell's resolved rank through it; no public path shows a cell.
     pub fn rank(&self, cell: usize) -> Option<u64> {
         let (rank, miss) = match &self.cells {
             RankCells::Unguided => return None,

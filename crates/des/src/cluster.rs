@@ -727,7 +727,7 @@ impl<'obs> ClusterSimulator<'obs> {
             queue: EventQueue::new(),
             steps: VecDeque::new(),
             lifo_steps: false,
-            stations: (0..num_gpus).map(GpuStation::new).collect(),
+            stations: vec![GpuStation::default(); num_gpus],
             arrival_rng: StdRng::seed_from_u64(config.seed ^ 0xA221_7A1C_0FFE_E000),
             iters: IterationStore::new(gathers_per_iter),
             sojourns: LogLinearHistogram::new(),

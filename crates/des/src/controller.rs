@@ -136,11 +136,6 @@ impl ReshardController {
         })
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> &ReshardPolicy {
-        &self.policy
-    }
-
     /// Number of re-shards performed so far.
     pub fn reshard_count(&self) -> u32 {
         self.reshard_count

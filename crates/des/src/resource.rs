@@ -76,16 +76,6 @@ impl<T> CompletedTransfer<T> {
     pub fn elapsed_ns(&self) -> u64 {
         self.completed_ns - self.admitted_ns
     }
-
-    /// Slowdown relative to solo service (1.0 = uncontended). Defined as 1
-    /// for zero-work transfers.
-    pub fn stretch(&self) -> f64 {
-        if self.work_ns == 0 {
-            1.0
-        } else {
-            self.elapsed_ns() as f64 / self.work_ns as f64
-        }
-    }
 }
 
 /// A processor-sharing link: all in-flight transfers drain at `rate / n`.
@@ -101,8 +91,6 @@ pub struct SharedRateResource<T> {
     generation: u64,
     admitted_units: u128,
     served_units: u128,
-    completed_transfers: u64,
-    peak_tenants: usize,
 }
 
 impl<T> Default for SharedRateResource<T> {
@@ -121,8 +109,6 @@ impl<T> SharedRateResource<T> {
             generation: 0,
             admitted_units: 0,
             served_units: 0,
-            completed_transfers: 0,
-            peak_tenants: 0,
         }
     }
 
@@ -209,7 +195,6 @@ impl<T> SharedRateResource<T> {
         let appended = finished.len() - appended_from;
         if appended > 0 {
             self.generation += 1;
-            self.completed_transfers += appended as u64;
         }
         appended
     }
@@ -238,7 +223,6 @@ impl<T> SharedRateResource<T> {
             tenants_at_admit: self.tenants.len() + 1,
             payload,
         });
-        self.peak_tenants = self.peak_tenants.max(self.tenants.len());
         self.generation += 1;
         seq
     }
@@ -282,16 +266,6 @@ impl<T> SharedRateResource<T> {
     /// Total work units served so far.
     pub fn served_units(&self) -> u128 {
         self.served_units
-    }
-
-    /// Number of transfers that have completed service.
-    pub fn completed_transfers(&self) -> u64 {
-        self.completed_transfers
-    }
-
-    /// The largest number of simultaneous tenants ever observed.
-    pub fn peak_tenants(&self) -> usize {
-        self.peak_tenants
     }
 }
 
@@ -398,7 +372,6 @@ mod tests {
             ["sentinel", "a", "b"]
         );
         assert!(link.generation() > g);
-        assert_eq!(link.completed_transfers(), 2);
     }
 
     #[test]
@@ -410,8 +383,7 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].payload, "a");
         assert_eq!(done[0].completed_ns, 100);
-        assert_eq!(done[0].elapsed_ns(), 100);
-        assert!((done[0].stretch() - 1.0).abs() < 1e-12);
+        assert_eq!(done[0].elapsed_ns(), done[0].work_ns);
         assert!(link.is_idle());
         assert_eq!(link.served_units(), link.admitted_units());
     }
@@ -421,6 +393,7 @@ mod tests {
         let mut link = SharedRateResource::new();
         link.admit(0, 100, 1u32);
         link.admit(0, 100, 2u32);
+        assert_eq!(link.tenants(), 2);
         assert_eq!(link.next_completion_delay(), Some(200));
         let done = link.advance(200);
         assert_eq!(done.len(), 2);
@@ -428,7 +401,6 @@ mod tests {
         assert_eq!((done[0].payload, done[1].payload), (1, 2));
         assert_eq!(done[0].completed_ns, 200);
         assert_eq!(done[1].completed_ns, 200);
-        assert_eq!(link.peak_tenants(), 2);
     }
 
     #[test]
@@ -446,7 +418,6 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].payload, "a");
         assert_eq!(done[0].elapsed_ns(), 150);
-        assert!((done[0].stretch() - 1.5).abs() < 1e-12);
         // "b" drains solo afterwards: 50 ns of work left.
         assert_eq!(link.next_completion_delay(), Some(50));
         let done = link.advance(200);
@@ -479,7 +450,6 @@ mod tests {
         let done = link.advance(0);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].elapsed_ns(), 0);
-        assert!((done[0].stretch() - 1.0).abs() < 1e-12);
     }
 
     #[test]

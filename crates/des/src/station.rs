@@ -31,42 +31,18 @@ impl ServiceDemand {
 }
 
 /// A single-server FIFO station modelling one GPU's embedding engine.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GpuStation {
-    gpu: usize,
     /// Virtual time at which the station next becomes idle.
     free_at: SimTime,
-    /// Cumulative time spent serving jobs, by component.
-    busy_hbm_ns: u64,
+    /// Cumulative time spent serving jobs, in total and on UVM gathers.
+    busy_ns: u64,
     busy_uvm_ns: u64,
-    busy_overhead_ns: u64,
-    /// Cumulative stall time injected by migrations/re-sharding.
-    stall_ns: u64,
-    jobs_served: u64,
     /// Distribution of how long jobs waited in queue before service, ns.
     queue_wait_ns: LogLinearHistogram,
 }
 
 impl GpuStation {
-    /// An idle station for the given GPU id.
-    pub fn new(gpu: usize) -> Self {
-        Self {
-            gpu,
-            free_at: SimTime::ZERO,
-            busy_hbm_ns: 0,
-            busy_uvm_ns: 0,
-            busy_overhead_ns: 0,
-            stall_ns: 0,
-            jobs_served: 0,
-            queue_wait_ns: LogLinearHistogram::new(),
-        }
-    }
-
-    /// The GPU this station models.
-    pub fn gpu(&self) -> usize {
-        self.gpu
-    }
-
     /// Submits a job arriving at `now`; it starts when the station frees up
     /// (FIFO) and runs for its serial HBM + UVM + overhead service time.
     /// Returns the completion time.
@@ -79,10 +55,7 @@ impl GpuStation {
         self.queue_wait_ns.push(start.since(now));
         let completion = start.after_ns(demand.total_ns());
         self.free_at = completion;
-        self.busy_hbm_ns += demand.hbm_ns;
-        self.busy_uvm_ns += demand.uvm_ns;
-        self.busy_overhead_ns += demand.overhead_ns;
-        self.jobs_served += 1;
+        self.account(demand);
         completion
     }
 
@@ -90,7 +63,6 @@ impl GpuStation {
     /// used to charge plan-migration downtime during online re-sharding.
     pub fn stall(&mut self, now: SimTime, stall_ns: u64) {
         self.free_at = self.free_at.max(now).after_ns(stall_ns);
-        self.stall_ns += stall_ns;
     }
 
     /// Records a job's busy time without FIFO scheduling — the shared-rate
@@ -99,10 +71,8 @@ impl GpuStation {
     /// still lives here. Under processor sharing, concurrent jobs overlap,
     /// so summed busy time may legitimately exceed the makespan.
     pub fn account(&mut self, demand: ServiceDemand) {
-        self.busy_hbm_ns += demand.hbm_ns;
+        self.busy_ns += demand.total_ns();
         self.busy_uvm_ns += demand.uvm_ns;
-        self.busy_overhead_ns += demand.overhead_ns;
-        self.jobs_served += 1;
     }
 
     /// Records how long a shared-rate job was delayed before its gather
@@ -111,34 +81,14 @@ impl GpuStation {
         self.queue_wait_ns.push(wait_ns);
     }
 
-    /// Virtual time at which the station next becomes idle.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
     /// Total busy (serving) nanoseconds, excluding migration stalls.
     pub fn busy_ns(&self) -> u64 {
-        self.busy_hbm_ns + self.busy_uvm_ns + self.busy_overhead_ns
+        self.busy_ns
     }
 
     /// Busy nanoseconds attributable to UVM gathers.
     pub fn busy_uvm_ns(&self) -> u64 {
         self.busy_uvm_ns
-    }
-
-    /// Busy nanoseconds attributable to HBM gathers.
-    pub fn busy_hbm_ns(&self) -> u64 {
-        self.busy_hbm_ns
-    }
-
-    /// Nanoseconds of injected migration stall.
-    pub fn stall_ns(&self) -> u64 {
-        self.stall_ns
-    }
-
-    /// Jobs served so far.
-    pub fn jobs_served(&self) -> u64 {
-        self.jobs_served
     }
 
     /// Queue-wait distribution (nanoseconds) of submitted jobs.
@@ -161,17 +111,16 @@ mod tests {
 
     #[test]
     fn idle_station_serves_immediately() {
-        let mut s = GpuStation::new(0);
+        let mut s = GpuStation::default();
         let done = s.submit(SimTime(100), demand(50, 20, 5));
         assert_eq!(done, SimTime(175));
         assert_eq!(s.busy_ns(), 75);
-        assert_eq!(s.jobs_served(), 1);
         assert_eq!(s.queue_wait_ns().summary(1.0).max, 0.0);
     }
 
     #[test]
     fn busy_station_queues_fifo() {
-        let mut s = GpuStation::new(0);
+        let mut s = GpuStation::default();
         let first = s.submit(SimTime(0), demand(100, 0, 0));
         assert_eq!(first, SimTime(100));
         // Arrives while busy: waits until 100, finishes at 150.
@@ -183,22 +132,19 @@ mod tests {
 
     #[test]
     fn busy_time_is_sum_of_components() {
-        let mut s = GpuStation::new(1);
+        let mut s = GpuStation::default();
         s.submit(SimTime(0), demand(10, 20, 3));
         s.submit(SimTime(0), demand(5, 0, 3));
-        assert_eq!(s.busy_hbm_ns(), 15);
         assert_eq!(s.busy_uvm_ns(), 20);
         assert_eq!(s.busy_ns(), 41);
     }
 
     #[test]
     fn stall_pushes_out_free_time_without_counting_busy() {
-        let mut s = GpuStation::new(0);
+        let mut s = GpuStation::default();
         s.submit(SimTime(0), demand(100, 0, 0));
         s.stall(SimTime(0), 1_000);
-        assert_eq!(s.free_at(), SimTime(1_100));
         assert_eq!(s.busy_ns(), 100);
-        assert_eq!(s.stall_ns(), 1_000);
         // Next job starts after the stall.
         assert_eq!(s.submit(SimTime(0), demand(10, 0, 0)), SimTime(1_110));
     }

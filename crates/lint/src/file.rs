@@ -299,7 +299,8 @@ fn match_bracket(tokens: &[Token], open: usize) -> usize {
 /// skips further attributes and returns the `(start_line, end_line)` of
 /// what they are attached to. An element of a comma-separated list in
 /// braces (a struct field, struct-literal field, enum variant or match
-/// arm) ends at its list's next `,` or before the list's close; anything
+/// arm) ends at its list's next `,` or before the list's close; a `let`
+/// statement ends at its `;`, past any blocks in its initialiser; anything
 /// else runs to its matching close brace, or to the terminating `;` for
 /// brace-less items.
 fn item_after_attributes(tokens: &[Token], hash: usize, mut from: usize) -> Option<(u32, u32)> {
@@ -307,8 +308,9 @@ fn item_after_attributes(tokens: &[Token], hash: usize, mut from: usize) -> Opti
         from = match_bracket(tokens, from + 1) + 1;
     }
     let start_line = tokens.get(from)?.line;
-    if in_list(tokens, hash) {
-        return Some((start_line, tokens[list_element_end(tokens, from)].line));
+    let list = in_list(tokens, hash);
+    if list || is_i(tokens, from, "let") {
+        return Some((start_line, tokens[element_end(tokens, from, list)].line));
     }
     let mut i = from;
     while i < tokens.len() {
@@ -398,10 +400,11 @@ fn brace_opens_list(tokens: &[Token], open: usize) -> bool {
     true
 }
 
-/// Index of the last token of the list element starting at `from`: its
-/// trailing `,` (or a `;` ending a statement), the token before the
-/// list's close, or for a match arm with a block body that block's `}`.
-fn list_element_end(tokens: &[Token], from: usize) -> usize {
+/// Index of the last token of the list element (`list`) or statement
+/// starting at `from`: its trailing `;` or, in a list, `,`; the token
+/// before the enclosing close; or for a match arm with a block body that
+/// block's `}`.
+fn element_end(tokens: &[Token], from: usize, list: bool) -> usize {
     let mut depth = 0usize;
     for i in from..tokens.len() {
         if tokens[i].kind != TokenKind::Punct {
@@ -411,7 +414,8 @@ fn list_element_end(tokens: &[Token], from: usize) -> usize {
             "(" | "[" | "{" => depth += 1,
             ")" | "]" | "}" if depth == 0 => return i.saturating_sub(1).max(from),
             ")" | "]" | "}" => depth -= 1,
-            "," | ";" if depth == 0 => return i,
+            ";" if depth == 0 => return i,
+            "," if depth == 0 && list => return i,
             "=" if depth == 0 && is_p(tokens, i + 1, '>') && is_p(tokens, i + 2, '{') => {
                 return match_brace(tokens, i + 2);
             }

@@ -702,6 +702,15 @@ fn obs_ordering(file: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
+/// Whether the identifier at `idx` is in call or path position: followed
+/// by `(` or `::`, or preceded by `::`. That covers `.name(..)`,
+/// `name(..)`, `Self::name(..)`, `Type::name` passed as a fn pointer and
+/// `name::<T>()`, and leaves out field accesses, bindings and `name:` keys.
+fn names_a_fn(file: &SourceFile, idx: usize) -> bool {
+    let path_sep = |at: usize| file.is_punct(at, ':') && file.is_punct(at + 1, ':');
+    file.is_punct(idx + 1, '(') || path_sep(idx + 1) || (idx >= 2 && path_sep(idx - 2))
+}
+
 /// Item keywords whose next identifier names the item being defined.
 const DEFINERS: &[&str] = &[
     "fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod",
@@ -723,10 +732,10 @@ fn defines(file: &SourceFile, idx: usize) -> bool {
 }
 
 /// The name token of the item a bare `pub` at `idx` introduces, when that
-/// item is a fn, const, static or type; `None` for `pub use`, `pub mod`,
-/// fields and restricted visibility (`pub(crate)`, which rustc's own
-/// dead-code lint already covers).
-fn pub_item_name(file: &SourceFile, idx: usize) -> Option<&Token> {
+/// item is a fn, const, static or type, and whether it is a fn; `None` for
+/// `pub use`, `pub mod`, fields and restricted visibility (`pub(crate)`,
+/// which rustc's own dead-code lint already covers).
+fn pub_item_name(file: &SourceFile, idx: usize) -> Option<(&Token, bool)> {
     let toks = &file.tokens;
     if file.is_punct(idx + 1, '(') {
         return None;
@@ -758,18 +767,25 @@ fn pub_item_name(file: &SourceFile, idx: usize) -> Option<&Token> {
     if keyword.text == "static" && file.is_ident(j, "mut") {
         j += 1;
     }
-    toks.get(j).filter(|t| t.kind == TokenKind::Ident)
+    let is_fn = keyword.text == "fn";
+    toks.get(j)
+        .filter(|t| t.kind == TokenKind::Ident)
+        .map(|t| (t, is_fn))
 }
 
 /// `test-only-pub`: a bare-`pub` fn, method, const, static or type in
-/// non-test library code whose name no non-test token names outside a
-/// definition. Callers are the identifiers of every non-test file and of
-/// the caller-only sources, minus `#[cfg(test)]` items, `use` declarations
-/// (a re-export is not a caller) and definition names. Name-based: any two
-/// items sharing a name count each other's callers, so the rule errs toward
+/// non-test library code that no non-test token reaches. Callers are the
+/// identifiers of every non-test file and of the caller-only sources, minus
+/// `#[cfg(test)]` items, `use` declarations (a re-export is not a caller)
+/// and definition names. A const, static or type is reached by any such
+/// identifier with its name; a fn only by one in call or path position
+/// ([`names_a_fn`]), so a field, local or struct-literal key that shares a
+/// method's name does not count as its caller. Name-based: any two items
+/// sharing a name count each other's callers, so the rule errs toward
 /// silence on common names like `new`.
 fn test_only_pub(files: &[SourceFile], callers: &[SourceFile]) -> Vec<(usize, Violation)> {
-    let mut used: BTreeSet<&str> = BTreeSet::new();
+    let mut named: BTreeSet<&str> = BTreeSet::new();
+    let mut called: BTreeSet<&str> = BTreeSet::new();
     for file in files.iter().filter(|f| f.kind != Test).chain(callers) {
         let mut in_use = false;
         for (idx, t) in file.tokens.iter().enumerate() {
@@ -781,7 +797,10 @@ fn test_only_pub(files: &[SourceFile], callers: &[SourceFile]) -> Vec<(usize, Vi
                 && !file.in_test_code(t.line)
                 && !defines(file, idx)
             {
-                used.insert(&t.text);
+                named.insert(&t.text);
+                if names_a_fn(file, idx) {
+                    called.insert(&t.text);
+                }
             }
         }
     }
@@ -791,10 +810,11 @@ fn test_only_pub(files: &[SourceFile], callers: &[SourceFile]) -> Vec<(usize, Vi
             if !file.is_ident(idx, "pub") {
                 continue;
             }
-            let Some(name) = pub_item_name(file, idx) else {
+            let Some((name, is_fn)) = pub_item_name(file, idx) else {
                 continue;
             };
-            if file.in_test_code(name.line) || used.contains(name.text.as_str()) {
+            let reached = if is_fn { &called } else { &named };
+            if file.in_test_code(name.line) || reached.contains(name.text.as_str()) {
                 continue;
             }
             out.push((

@@ -266,6 +266,32 @@ fn cfg_test_on_a_match_arm_ends_at_the_arm() {
 }
 
 #[test]
+fn cfg_test_on_a_statement_ends_at_its_semicolon() {
+    let src = "fn f(c: bool, o: Option<u8>) -> u8 {\n    \
+                   #[cfg(test)]\n    \
+                   let v = if c {\n        \
+                       o.unwrap()\n    \
+                   } else {\n        \
+                       o.unwrap()\n    \
+                   };\n    \
+                   o.unwrap()\n\
+               }\n";
+    assert_eq!(lib(src), vec![(8, "unwrap".to_string())]);
+}
+
+#[test]
+fn cfg_test_on_an_expression_block_ends_at_its_close_brace() {
+    let src = "fn f(o: Option<u8>) -> u8 {\n    \
+                   #[cfg(test)]\n    \
+                   {\n        \
+                       o.unwrap();\n    \
+                   }\n    \
+                   o.unwrap()\n\
+               }\n";
+    assert_eq!(lib(src), vec![(6, "unwrap".to_string())]);
+}
+
+#[test]
 fn unwrap_ignores_bins_and_examples() {
     let src = "fn main() {\n    let x: Option<u32> = Some(1);\n    x.unwrap();\n}\n";
     assert_eq!(at("crates/demo/src/main.rs", FileKind::Bin, src), vec![]);
@@ -465,6 +491,77 @@ fn test_only_pub_counts_perfbench_callers_without_linting_them() {
                      }\n";
     assert_eq!(
         workspace(&[(LIB, FileKind::Lib, src)], &[perfbench]),
+        vec![]
+    );
+}
+
+#[test]
+fn test_only_pub_does_not_count_a_field_local_or_key_as_a_fn_caller() {
+    // `GpuStation::jobs_served`'s shape: a field, a local and a
+    // struct-literal key share the method's name; only a test calls it.
+    let station = "pub struct Station {\n    \
+                       jobs_served: u64,\n\
+                   }\n\
+                   impl Station {\n    \
+                       pub fn jobs_served(&self) -> u64 {\n        \
+                           self.jobs_served\n    \
+                       }\n\
+                   }\n\
+                   pub fn open() -> Station {\n    \
+                       let jobs_served = 0;\n    \
+                       Station { jobs_served: jobs_served + 1 }\n\
+                   }\n";
+    let test = "fn t() {\n    assert_eq!(open().jobs_served(), 1);\n}\n";
+    let bin = "fn main() {\n    let _ = open();\n}\n";
+    let path = "crates/des/src/station.rs";
+    let found = workspace(
+        &[
+            (path, FileKind::Lib, station),
+            ("crates/des/tests/station.rs", FileKind::Test, test),
+            ("crates/des/src/main.rs", FileKind::Bin, bin),
+        ],
+        &[],
+    );
+    assert_eq!(found, vec![finding(path, 5, "test-only-pub")]);
+}
+
+#[test]
+fn test_only_pub_counts_calls_and_paths_as_fn_callers() {
+    let src = "pub fn count() -> u64 {\n    0\n}\n\
+               pub fn size_of<T>() -> usize {\n    0\n}\n";
+    let callers = [
+        "fn f(s: &S) -> u64 {\n    s.count()\n}\n",
+        "fn f() -> u64 {\n    count()\n}\n",
+        "fn f() -> u64 {\n    Self::count()\n}\n",
+        "fn f() -> Vec<u64> {\n    [1].iter().map(|_| 0).chain(None.map(demo::count)).collect()\n}\n",
+    ];
+    let turbofish = "fn g() -> usize {\n    size_of::<u8>()\n}\n";
+    for caller in callers {
+        let with_size = format!("{caller}{turbofish}");
+        let found = workspace(
+            &[
+                (LIB, FileKind::Lib, src),
+                ("crates/demo/src/user.rs", FileKind::Lib, &with_size),
+            ],
+            &[],
+        );
+        assert_eq!(found, vec![], "{caller}");
+        assert_eq!(
+            workspace(&[(LIB, FileKind::Lib, src)], &[&with_size]),
+            vec![]
+        );
+    }
+    // A type keeps the bare-name rule: naming it in type position reaches it.
+    let used = "pub struct Used;\n";
+    let user = "fn h(_: Option<Used>) {}\n";
+    assert_eq!(
+        workspace(
+            &[
+                (LIB, FileKind::Lib, used),
+                ("crates/demo/src/user.rs", FileKind::Lib, user),
+            ],
+            &[],
+        ),
         vec![]
     );
 }

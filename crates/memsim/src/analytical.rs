@@ -45,14 +45,6 @@ impl<'a> AnalyticalEstimator<'a> {
         }
     }
 
-    /// Expected fraction of a table's accesses served from HBM under the
-    /// given placement (the `pct_j` of the paper's constraint 5).
-    pub fn hbm_access_fraction(&self, plan: &ShardingPlan, table: usize) -> f64 {
-        let placement = &plan.placements()[table];
-        let prof = &self.profile.profiles()[table];
-        prof.cdf.access_fraction(placement.hbm_rows)
-    }
-
     /// Per-GPU expected access counts and times for a plan.
     pub fn estimate(&self, plan: &ShardingPlan) -> Vec<GpuEstimate> {
         let mut per_gpu = vec![GpuEstimate::default(); plan.num_gpus()];
@@ -162,7 +154,7 @@ mod tests {
             .map(|(f, p)| TablePlacement {
                 table: f.id,
                 gpu: f.id.index() % 2,
-                hbm_rows: p.accessed_rows() / 2,
+                hbm_rows: p.cdf.full_coverage_rows() / 2,
                 total_rows: f.hash_size,
                 row_bytes: f.row_bytes(),
             })
@@ -214,7 +206,7 @@ mod tests {
                 .map(|(f, p)| TablePlacement {
                     table: f.id,
                     gpu: 0,
-                    hbm_rows: (p.accessed_rows() as f64 * frac) as u64,
+                    hbm_rows: (p.cdf.full_coverage_rows() as f64 * frac) as u64,
                     total_rows: f.hash_size,
                     row_bytes: f.row_bytes(),
                 })

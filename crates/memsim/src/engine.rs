@@ -74,7 +74,6 @@ impl IterationReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     strategy: String,
-    iterations: usize,
     /// Mean embedding time per iteration for each GPU.
     per_gpu_mean_time_ms: Vec<f64>,
     /// Mean per-iteration counters for each GPU.
@@ -85,21 +84,6 @@ impl RunReport {
     /// The sharding strategy that produced the simulated plan.
     pub fn strategy(&self) -> &str {
         &self.strategy
-    }
-
-    /// Number of iterations simulated.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Mean embedding-operator time per iteration for each GPU (ms).
-    pub fn per_gpu_mean_time_ms(&self) -> &[f64] {
-        &self.per_gpu_mean_time_ms
-    }
-
-    /// Mean per-iteration access counters for each GPU.
-    pub fn per_gpu_mean_counters(&self) -> &[AccessCounters] {
-        &self.per_gpu_mean_counters
     }
 
     /// Min/max/mean/std of the per-GPU mean iteration times — the exact
@@ -241,7 +225,6 @@ impl EmbeddingOpSimulator {
             .collect();
         RunReport {
             strategy: self.strategy.clone(),
-            iterations,
             per_gpu_mean_time_ms,
             per_gpu_mean_counters,
         }
@@ -452,9 +435,8 @@ mod tests {
         let mut sim =
             EmbeddingOpSimulator::new(&model, &plan, &profile, &system, SimConfig::default());
         let report = sim.run(4, 64, 11);
-        assert_eq!(report.iterations(), 4);
-        assert_eq!(report.per_gpu_mean_time_ms().len(), 2);
         let summary = report.time_summary();
+        assert_eq!(summary.count, 2);
         assert!(summary.max >= summary.mean && summary.mean >= summary.min);
         assert!(report.iteration_time_ms() >= summary.mean);
         assert_eq!(report.strategy(), "size");

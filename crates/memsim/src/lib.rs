@@ -69,7 +69,7 @@
 //! let plan = GreedySharder::new(SizeCost).shard(&model, &profile, &system).unwrap();
 //! let mut sim = EmbeddingOpSimulator::new(&model, &plan, &profile, &system, SimConfig::default());
 //! let report = sim.run(3, 64, 42);
-//! assert_eq!(report.iterations(), 3);
+//! assert!(report.iteration_time_ms() > 0.0);
 //! ```
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

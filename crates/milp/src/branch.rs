@@ -9,7 +9,7 @@
 
 use crate::error::MilpError;
 use crate::model::{Model, Sense, VarKind};
-use crate::solution::{Solution, SolveStats, Status};
+use crate::solution::{Solution, SolveStats};
 use crate::sparse::{BasisSnapshot, SparseLp, SparseLpSolution};
 use recshard_obs::{ObsHandle, PruneReason, TraceEvent};
 use std::cmp::Ordering;
@@ -183,8 +183,7 @@ impl<'a> BranchAndBound<'a> {
 
         if int_vars.is_empty() || Self::fractional_var(&root_sol.values, &int_vars).is_none() {
             let values = Self::snap(&root_sol.values, &int_vars);
-            let objective = model.objective_value(&values);
-            return Ok(Solution::new(Status::Optimal, objective, values, stats));
+            return Ok(Solution::new(values, stats));
         }
 
         let mut heap = BinaryHeap::new();
@@ -203,12 +202,7 @@ impl<'a> BranchAndBound<'a> {
         while let Some(node) = heap.pop() {
             if stats.nodes_explored >= node_limit {
                 return match incumbent {
-                    Some((obj_min, values)) => Ok(Solution::new(
-                        Status::Feasible,
-                        minimize_sign * obj_min,
-                        values,
-                        stats,
-                    )),
+                    Some((_, values)) => Ok(Solution::new(values, stats)),
                     None => Err(MilpError::NodeLimit { limit: node_limit }),
                 };
             }
@@ -333,12 +327,7 @@ impl<'a> BranchAndBound<'a> {
         }
 
         match incumbent {
-            Some((obj_min, values)) => Ok(Solution::new(
-                Status::Optimal,
-                minimize_sign * obj_min,
-                values,
-                stats,
-            )),
+            Some((_, values)) => Ok(Solution::new(values, stats)),
             None => Err(MilpError::Infeasible),
         }
     }
@@ -391,11 +380,10 @@ mod tests {
             7.0,
         );
         let sol = m.solve().unwrap();
-        assert_eq!(sol.status(), Status::Optimal);
         assert!(
-            (sol.objective() - 24.0).abs() < 1e-6,
+            (m.objective_value(sol.values()) - 24.0).abs() < 1e-6,
             "obj {}",
-            sol.objective()
+            m.objective_value(sol.values())
         );
         assert_eq!(sol.value(vars[0]).round() as i64, 0);
         assert_eq!(sol.value(vars[1]).round() as i64, 1);
@@ -412,7 +400,7 @@ mod tests {
         let y = m.add_var("y", VarKind::Integer, 0.0, 10.0, 1.0);
         m.add_constraint("c", vec![(x, 2.0), (y, 2.0)], ConstraintSense::Le, 5.0);
         let sol = m.solve().unwrap();
-        assert!((sol.objective() - 2.0).abs() < 1e-6);
+        assert!((m.objective_value(sol.values()) - 2.0).abs() < 1e-6);
         assert!(
             sol.stats().nodes_explored > 1,
             "the LP optimum 2.5 must branch"
@@ -440,7 +428,7 @@ mod tests {
         let x = m.add_continuous("x", 1.0);
         m.add_constraint("c", vec![(x, 1.0)], ConstraintSense::Ge, 2.5);
         let sol = m.solve().unwrap();
-        assert!((sol.objective() - 2.5).abs() < 1e-9);
+        assert!((m.objective_value(sol.values()) - 2.5).abs() < 1e-9);
         assert_eq!(sol.stats().nodes_explored, 1);
     }
 
@@ -472,9 +460,9 @@ mod tests {
         }
         let sol = m.solve().unwrap();
         assert!(
-            (sol.objective() - 5.0).abs() < 1e-6,
+            (m.objective_value(sol.values()) - 5.0).abs() < 1e-6,
             "makespan {}",
-            sol.objective()
+            m.objective_value(sol.values())
         );
     }
 
@@ -502,7 +490,7 @@ mod tests {
             1.0,
         );
         let sol = m.solve().unwrap();
-        assert!((sol.objective() - 5.0).abs() < 1e-6);
+        assert!((m.objective_value(sol.values()) - 5.0).abs() < 1e-6);
         assert_eq!(sol.value(b).round() as i64, 1);
     }
 
@@ -528,7 +516,7 @@ mod tests {
         search.node_limit = 1;
         match search.solve() {
             Err(MilpError::NodeLimit { limit }) => assert_eq!(limit, 1),
-            Ok(sol) => assert_eq!(sol.status(), Status::Feasible),
+            Ok(sol) => assert_eq!(sol.stats().nodes_explored, 1),
             Err(e) => panic!("unexpected error {e}"),
         }
     }
@@ -544,9 +532,9 @@ mod tests {
         // x=3 (integer), y=2 → 12; x=2,y=2.5 → 11.5. Optimal 12... but x+y<=5
         // allows x=3,y=2 exactly. Also x=2.5 not allowed.
         assert!(
-            (sol.objective() - 12.0).abs() < 1e-6,
+            (m.objective_value(sol.values()) - 12.0).abs() < 1e-6,
             "obj {}",
-            sol.objective()
+            m.objective_value(sol.values())
         );
         assert!((sol.value(x) - 3.0).abs() < 1e-6);
     }
@@ -626,12 +614,11 @@ mod tests {
             );
             let warm = m.solve_with(SolveOptions { warm_start: true }).unwrap();
             let cold = m.solve_with(SolveOptions { warm_start: false }).unwrap();
-            assert!(
-                (warm.objective() - cold.objective()).abs() < 1e-7,
-                "seed {seed}: warm {} vs cold {}",
-                warm.objective(),
-                cold.objective()
+            let (w, c) = (
+                m.objective_value(warm.values()),
+                m.objective_value(cold.values()),
             );
+            assert!((w - c).abs() < 1e-7, "seed {seed}: warm {w} vs cold {c}");
             assert_eq!(
                 warm.values(),
                 cold.values(),

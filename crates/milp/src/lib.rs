@@ -31,7 +31,7 @@
 //! let sol = m.solve().unwrap();
 //! assert_eq!(sol.value(x).round() as i64, 2);
 //! assert_eq!(sol.value(y).round() as i64, 2);
-//! assert!((sol.objective() - 10.0).abs() < 1e-6);
+//! assert!((m.objective_value(sol.values()) - 10.0).abs() < 1e-6);
 //! ```
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -47,5 +47,5 @@ pub mod sparse;
 pub use branch::SolveOptions;
 pub use error::MilpError;
 pub use model::{Constraint, ConstraintSense, Model, Sense, VarId, VarKind, Variable};
-pub use solution::{Solution, SolveStats, Status};
+pub use solution::{Solution, SolveStats};
 pub use sparse::{BasisSnapshot, SparseLp, SparseLpSolution, VarStatus};

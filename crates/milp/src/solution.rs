@@ -2,16 +2,6 @@
 
 use crate::model::VarId;
 
-/// Termination status of a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Status {
-    /// Proven optimal solution.
-    Optimal,
-    /// Feasible integer solution found, but optimality was not proven before
-    /// the node limit was reached.
-    Feasible,
-}
-
 /// Search statistics of a solve.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
@@ -25,33 +15,18 @@ pub struct SolveStats {
     pub nodes_pruned: usize,
 }
 
-/// A solution to a MILP.
+/// A solution to a MILP: the optimum, or the best incumbent when the
+/// search reaches its node limit with one in hand.
+/// [`Model::objective_value`](crate::Model::objective_value) prices it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
-    status: Status,
-    objective: f64,
     values: Vec<f64>,
     stats: SolveStats,
 }
 
 impl Solution {
-    pub(crate) fn new(status: Status, objective: f64, values: Vec<f64>, stats: SolveStats) -> Self {
-        Self {
-            status,
-            objective,
-            values,
-            stats,
-        }
-    }
-
-    /// Termination status.
-    pub fn status(&self) -> Status {
-        self.status
-    }
-
-    /// Objective value in the model's original sense.
-    pub fn objective(&self) -> f64 {
-        self.objective
+    pub(crate) fn new(values: Vec<f64>, stats: SolveStats) -> Self {
+        Self { values, stats }
     }
 
     /// Value of a variable in the solution.

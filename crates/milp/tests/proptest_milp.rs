@@ -3,7 +3,7 @@
 //! branch-and-bound matches brute force.
 
 use proptest::prelude::*;
-use recshard_milp::{ConstraintSense, MilpError, Model, Sense, Status, VarKind};
+use recshard_milp::{ConstraintSense, MilpError, Model, Sense, VarKind};
 
 /// Upper bound of every variable in the general-integer property.
 const INT_MAX: i32 = 4;
@@ -92,9 +92,8 @@ proptest! {
         }
         match (m.solve(), integer_brute_force(&obj, &rows, maximize)) {
             (Ok(sol), Some(expected)) => {
-                prop_assert_eq!(sol.status(), Status::Optimal);
-                prop_assert!((sol.objective() - f64::from(expected)).abs() < 1e-6,
-                    "B&B gave {} but brute force gives {}", sol.objective(), expected);
+                prop_assert!((m.objective_value(sol.values()) - f64::from(expected)).abs() < 1e-6,
+                    "B&B gave {} but brute force gives {}", m.objective_value(sol.values()), expected);
                 prop_assert!(m.is_feasible(sol.values(), 1e-6));
             }
             (Err(MilpError::Infeasible), None) => {}
@@ -127,10 +126,9 @@ proptest! {
             capacity,
         );
         let sol = m.solve().expect("knapsack always feasible (empty set)");
-        prop_assert_eq!(sol.status(), Status::Optimal);
         let expected = knapsack_brute_force(values, weights, capacity);
-        prop_assert!((sol.objective() - expected).abs() < 1e-6,
-            "B&B gave {} but brute force gives {}", sol.objective(), expected);
+        prop_assert!((m.objective_value(sol.values()) - expected).abs() < 1e-6,
+            "B&B gave {} but brute force gives {}", m.objective_value(sol.values()), expected);
         // And the returned assignment must itself be feasible.
         prop_assert!(m.is_feasible(sol.values(), 1e-6));
     }
@@ -190,7 +188,7 @@ proptest! {
         let total: f64 = costs.iter().sum();
         let max_item = costs.iter().cloned().fold(0.0f64, f64::max);
         let lower = (total / gpus as f64).max(max_item);
-        prop_assert!(sol.objective() + 1e-6 >= lower);
-        prop_assert!(sol.objective() <= total + 1e-6);
+        prop_assert!(m.objective_value(sol.values()) + 1e-6 >= lower);
+        prop_assert!(m.objective_value(sol.values()) <= total + 1e-6);
     }
 }

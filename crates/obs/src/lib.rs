@@ -17,11 +17,12 @@
 //! * [`MetricsRegistry`] — named counters, gauges and quantile sinks
 //!   ([`recshard_stats::LogLinearHistogram`], recording integers in each
 //!   metric's own unit and snapshotting in the reported one). Registration
-//!   returns `Copy` handles; the hot path is an index plus one atomic op
-//!   (counters/gauges) or one per-metric lock (quantiles) — no name
-//!   lookup. Contention is bounded by the metric, not the registry, and a
-//!   quantile sink's snapshot does not depend on how its recorders
-//!   interleaved.
+//!   returns `Copy` handles; the hot path is an index plus a plain add,
+//!   store or histogram push — no name lookup, no atomics, no locks. The
+//!   registry has one owner (a [`Collector`]), which records through
+//!   `&mut self`; worker threads record into their own trace buffers,
+//!   which the collector ingests. A quantile sink's snapshot does not
+//!   depend on the order its samples arrived in.
 //! * [`TraceEvent`] / [`TraceBuffer`] / [`Trace`] — typed span/instant
 //!   records (station enqueue/service, barrier waits, re-shard decisions,
 //!   simplex pivot/refactorisation counts, B&B node open/prune, bucketing

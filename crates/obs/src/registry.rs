@@ -1,10 +1,9 @@
 //! The metrics registry.
 //!
 //! Metrics are registered once at setup time by name and handed back as
-//! `Copy` handle ids; the hot path indexes by handle and performs one
-//! relaxed atomic op (counters, gauges) or takes one
-//! per-metric mutex (quantile sinks, so two metrics never contend). Only a
-//! quantile sample landing beyond every earlier sample's bucket allocates.
+//! `Copy` handle ids; the hot path indexes by handle and adds to, stores or
+//! pushes into a plain value the registry owns. Only a quantile sample
+//! landing beyond every earlier sample's bucket allocates.
 //! Snapshots sort by name and serialise to canonical JSON, making
 //! a seeded run's metrics byte-identical across repetitions.
 //!
@@ -12,13 +11,11 @@
 //! metric's own unit (nanoseconds for times, a count for tenancy, parts
 //! per million for ratios), and the snapshot divides by the scale given at
 //! registration, so exported values keep their names and units. The
-//! histogram depends only on the set of samples, so threads recording into
-//! one sink in any interleaving snapshot the same bits.
+//! histogram depends only on the set of samples, not on the order they
+//! were recorded in.
 
 use recshard_data::{fnv1a, FNV_OFFSET};
 use recshard_stats::{LogLinearHistogram, Summary};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Handle of a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,26 +65,16 @@ struct QuantileSink {
     name: String,
     /// Recorded units per reported unit.
     scale: f64,
-    sketch: Mutex<LogLinearHistogram>,
+    sketch: LogLinearHistogram,
 }
 
-impl QuantileSink {
-    /// Locks the sink. No writer panics while holding the lock, so
-    /// poisoning only follows a panic that already tore down the run;
-    /// every acquisition goes through here.
-    fn lock(&self) -> std::sync::MutexGuard<'_, LogLinearHistogram> {
-        // recshard-lint: allow(unwrap) -- see above: poisoning implies a
-        // prior panic, and propagating it is the only option.
-        self.sketch.lock().expect("quantile sink poisoned")
-    }
-}
-
-/// The registry. Registration (`&mut self`) happens at setup; recording
-/// (`&self`) is hot-path safe and shareable across worker threads.
+/// The registry. Registration happens at setup, recording on the hot
+/// path; both take `&mut self`, because the registry has one owner (a
+/// [`Collector`](crate::Collector)) and is never shared between threads.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: Vec<(String, AtomicU64)>,
-    gauges: Vec<(String, AtomicU64)>,
+    counters: Vec<(String, u64)>,
+    gauges: Vec<(String, f64)>,
     quantiles: Vec<QuantileSink>,
 }
 
@@ -102,7 +89,7 @@ impl MetricsRegistry {
         if let Some(i) = self.counters.iter().position(|(n, _)| n == name) {
             return CounterId(i);
         }
-        self.counters.push((name.to_string(), AtomicU64::new(0)));
+        self.counters.push((name.to_string(), 0));
         CounterId(self.counters.len() - 1)
     }
 
@@ -112,8 +99,7 @@ impl MetricsRegistry {
         if let Some(i) = self.gauges.iter().position(|(n, _)| n == name) {
             return GaugeId(i);
         }
-        self.gauges
-            .push((name.to_string(), AtomicU64::new(0f64.to_bits())));
+        self.gauges.push((name.to_string(), 0.0));
         GaugeId(self.gauges.len() - 1)
     }
 
@@ -129,55 +115,46 @@ impl MetricsRegistry {
         self.quantiles.push(QuantileSink {
             name: name.to_string(),
             scale,
-            sketch: Mutex::new(LogLinearHistogram::new()),
+            sketch: LogLinearHistogram::new(),
         });
         QuantileId(self.quantiles.len() - 1)
     }
 
     /// Adds `delta` to a counter.
     #[inline]
-    pub fn add(&self, id: CounterId, delta: u64) {
-        self.counters[id.0].1.fetch_add(delta, Ordering::Relaxed);
+    pub fn add(&mut self, id: CounterId, delta: u64) {
+        self.counters[id.0].1 += delta;
     }
 
     /// Increments a counter by one.
     #[inline]
-    pub fn incr(&self, id: CounterId) {
+    pub fn incr(&mut self, id: CounterId) {
         self.add(id, 1);
     }
 
     /// Sets a gauge.
     #[inline]
-    pub fn set(&self, id: GaugeId, value: f64) {
-        self.gauges[id.0]
-            .1
-            .store(value.to_bits(), Ordering::Relaxed);
+    pub fn set(&mut self, id: GaugeId, value: f64) {
+        self.gauges[id.0].1 = value;
     }
 
-    /// Records one observation, in the sink's recorded unit. Takes that
-    /// metric's lock only.
+    /// Records one observation, in the sink's recorded unit.
     #[inline]
-    pub fn record(&self, id: QuantileId, value: u64) {
-        self.quantiles[id.0].lock().push(value);
+    pub fn record(&mut self, id: QuantileId, value: u64) {
+        self.quantiles[id.0].sketch.push(value);
     }
 
     /// A point-in-time snapshot of every registered metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut entries: Vec<(String, MetricValue)> = Vec::new();
         for (name, v) in &self.counters {
-            entries.push((
-                name.clone(),
-                MetricValue::Counter(v.load(Ordering::Relaxed)),
-            ));
+            entries.push((name.clone(), MetricValue::Counter(*v)));
         }
         for (name, v) in &self.gauges {
-            entries.push((
-                name.clone(),
-                MetricValue::Gauge(f64::from_bits(v.load(Ordering::Relaxed))),
-            ));
+            entries.push((name.clone(), MetricValue::Gauge(*v)));
         }
         for q in &self.quantiles {
-            let stats = QuantileStats::of(&q.lock(), q.scale);
+            let stats = QuantileStats::of(&q.sketch, q.scale);
             entries.push((q.name.clone(), MetricValue::Quantile(stats)));
         }
         entries.sort_by(|a, b| a.0.cmp(&b.0));
@@ -308,44 +285,5 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         // Sorted: the quantile precedes the counter despite registration order.
         assert!(a.to_json().find("a.quantile").unwrap() < a.to_json().find("z.counter").unwrap());
-    }
-
-    #[test]
-    fn hot_path_is_shareable_across_threads() {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("c");
-        let q = reg.quantile("q", 1e6);
-        // Each thread records its own values, so the interleaving decides
-        // the order the sink sees them in.
-        let value_of = |thread: u64, i: u64| (i * 7_919 + thread * 104_729) % 1_000_003;
-        std::thread::scope(|scope| {
-            for thread in 0..4 {
-                let reg = &reg;
-                scope.spawn(move || {
-                    for i in 0..1_000 {
-                        reg.incr(c);
-                        reg.record(q, value_of(thread, i));
-                    }
-                });
-            }
-        });
-        assert_eq!(value(&reg, "c"), MetricValue::Counter(4_000));
-        let MetricValue::Quantile(stats) = value(&reg, "q") else {
-            panic!("q is a quantile sink");
-        };
-        assert_eq!(stats.count, 4_000);
-
-        let mut serial = MetricsRegistry::new();
-        let serial_q = serial.quantile("q", 1e6);
-        for thread in 0..4 {
-            for i in 0..1_000 {
-                serial.record(serial_q, value_of(thread, i));
-            }
-        }
-        assert_eq!(
-            value(&reg, "q"),
-            value(&serial, "q"),
-            "the snapshot must not depend on how the threads interleaved"
-        );
     }
 }

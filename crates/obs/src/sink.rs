@@ -230,8 +230,8 @@ impl Collector {
         }
     }
 
-    fn route(&self, event: &TraceEvent) {
-        let reg = &self.registry;
+    fn route(&mut self, event: &TraceEvent) {
+        let reg = &mut self.registry;
         let ids = &self.ids;
         match *event {
             TraceEvent::StationEnqueue { .. } => {}

@@ -218,16 +218,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Fraction of all accesses served from HBM (0 when there were none).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.bypasses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Folds another stats block into this one.
     pub fn merge(&mut self, other: &CacheStats) {
         self.hits += other.hits;
@@ -609,11 +599,6 @@ impl ShardedCache {
         }
     }
 
-    /// The policy this cache evicts with.
-    pub fn policy(&self) -> PolicyKind {
-        self.core.borrow().policy
-    }
-
     /// Accesses one row of `bytes` width: a hit is served from HBM, a miss
     /// from UVM (and possibly admitted for next time).
     pub fn access(&self, table: u32, row: u64, bytes: u64) -> Lookup {
@@ -629,11 +614,6 @@ impl ShardedCache {
     /// The cache's counters.
     pub fn stats(&self) -> CacheStats {
         self.core.borrow().stats
-    }
-
-    /// The configured [`CacheConfig::capacity_bytes`].
-    pub fn capacity_bytes(&self) -> u64 {
-        self.core.borrow().capacity
     }
 }
 
@@ -814,11 +794,7 @@ mod tests {
             pin_capacity_fraction: 0.5,
         };
         let guide = StatGuide::for_gpu(0, &gpu_of, &profile, capacity, &config);
-        assert_eq!(
-            guide.pinned_bytes(),
-            4 * row_bytes,
-            "pins must stop at the shard budget"
-        );
+        assert_eq!(guide.pins().len(), 4, "pins must stop at the shard budget");
         let c = ShardedCache::with_guide(guide.clone(), CacheConfig::new(capacity));
         assert_eq!(c.stats().pinned_bytes, 4 * row_bytes);
         // The unpinned half still admits and evicts normally: five profiled,
@@ -851,18 +827,16 @@ mod tests {
     #[test]
     fn non_divisible_capacity_is_fully_distributed() {
         // The whole configured budget is the cache's, byte for byte, and
-        // `with_stripes` leaves it alone.
+        // `with_stripes` leaves it alone: 103 bytes hold twelve 8-byte rows.
         for config in [CacheConfig::new(103), CacheConfig::new(103).with_stripes(8)] {
             let c = ShardedCache::new(PolicyKind::Lru, config);
-            assert_eq!(c.capacity_bytes(), 103);
+            for row in 0..12u64 {
+                assert_eq!(c.access(0, row, 8), Lookup::MissInserted);
+            }
+            assert_eq!(c.stats().evictions, 0);
+            assert_eq!(c.access(0, 12, 8), Lookup::MissInserted);
+            assert_eq!((c.stats().used_bytes, c.stats().evictions), (96, 1));
         }
-        // 103 bytes hold twelve 8-byte rows.
-        let c = ShardedCache::new(PolicyKind::Lru, CacheConfig::new(103));
-        for row in 0..12u64 {
-            assert_eq!(c.access(0, row, 8), Lookup::MissInserted);
-        }
-        assert_eq!(c.access(0, 12, 8), Lookup::MissInserted);
-        assert_eq!((c.stats().used_bytes, c.stats().evictions), (96, 1));
     }
 
     /// A brute-force cache with the same rules as [`ShardedCache`]: a

@@ -191,11 +191,6 @@ impl StatGuide {
     pub fn pins(&self) -> &[(u32, u64, u64)] {
         &self.pins
     }
-
-    /// Total bytes of pinned rows.
-    pub fn pinned_bytes(&self) -> u64 {
-        self.pins.iter().map(|&(_, _, b)| b).sum()
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +212,8 @@ mod tests {
         let capacity = 1 << 16;
         let cfg = StatGuidedConfig::default();
         let guide = StatGuide::for_gpu(0, &gpu_of, &profile, capacity, &cfg);
-        assert!(guide.pinned_bytes() <= (capacity as f64 * cfg.pin_capacity_fraction) as u64);
+        let pinned: u64 = guide.pins().iter().map(|&(_, _, b)| b).sum();
+        assert!(pinned <= (capacity as f64 * cfg.pin_capacity_fraction) as u64);
         assert!(!guide.pins().is_empty(), "skewed tables must pin a head");
         // Every pinned row must be admissible (it was observed).
         for &(t, r, _) in guide.pins() {
@@ -268,7 +264,6 @@ mod tests {
         };
         let guide = StatGuide::for_gpu(0, &gpu_of, &profile, 1 << 20, &cfg);
         assert!(guide.pins().is_empty());
-        assert_eq!(guide.pinned_bytes(), 0);
     }
 
     #[test]

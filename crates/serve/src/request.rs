@@ -74,14 +74,6 @@ impl ArrivalModel {
             }
         }
     }
-
-    /// The mean arrival interval in microseconds.
-    pub fn mean_interval_us(&self) -> f64 {
-        match *self {
-            ArrivalModel::FixedRate { interval_us } => interval_us,
-            ArrivalModel::Poisson { mean_interval_us } => mean_interval_us,
-        }
-    }
 }
 
 /// One shard's slice of one query: the hashed rows this GPU must gather.
@@ -401,7 +393,6 @@ mod tests {
             (mean_us - 40.0).abs() < 2.0,
             "Poisson mean gap {mean_us} far from 40"
         );
-        assert_eq!(a.mean_interval_us(), 40.0);
     }
 
     #[test]

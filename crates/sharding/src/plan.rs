@@ -122,11 +122,6 @@ impl ShardingPlan {
         self
     }
 
-    /// The node grid of a two-level plan, `None` for flat single-host plans.
-    pub fn topology(&self) -> Option<NodeTopology> {
-        self.topology
-    }
-
     /// The node grid, defaulting to a single node spanning every GPU.
     pub fn effective_topology(&self) -> NodeTopology {
         self.topology

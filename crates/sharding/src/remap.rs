@@ -88,11 +88,6 @@ impl RemapTable {
         Self { entries, hbm_rows }
     }
 
-    /// Number of rows mapped to HBM.
-    pub fn hbm_rows(&self) -> u64 {
-        self.hbm_rows
-    }
-
     /// Number of rows mapped to UVM.
     pub fn uvm_rows(&self) -> u64 {
         self.entries.len() as u64 - self.hbm_rows
@@ -223,7 +218,6 @@ mod tests {
     fn hot_rows_go_to_hbm() {
         let ranked = vec![7, 3, 9, 1, 0];
         let remap = RemapTable::build(&placement(3, 10), &ranked);
-        assert_eq!(remap.hbm_rows(), 3);
         assert_eq!(remap.uvm_rows(), 7);
         assert_eq!(
             remap.lookup(7),
@@ -275,7 +269,6 @@ mod tests {
         // the observed rows get the first HBM slots and the budget is topped
         // up with the lowest-index unobserved rows.
         let remap = RemapTable::build(&placement(5, 10), &[4, 1]);
-        assert_eq!(remap.hbm_rows(), 5);
         assert_eq!(remap.uvm_rows(), 5);
         assert_eq!(remap.tier_of(4), MemoryTier::Hbm);
         assert_eq!(remap.tier_of(1), MemoryTier::Hbm);

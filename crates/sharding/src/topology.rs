@@ -92,21 +92,11 @@ impl NodeTopology {
 /// The first level of a two-level plan: one owning node per table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeAssignment {
-    topology: NodeTopology,
+    /// Owning node per table (dense feature order).
     node_of_table: Vec<usize>,
 }
 
 impl NodeAssignment {
-    /// The topology the assignment targets.
-    pub fn topology(&self) -> NodeTopology {
-        self.topology
-    }
-
-    /// Owning node per table (dense feature order).
-    pub fn node_of_table(&self) -> &[usize] {
-        &self.node_of_table
-    }
-
     /// Tables owned by `node`, in dense feature order.
     pub fn tables_on_node(&self, node: usize) -> Vec<usize> {
         self.node_of_table
@@ -233,10 +223,7 @@ impl NodeAssigner {
             node_of_table[idx] = n;
         }
 
-        Ok(NodeAssignment {
-            topology,
-            node_of_table,
-        })
+        Ok(NodeAssignment { node_of_table })
     }
 }
 
@@ -278,7 +265,6 @@ mod tests {
         let assignment = NodeAssigner
             .assign(&model, &profile, &system, topology)
             .unwrap();
-        assert_eq!(assignment.node_of_table().len(), 12);
         let mut counted = 0;
         for node in 0..topology.num_nodes {
             let tables = assignment.tables_on_node(node);

@@ -106,15 +106,14 @@ proptest! {
         };
         let remap = RemapTable::build(&placement, ranked_prefix);
         prop_assert_eq!(remap.total_rows(), total_rows);
-        prop_assert_eq!(remap.hbm_rows() + remap.uvm_rows(), total_rows);
-        prop_assert_eq!(remap.hbm_rows(), placement.hbm_rows);
+        prop_assert_eq!(remap.uvm_rows(), total_rows - placement.hbm_rows);
 
         let mut hbm_slots = std::collections::HashSet::new();
         let mut uvm_slots = std::collections::HashSet::new();
         for row in 0..total_rows {
             let r = remap.lookup(row);
             match r.tier {
-                MemoryTier::Hbm => prop_assert!(hbm_slots.insert(r.slot) && r.slot < remap.hbm_rows()),
+                MemoryTier::Hbm => prop_assert!(hbm_slots.insert(r.slot) && r.slot < placement.hbm_rows),
                 MemoryTier::Uvm => prop_assert!(uvm_slots.insert(r.slot) && r.slot < remap.uvm_rows()),
             }
         }
@@ -260,7 +259,7 @@ proptest! {
         );
         let Some(plan) = two_level_greedy(&model, &profile, &system, topology) else { continue };
         prop_assert!(plan.validate(&model, &system).is_ok());
-        prop_assert_eq!(plan.topology(), Some(topology));
+        prop_assert_eq!(plan.effective_topology(), topology);
 
         let mut seen = std::collections::HashSet::new();
         for node in 0..nodes {
@@ -334,7 +333,6 @@ proptest! {
         );
         let Some(plan) = two_level_greedy(&model, &profile, &system, topology) else { continue };
         let flat = plan.flatten();
-        prop_assert_eq!(flat.topology(), None);
         prop_assert!(flat.validate(&model, &system).is_ok());
         prop_assert_eq!(flat.placements(), plan.placements());
         // A flat plan's node view degenerates to one all-covering node.
@@ -383,12 +381,12 @@ proptest! {
         // the composed transition is a permutation of the table's rows.
         prop_assert_eq!(old_locations.len() as u64, total_rows);
         prop_assert_eq!(new_locations.len() as u64, total_rows);
-        prop_assert_eq!(a.hbm_rows() + a.uvm_rows(), total_rows);
-        prop_assert_eq!(b.hbm_rows() + b.uvm_rows(), total_rows);
+        prop_assert_eq!(a.uvm_rows(), total_rows - budget_a.min(total_rows));
+        prop_assert_eq!(b.uvm_rows(), total_rows - budget_b.min(total_rows));
         // Slots within each tier are dense prefixes, so equal-sized splits
         // produce exactly the same location sets (a permutation in the
         // strictest sense).
-        if a.hbm_rows() == b.hbm_rows() {
+        if a.uvm_rows() == b.uvm_rows() {
             prop_assert_eq!(old_locations, new_locations);
         }
     }

@@ -11,7 +11,7 @@
 /// Rows are ranked hottest-first; `cdf.access_fraction(k)` is the fraction of
 /// all accesses covered by the `k` hottest rows. Rows never accessed during
 /// profiling are not part of the ranking (their cumulative contribution is
-/// zero), so `rows_ranked() <= hash_size`.
+/// zero), so `full_coverage_rows() <= hash_size`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccessCdf {
     /// Cumulative access counts: `cumulative[i]` = accesses covered by the
@@ -72,11 +72,6 @@ impl AccessCdf {
     // counts; public paths expose only their ratios.
     pub fn cumulative_counts(&self) -> &[u64] {
         &self.cumulative
-    }
-
-    /// Number of distinct rows that received at least one access.
-    pub fn rows_ranked(&self) -> u64 {
-        self.cumulative.len() as u64
     }
 
     /// Number of hottest rows that cover every access: the rows with a
@@ -205,30 +200,6 @@ impl AccessCdf {
             .max(1.0) as u64;
         self.access_fraction(rows)
     }
-
-    /// Normalised CDF points `(row_fraction, access_fraction)` for plotting
-    /// (Figure 5). Produces at most `max_points` points.
-    pub fn curve(&self, max_points: usize) -> Vec<(f64, f64)> {
-        if self.cumulative.is_empty() {
-            return vec![(0.0, 0.0)];
-        }
-        let n = self.cumulative.len();
-        let step = (n / max_points.max(1)).max(1);
-        let mut pts = Vec::new();
-        pts.push((0.0, 0.0));
-        let mut i = step - 1;
-        while i < n {
-            pts.push((
-                (i + 1) as f64 / n as f64,
-                self.cumulative[i] as f64 / self.total as f64,
-            ));
-            i += step;
-        }
-        if pts.last().map(|p| p.0) != Some(1.0) {
-            pts.push((1.0, 1.0));
-        }
-        pts
-    }
 }
 
 /// Piece-wise linear inverse CDF: maps an access-percentage step to the
@@ -291,13 +262,13 @@ mod tests {
     fn cdf_monotone_and_normalised() {
         let cdf = skewed_cdf();
         let mut prev = 0.0;
-        for rows in 0..=cdf.rows_ranked() {
+        for rows in 0..=cdf.full_coverage_rows() {
             let f = cdf.access_fraction(rows);
             assert!(f >= prev - 1e-12);
             assert!((0.0..=1.0).contains(&f));
             prev = f;
         }
-        assert!((cdf.access_fraction(cdf.rows_ranked()) - 1.0).abs() < 1e-12);
+        assert!((cdf.access_fraction(cdf.full_coverage_rows()) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -330,7 +301,7 @@ mod tests {
         assert_eq!(icdf.steps(), 100);
         let rows: Vec<u64> = icdf.points().map(|(_, r)| r).collect();
         assert!(rows.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(icdf.max_rows(), cdf.rows_ranked());
+        assert_eq!(icdf.max_rows(), cdf.full_coverage_rows());
         assert_eq!(icdf.rows_at_step(0), 0);
     }
 
@@ -368,7 +339,6 @@ mod tests {
         assert_eq!(cdf.access_fraction(10), 0.0);
         assert_eq!(cdf.rows_for_access_fraction(0.9), 0);
         assert_eq!(cdf.icdf(10).max_rows(), 0);
-        assert_eq!(cdf.curve(10), vec![(0.0, 0.0)]);
     }
 
     #[test]
@@ -425,15 +395,5 @@ mod tests {
     #[should_panic(expected = "ranked counts must be descending")]
     fn unsorted_counts_rejected() {
         let _ = AccessCdf::from_ranked_counts(vec![1, 5, 2]);
-    }
-
-    #[test]
-    fn curve_is_bounded_and_ends_at_one() {
-        let cdf = skewed_cdf();
-        let curve = cdf.curve(20);
-        assert!(curve.len() <= 23);
-        assert_eq!(*curve.first().unwrap(), (0.0, 0.0));
-        let last = curve.last().unwrap();
-        assert!((last.0 - 1.0).abs() < 1e-12 && (last.1 - 1.0).abs() < 1e-12);
     }
 }

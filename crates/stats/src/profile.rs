@@ -61,17 +61,6 @@ impl FeatureProfile {
         self.hash_size * self.row_bytes()
     }
 
-    /// Number of distinct rows that received at least one access.
-    pub fn accessed_rows(&self) -> u64 {
-        self.cdf.rows_ranked()
-    }
-
-    /// Fraction of the table's rows never accessed during profiling — the
-    /// space RecShard can reclaim (Section 3.4).
-    pub fn unused_fraction(&self) -> f64 {
-        1.0 - self.accessed_rows() as f64 / self.hash_size as f64
-    }
-
     /// The 100-step piece-wise linear inverse CDF used by the MILP.
     pub fn icdf(&self, steps: usize) -> Icdf {
         self.cdf.icdf(steps)
@@ -117,19 +106,9 @@ impl DatasetProfile {
         &self.profiles
     }
 
-    /// The profile for a specific feature.
-    pub fn profile(&self, id: FeatureId) -> &FeatureProfile {
-        &self.profiles[id.index()]
-    }
-
     /// Number of training samples that contributed to the profile.
     pub fn samples_profiled(&self) -> u64 {
         self.samples_profiled
-    }
-
-    /// Total lookups recorded across all features.
-    pub fn total_lookups(&self) -> u64 {
-        self.profiles.iter().map(|p| p.total_lookups).sum()
     }
 
     /// Number of features profiled.
@@ -149,8 +128,7 @@ mod tests {
         let p = FeatureProfile::empty(&model.features()[0]);
         assert_eq!(p.total_lookups, 0);
         assert_eq!(p.coverage, 0.0);
-        assert_eq!(p.accessed_rows(), 0);
-        assert!((p.unused_fraction() - 1.0).abs() < 1e-12);
+        assert_eq!(p.cdf.full_coverage_rows(), 0);
         assert_eq!(p.expected_lookups_per_sample(), 0.0);
     }
 
@@ -161,7 +139,7 @@ mod tests {
         let p1 = FeatureProfile::empty(&model.features()[1]);
         let ds = DatasetProfile::new(vec![p0.clone(), p1.clone()], 10);
         assert_eq!(ds.num_features(), 2);
-        assert_eq!(ds.profile(FeatureId(1)).id, FeatureId(1));
+        assert_eq!(ds.profiles()[1].id, FeatureId(1));
         let result = std::panic::catch_unwind(|| DatasetProfile::new(vec![p1, p0], 10));
         assert!(result.is_err());
     }

@@ -79,11 +79,6 @@ impl DatasetProfiler {
         }
     }
 
-    /// Number of samples inspected so far.
-    pub fn samples_seen(&self) -> u64 {
-        self.samples_seen
-    }
-
     /// Inspects one sample.
     pub fn consume(&mut self, sample: &SparseSample) {
         assert_eq!(
@@ -301,7 +296,7 @@ mod tests {
         for (p, f) in profile.profiles().iter().zip(model.features()) {
             assert_eq!(p.hash_size, f.hash_size);
             assert!(p.coverage >= 0.0 && p.coverage <= 1.0);
-            assert!(p.accessed_rows() <= p.hash_size);
+            assert!(p.cdf.full_coverage_rows() <= p.hash_size);
         }
     }
 
@@ -337,11 +332,16 @@ mod tests {
         let model = ModelSpec::small(4, 5);
         let mut gen = SampleGenerator::new(&model, 1);
         let batch = gen.batch(500);
-        let expected: u64 = batch.iter().map(|s| s.total_lookups() as u64).sum();
+        let expected: u64 = batch
+            .iter()
+            .flat_map(|s| &s.values)
+            .map(|v| v.len() as u64)
+            .sum();
         let mut profiler = DatasetProfiler::new(&model);
         profiler.consume_batch(&batch);
         let profile = profiler.finish();
-        assert_eq!(profile.total_lookups(), expected);
+        let counted: u64 = profile.profiles().iter().map(|p| p.total_lookups).sum();
+        assert_eq!(counted, expected);
     }
 
     #[test]
@@ -440,7 +440,7 @@ mod tests {
         assert_eq!((p[0].present_samples, p[0].coverage), (0, 0.0));
         assert_eq!(p[0].cdf, AccessCdf::empty());
         assert_eq!((p[1].coverage, p[1].ranked_rows.clone()), (1.0, vec![0]));
-        assert_eq!(p[2].accessed_rows(), 1);
+        assert_eq!(p[2].cdf.full_coverage_rows(), 1);
         // `Constant(0)` draws floor to one value, so the feature is present
         // exactly when its coverage draw says so.
         assert_eq!(p[3].total_lookups, p[3].present_samples);
@@ -488,6 +488,6 @@ mod tests {
         let model = ModelSpec::small(3, 1);
         let profile = DatasetProfiler::new(&model).finish();
         assert_eq!(profile.samples_profiled(), 0);
-        assert_eq!(profile.profile(FeatureId(0)).coverage, 0.0);
+        assert_eq!(profile.profiles()[0].coverage, 0.0);
     }
 }

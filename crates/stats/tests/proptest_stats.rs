@@ -59,13 +59,13 @@ proptest! {
     fn cdf_is_monotone_and_normalised(rows in prop::collection::vec(0u64..200, 1..500)) {
         let cdf = cdf_of(&rows);
         let mut prev = 0.0;
-        for k in 0..=cdf.rows_ranked() {
+        for k in 0..=cdf.full_coverage_rows() {
             let f = cdf.access_fraction(k);
             prop_assert!(f >= prev - 1e-12);
             prop_assert!((0.0..=1.0 + 1e-12).contains(&f));
             prev = f;
         }
-        prop_assert!((cdf.access_fraction(cdf.rows_ranked()) - 1.0).abs() < 1e-12);
+        prop_assert!((cdf.access_fraction(cdf.full_coverage_rows()) - 1.0).abs() < 1e-12);
     }
 
     /// The ICDF inverts the CDF: the rows it reports for a fraction always
@@ -95,7 +95,7 @@ proptest! {
             prop_assert!(r >= prev);
             prev = r;
         }
-        prop_assert_eq!(icdf.max_rows(), cdf.rows_ranked());
+        prop_assert_eq!(icdf.max_rows(), cdf.full_coverage_rows());
     }
 
     /// The ICDF's single forward pass finds, at every step count, the same
@@ -331,7 +331,7 @@ mod knee_rank_edge_cases {
         counts.extend([1; 990]);
         let cdf = AccessCdf::from_ranked_counts(counts);
         let knee = cdf.knee_rank();
-        assert!(knee >= 1 && knee <= cdf.rows_ranked());
+        assert!(knee >= 1 && knee <= cdf.full_coverage_rows());
         assert_eq!(knee, 10, "knee must sit exactly at the head/tail boundary");
         assert!(cdf.access_fraction(knee) > 0.5);
     }

@@ -478,7 +478,7 @@ fn unbucketed_plan_fingerprints_are_bit_for_bit_stable() {
         let top_demand: u64 = profile
             .profiles()
             .iter()
-            .map(|p| p.accessed_rows().min(p.hash_size) * p.row_bytes())
+            .map(|p| p.cdf.full_coverage_rows().min(p.hash_size) * p.row_bytes())
             .sum();
         let budget = (system.total_hbm_capacity() as f64 * (1.0 - config.hbm_slack)) as u64;
         assert_eq!(top_demand > budget, pressured, "{top_demand} vs {budget}");
@@ -491,7 +491,9 @@ fn unbucketed_plan_fingerprints_are_bit_for_bit_stable() {
             .placements()
             .iter()
             .zip(profile.profiles())
-            .all(|(placement, p)| placement.hbm_rows == p.accessed_rows().min(p.hash_size));
+            .all(|(placement, p)| {
+                placement.hbm_rows == p.cdf.full_coverage_rows().min(p.hash_size)
+            });
         assert_eq!(
             at_top, !pressured,
             "top steps kept exactly when HBM is ample"

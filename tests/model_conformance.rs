@@ -49,7 +49,7 @@ fn setup() -> (ModelSpec, DatasetProfile, SystemSpec, ShardingPlan) {
         .map(|(f, p)| TablePlacement {
             table: f.id,
             gpu: f.id.index() % 2,
-            hbm_rows: p.accessed_rows() / 2,
+            hbm_rows: p.cdf.full_coverage_rows() / 2,
             total_rows: f.hash_size,
             row_bytes: f.row_bytes(),
         })
@@ -194,7 +194,7 @@ fn all_models_agree_more_hbm_is_never_slower() {
             .map(|(f, p)| TablePlacement {
                 table: f.id,
                 gpu: f.id.index() % 2,
-                hbm_rows: (p.accessed_rows() as f64 * frac) as u64,
+                hbm_rows: (p.cdf.full_coverage_rows() as f64 * frac) as u64,
                 total_rows: f.hash_size,
                 row_bytes: f.row_bytes(),
             })
