@@ -64,8 +64,9 @@ impl TableCostModel {
     /// *geometry* — row counts and bytes per step — depends only on the
     /// profile and is identical across classes.
     ///
-    /// The ICDF's `icdf_steps + 1` points come from one forward pass over
-    /// the table's CDF ([`AccessCdf::icdf`](recshard_stats::AccessCdf::icdf)).
+    /// The ICDF's `icdf_steps + 1` points, each with the fraction of
+    /// accesses its rows cover, come from one forward pass over the table's
+    /// CDF ([`AccessCdf::icdf`](recshard_stats::AccessCdf::icdf)).
     pub fn build(
         table: usize,
         profile: &FeatureProfile,
@@ -79,7 +80,17 @@ impl TableCostModel {
         );
         let icdf = profile.icdf(config.icdf_steps);
         let options = (0..=config.icdf_steps)
-            .map(|step| rate.option(&bandwidths, profile, step, icdf.rows_at_step(step)))
+            .map(|step| {
+                let rows = icdf.rows_at_step(step);
+                // The point's own fraction, unless the table is smaller
+                // than the ranking and clamps the rows.
+                let pct = if rows <= profile.hash_size {
+                    icdf.access_fraction_at_step(step)
+                } else {
+                    profile.cdf.access_fraction(profile.hash_size)
+                };
+                rate.option(&bandwidths, profile, step, rows, pct)
+            })
             .collect();
         Self {
             table,
@@ -189,20 +200,21 @@ impl TableRate {
     }
 
     /// The split at ICDF step `step` keeping `rows` hot rows (clamped to
-    /// the table) in HBM.
+    /// the table) in HBM, which serve the fraction `pct` of the accesses.
+    ///
+    /// `pct` is the *actual* CDF value at the clamped row count rather than
+    /// the nominal step fraction: identical row counts then yield identical
+    /// costs, keeping the option list monotone.
     fn option(
         &self,
         bandwidths: &Bandwidths,
         profile: &FeatureProfile,
         step: usize,
         rows: u64,
+        pct: f64,
     ) -> SplitOption {
         let hbm_rows = rows.min(profile.hash_size);
         let row_bytes = profile.row_bytes();
-        // Use the *actual* CDF value at the chosen row count rather than
-        // the nominal step fraction: identical row counts then yield
-        // identical costs, keeping the option list monotone.
-        let pct = profile.cdf.access_fraction(hbm_rows);
         SplitOption {
             step,
             hbm_rows,
@@ -220,12 +232,9 @@ impl TableRate {
         profile: &FeatureProfile,
         icdf_steps: usize,
     ) -> SplitOption {
-        self.option(
-            bandwidths,
-            profile,
-            icdf_steps,
-            profile.cdf.full_coverage_rows(),
-        )
+        let rows = profile.cdf.full_coverage_rows();
+        let pct = profile.cdf.access_fraction(rows.min(profile.hash_size));
+        self.option(bandwidths, profile, icdf_steps, rows, pct)
     }
 }
 
@@ -265,6 +274,28 @@ mod tests {
         assert_eq!(m.options[0].hbm_rows, 0);
         assert_eq!(m.options[0].hbm_bytes, 0);
         assert_eq!(m.options[0].hbm_access_fraction, 0.0);
+    }
+
+    #[test]
+    fn menu_fractions_are_the_cdf_at_each_options_rows() {
+        // The menu takes each fraction from its ICDF point; it must equal
+        // the CDF read at the option's (clamped) rows, bit for bit.
+        let model = ModelSpec::small(3, 6);
+        let profile = DatasetProfiler::profile_model(&model, 3_000, 2);
+        let device = DeviceClass::new("gpu", 1 << 30, 1 << 34, 1555.0, 16.0);
+        for (t, p) in profile.profiles().iter().enumerate() {
+            let clamped = FeatureProfile {
+                hash_size: p.cdf.full_coverage_rows() / 2,
+                ..p.clone()
+            };
+            for p in [p, &clamped] {
+                let m = TableCostModel::build(t, p, &device, 256, &RecShardConfig::default());
+                for o in &m.options {
+                    let pct = p.cdf.access_fraction(o.hbm_rows);
+                    assert_eq!(o.hbm_access_fraction.to_bits(), pct.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -183,6 +183,7 @@ impl<'a> BranchAndBound<'a> {
 
         if int_vars.is_empty() || Self::fractional_var(&root_sol.values, &int_vars).is_none() {
             let values = Self::snap(&root_sol.values, &int_vars);
+            stats.proven_optimal = true;
             return Ok(Solution::new(values, stats));
         }
 
@@ -326,6 +327,7 @@ impl<'a> BranchAndBound<'a> {
             }
         }
 
+        stats.proven_optimal = true;
         match incumbent {
             Some((_, values)) => Ok(Solution::new(values, stats)),
             None => Err(MilpError::Infeasible),
@@ -430,6 +432,7 @@ mod tests {
         let sol = m.solve().unwrap();
         assert!((m.objective_value(sol.values()) - 2.5).abs() < 1e-9);
         assert_eq!(sol.stats().nodes_explored, 1);
+        assert!(sol.stats().proven_optimal);
     }
 
     #[test]
@@ -494,10 +497,9 @@ mod tests {
         assert_eq!(sol.value(b).round() as i64, 1);
     }
 
-    #[test]
-    fn node_limit_reported() {
-        // A hard-ish knapsack with a node limit of 1 and no chance to find an
-        // incumbent at the root.
+    /// A hard-ish knapsack of 12 binaries whose root relaxation is
+    /// fractional.
+    fn hard_knapsack() -> Model {
         let mut m = Model::new(Sense::Maximize);
         let n = 12;
         let vars: Vec<_> = (0..n)
@@ -512,6 +514,14 @@ mod tests {
             ConstraintSense::Le,
             3.7,
         );
+        m
+    }
+
+    #[test]
+    fn node_limit_reported() {
+        // A node limit of 1 leaves no chance to find an incumbent at the
+        // root.
+        let m = hard_knapsack();
         let mut search = BranchAndBound::new(&m).unwrap();
         search.node_limit = 1;
         match search.solve() {
@@ -519,6 +529,33 @@ mod tests {
             Ok(sol) => assert_eq!(sol.stats().nodes_explored, 1),
             Err(e) => panic!("unexpected error {e}"),
         }
+    }
+
+    #[test]
+    fn node_limited_incumbent_is_not_proven_optimal() {
+        // A full search proves its optimum. Every smaller node limit stops
+        // the same search early: with no incumbent in hand it fails, and
+        // with one it returns it, flagged as not proven.
+        let m = hard_knapsack();
+        let full = BranchAndBound::new(&m).unwrap().solve().unwrap();
+        assert!(full.stats().proven_optimal);
+        let explored = full.stats().nodes_explored;
+        let mut incumbents = 0;
+        for limit in 1..explored {
+            let mut search = BranchAndBound::new(&m).unwrap();
+            search.node_limit = limit;
+            match search.solve() {
+                Ok(sol) => {
+                    assert!(!sol.stats().proven_optimal, "limit {limit}");
+                    incumbents += 1;
+                }
+                Err(e) => assert_eq!(e, MilpError::NodeLimit { limit }),
+            }
+        }
+        assert!(
+            incumbents > 0,
+            "no limit of {explored} returned an incumbent"
+        );
     }
 
     #[test]

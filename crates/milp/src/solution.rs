@@ -13,6 +13,9 @@ pub struct SolveStats {
     pub simplex_refactorizations: usize,
     /// Branch-and-bound nodes pruned by bound or infeasibility.
     pub nodes_pruned: usize,
+    /// Whether the search proved the solution optimal: `false` when branch
+    /// and bound reached its node limit and returned its best incumbent.
+    pub proven_optimal: bool,
 }
 
 /// A solution to a MILP: the optimum, or the best incumbent when the

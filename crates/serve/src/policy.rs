@@ -137,11 +137,15 @@ impl StatGuide {
             }
             let knee = prof.cdf.knee_rank();
             let total = prof.total_lookups as f64;
+            let cdf_total = prof.cdf.total_accesses() as f64;
             let row_bytes = prof.row_bytes();
-            for (rank, &row) in prof.ranked_rows.iter().take(knee as usize).enumerate() {
-                let rank = rank as u64;
-                let marginal = prof.cdf.access_fraction(rank + 1) - prof.cdf.access_fraction(rank);
-                candidates.push((marginal * total, table, row, row_bytes));
+            // Each rank's access fraction, read in rank order; the marginal
+            // is the difference of two consecutive ones.
+            let mut fraction = 0.0;
+            let ranks = prof.ranked_rows.iter().zip(prof.cdf.cumulative());
+            for (&row, covered) in ranks.take(knee as usize) {
+                let previous = std::mem::replace(&mut fraction, covered as f64 / cdf_total);
+                candidates.push(((fraction - previous) * total, table, row, row_bytes));
             }
         }
         // Hottest first; deterministic tie-break on (table, row).

@@ -22,6 +22,7 @@
 //! `(!count << 32) | row` keys, hottest first with ties broken by ascending
 //! row id, so the ranking is the same whichever order the rows arrived in.
 
+use crate::cdf::AccessCdf;
 use std::collections::BTreeMap;
 
 /// Fewest pending rows that trigger a compaction, so tiny tables do not
@@ -96,9 +97,10 @@ impl RowCounters {
         self.tables[table].total
     }
 
-    /// Consumes the counters into each table's rows and counts, ranked
-    /// hottest first (ties broken by ascending row id), table by table.
-    pub fn into_ranked(self) -> impl Iterator<Item = (Vec<u64>, Vec<u64>)> {
+    /// Consumes the counters into each table's rows, ranked hottest first
+    /// (ties broken by ascending row id), and the access CDF of their
+    /// counts, table by table.
+    pub fn into_ranked(self) -> impl Iterator<Item = (Vec<u64>, AccessCdf)> {
         self.into_ranked_on(0)
     }
 
@@ -109,7 +111,7 @@ impl RowCounters {
     pub(crate) fn into_ranked_on(
         mut self,
         helpers: usize,
-    ) -> impl Iterator<Item = (Vec<u64>, Vec<u64>)> {
+    ) -> impl Iterator<Item = (Vec<u64>, AccessCdf)> {
         let mut need = 0;
         let mut work = 0;
         for rows in &mut self.tables {
@@ -227,21 +229,25 @@ impl TableRows {
         self.runs.sort_unstable();
     }
 
-    /// The ranked rows and counts, from the keys
-    /// [`sort_keys`](Self::sort_keys) sorted.
-    fn into_ranked(self) -> (Vec<u64>, Vec<u64>) {
+    /// The ranked rows and their CDF, from the keys
+    /// [`sort_keys`](Self::sort_keys) sorted: one pass strips each key to
+    /// its row id in place and hands its count to the CDF's runs, so no
+    /// per-row count is stored.
+    fn into_ranked(self) -> (Vec<u64>, AccessCdf) {
         if let Some(wide) = self.wide {
             let mut runs: Vec<(u64, u64)> = wide.into_iter().collect();
             runs.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            return runs.into_iter().unzip();
+            let cdf = AccessCdf::from_ranked_counts(runs.iter().map(|&(_, count)| count));
+            return (runs.into_iter().map(|(row, _)| row).collect(), cdf);
         }
         let mut keys = self.runs;
-        let counts = keys.iter().map(|&key| !(key >> 32) & LOW).collect();
-        for key in &mut keys {
+        let cdf = AccessCdf::from_ranked_counts(keys.iter_mut().map(|key| {
+            let count = !(*key >> 32) & LOW;
             *key &= LOW;
-        }
+            count
+        }));
         keys.shrink_to_fit();
-        (keys, counts)
+        (keys, cdf)
     }
 }
 
@@ -305,8 +311,17 @@ fn run_length_encode(rows: &[u32], out: &mut [u64]) -> usize {
 mod tests {
     use super::*;
 
+    /// Each rank's count, read back from the CDF's cumulative counts.
+    fn counts(cdf: &AccessCdf) -> Vec<u64> {
+        let mut before = 0;
+        cdf.cumulative()
+            .map(|covered| covered - std::mem::replace(&mut before, covered))
+            .collect()
+    }
+
     fn ranked(counters: RowCounters) -> Vec<(Vec<u64>, Vec<u64>)> {
-        counters.into_ranked().collect()
+        let tables = counters.into_ranked();
+        tables.map(|(rows, cdf)| (rows, counts(&cdf))).collect()
     }
 
     #[test]
@@ -400,6 +415,10 @@ mod tests {
         assert!(rows.wide.is_some() && rows.runs.is_empty());
         assert_eq!(rows.reserve_for_ranking(), 0);
         rows.sort_keys(&mut scratch);
-        assert_eq!(rows.into_ranked(), (vec![5, 7, 9], vec![LOW + 1, 1, 1]));
+        let (ranked_rows, cdf) = rows.into_ranked();
+        assert_eq!(
+            (ranked_rows, counts(&cdf)),
+            (vec![5, 7, 9], vec![LOW + 1, 1, 1])
+        );
     }
 }

@@ -7,18 +7,38 @@ use rand::{Rng, SeedableRng};
 use recshard_stats::{AccessCdf, LogLinearHistogram, RowCounters};
 use std::collections::BTreeMap;
 
-/// The ranked rows and counts of one table that recorded `rows`.
-fn ranked(rows: &[u64]) -> (Vec<u64>, Vec<u64>) {
+/// One table's counters that recorded `rows`.
+fn counters_of(rows: &[u64]) -> RowCounters {
     let mut counters = RowCounters::new(1);
     for &row in rows {
         counters.record(0, row);
     }
-    counters.into_ranked().next().unwrap_or_default()
+    counters
+}
+
+/// Each rank's count, read back from the CDF's cumulative counts.
+fn counts_of(cdf: &AccessCdf) -> Vec<u64> {
+    let mut before = 0;
+    cdf.cumulative()
+        .map(|covered| covered - std::mem::replace(&mut before, covered))
+        .collect()
+}
+
+/// Every table's ranked rows and counts.
+fn ranked_tables(counters: RowCounters) -> Vec<(Vec<u64>, Vec<u64>)> {
+    let tables = counters.into_ranked();
+    tables.map(|(rows, cdf)| (rows, counts_of(&cdf))).collect()
+}
+
+/// The ranked rows and counts of one table that recorded `rows`.
+fn ranked(rows: &[u64]) -> (Vec<u64>, Vec<u64>) {
+    ranked_tables(counters_of(rows)).remove(0)
 }
 
 /// The access CDF of one table that recorded `rows`.
 fn cdf_of(rows: &[u64]) -> AccessCdf {
-    AccessCdf::from_ranked_counts(ranked(rows).1)
+    let (_, cdf) = counters_of(rows).into_ranked().next().unwrap();
+    cdf
 }
 
 proptest! {
@@ -27,12 +47,9 @@ proptest! {
     /// Total accesses and distinct-row counts are conserved by construction.
     #[test]
     fn row_counters_conserve_counts(rows in prop::collection::vec(0u64..500, 1..400)) {
-        let mut counters = RowCounters::new(1);
-        for &row in &rows {
-            counters.record(0, row);
-        }
+        let counters = counters_of(&rows);
         prop_assert_eq!(counters.total_accesses(0), rows.len() as u64);
-        let (ranked, counts) = counters.into_ranked().next().unwrap_or_default();
+        let (ranked, counts) = ranked_tables(counters).remove(0);
         let distinct: std::collections::HashSet<_> = rows.iter().collect();
         prop_assert_eq!(ranked.len(), distinct.len());
         prop_assert_eq!(counts.iter().sum::<u64>(), rows.len() as u64);
@@ -223,10 +240,232 @@ fn icdf_walk_equals_per_step_searches_on_edge_cases() {
     }
 }
 
+/// The per-row reference `AccessCdf` is held to: one cumulative count per
+/// ranked row, read the way the CDF read them before it kept runs.
+struct PerRowCdf {
+    /// `cumulative[i]`: accesses covered by the `i + 1` hottest rows.
+    cumulative: Vec<u64>,
+    total: u64,
+    covering_rows: u64,
+}
+
+impl PerRowCdf {
+    fn new(counts: &[u64]) -> Self {
+        let cumulative: Vec<u64> = counts
+            .iter()
+            .scan(0, |running, &c| {
+                *running += c;
+                Some(*running)
+            })
+            .collect();
+        let total = cumulative.last().copied().unwrap_or(0);
+        let covering_rows = if total == 0 {
+            0
+        } else {
+            (cumulative.partition_point(|&c| c < total) + 1).min(cumulative.len()) as u64
+        };
+        Self {
+            cumulative,
+            total,
+            covering_rows,
+        }
+    }
+
+    fn access_fraction(&self, rows: u64) -> f64 {
+        if self.total == 0 || rows == 0 {
+            return 0.0;
+        }
+        if rows >= self.covering_rows {
+            return 1.0;
+        }
+        let idx = (rows.min(self.cumulative.len() as u64) - 1) as usize;
+        self.cumulative[idx] as f64 / self.total as f64
+    }
+
+    fn rows_for_access_fraction(&self, fraction: f64) -> u64 {
+        if self.total == 0 || fraction.is_nan() || fraction <= 0.0 {
+            return 0;
+        }
+        let target = ((fraction.min(1.0) * self.total as f64).ceil() as u64).min(self.total);
+        let first = self.cumulative.partition_point(|&c| c < target);
+        (first as u64 + 1).min(self.cumulative.len() as u64)
+    }
+
+    fn knee_rank(&self) -> u64 {
+        if self.cumulative.is_empty() || self.total == 0 {
+            return 0;
+        }
+        let n = self.cumulative.len() as f64;
+        let total = self.total as f64;
+        let mut best = 0usize;
+        let mut best_gap = f64::NEG_INFINITY;
+        for (i, &c) in self.cumulative.iter().enumerate() {
+            let gap = c as f64 / total - (i + 1) as f64 / n;
+            if gap > best_gap {
+                best_gap = gap;
+                best = i;
+            }
+        }
+        (best + 1) as u64
+    }
+
+    fn top_percent_share(&self, percent: f64) -> f64 {
+        if self.cumulative.is_empty() {
+            return 0.0;
+        }
+        let rows = ((self.cumulative.len() as f64) * percent / 100.0)
+            .ceil()
+            .max(1.0) as u64;
+        self.access_fraction(rows)
+    }
+}
+
+/// Checks every accessor of the CDF of the descending `counts` against the
+/// per-row reference, bit for bit.
+fn assert_matches_per_row_reference(counts: &[u64]) {
+    let cdf = AccessCdf::from_ranked_counts(counts.iter().copied());
+    let reference = PerRowCdf::new(counts);
+    let len = counts.len() as u64;
+    prop_assert_eq!(cdf.cumulative().len(), counts.len());
+    prop_assert!(cdf.cumulative().eq(reference.cumulative.iter().copied()));
+    prop_assert_eq!(cdf.total_accesses(), reference.total);
+    prop_assert_eq!(cdf.full_coverage_rows(), reference.covering_rows);
+    for k in 0..=len + 2 {
+        prop_assert_eq!(
+            cdf.access_fraction(k).to_bits(),
+            reference.access_fraction(k).to_bits(),
+            "access_fraction({}) over {:?}",
+            k,
+            counts
+        );
+    }
+    // Every fraction a row count reaches exactly (each exact k / total on a
+    // small total, each cumulative count and its neighbours on a large
+    // one), a grid, and the clamped and NaN fractions.
+    let total = reference.total;
+    let exact: Vec<u64> = if total <= 4_096 {
+        (0..=total).collect()
+    } else {
+        let near = |&c: &u64| [c.saturating_sub(1), c, (c + 1).min(total)];
+        reference.cumulative.iter().flat_map(near).collect()
+    };
+    let fractions = exact
+        .iter()
+        .map(|&k| k as f64 / total.max(1) as f64)
+        .chain((0..=1_000).map(|i| f64::from(i) / 1_000.0))
+        .chain([-0.5, 1.5, f64::NAN, f64::MIN_POSITIVE, 1.0 - f64::EPSILON]);
+    for fraction in fractions {
+        prop_assert_eq!(
+            cdf.rows_for_access_fraction(fraction),
+            reference.rows_for_access_fraction(fraction),
+            "rows_for_access_fraction({}) over {:?}",
+            fraction,
+            counts
+        );
+    }
+    for steps in [1usize, 5, 100, 1_000] {
+        let icdf = cdf.icdf(steps);
+        for i in 0..=steps {
+            let rows = reference.rows_for_access_fraction(i as f64 / steps as f64);
+            prop_assert_eq!(
+                icdf.rows_at_step(i),
+                rows,
+                "icdf step {} of {} over {:?}",
+                i,
+                steps,
+                counts
+            );
+            prop_assert_eq!(
+                icdf.access_fraction_at_step(i).to_bits(),
+                reference.access_fraction(rows).to_bits(),
+                "icdf fraction at step {} of {} over {:?}",
+                i,
+                steps,
+                counts
+            );
+        }
+    }
+    prop_assert_eq!(cdf.knee_rank(), reference.knee_rank());
+    for percent in [0.0, 0.5, 1.0, 5.0, 10.0, 25.0, 50.0, 99.9, 100.0, 150.0] {
+        prop_assert_eq!(
+            cdf.top_percent_share(percent).to_bits(),
+            reference.top_percent_share(percent).to_bits(),
+            "top_percent_share({})",
+            percent
+        );
+    }
+}
+
+/// `counts` sorted descending, each shifted left by `shift` bits, or by as
+/// many as keep the total below 2^63.
+fn descending_shifted(mut counts: Vec<u64>, shift: u32) -> Vec<u64> {
+    let total: u64 = counts.iter().sum();
+    let shift = shift.min(total.leading_zeros().saturating_sub(1));
+    counts.iter_mut().for_each(|c| *c <<= shift);
+    counts.sort_unstable_by(|a, b| b.cmp(a));
+    counts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Tie-heavy counts: many rows of counts below 4, a few values repeated
+    /// in long runs, a zero tail, and counts shifted toward 2^60 so that
+    /// the `f64` fractions round.
+    #[test]
+    fn access_cdf_matches_the_per_row_reference(
+        small in prop::collection::vec(0u64..4, 0..400),
+        long in prop::collection::vec((0u64..1_000, 1usize..2_000), 0..5),
+        zeros in 0usize..50,
+        shift in 0u32..60,
+    ) {
+        let mut counts = small;
+        for (count, rows) in long {
+            counts.extend(std::iter::repeat_n(count, rows));
+        }
+        counts.extend(std::iter::repeat_n(0, zeros));
+        assert_matches_per_row_reference(&descending_shifted(counts, shift));
+    }
+
+    /// One run of equal counts (all zeros when the count is 0), with or
+    /// without a zero tail.
+    #[test]
+    fn one_run_matches_the_per_row_reference(
+        count in 0u64..5,
+        rows in 1usize..3_000,
+        zeros in 0usize..3,
+        shift in 0u32..60,
+    ) {
+        let mut counts = vec![count; rows];
+        counts.extend(std::iter::repeat_n(0, zeros));
+        assert_matches_per_row_reference(&descending_shifted(counts, shift));
+    }
+}
+
+#[test]
+fn access_cdf_matches_the_per_row_reference_on_edge_cases() {
+    let huge = u64::MAX / 4;
+    for counts in [
+        &[][..],
+        &[0],
+        &[0, 0, 0],
+        &[1],
+        &[7; 9],
+        &[9, 0, 0],
+        &[5, 3, 3, 3, 1, 0],
+        &[huge],
+        &[huge, huge - 1, 3, 0],
+        &[(1 << 53) + 1, 1, 1],
+        &[1 << 60, 1 << 60, 1, 1, 0],
+    ] {
+        assert_matches_per_row_reference(counts);
+    }
+}
+
 /// Checks the ranking of every table of `counters` against its `BTreeMap`
 /// reference: hottest first, ties broken by ascending row id.
 fn assert_matches_reference(counters: &RowCounters, reference: &[BTreeMap<u64, u64>]) {
-    let tables: Vec<(Vec<u64>, Vec<u64>)> = counters.clone().into_ranked().collect();
+    let tables = ranked_tables(counters.clone());
     prop_assert_eq!(tables.len(), reference.len());
     for (t, ((rows, counts), expected)) in tables.iter().zip(reference).enumerate() {
         prop_assert_eq!(counters.total_accesses(t), expected.values().sum::<u64>());

@@ -397,8 +397,8 @@ fn profile_fingerprint(profile: &DatasetProfile) -> u64 {
         fold(p.avg_pooling.to_bits());
         fold(p.coverage.to_bits());
         fold(p.cdf.total_accesses());
-        fold(p.cdf.cumulative_counts().len() as u64);
-        p.cdf.cumulative_counts().iter().for_each(|&c| fold(c));
+        fold(p.cdf.cumulative().len() as u64);
+        p.cdf.cumulative().for_each(&mut fold);
         fold(p.ranked_rows.len() as u64);
         p.ranked_rows.iter().for_each(|&r| fold(r));
     }
